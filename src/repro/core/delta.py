@@ -307,6 +307,7 @@ class ShardedDeltaTable:
         self._spill: DeltaSpillStore | None = None
         self._reported = np.zeros(num_clients, dtype=bool)
         self.spilled_rows = 0  # lifetime spill writes (obs counter fodder)
+        self._view: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- updates ---------------------------------------------------------------
     def update(self, client: int, delta: np.ndarray) -> None:
@@ -314,6 +315,7 @@ class ShardedDeltaTable:
         delta = np.asarray(delta, dtype=np.float64)
         if delta.shape != (self.dim,):
             raise ProtocolError(f"delta shape {delta.shape} != ({self.dim},)")
+        self._view = None
         if self._spill is not None and client in self._spill:
             self._spill.pop(client)
         self._rows[client] = delta.copy()
@@ -381,12 +383,23 @@ class ShardedDeltaTable:
             table[ids] = self.rows_for(ids)
         return table
 
+    def _reported_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(reported ids ascending, their stacked rows)``, built at most
+        once per table version: every mutator drops it, and between two
+        mutations (a round's whole execute phase) the table cannot
+        change, so N leave-one-out reads cost one stack, not N.  Reads
+        through :meth:`_row` leave LRU order and the spill file alone."""
+        if self._view is None:
+            ids = self.reported_ids()
+            self._view = (ids, self.rows_for(ids))
+        return self._view
+
     def reported_rows_except(self, client: int) -> np.ndarray | None:
-        ids = self.reported_ids()
-        ids = ids[ids != client]
-        if not len(ids):
+        ids, rows = self._reported_view()
+        others = ids != client
+        if not others.any():
             return None
-        return self.rows_for(ids)
+        return rows[others]
 
     def mean_of_others(self, client: int) -> np.ndarray:
         others = self.reported_rows_except(client)
@@ -405,10 +418,9 @@ class ShardedDeltaTable:
         return float((gaps * gaps).sum(axis=1).mean())
 
     def delta_inconsistency(self) -> float:
-        ids = self.reported_ids()
+        ids, reported = self._reported_view()
         if not len(ids):
             return 0.0
-        reported = self.rows_for(ids)
         center = reported.mean(axis=0)
         return float(np.linalg.norm(reported - center, axis=1).mean())
 
@@ -428,6 +440,7 @@ class ShardedDeltaTable:
         a cap (a worker sees one cohort's worth of broadcast state)."""
         ids = np.asarray(segments["delta_ids"], dtype=np.int64)
         rows = np.asarray(segments["delta_rows"], dtype=np.float64)
+        self._view = None
         self._rows = OrderedDict(
             (int(client), rows[i]) for i, client in enumerate(ids)
         )
@@ -453,6 +466,7 @@ class ShardedDeltaTable:
             reported = np.asarray(segments["delta_reported"], dtype=bool)
             ids = np.asarray(segments["delta_ids"], dtype=np.int64)
             rows = np.asarray(segments["delta_rows"], dtype=np.float64)
+        self._view = None
         self._rows = OrderedDict()
         self._spill = None
         np.copyto(self._reported, reported)

@@ -11,6 +11,7 @@ gives FEMNIST-like feature-distribution skew.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,12 +59,17 @@ _FONT_ROWS = {
 GLYPH_SET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+@lru_cache(maxsize=None)  # bounded by the font: an unknown char raises, uncached
 def glyph_bitmap(char: str) -> np.ndarray:
-    """Return the 7x5 float bitmap for a supported character."""
+    """The 7x5 float bitmap for a supported character.
+
+    Parsed once; the array is shared by every caller and read-only.
+    """
     if char not in _FONT_ROWS:
         raise DataError(f"no glyph for {char!r}")
-    rows = _FONT_ROWS[char]
-    return np.array([[float(c) for c in row] for row in rows])
+    bitmap = np.array([[float(c) for c in row] for row in _FONT_ROWS[char]])
+    bitmap.setflags(write=False)
+    return bitmap
 
 
 @dataclass(frozen=True)
@@ -98,11 +104,15 @@ def _dilate(bitmap: np.ndarray) -> np.ndarray:
     return (out > 0).astype(np.float64)
 
 
-def _shear_rows(img: np.ndarray, shear: float) -> np.ndarray:
-    """Shift each row horizontally by round(shear * row_index)."""
+def _row_shifts(rows: int, shear: float) -> tuple[int, ...]:
+    """Whole-pixel shift of each row under ``shear`` pixels per row."""
+    return tuple([int(round(shear * row)) for row in range(rows)])
+
+
+def _shift_rows(img: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
+    """Shift row ``i`` horizontally by ``shifts[i]``, filling with zeros."""
     out = np.zeros_like(img)
-    for row in range(img.shape[0]):
-        shift = int(round(shear * row))
+    for row, shift in enumerate(shifts):
         out[row] = np.roll(img[row], shift)
         if shift > 0:
             out[row, :shift] = 0.0
@@ -111,39 +121,72 @@ def _shear_rows(img: np.ndarray, shear: float) -> np.ndarray:
     return out
 
 
+def _shear_rows(img: np.ndarray, shear: float) -> np.ndarray:
+    """Shift each row horizontally by round(shear * row_index)."""
+    return _shift_rows(img, _row_shifts(img.shape[0], shear))
+
+
+@lru_cache(maxsize=1024)
+def _styled_bitmap(
+    char: str, thickness: int, scale: int, shifts: tuple[int, ...]
+) -> np.ndarray:
+    """The deterministic half of a render: parse, dilate, scale, shear.
+
+    A shear enters only through its per-row shift tuple, so the
+    continuum of per-sample slants collapses onto a handful of entries:
+    a per-sample-styled digit set needs ~150 (10 chars x 2 thicknesses
+    x 7 tuples).  The bound keeps a FEMNIST corpus (writers x chars)
+    from growing the memo for the life of the process.  The result is
+    shared between renders and therefore read-only.
+    """
+    bitmap = glyph_bitmap(char)
+    for _ in range(thickness):
+        bitmap = _dilate(bitmap)
+    if scale > 1:
+        bitmap = np.kron(bitmap, np.ones((scale, scale)))
+    bitmap = _shift_rows(bitmap, shifts)
+    bitmap.setflags(write=False)
+    return bitmap
+
+
 def render_glyph(
     char: str,
     canvas_size: int,
     style: GlyphStyle,
     rng: np.random.Generator,
     jitter: int = 1,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Render one noisy glyph sample onto a (canvas_size, canvas_size) canvas.
 
     The glyph is scaled, thickened, sheared, placed with a random
     ``jitter``-pixel offset around the center, then corrupted with
-    Gaussian pixel noise.  Output values are clipped to [0, 1].
+    Gaussian pixel noise.  Output values are clipped to [0, 1] and
+    written to ``out`` (every element of it) when given.
+
+    The draws from ``rng`` — two ``integers`` then one
+    ``normal(size=canvas)`` — are the dataset's bytes: reordering or
+    reshaping them changes every image rendered after.
     """
-    bitmap = glyph_bitmap(char)
-    for _ in range(style.thickness):
-        bitmap = _dilate(bitmap)
-    if style.scale > 1:
-        bitmap = np.kron(bitmap, np.ones((style.scale, style.scale)))
-    if style.shear:
-        bitmap = _shear_rows(bitmap, style.shear)
-    glyph_h, glyph_w = bitmap.shape
+    scale = max(style.scale, 1)  # anything below 2 leaves the 7x5 bitmap as is
+    glyph_h, glyph_w = 7 * scale, 5 * scale
     if glyph_h > canvas_size or glyph_w > canvas_size:
         raise DataError(
             f"glyph {glyph_h}x{glyph_w} does not fit canvas {canvas_size}"
         )
-    canvas = np.zeros((canvas_size, canvas_size))
+    bitmap = _styled_bitmap(
+        char, style.thickness, scale, _row_shifts(glyph_h, style.shear)
+    )
     top0 = (canvas_size - glyph_h) // 2
     left0 = (canvas_size - glyph_w) // 2
-    top = int(np.clip(top0 + rng.integers(-jitter, jitter + 1), 0, canvas_size - glyph_h))
-    left = int(np.clip(left0 + rng.integers(-jitter, jitter + 1), 0, canvas_size - glyph_w))
-    canvas[top : top + glyph_h, left : left + glyph_w] = bitmap * style.intensity
-    canvas += rng.normal(0.0, style.noise, size=canvas.shape)
-    return np.clip(canvas, 0.0, 1.0)
+    top = min(max(top0 + int(rng.integers(-jitter, jitter + 1)), 0), canvas_size - glyph_h)
+    left = min(max(left0 + int(rng.integers(-jitter, jitter + 1)), 0), canvas_size - glyph_w)
+    # noise + glyph is glyph + noise bit for bit, and normal(0.0, s)
+    # never yields -0.0, so starting from the noise array equals adding
+    # it to a zero canvas that holds the glyph.
+    canvas = rng.normal(0.0, style.noise, size=(canvas_size, canvas_size))
+    canvas[top : top + glyph_h, left : left + glyph_w] += bitmap * style.intensity
+    return canvas.clip(0.0, 1.0, out=canvas if out is None else out)
 
 
 def random_style(

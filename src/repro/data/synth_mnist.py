@@ -46,8 +46,20 @@ def _render_split(
     count: int, image_size: int, noise: float, rng: np.random.Generator
 ) -> ArrayDataset:
     labels = rng.integers(0, 10, size=count)
-    images = np.zeros((count, 1, image_size, image_size))
-    for i, label in enumerate(labels):
+    return ArrayDataset(render_digits(labels, image_size, noise, rng), labels)
+
+
+def render_digits(
+    labels: np.ndarray, image_size: int, noise: float, rng: np.random.Generator
+) -> np.ndarray:
+    """One per-sample-styled digit image per label, (len(labels), 1, s, s).
+
+    Every synthetic-MNIST sample anywhere (the eager splits here, the
+    virtual population's shards and test set) is drawn by this loop, in
+    this order: shear, thickness, intensity, then the render's own draws.
+    """
+    images = np.empty((len(labels), 1, image_size, image_size))
+    for image, label in zip(images[:, 0], labels.tolist()):
         style = GlyphStyle(
             shear=float(rng.uniform(-0.15, 0.15)),
             thickness=int(rng.integers(0, 2)),
@@ -55,5 +67,5 @@ def _render_split(
             intensity=float(rng.uniform(0.75, 1.0)),
             noise=noise,
         )
-        images[i, 0] = render_glyph(DIGITS[label], image_size, style, rng, jitter=1)
-    return ArrayDataset(images, labels)
+        render_glyph(DIGITS[label], image_size, style, rng, jitter=1, out=image)
+    return images

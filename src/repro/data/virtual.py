@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import ArrayDataset, DatasetSpec, FederatedDataset
-from repro.data.glyphs import GlyphStyle, render_glyph
-from repro.data.synth_mnist import DIGITS
+from repro.data.synth_mnist import render_digits
 from repro.exceptions import DataError
 
 # RNG stream tags: every virtual draw derives from [seed, tag, ...] so
@@ -118,6 +117,13 @@ class VirtualPartition:
             num_classes=self.num_classes,
         )
 
+    def check_client_id(self, client_id: int) -> None:
+        """Raise :class:`DataError` unless ``0 <= client_id < population``."""
+        if not 0 <= client_id < self.population:
+            raise DataError(
+                f"client_id {client_id} out of range for population {self.population}"
+            )
+
     def home_label(self, client_id: int) -> int:
         """The client's skewed label: contiguous id blocks share a label,
         so id-range strata align with label strata."""
@@ -143,28 +149,14 @@ def materialize_client(
     the eager :meth:`VirtualPartition <VirtualFederatedDataset.materialize>`
     path, and forked worker processes all produce identical bytes.
     """
-    if not 0 <= client_id < partition.population:
-        raise DataError(
-            f"client_id {client_id} out of range for population {partition.population}"
-        )
+    partition.check_client_id(client_id)
     rng = np.random.default_rng([partition.seed, _TAG_CLIENT, client_id])
     coins = rng.random(size)
     iid_labels = rng.integers(0, partition.num_classes, size=size)
     labels = np.where(
         coins < partition.similarity, iid_labels, partition.home_label(client_id)
     ).astype(np.int64)
-    images = np.zeros((size, 1, partition.image_size, partition.image_size))
-    for i, label in enumerate(labels):
-        style = GlyphStyle(
-            shear=float(rng.uniform(-0.15, 0.15)),
-            thickness=int(rng.integers(0, 2)),
-            scale=1,
-            intensity=float(rng.uniform(0.75, 1.0)),
-            noise=partition.noise,
-        )
-        images[i, 0] = render_glyph(
-            DIGITS[label], partition.image_size, style, rng, jitter=1
-        )
+    images = render_digits(labels, partition.image_size, partition.noise, rng)
     return ArrayDataset(images, labels)
 
 
@@ -172,18 +164,7 @@ def materialize_test(partition: VirtualPartition) -> ArrayDataset:
     """The (small, eager) global test set: IID over all labels."""
     rng = np.random.default_rng([partition.seed, _TAG_TEST])
     labels = rng.integers(0, partition.num_classes, size=partition.num_test)
-    images = np.zeros((partition.num_test, 1, partition.image_size, partition.image_size))
-    for i, label in enumerate(labels):
-        style = GlyphStyle(
-            shear=float(rng.uniform(-0.15, 0.15)),
-            thickness=int(rng.integers(0, 2)),
-            scale=1,
-            intensity=float(rng.uniform(0.75, 1.0)),
-            noise=partition.noise,
-        )
-        images[i, 0] = render_glyph(
-            DIGITS[label], partition.image_size, style, rng, jitter=1
-        )
+    images = render_digits(labels, partition.image_size, partition.noise, rng)
     return ArrayDataset(images, labels)
 
 
@@ -213,6 +194,9 @@ class VirtualClientSet:
 
     def __getitem__(self, client_id: int) -> ArrayDataset:
         client_id = int(client_id)
+        # Before _sizes is indexed: numpy would wrap a negative id and
+        # raise its own IndexError past the end.
+        self.partition.check_client_id(client_id)
         shard = self._live.get(client_id)
         if shard is not None:
             self._live.move_to_end(client_id)

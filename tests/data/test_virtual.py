@@ -54,6 +54,17 @@ def test_materialize_client_range_check():
     part = VirtualPartition(population=10, seed=0)
     with pytest.raises(DataError):
         materialize_client(part, 10, 20)
+    with pytest.raises(DataError):
+        materialize_client(part, -1, 20)
+    # The lazy sequence raises the same error for both ends, before it
+    # looks up a size: clients[population] used to leak numpy's
+    # IndexError and clients[-1] read the last client's size first.
+    fed = make_virtual_federation(10, seed=0)
+    for bad in (10, -1, np.int64(10), np.int64(-1)):
+        with pytest.raises(DataError, match="out of range for population 10"):
+            fed.clients[bad]
+    assert fed.clients.materializations == 0 and fed.clients.live_clients == 0
+    assert fed.clients[9].x.shape[0] == 20
 
 
 def test_similarity_zero_is_pure_home_label():
