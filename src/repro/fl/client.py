@@ -85,7 +85,7 @@ def local_sgd_steps(
             if reg is not None:
                 reg_losses[i], feature_grad = reg
         model.zero_grad()
-        model.backward(grad_out, feature_grad=feature_grad)
+        model.backward(grad_out, feature_grad=feature_grad, input_grad=False)
         if grad_hook is not None:
             grad_hook(model)
         optimizer.step()
@@ -131,4 +131,5 @@ def compute_mean_embedding(
     for x, _y in data.batches(batch_size):
         total += model.features.forward(x).sum(axis=0)
     model.train()
+    model.free_buffers()
     return total / len(data)

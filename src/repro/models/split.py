@@ -24,7 +24,10 @@ class SplitModel(Module):
     ``forward`` caches the feature activations; ``backward`` optionally
     accepts ``feature_grad`` — an extra gradient on the cached features —
     which is how the MMD regularizer joins the task-loss backward pass
-    without a second forward.
+    without a second forward.  A training loop, which never reads the
+    gradient with respect to the input batch, passes ``input_grad=False``
+    so the first parametrised layer accumulates its parameter gradients
+    only (:meth:`repro.nn.Module.backward_params`).
     """
 
     def __init__(self, features: Module, head: Module, feature_dim: int) -> None:
@@ -53,12 +56,18 @@ class SplitModel(Module):
         return self.head.forward(feat)
 
     def backward(
-        self, grad_out: np.ndarray, feature_grad: np.ndarray | None = None
-    ) -> np.ndarray:
+        self,
+        grad_out: np.ndarray,
+        feature_grad: np.ndarray | None = None,
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
         grad_feat = self.head.backward(grad_out)
         if feature_grad is not None:
             grad_feat = grad_feat + feature_grad
-        return self.features.backward(grad_feat)
+        if input_grad:
+            return self.features.backward(grad_feat)
+        self.features.backward_params(grad_feat)
+        return None
 
     def feature_param_count(self) -> int:
         """Number of scalars in phi's parameters (the w~ part of w)."""

@@ -14,33 +14,81 @@ from repro.nn.initializers import he_normal, zeros
 from repro.nn.module import Module, Parameter
 
 
+class Im2colWorkspace:
+    """Scratch for unfolding inputs of one shape and dtype into GEMM layout.
+
+    Owns the zero-bordered padded copy of the input, the column matrix
+    and the gather table that maps one sample's padded pixels to its
+    ``OH*OW*C*K*K`` column slots.  :class:`Conv2d` keeps one per layer and
+    reuses it while the input shape matches, so a train step or a
+    full-shard pass stops paying for a fresh multi-megabyte ``cols``
+    (``mmap`` plus page faults) on every call.  Reuse is layout-only:
+    every slot is rewritten by each :meth:`unfold`, and nothing here is
+    ever returned to a caller of the layer.
+    """
+
+    def __init__(
+        self,
+        x_shape: tuple[int, int, int, int],
+        dtype: np.dtype,
+        kernel: int,
+        stride: int,
+        padding: int,
+    ) -> None:
+        batch, channels, height, width = x_shape
+        pad_h, pad_w = height + 2 * padding, width + 2 * padding
+        self.key = (x_shape, dtype)
+        self.padding = padding
+        self.sample_size = channels * pad_h * pad_w
+        self.out_h = (pad_h - kernel) // stride + 1
+        self.out_w = (pad_w - kernel) // stride + 1
+        # The border is written once here and never again: unfold() only
+        # overwrites the interior.
+        self.padded = (
+            np.zeros((batch, channels, pad_h, pad_w), dtype=dtype) if padding > 0 else None
+        )
+        self.cols = np.empty(
+            (batch * self.out_h * self.out_w, channels * kernel * kernel), dtype=dtype
+        )
+        # index[oh, ow, c, ki, kj] = flat offset of padded[c, oh*s+ki, ow*s+kj]
+        # within one sample: the slot order of the reference im2col.
+        k = np.arange(kernel)
+        row = (np.arange(self.out_h) * stride)[:, None, None, None, None] + k[:, None]
+        col = (np.arange(self.out_w) * stride)[:, None, None, None] + k
+        plane = np.arange(channels)[:, None, None] * (pad_h * pad_w)
+        self.index = (plane + row * pad_w + col).reshape(-1)  # OH*OW*C*K*K offsets
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """Fill and return :attr:`cols` for ``x``."""
+        batch = x.shape[0]
+        if self.padded is not None:
+            p = self.padding
+            self.padded[:, :, p:-p, p:-p] = x
+            x = self.padded
+        # One gather per sample row; mode="clip" only tells numpy the
+        # indices need no bounds check (they are in range by
+        # construction), which lets it write straight into ``out``.
+        np.take(
+            x.reshape(batch, self.sample_size), self.index, axis=1,
+            out=self.cols.reshape(batch, self.index.size), mode="clip",
+        )
+        return self.cols
+
+
 def im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> tuple[np.ndarray, int, int]:
     """Unfold ``x`` (B, C, H, W) into columns of shape (B*OH*OW, C*K*K).
 
-    Implemented with :func:`numpy.lib.stride_tricks.sliding_window_view`:
-    the window gather is a zero-copy view and the only data movement is
-    the single contiguous copy into GEMM layout — no Python loops.
-    Bit-identical to the loop-based reference
+    A table-driven gather (:class:`Im2colWorkspace`) with no Python
+    loops.  Bit-identical to the loop-based reference
     (:func:`repro.nn.reference.im2col_reference`): the same elements land
     in the same slots, only the gather strategy differs.
 
     Returns the column matrix and the output spatial dims (OH, OW).
     """
-    batch, channels, height, width = x.shape
-    out_h = (height + 2 * padding - kernel) // stride + 1
-    out_w = (width + 2 * padding - kernel) // stride + 1
-    if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # (B, C, H', W', K, K) zero-copy view of every kernel window.
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    if stride > 1:
-        windows = windows[:, :, ::stride, ::stride]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        batch * out_h * out_w, channels * kernel * kernel
-    )
-    return cols, out_h, out_w
+    workspace = Im2colWorkspace(x.shape, x.dtype, kernel, stride, padding)
+    return workspace.unfold(x), workspace.out_h, workspace.out_w
 
 
 def col2im(
@@ -106,35 +154,59 @@ class Conv2d(Module):
             name="conv.weight",
         )
         self.bias = Parameter(zeros((out_channels,)), name="conv.bias")
+        # Backward state: the column matrix of the last training-mode
+        # forward (it aliases the workspace's ``cols``).
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
         self._out_hw: tuple[int, int] | None = None
+        self._workspace: Im2colWorkspace | None = None
 
     def _free_buffers(self) -> None:
         self._cols = None
         self._x_shape = None
         self._out_hw = None
+        self._workspace = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch = x.shape[0]
-        cols, out_h, out_w = im2col(x, self.kernel_size, self.stride, self.padding)
+        workspace = self._workspace
+        if workspace is None or workspace.key != (x.shape, x.dtype):
+            workspace = self._workspace = Im2colWorkspace(
+                x.shape, x.dtype, self.kernel_size, self.stride, self.padding
+            )
+        cols = workspace.unfold(x)
+        out_h, out_w = workspace.out_h, workspace.out_w
         w_mat = self.weight.data.reshape(self.out_channels, -1)  # (O, C*K*K)
-        out = cols @ w_mat.T + self.bias.data  # (B*OH*OW, O)
-        self._cols = cols
+        out = cols @ w_mat.T  # (B*OH*OW, O), fresh: it is what the caller gets
+        out += self.bias.data
+        # A forward-only (eval-mode) pass keeps nothing for backward.
+        self._cols = cols if self.training else None
         self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
         return out.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _accumulate_param_grads(self, grad_out: np.ndarray) -> np.ndarray:
+        """Add this batch's weight/bias gradients; return ``grad_out`` in
+        GEMM layout (B*OH*OW, O)."""
         if self._cols is None or self._x_shape is None or self._out_hw is None:
             raise RuntimeError("backward called before forward")
         batch = grad_out.shape[0]
         out_h, out_w = self._out_hw
         grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(batch * out_h * out_w, -1)
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
         self.weight.grad += (grad_mat.T @ self._cols).reshape(self.weight.data.shape)
         self.bias.grad += grad_mat.sum(axis=0)
+        return grad_mat
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad_mat = self._accumulate_param_grads(grad_out)
+        out_h, out_w = self._out_hw
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
         grad_cols = grad_mat @ w_mat  # (B*OH*OW, C*K*K)
         return col2im(
             grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding, out_h, out_w
         )
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        # Skips ``grad_mat @ w_mat`` and col2im, the most expensive calls
+        # of a train step when this is the first layer.
+        self._accumulate_param_grads(grad_out)

@@ -129,6 +129,17 @@ class Module:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """Accumulate parameter gradients without returning the input gradient.
+
+        For the first parametrised layer of a network the gradient with
+        respect to the input is never read.  The default runs
+        :meth:`backward` and discards it; a layer whose input gradient is
+        expensive overrides this to skip that work.  Parameter gradients
+        are the same bits either way.
+        """
+        self.backward(grad_out)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
@@ -152,6 +163,19 @@ class Sequential(Module):
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out)
         return grad_out
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        # Backpropagate down to the first layer that has parameters and
+        # stop there: the parameter-free layers before it only reshape a
+        # gradient nobody reads.
+        first = next(
+            (i for i, layer in enumerate(self.layers) if layer.parameters()), None
+        )
+        if first is None:
+            return
+        for layer in reversed(self.layers[first + 1 :]):
+            grad_out = layer.backward(grad_out)
+        self.layers[first].backward_params(grad_out)
 
     def __len__(self) -> int:
         return len(self.layers)

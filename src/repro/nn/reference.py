@@ -1,10 +1,10 @@
 """Reference (pre-optimization) kernels kept as equivalence oracles.
 
 The optimized hot-path kernels in :mod:`repro.nn.conv`,
-:mod:`repro.nn.recurrent` and :mod:`repro.nn.gru` are required to be
-*bit-for-bit* identical to these straightforward implementations in
-float64 — that is the contract that lets the kernel rewrites ship
-without re-validating every paper experiment.  The equivalence tests
+:mod:`repro.nn.pooling`, :mod:`repro.nn.recurrent` and :mod:`repro.nn.gru`
+are required to be *bit-for-bit* identical to these straightforward
+implementations in float64 — that is the contract that lets the kernel
+rewrites ship without re-validating every paper experiment.  The equivalence tests
 (``tests/nn/test_kernel_equivalence.py``) and the benchmark regression
 harness (``benchmarks/bench_kernels.py``) both compare against this
 module; it is not used on any training path.
@@ -20,6 +20,7 @@ import numpy as np
 from repro.nn.conv import Conv2d
 from repro.nn.gru import GRUCell
 from repro.nn.module import Module
+from repro.nn.pooling import MaxPool2d
 from repro.nn.recurrent import LSTMCell
 
 
@@ -80,7 +81,14 @@ def col2im_reference(
 
 
 class ReferenceConv2d(Conv2d):
-    """:class:`~repro.nn.conv.Conv2d` on the reference im2col/col2im."""
+    """:class:`~repro.nn.conv.Conv2d` on the reference im2col/col2im.
+
+    Keeps its column matrix in every mode and has no parameter-only
+    backward: ``backward_params`` is the base class's "run ``backward``,
+    discard the result".
+    """
+
+    backward_params = Module.backward_params
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         batch = x.shape[0]
@@ -108,6 +116,40 @@ class ReferenceConv2d(Conv2d):
             grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding,
             out_h, out_w,
         )
+
+
+class ReferenceMaxPool2d(MaxPool2d):
+    """Original max pooling: reshape into windows, reduce, normalized mask."""
+
+    # A class-level default, because as_reference() rebinds ``__class__``
+    # on layers that were constructed as MaxPool2d.
+    _mask: np.ndarray | None = None
+
+    def _free_buffers(self) -> None:
+        self._mask = None
+        self._x_shape = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        batch, channels, height, width = x.shape
+        p = self.pool_size
+        if height % p or width % p:
+            raise ValueError(
+                f"MaxPool2d: spatial dims ({height},{width}) not divisible by {p}"
+            )
+        blocks = x.reshape(batch, channels, height // p, p, width // p, p)
+        out = blocks.max(axis=(3, 5))
+        expanded = out[:, :, :, None, :, None]
+        mask = (blocks == expanded).astype(x.dtype)
+        mask /= mask.sum(axis=(3, 5), keepdims=True)
+        self._mask = mask
+        self._x_shape = x.shape
+        return out
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        if self._mask is None or self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        grad_blocks = self._mask * grad_out[:, :, :, None, :, None]
+        return grad_blocks.reshape(self._x_shape)
 
 
 class ReferenceLSTMCell(LSTMCell):
@@ -268,6 +310,7 @@ class ReferenceGRUCell(GRUCell):
 
 _REFERENCE_CLASSES = {
     Conv2d: ReferenceConv2d,
+    MaxPool2d: ReferenceMaxPool2d,
     LSTMCell: ReferenceLSTMCell,
     GRUCell: ReferenceGRUCell,
 }
@@ -277,10 +320,11 @@ def as_reference(module: Module) -> Module:
     """Swap every optimized-kernel layer in a module tree to its
     reference twin, in place, and return the tree.
 
-    The reference classes only override ``forward``/``backward``, so
-    rebinding ``__class__`` is safe: parameters, caches and attribute
-    layout are untouched.  Used by the benchmark harness to time the
-    "before" path on an identically initialized model.
+    The reference classes only override methods, so rebinding
+    ``__class__`` is safe: parameters and attribute layout are untouched
+    (a reference layer keeps its backward state in attributes of its own
+    where the optimized layer's differ).  Used by the benchmark harness
+    to time the "before" path on an identically initialized model.
     """
     swap = _REFERENCE_CLASSES.get(type(module))
     if swap is not None:

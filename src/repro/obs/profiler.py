@@ -3,9 +3,13 @@
 The numpy substrate has no hook infrastructure, so the profiler patches
 the ``forward`` / ``backward`` *instance* attributes of every leaf
 module (a module with no child modules) with a timing wrapper, and
-attributes the measured time to the layer's class name.  Detaching
-restores the original class-level methods, so a profiled model is
-bit-identical to an unprofiled one afterwards.
+attributes the measured time to the layer's class name.  A leaf whose
+class overrides ``backward_params`` (the parameter-only backward a
+training loop runs at the first parametrised layer) gets that method
+timed into the backward histogram too; a leaf that inherits the default
+is already covered, because the default calls the patched ``backward``.
+Detaching restores the original class-level methods, so a profiled model
+is bit-identical to an unprofiled one afterwards.
 
 Usage::
 
@@ -85,8 +89,13 @@ class LayerProfiler:
             raise RuntimeError("profiler is already attached; detach() first")
         for module in _leaf_modules(model):
             label = type(module).__name__
+            backward = self.metrics.histogram(self.BACKWARD, layer=label)
             self._patch(module, "forward", self.metrics.histogram(self.FORWARD, layer=label))
-            self._patch(module, "backward", self.metrics.histogram(self.BACKWARD, layer=label))
+            self._patch(module, "backward", backward)
+            # Only an override does its own work; timing the inherited
+            # default as well would count its inner backward() twice.
+            if type(module).backward_params is not Module.backward_params:
+                self._patch(module, "backward_params", backward)
         return self
 
     def _patch(self, module: Module, method: str, histogram) -> None:

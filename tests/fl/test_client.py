@@ -6,7 +6,7 @@ import pytest
 from repro.data.dataset import ArrayDataset
 from repro.fl.client import compute_mean_embedding, evaluate_model, local_sgd_steps
 from repro.fl.config import FLConfig
-from repro.models import build_mlp
+from repro.models import build_cnn, build_mlp
 from repro.nn.serialization import get_flat_params
 
 
@@ -126,6 +126,32 @@ def test_compute_mean_embedding_restores_train_mode(rng):
     model = _model(rng)
     model.train()
     compute_mean_embedding(model, _data(n=10))
+    assert model.training
+
+
+def _held_caches(model):
+    """(layer, attribute) pairs still holding forward state or scratch."""
+    from repro.obs.profiler import _leaf_modules
+
+    return [
+        (type(module).__name__, name)
+        for module in [model, *_leaf_modules(model)]
+        for name, value in vars(module).items()
+        # Shapes (tuples of ints) are not activations; everything else
+        # a layer keeps privately is.
+        if name.startswith("_") and value is not None and not isinstance(value, tuple)
+    ]
+
+
+@pytest.mark.parametrize("helper", [evaluate_model, compute_mean_embedding])
+def test_forward_only_helpers_leave_no_activation_cache(rng, helper):
+    model = build_cnn(1, 8, 3, rng, scale=0.25)
+    gen = np.random.default_rng(0)
+    data = ArrayDataset(gen.normal(size=(20, 1, 8, 8)), gen.integers(0, 3, 20))
+    model.forward(data.x[:4])
+    assert _held_caches(model)  # the check can see a cache when there is one
+    helper(model, data, batch_size=8)
+    assert _held_caches(model) == []
     assert model.training
 
 

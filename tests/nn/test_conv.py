@@ -6,6 +6,7 @@ import pytest
 from repro import nn
 from repro.nn.conv import col2im, im2col
 from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.reference import as_reference
 from tests.helpers import model_gradcheck
 
 
@@ -87,3 +88,114 @@ def test_grad_accumulates_across_batches(rng):
     layer(x)
     layer.backward(np.ones_like(out))
     np.testing.assert_allclose(layer.weight.grad, 2 * first)
+
+
+# -- forward-only (eval-mode) passes ---------------------------------------------
+
+
+def test_eval_forward_is_bitwise_train_forward_and_keeps_no_backward_state(rng):
+    layer = nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0))
+    x = rng.normal(size=(3, 2, 6, 6))
+    trained = layer.forward(x)
+    layer.eval()
+    assert layer.forward(x).tobytes() == trained.tobytes()
+    assert layer._cols is None
+    for backward in (layer.backward, layer.backward_params):
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            backward(np.ones_like(trained))
+
+
+def test_train_eval_train_still_trains(rng):
+    """A forward-only pass between two steps does not disturb training."""
+    def build():
+        r = np.random.default_rng(1)
+        return nn.Sequential(
+            nn.Conv2d(1, 3, 3, padding=1, rng=r), nn.ReLU(), nn.MaxPool2d(2),
+            nn.Flatten(), nn.Linear(3 * 3 * 3, 2, rng=r),
+        )
+
+    x = rng.normal(size=(4, 1, 6, 6))
+    x_eval = rng.normal(size=(7, 1, 6, 6))
+    grad_out = rng.normal(size=(4, 2))
+    interrupted, plain = build(), as_reference(build())
+    for model in (interrupted, plain):
+        model.forward(x)
+        model.backward(grad_out)
+    interrupted.eval()
+    interrupted.forward(x_eval)
+    interrupted.train()
+    for model in (interrupted, plain):
+        model.forward(x)
+        model.backward(grad_out)
+    for p, q in zip(interrupted.parameters(), plain.parameters()):
+        assert p.grad.any()
+        assert p.grad.tobytes() == q.grad.tobytes()
+
+
+# -- the reused im2col workspace -------------------------------------------------
+
+
+def test_forward_output_is_not_mutated_by_the_next_call(rng):
+    layer = nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0))
+    x1, x2 = rng.normal(size=(2, 3, 2, 5, 5))
+    out1 = layer.forward(x1)
+    snapshot = out1.copy()
+    cols1 = layer._cols
+    out2 = layer.forward(x2)
+    assert layer._cols is cols1  # the scratch is reused ...
+    assert not np.shares_memory(out1, out2)  # ... the outputs are not
+    np.testing.assert_array_equal(out1, snapshot)
+    assert not np.shares_memory(out2, layer._cols)
+    # The public im2col hands out fresh arrays too.
+    a, _, _ = im2col(x1, 3, 1, 1)
+    b, _, _ = im2col(x2, 3, 1, 1)
+    assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("padding", [0, 2])
+def test_batch_size_and_dtype_changes_between_calls(rng, padding):
+    layer = nn.Conv2d(2, 3, 3, stride=2, padding=padding, rng=np.random.default_rng(0))
+    ref = as_reference(nn.Conv2d(2, 3, 3, stride=2, padding=padding, rng=np.random.default_rng(0)))
+    # Not batch 1: there the frozen reference's cols is a transposed view,
+    # which BLAS multiplies in another order (true at every commit).
+    for batch, dtype in [(4, np.float64), (2, np.float64), (6, np.float64), (6, np.float32)]:
+        x = rng.normal(size=(batch, 2, 7, 7)).astype(dtype)
+        out, ref_out = layer.forward(x), ref.forward(x)
+        assert out.tobytes() == ref_out.tobytes()
+        grad_out = rng.normal(size=out.shape)
+        assert layer.backward(grad_out).tobytes() == ref.backward(grad_out).tobytes()
+    for p, q in zip(layer.parameters(), ref.parameters()):
+        assert p.grad.tobytes() == q.grad.tobytes()
+
+
+def test_padded_scratch_border_stays_zero_across_calls(rng):
+    layer = nn.Conv2d(1, 1, 3, padding=1, rng=np.random.default_rng(0))
+    layer.forward(rng.normal(size=(2, 1, 4, 4)))
+    x = rng.normal(size=(2, 1, 4, 4))
+    reused = layer.forward(x)
+    fresh = nn.Conv2d(1, 1, 3, padding=1, rng=np.random.default_rng(0)).forward(x)
+    assert reused.tobytes() == fresh.tobytes()
+
+
+def test_free_buffers_drops_the_scratch(rng):
+    layer = nn.Conv2d(1, 2, 3, padding=1, rng=np.random.default_rng(0))
+    layer.eval()
+    layer.forward(rng.normal(size=(2, 1, 4, 4)))
+    assert layer._workspace is not None  # scratch outlives a forward-only pass
+    layer.free_buffers()
+    assert layer._workspace is None and layer._cols is None
+
+
+def test_backward_twice_accumulates_identically(rng):
+    layer = nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0))
+    ref = as_reference(nn.Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)))
+    x = rng.normal(size=(3, 2, 5, 5))
+    grad_out = rng.normal(size=(3, 3, 5, 5))
+    for conv in (layer, ref):
+        conv.forward(x)
+        first = conv.backward(grad_out)
+        second = conv.backward(grad_out)
+        assert first.tobytes() == second.tobytes()
+        conv.backward_params(grad_out)
+    for p, q in zip(layer.parameters(), ref.parameters()):
+        assert p.grad.tobytes() == q.grad.tobytes()

@@ -1,8 +1,10 @@
 """Bit-for-bit equivalence of the optimized kernels vs the frozen references.
 
-The kernel rewrites (strided im2col, hoisted recurrent input
-projections, fused gate blocks, branchless sigmoid, preallocated GEMM
-destinations) ship under one contract: in float64 they produce **the
+The kernel rewrites (table-driven im2col into a reused workspace,
+strided-position max pooling, parameter-only backward at the first
+layer, hoisted recurrent input projections, fused gate blocks,
+branchless sigmoid, preallocated GEMM destinations) ship under one
+contract: in float64 they produce **the
 same bits** as the original implementations, which are frozen verbatim
 in :mod:`repro.nn.reference`.  ``np.array_equal`` throughout — no
 tolerances.
@@ -14,6 +16,16 @@ import numpy as np
 import pytest
 
 from repro import nn
+from repro.data.dataset import ArrayDataset
+from repro.fl.client import local_sgd_steps
+from repro.fl.config import FLConfig
+from repro.models import (
+    build_cnn,
+    build_gru_classifier,
+    build_logistic,
+    build_lstm_classifier,
+    build_mlp,
+)
 from repro.nn.activations import sigmoid
 from repro.nn.conv import Conv2d, col2im, im2col
 from repro.nn.gru import GRUCell
@@ -159,6 +171,87 @@ def test_full_model_train_flow_bitwise(rng):
         loss.forward(m(x), y)
         m.backward(loss.backward())
     assert _params_equal(model, ref)
+
+    # The same chain the way a client runs it: E optimizer steps through
+    # local_sgd_steps, which skips the input gradient at the first layer.
+    data = ArrayDataset(rng.normal(size=(40, 1, 8, 8)), rng.integers(0, 3, 40))
+    config = FLConfig(rounds=1, local_steps=4, batch_size=8, lr=0.1)
+    trained = build_cnn(1, 8, 3, np.random.default_rng(3), scale=0.25)
+    trained_ref = as_reference(build_cnn(1, 8, 3, np.random.default_rng(3), scale=0.25))
+    for m in (trained, trained_ref):
+        local_sgd_steps(m, data, config, np.random.default_rng(9))
+    assert _params_equal(trained, trained_ref)
+
+
+# -- parameter-only backward at the first layer ---------------------------------
+
+
+
+def _images(side, channels):
+    return lambda r: r.normal(size=(6, channels, side, side))
+
+
+def _tokens(r):
+    return r.integers(0, 30, size=(6, 7))
+
+
+# name -> (model builder, batch builder); the CNN picks K=5 at 16x16, K=3 at 8x8.
+ZOO = {
+    "cnn-k5": (lambda r: build_cnn(3, 16, 4, r, scale=0.25), _images(16, 3)),
+    "cnn-k3": (lambda r: build_cnn(1, 8, 4, r, scale=0.25), _images(8, 1)),
+    "mlp": (lambda r: build_mlp(48, 4, r, (16,), feature_dim=8), _images(4, 3)),
+    "logistic": (lambda r: build_logistic(48, 4, r), _images(4, 3)),
+    "lstm": (lambda r: build_lstm_classifier(30, 4, r, scale=0.1), _tokens),
+    "gru": (lambda r: build_gru_classifier(30, 4, r, scale=0.1), _tokens),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_param_only_backward_leaves_identical_gradients(rng, name):
+    """input_grad=False changes which arrays are computed, never a bit of
+    a parameter gradient: equal to the full backward and to the reference."""
+    build, make_x = ZOO[name]
+    x = make_x(rng)
+    y = rng.integers(0, 4, len(x))
+    feature_grad = rng.normal(size=(len(x), build(np.random.default_rng(4)).feature_dim))
+    loss = nn.SoftmaxCrossEntropy()
+
+    def grads(model, input_grad):
+        model.zero_grad()
+        loss.forward(model.forward(x), y)
+        returned = model.backward(
+            loss.backward(), feature_grad=feature_grad, input_grad=input_grad
+        )
+        assert (returned is None) == (not input_grad)
+        return [p.grad.tobytes() for p in model.parameters()]
+
+    full = grads(build(np.random.default_rng(4)), True)
+    assert any(np.frombuffer(g).any() for g in full)
+    assert grads(build(np.random.default_rng(4)), False) == full
+    assert grads(as_reference(build(np.random.default_rng(4))), False) == full
+    assert grads(as_reference(build(np.random.default_rng(4))), True) == full
+
+
+def test_sequential_backward_params_skips_leading_parameter_free_layers(rng):
+    calls = []
+
+    class Probe(nn.Module):
+        def forward(self, x):
+            return x
+
+        def backward(self, grad_out):
+            calls.append("probe")
+            return grad_out
+
+    linear = nn.Linear(6, 3, rng=np.random.default_rng(0))
+    model = nn.Sequential(Probe(), nn.Flatten(), linear, nn.ReLU(), Probe())
+    out = model.forward(rng.normal(size=(4, 2, 3)))
+    model.backward_params(np.ones_like(out))
+    assert calls == ["probe"]  # only the one after the first parametrised layer
+    assert linear.weight.grad.any()
+    # A chain without parameters has nothing to accumulate.
+    nn.Sequential(Probe(), Probe()).backward_params(np.ones(3))
+    assert calls == ["probe"]
 
 
 # -- blockwise MMD --------------------------------------------------------------

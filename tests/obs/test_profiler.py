@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import build_mlp
+from repro.models import build_cnn, build_mlp
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import LayerProfiler, _leaf_modules
 
 
@@ -91,11 +92,45 @@ def test_report_renders_table():
 
 
 def test_profiler_shares_external_registry():
-    from repro.obs.metrics import MetricsRegistry
-
     registry = MetricsRegistry()
     model = _model()
     with LayerProfiler(metrics=registry).profile(model):
         model.forward(_batch())
     keys = [k for k in registry.histograms if k.startswith("layer.forward_sec")]
     assert "layer.forward_sec{layer=Linear}" in keys
+
+
+def test_param_only_backward_is_timed_once_per_leaf_layer():
+    """An input_grad=False step attributes one backward to every leaf layer:
+    the first conv's backward_params lands in the backward histogram, and a
+    first layer on the default backward_params is not counted twice."""
+    registry = MetricsRegistry()
+    profiler = LayerProfiler(metrics=registry)
+    x = np.random.default_rng(1).normal(size=(4, 1, 8, 8))
+
+    def step(model):
+        logits = model.forward(x)
+        model.backward(np.ones_like(logits) / len(x), input_grad=False)
+
+    cnn = build_cnn(1, 8, 3, np.random.default_rng(0), scale=0.25)
+    with profiler.profile(cnn):
+        step(cnn)
+        conv1 = _leaf_modules(cnn)[0]
+        assert "backward_params" in conv1.__dict__
+    assert "backward_params" not in conv1.__dict__  # detach() restored it
+    for layer, leaves in {"Conv2d": 2, "MaxPool2d": 2, "ReLU": 3, "Linear": 2}.items():
+        backward = registry.histograms[f"layer.backward_sec{{layer={layer}}}"]
+        assert backward.count == leaves == profiler.totals()[layer]["calls"]
+        assert backward.total > 0
+        assert profiler.totals()[layer]["backward_sec"] == pytest.approx(backward.total)
+
+    # Linear is the MLP's first parametrised layer and inherits the default
+    # backward_params, which calls the (patched) backward: once, not twice.
+    # The Flatten in front of it is skipped altogether.
+    registry = MetricsRegistry()
+    mlp = build_mlp(64, 4, np.random.default_rng(0), (8,), feature_dim=8)
+    with LayerProfiler(metrics=registry).profile(mlp):
+        step(mlp)
+        assert all("backward_params" not in leaf.__dict__ for leaf in _leaf_modules(mlp))
+    assert registry.histograms["layer.backward_sec{layer=Linear}"].count == 3
+    assert registry.histograms["layer.backward_sec{layer=Flatten}"].count == 0
