@@ -11,6 +11,10 @@ Two parts:
 2. **Latency/throughput study** — round and per-request latency
    percentiles (p50/p95/p99 from the ``serve.*`` quantile metrics) and
    client throughput versus worker count, over UDS and TCP.
+3. **State-bytes gate** — one compressed cell (64 clients, a quarter of
+   them per round, error feedback on): the round-state frame must stay
+   within ``model + cohort x residual row + 4 KiB``, i.e. carry the
+   cohort's rows of the residual table and not the population's.
 
     PYTHONPATH=src python benchmarks/bench_serve.py            # full
     PYTHONPATH=src python benchmarks/bench_serve.py --quick    # CI smoke
@@ -33,6 +37,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 ROUNDS = 6
 LOCAL_STEPS = 4
+# The compressed cell: big enough that a population-sized residual
+# table (64 rows) cannot hide under a cohort-sized bound (16 rows).
+COMPRESSED_CLIENTS = 64
+COMPRESSED = dict(compression="topk:0.05|qsgd:8", sample_ratio=0.25)
+STATE_SLACK_BYTES = 4096
 
 
 def _federation(num_clients: int):
@@ -132,13 +141,13 @@ def _identity_gate(tmp: Path) -> dict:
 # -- part 2: latency / throughput ---------------------------------------------------
 
 
-def _measure(fed, num_workers: int, addr: str | None) -> dict:
+def _measure(fed, num_workers: int, addr: str | None, **overrides) -> dict:
     from repro.obs import Tracer
 
     tracer = Tracer()
     algorithm, wall = _run(
         fed, tracer=tracer,
-        execution="serve", num_workers=num_workers, serve_addr=addr,
+        execution="serve", num_workers=num_workers, serve_addr=addr, **overrides,
     )
     snapshot = tracer.metrics.snapshot()
     quantiles = snapshot["quantiles"]
@@ -153,13 +162,18 @@ def _measure(fed, num_workers: int, addr: str | None) -> dict:
         "transport": "tcp" if addr else "uds",
         "workers": num_workers,
         "clients": fed.num_clients,
+        "cohort": request["count"] // ROUNDS,
+        "compression": overrides.get("compression", "none"),
         "rounds": ROUNDS,
         "wall_sec": round(wall, 3),
-        "clients_per_sec": round(fed.num_clients * ROUNDS / wall, 2),
+        "clients_per_sec": round(request["count"] / wall, 2),
         "request_latency_ms": {k: _ms(request, k) for k in ("p50", "p95", "p99")},
         "round_latency_ms": {k: _ms(round_q, k) for k in ("p50", "p95", "p99")},
         "bytes_sent": counters.get("serve.bytes_sent", 0),
         "bytes_received": counters.get("serve.bytes_received", 0),
+        "model_bytes": int(algorithm.global_params.nbytes),
+        # One round-state frame; every connection receives a copy.
+        "state_bytes_per_round": counters.get("serve.state_bytes", 0) // ROUNDS,
         "ledger_reconciled": (
             counters.get("serve.bytes_wire_down") == counters.get("serve.bytes_ledger_down")
             and counters.get("serve.bytes_wire_up") == counters.get("serve.bytes_ledger_up")
@@ -210,7 +224,29 @@ def main() -> None:
             f"{cell['request_latency_ms']['p99']} ms"
         )
 
-    unreconciled = [c for c in cells if not c["ledger_reconciled"]]
+    # The compressed cell runs in quick mode too: its gate is the one
+    # CI holds the broadcast's size to.
+    cell = _measure(_federation(COMPRESSED_CLIENTS), 2, addr=None, **COMPRESSED)
+    cells.append(cell)
+    state_bound = (
+        cell["model_bytes"] + cell["cohort"] * cell["model_bytes"] + STATE_SLACK_BYTES
+    )
+    print(
+        f"  uds N={cell['clients']:3d} W=2 {cell['compression']}  "
+        f"{cell['clients_per_sec']:7.2f} clients/s  "
+        f"state {cell['state_bytes_per_round']} B/round (bound {state_bound})"
+    )
+    if cell["state_bytes_per_round"] > state_bound:
+        raise SystemExit(
+            f"state-bytes gate failed: the compressed cell broadcasts "
+            f"{cell['state_bytes_per_round']} B of round state per round, over "
+            f"model + cohort x row + 4 KiB = {state_bound} B — a per-client "
+            "table is travelling whole instead of as the cohort's rows"
+        )
+
+    unreconciled = [
+        c for c in cells if c["compression"] == "none" and not c["ledger_reconciled"]
+    ]
     if unreconciled:
         raise SystemExit(
             f"byte reconciliation failed in {len(unreconciled)} dense cells — "
@@ -233,7 +269,10 @@ def main() -> None:
             "engine (dense, compressed-with-error-feedback, and across "
             "a crash/resume) before any number is reported, and every "
             "dense cell additionally requires socket-measured model "
-            "bytes to equal the CommLedger's charges exactly. Latency "
+            "bytes to equal the CommLedger's charges exactly; the "
+            "compressed cell (64 clients, 16 per round, error feedback) "
+            "requires the round-state frame to stay within model + "
+            "cohort x residual row + 4 KiB. Latency "
             "percentiles come from the serve.* reservoir quantile "
             "metrics, so the table exercises the same observability "
             "path a traced run exports to summary.json. Toy models "

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.delta import DeltaTable, ShardedDeltaTable
+from repro.core.delta import CohortRows, DeltaTable, ShardedDeltaTable
 from repro.data.dataset import FederatedDataset
 from repro.exceptions import ProtocolError
 from repro.fl.client import LocalResult, local_sgd_steps
@@ -133,15 +133,14 @@ class FederatedAlgorithm:
         # Traced runs share the tracer's registry so byte counters land
         # next to the spans; untraced runs get a private registry.
         metrics = self.tracer.metrics if self.tracer.enabled else None
-        streaming = getattr(config, "history_mode", "append") == "stream"
-        stream_dir = getattr(config, "stream_dir", None)
+        streaming = config.history_mode == "stream"
         self.ledger = CommLedger(
             config.wire_bytes_per_scalar(),
             metrics=metrics,
             streaming=streaming,
             stream_path=(
-                None if stream_dir is None or not streaming
-                else os.path.join(stream_dir, "comm.jsonl")
+                None if config.stream_dir is None or not streaming
+                else os.path.join(config.stream_dir, "comm.jsonl")
             ),
         )
         self.model_size = num_params(model)
@@ -150,10 +149,10 @@ class FederatedAlgorithm:
         # legacy path, which keeps its historical no-error-feedback
         # behaviour bit for bit).
         self._residuals = None
-        spec = getattr(config, "compression", "none")
+        spec = config.compression
         if self.compressor is None and spec not in (None, "", "none"):
             self.compressor = compressor_from_spec(spec)
-            if getattr(config, "error_feedback", True):
+            if config.error_feedback:
                 self._residuals = self._make_state_table(self.model_size)
         self.executor = (
             self._executor_override
@@ -174,7 +173,7 @@ class FederatedAlgorithm:
         """Whether per-client server-side state (delta tables, error
         residuals) should use the lazy spillable layout — the same rule
         for every table, so one config reads one way everywhere."""
-        mode = getattr(config, "state_sharding", "auto")
+        mode = config.state_sharding
         if mode == "dense":
             return False
         if mode == "sharded":
@@ -190,8 +189,8 @@ class FederatedAlgorithm:
             return ShardedDeltaTable(
                 self.fed.num_clients, dim,
                 dtype_bytes=self.config.wire_bytes_per_scalar(),
-                max_resident=getattr(self.config, "state_cap", None),
-                spill_dir=getattr(self.config, "state_dir", None),
+                max_resident=self.config.state_cap,
+                spill_dir=self.config.state_dir,
             )
         return DeltaTable(
             self.fed.num_clients, dim,
@@ -199,25 +198,29 @@ class FederatedAlgorithm:
         )
 
     # -- wire-transport worker state ---------------------------------------------
-    def _worker_state(self) -> dict:
-        """Everything a worker-side :meth:`_client_update` reads from
-        shared algorithm state, as wire-packable named segments.
+    def _worker_state(self, cohort) -> dict:
+        """Everything the worker-side :meth:`_client_update` of the
+        clients in ``cohort`` reads from shared algorithm state, as
+        wire-packable named segments.
 
-        The packed wire transport broadcasts this once per round into
-        shared memory; long-lived workers re-adopt it via
+        The executor broadcasts this once per round (shared memory for
+        the pool, one frame per connection when serving) with the ids it
+        is about to run; long-lived workers re-adopt it via
         :meth:`_install_worker_state` before running tasks.  Subclasses
-        with extra shared state (control variates, delta tables,
-        previous local models) must extend both methods symmetrically —
-        or set ``wire_transport_safe = False``.
+        with extra shared state must extend both methods symmetrically —
+        or set ``wire_transport_safe = False``.  A table a task reads
+        only at its own client's row (error-feedback residuals, control
+        variates, previous local models) sends the cohort's rows
+        (:func:`repro.core.delta.cohort_segments`, adopted as a
+        :class:`~repro.core.delta.CohortRows`); a table every client
+        reads in full (rFedAvg's delta table, server controls) is sent
+        whole.
         """
         assert self.global_params is not None
         state = {"global_params": self.global_params}
         if self._residuals is not None:
-            # Error-feedback residuals are read worker-side (a client
-            # compresses update + e_t); 'ef.'-prefixed keys keep them
-            # clear of subclass segments like the delta table's.
-            for key, segment in self._residuals.worker_segments().items():
-                state["ef." + key] = segment
+            # Read worker-side: a client compresses update + e_t.
+            state.update(self._residuals.cohort_segments("ef.", cohort))
         return state
 
     def _install_worker_state(self, state: dict) -> None:
@@ -228,13 +231,7 @@ class FederatedAlgorithm:
         """
         self.global_params = state["global_params"]
         if self._residuals is not None:
-            segments = {
-                key[len("ef."):]: value
-                for key, value in state.items()
-                if key.startswith("ef.")
-            }
-            if segments:
-                self._residuals.install_worker_segments(segments)
+            self._residuals = CohortRows.from_state(state, "ef.")
 
     # -- checkpointing -----------------------------------------------------------
     def checkpoint_state(self) -> dict:

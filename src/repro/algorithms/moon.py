@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import FederatedAlgorithm
+from repro.core.delta import CohortRows, cohort_segments
 from repro.exceptions import ConfigError
 from repro.fl.parallel import ClientUpdate
 from repro.models.split import SplitModel
@@ -87,7 +88,8 @@ class Moon(FederatedAlgorithm):
             raise ConfigError(f"temperature must be positive, got {temperature}")
         self.mu = mu
         self.temperature = temperature
-        self._prev_params: np.ndarray | None = None  # per-client previous models
+        # per-client previous models (a worker holds its cohort's rows)
+        self._prev_params: np.ndarray | CohortRows | None = None
         self._frozen: SplitModel | None = None  # scratch model for z_glob/z_prev
 
     def setup(self, model, fed, config) -> None:
@@ -102,14 +104,16 @@ class Moon(FederatedAlgorithm):
 
         self._frozen = copy.deepcopy(model)
 
-    def _worker_state(self) -> dict:
-        state = super()._worker_state()
-        state["prev_params"] = self._prev_params
+    def _worker_state(self, cohort) -> dict:
+        assert self._prev_params is not None
+        state = super()._worker_state(cohort)
+        # A task reads its own client's previous local model only.
+        state.update(cohort_segments("prev.", cohort, self._prev_params.__getitem__))
         return state
 
     def _install_worker_state(self, state: dict) -> None:
         super()._install_worker_state(state)
-        self._prev_params = state["prev_params"]
+        self._prev_params = CohortRows.from_state(state, "prev.")
 
     def checkpoint_state(self) -> dict:
         state = super().checkpoint_state()

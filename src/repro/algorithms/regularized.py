@@ -65,9 +65,10 @@ class RegularizedAlgorithm(FederatedAlgorithm):
         super().setup(model, fed, config)
         self.delta_table = self._make_state_table(model.feature_dim)
 
-    def _worker_state(self) -> dict:
-        state = super()._worker_state()
+    def _worker_state(self, cohort) -> dict:
+        state = super()._worker_state(cohort)
         assert self.delta_table is not None
+        # Every client's regularizer reads the other clients' rows.
         state.update(self.delta_table.worker_segments())
         return state
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import FederatedAlgorithm
+from repro.core.delta import CohortRows, cohort_segments
 from repro.exceptions import ConfigError
 from repro.fl.comm import CommLedger
 from repro.fl.parallel import ClientUpdate
@@ -41,23 +42,27 @@ class Scaffold(FederatedAlgorithm):
             raise ConfigError(f"eta_g must be positive, got {eta_g}")
         self.eta_g = eta_g
         self.server_control: np.ndarray | None = None
-        self.client_controls: np.ndarray | None = None
+        self.client_controls: np.ndarray | CohortRows | None = None
 
     def setup(self, model, fed, config) -> None:
         super().setup(model, fed, config)
         self.server_control = np.zeros(self.model_size)
         self.client_controls = np.zeros((fed.num_clients, self.model_size))
 
-    def _worker_state(self) -> dict:
-        state = super()._worker_state()
+    def _worker_state(self, cohort) -> dict:
+        assert self.client_controls is not None
+        state = super()._worker_state(cohort)
         state["server_control"] = self.server_control
-        state["client_controls"] = self.client_controls
+        # A task reads c_k for its own client only.
+        state.update(
+            cohort_segments("controls.", cohort, self.client_controls.__getitem__)
+        )
         return state
 
     def _install_worker_state(self, state: dict) -> None:
         super()._install_worker_state(state)
         self.server_control = state["server_control"]
-        self.client_controls = state["client_controls"]
+        self.client_controls = CohortRows.from_state(state, "controls.")
 
     def checkpoint_state(self) -> dict:
         state = super().checkpoint_state()

@@ -15,6 +15,13 @@ computed over reported rows *in ascending client-id order*, exactly the
 order the dense table's boolean-mask indexing produces, so the two
 layouts are bit-identical and the layout knob
 (``FLConfig.state_sharding``) is execution-only.
+
+A table that a client task reads only at its *own* row (error-feedback
+residuals, SCAFFOLD's client controls, MOON's previous models) never
+travels whole: :func:`cohort_segments` packs the rows of one round's
+cohort and :class:`CohortRows` is what a worker reads them back
+through, so a round-state broadcast scales with who participates, not
+with the population.
 """
 
 from __future__ import annotations
@@ -29,6 +36,79 @@ import numpy as np
 
 from repro.exceptions import ProtocolError
 from repro.nn.dtype import get_default_dtype
+
+
+def cohort_segments(prefix: str, cohort, rows_for, reported=None) -> dict[str, np.ndarray]:
+    """One round's rows of an own-row table, as round-state segments.
+
+    ``<prefix>cohort`` holds the round's client ids (ascending, unique),
+    ``<prefix>ids`` the subset that has a stored row (``reported`` is
+    the table's boolean mask; ``None`` means every client has one) and
+    ``<prefix>rows`` those rows stacked in ``ids`` order, read through
+    ``rows_for(ids)``.  :class:`CohortRows` is the reading side.
+    """
+    cohort = np.unique(np.asarray(cohort, dtype=np.int64))
+    ids = cohort if reported is None else cohort[reported[cohort]]
+    return {
+        prefix + "cohort": cohort,
+        prefix + "ids": ids,
+        prefix + "rows": rows_for(ids),
+    }
+
+
+def cohort_state_headroom(state: dict) -> int:
+    """Bytes by which this cohort's packed round state can still grow:
+    every ``rows`` segment ends at one row (plus its id) per ``cohort``
+    id once all of them have reported.  The shared-memory pool sizes its
+    buffer with it, so a table that fills up round by round never
+    outgrows the mapping the workers were forked with."""
+    headroom = 0
+    for key, cohort in state.items():
+        if key.endswith(".cohort"):
+            prefix = key[: -len("cohort")]
+            rows = state[prefix + "rows"]
+            missing = len(cohort) - len(state[prefix + "ids"])
+            headroom += missing * (rows.shape[1] * rows.itemsize + cohort.itemsize)
+    return headroom
+
+
+class CohortRows:
+    """Worker-side stand-in for an own-row table: one round's rows.
+
+    Built from the segments :func:`cohort_segments` broadcast, it keeps
+    exactly those (read-only, zero-copy) rows.  Reading a cohort client
+    that never reported yields zeros, as the parent's table would; a
+    client outside the cohort raises :class:`ProtocolError` — its row
+    was not sent, and an earlier round's copy would be stale.
+    """
+
+    def __init__(self, cohort: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+        if rows.ndim != 2 or len(rows) != len(ids):
+            raise ProtocolError(
+                f"cohort rows of shape {rows.shape} do not match {len(ids)} ids"
+            )
+        self.dim = rows.shape[1]
+        self._cohort = frozenset(int(c) for c in cohort)
+        self._index = {int(c): i for i, c in enumerate(ids)}
+        self._rows = rows
+
+    @classmethod
+    def from_state(cls, state: dict, prefix: str) -> "CohortRows":
+        return cls(state[prefix + "cohort"], state[prefix + "ids"], state[prefix + "rows"])
+
+    def get(self, client: int) -> np.ndarray:
+        index = self._index.get(client)
+        if index is not None:
+            return self._rows[index]
+        if client not in self._cohort:
+            raise ProtocolError(
+                f"client {client} is outside the cohort this round state was "
+                "broadcast for"
+            )
+        return np.zeros(self.dim)
+
+    # Tables the parent holds as a plain (N, d) array are read by index.
+    __getitem__ = get
 
 
 class DeltaTable:
@@ -55,11 +135,6 @@ class DeltaTable:
         self._reported = np.zeros(num_clients, dtype=bool)
 
     # -- worker-state views (wire transport) -------------------------------------
-    def state_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The raw ``(table, reported)`` arrays, without copying — used
-        to pack the table into a round-state broadcast."""
-        return self._table, self._reported
-
     def install_views(self, table: np.ndarray, reported: np.ndarray) -> None:
         """Adopt shared (read-only) backing arrays in a worker process.
 
@@ -118,8 +193,13 @@ class DeltaTable:
 
     # -- worker-state / checkpoint segments ---------------------------------------
     def worker_segments(self) -> dict[str, np.ndarray]:
-        """Named arrays to broadcast with the per-round worker state."""
+        """The whole table, for a round-state broadcast to tasks that
+        read every client's row (rFedAvg's pairwise regularizer)."""
         return {"delta_table": self._table, "delta_reported": self._reported}
+
+    def cohort_segments(self, prefix: str, cohort) -> dict[str, np.ndarray]:
+        """The cohort's reported rows, for tasks that read only their own."""
+        return cohort_segments(prefix, cohort, self._table.__getitem__, self._reported)
 
     def install_worker_segments(self, segments: dict) -> None:
         self.install_views(segments["delta_table"], segments["delta_reported"])
@@ -432,6 +512,11 @@ class ShardedDeltaTable:
             "delta_rows": self.rows_for(ids),
             "delta_reported": self._reported,
         }
+
+    def cohort_segments(self, prefix: str, cohort) -> dict[str, np.ndarray]:
+        """The cohort's reported rows, resident or spilled; like every
+        read, it leaves LRU order and the spill file alone."""
+        return cohort_segments(prefix, cohort, self.rows_for, self._reported)
 
     def install_worker_segments(self, segments: dict) -> None:
         """Adopt a broadcast sparse snapshot in a worker process.

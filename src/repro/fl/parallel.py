@@ -32,9 +32,11 @@ selection order, so a parallel round is bit-identical to
 
 **Wire-transport contract.**  Because wire workers live across rounds,
 everything a worker-side ``_client_update`` reads from shared algorithm
-state must be enumerated by ``Algorithm._worker_state()`` (and
+state must be enumerated by ``Algorithm._worker_state(cohort)`` (and
 reinstated by ``_install_worker_state``); state not listed there goes
-stale in the workers after round 0.  Algorithms that cannot enumerate
+stale in the workers after round 0.  ``cohort`` is the ids the round is
+about to run: a table a task reads only at its own client's row travels
+as the cohort's rows, never whole.  Algorithms that cannot enumerate
 their round state set ``wire_transport_safe = False`` to force the
 pickle engine.
 
@@ -61,6 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.delta import cohort_state_headroom
 from repro.exceptions import ConfigError, WireError
 from repro.fl import wire
 from repro.fl.compression import WireSize
@@ -386,19 +389,18 @@ class ParallelExecutor(ClientExecutor):
     def close(self) -> None:
         self._close_wire()
 
-    def _ensure_wire_pool(self, algorithm, state_len: int) -> None:
+    def _ensure_wire_pool(self, algorithm, needed: int, headroom: int) -> None:
         """Fork the persistent pool (or re-fork it when the bound
         algorithm changed or the state outgrew the shared buffer)."""
-        needed = _STATE_HEADER.size + state_len
         if self._pool is not None:
             bound = self._bound() if self._bound is not None else None
             if bound is not algorithm or needed > len(self._mmap):
                 self._close_wire()
         if self._pool is None:
-            # Round state is fixed-size after setup for every built-in
-            # algorithm, so a small slack absorbs header jitter without
-            # re-forks.
-            self._mmap = mmap.mmap(-1, needed + 4096)
+            # Sized for this cohort with every row reported, so a table
+            # that fills up over the rounds never forces a re-fork; only
+            # a larger cohort can.  The slack absorbs header jitter.
+            self._mmap = mmap.mmap(-1, needed + headroom + 4096)
             self._pool = _ProcessPool(
                 max_workers=self.num_workers,
                 mp_context=multiprocessing.get_context("fork"),
@@ -407,19 +409,23 @@ class ParallelExecutor(ClientExecutor):
             )
             self._bound = weakref.ref(algorithm)
 
-    def _broadcast_state(self, packed: bytes) -> None:
+    def _broadcast_state(self, algorithm, state: dict) -> None:
         """Publish the round state: one write, visible to every worker."""
-        self._seq += 1
+        packed = wire.pack_state(state)
         header_size = _STATE_HEADER.size
+        self._ensure_wire_pool(
+            algorithm, header_size + len(packed), cohort_state_headroom(state)
+        )
+        self._seq += 1
         self._mmap[:header_size] = _STATE_HEADER.pack(len(packed), self._seq)
         self._mmap[header_size : header_size + len(packed)] = packed
+        if algorithm.tracer.enabled:
+            algorithm.tracer.metrics.gauge("parallel.state_bytes").set(len(packed))
 
     def _run_wire_pool(
         self, algorithm, round_idx: int, client_ids: list[int]
     ) -> list[ClientUpdate]:
-        packed = wire.pack_state(algorithm._worker_state())
-        self._ensure_wire_pool(algorithm, len(packed))
-        self._broadcast_state(packed)
+        self._broadcast_state(algorithm, algorithm._worker_state(client_ids))
         results: list[ClientUpdate | None] = [None] * len(client_ids)
         futures = [
             self._pool.submit(_run_wire_task, round_idx, task)
@@ -449,12 +455,12 @@ class ParallelExecutor(ClientExecutor):
         of waiting on each other — the hierarchical engine's multi-core
         speedup.  Results are slotted back per region in input order.
         """
-        state = algorithm._worker_state()
+        state = algorithm._worker_state(
+            np.concatenate([ids for ids, _params in regions])
+        )
         for r, (_ids, params) in enumerate(regions):
             state[f"hier.{r}"] = params
-        packed = wire.pack_state(state)
-        self._ensure_wire_pool(algorithm, len(packed))
-        self._broadcast_state(packed)
+        self._broadcast_state(algorithm, state)
         results: list[list[ClientUpdate | None]] = [
             [None] * len(ids) for ids, _params in regions
         ]
@@ -612,19 +618,20 @@ def make_executor(config) -> ClientExecutor:
     silent downgrade).  The config's ``transport`` selects how the pool
     moves payloads.
     """
-    if getattr(config, "execution", "sync") == "serve":
+    if config.execution == "serve":
         # The serving engine replaces the in-process pool wholesale:
         # workers are socket-connected processes (:mod:`repro.serve`),
         # and the executor/transport knobs do not apply.
         from repro.serve.server import ServeExecutor
 
         return ServeExecutor.from_config(config)
-    mode = getattr(config, "executor", "auto")
-    workers = int(getattr(config, "num_workers", 1))
-    transport = getattr(config, "transport", "wire")
+    mode = config.executor
+    workers = config.num_workers
     validate_choice("executor", mode)
     if mode == "serial" or (
         mode == "auto" and (workers <= 1 or (os.cpu_count() or 1) <= 1)
     ):
         return SerialExecutor()
-    return ParallelExecutor(workers, chunked=(mode == "chunked"), transport=transport)
+    return ParallelExecutor(
+        workers, chunked=(mode == "chunked"), transport=config.transport
+    )

@@ -5,10 +5,11 @@ length-prefixed frame (:func:`repro.fl.wire.frame`).  Four shapes occur:
 
 ``state`` (RFW1 kind ``state``)
     Server -> worker, once per round (per region under a hierarchical
-    topology): the algorithm's :meth:`_worker_state` segments plus a
-    ``serve.seq`` sequence number.  Exactly the payload the in-process
-    shared-memory pool broadcasts, so the worker-side adoption path is
-    shared code.
+    topology): the algorithm's :meth:`_worker_state` segments for the
+    round's cohort (whole tables every client reads, cohort rows of
+    tables a client reads only at its own id) plus a ``serve.seq``
+    sequence number.  Exactly the payload the in-process shared-memory
+    pool broadcasts, so the worker-side adoption path is shared code.
 ``generic`` control messages (RFW1 kind ``generic``)
     Discriminated by an integer ``serve.op`` segment: ``HELLO`` (worker
     -> server, announces readiness and how many connect attempts it

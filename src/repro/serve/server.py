@@ -10,9 +10,9 @@ RFW1 frames.
 
 One round, from the server's seat:
 
-1. Pack the algorithm's round state once and queue it to every live
-   connection (sequence-numbered, like the shared-memory pool's
-   broadcast).
+1. Pack the algorithm's round state for this round's cohort once and
+   queue it to every live connection (sequence-numbered, like the
+   shared-memory pool's broadcast).
 2. Drive a non-blocking :mod:`selectors` loop: accept late workers,
    flush bounded per-connection write queues, reassemble frames from
    partial reads, dispatch ``task`` frames (least-loaded connection
@@ -81,7 +81,7 @@ class _RoundStats:
     __slots__ = (
         "sent_bytes", "recv_bytes", "down_model_bytes", "up_model_bytes",
         "redispatch_bytes", "redispatches", "disconnects", "duplicates",
-        "connects", "worker_retries", "latencies",
+        "connects", "worker_retries", "latencies", "state_bytes",
     )
 
     def __init__(self) -> None:
@@ -96,6 +96,7 @@ class _RoundStats:
         self.connects = 0
         self.worker_retries = 0
         self.latencies: list[float] = []
+        self.state_bytes = 0  # the round's state frame, sent once per connection
 
 
 class ServeExecutor(ClientExecutor):
@@ -149,13 +150,13 @@ class ServeExecutor(ClientExecutor):
     @classmethod
     def from_config(cls, config) -> "ServeExecutor":
         return cls(
-            num_workers=int(getattr(config, "num_workers", 1)),
-            addr=getattr(config, "serve_addr", None),
-            timeout=float(getattr(config, "serve_timeout", 30.0)),
-            retries=int(getattr(config, "serve_retries", 5)),
-            backoff=float(getattr(config, "serve_backoff", 0.05)),
-            max_inflight=getattr(config, "serve_max_inflight", None),
-            queue_bytes=int(getattr(config, "serve_queue_bytes", 8 << 20)),
+            num_workers=config.num_workers,
+            addr=config.serve_addr,
+            timeout=config.serve_timeout,
+            retries=config.serve_retries,
+            backoff=config.serve_backoff,
+            max_inflight=config.serve_max_inflight,
+            queue_bytes=config.serve_queue_bytes,
         )
 
     # -- degradation ---------------------------------------------------------------
@@ -390,7 +391,8 @@ class ServeExecutor(ClientExecutor):
         # WireError here (inexpressible round state) propagates to
         # run(), which degrades — there is no pickled state transport
         # over sockets.
-        state_frame = protocol.build_state(algorithm._worker_state(), seq)
+        state_frame = protocol.build_state(algorithm._worker_state(ids), seq)
+        stats.state_bytes = len(state_frame)
         for conn in list(self._conns.values()):
             if self._flush(conn, stats):  # broke while draining old bytes
                 self._drop_conn(conn, None, stats)
@@ -549,6 +551,7 @@ class ServeExecutor(ClientExecutor):
         metrics.counter("serve.rounds").inc()
         metrics.counter("serve.bytes_sent").inc(stats.sent_bytes)
         metrics.counter("serve.bytes_received").inc(stats.recv_bytes)
+        metrics.counter("serve.state_bytes").inc(stats.state_bytes)
         if stats.connects:
             metrics.counter("serve.connects").inc(stats.connects)
         if stats.disconnects:

@@ -1,0 +1,141 @@
+"""A worker reads exactly the rows its round's cohort broadcast carried.
+
+Worker-side, an own-row table is a :class:`~repro.core.delta.CohortRows`
+built from the broadcast: the parent's bytes for every cohort id, zeros
+for a cohort id that never reported, :class:`ProtocolError` for any
+other id — an earlier round's row is gone, not stale.  And because the
+pool sizes its shared buffer for the cohort with every row reported, a
+table that fills up round by round never forces a re-fork.
+"""
+
+from __future__ import annotations
+
+import copy
+import warnings
+
+import numpy as np
+import pytest
+
+import repro.fl.parallel as parallel
+from repro.algorithms import make_algorithm
+from repro.exceptions import ProtocolError
+from repro.fl import wire
+from repro.fl.config import FLConfig
+from repro.fl.trainer import run_federated
+from repro.obs import Tracer
+from tests.conftest import make_toy_federation
+from tests.helpers import assert_equivalent_runs, run_with_workers, tiny_model_fn
+
+SPEC = "topk:0.05|qsgd:8"
+
+
+def _worker_of(algorithm, cohort):
+    """What a forked worker holds after adopting ``cohort``'s broadcast
+    (through the packed format, as both transports deliver it)."""
+    worker = copy.copy(algorithm)
+    worker._install_worker_state(
+        wire.unpack_state(wire.pack_state(algorithm._worker_state(cohort)))
+    )
+    return worker
+
+
+@pytest.mark.parametrize("layout", ["dense", "sharded"])
+def test_residual_rows_installed_from_a_cohort_broadcast(layout):
+    fed = make_toy_federation(similarity=0.0, num_clients=16)
+    algorithm = make_algorithm("fedavg")
+    algorithm.setup(
+        tiny_model_fn(fed)(), fed,
+        FLConfig(rounds=1, compression=SPEC, state_sharding=layout, state_cap=2),
+    )
+    gen = np.random.default_rng(3)
+    for client in (1, 2, 4, 7, 9, 11):
+        algorithm._residuals.update(client, gen.normal(size=algorithm.model_size))
+
+    worker = _worker_of(algorithm, [1, 4, 5, 9])
+    for client in (1, 4, 9):
+        row = worker._residuals.get(client)
+        assert row.tobytes() == algorithm._residuals.get(client).tobytes()
+        with pytest.raises(ValueError):
+            row[0] = 0.0  # a view into the broadcast frame, never written
+    never_reported = worker._residuals.get(5)
+    assert never_reported.shape == (algorithm.model_size,) and not never_reported.any()
+    for outsider in (2, 7, 0, 15):  # reported or not: not broadcast, not readable
+        with pytest.raises(ProtocolError, match="outside the cohort"):
+            worker._residuals.get(outsider)
+
+    # The next round's install replaces the rows: round one's are gone.
+    worker._install_worker_state(
+        wire.unpack_state(wire.pack_state(algorithm._worker_state([2, 7])))
+    )
+    assert worker._residuals.get(7).tobytes() == algorithm._residuals.get(7).tobytes()
+    with pytest.raises(ProtocolError):
+        worker._residuals.get(1)
+    # The parent's table is untouched by any of it.
+    assert list(algorithm._residuals.reported_ids()) == [1, 2, 4, 7, 9, 11]
+
+
+@pytest.mark.parametrize(
+    "name, table", [("scaffold", "client_controls"), ("moon", "_prev_params")]
+)
+def test_array_tables_installed_from_a_cohort_broadcast(name, table):
+    fed = make_toy_federation(similarity=0.0, num_clients=16)
+    algorithm = make_algorithm(name)
+    algorithm.setup(tiny_model_fn(fed)(), fed, FLConfig(rounds=1))
+    gen = np.random.default_rng(4)
+    getattr(algorithm, table)[:] = gen.normal(size=(16, algorithm.model_size))
+
+    worker = _worker_of(algorithm, [3, 8, 12])
+    for client in (3, 8, 12):
+        assert (
+            getattr(worker, table)[client].tobytes()
+            == getattr(algorithm, table)[client].tobytes()
+        )
+    with pytest.raises(ProtocolError, match="outside the cohort"):
+        getattr(worker, table)[4]
+    # A task for a client outside the cohort fails instead of training
+    # against a row that was never sent.
+    with pytest.raises(ProtocolError, match="outside the cohort"):
+        worker._client_update(0, 4)
+    assert isinstance(getattr(algorithm, table), np.ndarray)
+
+
+def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
+    """Round 0 broadcasts no residual row, later rounds up to a cohort's
+    worth; the shared buffer was sized for that at the first fork."""
+    forks = []
+
+    class CountingPool(parallel._ProcessPool):
+        def __init__(self, *args, **kwargs):
+            forks.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "_ProcessPool", CountingPool)
+    fed = make_toy_federation(similarity=0.0, num_clients=16)
+    config = FLConfig(
+        rounds=6, local_steps=2, batch_size=8, lr=0.1, seed=11,
+        sample_ratio=0.25, compression=SPEC,
+    )
+    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
+
+    tracer = Tracer()
+    state_bytes = []
+    algorithm = make_algorithm("fedavg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        history = run_federated(
+            algorithm, fed, tiny_model_fn(fed),
+            config.with_updates(num_workers=2, executor="process"),
+            tracer=tracer,
+            callbacks=[
+                lambda record: state_bytes.append(
+                    tracer.metrics.gauge("parallel.state_bytes").value
+                )
+            ],
+        )
+    assert not algorithm.executor.degraded
+    assert_equivalent_runs(serial, (algorithm, history))
+    # The state did outgrow the first round's by more than the slack ...
+    assert max(state_bytes) - state_bytes[0] > 4096
+    # ... and never by more than one row (+ id) per cohort client.
+    assert max(state_bytes) - state_bytes[0] <= 4 * (algorithm.model_size * 8 + 8)
+    assert len(forks) == 1

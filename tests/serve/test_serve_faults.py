@@ -30,7 +30,7 @@ def _config(**overrides) -> FLConfig:
 # -- worker loss ------------------------------------------------------------------
 
 
-def test_worker_killed_between_rounds_is_replaced(fed):
+def _kill_a_worker_between_rounds(fed, compression: str) -> None:
     """SIGKILL a worker after round 1; the engine re-forks a replacement
     and the run stays bit-identical without degrading."""
     killed = []
@@ -52,7 +52,7 @@ def test_worker_killed_between_rounds_is_replaced(fed):
     from tests.helpers import tiny_model_fn
     import warnings
 
-    config = _config()
+    config = _config(compression=compression)
     serial = run_with_workers("scaffold", {}, fed, config, num_workers=1)
     run_config = config.with_updates(execution="serve", num_workers=2)
     algorithm = make_algorithm("scaffold")
@@ -65,6 +65,16 @@ def test_worker_killed_between_rounds_is_replaced(fed):
     assert killed, "the assassin callback never fired"
     assert not algorithm.executor.degraded
     assert_equivalent_runs(serial, (algorithm, history))
+
+
+def test_worker_killed_between_rounds_is_replaced(fed):
+    _kill_a_worker_between_rounds(fed, "none")
+
+
+def test_worker_killed_between_compressed_rounds_is_replaced(fed):
+    """The replacement picks the error-feedback residuals up from the
+    round's cohort broadcast."""
+    _kill_a_worker_between_rounds(fed, "topk:0.05|qsgd:8")
 
 
 def test_all_workers_dead_degrades_with_warning(fed, monkeypatch):
@@ -184,6 +194,18 @@ def test_coder_pipeline_mismatch_is_counted_not_fatal(fed):
     assert counters["serve.bytes_wire_up"] != counters["serve.bytes_ledger_up"]
     assert counters["serve.reconcile_mismatches"] == _config().rounds
     assert not algorithm.executor.degraded
+
+
+def test_state_bytes_counts_one_cohort_scoped_frame_per_round(fed):
+    tracer = Tracer()
+    config = _config(seed=48, compression="topk:0.05|qsgd:8")
+    algorithm, _history = run_serve("fedavg", {}, fed, config, tracer=tracer)
+    counters = _counters(tracer)
+    row_bytes = algorithm.model_size * 8
+    per_round = counters["serve.state_bytes"] / config.rounds
+    # The model, plus at most one residual row (and two ids) per cohort client.
+    assert row_bytes < per_round <= row_bytes + fed.num_clients * (row_bytes + 16) + 4096
+    assert counters["serve.bytes_sent"] >= counters["serve.state_bytes"]
 
 
 def test_latency_quantiles_reach_the_snapshot(fed):
