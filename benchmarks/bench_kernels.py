@@ -1,8 +1,12 @@
 """Op-level kernel benchmark and float64 regression harness.
 
 Times the hot forward/backward kernels (Conv2d, MaxPool2d, Dense,
-LSTMCell, GRUCell, rbf_mmd) and two end-to-end training steps (the
-paper's CNN and LSTM models) in three configurations:
+LSTMCell, GRUCell, rbf_mmd) and the end-to-end training steps (the
+paper's CNN and LSTM models) in three configurations.  The recurrent
+rows run twice: at this harness's own size and at the shape the
+``bench/`` Sent140 workload trains at (``*_bench``: B=32, T=22, E=12,
+H=64, the same in quick mode), plus a forward-only eval-mode row at that
+workload's B=256 evaluation batch (``lstm_cell_eval``):
 
 * **reference float64** — the frozen pre-optimization kernels from
   :mod:`repro.nn.reference` (loop-based im2col, reshape-and-reduce
@@ -122,6 +126,30 @@ def _ratio(before: dict, after: dict) -> dict:
     }
 
 
+def _eval_record(name: str, build, x: np.ndarray, *, repeats: int) -> dict:
+    """Forward-only pass in eval mode, shipped kernel vs its frozen twin."""
+    module, ref = build().eval(), as_reference(build()).eval()
+    identical = bool(np.array_equal(module.forward(x), ref.forward(x)))
+    opt = time_op(lambda: module.forward(x), repeats=repeats)
+    ref_sec = time_op(lambda: ref.forward(x), repeats=repeats)
+    print(
+        f"{name:14s} eval fwd ref {ref_sec * 1e3:7.2f} ms  opt64 {opt * 1e3:7.2f} ms "
+        f"({ref_sec / opt:.2f}x)   [{'ok' if identical else 'FLOAT64 DRIFT'}]"
+    )
+    return {
+        "batch": int(x.shape[0]),
+        "reference_float64": {"forward_sec": ref_sec},
+        "optimized_float64": {"forward_sec": opt},
+        "speedup_float64": {"forward": round(ref_sec / opt, 3)},
+        "float64_bit_identical": identical,
+    }
+
+
+# The recurrent shape of bench/workloads.py's sent140_lstm_async cell:
+# lstm x0.25 (E=12, H=64) on 22-token tweets, B=32 steps, B=256 eval batches.
+SENT140 = {"batch": 32, "eval_batch": 256, "seq": 22, "emb": 12, "hid": 64, "vocab": 400}
+
+
 # --------------------------------------------------------------------------
 # individual ops
 # --------------------------------------------------------------------------
@@ -158,18 +186,23 @@ def bench_ops(quick: bool, repeats: int) -> dict:
         lambda x, dt: rng.normal(size=(x.shape[0], 256)).astype(dt),
         repeats=repeats,
     )
-    ops["lstm_cell"] = _op_record(
-        "lstm_cell",
-        lambda: nn.LSTMCell(emb, hid, rng=np.random.default_rng(3)),
-        lambda dt: rng.normal(size=(b, seq, emb)).astype(dt),
-        lambda x, dt: rng.normal(size=(x.shape[0], seq, hid)).astype(dt),
-        repeats=repeats,
-    )
-    ops["gru_cell"] = _op_record(
-        "gru_cell",
-        lambda: nn.GRUCell(emb, hid, rng=np.random.default_rng(4)),
-        lambda dt: rng.normal(size=(b, seq, emb)).astype(dt),
-        lambda x, dt: rng.normal(size=(x.shape[0], seq, hid)).astype(dt),
+    k = SENT140
+    for suffix, (rb, rseq, remb, rhid) in {
+        "": (b, seq, emb, hid),
+        "_bench": (k["batch"], k["seq"], k["emb"], k["hid"]),
+    }.items():
+        for cell, cell_cls, seed in (("lstm_cell", nn.LSTMCell, 3), ("gru_cell", nn.GRUCell, 4)):
+            ops[cell + suffix] = _op_record(
+                cell + suffix,
+                lambda: cell_cls(remb, rhid, rng=np.random.default_rng(seed)),
+                lambda dt: rng.normal(size=(rb, rseq, remb)).astype(dt),
+                lambda x, dt: rng.normal(size=(x.shape[0], rseq, rhid)).astype(dt),
+                repeats=repeats,
+            )
+    ops["lstm_cell_eval"] = _eval_record(
+        "lstm_cell_eval",
+        lambda: nn.LSTMCell(k["emb"], k["hid"], rng=np.random.default_rng(3)),
+        rng.normal(size=(k["eval_batch"], k["seq"], k["emb"])),
         repeats=repeats,
     )
 
@@ -215,6 +248,36 @@ def _step_time(make_model, x, y, *, reference: bool, repeats: int) -> tuple[floa
     return sec, logits
 
 
+def _lstm_step_record(
+    name: str, rng, b: int, seq: int, lscale: float, vocab: int, repeats: int
+) -> dict:
+    x_tok = rng.integers(0, vocab, size=(b, seq))
+    y_tok = rng.integers(0, 2, size=b)
+
+    def make_lstm():
+        return build_lstm_classifier(vocab, 2, np.random.default_rng(7), scale=lscale)
+
+    ref_sec, ref_logits = _step_time(make_lstm, x_tok, y_tok, reference=True, repeats=repeats)
+    opt_sec, opt_logits = _step_time(make_lstm, x_tok, y_tok, reference=False, repeats=repeats)
+    with nn.default_dtype("float32"):
+        f32_sec, _ = _step_time(make_lstm, x_tok, y_tok, reference=False, repeats=repeats)
+    record = {
+        "batch": b, "seq": seq, "scale": lscale,
+        "reference_float64_sec": ref_sec,
+        "optimized_float64_sec": opt_sec,
+        "optimized_float32_sec": f32_sec,
+        "speedup_float64": round(ref_sec / opt_sec, 3),
+        "speedup_float32_vs_reference": round(ref_sec / f32_sec, 3),
+        "float64_bit_identical": bool(np.array_equal(ref_logits, opt_logits)),
+    }
+    print(
+        f"{name:14s} ref {ref_sec * 1e3:7.2f} ms  opt64 {opt_sec * 1e3:7.2f} ms "
+        f"({record['speedup_float64']:.2f}x)  "
+        f"opt32 {f32_sec * 1e3:7.2f} ms ({record['speedup_float32_vs_reference']:.2f}x)"
+    )
+    return record
+
+
 def bench_train_steps(quick: bool, repeats: int) -> tuple[dict, dict]:
     rng = np.random.default_rng(5)
     steps: dict[str, dict] = {}
@@ -251,34 +314,13 @@ def bench_train_steps(quick: bool, repeats: int) -> tuple[dict, dict]:
 
     # LSTM step: embedding -> 2-layer LSTM -> FC classifier on token ids.
     # Batch 32 matches the op-level recurrent benchmarks and the CNN step.
-    b = 8 if quick else 32
-    seq = 10 if quick else 25
-    lscale = 0.25 if quick else 0.5
-    vocab = 200
-    x_tok = rng.integers(0, vocab, size=(b, seq))
-    y_tok = rng.integers(0, 2, size=b)
-
-    def make_lstm():
-        return build_lstm_classifier(vocab, 2, np.random.default_rng(7), scale=lscale)
-
-    ref_sec, ref_logits = _step_time(make_lstm, x_tok, y_tok, reference=True, repeats=repeats)
-    opt_sec, opt_logits = _step_time(make_lstm, x_tok, y_tok, reference=False, repeats=repeats)
-    lstm_identical = bool(np.array_equal(ref_logits, opt_logits))
-    with nn.default_dtype("float32"):
-        f32_sec, _ = _step_time(make_lstm, x_tok, y_tok, reference=False, repeats=repeats)
-    steps["lstm_train_step"] = {
-        "batch": b, "seq": seq, "scale": lscale,
-        "reference_float64_sec": ref_sec,
-        "optimized_float64_sec": opt_sec,
-        "optimized_float32_sec": f32_sec,
-        "speedup_float64": round(ref_sec / opt_sec, 3),
-        "speedup_float32_vs_reference": round(ref_sec / f32_sec, 3),
-        "float64_bit_identical": lstm_identical,
-    }
-    print(
-        f"{'lstm_step':14s} ref {ref_sec * 1e3:7.2f} ms  opt64 {opt_sec * 1e3:7.2f} ms "
-        f"({steps['lstm_train_step']['speedup_float64']:.2f}x)  "
-        f"opt32 {f32_sec * 1e3:7.2f} ms ({steps['lstm_train_step']['speedup_float32_vs_reference']:.2f}x)"
+    steps["lstm_train_step"] = _lstm_step_record(
+        "lstm_step", rng, 8 if quick else 32, 10 if quick else 25, 0.25 if quick else 0.5,
+        200, repeats,
+    )
+    k = SENT140
+    steps["lstm_train_step_bench"] = _lstm_step_record(
+        "lstm_step_bench", rng, k["batch"], k["seq"], 0.25, k["vocab"], repeats
     )
 
     # Per-layer attribution of the optimized CNN step (where does the

@@ -86,27 +86,28 @@ class Sigmoid(Module):
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function.
 
-    Branchless form of the classic two-sided formulation: with
-    ``t = exp(-|x|)`` the positive side is ``1 / (1 + t)`` and the
-    negative side is ``t / (1 + t)`` — exactly the values the original
+    Branch-free form of the two-sided formulation: with
+    ``t = exp(-|x|) <= 1`` the positive side is ``1 / (1 + t)`` and the
+    negative side ``t / (1 + t)`` — the values the original
     boolean-indexed implementation produced (``-|x|`` *is* ``x`` on the
-    negative side, and both sides share the ``1 + t`` denominator), so
-    results are bit-identical while avoiding the fancy-indexing
-    gather/scatter that dominated its runtime.
+    negative side, and both sides share the denominator).  The numerator
+    is ``max(t, [x >= 0])``: exactly ``1`` or ``t`` with no masked select
+    (a mispredicted branch per element), and NaN propagates.
 
-    Follows the input dtype (float32 in, float32 out) and accepts an
-    ``out`` array so recurrent kernels can write gate activations into a
-    preallocated workspace.
+    Follows a float input's dtype (anything else is computed in float64).
+    ``out`` lets recurrent kernels write into a preallocated workspace and
+    may alias ``x``: ``x`` is not read after ``out`` is written.
     """
+    x = np.asarray(x)
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
     if out is None:
-        dt = x.dtype if np.issubdtype(x.dtype, np.floating) else np.float64
-        out = np.empty(x.shape, dtype=dt)
+        out = np.empty(x.shape, dtype=x.dtype)
     t = np.abs(x)
+    np.greater_equal(x, 0, out=out)  # 1.0 where x >= 0, else 0.0 (NaN: 0.0)
     np.negative(t, out=t)
     np.exp(t, out=t)  # t = exp(-|x|)
-    denom = 1.0 + t
-    np.divide(t, denom, out=t)  # negative-side value t / (1 + t)
-    np.divide(1.0, denom, out=denom)  # positive-side value 1 / (1 + t)
-    np.copyto(out, t)
-    np.copyto(out, denom, where=x >= 0)
+    np.maximum(out, t, out=out)  # numerator
+    t += 1.0
+    np.divide(out, t, out=out)
     return out

@@ -18,9 +18,10 @@ import numpy as np
 from repro.nn.activations import sigmoid
 from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.module import Module, Parameter
+from repro.nn.recurrent import RecurrentCell
 
 
-class GRUCell(Module):
+class GRUCell(RecurrentCell):
     """Single GRU layer unrolled over time: (B, T, D) -> (B, T, H)."""
 
     def __init__(
@@ -41,80 +42,67 @@ class GRUCell(Module):
             name="gru.w_h",
         )
         self.bias = Parameter(zeros((3 * hidden_dim,)), name="gru.bias")
-        self._cache: dict | None = None
 
-    def _free_buffers(self) -> None:
-        self._cache = None
+    def _scratch_shapes(self, batch: int, depth: int) -> dict:
+        hid = self.hidden_dim
+        shapes = dict.fromkeys(("z", "r", "n", "hu_n"), (depth, batch, hid))
+        if self.training:
+            shapes.update(
+                dxw=(batch, 3 * hid), gw_x=self.w_x.data.shape, gbias=(3 * hid,),
+                gw_hb=(hid, hid),
+            )
+        return shapes
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, steps, _ = x.shape
+        # The input projection for the whole sequence is one GEMM; with the
+        # bias added, xw_all[t] matches the per-step x[:, t] @ w_x + bias
+        # of the reference bit for bit.
+        ws, xt = self._begin(x)
+        steps, batch, _ = xt.shape
         hid = self.hidden_dim
-        dtype = np.result_type(x.dtype, self.w_x.data.dtype)
-        # Input projection for the whole sequence in one GEMM; rows are
-        # independent, so xw_all[:, t] + bias matches the per-step
-        # x[:, t] @ w_x + bias of the reference bit for bit.
-        xw_all = (x.reshape(batch * steps, -1) @ self.w_x.data).reshape(
-            batch, steps, 3 * hid
-        )
+        xw_all = ws.xw
         xw_all += self.bias.data
-        h = np.zeros((batch, hid), dtype=dtype)
-        hs = np.empty((batch, steps, hid), dtype=dtype)
-        cache = {
-            "x": x,
-            "z": np.empty((batch, steps, hid), dtype=dtype),
-            "r": np.empty((batch, steps, hid), dtype=dtype),
-            "n": np.empty((batch, steps, hid), dtype=dtype),
-            "hu_n": np.empty((batch, steps, hid), dtype=dtype),
-        }
+        # The output is a fresh array: the caller owns it.
+        hs = np.empty((steps, batch, hid), dtype=xw_all.dtype)
+        depth = len(ws.z)
         u_z = self.w_h.data[:, :hid]
         u_r = self.w_h.data[:, hid : 2 * hid]
         u_n = self.w_h.data[:, 2 * hid :]
+        h = ws.zero
         for t in range(steps):
-            xw = xw_all[:, t]
-            z = sigmoid(xw[:, :hid] + h @ u_z, out=cache["z"][:, t])
-            r = sigmoid(xw[:, hid : 2 * hid] + h @ u_r, out=cache["r"][:, t])
-            hu_n = np.matmul(h, u_n, out=cache["hu_n"][:, t])
-            n = np.tanh(xw[:, 2 * hid :] + r * hu_n, out=cache["n"][:, t])
-            ht = hs[:, t]
+            xw, k = xw_all[t], t % depth
+            z = sigmoid(xw[:, :hid] + h @ u_z, out=ws.z[k])
+            r = sigmoid(xw[:, hid : 2 * hid] + h @ u_r, out=ws.r[k])
+            hu_n = np.matmul(h, u_n, out=ws.hu_n[k])
+            n = np.tanh(xw[:, 2 * hid :] + r * hu_n, out=ws.n[k])
+            ht = hs[t]
             np.multiply(1.0 - z, n, out=ht)
             ht += z * h
             h = ht
-        cache["hs"] = hs
-        self._cache = cache
-        return hs
+        self._cache = {"xt": xt, "hs": hs} if self.training else None
+        return hs.transpose(1, 0, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        cache = self._cache
-        x = cache["x"]
-        # h_t is exactly hs[:, t], so h_prev at step t is hs[:, t-1] —
-        # no separate h_prev cache needed.
-        hs = cache["hs"]
-        batch, steps, _ = x.shape
+        # h_t is exactly hs[t], so h_prev at step t is hs[t - 1] — no
+        # separate h_prev cache needed.
+        xt, hs, ws = self._cache["xt"], self._cache["hs"], self._scratch
+        steps = len(xt)
         hid = self.hidden_dim
-        dtype = cache["z"].dtype
         u_z = self.w_h.data[:, :hid]
         u_r = self.w_h.data[:, hid : 2 * hid]
         u_n = self.w_h.data[:, 2 * hid :]
+        grad_out = grad_out.transpose(1, 0, 2)
         # grad_x stays per-step to match the reference's BLAS call shapes
         # exactly (see the LSTM backward note on transposed operands).
-        grad_x = np.empty(x.shape, dtype=dtype)
-        dxw = np.empty((batch, 3 * hid), dtype=dtype)  # contiguous scratch
-        dh_next = np.zeros((batch, hid), dtype=dtype)
-        zero_state = np.zeros((batch, hid), dtype=dtype)
-        # Preallocated GEMM destinations — same values as fresh
-        # temporaries, without the per-step mmap churn (see the LSTM
-        # backward note).
-        gw_x = np.empty(self.w_x.data.shape, dtype=dtype)
-        gbias = np.empty(3 * hid, dtype=dtype)
-        gw_hb = np.empty((hid, hid), dtype=dtype)
-        gx = np.empty((batch, x.shape[2]), dtype=dtype)
+        grad_xt = np.empty(xt.shape, dtype=hs.dtype)
+        dxw, gw_x, gbias, gw_hb = ws.dxw, ws.gw_x, ws.gbias, ws.gw_hb
+        dh_next = ws.zero
         for t in reversed(range(steps)):
-            z, r = cache["z"][:, t], cache["r"][:, t]
-            n, hu_n = cache["n"][:, t], cache["hu_n"][:, t]
-            h_prev = hs[:, t - 1] if t > 0 else zero_state
-            dh = grad_out[:, t] + dh_next
+            z, r, n, hu_n = ws.z[t], ws.r[t], ws.n[t], ws.hu_n[t]
+            h_prev = hs[t - 1] if t > 0 else ws.zero
+            dh = grad_out[t] + dh_next
             dz = dh * (h_prev - n)
             dn = dh * (1.0 - z)
             dh_prev = dh * z
@@ -127,9 +115,9 @@ class GRUCell(Module):
             dz_pre = dxw[:, :hid]
             dr_pre = dxw[:, hid : 2 * hid]
             # Parameter gradients.
-            np.matmul(x[:, t].T, dxw, out=gw_x)
+            np.matmul(xt[t].T, dxw, out=gw_x)
             self.w_x.grad += gw_x
-            np.sum(dxw, axis=0, out=gbias)
+            np.add.reduce(dxw, axis=0, out=gbias)
             self.bias.grad += gbias
             h_prev_t = h_prev.T
             np.matmul(h_prev_t, dz_pre, out=gw_hb)
@@ -138,8 +126,7 @@ class GRUCell(Module):
             self.w_h.grad[:, hid : 2 * hid] += gw_hb
             np.matmul(h_prev_t, dn_pre * r, out=gw_hb)
             self.w_h.grad[:, 2 * hid :] += gw_hb
-            np.matmul(dxw, self.w_x.data.T, out=gx)
-            grad_x[:, t] = gx
+            np.matmul(dxw, self.w_x.data.T, out=grad_xt[t])
             # Recurrent gradient.
             dh_prev = (
                 dh_prev
@@ -148,7 +135,7 @@ class GRUCell(Module):
                 + (dn_pre * r) @ u_n.T
             )
             dh_next = dh_prev
-        return grad_x
+        return grad_xt.transpose(1, 0, 2)
 
 
 class GRU(Module):

@@ -6,19 +6,29 @@ an :class:`LSTM` (a stack of layers unrolled over a full sequence), and
 :class:`LastTimestep` (extracts the final hidden state for
 classification heads).
 
-Kernel design (see ``docs/performance.md``): the input projection for
-the whole sequence is hoisted out of the time loop into one
-``(B*T, in) @ (in, 4H)`` GEMM, gate activations are computed with a
-fused sigmoid/tanh block into a preallocated ``(B, T, 4H)`` workspace,
-and the per-step recurrent GEMM reuses one scratch buffer.  BLAS GEMM
-results are row-independent, so every value matches the per-timestep
-reference (:class:`repro.nn.reference.ReferenceLSTMCell`) bit for bit
-in float64 — the equivalence tests enforce exactly that.  All state and
-workspaces follow the input/parameter dtype instead of silently
-upcasting to float64, so float32 training stays float32 end to end.
+Kernel design (``docs/performance.md``, "The Sent140 LSTM path"): every
+sequence-long array is time-major ``(T, B, ·)`` and the gate cache
+gate-major under that, ``(T, 4, B, H)``, so every elementwise operand of
+a step is one contiguous block; a layer still takes and returns
+``(B, T, ·)`` — its output is a transposed view, which hands the next
+cell and :class:`LastTimestep` their contiguous blocks for free.  The
+input projection is one ``(T*B, in) @ (in, 4H)`` GEMM outside the time
+loop, a step activates its ``(B, 4H)`` row with one branch-free sigmoid
+(then tanh over the g slot), and backward applies the gate derivatives
+to all four gates at once.  All buffers live in one scratch per cell
+(:class:`RecurrentCell`), reused across a client's steps; an eval-mode
+forward keeps no backward state.  BLAS GEMM rows are independent and
+every elementwise chain keeps the reference's operands and association,
+so every value matches :class:`repro.nn.reference.ReferenceLSTMCell` bit
+for bit in float64 — the equivalence tests enforce exactly that.  The
+five per-step backward GEMMs are the documented floor: hoisted over the
+sequence they are not byte-equal and bought under 10 % of the workload.
+Everything follows the input/parameter dtype: float32 stays float32.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,7 +37,70 @@ from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.module import Module, Parameter
 
 
-class LSTMCell(Module):
+class RecurrentCell(Module):
+    """What :class:`LSTMCell` and :class:`~repro.nn.gru.GRUCell` share:
+    the backward cache and one reusable scratch.
+
+    The scratch is a namespace of zeroed buffers, named and shaped by the
+    subclass's ``_scratch_shapes(batch, depth)`` (``depth`` timesteps of
+    backward state).  A training forward keeps it while ``(x.shape, dtype)``
+    matches and ``free_buffers()`` drops it — the
+    :class:`~repro.nn.conv.Im2colWorkspace` contract.  Reuse is layout-only:
+    every buffer but ``zero`` (the initial state, never written) is
+    rewritten before it is read, and none is returned to a caller.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        # xt and hs of the last training forward; its other backward state is in the scratch.
+        self._cache: dict | None = None
+        self._scratch: SimpleNamespace | None = None
+
+    def _free_buffers(self) -> None:
+        self._cache = None
+        self._scratch = None
+
+    def _begin(self, x: np.ndarray) -> tuple[SimpleNamespace, np.ndarray]:
+        """Scratch for a forward over ``x`` (B, T, D), holding ``xw = x @ w_x`` for
+        the whole sequence, and ``x`` as a contiguous (T, B, D).  A training
+        forward gets the scratch the cell keeps, ``T`` steps of backward state
+        deep; an eval forward a throwaway one a single step deep, so it leaves
+        nothing behind.
+        """
+        batch, steps, in_dim = x.shape
+        if steps == 0:
+            raise ValueError(f"{type(self).__name__}: empty sequence, input shape {x.shape}")
+        w_x = self.w_x.data
+        key = (x.shape, np.result_type(x.dtype, w_x.dtype))
+        ws = self._scratch if self.training else None
+        if ws is None or ws.key != key:
+            shapes = self._scratch_shapes(batch, steps if self.training else 1)
+            shapes.update(
+                xt=(steps, batch, in_dim), xw=(steps, batch, w_x.shape[1]),
+                zero=(batch, self.hidden_dim),
+            )
+            ws = SimpleNamespace(
+                key=key, **{name: np.zeros(shape, dtype=key[1]) for name, shape in shapes.items()}
+            )
+            if self.training:
+                self._scratch = ws
+        # A recurrent layer's output is already time-major underneath.
+        xt = x.transpose(1, 0, 2)
+        if not xt.flags.c_contiguous:
+            ws.xt[...] = xt
+            xt = ws.xt
+        # One big GEMM instead of T small ones.  GEMM rows are independent,
+        # so xw[t] is bit-identical to x[:, t] @ w_x — but for a batch of
+        # one, whose per-step product is a gemv that sums in another order.
+        if batch == 1:
+            for t in range(steps):
+                np.matmul(xt[t], w_x, out=ws.xw[t])
+        else:
+            np.matmul(xt.reshape(steps * batch, in_dim), w_x, out=ws.xw.reshape(steps * batch, -1))
+        return ws, xt
+
+
+class LSTMCell(RecurrentCell):
     """Single LSTM layer unrolled over time.
 
     Input: (B, T, input_dim).  Output: the full hidden sequence
@@ -56,152 +129,113 @@ class LSTMCell(Module):
         bias = zeros((4 * hidden_dim,))
         bias[hidden_dim : 2 * hidden_dim] = 1.0  # forget gate
         self.bias = Parameter(bias, name="lstm.bias")
-        self._cache: dict | None = None
 
-    def _free_buffers(self) -> None:
-        self._cache = None
+    def _scratch_shapes(self, batch: int, depth: int) -> dict:
+        hid = self.hidden_dim
+        row, state, slots = (batch, 4 * hid), (batch, hid), (4, batch, hid)
+        shapes = dict.fromkeys(("cells", "tanh_cells"), (depth, batch, hid))
+        shapes.update(gates=(depth, *slots), z=row, act=row, prod=state)
+        if self.training:
+            shapes.update(
+                f=slots, g=slots, s=slots, dz=row, q=state, dh=state, dc=state, dh_next=state,
+                dc_next=state, gw_x=self.w_x.data.shape, gw_h=self.w_h.data.shape,
+                gbias=(4 * hid,),
+            )
+        return shapes
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, steps, _ = x.shape
+        ws, xt = self._begin(x)
+        steps, batch, _ = xt.shape
         hid = self.hidden_dim
-        w_h = self.w_h.data
-        dtype = np.result_type(x.dtype, self.w_x.data.dtype)
-        # Input projection for the full sequence: one big GEMM instead of
-        # T small ones.  GEMM rows are independent, so xw[:, t] is
-        # bit-identical to x[:, t] @ w_x.
-        xw = (x.reshape(batch * steps, -1) @ self.w_x.data).reshape(
-            batch, steps, 4 * hid
-        )
-        h = np.zeros((batch, hid), dtype=dtype)
-        c = np.zeros((batch, hid), dtype=dtype)
-        hs = np.empty((batch, steps, hid), dtype=dtype)
-        cells = np.empty((batch, steps, hid), dtype=dtype)
-        gates = np.empty((batch, steps, 4 * hid), dtype=dtype)
-        # tanh(c_t) is needed again by backward; caching it here saves one
-        # transcendental per step in the backward loop.
-        tanh_cells = np.empty((batch, steps, hid), dtype=dtype)
-        # Per-step scratch, reused across the whole sequence.
-        z = np.empty((batch, 4 * hid), dtype=dtype)
-        prod = np.empty((batch, hid), dtype=dtype)
+        w_h, bias = self.w_h.data, self.bias.data
+        # A fresh array: the caller (the next cell keeps it for backward) owns it.
+        hs = np.empty((steps, batch, hid), dtype=ws.xw.dtype)
+        depth = len(ws.gates)
+        z, act, prod = ws.z, ws.act, ws.prod
+        z_g = z[:, 2 * hid : 3 * hid]
+        act_slots = act.reshape(batch, 4, hid).transpose(1, 0, 2)
+        h = c = ws.zero
         for t in range(steps):
             np.matmul(h, w_h, out=z)
-            z += xw[:, t]
-            z += self.bias.data
-            # Fused gate block: one sigmoid over [i|f], one tanh over g,
-            # one sigmoid over o, written straight into the cache.
-            g = gates[:, t]
-            sigmoid(z[:, : 2 * hid], out=g[:, : 2 * hid])
-            np.tanh(z[:, 2 * hid : 3 * hid], out=g[:, 2 * hid : 3 * hid])
-            sigmoid(z[:, 3 * hid :], out=g[:, 3 * hid :])
-            gi, gf = g[:, :hid], g[:, hid : 2 * hid]
-            gg, go = g[:, 2 * hid : 3 * hid], g[:, 3 * hid :]
+            z += ws.xw[t]
+            z += bias
+            # One sigmoid over the whole (B, 4H) row, regrouped gate-major into
+            # the cache (each gate a contiguous (B, H) block), then tanh over g.
+            k = t % depth
+            g = ws.gates[k]
+            sigmoid(z, out=act)
+            g[...] = act_slots
+            gi, gf, gg, go = g
+            np.tanh(z_g, out=gg)
             # c = gf * c_prev + gi * gg, accumulated in the cache slot.
-            ct = cells[:, t]
+            ct = ws.cells[k]
             np.multiply(gf, c, out=ct)
             np.multiply(gi, gg, out=prod)
             ct += prod
             c = ct
-            # h = go * tanh(c)
-            tc = tanh_cells[:, t]
+            # h = go * tanh(c); tanh(c_t) is needed again by backward.
+            tc = ws.tanh_cells[k]
             np.tanh(ct, out=tc)
-            ht = hs[:, t]
-            np.multiply(go, tc, out=ht)
-            h = ht
-        self._cache = {
-            "x": x,
-            "gates": gates,
-            "cells": cells,
-            "hs": hs,
-            "tanh_cells": tanh_cells,
-        }
-        return hs
+            h = hs[t]
+            np.multiply(go, tc, out=h)
+        self._cache = {"xt": xt, "hs": hs} if self.training else None
+        return hs.transpose(1, 0, 2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        cache = self._cache
-        x = cache["x"]
-        gates, cells, hs = cache["gates"], cache["cells"], cache["hs"]
-        tanh_cells = cache["tanh_cells"]
-        batch, steps, _ = x.shape
-        hid = self.hidden_dim
-        dtype = gates.dtype
-        w_h = self.w_h.data
-        # grad_x stays per-step: a hoisted (B*T, 4H) @ w_x.T GEMM gives
-        # different BLAS blocking than the per-step reference and breaks
-        # bitwise float64 identity (transposed operands are shape-sensitive).
-        grad_x = np.empty(x.shape, dtype=dtype)
-        # Preallocated per-step workspaces.  Every elementwise chain below
-        # replays the reference expressions operation-for-operation (same
-        # operands, same association), so writing through scratch buffers
-        # instead of fresh temporaries changes nothing bitwise.
-        dz = np.empty((batch, 4 * hid), dtype=dtype)
-        dh = np.empty((batch, hid), dtype=dtype)
-        dc = np.empty((batch, hid), dtype=dtype)
-        s = np.empty((batch, hid), dtype=dtype)
-        dh_next = np.zeros((batch, hid), dtype=dtype)
-        dc_next = np.zeros((batch, hid), dtype=dtype)
-        zero_state = np.zeros((batch, hid), dtype=dtype)
-        w_h_t = w_h.T
-        w_x_t = self.w_x.data.T
-        # GEMM destinations.  The per-step parameter-gradient products are
-        # large enough (hundreds of KB) that fresh temporaries go through
-        # mmap on every step; writing them into preallocated buffers via
-        # out= produces the same values without the allocator churn.
-        gw_x = np.empty(self.w_x.data.shape, dtype=dtype)
-        gw_h = np.empty(w_h.shape, dtype=dtype)
-        gbias = np.empty(4 * hid, dtype=dtype)
-        gx = np.empty((batch, x.shape[2]), dtype=dtype)
+        xt, hs, ws = self._cache["xt"], self._cache["hs"], self._scratch
+        steps, batch, _ = xt.shape
+        # dz = (F * G) * S on all four gates at once: the reference's
+        # association gate by gate, x * 1.0 being x where it has a factor fewer.
+        #   i: (dc * gg) * gi * (1 - gi)        f: (dc * c_prev) * gf * (1 - gf)
+        #   g: (dc * gi) * (1 - gg**2) * 1.0    o: (dh * tanh_c) * go * (1 - go)
+        # G is the gate block with 1 - gg**2 in its g slot, S one minus the
+        # gate block with 1.0 there.
+        f, g, s, q = ws.f, ws.g, ws.s, ws.q
+        dz, dh, dc, dh_next, dc_next = ws.dz, ws.dh, ws.dc, ws.dh_next, ws.dc_next
+        dz_slots = dz.reshape(batch, 4, self.hidden_dim).transpose(1, 0, 2)
+        dh_next[...] = dc_next[...] = 0.0
+        gw_x, gw_h, gbias = ws.gw_x, ws.gw_h, ws.gbias
+        w_x_t, w_h_t = self.w_x.data.T, self.w_h.data.T
+        grad_out = grad_out.transpose(1, 0, 2)
+        # The GEMMs stay per-step with the reference's operands, shapes
+        # and order: hoisted over the sequence they block (and sum)
+        # differently and break bitwise float64 identity.
+        grad_xt = np.empty(xt.shape, dtype=dz.dtype)
         for t in reversed(range(steps)):
-            g = gates[:, t]
-            gi, gf = g[:, :hid], g[:, hid : 2 * hid]
-            gg, go = g[:, 2 * hid : 3 * hid], g[:, 3 * hid :]
-            c_prev = cells[:, t - 1] if t > 0 else zero_state
-            h_prev = hs[:, t - 1] if t > 0 else zero_state
-            tanh_c = tanh_cells[:, t]
-            # dh = grad_out_t + dh_next
-            np.add(grad_out[:, t], dh_next, out=dh)
+            gt, tanh_c = ws.gates[t], ws.tanh_cells[t]
+            gi, gf, gg, go = gt
+            c_prev, h_prev = (ws.cells[t - 1], hs[t - 1]) if t > 0 else (ws.zero, ws.zero)
+            np.add(grad_out[t], dh_next, out=dh)
             # dc = dh * go * (1 - tanh_c**2) + dc_next
             np.multiply(dh, go, out=dc)
-            np.multiply(tanh_c, tanh_c, out=s)
-            np.subtract(1.0, s, out=s)
-            dc *= s
+            np.multiply(tanh_c, tanh_c, out=q)
+            np.subtract(1.0, q, out=q)
+            dc *= q
             dc += dc_next
-            # dz_i = dc * gg * gi * (1 - gi)
-            dzi = dz[:, :hid]
-            np.multiply(dc, gg, out=dzi)
-            dzi *= gi
-            np.subtract(1.0, gi, out=s)
-            dzi *= s
-            # dz_f = dc * c_prev * gf * (1 - gf)
-            dzf = dz[:, hid : 2 * hid]
-            np.multiply(dc, c_prev, out=dzf)
-            dzf *= gf
-            np.subtract(1.0, gf, out=s)
-            dzf *= s
-            # dz_g = dc * gi * (1 - gg**2)
-            dzg = dz[:, 2 * hid : 3 * hid]
-            np.multiply(dc, gi, out=dzg)
-            np.multiply(gg, gg, out=s)
-            np.subtract(1.0, s, out=s)
-            dzg *= s
-            # dz_o = dh * tanh_c * go * (1 - go)
-            dzo = dz[:, 3 * hid :]
-            np.multiply(dh, tanh_c, out=dzo)
-            dzo *= go
-            np.subtract(1.0, go, out=s)
-            dzo *= s
-            np.matmul(x[:, t].T, dz, out=gw_x)
+            np.multiply(dc, gg, out=f[0])
+            np.multiply(dc, c_prev, out=f[1])
+            np.multiply(dc, gi, out=f[2])
+            np.multiply(dh, tanh_c, out=f[3])
+            g[...] = gt
+            np.multiply(gg, gg, out=g[2])
+            np.subtract(1.0, g[2], out=g[2])
+            f *= g
+            np.subtract(1.0, gt, out=s)
+            s[2] = 1.0
+            f *= s
+            dz_slots[...] = f  # back to the (B, 4H) rows the GEMMs take
+            np.matmul(xt[t].T, dz, out=gw_x)
             self.w_x.grad += gw_x
             np.matmul(h_prev.T, dz, out=gw_h)
             self.w_h.grad += gw_h
-            np.sum(dz, axis=0, out=gbias)
+            np.add.reduce(dz, axis=0, out=gbias)
             self.bias.grad += gbias
-            np.matmul(dz, w_x_t, out=gx)
-            grad_x[:, t] = gx
+            np.matmul(dz, w_x_t, out=grad_xt[t])
             np.matmul(dz, w_h_t, out=dh_next)
             np.multiply(dc, gf, out=dc_next)
-        return grad_x
+        return grad_xt.transpose(1, 0, 2)
 
 
 class LSTM(Module):
@@ -250,6 +284,9 @@ class LastTimestep(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward")
-        grad = np.zeros(self._shape, dtype=grad_out.dtype)
-        grad[:, -1, :] = grad_out
-        return grad
+        # Time-major like the recurrent layers' own arrays, so the cell
+        # below reads one contiguous block per step.
+        batch, steps, width = self._shape
+        grad = np.zeros((steps, batch, width), dtype=grad_out.dtype)
+        grad[-1] = grad_out
+        return grad.transpose(1, 0, 2)

@@ -6,7 +6,7 @@ import pytest
 from repro.data.dataset import ArrayDataset
 from repro.fl.client import compute_mean_embedding, evaluate_model, local_sgd_steps
 from repro.fl.config import FLConfig
-from repro.models import build_cnn, build_mlp
+from repro.models import build_cnn, build_gru_classifier, build_lstm_classifier, build_mlp
 from repro.nn.serialization import get_flat_params
 
 
@@ -153,6 +153,25 @@ def test_forward_only_helpers_leave_no_activation_cache(rng, helper):
     helper(model, data, batch_size=8)
     assert _held_caches(model) == []
     assert model.training
+
+
+@pytest.mark.parametrize("build", [build_lstm_classifier, build_gru_classifier])
+@pytest.mark.parametrize("helper", [evaluate_model, compute_mean_embedding])
+def test_forward_only_helpers_leave_nothing_on_recurrent_models(rng, helper, build, monkeypatch):
+    model = build(30, 2, rng, scale=0.1)
+    gen = np.random.default_rng(0)
+    data = ArrayDataset(gen.integers(0, 30, size=(20, 7)), gen.integers(0, 2, 20))
+    model.forward(data.x[:4])
+    assert _held_caches(model)
+    helper(model, data, batch_size=8)
+    assert _held_caches(model) == []
+    assert model.training
+    # The recurrent cells do not wait for free_buffers(): an eval-mode
+    # forward keeps neither backward state nor scratch in the first place.
+    monkeypatch.setattr(model, "free_buffers", lambda: None)
+    helper(model, data, batch_size=8)
+    cells = model.features.layers[1].cells
+    assert [(c._cache, c._scratch) for c in cells] == [(None, None)] * len(cells)
 
 
 def test_local_sgd_deterministic_given_rng(rng):
