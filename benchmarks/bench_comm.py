@@ -134,19 +134,21 @@ class _Counts:
 def _counted_run(transport: str, fed, model_fn, config) -> tuple[_Counts, float, FedAvg]:
     counts = _Counts()
     original_pool = parallel_mod._ProcessPool
-    original_pack_state = wire.pack_state
+    # Every state message — joined (pack_state) or written piece by
+    # piece into the pool's mapping — comes out of the one encoder.
+    original_pack_parts = wire.pack_parts
 
     class CountingPool(original_pool):
         def __init__(self, *args, **kwargs):
             counts.pools += 1
             super().__init__(*args, **kwargs)
 
-    def counting_pack_state(state):
-        counts.state_packs += 1
-        return original_pack_state(state)
+    def counting_pack_parts(kind, segments):
+        counts.state_packs += kind == "state"
+        return original_pack_parts(kind, segments)
 
     parallel_mod._ProcessPool = CountingPool
-    wire.pack_state = counting_pack_state
+    wire.pack_parts = counting_pack_parts
     try:
         algorithm = FedAvg()
         started = time.perf_counter()
@@ -157,7 +159,7 @@ def _counted_run(transport: str, fed, model_fn, config) -> tuple[_Counts, float,
         elapsed = time.perf_counter() - started
     finally:
         parallel_mod._ProcessPool = original_pool
-        wire.pack_state = original_pack_state
+        wire.pack_parts = original_pack_parts
     return counts, elapsed, algorithm
 
 

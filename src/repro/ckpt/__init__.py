@@ -21,6 +21,7 @@ experiment runner/sweeps; see ``docs/checkpointing.md``.
 
 from repro.ckpt.format import (
     pack_tree,
+    pack_tree_parts,
     read_checkpoint,
     read_manifest,
     unpack_tree,
@@ -42,6 +43,7 @@ __all__ = [
     "config_hash",
     "run_provenance",
     "pack_tree",
+    "pack_tree_parts",
     "unpack_tree",
     "read_checkpoint",
     "read_manifest",

@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.delta import RowBlocks
 from repro.exceptions import CheckpointError, WireError
 from repro.fl import wire
 
@@ -53,67 +54,108 @@ _BYTES_KEY = "__hex__"
 _TUPLE_KEY = "__tuple__"
 
 
-def _digest(payload: bytes) -> bytes:
-    return hashlib.blake2b(payload, digest_size=16).digest()
+def _digest(*pieces) -> bytes:
+    """blake2b-128 of the concatenation of ``pieces``, never formed."""
+    digest = hashlib.blake2b(digest_size=16)
+    for piece in pieces:
+        digest.update(piece)
+    return digest.digest()
 
 
 # -- tree <-> bytes -----------------------------------------------------------------
+#
+# The two walkers are module-level functions that take their accumulator
+# as an argument, not closures over it: a recursive closure is a
+# reference cycle (function -> cell -> function) that only a gen-2
+# collection frees, and until then it keeps every array the call touched
+# alive — a save's 16 MB of table rows, a whole read blob.
 
 
-def pack_tree(tree: dict) -> bytes:
-    """Encode a nested dict of JSON-able values, numpy arrays and bytes.
+def _encode(node, arrays: dict[str, np.ndarray]):
+    if isinstance(node, (np.ndarray, RowBlocks)):
+        name = f"a{len(arrays)}"
+        arrays[name] = node
+        return {_ARRAY_KEY: name}
+    if isinstance(node, (bytes, bytearray)):
+        return {_BYTES_KEY: bytes(node).hex()}
+    if isinstance(node, dict):
+        out = {}
+        for key, value in node.items():
+            if not isinstance(key, str):
+                raise CheckpointError(f"tree keys must be str, got {key!r}")
+            if key in (_ARRAY_KEY, _BYTES_KEY, _TUPLE_KEY):
+                raise CheckpointError(f"reserved tree key {key!r}")
+            out[key] = _encode(value, arrays)
+        return out
+    if isinstance(node, tuple):
+        return {_TUPLE_KEY: [_encode(v, arrays) for v in node]}
+    if isinstance(node, list):
+        return [_encode(v, arrays) for v in node]
+    if isinstance(node, (np.integer,)):
+        return int(node)
+    if isinstance(node, (np.floating,)):
+        return float(node)
+    if isinstance(node, (np.bool_,)):
+        return bool(node)
+    if node is None or isinstance(node, (str, int, float, bool)):
+        return node
+    raise CheckpointError(f"cannot checkpoint value of type {type(node).__name__}")
+
+
+def _decode(node, segments: dict):
+    if isinstance(node, dict):
+        if _ARRAY_KEY in node:
+            name = node[_ARRAY_KEY]
+            if name not in segments:
+                raise CheckpointError(f"checkpoint section missing array {name!r}")
+            return segments[name]
+        if _BYTES_KEY in node:
+            return bytes.fromhex(node[_BYTES_KEY])
+        if _TUPLE_KEY in node:
+            return tuple(_decode(v, segments) for v in node[_TUPLE_KEY])
+        return {key: _decode(value, segments) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_decode(v, segments) for v in node]
+    return node
+
+
+def pack_tree_parts(tree: dict) -> list[memoryview]:
+    """Encode a nested dict of JSON-able values, numpy arrays and bytes
+    as the pieces of one section (see :func:`repro.fl.wire.pack_parts`).
 
     Arrays are stored dtype-true in RFW1 segments (no base64 bloat, no
     pickle); everything else rides a JSON skeleton with ``{"__nd__": i}``
     / ``{"__hex__": ...}`` markers at the array / bytes leaves.
+
+    **Aliasing contract.**  Large arrays are not copied: their pieces
+    are views of the arrays in ``tree``, i.e. of live run state when the
+    tree came from ``checkpoint_state()``.  The pieces must reach
+    :func:`write_checkpoint` before that state changes again — capture
+    and save are one synchronous step between two rounds.
     """
     arrays: dict[str, np.ndarray] = {}
-
-    def encode(node):
-        if isinstance(node, np.ndarray):
-            name = f"a{len(arrays)}"
-            arrays[name] = node
-            return {_ARRAY_KEY: name}
-        if isinstance(node, (bytes, bytearray)):
-            return {_BYTES_KEY: bytes(node).hex()}
-        if isinstance(node, dict):
-            out = {}
-            for key, value in node.items():
-                if not isinstance(key, str):
-                    raise CheckpointError(f"tree keys must be str, got {key!r}")
-                if key in (_ARRAY_KEY, _BYTES_KEY, _TUPLE_KEY):
-                    raise CheckpointError(f"reserved tree key {key!r}")
-                out[key] = encode(value)
-            return out
-        if isinstance(node, tuple):
-            return {_TUPLE_KEY: [encode(v) for v in node]}
-        if isinstance(node, list):
-            return [encode(v) for v in node]
-        if isinstance(node, (np.integer,)):
-            return int(node)
-        if isinstance(node, (np.floating,)):
-            return float(node)
-        if isinstance(node, (np.bool_,)):
-            return bool(node)
-        if node is None or isinstance(node, (str, int, float, bool)):
-            return node
-        raise CheckpointError(f"cannot checkpoint value of type {type(node).__name__}")
-
-    skeleton = encode(tree)
+    skeleton = _encode(tree, arrays)
     payload = json.dumps(skeleton, separators=(",", ":")).encode("utf-8")
     segments: dict[str, object] = {"__json__": np.frombuffer(payload, dtype=np.uint8)}
     segments.update(arrays)
     try:
-        return wire.pack("generic", segments)
+        return wire.pack_parts("generic", segments)[1]
     except WireError as exc:
         raise CheckpointError(f"unpackable checkpoint section: {exc}") from exc
+
+
+def pack_tree(tree: dict) -> bytes:
+    """:func:`pack_tree_parts`, joined into one ``bytes`` section."""
+    return b"".join(pack_tree_parts(tree))
 
 
 def unpack_tree(buf: bytes) -> dict:
     """Inverse of :func:`pack_tree`.
 
-    Arrays come back as fresh *writable* copies — restore paths write
-    them into live state in place, so read-only wire views would not do.
+    Arrays come back as **read-only views** into ``buf``.  A restore
+    path copies a value exactly once, where it adopts it
+    (``np.array(value, copy=True)``, ``np.copyto``, a row assignment),
+    and ``buf`` is free as soon as the last view is dropped.
     """
     try:
         kind, segments = wire.unpack(buf)
@@ -122,31 +164,27 @@ def unpack_tree(buf: bytes) -> dict:
     if kind != "generic" or "__json__" not in segments:
         raise CheckpointError("checkpoint section missing its JSON skeleton")
     skeleton = json.loads(bytes(segments["__json__"]).decode("utf-8"))
-
-    def decode(node):
-        if isinstance(node, dict):
-            if _ARRAY_KEY in node:
-                name = node[_ARRAY_KEY]
-                if name not in segments:
-                    raise CheckpointError(f"checkpoint section missing array {name!r}")
-                return np.array(segments[name], copy=True)
-            if _BYTES_KEY in node:
-                return bytes.fromhex(node[_BYTES_KEY])
-            if _TUPLE_KEY in node:
-                return tuple(decode(v) for v in node[_TUPLE_KEY])
-            return {key: decode(value) for key, value in node.items()}
-        if isinstance(node, list):
-            return [decode(v) for v in node]
-        return node
-
-    return decode(skeleton)
+    return _decode(skeleton, segments)
 
 
 # -- file container -----------------------------------------------------------------
 
 
-def write_checkpoint(path: str | Path, meta: dict, sections: dict[str, bytes]) -> Path:
-    """Atomically persist ``sections`` (name -> packed bytes) under ``path``.
+def _section_pieces(section) -> list:
+    """A section is one bytes-like blob or a sequence of byte pieces."""
+    if isinstance(section, (bytes, bytearray, memoryview)):
+        return [section]
+    return list(section)
+
+
+def write_checkpoint(path: str | Path, meta: dict, sections: dict) -> Path:
+    """Atomically persist ``sections`` under ``path``.
+
+    A section is packed ``bytes`` (:func:`pack_tree`) or the pieces of
+    the same bytes (:func:`pack_tree_parts`); the file is identical
+    either way.  Pieces are hashed one by one and then written one by
+    one, so a section that aliases a large table reaches the disk
+    without an intermediate copy.
 
     The file appears under its final name only after the full content has
     been flushed and fsynced; concurrent writers cannot interleave
@@ -155,17 +193,17 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict[str, bytes]) -
     path = Path(path)
     table = []
     offset = None  # filled once the manifest length is known
-    blobs = list(sections.items())
+    blobs = [_section_pieces(section) for section in sections.values()]
     # Two-pass: manifest size depends on offsets, offsets depend on the
     # manifest size.  Build the table with zero offsets first to measure,
     # then shift by the fixed header + manifest length.
-    for name, blob in blobs:
+    for name, pieces in zip(sections, blobs):
         table.append(
             {
                 "name": name,
                 "offset": 0,
-                "length": len(blob),
-                "blake2b": _digest(blob).hex(),
+                "length": sum(memoryview(piece).nbytes for piece in pieces),
+                "blake2b": _digest(*pieces).hex(),
             }
         )
 
@@ -184,9 +222,9 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict[str, bytes]) -
     for _ in range(8):
         offset = _HEADER.size + len(manifest_bytes)
         cursor = offset
-        for entry, (_name, blob) in zip(table, blobs):
+        for entry in table:
             entry["offset"] = cursor
-            cursor += len(blob)
+            cursor += entry["length"]
         rendered = render(table)
         if len(rendered) == len(manifest_bytes):
             manifest_bytes = rendered
@@ -201,8 +239,9 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict[str, bytes]) -
         with open(tmp, "wb") as handle:
             handle.write(_HEADER.pack(MAGIC, len(manifest_bytes), _digest(manifest_bytes)))
             handle.write(manifest_bytes)
-            for _name, blob in blobs:
-                handle.write(blob)
+            for pieces in blobs:
+                for piece in pieces:
+                    handle.write(piece)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

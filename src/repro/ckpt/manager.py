@@ -64,8 +64,11 @@ class CheckpointManager:
         return sorted(rounds)
 
     # -- writing ------------------------------------------------------------------
-    def save(self, round_idx: int, meta: dict, sections: dict[str, bytes]) -> Path:
-        """Persist one round's checkpoint and apply the retention policy."""
+    def save(self, round_idx: int, meta: dict, sections: dict) -> Path:
+        """Persist one round's checkpoint and apply the retention policy.
+
+        ``sections`` maps names to packed ``bytes`` or to piece lists
+        (what :func:`~repro.ckpt.state.capture_run_state` returns)."""
         path = write_checkpoint(self.path_for(round_idx), meta, sections)
         self._prune()
         return path

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ckpt.format import pack_tree, unpack_tree
+from repro.ckpt.format import pack_tree_parts, unpack_tree
 from repro.ckpt.provenance import check_resume_compatible, run_provenance
 from repro.exceptions import CheckpointError
 from repro.fl.metrics import History, StreamingHistory
@@ -58,12 +58,21 @@ def capture_run_state(
     config,
     tracer=None,
     extra_sections: dict[str, dict] | None = None,
-) -> tuple[dict, dict[str, bytes]]:
+) -> tuple[dict, dict[str, list]]:
     """Snapshot everything a resume needs, as ``(meta, sections)``.
 
     Called at the end of round ``round_idx`` — after the history record
     was appended and the ledger's round was closed, so the snapshot is a
     consistent between-rounds cut of the run.
+
+    **A captured section aliases live state until ``save`` returns.**
+    Sections are piece lists (:func:`~repro.ckpt.format.pack_tree_parts`)
+    whose large pieces are views of the arrays ``checkpoint_state()``
+    returned — the global model, SCAFFOLD's controls, MOON's previous
+    models, FedAvgM's velocity have always been handed over uncopied —
+    so capture -> ``CheckpointManager.save`` is one synchronous step:
+    pass the sections straight to ``save`` and keep no reference to
+    them (they pin whatever they view).
 
     ``extra_sections`` maps section names to pack_tree-able dicts an
     execution engine wants carried alongside the core state (the async
@@ -80,21 +89,21 @@ def capture_run_state(
     # full record list (checkpoint_dict); appending histories keep the
     # historical full to_dict form.
     history_dict_fn = getattr(history, "checkpoint_dict", history.to_dict)
-    sections: dict[str, bytes] = {
-        SECTION_MODEL: pack_tree({"global_params": algorithm.global_params}),
-        SECTION_ALGORITHM: pack_tree(algorithm.checkpoint_state()),
-        SECTION_RNG: pack_tree({"round_rng": rng_state(round_rng)}),
-        SECTION_LEDGER: pack_tree(algorithm.ledger.state_dict()),
-        SECTION_HISTORY: pack_tree(history_dict_fn()),
+    sections: dict[str, list] = {
+        SECTION_MODEL: pack_tree_parts({"global_params": algorithm.global_params}),
+        SECTION_ALGORITHM: pack_tree_parts(algorithm.checkpoint_state()),
+        SECTION_RNG: pack_tree_parts({"round_rng": rng_state(round_rng)}),
+        SECTION_LEDGER: pack_tree_parts(algorithm.ledger.state_dict()),
+        SECTION_HISTORY: pack_tree_parts(history_dict_fn()),
     }
     if algorithm.fault_model is not None:
-        sections[SECTION_FAULTS] = pack_tree(algorithm.fault_model.state_dict())
+        sections[SECTION_FAULTS] = pack_tree_parts(algorithm.fault_model.state_dict())
     if tracer is not None and tracer.enabled:
-        sections[SECTION_METRICS] = pack_tree(tracer.metrics.state_dict())
+        sections[SECTION_METRICS] = pack_tree_parts(tracer.metrics.state_dict())
     for name, tree in (extra_sections or {}).items():
         if name in sections:
             raise CheckpointError(f"extra section {name!r} collides with a core section")
-        sections[name] = pack_tree(tree)
+        sections[name] = pack_tree_parts(tree)
     return meta, sections
 
 
@@ -114,6 +123,10 @@ def restore_run_state(
     Returns the last *completed* round index; the trainer resumes at the
     next one.  Raises :class:`~repro.exceptions.CheckpointMismatchError`
     when the checkpoint's provenance does not match this run.
+
+    Decoded arrays are read-only views of ``sections``; every consumer
+    here copies what it adopts, so nothing restored refers to the blobs
+    and the caller frees them by dropping ``sections``.
     """
     meta = manifest.get("meta", {})
     stored = meta.get("provenance", {})

@@ -111,6 +111,33 @@ class CohortRows:
     __getitem__ = get
 
 
+class RowBlocks:
+    """Rows of a table, given as the C-contiguous blocks they lie in.
+
+    Stands in for the stacked ``(rows, dim)`` float64 array where the
+    rows are only going to be encoded: :func:`repro.fl.wire.pack_parts`
+    emits each block's own memory in turn — the stacked array's bytes,
+    without stacking it.  Everything else sees the stacked array
+    (``np.asarray``).  The blocks alias the table: see the aliasing
+    contract in :func:`repro.ckpt.state.capture_run_state`.
+    """
+
+    ndim = 2
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, blocks: list[np.ndarray], dim: int) -> None:
+        self.blocks = blocks
+        self.shape = (sum(len(block) for block in blocks), dim)
+        self.nbytes = self.shape[0] * dim * self.dtype.itemsize
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        stacked = np.concatenate(self.blocks) if self.blocks else np.zeros(self.shape)
+        return stacked.astype(dtype or self.dtype, copy=False)
+
+    def tobytes(self) -> bytes:
+        return np.asarray(self).tobytes()
+
+
 class DeltaTable:
     """Server-side store of per-client delta vectors.
 
@@ -204,12 +231,19 @@ class DeltaTable:
     def install_worker_segments(self, segments: dict) -> None:
         self.install_views(segments["delta_table"], segments["delta_reported"])
 
-    def checkpoint_segments(self) -> dict[str, np.ndarray]:
-        """Layout-independent sparse snapshot (reported rows only)."""
+    def checkpoint_segments(self) -> dict:
+        """Layout-independent sparse snapshot (reported rows only).
+
+        The rows are not gathered: each maximal run of consecutive
+        reported ids is a slice of the table, and the writer streams
+        the slices to disk as they lie (one slice — the whole table —
+        once every client has reported)."""
         ids = self.reported_ids()
+        runs = np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1)
+        blocks = [self._table[run[0] : run[-1] + 1] for run in runs if len(run)]
         return {
             "delta_ids": ids,
-            "delta_rows": self._table[ids].copy(),
+            "delta_rows": RowBlocks(blocks, self.dim),
             "delta_reported": self._reported.copy(),
         }
 

@@ -188,12 +188,13 @@ _UPDATE_SCALAR_FIELDS = (
 def _update_to_tree(update: ClientUpdate) -> dict:
     """A :class:`ClientUpdate` as a pack_tree-able dict.
 
-    In-flight updates are always materialized (``params`` dense,
-    ``params_streams`` consumed) before they enter the event heap, so
-    only dense parameters, the scalar fields, the algorithm payload and
-    the wire accounting need to ride along.
+    In-flight updates are always materialized (``params`` dense; the
+    compressed ``params_streams`` they were decoded from are spent)
+    before they enter the event heap, so only dense parameters, the
+    scalar fields, the algorithm payload and the wire accounting need
+    to ride along.
     """
-    assert update.params is not None and update.params_streams is None
+    assert update.params is not None
     tree = {name: getattr(update, name) for name in _UPDATE_SCALAR_FIELDS}
     tree["params"] = update.params
     tree["payload"] = update.payload
@@ -204,11 +205,19 @@ def _update_to_tree(update: ClientUpdate) -> dict:
 
 
 def _update_from_tree(tree: dict) -> ClientUpdate:
+    """Inverse of :func:`_update_to_tree`; every array is copied out of
+    the (read-only) checkpoint section it was decoded from."""
     wire_size = tree.get("wire_size")
     residual = tree.get("residual")
+    payload = tree.get("payload")
+    if payload is not None:
+        payload = {
+            key: np.array(value, copy=True) if isinstance(value, np.ndarray) else value
+            for key, value in payload.items()
+        }
     return ClientUpdate(
         params=np.array(tree["params"], copy=True),
-        payload=tree.get("payload"),
+        payload=payload,
         wire_size=WireSize(**wire_size) if wire_size else None,
         residual=None if residual is None else np.array(residual, copy=True),
         **{name: tree[name] for name in _UPDATE_SCALAR_FIELDS},
@@ -369,6 +378,10 @@ def run_async_federated_engine(
                 async_history.final_accuracy = restored.final_accuracy
                 async_history.discarded_updates = restored.discarded_updates
                 start_round = last_round + 1
+                del manifest, sections, engine_state
+            # Everything restored was copied out of the section blobs;
+            # bound here they would outlive the whole run.
+            del loaded
 
     for round_idx in range(start_round, config.rounds):
         with tracer.span("round", round=round_idx):
@@ -538,24 +551,27 @@ def run_async_federated_engine(
                 (round_idx + 1) % config.checkpoint_every == 0
                 or round_idx == config.rounds - 1
             ):
+                # Sections alias live state; never bound here.
                 with tracer.span("checkpoint"):
-                    meta, sections = capture_run_state(
-                        round_idx=round_idx,
-                        algorithm=algorithm,
-                        round_rng=round_rng,
-                        history=history,
-                        config=config,
-                        tracer=tracer,
-                        extra_sections={
-                            SECTION_ASYNC: {
-                                "clock": float(clock),
-                                "update_counter": int(update_counter),
-                                "queue": queue.state_tree(),
-                                "async_history": async_history.to_dict(),
-                            }
-                        },
+                    manager.save(
+                        round_idx,
+                        *capture_run_state(
+                            round_idx=round_idx,
+                            algorithm=algorithm,
+                            round_rng=round_rng,
+                            history=history,
+                            config=config,
+                            tracer=tracer,
+                            extra_sections={
+                                SECTION_ASYNC: {
+                                    "clock": float(clock),
+                                    "update_counter": int(update_counter),
+                                    "queue": queue.state_tree(),
+                                    "async_history": async_history.to_dict(),
+                                }
+                            },
+                        ),
                     )
-                    manager.save(round_idx, meta, sections)
             record_scale_gauges(tracer, fed)
         release_round_state(fed)
 

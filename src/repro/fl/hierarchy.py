@@ -249,6 +249,10 @@ def run_hier_federated(
                         f"this run has {num_regions} regions"
                     )
                 start_round = last_round + 1
+                del manifest, sections, tier_state
+            # Everything restored was copied out of the section blobs;
+            # bound here they would outlive the whole run.
+            del loaded
 
     for round_idx in range(start_round, config.rounds):
         with tracer.span("round", round=round_idx):
@@ -426,22 +430,25 @@ def run_hier_federated(
                 (round_idx + 1) % config.checkpoint_every == 0
                 or round_idx == config.rounds - 1
             ):
+                # Sections alias live state; never bound here.
                 with tracer.span("checkpoint"):
-                    meta, sections = capture_run_state(
-                        round_idx=round_idx,
-                        algorithm=algorithm,
-                        round_rng=round_rng,
-                        history=history,
-                        config=config,
-                        tracer=tracer,
-                        extra_sections={
-                            SECTION_HIERARCHY: {
-                                "region_params": list(region_params),
-                                "cloud_params": cloud_params,
-                            }
-                        },
+                    manager.save(
+                        round_idx,
+                        *capture_run_state(
+                            round_idx=round_idx,
+                            algorithm=algorithm,
+                            round_rng=round_rng,
+                            history=history,
+                            config=config,
+                            tracer=tracer,
+                            extra_sections={
+                                SECTION_HIERARCHY: {
+                                    "region_params": list(region_params),
+                                    "cloud_params": cloud_params,
+                                }
+                            },
+                        ),
                     )
-                    manager.save(round_idx, meta, sections)
             record_scale_gauges(tracer, fed)
         release_round_state(fed)
 

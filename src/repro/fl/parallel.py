@@ -410,17 +410,20 @@ class ParallelExecutor(ClientExecutor):
             self._bound = weakref.ref(algorithm)
 
     def _broadcast_state(self, algorithm, state: dict) -> None:
-        """Publish the round state: one write, visible to every worker."""
-        packed = wire.pack_state(state)
-        header_size = _STATE_HEADER.size
-        self._ensure_wire_pool(
-            algorithm, header_size + len(packed), cohort_state_headroom(state)
-        )
+        """Publish the round state: one write, visible to every worker.
+
+        The packed message is never joined: each piece is copied
+        straight into the shared mapping at its running offset."""
+        length, pieces = wire.pack_parts("state", state)
+        offset = _STATE_HEADER.size
+        self._ensure_wire_pool(algorithm, offset + length, cohort_state_headroom(state))
         self._seq += 1
-        self._mmap[:header_size] = _STATE_HEADER.pack(len(packed), self._seq)
-        self._mmap[header_size : header_size + len(packed)] = packed
+        self._mmap[:offset] = _STATE_HEADER.pack(length, self._seq)
+        for piece in pieces:
+            self._mmap[offset : offset + piece.nbytes] = piece
+            offset += piece.nbytes
         if algorithm.tracer.enabled:
-            algorithm.tracer.metrics.gauge("parallel.state_bytes").set(len(packed))
+            algorithm.tracer.metrics.gauge("parallel.state_bytes").set(length)
 
     def _run_wire_pool(
         self, algorithm, round_idx: int, client_ids: list[int]

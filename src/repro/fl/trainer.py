@@ -302,10 +302,8 @@ def _run_federated(
         if config.resume:
             loaded = manager.load_latest_valid()
             if loaded is not None:
-                manifest, sections = loaded
                 last_round = restore_run_state(
-                    manifest,
-                    sections,
+                    *loaded,
                     algorithm=algorithm,
                     round_rng=round_rng,
                     history=history,
@@ -313,6 +311,9 @@ def _run_federated(
                     tracer=tracer,
                 )
                 start_round = last_round + 1
+            # Everything restored was copied out of the section blobs;
+            # bound here they would outlive the whole run.
+            del loaded
 
     for round_idx in range(start_round, config.rounds):
         with tracer.span("round", round=round_idx):
@@ -361,16 +362,20 @@ def _run_federated(
             ):
                 # After history/ledger bookkeeping: the snapshot is a
                 # consistent between-rounds cut of the whole run.
+                # The sections alias live state and are never bound
+                # here: capture -> save is one synchronous step.
                 with tracer.span("checkpoint"):
-                    meta, sections = capture_run_state(
-                        round_idx=round_idx,
-                        algorithm=algorithm,
-                        round_rng=round_rng,
-                        history=history,
-                        config=config,
-                        tracer=tracer,
+                    manager.save(
+                        round_idx,
+                        *capture_run_state(
+                            round_idx=round_idx,
+                            algorithm=algorithm,
+                            round_rng=round_rng,
+                            history=history,
+                            config=config,
+                            tracer=tracer,
+                        ),
                     )
-                    manager.save(round_idx, meta, sections)
             record_scale_gauges(tracer, fed)
         release_round_state(fed)
 

@@ -62,6 +62,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core.delta import RowBlocks
 from repro.exceptions import WireError
 
 MAGIC = b"RFW1"
@@ -98,6 +99,8 @@ def _align(n: int) -> int:
 
 def _as_segment(name: str, value) -> tuple[int, np.ndarray]:
     """Normalize one segment value to (flag, contiguous ndarray)."""
+    if isinstance(value, RowBlocks):  # encoded block by block, never stacked
+        return _FLAG_ARRAY, value
     if isinstance(value, np.ndarray):
         if value.dtype not in DTYPE_CODES:
             raise WireError(f"segment {name!r}: unsupported dtype {value.dtype}")
@@ -111,11 +114,30 @@ def _as_segment(name: str, value) -> tuple[int, np.ndarray]:
     raise WireError(f"segment {name!r}: cannot encode {type(value).__name__}")
 
 
-def pack(kind: str, segments: Mapping[str, object]) -> bytes:
-    """Encode named segments into one contiguous wire message."""
+# An array segment smaller than this is copied into the bytearray that
+# already holds the header, scalars and padding next to it: copying a
+# page costs less than the extra ``send`` / ``write`` a piece of its own
+# would.  Anything larger is never copied by the encoder.
+_VIEW_MIN_BYTES = 4096
+
+
+def pack_parts(kind: str, segments: Mapping[str, object]) -> tuple[int, list[memoryview]]:
+    """Encode named segments as ``(length, pieces)`` without joining them.
+
+    The pieces are byte views that concatenate to the wire message:
+    small ``bytearray`` runs (the header, scalars, small arrays and
+    alignment padding) and, for every array of ``_VIEW_MIN_BYTES`` or
+    more, **the array's own memory**.  A consumer writes them where it
+    used to write the joined copy — a file, a socket queue, a shared
+    mapping — and :func:`pack` is their join, so there is one encoder.
+
+    A piece aliases its source array: the caller must consume the
+    pieces before anything overwrites the arrays it passed in (a piece
+    keeps the array alive, not unchanged).
+    """
     if kind not in KIND_CODES:
         raise WireError(f"unknown message kind {kind!r}")
-    normalized: list[tuple[str, bytes, int, np.ndarray]] = []
+    normalized: list[tuple[bytes, int, np.ndarray]] = []
     for name, value in segments.items():
         name_bytes = name.encode("utf-8")
         if not name_bytes or len(name_bytes) > 255:
@@ -123,36 +145,49 @@ def pack(kind: str, segments: Mapping[str, object]) -> bytes:
         flag, arr = _as_segment(name, value)
         if arr.ndim > 255:
             raise WireError(f"segment {name!r}: too many dimensions")
-        normalized.append((name, name_bytes, flag, arr))
+        normalized.append((name_bytes, flag, arr))
 
     header_len = _HEADER.size + sum(
         _ENTRY_FIXED.size + arr.ndim * 8 + len(name_bytes)
-        for _, name_bytes, _, arr in normalized
+        for name_bytes, _, arr in normalized
     )
     offsets: list[int] = []
     cursor = _align(header_len)
-    for _, _, _, arr in normalized:
+    for _, _, arr in normalized:
         offsets.append(cursor)
         cursor = _align(cursor + arr.nbytes)
     total_len = cursor
 
-    buf = bytearray(total_len)
-    _HEADER.pack_into(
-        buf, 0, MAGIC, VERSION, KIND_CODES[kind], len(normalized), header_len, total_len
+    run = bytearray(
+        _HEADER.pack(MAGIC, VERSION, KIND_CODES[kind], len(normalized), header_len, total_len)
     )
-    pos = _HEADER.size
-    for (name, name_bytes, flag, arr), offset in zip(normalized, offsets):
-        _ENTRY_FIXED.pack_into(
-            buf, pos, flag, DTYPE_CODES[arr.dtype], arr.ndim, len(name_bytes), offset
-        )
-        pos += _ENTRY_FIXED.size
-        for dim in arr.shape:
-            struct.pack_into("<Q", buf, pos, dim)
-            pos += 8
-        buf[pos : pos + len(name_bytes)] = name_bytes
-        pos += len(name_bytes)
-        buf[offset : offset + arr.nbytes] = arr.tobytes()
-    return bytes(buf)
+    for (name_bytes, flag, arr), offset in zip(normalized, offsets):
+        run += _ENTRY_FIXED.pack(flag, DTYPE_CODES[arr.dtype], arr.ndim, len(name_bytes), offset)
+        run += struct.pack(f"<{arr.ndim}Q", *arr.shape)
+        run += name_bytes
+
+    pieces: list[memoryview] = []
+    cursor = header_len
+    for (_, _, arr), offset in zip(normalized, offsets):
+        run += bytes(offset - cursor)  # alignment padding
+        if arr.nbytes < _VIEW_MIN_BYTES:
+            run += arr.tobytes()
+        else:
+            if run:
+                pieces.append(memoryview(run))
+                run = bytearray()
+            blocks = arr.blocks if isinstance(arr, RowBlocks) else (arr,)
+            pieces.extend(memoryview(block).cast("B") for block in blocks)
+        cursor = offset + arr.nbytes
+    run += bytes(total_len - cursor)
+    if run:
+        pieces.append(memoryview(run))
+    return total_len, pieces
+
+
+def pack(kind: str, segments: Mapping[str, object]) -> bytes:
+    """Encode named segments into one contiguous wire message."""
+    return b"".join(pack_parts(kind, segments)[1])
 
 
 def unpack(buf) -> tuple[str, dict[str, object]]:
@@ -247,16 +282,22 @@ FRAME_PREFIX = struct.Struct("<Q")
 MAX_FRAME_BYTES = 1 << 31
 
 
-def frame(message: bytes) -> bytes:
-    """Length-prefix one wire message for transmission on a byte stream."""
-    if not message:
+def frame_parts(length: int, pieces) -> tuple[int, list]:
+    """Length-prefix a message of ``length`` bytes given as pieces."""
+    if not length:
         raise WireError("cannot frame an empty message")
-    if len(message) > MAX_FRAME_BYTES:
+    if length > MAX_FRAME_BYTES:
         raise WireError(
-            f"message of {len(message)} bytes exceeds the {MAX_FRAME_BYTES}-byte "
+            f"message of {length} bytes exceeds the {MAX_FRAME_BYTES}-byte "
             "frame limit"
         )
-    return FRAME_PREFIX.pack(len(message)) + message
+    prefix = memoryview(FRAME_PREFIX.pack(length))
+    return FRAME_PREFIX.size + length, [prefix, *pieces]
+
+
+def frame(message: bytes) -> bytes:
+    """Length-prefix one wire message for transmission on a byte stream."""
+    return b"".join(frame_parts(len(message), [message])[1])
 
 
 class FrameAssembler:
@@ -268,33 +309,52 @@ class FrameAssembler:
     frame payload, in order.  A declared length of zero or beyond
     ``max_frame_bytes`` raises :class:`WireError` immediately — the
     stream is corrupt and waiting for more bytes cannot fix it.
+
+    Each frame fills a buffer of its own that grows with the bytes
+    received (never to the declared length up front: a hostile prefix
+    costs nothing) and is handed out as it is — a ``bytearray`` that
+    compares equal to the sent ``bytes`` and that :func:`unpack` reads
+    in place.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self.max_frame_bytes = int(max_frame_bytes)
-        self._buffer = bytearray()
+        self._prefix = bytearray()
+        self._frame: bytearray | None = None  # None: still reading the prefix
+        self._length = 0
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered toward an incomplete frame."""
-        return len(self._buffer)
+        if self._frame is None:
+            return len(self._prefix)
+        return FRAME_PREFIX.size + len(self._frame)
 
-    def feed(self, data: bytes) -> list[bytes]:
+    def feed(self, data: bytes) -> list[bytearray]:
         """Absorb one read's bytes; return the completed frame payloads."""
-        self._buffer.extend(data)
-        frames: list[bytes] = []
-        while len(self._buffer) >= FRAME_PREFIX.size:
-            (length,) = FRAME_PREFIX.unpack_from(self._buffer, 0)
-            if length == 0 or length > self.max_frame_bytes:
-                raise WireError(
-                    f"frame declares {length} bytes "
-                    f"(limit {self.max_frame_bytes}); stream is corrupt"
-                )
-            end = FRAME_PREFIX.size + length
-            if len(self._buffer) < end:
-                break
-            frames.append(bytes(self._buffer[FRAME_PREFIX.size : end]))
-            del self._buffer[:end]
+        view = memoryview(data)
+        frames: list[bytearray] = []
+        while len(view):
+            if self._frame is None:
+                take = FRAME_PREFIX.size - len(self._prefix)
+                self._prefix += view[:take]
+                view = view[take:]
+                if len(self._prefix) < FRAME_PREFIX.size:
+                    break
+                (self._length,) = FRAME_PREFIX.unpack(self._prefix)
+                if self._length == 0 or self._length > self.max_frame_bytes:
+                    raise WireError(
+                        f"frame declares {self._length} bytes "
+                        f"(limit {self.max_frame_bytes}); stream is corrupt"
+                    )
+                self._prefix.clear()
+                self._frame = bytearray()
+            take = self._length - len(self._frame)
+            self._frame += view[:take]
+            view = view[take:]
+            if len(self._frame) == self._length:
+                frames.append(self._frame)
+                self._frame = None
         return frames
 
 
@@ -357,12 +417,19 @@ def pack_client_update(update) -> bytes:
 
 def unpack_client_update(buf):
     """Decode a packed client update; array fields are zero-copy views."""
-    from repro.fl.compression import WireSize
-    from repro.fl.parallel import ClientUpdate
-
     kind, segments = unpack(buf)
     if kind != "update":
         raise WireError(f"expected an update message, got {kind!r}")
+    return client_update_from_segments(segments)
+
+
+def client_update_from_segments(segments: Mapping[str, object]):
+    """The :class:`~repro.fl.parallel.ClientUpdate` an already unpacked
+    ``update`` message holds (a caller that had to :func:`unpack` the
+    message to learn its kind must not decode it a second time)."""
+    from repro.fl.compression import WireSize
+    from repro.fl.parallel import ClientUpdate
+
     fields: dict[str, object] = {}
     streams: dict[str, np.ndarray] = {}
     payload: dict[str, object] = {}

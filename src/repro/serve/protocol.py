@@ -80,7 +80,14 @@ def parse_serve_addr(spec) -> tuple[str, object]:
     )
 
 
-# -- frame builders (each returns ready-to-send length-prefixed bytes) --------------
+# -- frame builders -----------------------------------------------------------------
+#
+# ``build_*`` return ready-to-send length-prefixed bytes.  The two frames
+# that carry megabytes — the round state and a task's model — also come
+# as ``*_parts``: ``(frame length, pieces)`` whose pieces the server
+# queues as they are (one list shared by every connection), so neither
+# is joined into a copy on its way to the socket.  ``build_state`` and
+# ``build_task`` are the joins of those pieces.
 
 
 def build_hello(worker_id: int, attempts: int) -> bytes:
@@ -92,18 +99,24 @@ def build_hello(worker_id: int, attempts: int) -> bytes:
     )
 
 
-def build_state(state: dict, seq: int) -> bytes:
+def state_parts(state: dict, seq: int) -> tuple[int, list]:
     """The round-state broadcast; raises :class:`WireError` when the
     algorithm's state cannot ride the packed format (the server then
-    degrades — there is no pickled state transport over sockets)."""
-    return wire.frame(wire.pack_state({**state, "serve.seq": seq}))
+    degrades — there is no pickled state transport over sockets).
+
+    The pieces alias the arrays in ``state`` until they are flushed."""
+    return wire.frame_parts(*wire.pack_parts("state", {**state, "serve.seq": seq}))
 
 
-def build_task(
+def build_state(state: dict, seq: int) -> bytes:
+    return b"".join(state_parts(state, seq)[1])
+
+
+def task_parts(
     round_idx: int, position: int, client_id: int, seq: int, model: np.ndarray
-) -> bytes:
-    return wire.frame(
-        wire.pack(
+) -> tuple[int, list]:
+    return wire.frame_parts(
+        *wire.pack_parts(
             "generic",
             {
                 "serve.op": OP_TASK,
@@ -115,6 +128,12 @@ def build_task(
             },
         )
     )
+
+
+def build_task(
+    round_idx: int, position: int, client_id: int, seq: int, model: np.ndarray
+) -> bytes:
+    return b"".join(task_parts(round_idx, position, client_id, seq, model)[1])
 
 
 def build_shutdown() -> bytes:
@@ -144,7 +163,7 @@ def parse_message(message: bytes):
     if kind == "state":
         return "state", segments
     if kind == "update":
-        return "update", wire.unpack_client_update(message)
+        return "update", wire.client_update_from_segments(segments)
     op = segments.get("serve.op")
     if op == OP_HELLO:
         return "hello", segments

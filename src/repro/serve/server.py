@@ -10,9 +10,10 @@ RFW1 frames.
 
 One round, from the server's seat:
 
-1. Pack the algorithm's round state for this round's cohort once and
-   queue it to every live connection (sequence-numbered, like the
-   shared-memory pool's broadcast).
+1. Pack the algorithm's round state for this round's cohort once — as
+   pieces (:func:`repro.fl.wire.pack_parts`), never joined — and queue
+   those same pieces to every live connection (sequence-numbered, like
+   the shared-memory pool's broadcast).
 2. Drive a non-blocking :mod:`selectors` loop: accept late workers,
    flush bounded per-connection write queues, reassemble frames from
    partial reads, dispatch ``task`` frames (least-loaded connection
@@ -295,7 +296,7 @@ class ServeExecutor(ClientExecutor):
             if existing is conn:
                 del self._conns[fd]
 
-    def _accept(self, stats: _RoundStats, state_frame: bytes | None, seq: int) -> None:
+    def _accept(self, stats: _RoundStats, state_frame: tuple | None, seq: int) -> None:
         assert self._listener is not None and self._selector is not None
         while True:
             try:
@@ -313,9 +314,13 @@ class ServeExecutor(ClientExecutor):
                 self._queue(conn, state_frame, stats)
                 conn.seq = seq
 
-    def _queue(self, conn: _Conn, payload: bytes, stats: _RoundStats) -> None:
-        conn.outq.append(memoryview(payload))
-        conn.out_bytes += len(payload)
+    def _queue(self, conn: _Conn, frame: tuple, stats: _RoundStats) -> None:
+        """Queue one ``(length, pieces)`` frame.  The pieces are shared,
+        never copied: every connection's queue holds views of the same
+        memory, and a partial send only re-slices this queue's view."""
+        length, pieces = frame
+        conn.outq.extend(pieces)
+        conn.out_bytes += length
         self._flush(conn, stats)
         self._update_events(conn)
 
@@ -348,10 +353,10 @@ class ServeExecutor(ClientExecutor):
         except (KeyError, ValueError, OSError):
             pass
 
-    def _read(self, conn: _Conn, stats: _RoundStats) -> tuple[bool, list[bytes]]:
+    def _read(self, conn: _Conn, stats: _RoundStats) -> tuple[bool, list[bytearray]]:
         """Drain readable bytes; returns ``(closed, complete_frames)``."""
         closed = False
-        frames: list[bytes] = []
+        frames: list[bytearray] = []
         try:
             while True:
                 data = conn.sock.recv(RECV_CHUNK)
@@ -391,8 +396,8 @@ class ServeExecutor(ClientExecutor):
         # WireError here (inexpressible round state) propagates to
         # run(), which degrades — there is no pickled state transport
         # over sockets.
-        state_frame = protocol.build_state(algorithm._worker_state(ids), seq)
-        stats.state_bytes = len(state_frame)
+        state_frame = protocol.state_parts(algorithm._worker_state(ids), seq)
+        stats.state_bytes = state_frame[0]
         for conn in list(self._conns.values()):
             if self._flush(conn, stats):  # broke while draining old bytes
                 self._drop_conn(conn, None, stats)
@@ -422,7 +427,7 @@ class ServeExecutor(ClientExecutor):
                 if conn is None:
                     break
                 pos, cid = pending.popleft()
-                task = protocol.build_task(round_idx, pos, cid, seq, model)
+                task = protocol.task_parts(round_idx, pos, cid, seq, model)
                 if pos in ever_dispatched:
                     stats.redispatch_bytes += model_nbytes
                     stats.redispatches += 1

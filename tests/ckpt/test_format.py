@@ -8,9 +8,12 @@ wrong value.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.ckpt import format as ckpt_format
 from repro.ckpt.format import (
     MAGIC,
     pack_tree,
@@ -41,9 +44,18 @@ def test_tree_round_trips_arrays_dtype_true():
         assert out[key].dtype == value.dtype, key
 
 
-def test_tree_arrays_come_back_writable():
-    out = unpack_tree(pack_tree({"a": np.zeros(3)}))
-    out["a"][0] = 1.0  # restore paths write into decoded arrays
+def test_tree_arrays_come_back_as_read_only_views():
+    """Decoded arrays alias the section buffer; the one copy a restore
+    needs is made by the consumer that keeps the value."""
+    blob = pack_tree({"a": np.arange(3.0), "nested": [{"b": np.ones((2, 2))}]})
+    out = unpack_tree(blob)
+    for arr in (out["a"], out["nested"][0]["b"]):
+        assert not arr.flags.writeable and not arr.flags.owndata
+        assert np.shares_memory(arr, np.frombuffer(blob, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        out["a"][0] = 1.0
+    kept = np.array(out["a"], copy=True)
+    kept[0] = 1.0  # a consumer's copy is its own
 
 
 def test_tree_round_trips_scalars_bytes_tuples_and_big_ints():
@@ -175,3 +187,63 @@ def test_overwrite_is_atomic_under_same_name(tmp_path):
     manifest, sections = read_checkpoint(path)
     assert manifest["meta"]["round_idx"] == 2
     assert unpack_tree(sections["s"])["v"] == 9
+
+
+# -- the file from pieces -----------------------------------------------------------
+
+
+def golden_checkpoint() -> tuple[dict, dict[str, dict]]:
+    """Fixed ``(meta, name -> tree)`` inputs; the digest of the file the
+    PARENT commit wrote for them is :data:`GOLDEN_FILE`."""
+    gen = np.random.default_rng(1818)
+    reported = gen.random(40) < 0.6
+    ids = np.flatnonzero(reported).astype(np.int64)
+    trees = {
+        "model": {"global_params": gen.normal(size=1201)},
+        "algorithm": {
+            "ef_residuals": {
+                "delta_ids": ids,
+                "delta_rows": gen.normal(size=(len(ids), 1201)),
+                "delta_reported": reported,
+            },
+            "velocity": gen.normal(size=1201).astype(np.float32),
+            "fingerprint": b"\x00\x01\xfe",
+            "pair": (1, 2.5, None),
+            "odd_u8": np.arange(4099, dtype=np.uint8),
+        },
+        "rng": {"round_rng": np.random.default_rng([3, 0xF1]).bit_generator.state},
+        "ledger": {"dtype_bytes": 8, "round_totals": [{"up": 10, "down": 20}]},
+    }
+    meta = {"round_idx": 3, "rounds_total": 12, "provenance": {"seed": 3, "dtype": "float64"}}
+    return meta, trees
+
+
+GOLDEN_FILE = "be968251dca018003e4bb177467a560e"
+
+
+def _file_digest(path) -> str:
+    return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+
+
+def test_file_from_bytes_sections_equals_the_parent_commits(tmp_path):
+    meta, trees = golden_checkpoint()
+    path = write_checkpoint(
+        tmp_path / "golden.rck", meta, {k: pack_tree(t) for k, t in trees.items()}
+    )
+    assert _file_digest(path) == GOLDEN_FILE
+
+
+def test_file_from_pieces_is_byte_identical(tmp_path):
+    """Both section forms stay legal, alone or mixed, and write one file."""
+    meta, trees = golden_checkpoint()
+    pieces = {k: ckpt_format.pack_tree_parts(t) for k, t in trees.items()}
+    for name, parts in pieces.items():
+        assert b"".join(parts) == pack_tree(trees[name])
+    from_pieces = write_checkpoint(tmp_path / "pieces.rck", meta, pieces)
+    assert _file_digest(from_pieces) == GOLDEN_FILE
+    mixed = dict(pieces, model=pack_tree(trees["model"]), rng=bytearray(pack_tree(trees["rng"])))
+    assert _file_digest(write_checkpoint(tmp_path / "mixed.rck", meta, mixed)) == GOLDEN_FILE
+    manifest, sections = read_checkpoint(from_pieces)
+    assert manifest["meta"] == meta
+    rows = unpack_tree(sections["algorithm"])["ef_residuals"]["delta_rows"]
+    np.testing.assert_array_equal(rows, trees["algorithm"]["ef_residuals"]["delta_rows"])
