@@ -97,17 +97,24 @@ class RegularizedAlgorithm(FederatedAlgorithm):
         if self.delta_cache is not None and "delta_cache" in state:
             self.delta_cache.load_state_dict(state["delta_cache"])
 
-    def _raw_delta(self, client_id: int) -> np.ndarray:
+    def _raw_delta(self, client_id: int, phi_fp: bytes | None = None) -> np.ndarray:
         """Client k's mean embedding under the current workspace model,
-        through the delta cache when enabled."""
+        through the delta cache when enabled.
+
+        ``phi_fp`` is the fingerprint of the workspace model's phi, from a
+        caller that loaded the model once and holds it fixed across many
+        clients; without it phi is hashed here, per call.
+        """
         assert self.model is not None and self.fed is not None and self.config is not None
         shard = self.fed.clients[client_id]
         if self.delta_cache is None:
             return compute_mean_embedding(self.model, shard, self.config.eval_batch)
-        # Fingerprints are recomputed every call (cheap next to the
-        # forward pass) so stale hits are impossible even under in-place
-        # parameter or data mutation.
-        phi_fp = params_fingerprint(self.model.features)
+        # The data fingerprint is recomputed on every call and phi's at
+        # least once per loop that holds the model fixed, so stale hits
+        # are impossible even under in-place parameter or data mutation
+        # — provided such a loop does not mutate the model it hashed.
+        if phi_fp is None:
+            phi_fp = params_fingerprint(self.model.features)
         data_fp = shard.content_fingerprint()
         delta = self.delta_cache.lookup(client_id, phi_fp, data_fp)
         hit = delta is not None
@@ -124,7 +131,9 @@ class RegularizedAlgorithm(FederatedAlgorithm):
                 self.tracer.metrics.counter("delta_cache.evictions").inc(evicted)
         return delta
 
-    def _client_delta(self, round_idx: int, client_id: int, phase: int = 0) -> np.ndarray:
+    def _client_delta(
+        self, round_idx: int, client_id: int, phase: int = 0, phi_fp: bytes | None = None
+    ) -> np.ndarray:
         """Compute (and optionally privatize) client k's mean embedding
         under the *current workspace model* parameters.
 
@@ -137,7 +146,7 @@ class RegularizedAlgorithm(FederatedAlgorithm):
         """
         assert self.model is not None and self.fed is not None and self.config is not None
         with self.tracer.span("delta_compute", client=client_id):
-            delta = self._raw_delta(client_id)
+            delta = self._raw_delta(client_id, phi_fp)
             if self.privacy is not None:
                 shard = self.fed.clients[client_id]
                 rng = np.random.default_rng(

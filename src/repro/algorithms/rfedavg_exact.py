@@ -65,11 +65,9 @@ class RFedAvgExact(RFedAvgPlus):
                 "beyond its reference-baseline scope — use rfedavg+ for "
                 "cross-device populations"
             )
-        self._load_global()
-        for client_id in range(self.fed.num_clients):
-            self.delta_table.update(
-                client_id, self._client_delta(round_idx, client_id, phase=2)
-            )
+        everyone = range(self.fed.num_clients)
+        for cid, delta in self._synced_deltas(round_idx, everyone, 2, self.global_params):
+            self.delta_table.update(cid, delta)
         # Charge the per-step all-pairs delta exchange the naive
         # algorithm would need: E steps x N clients x (N-1) peers.
         num_clients = self.fed.num_clients

@@ -34,7 +34,7 @@ from repro.core.privacy import GaussianDeltaMechanism
 from repro.core.regularizer import DistributionRegularizer
 from repro.fl.comm import CommLedger
 from repro.fl.compression import compressor_from_spec
-from repro.nn.serialization import set_flat_params
+from repro.nn.serialization import params_fingerprint, set_flat_params
 
 # Dedicated rng stream tag for second-synchronization compression (the
 # upload pipeline uses 0xC0, privacy deltas 0xD9).
@@ -133,6 +133,17 @@ class RFedAvgPlus(RegularizedAlgorithm):
             self._sync_reference = self.global_params
         return super()._aggregate_updates(round_idx, selected, updates)
 
+    def _synced_deltas(self, round_idx: int, client_ids, phase: int, params: np.ndarray):
+        """Load ``params`` into the workspace model and yield ``(client,
+        delta)`` for each client under it.  Phi is fingerprinted once for
+        the whole loop (when there is a cache to key), so the consumer
+        must not mutate the workspace model between two deltas."""
+        set_flat_params(self.model, params)
+        phi_fp = None if self.delta_cache is None else params_fingerprint(self.model.features)
+        for client_id in client_ids:
+            cid = int(client_id)
+            yield cid, self._client_delta(round_idx, cid, phase, phi_fp)
+
     def _post_aggregate(self, round_idx: int, selected: np.ndarray) -> None:
         """Phase 2: second sync — deltas from the fresh global model."""
         assert (
@@ -149,10 +160,8 @@ class RFedAvgPlus(RegularizedAlgorithm):
                 CommLedger.DOWN, "model", self.model_size, copies=len(selected)
             )
             # ...and every participating client computes its delta with it.
-            self._load_global()
-            for client_id in selected:
-                cid = int(client_id)
-                self.delta_table.update(cid, self._client_delta(round_idx, cid, phase=1))
+            for cid, delta in self._synced_deltas(round_idx, selected, 1, self.global_params):
+                self.delta_table.update(cid, delta)
             self.ledger.charge(
                 CommLedger.UP, "delta", self.model.feature_dim, copies=len(selected)
             )
@@ -189,11 +198,9 @@ class RFedAvgPlus(RegularizedAlgorithm):
             self.ledger.charge_bytes(CommLedger.DOWN, "model", down_bytes)
             # Clients hold the reconstructed model, so the deltas — and
             # next round's leave-one-out targets — are computed under it.
-            set_flat_params(self.model, self._sync_reference + recon)
+            model_hat = self._sync_reference + recon
             up_bytes = 0
-            for client_id in selected:
-                cid = int(client_id)
-                delta = self._client_delta(round_idx, cid, phase=1)
+            for cid, delta in self._synced_deltas(round_idx, selected, 1, model_hat):
                 crng = np.random.default_rng(
                     [self.config.seed, round_idx, cid, _SYNC_STREAM, 1]
                 )

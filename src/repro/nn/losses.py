@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, softmax
 from repro.nn.activations import sigmoid
 
 
@@ -35,8 +34,13 @@ class SoftmaxCrossEntropy(Loss):
 
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
         labels = np.asarray(target, dtype=np.int64)
-        logp = log_softmax(pred, axis=-1)
-        self._probs = softmax(pred, axis=-1)
+        # functional.log_softmax and functional.softmax in one pass: the
+        # same operations on the same values, so the same bits.
+        shifted = pred - pred.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        total = exp.sum(axis=-1, keepdims=True)
+        logp = shifted - np.log(total)
+        self._probs = exp / total
         self._labels = labels
         batch = pred.shape[0]
         return float(-logp[np.arange(batch), labels].mean())

@@ -38,6 +38,27 @@ class Parameter:
         return f"Parameter(name={self.name!r}, shape={self.data.shape})"
 
 
+# Bumped by every structural assignment on any module in the process; a
+# memoized topology is current while the epoch it was built at still is.
+_topology_epoch = 0
+
+# What a forward pass stores on a layer (activations, None, the mode
+# flag) is never structure: those assignments skip the closer look.
+_INERT = frozenset({np.ndarray, type(None), bool})
+
+
+def _structural(value) -> bool:
+    """A module, a parameter, or a list/tuple holding one (a list of
+    arrays such as ``MaxPool2d._weights``, or a shape, is not)."""
+    nodes = (Module, Parameter)
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            if isinstance(item, nodes):
+                return True
+        return False
+    return isinstance(value, nodes)
+
+
 class Module:
     """Base class for all layers and models.
 
@@ -45,35 +66,72 @@ class Module:
     needs) and :meth:`backward` (consuming the cache, accumulating
     parameter gradients, and returning the gradient with respect to the
     forward input).
+
+    The tree under a module is discovered from its attributes — any
+    attribute that is a :class:`Parameter`, a :class:`Module`, or a
+    list/tuple of them, in attribute definition order — once, and kept:
+    :meth:`modules` and :meth:`parameters` (the flat-vector layout) read
+    the memo, as do ``zero_grad``, ``train``/``eval`` and
+    ``free_buffers``.  Assigning such a value to an attribute of *any*
+    module (or replacing one, or :meth:`Sequential.append`) drops every
+    memo in the process, so an ancestor never goes stale.  Mutating a
+    module list in place (``model.layers[0] = ...``, ``.insert``) or
+    ``del``-eting a child attribute is not seen and is unsupported:
+    reassign the list, assign ``None``.
     """
 
     def __init__(self) -> None:
         self.training = True
 
+    def __setattr__(self, name: str, value) -> None:
+        global _topology_epoch
+        old = self.__dict__.get(name)
+        if type(value) in _INERT and type(old) in _INERT:
+            return object.__setattr__(self, name, value)
+        if _structural(value) or _structural(old):
+            _topology_epoch += 1
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        # The memo is a cache: a copy or another process rebuilds its own.
+        state = self.__dict__.copy()
+        state.pop("_topology", None)
+        return state
+
+    # -- topology ----------------------------------------------------------------
+    def _walk(self) -> tuple:
+        """``(epoch, modules below this one, parameters)``, memoized.  The
+        module itself is not in its memo: a model must not be a reference
+        cycle that pins its tensors until the collector runs."""
+        memo = self.__dict__.get("_topology")
+        if memo is None or memo[0] != _topology_epoch:
+            below: list[Module] = []
+            params: list[Parameter] = []
+            for value in vars(self).values():
+                for item in value if isinstance(value, (list, tuple)) else (value,):
+                    if isinstance(item, Parameter):
+                        params.append(item)
+                    elif isinstance(item, Module):
+                        _, item_below, item_params = item._walk()
+                        below += (item, *item_below)
+                        params += item_params
+            memo = (_topology_epoch, tuple(below), tuple(params))
+            self.__dict__["_topology"] = memo  # past __setattr__
+        return memo
+
+    def modules(self) -> tuple["Module", ...]:
+        """This module and every module below it: depth-first, in
+        attribute definition order, self first."""
+        return (self, *self._walk()[1])
+
     # -- parameter management -------------------------------------------------
     def parameters(self) -> list[Parameter]:
-        """Return this module's parameters, recursing into sub-modules.
-
-        Discovery is attribute-based: any attribute that is a
-        :class:`Parameter`, a :class:`Module`, or a list of modules is
-        included, in attribute definition order.
-        """
-        params: list[Parameter] = []
-        for value in vars(self).values():
-            if isinstance(value, Parameter):
-                params.append(value)
-            elif isinstance(value, Module):
-                params.extend(value.parameters())
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        params.extend(item.parameters())
-                    elif isinstance(item, Parameter):
-                        params.append(item)
-        return params
+        """This module's parameters, sub-modules' included, as a new list
+        in discovery order (the order of the flat parameter vector)."""
+        return list(self._walk()[2])
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
+        for p in self._walk()[2]:
             p.zero_grad()
 
     # -- cache management ------------------------------------------------------
@@ -89,14 +147,8 @@ class Module:
         ``backward`` without a fresh ``forward`` raises exactly as it
         does on a newly constructed module.
         """
-        self._free_buffers()
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value.free_buffers()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item.free_buffers()
+        for module in self.modules():
+            module._free_buffers()
 
     def _free_buffers(self) -> None:
         """Hook: subclasses drop their own cached tensors here."""
@@ -113,14 +165,10 @@ class Module:
         return self
 
     def _set_mode(self, training: bool) -> None:
-        self.training = training
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value._set_mode(training)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item._set_mode(training)
+        # Written past __setattr__: the flag is not structure, and every
+        # module is flipped three times per client update.
+        for module in self.modules():
+            module.__dict__["training"] = training
 
     # -- computation -----------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -152,7 +200,7 @@ class Sequential(Module):
         self.layers = list(layers)
 
     def append(self, layer: Module) -> None:
-        self.layers.append(layer)
+        self.layers = [*self.layers, layer]  # reassigned, so the memos drop
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:

@@ -326,14 +326,8 @@ def as_reference(module: Module) -> Module:
     where the optimized layer's differ).  Used by the benchmark harness
     to time the "before" path on an identically initialized model.
     """
-    swap = _REFERENCE_CLASSES.get(type(module))
-    if swap is not None:
-        module.__class__ = swap
-    for value in vars(module).values():
-        if isinstance(value, Module):
-            as_reference(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, Module):
-                    as_reference(item)
+    for layer in module.modules():
+        swap = _REFERENCE_CLASSES.get(type(layer))
+        if swap is not None:
+            layer.__class__ = swap
     return module

@@ -49,27 +49,7 @@ def time_op(fn, *, repeats: int = 5, warmup: int = 1) -> float:
 
 def _leaf_modules(module: Module) -> list[Module]:
     """All modules in the tree with no child modules, depth-first."""
-
-    def children(m: Module) -> list[Module]:
-        found: list[Module] = []
-        for value in vars(m).values():
-            if isinstance(value, Module):
-                found.append(value)
-            elif isinstance(value, (list, tuple)):
-                found.extend(item for item in value if isinstance(item, Module))
-        return found
-
-    leaves: list[Module] = []
-
-    def visit(m: Module) -> None:
-        kids = children(m)
-        if not kids:
-            leaves.append(m)
-        for kid in kids:
-            visit(kid)
-
-    visit(module)
-    return leaves
+    return [m for m in module.modules() if len(m.modules()) == 1]
 
 
 class LayerProfiler:

@@ -247,3 +247,83 @@ def test_evictions_are_reported_to_obs(fed):
     assert alg.delta_cache.evictions > 0
     counters = tracer.metrics.snapshot()["counters"]
     assert counters["delta_cache.evictions"] == alg.delta_cache.evictions
+
+
+# -- phi is fingerprinted once per synchronization loop ---------------------------
+
+
+def _cache_digest(cache: DeltaCache) -> str:
+    """Counters, entry order, both keys and the delta bytes of every entry."""
+    import hashlib
+
+    state = cache.state_dict()
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(
+        repr((state["max_entries"], state["hits"], state["misses"], state["evictions"])).encode()
+    )
+    for entry in state["entries"]:
+        digest.update(repr(int(entry["client"])).encode())
+        digest.update(bytes(entry["phi_fp"]))
+        digest.update(bytes(entry["data_fp"]))
+        digest.update(np.ascontiguousarray(entry["delta"]).tobytes())
+    return digest.hexdigest()
+
+
+# (algorithm, config overrides) -> fingerprints over the 3-round run (the
+# parent hashed phi once per client per loop: 12, 12, 24 and 12), then
+# (hits, misses, evictions) and the cache digest RECORDED FROM THE PARENT.
+PARENT_CACHES = [
+    ("rfedavg+", {}, 3, (0, 12, 0), "c3837821c667055f2255c7f612177a02"),
+    ("rfedavg+", {"sync_compression": "qsgd:8"}, 3, (0, 12, 0),
+     "3655f01c7c8c16e325c044f1d7a5fdf4"),
+    # One refresh of every client before the round and one second sync after it.
+    ("rfedavg_exact", {}, 6, (8, 16, 0), "ca734c3818cb910e957e44730676a811"),
+    # rFedAvg computes each delta under that client's own local model.
+    ("rfedavg", {}, 12, (0, 12, 0), "02ebe68af83f127cb910c9e9c67dc763"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, overrides, hashes, counters, digest", PARENT_CACHES,
+    ids=["rfedavg+", "rfedavg+compressed-sync", "rfedavg_exact", "rfedavg"],
+)
+def test_one_fingerprint_per_sync_and_the_parents_cache(
+    fed, phi_fingerprints, name, overrides, hashes, counters, digest
+):
+    alg, _history = run_with_workers(
+        name, {"lam": 1e-3}, fed, _config(**overrides), num_workers=1
+    )
+    assert len(phi_fingerprints) == hashes
+    assert all(model is alg.model.features for model, _digest in phi_fingerprints)
+    cache = alg.delta_cache
+    assert (cache.hits, cache.misses, cache.evictions) == counters
+    assert [int(e["client"]) for e in cache.state_dict()["entries"]] == [0, 1, 2, 3]
+    assert _cache_digest(cache) == digest
+
+
+@pytest.mark.parametrize("name", ["rfedavg", "rfedavg+", "rfedavg_exact"])
+def test_no_cache_no_fingerprint(fed, phi_fingerprints, name):
+    run_with_workers(name, {"lam": 1e-3, "delta_cache": False}, fed, _config(), num_workers=1)
+    assert phi_fingerprints == []
+
+
+def test_a_call_without_phi_fp_hashes_per_call_and_cannot_hit_stale(fed, phi_fingerprints):
+    """``bench_comm``'s sweeps and rFedAvg's ``_client_payload`` call
+    ``_raw_delta(client)`` bare, between arbitrary model mutations."""
+    from repro.algorithms import make_algorithm
+    from tests.helpers import tiny_model_fn
+
+    alg = make_algorithm("rfedavg+", lam=1e-3)
+    alg.setup(tiny_model_fn(fed)(), fed, _config())
+    first = alg._raw_delta(0)
+    np.testing.assert_array_equal(alg._raw_delta(0), first)
+    assert (alg.delta_cache.hits, alg.delta_cache.misses) == (1, 1)
+    alg.model.features.parameters()[0].data += 0.5  # in place, no reload
+    moved = alg._raw_delta(0)
+    assert (alg.delta_cache.hits, alg.delta_cache.misses) == (1, 2)
+    assert np.any(moved != first)
+    assert len(phi_fingerprints) == 3
+    # A supplied fingerprint is taken at its word: that is the contract
+    # _synced_deltas keeps by loading the model once and not touching it.
+    np.testing.assert_array_equal(alg._raw_delta(0, phi_fp=phi_fingerprints[-1][1]), moved)
+    assert len(phi_fingerprints) == 3

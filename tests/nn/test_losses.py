@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.functional import softmax
+from repro.nn.functional import log_softmax, softmax
 
 
 def test_cross_entropy_matches_manual(rng):
@@ -15,6 +15,23 @@ def test_cross_entropy_matches_manual(rng):
     probs = softmax(logits)
     manual = -np.log(probs[np.arange(5), labels]).mean()
     assert abs(value - manual) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(16, 10), (1, 2), (256, 3)])
+def test_cross_entropy_is_the_two_softmaxes_to_the_byte(rng, shape, dtype):
+    """forward() derives max/exp/sum once; it used to call log_softmax
+    and softmax, each deriving them from the same logits."""
+    logits = (rng.normal(size=shape) * 30).astype(dtype)
+    logits[0, 0] = 1e4  # a row that saturates
+    labels = rng.integers(0, shape[1], shape[0])
+    loss = nn.SoftmaxCrossEntropy()
+    value = loss(logits, labels)
+    logp = log_softmax(logits, axis=-1)
+    assert value == float(-logp[np.arange(shape[0]), labels].mean())
+    expected = softmax(logits, axis=-1)
+    assert loss._probs.dtype == expected.dtype
+    assert loss._probs.tobytes() == expected.tobytes()
 
 
 def test_cross_entropy_gradient_matches_softmax_minus_onehot(rng):
