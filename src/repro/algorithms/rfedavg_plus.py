@@ -65,12 +65,11 @@ class RFedAvgPlus(RegularizedAlgorithm):
 
     def setup(self, model, fed, config) -> None:
         super().setup(model, fed, config)
-        spec = getattr(config, "sync_compression", "none")
-        self._sync_pipeline = compressor_from_spec(spec)
+        self._sync_pipeline = compressor_from_spec(config.sync_compression)
         self._sync_model_residual = None
         self._sync_delta_residuals = None
         self._sync_reference = None
-        if self._sync_pipeline is not None and getattr(config, "error_feedback", True):
+        if self._sync_pipeline is not None and config.error_feedback:
             # Server-side residual for the model re-broadcast, per-client
             # residuals for the delta re-uploads (sharded/spillable under
             # the same layout rule as every other per-client table).

@@ -400,7 +400,7 @@ def run_async_federated_engine(
             # bound.  Under zero latency the queue drains fully each
             # round, the in-flight set is empty, and the filter is a
             # no-op — bit-identity with the sync loop is untouched.
-            if getattr(config, "dispatch_cap", True) and len(queue):
+            if config.dispatch_cap and len(queue):
                 inflight = queue.inflight_clients()
                 keep = np.array(
                     [int(c) not in inflight for c in selected], dtype=bool

@@ -195,7 +195,7 @@ def run_hier_federated(
     # only advanced at cloud syncs.
     cloud_params = algorithm.global_params.copy()
     cloud_compressor = None
-    spec = getattr(config, "cloud_compression", "none")
+    spec = config.cloud_compression
     if num_regions > 1 and spec not in (None, "", "none"):
         from repro.fl.compression import compressor_from_spec
 

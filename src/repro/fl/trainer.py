@@ -104,7 +104,7 @@ def run_federated(
     # it automatically.
     with default_dtype(config.dtype):
         try:
-            if getattr(config, "topology", "flat") != "flat":
+            if config.topology != "flat":
                 from repro.fl.hierarchy import run_hier_federated
 
                 # execution='async' + hierarchy is rejected at config
@@ -189,9 +189,9 @@ def build_history(algorithm_name: str, config: FLConfig) -> History:
     ``<stream_dir>/history.jsonl`` when ``config.stream_dir`` is set.
     The mode is execution-only — it never changes what gets recorded.
     """
-    if getattr(config, "history_mode", "append") != "stream":
+    if config.history_mode != "stream":
         return History(algorithm=algorithm_name)
-    stream_dir = getattr(config, "stream_dir", None)
+    stream_dir = config.stream_dir
     stream_path = None if stream_dir is None else os.path.join(stream_dir, "history.jsonl")
     return StreamingHistory(algorithm=algorithm_name, stream_path=stream_path)
 
@@ -240,7 +240,7 @@ def select_round_clients(
             fed.num_clients,
             config.sample_ratio,
             round_rng,
-            sampler=getattr(config, "sampler", "uniform"),
+            sampler=config.sampler,
         )
     context = SelectionContext(
         round_idx=round_idx, fed=fed, rng=round_rng, client_loss=client_loss

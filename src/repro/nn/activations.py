@@ -1,4 +1,9 @@
-"""Elementwise activation layers."""
+"""Elementwise activation layers.
+
+A forward-only (eval-mode) pass keeps nothing for backward: the mask or
+output a layer's ``backward`` needs is stored by training-mode forwards
+only.  Forward values do not depend on the mode.
+"""
 
 from __future__ import annotations
 
@@ -16,8 +21,16 @@ class ReLU(Module):
         self._mask = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # The bits of ``np.where(x > 0, x, 0.0)``
+        # (:func:`repro.nn.reference.relu_reference`) without a select per
+        # element: fmax drops NaN, and adding +0.0 turns either zero into
+        # +0.0.  The output is C-ordered whatever x's layout (a conv
+        # output is a transposed view), so the mask and every later pass
+        # of the step stream contiguous memory.
+        out = np.fmax(x, 0.0, order="C")
+        out += 0.0
+        self._mask = out > 0 if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -35,8 +48,9 @@ class LeakyReLU(Module):
         self._mask = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, self.alpha * x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -56,8 +70,9 @@ class Tanh(Module):
         self._out = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        self._out = out if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -74,8 +89,9 @@ class Sigmoid(Module):
         self._out = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = sigmoid(x)
-        return self._out
+        out = sigmoid(x)
+        self._out = out if self.training else None
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:

@@ -8,21 +8,110 @@ benchmarks on one CPU core.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.nn.initializers import he_normal, zeros
 from repro.nn.module import Module, Parameter
 
 
+# Samples one fold product covers.  Rows of ``cols`` are sample-major, so
+# a batch is a few products with the same matrix and the table's size
+# does not depend on the batch; the samples left over after the last
+# full block go through a one-sample table, one product each.
+_FOLD_SAMPLES = 8
+
+
+@lru_cache(maxsize=32)
+def _gather_index(
+    channels: int, pad_h: int, pad_w: int, kernel: int, stride: int, out_h: int, out_w: int
+) -> np.ndarray:
+    """Read-only ``index[oh, ow, c, ki, kj]`` = flat offset of
+    ``padded[c, oh*s+ki, ow*s+kj]`` within one sample, flattened: the
+    slot order of the reference im2col.
+
+    Shape-keyed and shared process-wide: ``free_buffers()`` drops a
+    layer's workspace after every client, the table it gathers through
+    is the same every time.
+    """
+    k = np.arange(kernel)
+    row = (np.arange(out_h) * stride)[:, None, None, None, None] + k[:, None]
+    col = (np.arange(out_w) * stride)[:, None, None, None] + k
+    plane = np.arange(channels)[:, None, None] * (pad_h * pad_w)
+    index = (plane + row * pad_w + col).reshape(-1)  # OH*OW*C*K*K offsets
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=16)
+def _fold_matrix(
+    samples: int,
+    channels: int,
+    height: int,
+    width: int,
+    kernel: int,
+    stride: int,
+    padding: int,
+    out_h: int,
+    out_w: int,
+    dtype: np.dtype,
+):
+    """Read-only 0/1 CSR matrix that folds ``samples`` samples' column
+    slots back onto their input pixels (:func:`col2im` as a product).
+
+    Row ``(b, c, i, j)`` lists the slots that land on input pixel
+    ``(i, j)`` in the reference's ``(ki, kj)`` order.  A CSR matvec adds a
+    row's stored entries one after another starting from zero, so that
+    order *is* :func:`repro.nn.reference.col2im_reference`'s accumulation
+    order — the indices are stored unsorted on purpose and must never go
+    through ``sort_indices()`` / ``sum_duplicates()``.  Slots that land on
+    the padding border have no row: they are never computed.
+    """
+    # Imported here so that models without a Conv2d input gradient never
+    # load scipy.
+    from scipy.sparse import csr_array, get_index_dtype
+
+    pad_h, pad_w = height + 2 * padding, width + 2 * padding
+    target = _gather_index(channels, pad_h, pad_w, kernel, stride, out_h, out_w)
+    plane, offset = np.divmod(target, pad_h * pad_w)
+    i, j = np.divmod(offset, pad_w)
+    i -= padding
+    j -= padding
+    inside = (i >= 0) & (i < height) & (j >= 0) & (j < width)
+    pixel = (plane * height + i) * width + j  # meaningful where ``inside``
+    # Visit the slots (ki, kj)-major and group them by pixel with a stable
+    # sort: within a pixel they stay in (ki, kj) order.
+    slots = np.arange(target.size).reshape(out_h, out_w, channels, kernel, kernel)
+    slots = slots.transpose(3, 4, 0, 1, 2).reshape(-1)
+    slots = slots[inside[slots]]
+    slots = slots[np.argsort(pixel[slots], kind="stable")]
+    pixels = channels * height * width
+    per_pixel = np.bincount(pixel[slots], minlength=pixels)
+
+    index_dtype = get_index_dtype(maxval=samples * target.size)
+    indptr = np.zeros(samples * pixels + 1, dtype=index_dtype)
+    np.cumsum(np.tile(per_pixel, samples), out=indptr[1:])
+    indices = (np.arange(samples)[:, None] * target.size + slots).reshape(-1)
+    fold = csr_array(
+        (np.ones(indices.size, dtype=dtype), indices.astype(index_dtype), indptr),
+        shape=(samples * pixels, samples * target.size),
+    )
+    for table in (fold.data, fold.indices, fold.indptr):
+        table.setflags(write=False)
+    return fold
+
+
 class Im2colWorkspace:
     """Scratch for unfolding inputs of one shape and dtype into GEMM layout.
 
-    Owns the zero-bordered padded copy of the input, the column matrix
-    and the gather table that maps one sample's padded pixels to its
-    ``OH*OW*C*K*K`` column slots.  :class:`Conv2d` keeps one per layer and
-    reuses it while the input shape matches, so a train step or a
-    full-shard pass stops paying for a fresh multi-megabyte ``cols``
-    (``mmap`` plus page faults) on every call.  Reuse is layout-only:
+    Owns the zero-bordered padded copy of the input and the column
+    matrix; the gather table that maps one sample's padded pixels to its
+    ``OH*OW*C*K*K`` column slots is the shared :func:`_gather_index`.
+    :class:`Conv2d` keeps one per layer and reuses it while the input
+    shape matches, so a train step or a full-shard pass stops paying for
+    a fresh multi-megabyte ``cols`` (``mmap`` plus page faults) on every
+    call.  Reuse is layout-only:
     every slot is rewritten by each :meth:`unfold`, and nothing here is
     ever returned to a caller of the layer.
     """
@@ -50,13 +139,9 @@ class Im2colWorkspace:
         self.cols = np.empty(
             (batch * self.out_h * self.out_w, channels * kernel * kernel), dtype=dtype
         )
-        # index[oh, ow, c, ki, kj] = flat offset of padded[c, oh*s+ki, ow*s+kj]
-        # within one sample: the slot order of the reference im2col.
-        k = np.arange(kernel)
-        row = (np.arange(self.out_h) * stride)[:, None, None, None, None] + k[:, None]
-        col = (np.arange(self.out_w) * stride)[:, None, None, None] + k
-        plane = np.arange(channels)[:, None, None] * (pad_h * pad_w)
-        self.index = (plane + row * pad_w + col).reshape(-1)  # OH*OW*C*K*K offsets
+        self.index = _gather_index(
+            channels, pad_h, pad_w, kernel, stride, self.out_h, self.out_w
+        )
 
     def unfold(self, x: np.ndarray) -> np.ndarray:
         """Fill and return :attr:`cols` for ``x``."""
@@ -102,31 +187,27 @@ def col2im(
 ) -> np.ndarray:
     """Inverse of :func:`im2col`: scatter-add columns back to image shape.
 
-    Overlapping windows make the scatter-add inherently sequential over
-    the K*K kernel offsets, so those stay as a (tiny) loop of whole-array
-    adds; the optimization over the reference is one up-front contiguous
-    copy into (B, C, K, K, OH, OW) layout so every offset's add streams
-    over contiguous memory instead of a 6-D strided view.  The
-    accumulation order matches the reference exactly, so float64 results
-    are bit-identical.
+    One sparse product per block of samples with the memoized
+    :func:`_fold_matrix`: each input pixel sums the column slots that
+    land on it in the reference's order, so the result carries the bits
+    of :func:`repro.nn.reference.col2im_reference` in every dtype; the
+    padding border is never computed.  Returns a fresh C-contiguous
+    ``(B, C, H, W)`` array.
     """
     batch, channels, height, width = x_shape
-    padded = np.zeros(
-        (batch, channels, height + 2 * padding, width + 2 * padding), dtype=cols.dtype
-    )
-    cols6 = np.ascontiguousarray(
-        cols.reshape(batch, out_h, out_w, channels, kernel, kernel).transpose(
-            0, 3, 4, 5, 1, 2
+    # One sample's slots per row.
+    cols = cols.reshape(batch, out_h * out_w * channels * kernel * kernel)
+    image = np.empty(x_shape, dtype=cols.dtype)
+    start = 0
+    while start < batch:
+        samples = _FOLD_SAMPLES if batch - start >= _FOLD_SAMPLES else 1
+        fold = _fold_matrix(
+            samples, channels, height, width, kernel, stride, padding, out_h, out_w, cols.dtype
         )
-    )
-    for ki in range(kernel):
-        i_end = ki + stride * out_h
-        for kj in range(kernel):
-            j_end = kj + stride * out_w
-            padded[:, :, ki:i_end:stride, kj:j_end:stride] += cols6[:, :, ki, kj]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+        stop = start + samples
+        image[start:stop].reshape(-1)[:] = fold @ cols[start:stop].reshape(-1)
+        start = stop
+    return image
 
 
 class Conv2d(Module):

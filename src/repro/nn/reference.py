@@ -1,8 +1,9 @@
 """Reference (pre-optimization) kernels kept as equivalence oracles.
 
 The optimized hot-path kernels in :mod:`repro.nn.conv`,
-:mod:`repro.nn.pooling`, :mod:`repro.nn.recurrent` and :mod:`repro.nn.gru`
-are required to be *bit-for-bit* identical to these straightforward
+:mod:`repro.nn.pooling`, :mod:`repro.nn.activations`,
+:mod:`repro.nn.recurrent` and :mod:`repro.nn.gru` are required to be
+*bit-for-bit* identical to these straightforward
 implementations in float64 — that is the contract that lets the kernel
 rewrites ship without re-validating every paper experiment.  The equivalence tests
 (``tests/nn/test_kernel_equivalence.py``) and the benchmark regression
@@ -32,6 +33,11 @@ def sigmoid_reference(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def relu_reference(x: np.ndarray) -> np.ndarray:
+    """Original rectifier: a masked select, in ``x``'s memory order."""
+    return np.where(x > 0, x, 0.0)
 
 
 def im2col_reference(

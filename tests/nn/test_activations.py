@@ -65,3 +65,22 @@ def test_sigmoid_extremes_no_overflow():
 def test_backward_before_forward_raises(cls):
     with pytest.raises(RuntimeError):
         cls().backward(np.ones((1, 1)))
+
+
+@pytest.mark.parametrize("cls", [nn.ReLU, nn.Tanh, nn.Sigmoid, nn.LeakyReLU])
+def test_eval_forward_keeps_no_backward_state(rng, cls):
+    """A forward-only pass builds nothing for backward (the rule Conv2d,
+    MaxPool2d and the recurrent cells obey), and values ignore the mode."""
+    layer = cls()
+    x = rng.normal(size=(4, 6))
+    trained = layer.forward(x)
+    layer.backward(np.ones_like(x))  # a training-mode forward feeds backward
+    layer.eval()
+    evaluated = layer.forward(x)
+    assert evaluated.tobytes() == trained.tobytes()
+    assert not [name for name, value in vars(layer).items() if isinstance(value, np.ndarray)]
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        layer.backward(np.ones_like(x))
+    layer.train()
+    layer.forward(x)
+    layer.backward(np.ones_like(x))
