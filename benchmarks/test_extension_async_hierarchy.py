@@ -10,8 +10,7 @@ Both benches run through the first-class execution modes:
 ``FLConfig(execution="async", buffer_size=1)`` reproduces the
 one-update-per-arrival FedAsync server, and
 ``FLConfig(topology="hier:R:P")`` runs the region-parallel
-hierarchical engine (the legacy eager ``run_hierarchical`` /
-``run_async_federated`` APIs are deprecated).
+hierarchical round step.
 """
 
 import numpy as np

@@ -3,7 +3,10 @@
 The trainer (:mod:`repro.fl.trainer`) owns the protocol loop; an
 algorithm owns *what happens inside one round*: broadcasting, local
 updates, aggregation, and any extra synchronization phases.  The base
-class provides the FedAvg-shaped round that every method here extends.
+class provides the FedAvg-shaped round that every method here extends,
+as two halves — :meth:`FederatedAlgorithm.begin_round` and
+:meth:`FederatedAlgorithm.commit_round` — that the trainer's round step
+(barrier, buffered-event or regions) runs the local work between.
 
 The round itself is an *execution engine*: the per-client unit of work
 (:meth:`FederatedAlgorithm._client_update`) is side-effect-free with
@@ -18,6 +21,7 @@ numbers are bit-identical for any ``num_workers``.
 
 Extension points, in round order:
 
+* :meth:`_pre_round` — extra synchronization before the broadcast.
 * :meth:`_charge_broadcast` — downlink accounting.
 * :meth:`_local_config` — per-client training config (FedNova's tau).
 * :meth:`_reg_hook` / :meth:`_grad_hook` — local-objective shaping.
@@ -67,7 +71,8 @@ class FederatedAlgorithm:
     :meth:`_post_aggregate` for extra synchronization phases.
 
     Lifecycle: construct -> :meth:`setup` (binds model workspace,
-    dataset, config) -> :meth:`run_round` once per communication round.
+    dataset, config) -> :meth:`begin_round` / :meth:`commit_round` once
+    per communication round, called by the trainer's round step.
     """
 
     name = "base"
@@ -162,7 +167,7 @@ class FederatedAlgorithm:
 
     def _require_setup(self) -> None:
         if self.model is None or self.fed is None or self.config is None:
-            raise ProtocolError(f"{self.name}: setup() must be called before run_round()")
+            raise ProtocolError(f"{self.name}: setup() must be called before a round runs")
 
     # Populations at or above this size default to sharded per-client
     # state tables under state_sharding='auto' (dense would allocate
@@ -498,15 +503,10 @@ class FederatedAlgorithm:
         update.params = self.global_params + recon
 
     # -- the round ---------------------------------------------------------------------
-    def _execute_clients(
-        self, round_idx: int, selected: np.ndarray
-    ) -> list[ClientUpdate]:
-        """Run every selected client through the execution engine.
-
-        Returns updates in selection order (the executor contract).
-        """
-        client_ids = [int(c) for c in selected]
-        updates = self.executor.run(self, round_idx, client_ids)
+    def _receive_updates(self, updates: list[ClientUpdate]) -> None:
+        """Server-side reception of finished updates: reconstruct dense
+        parameters from wire streams and observe each update's norm
+        against the model it was trained from (``global_params``)."""
         for update in updates:
             self._materialize_params(update)
         if self.tracer.enabled:
@@ -516,6 +516,16 @@ class FederatedAlgorithm:
                 histogram.observe(
                     float(np.linalg.norm(update.params - self.global_params))
                 )
+
+    def _execute_clients(
+        self, round_idx: int, selected: np.ndarray
+    ) -> list[ClientUpdate]:
+        """Run every selected client through the execution engine.
+
+        Returns updates in selection order (the executor contract).
+        """
+        updates = self.executor.run(self, round_idx, [int(c) for c in selected])
+        self._receive_updates(updates)
         return updates
 
     def _round_stats(
@@ -535,29 +545,48 @@ class FederatedAlgorithm:
 
         Algorithms with an extra synchronization phase (e.g. the exact
         rFedAvg reference refreshing every delta from the current
-        global model) override this instead of :meth:`run_round`, so
-        both execution engines — the synchronous barrier loop and the
-        event-driven async engine — run it at dispatch time.
+        global model) override this; :meth:`begin_round` runs it for
+        every round step, once per round on the whole sampled cohort.
         """
 
-    def run_round(self, round_idx: int, selected: np.ndarray) -> RoundStats:
-        """Execute one communication round over ``selected`` clients."""
+    # The two halves of a communication round.  The round steps in
+    # repro.fl (barrier, buffered-event, regions) differ only in what
+    # happens between them — when and where the cohort's local work runs
+    # and which finished updates are reduced together — so neither half
+    # is an extension point: algorithms override the hooks they call.
+    def begin_round(self, round_idx: int, cohort: np.ndarray) -> np.ndarray:
+        """Open a round on a sampled cohort: the pre-round hook, fault
+        dropout, then the broadcast charge.  Returns the clients to
+        dispatch (the survivors, which ``bytes_down`` is charged for)."""
         self._require_setup()
-        tracer = self.tracer
-        self._pre_round(round_idx, selected)
+        self._pre_round(round_idx, cohort)
         if self.fault_model is not None:
-            selected = self.fault_model.surviving_clients(selected)
-        with tracer.span("broadcast"):
-            self._charge_broadcast(selected)
-        updates = self._execute_clients(round_idx, selected)
-        self._charge_uploads(selected, updates)
+            cohort = self.fault_model.surviving_clients(cohort)
+        with self.tracer.span("broadcast"):
+            self._charge_broadcast(cohort)
+        return cohort
+
+    def commit_round(
+        self,
+        round_idx: int,
+        cohort: np.ndarray,
+        updates: list[ClientUpdate],
+        **span_attrs,
+    ) -> RoundStats:
+        """Reduce finished ``updates`` (of ``cohort``, in selection
+        order) into ``global_params``: upload charges, per-client
+        commits, aggregation, extra synchronization.  With nothing to
+        reduce the model is kept and the round reports a NaN loss."""
+        if not updates:
+            return RoundStats(train_loss=float("nan"))
+        self._charge_uploads(cohort, updates)
         for update in updates:
             if self.fault_model is not None and self.fault_model.is_byzantine(
                 update.client_id
             ):
                 self.fault_model.corrupted_total += 1
             self._commit_client(round_idx, update)
-        with tracer.span("aggregate"):
-            self.global_params = self._aggregate_updates(round_idx, selected, updates)
-            self._post_aggregate(round_idx, selected)
-        return self._round_stats(selected, updates)
+        with self.tracer.span("aggregate", **span_attrs):
+            self.global_params = self._aggregate_updates(round_idx, cohort, updates)
+            self._post_aggregate(round_idx, cohort)
+        return self._round_stats(cohort, updates)

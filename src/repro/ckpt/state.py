@@ -22,6 +22,8 @@ refresh every one after).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.ckpt.format import pack_tree_parts, unpack_tree
@@ -74,10 +76,11 @@ def capture_run_state(
     pass the sections straight to ``save`` and keep no reference to
     them (they pin whatever they view).
 
-    ``extra_sections`` maps section names to pack_tree-able dicts an
-    execution engine wants carried alongside the core state (the async
-    engine's event queue and sim clock ride in ``SECTION_ASYNC``); the
-    engine that wrote them unpacks them itself on resume.
+    ``extra_sections`` maps section names to pack_tree-able dicts the
+    trainer's round step wants carried alongside the core state (the
+    buffered-event step's event queue and sim clock ride in
+    ``SECTION_ASYNC``, the region models in ``SECTION_HIERARCHY``);
+    :func:`restore_run_state` hands them back under the same names.
     """
     assert algorithm.ledger is not None
     meta = {
@@ -116,6 +119,7 @@ def restore_run_state(
     history: History,
     config,
     tracer=None,
+    extra_sections: dict[str, Callable[[dict], None]] | None = None,
 ) -> int:
     """Write a captured snapshot back into live objects.
 
@@ -123,6 +127,11 @@ def restore_run_state(
     Returns the last *completed* round index; the trainer resumes at the
     next one.  Raises :class:`~repro.exceptions.CheckpointMismatchError`
     when the checkpoint's provenance does not match this run.
+
+    ``extra_sections`` maps each section this run's round step owns to
+    the callable that adopts its unpacked tree; a checkpoint without
+    one was written by a different engine and is refused with the core
+    sections' :class:`~repro.exceptions.CheckpointError`.
 
     Decoded arrays are read-only views of ``sections``; every consumer
     here copies what it adopts, so nothing restored refers to the blobs
@@ -139,8 +148,9 @@ def restore_run_state(
             f"this run has {config.rounds} rounds"
         )
 
+    extra_sections = extra_sections or {}
     required = (SECTION_MODEL, SECTION_ALGORITHM, SECTION_RNG,
-                SECTION_LEDGER, SECTION_HISTORY)
+                SECTION_LEDGER, SECTION_HISTORY, *extra_sections)
     missing = [name for name in required if name not in sections]
     if missing:
         raise CheckpointError(f"checkpoint missing sections {missing}")
@@ -199,4 +209,6 @@ def restore_run_state(
             "this run has a fault model but the checkpoint carries no "
             "fault-model state; detach it or resume the original run"
         )
+    for name, adopt in extra_sections.items():
+        adopt(unpack_tree(sections[name]))
     return int(meta["round_idx"])

@@ -133,25 +133,6 @@ def run_grid(
     return result
 
 
-def run_experiment(*args, **kwargs) -> RunResult:
-    """Deprecated alias for :func:`run_grid`.
-
-    The name collided with the :func:`repro.run_experiment` preset
-    facade — ``repro.run_experiment`` now unambiguously means the
-    facade, and the seeded multi-repeat runner is :func:`run_grid`.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.experiments.runner.run_experiment was renamed to run_grid "
-        "(the name now belongs to the repro.run_experiment preset facade); "
-        "this alias will be removed",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_grid(*args, **kwargs)
-
-
 def compare_algorithms(
     algorithms: dict[str, dict],
     fed_builder: Callable[[int], FederatedDataset],
@@ -170,7 +151,7 @@ def compare_algorithms(
     """
     overrides = config_overrides or {}
     return {
-        name: run_experiment(
+        name: run_grid(
             name,
             fed_builder,
             model_fn_builder,

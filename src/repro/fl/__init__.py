@@ -69,11 +69,7 @@ from repro.fl.compression import (
 from repro.fl.faults import FaultModel
 from repro.fl.network import LinkModel, round_network_time, estimate_run_network_time
 from repro.fl.secure import SecureAggregator, secure_weighted_average
-from repro.fl.async_engine import (
-    AsyncHistory,
-    AsyncUpdateRecord,
-    run_async_federated_engine,
-)
+from repro.fl.async_engine import AsyncHistory, AsyncUpdateRecord
 from repro.fl.runtime import (
     ClientRuntime,
     GaussianRuntime,
@@ -81,14 +77,7 @@ from repro.fl.runtime import (
     TraceRuntime,
     make_runtime,
 )
-from repro.fl.hierarchy import (
-    HierarchyConfig,
-    HierarchicalHistory,
-    RegionSet,
-    assign_edges,
-    run_hier_federated,
-    run_hierarchical,
-)
+from repro.fl.hierarchy import RegionSet
 from repro.fl.selection import (
     ClientSelector,
     SelectionContext,
@@ -151,11 +140,5 @@ __all__ = [
     "make_runtime",
     "AsyncHistory",
     "AsyncUpdateRecord",
-    "run_async_federated_engine",
-    "HierarchyConfig",
-    "HierarchicalHistory",
     "RegionSet",
-    "assign_edges",
-    "run_hier_federated",
-    "run_hierarchical",
 ]

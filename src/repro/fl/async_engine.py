@@ -1,21 +1,22 @@
-"""Event-driven asynchronous execution engine with buffered aggregation.
+"""The buffered-event round step: asynchronous execution with staleness.
 
 FedAsync-style staleness weighting (Xie et al. 2019) built on the
-execute/commit/aggregate split of the parallel engine so
-**async is a scheduler swap, not an algorithm rewrite** — all ten
+begin/commit halves of :class:`~repro.algorithms.base.FederatedAlgorithm`
+so **async is a scheduler swap, not an algorithm rewrite** — all ten
 registered algorithms run unmodified, parallel client execution and the
-packed wire transport included.
+packed wire transport included.  :func:`repro.fl.trainer.run_federated`
+owns the loop (sampling, records, evaluation, callbacks, checkpoints);
+with ``config.execution == "async"`` each of its rounds runs
+:meth:`BufferedStep.run`:
 
-How a run proceeds (``config.execution == "async"``):
-
-1. **Dispatch.**  Each server round samples a cohort from the *same*
-   selection stream as the synchronous trainer, charges the broadcast,
-   and runs every cohort member's local work immediately through the
-   algorithm's :class:`~repro.fl.parallel.ClientExecutor`.  Each
-   finished update is pushed onto an event heap with an *arrival time*
-   drawn from the per-client runtime model
-   (:mod:`repro.fl.runtime`) — training is simulated-time-shifted, not
-   recomputed, so heavy lifting happens exactly once.
+1. **Dispatch.**  The round's cohort — sampled from the *same*
+   selection stream as a synchronous run — is charged the broadcast
+   and runs its local work immediately through the algorithm's
+   :class:`~repro.fl.parallel.ClientExecutor`.  Each finished update is
+   pushed onto an event heap with an *arrival time* drawn from the
+   per-client runtime model (:mod:`repro.fl.runtime`) — training is
+   simulated-time-shifted, not recomputed, so heavy lifting happens
+   exactly once.
 2. **Drain.**  The server pops arrivals in simulated-time order into a
    buffer until ``buffer_size`` updates are in hand (FedBuff-style), or
    the optional ``buffer_timeout`` fires with at least one update.
@@ -25,54 +26,37 @@ How a run proceeds (``config.execution == "async"``):
    re-based onto the current global model and discounted:
    ``params <- w_t + (1+s)^(-a) * (params - base)`` where ``base`` is
    the global model the client trained from.  Fresh updates (``s = 0``)
-   are left byte-for-byte untouched.  Then the algorithm's own
-   ``_commit_client`` / ``_aggregate_updates`` / ``_post_aggregate``
-   run exactly as in a synchronous round.
+   are left byte-for-byte untouched.  Then the algorithm's
+   ``commit_round`` runs exactly as in a synchronous round.
 
 **Zero-latency limit.**  With instant runtimes and a full-cohort buffer
 every dispatched update arrives fresh and in selection order, so step 3
-reduces to the synchronous round verbatim — the engine is bit-identical
-to :func:`repro.fl.trainer.run_federated`'s barrier loop for every
-algorithm, executor, transport and dtype (the ``async-equivalence``
-test matrix enforces this).
+reduces to the synchronous round verbatim — the step is bit-identical
+to the barrier step for every algorithm, executor, transport and dtype
+(the ``engine-equivalence`` test matrix enforces this).
 
-Checkpoint/resume rides the :mod:`repro.ckpt` subsystem: the engine
-adds one extra section (in-flight events, sim clock, async history) to
-the standard run snapshot, and a resumed async run replays
-bit-identically.  Runtime models are stateless by construction, so
-there is no runtime RNG to snapshot.
+The step owns one checkpoint section (in-flight events, sim clock,
+update-level history) that the trainer saves and restores with the
+standard run snapshot, so a resumed async run replays bit-identically.
+Runtime models are stateless by construction, so there is no runtime
+RNG to snapshot.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.data.dataset import FederatedDataset
-from repro.exceptions import CheckpointError
+from repro.fl.client import evaluate_model  # noqa: F401 -- bench/instrument.py wraps this name
 from repro.fl.compression import WireSize
 from repro.fl.config import FLConfig
 from repro.fl.metrics import History, RoundRecord
 from repro.fl.parallel import ClientUpdate
 from repro.fl.runtime import make_runtime
-from repro.fl.trainer import (
-    RoundCallback,
-    build_history,
-    eval_per_client_accuracy,
-    make_client_loss,
-    release_round_state,
-    resolve_round_callbacks,
-    select_round_clients,
-)
-from repro.fl.client import evaluate_model
-from repro.models.split import SplitModel
-from repro.nn.serialization import set_flat_params
-from repro.obs.sysinfo import record_scale_gauges
+from repro.nn.serialization import set_flat_params  # noqa: F401 -- bench/instrument.py wraps this name
 
 
 @dataclass
@@ -224,7 +208,7 @@ def _update_from_tree(tree: dict) -> ClientUpdate:
     )
 
 
-# -- the engine ---------------------------------------------------------------------
+# -- the round step -----------------------------------------------------------------
 
 
 class _EventQueue:
@@ -293,297 +277,147 @@ class _EventQueue:
         heapq.heapify(self.heap)
 
 
-def run_async_federated_engine(
-    algorithm,
-    fed: FederatedDataset,
-    model_fn: Callable[[], SplitModel],
-    config: FLConfig,
-    *,
-    eval_per_client: bool = False,
-    callbacks: Sequence[RoundCallback] | None = None,
-    selector=None,
-    tracer=None,
-    runtime=None,
-) -> History:
-    """Run one asynchronous federated job; called by
-    :func:`repro.fl.trainer.run_federated` when
-    ``config.execution == "async"`` (the dtype policy and executor
-    lifecycle are managed there).
+class BufferedStep:
+    """One asynchronous round: dispatch the cohort, drain arrivals into
+    a buffer, flush the buffer through the algorithm's commit half."""
 
-    Returns the run's :class:`~repro.fl.metrics.History` — one record
-    per buffer flush, so downstream tooling (runner, artifacts, report
-    tables) works unchanged — with the update-level
-    :class:`AsyncHistory` attached as ``history.async_history``.
-    """
-    round_callbacks, tracer = resolve_round_callbacks(callbacks, tracer)
+    def __init__(self, algorithm, fed, config: FLConfig, runtime=None) -> None:
+        # Imported here: repro.ckpt imports repro.fl.
+        from repro.ckpt.state import SECTION_ASYNC
 
-    model = model_fn()
-    algorithm.tracer = tracer
-    algorithm.setup(model, fed, config)
-    round_rng = np.random.default_rng([config.seed, 0xF1])
-    client_loss = make_client_loss(algorithm, model, fed, config)
-    runtime = make_runtime(
-        runtime if runtime is not None else config.runtime,
-        fed.num_clients,
-        config.seed,
-    )
-
-    history = build_history(algorithm.name, config)
-    async_history = AsyncHistory()
-    history.async_history = async_history
-    queue = _EventQueue()
-    clock = 0.0
-    update_counter = 0
-
-    # Crash-safe checkpointing: the standard run snapshot plus one
-    # engine-owned section for the event queue / sim clock / async
-    # records.  Flush boundaries are the only snapshot points, exactly
-    # like round boundaries in the synchronous loop.
-    manager = None
-    start_round = 0
-    if config.checkpoint_dir is not None:
-        from repro.ckpt.format import unpack_tree
-        from repro.ckpt.manager import CheckpointManager
-        from repro.ckpt.state import (
-            SECTION_ASYNC,
-            capture_run_state,
-            restore_run_state,
+        self.section = SECTION_ASYNC
+        self.algorithm = algorithm
+        self.config = config
+        self.runtime = make_runtime(
+            runtime if runtime is not None else config.runtime,
+            fed.num_clients,
+            config.seed,
         )
+        self.history = AsyncHistory()
+        self.queue = _EventQueue()
+        self.clock = 0.0
+        self.update_counter = 0
 
-        manager = CheckpointManager(config.checkpoint_dir, keep=config.checkpoint_keep)
-        if config.resume:
-            loaded = manager.load_latest_valid()
-            if loaded is not None:
-                manifest, sections = loaded
-                last_round = restore_run_state(
-                    manifest,
-                    sections,
-                    algorithm=algorithm,
-                    round_rng=round_rng,
-                    history=history,
-                    config=config,
-                    tracer=tracer,
-                )
-                if SECTION_ASYNC not in sections:
-                    raise CheckpointError(
-                        "checkpoint carries no async-engine section; it was "
-                        "written by a synchronous run"
-                    )
-                engine_state = unpack_tree(sections[SECTION_ASYNC])
-                clock = float(engine_state["clock"])
-                update_counter = int(engine_state["update_counter"])
-                queue.restore_tree(engine_state["queue"])
-                restored = AsyncHistory.from_dict(engine_state["async_history"])
-                async_history.records = restored.records
-                async_history.final_accuracy = restored.final_accuracy
-                async_history.discarded_updates = restored.discarded_updates
-                start_round = last_round + 1
-                del manifest, sections, engine_state
-            # Everything restored was copied out of the section blobs;
-            # bound here they would outlive the whole run.
-            del loaded
+    def run(self, round_idx: int, cohort: np.ndarray):
+        algorithm, config, queue = self.algorithm, self.config, self.queue
+        tracer = algorithm.tracer
 
-    for round_idx in range(start_round, config.rounds):
-        with tracer.span("round", round=round_idx):
-            started = time.perf_counter()
-
-            # 1. Dispatch this round's cohort.
-            with tracer.span("sample"):
-                selected = select_round_clients(
-                    round_idx, fed, config, round_rng, selector, client_loss
-                )
-            # Dispatch cap: a client whose previous update is still in
-            # flight is not re-dispatched — it is deferred, not dropped
-            # (its earlier update will still arrive and count).  Without
-            # this, a small buffer plus a long-tail runtime re-dispatches
-            # slow clients every round and the queue grows without
-            # bound.  Under zero latency the queue drains fully each
-            # round, the in-flight set is empty, and the filter is a
-            # no-op — bit-identity with the sync loop is untouched.
-            if config.dispatch_cap and len(queue):
-                inflight = queue.inflight_clients()
-                keep = np.array(
-                    [int(c) not in inflight for c in selected], dtype=bool
-                )
-                deferred = int(len(selected) - keep.sum())
-                if deferred:
-                    selected = selected[keep]
-                    if tracer.enabled:
-                        tracer.metrics.counter("async.deferred_dispatches").inc(
-                            deferred
-                        )
-            # Same ordering as the sync trainer: the selection counter
-            # sees the sampled cohort, fault dropout filters after.
-            if tracer.enabled:
-                for client_id in selected:
-                    tracer.metrics.counter(
-                        "clients.selected", client=int(client_id)
-                    ).inc()
-            algorithm._pre_round(round_idx, selected)
-            if algorithm.fault_model is not None:
-                selected = algorithm.fault_model.surviving_clients(selected)
-            with tracer.span("broadcast"):
-                algorithm._charge_broadcast(selected)
-            with tracer.span("dispatch", cohort=len(selected)):
-                updates = algorithm._execute_clients(round_idx, selected)
-                base = algorithm.global_params
-                for update in updates:
-                    queue.push(
-                        clock + runtime.duration(round_idx, update.client_id),
-                        round_idx,
-                        base,
-                        update,
-                    )
-
-            # 2. Drain arrivals into the buffer.
-            target = config.buffer_size or len(selected)
-            if not target and len(queue):
-                # Every cohort member was deferred: the round still
-                # consumes at least one arrival so the backlog drains.
-                target = 1
-            deadline = (
-                clock + config.buffer_timeout
-                if config.buffer_timeout is not None
-                else None
-            )
-            buffer: list[tuple[int, int, np.ndarray, ClientUpdate]] = []
-            while len(queue) and len(buffer) < target:
-                if (
-                    deadline is not None
-                    and buffer
-                    and queue.peek_time() > deadline
-                ):
-                    break
-                when, dispatch_round, event_base, update = queue.pop()
-                clock = max(clock, when)
-                staleness = round_idx - dispatch_round
-                buffer.append((dispatch_round, staleness, event_base, update))
-
-            # 3. Flush: staleness-discount, commit, aggregate.
-            buffer_ids = np.array(
-                [update.client_id for _, _, _, update in buffer], dtype=np.int64
-            )
-            flush_records: list[AsyncUpdateRecord] = []
-            for dispatch_round, staleness, event_base, update in buffer:
-                weight = 1.0
-                if staleness > 0:
-                    # Re-base the stale delta onto the current model and
-                    # discount it; fresh updates stay bitwise untouched.
-                    weight = (1.0 + staleness) ** (-config.staleness_exponent)
-                    update.params = algorithm.global_params + weight * (
-                        update.params - event_base
-                    )
-                    if tracer.enabled:
-                        tracer.metrics.counter("async.stale_updates").inc()
-                flush_records.append(
-                    AsyncUpdateRecord(
-                        update_idx=update_counter,
-                        sim_time=clock,
-                        client_id=update.client_id,
-                        staleness=staleness,
-                        effective_weight=weight,
-                        train_loss=update.task_loss,
-                        dispatch_round=dispatch_round,
-                        flush_round=round_idx,
-                    )
-                )
-                update_counter += 1
+        # 1. Dispatch.  A client whose previous update is still in
+        # flight is not re-dispatched — it is deferred, not dropped (its
+        # earlier update will still arrive and count).  Without this cap
+        # a small buffer plus a long-tail runtime re-dispatches slow
+        # clients every round and the queue grows without bound.  Under
+        # zero latency the queue drains fully each round, the in-flight
+        # set is empty, and the filter is a no-op — bit-identity with
+        # the barrier step is untouched.
+        if config.dispatch_cap and len(queue):
+            inflight = queue.inflight_clients()
+            keep = np.array([int(c) not in inflight for c in cohort], dtype=bool)
+            deferred = int(len(cohort) - keep.sum())
+            if deferred:
+                cohort = cohort[keep]
                 if tracer.enabled:
-                    tracer.metrics.histogram("async.staleness").observe(
-                        float(staleness)
-                    )
-            async_history.records.extend(flush_records)
-            if tracer.enabled:
-                tracer.metrics.gauge("async.buffer_occupancy").set(len(buffer))
-                tracer.metrics.gauge("async.inflight").set(len(queue))
-                tracer.metrics.gauge("async.sim_time").set(clock)
+                    tracer.metrics.counter("async.deferred_dispatches").inc(deferred)
+        cohort = algorithm.begin_round(round_idx, cohort)
+        with tracer.span("dispatch", cohort=len(cohort)):
+            base = algorithm.global_params
+            for update in algorithm._execute_clients(round_idx, cohort):
+                queue.push(
+                    self.clock + self.runtime.duration(round_idx, update.client_id),
+                    round_idx,
+                    base,
+                    update,
+                )
 
-            buffered_updates = [update for _, _, _, update in buffer]
-            algorithm._charge_uploads(buffer_ids, buffered_updates)
-            for update in buffered_updates:
-                if algorithm.fault_model is not None and (
-                    algorithm.fault_model.is_byzantine(update.client_id)
-                ):
-                    algorithm.fault_model.corrupted_total += 1
-                algorithm._commit_client(round_idx, update)
-            if buffered_updates:
-                with tracer.span("aggregate"):
-                    algorithm.global_params = algorithm._aggregate_updates(
-                        round_idx, buffer_ids, buffered_updates
-                    )
-                    algorithm._post_aggregate(round_idx, buffer_ids)
-                stats = algorithm._round_stats(buffer_ids, buffered_updates)
-                train_loss, reg_loss = stats.train_loss, stats.reg_loss
-            else:  # every dispatched client dropped out — keep the model
-                train_loss, reg_loss = float("nan"), 0.0
-            elapsed = time.perf_counter() - started
-
-            assert algorithm.ledger is not None
-            round_comm = algorithm.ledger.end_round()
-            record = RoundRecord(
-                round_idx=round_idx,
-                train_loss=train_loss,
-                reg_loss=reg_loss,
-                wall_time_sec=elapsed,
-                bytes_down=round_comm["down"],
-                bytes_up=round_comm["up"],
-                num_selected=len(selected),
-            )
-            is_eval_round = (
-                round_idx % config.eval_every == 0 or round_idx == config.rounds - 1
-            )
-            if is_eval_round:
-                with tracer.span("eval"):
-                    assert algorithm.global_params is not None
-                    set_flat_params(model, algorithm.global_params)
-                    test_loss, test_acc = evaluate_model(
-                        model, fed.test, config.eval_batch
-                    )
-                    record.test_loss = test_loss
-                    record.test_accuracy = test_acc
-                    if flush_records:
-                        flush_records[-1].test_accuracy = test_acc
-            history.append(record)
-            for callback in round_callbacks:
-                callback(record)
-
-            if manager is not None and (
-                (round_idx + 1) % config.checkpoint_every == 0
-                or round_idx == config.rounds - 1
-            ):
-                # Sections alias live state; never bound here.
-                with tracer.span("checkpoint"):
-                    manager.save(
-                        round_idx,
-                        *capture_run_state(
-                            round_idx=round_idx,
-                            algorithm=algorithm,
-                            round_rng=round_rng,
-                            history=history,
-                            config=config,
-                            tracer=tracer,
-                            extra_sections={
-                                SECTION_ASYNC: {
-                                    "clock": float(clock),
-                                    "update_counter": int(update_counter),
-                                    "queue": queue.state_tree(),
-                                    "async_history": async_history.to_dict(),
-                                }
-                            },
-                        ),
-                    )
-            record_scale_gauges(tracer, fed)
-        release_round_state(fed)
-
-    # In-flight stragglers at the end of the round budget never land.
-    async_history.discarded_updates += len(queue)
-    if tracer.enabled and len(queue):
-        tracer.metrics.counter("async.discarded_updates").inc(len(queue))
-
-    history.final_accuracy = history.last_accuracy()
-    async_history.final_accuracy = history.final_accuracy
-    if eval_per_client:
-        history.per_client_accuracy = eval_per_client_accuracy(
-            algorithm, model, fed, config, tracer
+        # 2. Drain arrivals into the buffer.
+        target = config.buffer_size or len(cohort)
+        if not target and len(queue):
+            # Every cohort member was deferred: the round still
+            # consumes at least one arrival so the backlog drains.
+            target = 1
+        deadline = (
+            self.clock + config.buffer_timeout
+            if config.buffer_timeout is not None
+            else None
         )
-    return history
+        arrivals: list[tuple[int, np.ndarray, ClientUpdate]] = []
+        while len(queue) and len(arrivals) < target:
+            if deadline is not None and arrivals and queue.peek_time() > deadline:
+                break
+            when, dispatch_round, event_base, update = queue.pop()
+            self.clock = max(self.clock, when)
+            arrivals.append((dispatch_round, event_base, update))
+
+        # 3. Flush: staleness-discount, then commit and aggregate.
+        buffer: list[ClientUpdate] = []
+        for dispatch_round, event_base, update in arrivals:
+            staleness = round_idx - dispatch_round
+            weight = 1.0
+            if staleness > 0:
+                # Re-base the stale delta onto the current model and
+                # discount it; fresh updates stay bitwise untouched.
+                weight = (1.0 + staleness) ** (-config.staleness_exponent)
+                update.params = algorithm.global_params + weight * (
+                    update.params - event_base
+                )
+            buffer.append(update)
+            self.history.records.append(
+                AsyncUpdateRecord(
+                    update_idx=self.update_counter,
+                    sim_time=self.clock,
+                    client_id=update.client_id,
+                    staleness=staleness,
+                    effective_weight=weight,
+                    train_loss=update.task_loss,
+                    dispatch_round=dispatch_round,
+                    flush_round=round_idx,
+                )
+            )
+            self.update_counter += 1
+            if tracer.enabled:
+                if staleness > 0:
+                    tracer.metrics.counter("async.stale_updates").inc()
+                tracer.metrics.histogram("async.staleness").observe(float(staleness))
+        if tracer.enabled:
+            tracer.metrics.gauge("async.buffer_occupancy").set(len(buffer))
+            tracer.metrics.gauge("async.inflight").set(len(queue))
+            tracer.metrics.gauge("async.sim_time").set(self.clock)
+
+        buffer_ids = np.array([u.client_id for u in buffer], dtype=np.int64)
+        return algorithm.commit_round(round_idx, buffer_ids, buffer), cohort
+
+    def observe(self, record: RoundRecord, round_comm: dict) -> None:
+        """An evaluated round stamps its accuracy on the last update it
+        committed."""
+        flushed = self.history.records
+        if (
+            record.test_accuracy is not None
+            and flushed
+            and flushed[-1].flush_round == record.round_idx
+        ):
+            flushed[-1].test_accuracy = record.test_accuracy
+
+    def finish(self, history: History) -> None:
+        """Attach the update-level history; in-flight stragglers at the
+        end of the round budget never land."""
+        tracer = self.algorithm.tracer
+        self.history.discarded_updates += len(self.queue)
+        if tracer.enabled and len(self.queue):
+            tracer.metrics.counter("async.discarded_updates").inc(len(self.queue))
+        self.history.final_accuracy = history.final_accuracy
+        history.async_history = self.history
+
+    # -- checkpointing -----------------------------------------------------------
+    def state_tree(self) -> dict:
+        return {
+            "clock": float(self.clock),
+            "update_counter": int(self.update_counter),
+            "queue": self.queue.state_tree(),
+            "async_history": self.history.to_dict(),
+        }
+
+    def restore_tree(self, tree: dict) -> None:
+        self.clock = float(tree["clock"])
+        self.update_counter = int(tree["update_counter"])
+        self.queue.restore_tree(tree["queue"])
+        self.history = AsyncHistory.from_dict(tree["async_history"])

@@ -1,24 +1,41 @@
-"""The federated protocol loop.
+"""The federated protocol loop: one driver, three round steps.
 
-:func:`run_federated` drives a full training job: round-by-round client
-sampling, one algorithm round, periodic evaluation of the global model,
-and metric / communication bookkeeping.  It is algorithm-agnostic — all
-method-specific behaviour lives in :mod:`repro.algorithms` — and
-execution-agnostic: ``config.execution`` selects between the
-synchronous barrier loop here, the event-driven buffered engine in
-:mod:`repro.fl.async_engine` (a scheduler swap; with instant runtimes
-and a full-cohort buffer the two are bit-identical), and
-``execution='serve'`` — the same synchronous loop with the per-client
-work running in socket-connected worker processes (:mod:`repro.serve`;
-``make_executor`` swaps the engine, so serve mode needs no trainer
-changes and is bit-identical to 'sync' by the executor contract).
+:func:`run_federated` drives a full training job.  Everything that does
+not depend on how a round is scheduled happens here, once: model and
+algorithm set-up, checkpoint resume, cohort sampling, the
+:class:`~repro.fl.metrics.RoundRecord`, periodic evaluation of the
+global model, callbacks, checkpoint cadence and the final evaluation.
+It is algorithm-agnostic — all method-specific behaviour lives in
+:mod:`repro.algorithms` — and what one round *does* with its sampled
+cohort is a **round step** chosen from the config:
+
+* :class:`BarrierStep` (``execution='sync'`` and ``'serve'``): every
+  dispatched client finishes before the round commits.  Serve mode is
+  this step with the per-client work running in socket-connected worker
+  processes (:mod:`repro.serve`; ``make_executor`` swaps the engine, so
+  it is bit-identical to 'sync' by the executor contract).
+* :class:`~repro.fl.async_engine.BufferedStep` (``execution='async'``):
+  finished updates arrive through a simulated-time event queue and
+  commit from a buffer, stale ones discounted.
+* :class:`~repro.fl.hierarchy.RegionStep` (``topology='hier:R:P'``):
+  each region commits its own sub-cohort into its own model, with a
+  periodic cloud average.
+
+A step runs one round on a sampled cohort and returns its
+:class:`~repro.algorithms.base.RoundStats` plus the ids it dispatched
+(``run``); may own one named checkpoint section (``section``,
+``state_tree``, ``restore_tree``); sees each finished record before it
+is appended (``observe``); and closes the run (``finish``).  With
+instant runtimes and a full-cohort buffer, or with one region, the
+other two steps are bit-identical to the barrier step — records
+included.
 
 Observability: pass a :class:`repro.obs.Tracer` and every round emits a
 nested span tree (``round`` > ``sample`` / ``broadcast`` /
-``local_train`` per client / ``aggregate`` / ``eval``) plus byte
-counters fed by the algorithm's communication ledger.  The default
-:data:`~repro.obs.trace.NULL_TRACER` keeps the untraced path free of
-overhead.
+``local_train`` per client / ``aggregate`` / ``eval`` /
+``checkpoint``) plus byte counters fed by the algorithm's communication
+ledger.  The default :data:`~repro.obs.trace.NULL_TRACER` keeps the
+untraced path free of overhead.
 """
 
 from __future__ import annotations
@@ -34,10 +51,13 @@ from repro.data.dataset import FederatedDataset
 if TYPE_CHECKING:  # imported for typing only; avoids a circular import
     from repro.algorithms.base import FederatedAlgorithm
 from repro.exceptions import ConfigError
+from repro.fl.async_engine import BufferedStep
 from repro.fl.client import evaluate_model
 from repro.fl.config import FLConfig
+from repro.fl.hierarchy import RegionStep
 from repro.fl.metrics import History, RoundRecord, StreamingHistory
 from repro.fl.sampling import sample_cohort
+from repro.fl.selection import SelectionContext
 from repro.models.split import SplitModel
 from repro.nn.dtype import default_dtype
 from repro.nn.serialization import set_flat_params
@@ -45,6 +65,48 @@ from repro.obs.sysinfo import record_scale_gauges
 from repro.obs.trace import NULL_TRACER
 
 RoundCallback = Callable[[RoundRecord], None]
+
+
+class BarrierStep:
+    """One synchronous round: every dispatched client finishes, then
+    the round commits.  Stateless between rounds, so it owns no
+    checkpoint section."""
+
+    section = None
+
+    def __init__(self, algorithm: "FederatedAlgorithm") -> None:
+        self.algorithm = algorithm
+
+    def run(self, round_idx: int, cohort: np.ndarray):
+        algorithm = self.algorithm
+        cohort = algorithm.begin_round(round_idx, cohort)
+        updates = algorithm._execute_clients(round_idx, cohort)
+        return algorithm.commit_round(round_idx, cohort, updates), cohort
+
+    def observe(self, record: RoundRecord, round_comm: dict) -> None:
+        """The record needs nothing from a barrier round."""
+
+    def finish(self, history: History) -> None:
+        """Nothing outlives the last round."""
+
+
+def _round_step(algorithm, fed, config: FLConfig, runtime, region_observer):
+    """The run's round step — the one place an engine is chosen.
+    (``execution='async'`` with a hierarchical topology is refused at
+    config construction.)"""
+    hierarchical = config.topology != "flat"
+    if runtime is not None and config.execution != "async":
+        raise ConfigError("runtime= is an async-execution knob; set execution='async'")
+    if region_observer is not None and not hierarchical:
+        raise ConfigError(
+            "region_observer= requires a hierarchical topology; set "
+            "topology='hier:R:P'"
+        )
+    if hierarchical:
+        return RegionStep(algorithm, fed, config, region_observer)
+    if config.execution == "async":
+        return BufferedStep(algorithm, fed, config, runtime)
+    return BarrierStep(algorithm)
 
 
 def run_federated(
@@ -59,7 +121,6 @@ def run_federated(
     tracer=None,
     runtime=None,
     region_observer=None,
-    **removed,
 ) -> History:
     """Run one federated training job and return its :class:`History`.
 
@@ -72,10 +133,10 @@ def run_federated(
         eval_per_client: additionally evaluate the final global model on
             each client's local shard (fairness analysis, Fig. 11).
         callbacks: per-round callables, each invoked with the finished
-            :class:`RoundRecord` (printing, early-stopping bookkeeping,
-            custom metric sinks).
+            :class:`RoundRecord` after it was appended to the history
+            (printing, early-stopping bookkeeping, custom metric sinks).
         selector: optional :class:`~repro.fl.selection.ClientSelector`;
-            defaults to uniform sampling at ``config.sample_ratio``.
+            defaults to ``config.sampler`` at ``config.sample_ratio``.
         tracer: optional :class:`repro.obs.Tracer`; when given, rounds
             emit span trees, the ledger shares the tracer's metric
             registry, and the tracer observes every round record.
@@ -85,77 +146,23 @@ def run_federated(
             covers bespoke ones.
         region_observer: hierarchical topologies only — a callable
             invoked once per round with the per-region state dict (see
-            :func:`repro.fl.hierarchy.run_hier_federated`).
-    """
-    if "progress" in removed:
-        raise TypeError(
-            "run_federated() no longer accepts 'progress='; it was deprecated "
-            "in favour of callbacks=[fn] and has been removed — pass the "
-            "callable in the callbacks sequence instead"
-        )
-    if removed:
-        raise TypeError(
-            f"run_federated() got unexpected keyword arguments {sorted(removed)}"
-        )
+            :meth:`repro.fl.hierarchy.RegionStep.observe`).
 
+    An asynchronous run's history carries the update-level
+    :class:`~repro.fl.async_engine.AsyncHistory` as
+    ``history.async_history``.
+    """
     # The dtype policy wraps the entire job — model construction, local
     # training, aggregation, and evaluation all see config.dtype.  The
     # policy is process-global, so fork-started worker processes inherit
     # it automatically.
     with default_dtype(config.dtype):
         try:
-            if config.topology != "flat":
-                from repro.fl.hierarchy import run_hier_federated
-
-                # execution='async' + hierarchy is rejected at config
-                # construction; runtime= is likewise an async-only knob.
-                if runtime is not None:
-                    raise ConfigError(
-                        "runtime= is an async-execution knob; set execution='async'"
-                    )
-                return run_hier_federated(
-                    algorithm,
-                    fed,
-                    model_fn,
-                    config,
-                    eval_per_client=eval_per_client,
-                    callbacks=callbacks,
-                    selector=selector,
-                    tracer=tracer,
-                    region_observer=region_observer,
-                )
-            if region_observer is not None:
-                raise ConfigError(
-                    "region_observer= requires a hierarchical topology; set "
-                    "topology='hier:R:P'"
-                )
-            if config.execution == "async":
-                from repro.fl.async_engine import run_async_federated_engine
-
-                return run_async_federated_engine(
-                    algorithm,
-                    fed,
-                    model_fn,
-                    config,
-                    eval_per_client=eval_per_client,
-                    callbacks=callbacks,
-                    selector=selector,
-                    tracer=tracer,
-                    runtime=runtime,
-                )
-            if runtime is not None:
-                raise ConfigError(
-                    "runtime= is an async-execution knob; set execution='async'"
-                )
-            return _run_federated(
-                algorithm,
-                fed,
-                model_fn,
-                config,
-                eval_per_client=eval_per_client,
-                callbacks=callbacks,
-                selector=selector,
-                tracer=tracer,
+            return _drive(
+                algorithm, fed, model_fn, config,
+                eval_per_client=eval_per_client, callbacks=callbacks,
+                selector=selector, tracer=tracer, runtime=runtime,
+                region_observer=region_observer,
             )
         finally:
             # The wire transport keeps a worker pool and a shared-memory
@@ -164,171 +171,100 @@ def run_federated(
             algorithm.executor.close()
 
 
-# -- helpers shared by the sync loop and the async engine ---------------------------
-
-
-def resolve_round_callbacks(
-    callbacks: Sequence[RoundCallback] | None, tracer
-) -> tuple[list[RoundCallback], "object"]:
-    """Normalize the callback list and tracer (NULL_TRACER when absent);
-    a live tracer observes every round record."""
-    round_callbacks: list[RoundCallback] = list(callbacks) if callbacks else []
+def _drive(
+    algorithm, fed, model_fn, config, *,
+    eval_per_client, callbacks, selector, tracer, runtime, region_observer,
+) -> History:
     if tracer is None:
         tracer = NULL_TRACER
+    round_callbacks: list[RoundCallback] = list(callbacks) if callbacks else []
     if tracer.enabled:
         round_callbacks.append(tracer.on_round)
-    return round_callbacks, tracer
-
-
-def build_history(algorithm_name: str, config: FLConfig) -> History:
-    """The run's history in the mode ``config.history_mode`` selects.
-
-    ``'append'`` keeps the historical unbounded record list;
-    ``'stream'`` returns a :class:`StreamingHistory` that folds each
-    record into O(1) running aggregates, spooling full records to
-    ``<stream_dir>/history.jsonl`` when ``config.stream_dir`` is set.
-    The mode is execution-only — it never changes what gets recorded.
-    """
-    if config.history_mode != "stream":
-        return History(algorithm=algorithm_name)
-    stream_dir = config.stream_dir
-    stream_path = None if stream_dir is None else os.path.join(stream_dir, "history.jsonl")
-    return StreamingHistory(algorithm=algorithm_name, stream_path=stream_path)
-
-
-def release_round_state(fed) -> None:
-    """Round-boundary cleanup for virtual populations: drop the cohort's
-    materialized shards so resident memory stays flat across rounds."""
-    if getattr(fed, "virtual", False):
-        fed.release()
-
-
-def make_client_loss(algorithm, model, fed, config) -> Callable[[int], float]:
-    """Loss of the current global model on one client's shard (the
-    signal loss-based selectors rank by)."""
-
-    def client_loss(client_id: int) -> float:
-        assert algorithm.global_params is not None
-        set_flat_params(model, algorithm.global_params)
-        loss, _acc = evaluate_model(model, fed.clients[client_id], config.eval_batch)
-        return loss
-
-    return client_loss
-
-
-def select_round_clients(
-    round_idx: int,
-    fed: FederatedDataset,
-    config: FLConfig,
-    round_rng: np.random.Generator,
-    selector,
-    client_loss: Callable[[int], float],
-) -> np.ndarray:
-    """One round's cohort — the configured sampler or a custom selector.
-
-    Both execution modes draw from the same ``round_rng`` stream in the
-    same per-round order, which is one of the preconditions for the
-    async engine's zero-latency bit-identity.  ``config.sampler``
-    selects the cohort-drawing strategy (``'uniform'`` is the historical
-    stream; ``'reservoir'`` / ``'stratified[:k]'`` never enumerate the
-    population — see :mod:`repro.fl.sampling`).
-    """
-    from repro.fl.selection import SelectionContext
-
-    if selector is None:
-        return sample_cohort(
-            fed.num_clients,
-            config.sample_ratio,
-            round_rng,
-            sampler=config.sampler,
-        )
-    context = SelectionContext(
-        round_idx=round_idx, fed=fed, rng=round_rng, client_loss=client_loss
-    )
-    return np.asarray(selector.select(context), dtype=np.int64)
-
-
-def eval_per_client_accuracy(algorithm, model, fed, config, tracer) -> np.ndarray:
-    """Final global model's accuracy on each client's shard (Fig. 11)."""
-    with tracer.span("eval_per_client"):
-        assert algorithm.global_params is not None
-        set_flat_params(model, algorithm.global_params)
-        per_client = np.zeros(fed.num_clients)
-        eval_sets = fed.client_test if fed.client_test else fed.clients
-        for k, shard in enumerate(eval_sets):
-            _loss, acc = evaluate_model(model, shard, config.eval_batch)
-            per_client[k] = acc
-        return per_client
-
-
-# -- the synchronous barrier loop ---------------------------------------------------
-
-
-def _run_federated(
-    algorithm: "FederatedAlgorithm",
-    fed: FederatedDataset,
-    model_fn: Callable[[], SplitModel],
-    config: FLConfig,
-    *,
-    eval_per_client: bool = False,
-    callbacks: Sequence[RoundCallback] | None = None,
-    selector=None,
-    tracer=None,
-) -> History:
-    round_callbacks, tracer = resolve_round_callbacks(callbacks, tracer)
 
     model = model_fn()
     algorithm.tracer = tracer
     algorithm.setup(model, fed, config)
+    step = _round_step(algorithm, fed, config, runtime, region_observer)
+    # Every engine draws cohorts from this one stream in the same
+    # per-round order — a precondition of their bit-identity.
     round_rng = np.random.default_rng([config.seed, 0xF1])
-    client_loss = make_client_loss(algorithm, model, fed, config)
 
-    history = build_history(algorithm.name, config)
+    # history_mode is execution-only: 'stream' folds each record into
+    # O(1) running aggregates (spooling full records to stream_dir when
+    # set) and never changes what gets recorded.
+    if config.history_mode == "stream":
+        history: History = StreamingHistory(
+            algorithm=algorithm.name,
+            stream_path=(
+                None if config.stream_dir is None
+                else os.path.join(config.stream_dir, "history.jsonl")
+            ),
+        )
+    else:
+        history = History(algorithm=algorithm.name)
+
+    def evaluate_global(dataset) -> tuple[float, float]:
+        """(loss, accuracy) of the current global model on ``dataset``."""
+        assert algorithm.global_params is not None
+        set_flat_params(model, algorithm.global_params)
+        return evaluate_model(model, dataset, config.eval_batch)
 
     # Crash-safe checkpointing (repro.ckpt).  The manager owns the
     # directory; a resume restores the newest valid checkpoint into the
     # freshly set-up objects above and re-enters the loop at the next
     # round.  Every per-(round, client, phase) stream is derived from
     # the master seed, so restoring the round RNG + server state + the
-    # ledger/history cut makes the continuation bit-identical to an
-    # uninterrupted run.
+    # ledger/history cut + the step's own section makes the
+    # continuation bit-identical to an uninterrupted run.
     manager = None
     start_round = 0
     if config.checkpoint_dir is not None:
+        # Imported here: repro.ckpt imports repro.fl.
         from repro.ckpt.manager import CheckpointManager
         from repro.ckpt.state import capture_run_state, restore_run_state
 
         manager = CheckpointManager(config.checkpoint_dir, keep=config.checkpoint_keep)
+        run_state = dict(
+            algorithm=algorithm, round_rng=round_rng, history=history,
+            config=config, tracer=tracer,
+        )
         if config.resume:
             loaded = manager.load_latest_valid()
             if loaded is not None:
-                last_round = restore_run_state(
+                start_round = 1 + restore_run_state(
                     *loaded,
-                    algorithm=algorithm,
-                    round_rng=round_rng,
-                    history=history,
-                    config=config,
-                    tracer=tracer,
+                    **run_state,
+                    extra_sections=(
+                        {step.section: step.restore_tree} if step.section else None
+                    ),
                 )
-                start_round = last_round + 1
             # Everything restored was copied out of the section blobs;
             # bound here they would outlive the whole run.
             del loaded
 
     for round_idx in range(start_round, config.rounds):
+        last_round = round_idx == config.rounds - 1
         with tracer.span("round", round=round_idx):
             with tracer.span("sample"):
-                selected = select_round_clients(
-                    round_idx, fed, config, round_rng, selector, client_loss
-                )
+                if selector is None:
+                    cohort = sample_cohort(
+                        fed.num_clients, config.sample_ratio, round_rng,
+                        sampler=config.sampler,
+                    )
+                else:
+                    context = SelectionContext(
+                        round_idx=round_idx, fed=fed, rng=round_rng,
+                        client_loss=lambda k: evaluate_global(fed.clients[k])[0],
+                    )
+                    cohort = np.asarray(selector.select(context), dtype=np.int64)
+            started = time.perf_counter()
+            stats, dispatched = step.run(round_idx, cohort)
+            elapsed = time.perf_counter() - started
             if tracer.enabled:
-                for client_id in selected:
+                for client_id in dispatched:
                     tracer.metrics.counter(
                         "clients.selected", client=int(client_id)
                     ).inc()
-            started = time.perf_counter()
-            stats = algorithm.run_round(round_idx, selected)
-            elapsed = time.perf_counter() - started
             assert algorithm.ledger is not None
             round_comm = algorithm.ledger.end_round()
 
@@ -339,49 +275,47 @@ def _run_federated(
                 wall_time_sec=elapsed,
                 bytes_down=round_comm["down"],
                 bytes_up=round_comm["up"],
-                num_selected=len(selected),
+                num_selected=len(dispatched),
             )
-            is_eval_round = (
-                round_idx % config.eval_every == 0 or round_idx == config.rounds - 1
-            )
-            if is_eval_round:
+            if round_idx % config.eval_every == 0 or last_round:
                 with tracer.span("eval"):
-                    assert algorithm.global_params is not None
-                    set_flat_params(model, algorithm.global_params)
-                    test_loss, test_acc = evaluate_model(
-                        model, fed.test, config.eval_batch
-                    )
-                    record.test_loss = test_loss
-                    record.test_accuracy = test_acc
+                    record.test_loss, record.test_accuracy = evaluate_global(fed.test)
+            step.observe(record, round_comm)
             history.append(record)
             for callback in round_callbacks:
                 callback(record)
             if manager is not None and (
-                (round_idx + 1) % config.checkpoint_every == 0
-                or round_idx == config.rounds - 1
+                (round_idx + 1) % config.checkpoint_every == 0 or last_round
             ):
                 # After history/ledger bookkeeping: the snapshot is a
-                # consistent between-rounds cut of the whole run.
-                # The sections alias live state and are never bound
-                # here: capture -> save is one synchronous step.
+                # consistent between-rounds cut of the whole run.  The
+                # sections alias live state and are never bound here:
+                # capture -> save is one synchronous step.
                 with tracer.span("checkpoint"):
                     manager.save(
                         round_idx,
                         *capture_run_state(
                             round_idx=round_idx,
-                            algorithm=algorithm,
-                            round_rng=round_rng,
-                            history=history,
-                            config=config,
-                            tracer=tracer,
+                            **run_state,
+                            extra_sections=(
+                                {step.section: step.state_tree()}
+                                if step.section else None
+                            ),
                         ),
                     )
             record_scale_gauges(tracer, fed)
-        release_round_state(fed)
+        # Virtual populations drop the cohort's materialized shards so
+        # resident memory stays flat across rounds.
+        if getattr(fed, "virtual", False):
+            fed.release()
 
     history.final_accuracy = history.last_accuracy()
+    step.finish(history)
     if eval_per_client:
-        history.per_client_accuracy = eval_per_client_accuracy(
-            algorithm, model, fed, config, tracer
-        )
+        # Final global model's accuracy on each client's shard (Fig. 11).
+        with tracer.span("eval_per_client"):
+            eval_sets = fed.client_test if fed.client_test else fed.clients
+            history.per_client_accuracy = np.array(
+                [evaluate_global(shard)[1] for shard in eval_sets]
+            )
     return history

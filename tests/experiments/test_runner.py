@@ -160,16 +160,3 @@ def test_grid_resume_reruns_only_unfinished_cells(tmp_path, monkeypatch):
             [r.test_accuracy for r in h_res.records],
         )
     assert (crashed / "result.json").is_file()  # marker rewritten on completion
-
-
-def test_run_experiment_alias_warns_and_delegates(rng):
-    # Old name kept as a deprecation shim for the run_grid rename.
-    import pytest
-    from repro.experiments import runner
-
-    config = FLConfig(rounds=1, local_steps=1, batch_size=8, seed=0)
-    with pytest.warns(DeprecationWarning, match="run_grid"):
-        result = runner.run_experiment(
-            "fedavg", _fed_builder, _model_fn_builder, config
-        )
-    assert isinstance(result, RunResult)

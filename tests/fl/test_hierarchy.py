@@ -1,8 +1,5 @@
-"""Hierarchical FL tests: topology parsing, region partitions, the
-region-parallel engine behind ``FLConfig(topology=...)``, and the
-deprecated eager shims."""
-
-import warnings
+"""Hierarchical FL tests: topology parsing, region partitions and the
+regions round step behind ``FLConfig(topology=...)``."""
 
 import numpy as np
 import pytest
@@ -10,13 +7,7 @@ import pytest
 from repro.algorithms import make_algorithm
 from repro.exceptions import CheckpointError, ConfigError
 from repro.fl.config import FLConfig, parse_topology_spec
-from repro.fl.hierarchy import (
-    HierarchyConfig,
-    RegionSet,
-    assign_edges,
-    run_hier_federated,
-    run_hierarchical,
-)
+from repro.fl.hierarchy import RegionSet
 from repro.fl.trainer import run_federated
 from repro.models import build_mlp
 
@@ -266,55 +257,3 @@ def test_learns_on_iid(iid_federation):
         _config(rounds=15, local_steps=4, lr=0.3, topology="hier:2:3", eval_every=5),
     )
     assert history.final_accuracy > 0.45
-
-
-# -- deprecated eager API ------------------------------------------------------
-
-
-def test_hierarchy_config_validation():
-    with pytest.raises(ConfigError):
-        HierarchyConfig(edge_rounds=0)
-    with pytest.raises(ConfigError):
-        HierarchyConfig(edge_period=0)
-
-
-def test_assign_edges_partitions_clients(rng):
-    assignment = assign_edges(10, 3, rng)
-    assert len(assignment) == 3
-    joined = np.sort(np.concatenate(assignment))
-    np.testing.assert_array_equal(joined, np.arange(10))
-    assert all(len(a) >= 1 for a in assignment)
-
-
-def test_assign_edges_validation(rng):
-    with pytest.raises(ConfigError):
-        assign_edges(3, 4, rng)
-    with pytest.raises(ConfigError):
-        assign_edges(3, 0, rng)
-
-
-def test_run_hierarchical_shim_warns_and_delegates(toy_federation):
-    import repro.fl.hierarchy as hierarchy_module
-
-    hierarchy_module._RUN_HIERARCHICAL_WARNED = False
-    with pytest.warns(DeprecationWarning, match="run_hierarchical"):
-        history = run_hierarchical(
-            toy_federation, _model_fn(toy_federation),
-            FLConfig(rounds=1, local_steps=2, batch_size=8, lr=0.2, seed=0),
-            HierarchyConfig(edge_rounds=6, edge_period=3), num_edges=2,
-        )
-    assert len(history.records) == 6
-    assert history.cloud_rounds() == [2, 5]
-    assert history.final_accuracy is not None
-    divergence = history.edge_divergence_series()
-    for cloud_round in history.cloud_rounds():
-        assert divergence[cloud_round] == pytest.approx(0.0)
-    assert divergence[1] > 0.0
-    # The warning fires once: a second call under an error filter is clean.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        run_hierarchical(
-            toy_federation, _model_fn(toy_federation),
-            FLConfig(rounds=1, local_steps=2, batch_size=8, lr=0.2, seed=0),
-            HierarchyConfig(edge_rounds=3, edge_period=3), num_edges=2,
-        )

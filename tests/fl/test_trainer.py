@@ -87,14 +87,6 @@ def test_round_callbacks_invoked(toy_federation, fast_config):
     assert len(also) == fast_config.rounds
 
 
-def test_progress_keyword_removed(toy_federation, fast_config):
-    with pytest.raises(TypeError, match="callbacks"):
-        run_federated(
-            FedAvg(), toy_federation, _model_fn(toy_federation), fast_config,
-            progress=lambda rec: None,
-        )
-
-
 def test_unknown_keyword_rejected(toy_federation, fast_config):
     with pytest.raises(TypeError, match="unexpected keyword"):
         run_federated(
