@@ -31,6 +31,11 @@ Extension points, in round order:
 * :meth:`_commit_client` — per-client state mutation, selection order.
 * :meth:`_aggregate_updates` / :meth:`_aggregate` — server update.
 * :meth:`_post_aggregate` — extra synchronization phases.
+
+In-process, the unit is a *block* of clients where it can be
+(:meth:`FederatedAlgorithm._block_update`, gated by
+:meth:`FederatedAlgorithm.stack_refusal`): one stacked pass through the
+same training loop, returning the same per-client updates.
 """
 
 from __future__ import annotations
@@ -51,8 +56,44 @@ from repro.fl.config import FLConfig
 from repro.fl.parallel import ClientExecutor, ClientUpdate, SerialExecutor, make_executor
 from repro.fl.server import weighted_average
 from repro.models.split import SplitModel
-from repro.nn.serialization import get_flat_params, num_params, set_flat_params
+from repro.nn.serialization import (
+    get_flat_params,
+    num_params,
+    set_flat_params,
+    stacked_params,
+)
 from repro.obs.trace import NULL_TRACER
+
+
+def block_aware(method):
+    """Mark a per-client hook as taking a *block* of clients too.
+
+    A block-aware hook accepts an array of client ids where it documents
+    one id, and what it returns acts on the stacked ``(K, ...)`` tensors
+    of the block (``(K, B, d)`` features, ``(K, ...)`` gradients) with
+    slice ``k`` the bytes of the per-client call.  Every hook of the base
+    class is; an override is not until it says so again — which is how
+    :meth:`FederatedAlgorithm.stack_refusal` tells an algorithm whose
+    clients can train stacked from one that must run them one by one.
+    """
+    method.block_aware = True
+    return method
+
+
+# Clients per stacked block of in-process work.  Sized by measurement
+# (docs/performance.md, "A cohort is one stacked pass"): the time per
+# client is flat from ~12 clients a block up, while what a block holds
+# beyond its updates — stacked gradients and a step's temporaries, about
+# two parameter vectors a client — is peak RSS on the memory-bound
+# workload (+2 % at 16, +6.5 % at 32, +28 % for a 100-client cohort).
+COHORT_BLOCK = 16
+
+# What :meth:`FederatedAlgorithm._block_update` calls with a block, or
+# stands in for.
+_BLOCK_HOOKS = (
+    "_client_update", "_train_one_client", "_local_config",
+    "_reg_hook", "_grad_hook", "_client_payload",
+)
 
 
 @dataclass
@@ -277,11 +318,13 @@ class FederatedAlgorithm:
         assert self.model is not None and self.global_params is not None
         set_flat_params(self.model, self.global_params)
 
+    @block_aware
     def _local_config(self, round_idx: int, client_id: int) -> FLConfig:
         """Training config for one client round (FedNova overrides)."""
         assert self.config is not None
         return self.config
 
+    @block_aware
     def _train_one_client(
         self,
         round_idx: int,
@@ -304,14 +347,17 @@ class FederatedAlgorithm:
         return get_flat_params(self.model), result
 
     # -- extension points ------------------------------------------------------------
+    @block_aware
     def _reg_hook(self, round_idx: int, client_id: int):
         """Distribution-regularizer hook for one client round (or None)."""
         return None
 
+    @block_aware
     def _grad_hook(self, round_idx: int, client_id: int):
         """Parameter-gradient correction hook for one client round (or None)."""
         return None
 
+    @block_aware
     def _client_payload(
         self, round_idx: int, client_id: int, params: np.ndarray
     ) -> dict | None:
@@ -320,6 +366,7 @@ class FederatedAlgorithm:
         delta, MOON's previous-model snapshot).  Must be picklable."""
         return None
 
+    @block_aware
     def _client_update(self, round_idx: int, client_id: int) -> ClientUpdate:
         """One client's complete local work for the round.
 
@@ -336,6 +383,15 @@ class FederatedAlgorithm:
             reg_hook=self._reg_hook(round_idx, client_id),
             grad_hook=self._grad_hook(round_idx, client_id),
         )
+        update = self._finish_update(round_idx, client_id, params, result)
+        update.train_seconds = time.perf_counter() - started
+        return update
+
+    def _finish_update(
+        self, round_idx: int, client_id: int, params: np.ndarray, result: LocalResult
+    ) -> ClientUpdate:
+        """A trained client's upload: the fault / compression pipeline,
+        the algorithm's payload, the record (the caller times the work)."""
         params, streams, wire_size, residual = self._apply_upload_pipeline(
             round_idx, client_id, params
         )
@@ -347,12 +403,85 @@ class FederatedAlgorithm:
             task_loss=result.mean_task_loss,
             reg_loss=result.mean_reg_loss,
             num_steps=result.num_steps,
-            train_seconds=time.perf_counter() - started,
             payload=payload,
             params_streams=streams,
             wire_size=wire_size,
             residual=residual,
         )
+
+    def stack_refusal(self, shard_sizes: np.ndarray) -> str | None:
+        """Why clients with shards of these sizes cannot train as one
+        stacked block — None when they can.  The one place eligibility
+        is decided, from what the run itself shows:
+
+        * ``'algorithm'`` — a per-client hook was overridden without
+          :func:`block_aware`, so it may do per-client work the block
+          would skip;
+        * ``'model'`` — some module of the model does not take leading
+          axes as batch axes (``Module.leading_axes``);
+        * ``'short_shard'`` — a shard is shorter than the batch, so its
+          batches have another shape;
+        * ``'ragged'`` — the shards differ in length, so they do not
+          stack for the full-shard passes.
+        """
+        assert self.model is not None and self.config is not None
+        hooks = (getattr(type(self), name) for name in _BLOCK_HOOKS)
+        if not all(getattr(hook, "block_aware", False) for hook in hooks):
+            return "algorithm"
+        if not all(module.leading_axes for module in self.model.modules()):
+            return "model"
+        if shard_sizes.min() < self.config.batch_size:
+            return "short_shard"
+        if shard_sizes.min() != shard_sizes.max():
+            return "ragged"
+        return None
+
+    def cohort_blocks(self, client_ids) -> list[tuple[list[int], str | None]]:
+        """``client_ids`` cut, in order, into blocks of at most
+        :data:`COHORT_BLOCK`, each with :meth:`stack_refusal`'s answer
+        for it (None too for a single client: nothing to stack)."""
+        assert self.fed is not None
+        ids = [int(c) for c in client_ids]
+        sizes = self.fed.client_sizes[ids] if len(ids) > 1 else None
+        blocks = []
+        for start in range(0, len(ids), COHORT_BLOCK):
+            block = ids[start : start + COHORT_BLOCK]
+            refusal = None
+            if len(block) > 1:
+                refusal = self.stack_refusal(sizes[start : start + COHORT_BLOCK])
+            blocks.append((block, refusal))
+        return blocks
+
+    def _block_update(self, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
+        """The :meth:`_client_update` of every client in a block that
+        :meth:`stack_refusal` passes, as one stacked pass: parameters are
+        rows of one arena, each client draws its batches from its own
+        :meth:`client_rng`, and the finished rows are the updates'
+        ``params`` (views — the arena lives as long as they do).  The
+        block's wall clock is split evenly into ``train_seconds``.
+        """
+        assert self.model is not None and self.fed is not None and self.config is not None
+        started = time.perf_counter()
+        ids = np.asarray(client_ids, dtype=np.int64)
+        shards = [self.fed.clients[c] for c in client_ids]
+        with stacked_params(self.model, self.global_params, len(shards)) as arena:
+            results = local_sgd_steps(
+                self.model,
+                shards,
+                self._local_config(round_idx, ids),
+                [self.client_rng(round_idx, c) for c in client_ids],
+                step_offset=round_idx * self.config.local_steps,
+                reg_hook=self._reg_hook(round_idx, ids),
+                grad_hook=self._grad_hook(round_idx, ids),
+            )
+        updates = [
+            self._finish_update(round_idx, client_id, row, result)
+            for client_id, row, result in zip(client_ids, arena, results)
+        ]
+        share = (time.perf_counter() - started) / len(updates)
+        for update in updates:
+            update.train_seconds = share
+        return updates
 
     def _commit_client(self, round_idx: int, update: ClientUpdate) -> None:
         """Apply one finished client's side effects to shared state.

@@ -98,44 +98,76 @@ class RegularizedAlgorithm(FederatedAlgorithm):
             self.delta_cache.load_state_dict(state["delta_cache"])
 
     def _raw_delta(self, client_id: int, phi_fp: bytes | None = None) -> np.ndarray:
-        """Client k's mean embedding under the current workspace model,
-        through the delta cache when enabled.
+        """:meth:`_raw_deltas` of one client."""
+        return self._raw_deltas([client_id], phi_fp)[0]
+
+    def _raw_deltas(self, client_ids: list[int], phi_fp: bytes | None = None) -> list:
+        """The clients' mean embeddings under the current workspace
+        model, through the delta cache when enabled.  More than one
+        client is a block :meth:`stack_refusal` passed: the embeddings
+        the cache does not hold come from one stacked pass, after every
+        lookup of the block and before its stores.
 
         ``phi_fp`` is the fingerprint of the workspace model's phi, from a
         caller that loaded the model once and holds it fixed across many
         clients; without it phi is hashed here, per call.
         """
         assert self.model is not None and self.fed is not None and self.config is not None
-        shard = self.fed.clients[client_id]
+        shards = [self.fed.clients[client_id] for client_id in client_ids]
+
+        def embed(block):
+            # One shard goes through the model as it always did (any
+            # model); several go as one stack and come back as rows.
+            data = block[0] if len(block) == 1 else block
+            rows = compute_mean_embedding(self.model, data, self.config.eval_batch)
+            return [rows] if len(block) == 1 else list(rows)
+
         if self.delta_cache is None:
-            return compute_mean_embedding(self.model, shard, self.config.eval_batch)
+            return embed(shards)
         # The data fingerprint is recomputed on every call and phi's at
         # least once per loop that holds the model fixed, so stale hits
         # are impossible even under in-place parameter or data mutation
         # — provided such a loop does not mutate the model it hashed.
         if phi_fp is None:
             phi_fp = params_fingerprint(self.model.features)
-        data_fp = shard.content_fingerprint()
-        delta = self.delta_cache.lookup(client_id, phi_fp, data_fp)
-        hit = delta is not None
+        data_fps = [shard.content_fingerprint() for shard in shards]
+        deltas = [
+            self.delta_cache.lookup(client_id, phi_fp, data_fp)
+            for client_id, data_fp in zip(client_ids, data_fps)
+        ]
+        missed = [i for i, delta in enumerate(deltas) if delta is None]
         evicted = 0
-        if not hit:
-            delta = compute_mean_embedding(self.model, shard, self.config.eval_batch)
+        if missed:
             before = self.delta_cache.evictions
-            self.delta_cache.store(client_id, phi_fp, data_fp, delta)
+            for i, delta in zip(missed, embed([shards[i] for i in missed])):
+                self.delta_cache.store(client_ids[i], phi_fp, data_fps[i], delta)
+                deltas[i] = delta
             evicted = self.delta_cache.evictions - before
         if self.tracer.enabled:
-            name = "delta_cache.hits" if hit else "delta_cache.misses"
-            self.tracer.metrics.counter(name).inc()
+            metrics = self.tracer.metrics
+            if len(missed) < len(deltas):
+                metrics.counter("delta_cache.hits").inc(len(deltas) - len(missed))
+            if missed:
+                metrics.counter("delta_cache.misses").inc(len(missed))
             if evicted:
-                self.tracer.metrics.counter("delta_cache.evictions").inc(evicted)
-        return delta
+                metrics.counter("delta_cache.evictions").inc(evicted)
+        return deltas
 
     def _client_delta(
         self, round_idx: int, client_id: int, phase: int = 0, phi_fp: bytes | None = None
     ) -> np.ndarray:
-        """Compute (and optionally privatize) client k's mean embedding
-        under the *current workspace model* parameters.
+        """:meth:`_client_deltas` of one client."""
+        return self._client_deltas(round_idx, [client_id], phase, phi_fp)[0]
+
+    def _client_deltas(
+        self,
+        round_idx: int,
+        client_ids: list[int],
+        phase: int = 0,
+        phi_fp: bytes | None = None,
+    ) -> list:
+        """Compute (and optionally privatize) the clients' mean
+        embeddings under the *current workspace model* parameters.
 
         Privacy noise draws from a dedicated ``(round, client, phase)``
         stream so the numbers do not depend on the order clients execute
@@ -145,15 +177,18 @@ class RegularizedAlgorithm(FederatedAlgorithm):
         cache cannot perturb the privacy stream.
         """
         assert self.model is not None and self.fed is not None and self.config is not None
-        with self.tracer.span("delta_compute", client=client_id):
-            delta = self._raw_delta(client_id, phi_fp)
+        attrs = {"block": len(client_ids)} if len(client_ids) > 1 else {}
+        with self.tracer.span("delta_compute", client=client_ids[0], **attrs):
+            deltas = self._raw_deltas(client_ids, phi_fp)
             if self.privacy is not None:
-                shard = self.fed.clients[client_id]
-                rng = np.random.default_rng(
-                    [self.config.seed, round_idx, client_id, 0xD9, phase]
-                )
-                delta = self.privacy.privatize(delta, batch_size=len(shard), rng=rng)
-        return delta
+                for i, client_id in enumerate(client_ids):
+                    rng = np.random.default_rng(
+                        [self.config.seed, round_idx, client_id, 0xD9, phase]
+                    )
+                    deltas[i] = self.privacy.privatize(
+                        deltas[i], batch_size=len(self.fed.clients[client_id]), rng=rng
+                    )
+        return deltas
 
     def _traced_reg_hook(self, hook):
         """Wrap a regularizer hook so each evaluation emits a span."""

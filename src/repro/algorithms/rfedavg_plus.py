@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms.base import block_aware
 from repro.algorithms.regularized import RegularizedAlgorithm
 from repro.core.privacy import GaussianDeltaMechanism
 from repro.core.regularizer import DistributionRegularizer
@@ -97,11 +98,18 @@ class RFedAvgPlus(RegularizedAlgorithm):
                 state["sync_delta_residuals"]
             )
 
-    def _reg_hook(self, round_idx: int, client_id: int):
+    @block_aware
+    def _reg_hook(self, round_idx: int, client_id):
+        """The leave-one-out hook of one client — or of a block of them:
+        an array of ids stacks their targets to ``(K, d)``, and the hook
+        then maps ``(K, B, d)`` features to ``K`` losses."""
         assert self.delta_table is not None
         if not self.delta_table.any_reported:
             return None
-        target = self.delta_table.mean_of_others(client_id)
+        if np.ndim(client_id):
+            target = np.stack([self.delta_table.mean_of_others(int(c)) for c in client_id])
+        else:
+            target = self.delta_table.mean_of_others(client_id)
         regularizer = self.regularizer
 
         def hook(features: np.ndarray):
@@ -134,14 +142,17 @@ class RFedAvgPlus(RegularizedAlgorithm):
 
     def _synced_deltas(self, round_idx: int, client_ids, phase: int, params: np.ndarray):
         """Load ``params`` into the workspace model and yield ``(client,
-        delta)`` for each client under it.  Phi is fingerprinted once for
-        the whole loop (when there is a cache to key), so the consumer
-        must not mutate the workspace model between two deltas."""
+        delta)`` for each client under it — a block of clients
+        (:meth:`cohort_blocks`) at a time where their shards stack, so a
+        block's deltas are all computed before its first is yielded.
+        Phi is fingerprinted once for the whole loop (when there is a
+        cache to key), so the consumer must not mutate the workspace
+        model between two deltas."""
         set_flat_params(self.model, params)
         phi_fp = None if self.delta_cache is None else params_fingerprint(self.model.features)
-        for client_id in client_ids:
-            cid = int(client_id)
-            yield cid, self._client_delta(round_idx, cid, phase, phi_fp)
+        for block, refusal in self.cohort_blocks(client_ids):
+            for group in [block] if refusal is None else [[cid] for cid in block]:
+                yield from zip(group, self._client_deltas(round_idx, group, phase, phi_fp))
 
     def _post_aggregate(self, round_idx: int, selected: np.ndarray) -> None:
         """Phase 2: second sync — deltas from the fresh global model."""

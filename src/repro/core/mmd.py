@@ -17,13 +17,16 @@ from repro.exceptions import DataError
 
 
 def mean_embedding(features: np.ndarray) -> np.ndarray:
-    """The empirical mean embedding delta = mean of feature rows (B, d) -> (d,)."""
+    """The empirical mean embedding delta = mean of feature rows (B, d) -> (d,).
+
+    Leading axes are batch axes: (K, B, d) -> (K, d), one embedding a slice.
+    """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise DataError(f"features must be 2-D (batch, dim), got {features.shape}")
-    if features.shape[0] == 0:
+    if features.ndim < 2:
+        raise DataError(f"features must be (..., batch, dim), got {features.shape}")
+    if features.shape[-2] == 0:
         raise DataError("cannot embed an empty batch")
-    return features.mean(axis=0)
+    return features.mean(axis=-2)
 
 
 def linear_mmd(x_features: np.ndarray, y_features: np.ndarray) -> float:

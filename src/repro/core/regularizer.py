@@ -35,10 +35,13 @@ def pairwise_regularizer_loss(delta: np.ndarray, others: np.ndarray) -> float:
     return float((gaps * gaps).sum(axis=1).mean())
 
 
-def loo_regularizer_loss(delta: np.ndarray, target: np.ndarray) -> float:
-    """r~_k: squared distance from ``delta`` to the leave-one-out mean."""
+def loo_regularizer_loss(delta: np.ndarray, target: np.ndarray) -> float | np.ndarray:
+    """r~_k: squared distance from ``delta`` to the leave-one-out mean
+    (``(K, d)`` rows against ``(K, d)`` targets: the ``K`` distances)."""
     gap = delta - target
-    return float(gap @ gap)
+    # A row-times-column product per gap: the bits of ``gap @ gap``.
+    squared = (gap[..., None, :] @ gap[..., :, None])[..., 0, 0]
+    return squared if squared.ndim else float(squared)
 
 
 def _embedding_grad(
@@ -52,7 +55,7 @@ def _embedding_grad(
 class RegularizerResult:
     """Output of one regularizer evaluation on a minibatch."""
 
-    loss: float  # lambda * r_k (the weighted regularization loss)
+    loss: float | np.ndarray  # lambda * r_k (the weighted regularization loss)
     feature_grad: np.ndarray  # (B, d) gradient to add on the features
 
 
@@ -87,14 +90,22 @@ class DistributionRegularizer:
                 other clients; for 'loo' mode, the (d,) leave-one-out
                 average delta^{-k}.
 
+        In 'loo' mode leading axes are batch axes: (K, B, d) features
+        against (K, d) targets evaluate K clients at once — K losses
+        and a (K, B, d) gradient, slice k the bytes of the 2-D call.
+
         Returns:
             :class:`RegularizerResult` with the *lambda-weighted* loss
             and the (B, d) gradient to inject into the model backward.
         """
         features = np.asarray(features, dtype=np.float64)
-        batch_size = features.shape[0]
+        batch_size = features.shape[-2]
         delta = mean_embedding(features)
         if self.mode == self.PAIRWISE:
+            if features.ndim != 2:
+                raise ConfigError(
+                    f"pairwise mode takes (batch, dim) features, got {features.shape}"
+                )
             others = np.atleast_2d(np.asarray(reference, dtype=np.float64))
             if others.shape[1] != delta.shape[0]:
                 raise ConfigError(
@@ -110,5 +121,5 @@ class DistributionRegularizer:
                 )
             loss = self.lam * loo_regularizer_loss(delta, target)
         grad_row = _embedding_grad(delta, target, batch_size, self.lam)
-        feature_grad = np.broadcast_to(grad_row, features.shape).copy()
+        feature_grad = np.broadcast_to(grad_row[..., None, :], features.shape).copy()
         return RegularizerResult(loss=loss, feature_grad=feature_grad)

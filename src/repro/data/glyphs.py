@@ -189,6 +189,42 @@ def render_glyph(
     return canvas.clip(0.0, 1.0, out=canvas if out is None else out)
 
 
+def stamp_glyphs(
+    canvases: np.ndarray,
+    chars: list[str],
+    shears: np.ndarray,
+    thicknesses: np.ndarray,
+    intensities: np.ndarray,
+    row_jitter: np.ndarray,
+    col_jitter: np.ndarray,
+) -> None:
+    """Add one unscaled (7x5) glyph to each ``(s, s)`` canvas of a stack.
+
+    The deterministic half of :func:`render_glyph` — style the bitmap,
+    center it, move it by its jitter and keep it on the canvas, add
+    ``bitmap * intensity`` — for ``n`` samples whose draws are already
+    made, as one indexed add instead of ``n`` slice adds.  The same bytes:
+    ``np.rint`` rounds a shear's row shifts half-to-even as ``round``
+    does, and no two glyphs touch the same canvas.
+    """
+    count, size, _ = canvases.shape
+    glyph_h, glyph_w = 7, 5
+    if size < glyph_h:
+        raise DataError(f"glyph {glyph_h}x{glyph_w} does not fit canvas {size}")
+    shifts = np.rint(np.multiply.outer(shears, np.arange(float(glyph_h)))).astype(np.int64)
+    bitmaps = np.stack([
+        _styled_bitmap(char, thickness, 1, tuple(row_shifts))
+        for char, thickness, row_shifts in zip(chars, thicknesses.tolist(), shifts.tolist())
+    ])
+    tops = np.clip((size - glyph_h) // 2 + row_jitter, 0, size - glyph_h)
+    lefts = np.clip((size - glyph_w) // 2 + col_jitter, 0, size - glyph_w)
+    rows = tops[:, None, None] + np.arange(glyph_h)[:, None]
+    cols = lefts[:, None, None] + np.arange(glyph_w)
+    canvases[np.arange(count)[:, None, None], rows, cols] += (
+        bitmaps * intensities[:, None, None]
+    )
+
+
 def random_style(
     rng: np.random.Generator,
     canvas_size: int,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import ArrayDataset, DatasetSpec
-from repro.data.glyphs import GlyphStyle, render_glyph
+from repro.data.glyphs import stamp_glyphs
 from repro.exceptions import DataError
 
 DIGITS = "0123456789"
@@ -55,17 +55,45 @@ def render_digits(
     """One per-sample-styled digit image per label, (len(labels), 1, s, s).
 
     Every synthetic-MNIST sample anywhere (the eager splits here, the
-    virtual population's shards and test set) is drawn by this loop, in
-    this order: shear, thickness, intensity, then the render's own draws.
+    virtual population's shards and test set) is drawn by this loop, six
+    generator calls a sample in this order: shear (``uniform``),
+    thickness (``integers``), intensity (``uniform``), the placement's
+    row and column jitter (``integers`` twice), then the canvas of pixel
+    noise.  The bytes are those of ``render_glyph(digit, image_size,
+    GlyphStyle(shear, thickness, 1, intensity, noise), rng, jitter=1)``
+    a sample, which draws the last three itself.
+
+    Only the draws are per sample.  A sample's noise is drawn as
+    ``standard_normal(out=canvas)`` straight into its image, and the
+    whole batch is then scaled (``*= noise``), normalized (``+= 0.0``),
+    stamped (:func:`~repro.data.glyphs.stamp_glyphs`) and clipped once.
+    That is ``normal(0.0, noise, size)`` bit for bit: the generator
+    computes a normal variate as ``loc + scale * z`` from the same ``z``
+    stream ``standard_normal`` fills ``out`` with, one multiplication
+    rounds the same in either operand order, and adding ``0.0`` is exact
+    — except that it turns a ``-0.0`` product (``z == -0.0``, or an
+    underflow) into ``+0.0``, which is also what ``0.0 + ...`` does.  So
+    the canvas never holds ``-0.0``, and stamping a glyph on it equals
+    adding the noise to a zero canvas that holds the glyph, as
+    ``render_glyph`` relies on.
     """
+    if noise < 0:
+        raise DataError(f"noise must be non-negative, got {noise}")
     images = np.empty((len(labels), 1, image_size, image_size))
-    for image, label in zip(images[:, 0], labels.tolist()):
-        style = GlyphStyle(
-            shear=float(rng.uniform(-0.15, 0.15)),
-            thickness=int(rng.integers(0, 2)),
-            scale=1,
-            intensity=float(rng.uniform(0.75, 1.0)),
-            noise=noise,
-        )
-        render_glyph(DIGITS[label], image_size, style, rng, jitter=1, out=image)
-    return images
+    canvases = images[:, 0]
+    draws = []
+    for canvas in canvases:
+        draws.append((
+            rng.uniform(-0.15, 0.15),
+            rng.integers(0, 2),
+            rng.uniform(0.75, 1.0),
+            rng.integers(-1, 2),
+            rng.integers(-1, 2),
+        ))
+        rng.standard_normal(out=canvas)
+    images *= noise
+    images += 0.0
+    if draws:
+        chars = [DIGITS[label] for label in labels.tolist()]
+        stamp_glyphs(canvases, chars, *map(np.array, zip(*draws)))
+    return images.clip(0.0, 1.0, out=images)

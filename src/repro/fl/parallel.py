@@ -162,17 +162,56 @@ class ClientExecutor:
 
 
 class SerialExecutor(ClientExecutor):
-    """The reference engine: clients run one at a time, in-process."""
+    """The reference engine: the cohort runs in-process, in order.
+
+    The unit of work is a block of clients (``algorithm.cohort_blocks``):
+    one stacked pass (``algorithm._block_update``) where the algorithm's
+    ``stack_refusal`` has no objection, one client at a time
+    (``algorithm._client_update``) where it has — same updates, same
+    order, same bytes either way.  Traced runs count
+    ``executor.stacked_blocks`` / ``executor.stacked_clients`` and, once
+    per round and reason, ``executor.cohort_unstacked{reason=...}``.
+    """
 
     name = "serial"
 
     def run(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
         tracer = algorithm.tracer
         updates: list[ClientUpdate] = []
-        for client_id in client_ids:
-            with tracer.span("local_train", client=int(client_id)):
-                updates.append(algorithm._client_update(round_idx, int(client_id)))
+        stacked_blocks = stacked_clients = 0
+        refusals: set[str] = set()
+        for block, refusal in algorithm.cohort_blocks(client_ids):
+            if refusal is None and len(block) > 1:
+                stacked_blocks += 1
+                stacked_clients += len(block)
+                updates += algorithm._block_update(round_idx, block)
+                if tracer.enabled:
+                    self._emit_block_spans(tracer, updates[-len(block) :])
+                continue
+            if refusal is not None:
+                refusals.add(refusal)
+            for client_id in block:
+                with tracer.span("local_train", client=client_id):
+                    updates.append(algorithm._client_update(round_idx, client_id))
+        if tracer.enabled:
+            metrics = tracer.metrics
+            if stacked_blocks:
+                metrics.counter("executor.stacked_blocks").inc(stacked_blocks)
+                metrics.counter("executor.stacked_clients").inc(stacked_clients)
+            for refusal in sorted(refusals):
+                metrics.counter("executor.cohort_unstacked", reason=refusal).inc()
         return updates
+
+    @staticmethod
+    def _emit_block_spans(tracer, updates: list[ClientUpdate]) -> None:
+        """One ``local_train`` span a client, as the per-client path
+        emits, each carrying its share of the block's wall clock."""
+        for update in updates:
+            with tracer.span(
+                "local_train", client=update.client_id, block=len(updates)
+            ) as span:
+                pass
+            span.duration = update.train_seconds
 
 
 # The worker-process side of ParallelExecutor.  The algorithm (and, for

@@ -22,13 +22,18 @@ def build_logistic(
     num_classes: int,
     rng: np.random.Generator,
     feature_dim: int | None = None,
+    sample_ndim: int | None = None,
 ) -> SplitModel:
     """Linear feature map + linear head (no nonlinearity anywhere).
 
     With ``feature_dim=None`` the feature map is a square linear layer,
     so phi is a convex (affine) mapping exactly as Assumption A6 asks.
+    ``sample_ndim`` (the number of axes of one input sample) is what lets
+    the model take batches with leading axes; see :class:`repro.nn.Flatten`.
     """
     feat = feature_dim if feature_dim is not None else input_dim
-    features = nn.Sequential(nn.Flatten(), nn.Linear(input_dim, feat, rng=rng))
+    features = nn.Sequential(
+        nn.Flatten(sample_ndim), nn.Linear(input_dim, feat, rng=rng)
+    )
     head = nn.Linear(feat, num_classes, rng=rng)
     return SplitModel(features, head, feature_dim=feat)

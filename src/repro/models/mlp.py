@@ -21,9 +21,14 @@ def build_mlp(
     rng: np.random.Generator,
     hidden_dims: tuple[int, ...] = (64,),
     feature_dim: int = 32,
+    sample_ndim: int | None = None,
 ) -> SplitModel:
-    """Flatten -> [Linear -> ReLU]* -> Linear(feature_dim) -> ReLU -> head."""
-    layers: list[nn.Module] = [nn.Flatten()]
+    """Flatten -> [Linear -> ReLU]* -> Linear(feature_dim) -> ReLU -> head.
+
+    ``sample_ndim`` (the number of axes of one input sample) is what lets
+    the model take batches with leading axes; see :class:`repro.nn.Flatten`.
+    """
+    layers: list[nn.Module] = [nn.Flatten(sample_ndim)]
     prev = input_dim
     for width in hidden_dims:
         layers.append(nn.Linear(prev, width, rng=rng))

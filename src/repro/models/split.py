@@ -30,6 +30,8 @@ class SplitModel(Module):
     only (:meth:`repro.nn.Module.backward_params`).
     """
 
+    leading_axes = True  # of the split itself; phi and the head answer for theirs
+
     def __init__(self, features: Module, head: Module, feature_dim: int) -> None:
         super().__init__()
         self.features = features

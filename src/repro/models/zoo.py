@@ -41,13 +41,18 @@ def _build_mlp(spec: DatasetSpec, rng: np.random.Generator, scale: float) -> Spl
         raise ConfigError(f"mlp needs an image dataset, got {spec.kind}")
     hidden = max(16, int(round(64 * scale)))
     feat = max(8, int(round(32 * scale)))
-    return build_mlp(spec.flat_dim, spec.num_classes, rng, (hidden,), feature_dim=feat)
+    return build_mlp(
+        spec.flat_dim, spec.num_classes, rng, (hidden,), feature_dim=feat,
+        sample_ndim=len(spec.input_shape),
+    )
 
 
 def _build_logistic(spec: DatasetSpec, rng: np.random.Generator, scale: float) -> SplitModel:
     if spec.kind != "image":
         raise ConfigError(f"logistic needs an image dataset, got {spec.kind}")
-    return build_logistic(spec.flat_dim, spec.num_classes, rng)
+    return build_logistic(
+        spec.flat_dim, spec.num_classes, rng, sample_ndim=len(spec.input_shape)
+    )
 
 
 MODEL_BUILDERS = {

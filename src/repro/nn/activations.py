@@ -2,7 +2,8 @@
 
 A forward-only (eval-mode) pass keeps nothing for backward: the mask or
 output a layer's ``backward`` needs is stored by training-mode forwards
-only.  Forward values do not depend on the mode.
+only.  Forward values do not depend on the mode.  Every layer here is
+elementwise, so any leading axes are batch axes as a matter of course.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from repro.nn.module import Module
 
 
 class ReLU(Module):
+    leading_axes = True
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: np.ndarray | None = None
@@ -39,6 +42,8 @@ class ReLU(Module):
 
 
 class LeakyReLU(Module):
+    leading_axes = True
+
     def __init__(self, alpha: float = 0.01) -> None:
         super().__init__()
         self.alpha = alpha
@@ -62,6 +67,8 @@ class LeakyReLU(Module):
 
 
 class Tanh(Module):
+    leading_axes = True
+
     def __init__(self) -> None:
         super().__init__()
         self._out: np.ndarray | None = None
@@ -81,6 +88,8 @@ class Tanh(Module):
 
 
 class Sigmoid(Module):
+    leading_axes = True
+
     def __init__(self) -> None:
         super().__init__()
         self._out: np.ndarray | None = None

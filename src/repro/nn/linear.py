@@ -9,7 +9,17 @@ from repro.nn.module import Module, Parameter
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W + b`` for inputs of shape (batch, in_features)."""
+    """Affine map ``y = x @ W + b`` for inputs of shape (batch, in_features).
+
+    Leading axes are batch axes: ``x`` may be ``(..., batch, in_features)``
+    against the 2-D weight (every slice through the same map), or
+    ``(K, batch, in_features)`` against ``(K, in_features, out_features)``
+    weights, ``(K, out_features)`` biases and gradients of those shapes
+    (slice ``k`` through map ``k``).  ``np.matmul`` runs one GEMM per
+    slice, so slice ``k`` is the bytes of the 2-D call on it.
+    """
+
+    leading_axes = True
 
     def __init__(
         self,
@@ -36,13 +46,21 @@ class Linear(Module):
         self._x = x
         out = x @ self.weight.data
         if self.bias is not None:
-            out = out + self.bias.data
+            out = out + self.bias.data[..., None, :]
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def _accumulate_param_grads(self, grad_out: np.ndarray) -> None:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.weight.grad += self._x.T @ grad_out
+        self.weight.grad += self._x.swapaxes(-1, -2) @ grad_out
         if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.data.T
+            self.bias.grad += grad_out.sum(axis=-2)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self._accumulate_param_grads(grad_out)
+        return grad_out @ self.weight.data.swapaxes(-1, -2)
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        # Skips ``grad_out @ W.T``: at the first layer of an MLP it is the
+        # step's largest backward GEMM, and nobody reads it there.
+        self._accumulate_param_grads(grad_out)

@@ -26,13 +26,18 @@ class Loss:
 
 
 class SoftmaxCrossEntropy(Loss):
-    """Multiclass cross-entropy on raw logits with integer labels."""
+    """Multiclass cross-entropy on raw logits with integer labels.
+
+    Leading axes are batch axes: ``(K, B, C)`` logits with ``(K, B)``
+    labels give the ``K`` batch-mean losses as an array (slice ``k`` is
+    the bytes of the 2-D call on it) and a ``(K, B, C)`` gradient.
+    """
 
     def __init__(self) -> None:
         self._probs: np.ndarray | None = None
-        self._labels: np.ndarray | None = None
+        self._picked: tuple[np.ndarray, np.ndarray] | None = None
 
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
+    def forward(self, pred: np.ndarray, target: np.ndarray) -> float | np.ndarray:
         labels = np.asarray(target, dtype=np.int64)
         # functional.log_softmax and functional.softmax in one pass: the
         # same operations on the same values, so the same bits.
@@ -41,17 +46,17 @@ class SoftmaxCrossEntropy(Loss):
         total = exp.sum(axis=-1, keepdims=True)
         logp = shifted - np.log(total)
         self._probs = exp / total
-        self._labels = labels
-        batch = pred.shape[0]
-        return float(-logp[np.arange(batch), labels].mean())
+        # Each sample's own class, addressed through the (rows, C) view.
+        self._picked = picked = (np.arange(labels.size), labels.reshape(-1))
+        loss = -logp.reshape(-1, pred.shape[-1])[picked].reshape(labels.shape).mean(axis=-1)
+        return loss if loss.ndim else float(loss)
 
     def backward(self) -> np.ndarray:
-        if self._probs is None or self._labels is None:
+        if self._probs is None or self._picked is None:
             raise RuntimeError("backward called before forward")
-        batch = self._probs.shape[0]
         grad = self._probs.copy()
-        grad[np.arange(batch), self._labels] -= 1.0
-        return grad / batch
+        grad.reshape(-1, grad.shape[-1])[self._picked] -= 1.0
+        return grad / grad.shape[-2]
 
 
 class MeanSquaredError(Loss):

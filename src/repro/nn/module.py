@@ -78,7 +78,16 @@ class Module:
     module list in place (``model.layers[0] = ...``, ``.insert``) or
     ``del``-eting a child attribute is not seen and is unsupported:
     reassign the list, assign ``None``.
+
+    ``leading_axes`` declares that every axis in front of the layer's own
+    input axes is a batch axis: given ``(K, B, ...)`` inputs — and, for a
+    layer with parameters, ``(K, ...)`` parameters and gradients — slice
+    ``k`` of every output and gradient is the bytes the layer computes for
+    slice ``k`` alone.  A model all of whose modules say so can train a
+    block of clients in one pass (:func:`repro.fl.client.local_sgd_steps`).
     """
+
+    leading_axes = False
 
     def __init__(self) -> None:
         self.training = True
@@ -194,6 +203,8 @@ class Module:
 
 class Sequential(Module):
     """A chain of modules applied in order."""
+
+    leading_axes = True  # of the chain itself; each layer answers for its own
 
     def __init__(self, *layers: Module) -> None:
         super().__init__()

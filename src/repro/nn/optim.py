@@ -184,7 +184,10 @@ class SGD(Optimizer):
         super().__init__(params, lr, max_grad_norm)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+        # np.zeros, not zeros_like: pages nothing writes to are never made
+        # resident, and without momentum nothing writes to these — a
+        # block of clients' worth of them would otherwise count.
+        self._velocity = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
 
     def _apply(self, lr: float) -> None:
         for p, vel in zip(self.params, self._velocity):

@@ -12,6 +12,7 @@ back into a model casts to each parameter's dtype.
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,6 +45,35 @@ def set_flat_params(model: Module, flat: np.ndarray) -> None:
     for p in model.parameters():
         p.data[...] = flat[offset : offset + p.size].reshape(p.shape)
         offset += p.size
+
+
+@contextmanager
+def stacked_params(model: Module, flat: np.ndarray, copies: int):
+    """``copies`` models in one: yields a ``(copies, P)`` arena, every row
+    ``flat`` in the parameters' dtype, and for the length of the block
+    each parameter's ``data`` is its ``(copies, *shape)`` view into the
+    arena and ``grad`` a zeroed buffer of that shape.
+
+    A forward, backward and optimizer step through layers whose leading
+    axes are batch axes then trains row ``k`` as model ``k``, and the rows
+    are the flat vectors :func:`get_flat_params` would return — nothing
+    is unstacked.  On exit the parameters have their own tensors back,
+    untouched by the block.
+    """
+    params = model.parameters()
+    arena = np.empty((copies, num_params(model)), dtype=params[0].data.dtype)
+    arena[...] = flat
+    own = [(p.data, p.grad) for p in params]
+    offset = 0
+    try:
+        for p, (data, _grad) in zip(params, own):
+            p.data = arena[:, offset : offset + data.size].reshape(copies, *data.shape)
+            p.grad = np.zeros(p.data.shape, dtype=arena.dtype)
+            offset += data.size
+        yield arena
+    finally:
+        for p, (data, grad) in zip(params, own):
+            p.data, p.grad = data, grad
 
 
 def get_flat_grads(model: Module) -> np.ndarray:

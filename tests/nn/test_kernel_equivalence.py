@@ -26,6 +26,7 @@ from repro.models import (
     build_lstm_classifier,
     build_mlp,
 )
+from repro.models.split import SplitModel
 from repro.nn.activations import sigmoid
 from repro.nn.conv import Conv2d, col2im, im2col
 from repro.nn.gru import GRUCell
@@ -195,12 +196,20 @@ def _tokens(r):
     return r.integers(0, 30, size=(6, 7))
 
 
+def _bare_linear(r):
+    """A Linear as the very first layer (no Flatten, no bias): its own
+    parameter-only backward is what ``input_grad=False`` runs."""
+    features = nn.Sequential(nn.Linear(12, 8, rng=r, bias=False), nn.Tanh())
+    return SplitModel(features, nn.Linear(8, 4, rng=r), feature_dim=8)
+
+
 # name -> (model builder, batch builder); the CNN picks K=5 at 16x16, K=3 at 8x8.
 ZOO = {
     "cnn-k5": (lambda r: build_cnn(3, 16, 4, r, scale=0.25), _images(16, 3)),
     "cnn-k3": (lambda r: build_cnn(1, 8, 4, r, scale=0.25), _images(8, 1)),
     "mlp": (lambda r: build_mlp(48, 4, r, (16,), feature_dim=8), _images(4, 3)),
     "logistic": (lambda r: build_logistic(48, 4, r), _images(4, 3)),
+    "linear": (_bare_linear, lambda r: r.normal(size=(6, 12))),
     "lstm": (lambda r: build_lstm_classifier(30, 4, r, scale=0.1), _tokens),
     "gru": (lambda r: build_gru_classifier(30, 4, r, scale=0.1), _tokens),
 }

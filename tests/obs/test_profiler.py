@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.models import build_cnn, build_mlp
+from repro.models import build_cnn, build_lstm_classifier, build_mlp
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import LayerProfiler, _leaf_modules
 
@@ -124,13 +124,28 @@ def test_param_only_backward_is_timed_once_per_leaf_layer():
         assert backward.total > 0
         assert profiler.totals()[layer]["backward_sec"] == pytest.approx(backward.total)
 
-    # Linear is the MLP's first parametrised layer and inherits the default
-    # backward_params, which calls the (patched) backward: once, not twice.
-    # The Flatten in front of it is skipped altogether.
+    # Linear overrides backward_params as well: the MLP's first parametrised
+    # layer is timed through it — once, beside the two full backwards.  The
+    # Flatten in front of it is skipped altogether.
     registry = MetricsRegistry()
     mlp = build_mlp(64, 4, np.random.default_rng(0), (8,), feature_dim=8)
     with LayerProfiler(metrics=registry).profile(mlp):
         step(mlp)
-        assert all("backward_params" not in leaf.__dict__ for leaf in _leaf_modules(mlp))
+        assert all(
+            ("backward_params" in leaf.__dict__) == (type(leaf).__name__ == "Linear")
+            for leaf in _leaf_modules(mlp)
+        )
     assert registry.histograms["layer.backward_sec{layer=Linear}"].count == 3
     assert registry.histograms["layer.backward_sec{layer=Flatten}"].count == 0
+
+    # A first layer on the default backward_params (the LSTM's Embedding) is
+    # covered by the patched backward the default calls: once, not twice.
+    registry = MetricsRegistry()
+    lstm = build_lstm_classifier(30, 2, np.random.default_rng(0), scale=0.1)
+    x = np.random.default_rng(1).integers(0, 30, size=(4, 7))
+    with LayerProfiler(metrics=registry).profile(lstm):
+        step(lstm)
+        embedding = _leaf_modules(lstm)[0]
+        assert type(embedding).__name__ == "Embedding"
+        assert "backward_params" not in embedding.__dict__
+    assert registry.histograms["layer.backward_sec{layer=Embedding}"].count == 1
