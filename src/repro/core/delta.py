@@ -326,9 +326,10 @@ class DeltaSpillStore:
     raw float64 bytes appended to one file; re-reporting a client
     appends a fresh row and repoints its offset (the dead bytes are
     bounded by total reports, which is cohort x rounds — negligible
-    next to the dense table it replaces).  The file lives in
+    next to the dense table it replaces).  The file is the store's own
+    (several tables of one run share a ``state_dir``), created in
     ``directory`` when given, else in a self-cleaning temporary
-    directory.
+    directory, and removed when the store closes.
     """
 
     def __init__(self, dim: int, directory: str | None = None) -> None:
@@ -341,8 +342,8 @@ class DeltaSpillStore:
             os.makedirs(directory, exist_ok=True)
             self._dir = str(directory)
             self._owns_dir = False
-        self.path = os.path.join(self._dir, "delta-rows.bin")
-        self._handle = open(self.path, "w+b")
+        fd, self.path = tempfile.mkstemp(prefix="delta-rows-", suffix=".bin", dir=self._dir)
+        self._handle = os.fdopen(fd, "w+b")
         self._offsets: dict[int, int] = {}
         self._end = 0
         if self._owns_dir:
@@ -350,7 +351,15 @@ class DeltaSpillStore:
                 self, shutil.rmtree, self._dir, ignore_errors=True
             )
         else:
-            self._finalizer = weakref.finalize(self, self._handle.close)
+            self._finalizer = weakref.finalize(self, self._discard, self._handle, self.path)
+
+    @staticmethod
+    def _discard(handle, path: str) -> None:
+        handle.close()
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
 
     def __len__(self) -> int:
         return len(self._offsets)

@@ -319,11 +319,14 @@ class FLConfig:
         serve_backoff: initial worker backoff in seconds, doubled per
             retry (0.05 -> 0.1 -> 0.2 ...).
         serve_max_inflight: serve-mode backpressure — at most this many
-            clients dispatched-but-uncommitted at once.  ``None``
-            (default) means twice the worker count.
+            clients dispatched-but-uncommitted at once.  Clients go out
+            in blocks of at most ``COHORT_BLOCK`` that a worker trains
+            together, and a block never exceeds what the cap leaves
+            free, so ``1`` is one client per task.  ``None`` (default)
+            means two blocks a worker, ``2 * num_workers * COHORT_BLOCK``.
         serve_queue_bytes: per-connection bound on queued outbound
             bytes; a connection whose write queue holds at least this
-            much gets no new task until it drains (one frame may always
+            much gets no new block until it drains (one block may always
             be queued so progress never deadlocks).
     """
 
@@ -430,7 +433,7 @@ class FLConfig:
             raise ConfigError("serve_backoff must be non-negative")
         if self.serve_max_inflight is not None and self.serve_max_inflight < 1:
             raise ConfigError(
-                "serve_max_inflight must be >= 1 (or None for 2x workers)"
+                "serve_max_inflight must be >= 1 (or None for two blocks a worker)"
             )
         if self.serve_queue_bytes < 1:
             raise ConfigError("serve_queue_bytes must be positive")

@@ -178,29 +178,30 @@ class SerialExecutor(ClientExecutor):
     def run(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
         tracer = algorithm.tracer
         updates: list[ClientUpdate] = []
-        stacked_blocks = stacked_clients = 0
-        refusals: set[str] = set()
-        for block, refusal in algorithm.cohort_blocks(client_ids):
+        blocks = algorithm.cohort_blocks(client_ids)
+        for block, refusal in blocks:
             if refusal is None and len(block) > 1:
-                stacked_blocks += 1
-                stacked_clients += len(block)
                 updates += algorithm._block_update(round_idx, block)
                 if tracer.enabled:
                     self._emit_block_spans(tracer, updates[-len(block) :])
                 continue
-            if refusal is not None:
-                refusals.add(refusal)
             for client_id in block:
                 with tracer.span("local_train", client=client_id):
                     updates.append(algorithm._client_update(round_idx, client_id))
         if tracer.enabled:
-            metrics = tracer.metrics
-            if stacked_blocks:
-                metrics.counter("executor.stacked_blocks").inc(stacked_blocks)
-                metrics.counter("executor.stacked_clients").inc(stacked_clients)
-            for refusal in sorted(refusals):
-                metrics.counter("executor.cohort_unstacked", reason=refusal).inc()
+            self.count_blocks(tracer.metrics, blocks)
         return updates
+
+    @staticmethod
+    def count_blocks(metrics, blocks: list[tuple[list[int], str | None]]) -> None:
+        """Count a round's ``(block, refusal)`` pairs: what stacked, and
+        each reason something did not, once."""
+        stacked = [block for block, refusal in blocks if refusal is None and len(block) > 1]
+        if stacked:
+            metrics.counter("executor.stacked_blocks").inc(len(stacked))
+            metrics.counter("executor.stacked_clients").inc(sum(map(len, stacked)))
+        for refusal in sorted({refusal for _, refusal in blocks if refusal is not None}):
+            metrics.counter("executor.cohort_unstacked", reason=refusal).inc()
 
     @staticmethod
     def _emit_block_spans(tracer, updates: list[ClientUpdate]) -> None:
@@ -225,7 +226,7 @@ _WORKER_STATE_BUF: mmap.mmap | None = None
 _WORKER_STATE_SEQ = 0
 # The unpacked round-state dict of the currently installed sequence —
 # hierarchical tasks look their region's parameter segment up here
-# before running (see _run_hier_wire_task).
+# before running (see _run_wire_task).
 _WORKER_STATE: dict | None = None
 
 # Shared-memory round-state layout: [u64 payload length][u64 sequence]
@@ -269,61 +270,52 @@ def _install_round_state() -> None:
     _WORKER_STATE_SEQ = seq
 
 
-def _run_task(round_idx: int, slots: list[tuple[int, int]]) -> list[tuple[int, ClientUpdate]]:
-    """Run a chunk of ``(position, client_id)`` slots in this worker."""
+def run_held_clients(algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
+    """What a worker of any executor does with the clients it holds: it
+    *is* the serial engine for them (stacked where ``stack_refusal`` has
+    no objection, one by one where it has), stamped with its pid."""
+    updates = SerialExecutor().run(algorithm, round_idx, client_ids)
     pid = os.getpid()
-    out = []
-    for position, client_id in slots:
-        update = _WORKER_ALGORITHM._client_update(round_idx, client_id)
+    for update in updates:
         update.worker = pid
+    return updates
+
+
+def _run_task(
+    round_idx: int, slots: list[tuple[int, int]], packed: bool = False
+) -> list[tuple[int, bytes | ClientUpdate]]:
+    """Run a chunk of ``(position, client_id)`` slots in this worker.
+
+    ``packed`` returns wire buffers; an update the wire format cannot
+    express (exotic payload values) stays the pickled record for that
+    client only.
+    """
+    updates = run_held_clients(_WORKER_ALGORITHM, round_idx, [c for _, c in slots])
+    out: list[tuple[int, bytes | ClientUpdate]] = []
+    for (position, _client_id), update in zip(slots, updates):
+        if packed:
+            try:
+                update = wire.pack_client_update(update)
+            except WireError:
+                pass
         out.append((position, update))
     return out
 
 
 def _run_wire_task(
-    round_idx: int, slots: list[tuple[int, int]]
+    round_idx: int, slots: list[tuple[int, int]], region: int | None = None
 ) -> list[tuple[int, bytes | ClientUpdate]]:
     """Wire-transport task: refresh round state, return packed updates.
 
-    An update the wire format cannot express (exotic payload values)
-    falls back to the pickled record for that client only.
+    A hierarchical round's broadcast carries every region's model as a
+    ``hier.<r>`` segment; a task bound to ``region`` points
+    ``global_params`` at its own before running — so one persistent pool
+    serves all regions of a round concurrently.
     """
     _install_round_state()
-    pid = os.getpid()
-    out: list[tuple[int, bytes | ClientUpdate]] = []
-    for position, client_id in slots:
-        update = _WORKER_ALGORITHM._client_update(round_idx, client_id)
-        update.worker = pid
-        try:
-            out.append((position, wire.pack_client_update(update)))
-        except WireError:
-            out.append((position, update))
-    return out
-
-
-def _run_hier_wire_task(
-    round_idx: int, region: int, slots: list[tuple[int, int]]
-) -> list[tuple[int, bytes | ClientUpdate]]:
-    """Wire-transport task bound to one region of a hierarchical round.
-
-    The broadcast round state carries every region's model as a
-    ``hier.<r>`` segment; the task installs the shared state once per
-    sequence, then points ``global_params`` at its own region's segment
-    before running — so one persistent pool serves all regions of a
-    round concurrently.
-    """
-    _install_round_state()
-    _WORKER_ALGORITHM.global_params = _WORKER_STATE[f"hier.{region}"]
-    pid = os.getpid()
-    out: list[tuple[int, bytes | ClientUpdate]] = []
-    for position, client_id in slots:
-        update = _WORKER_ALGORITHM._client_update(round_idx, client_id)
-        update.worker = pid
-        try:
-            out.append((position, wire.pack_client_update(update)))
-        except WireError:
-            out.append((position, update))
-    return out
+    if region is not None:
+        _WORKER_ALGORITHM.global_params = _WORKER_STATE[f"hier.{region}"]
+    return _run_task(round_idx, slots, packed=True)
 
 
 class ParallelExecutor(ClientExecutor):
@@ -511,7 +503,7 @@ class ParallelExecutor(ClientExecutor):
             if not len(client_ids):
                 continue
             for task in self._tasks([int(c) for c in client_ids]):
-                future = self._pool.submit(_run_hier_wire_task, round_idx, r, task)
+                future = self._pool.submit(_run_wire_task, round_idx, task, r)
                 future_region[future] = r
         for future in as_completed(future_region):
             r = future_region[future]

@@ -13,9 +13,10 @@ length-prefixed frame (:func:`repro.fl.wire.frame`).  Four shapes occur:
 ``generic`` control messages (RFW1 kind ``generic``)
     Discriminated by an integer ``serve.op`` segment: ``HELLO`` (worker
     -> server, announces readiness and how many connect attempts it
-    took), ``TASK`` (server -> worker: round / client / sequence plus
-    the dense ``model`` segment — the per-client downlink), and
-    ``SHUTDOWN`` (server -> worker).
+    took), ``TASK`` (server -> worker: round / client / sequence, the
+    size of the block of task frames it was queued with, plus the dense
+    ``model`` segment — the per-client downlink), and ``SHUTDOWN``
+    (server -> worker).
 ``update`` (RFW1 kind ``update``)
     Worker -> server: one packed :class:`~repro.fl.parallel.ClientUpdate`
     (:func:`repro.fl.wire.pack_client_update`).
@@ -113,8 +114,11 @@ def build_state(state: dict, seq: int) -> bytes:
 
 
 def task_parts(
-    round_idx: int, position: int, client_id: int, seq: int, model: np.ndarray
+    round_idx: int, position: int, client_id: int, seq: int, block: int, model: np.ndarray
 ) -> tuple[int, list]:
+    """One client's task.  ``block`` is how many task frames, this one
+    included, the server queued back to back for the worker to train
+    together; every frame still carries its own ``model``."""
     return wire.frame_parts(
         *wire.pack_parts(
             "generic",
@@ -124,6 +128,7 @@ def task_parts(
                 "serve.position": position,
                 "serve.client": client_id,
                 "serve.seq": seq,
+                "serve.block": block,
                 "model": model,
             },
         )
@@ -131,9 +136,9 @@ def task_parts(
 
 
 def build_task(
-    round_idx: int, position: int, client_id: int, seq: int, model: np.ndarray
+    round_idx: int, position: int, client_id: int, seq: int, block: int, model: np.ndarray
 ) -> bytes:
-    return b"".join(task_parts(round_idx, position, client_id, seq, model)[1])
+    return b"".join(task_parts(round_idx, position, client_id, seq, block, model)[1])
 
 
 def build_shutdown() -> bytes:

@@ -16,9 +16,11 @@ One round, from the server's seat:
    the shared-memory pool's broadcast).
 2. Drive a non-blocking :mod:`selectors` loop: accept late workers,
    flush bounded per-connection write queues, reassemble frames from
-   partial reads, dispatch ``task`` frames (least-loaded connection
-   first, capped by ``serve_max_inflight``), and slot arriving updates
-   by client id.
+   partial reads, dispatch *blocks* of ``task`` frames (at most
+   ``COHORT_BLOCK`` clients, queued back to back on the least-loaded
+   connection that holds fewer than two blocks, capped by
+   ``serve_max_inflight``) which the worker trains as the serial engine
+   would, and slot arriving updates by client id.
 3. A dead connection's unfinished tasks are redispatched to surviving
    workers (the determinism contract makes any duplicate identical);
    when every worker is gone, or nothing makes progress for
@@ -47,6 +49,7 @@ import warnings
 import weakref
 from collections import deque
 
+from repro.algorithms.base import COHORT_BLOCK
 from repro.exceptions import ProtocolError
 from repro.fl.parallel import ClientExecutor, SerialExecutor
 from repro.fl.wire import FrameAssembler
@@ -72,8 +75,12 @@ class _Conn:
         self.outq: deque[memoryview] = deque()
         self.out_bytes = 0
         self.ready = False  # becomes True on the worker's hello
-        self.inflight: dict[int, int] = {}  # position -> client_id
+        self.inflight: dict[int, tuple[int, int]] = {}  # position -> (client_id, block)
         self.seq = -1
+
+    def blocks_held(self) -> int:
+        """Dispatched blocks this connection has not finished answering."""
+        return len({block for _cid, block in self.inflight.values()})
 
 
 class _RoundStats:
@@ -82,7 +89,7 @@ class _RoundStats:
     __slots__ = (
         "sent_bytes", "recv_bytes", "down_model_bytes", "up_model_bytes",
         "redispatch_bytes", "redispatches", "disconnects", "duplicates",
-        "connects", "worker_retries", "latencies", "state_bytes",
+        "connects", "worker_retries", "latencies", "state_bytes", "blocks",
     )
 
     def __init__(self) -> None:
@@ -98,6 +105,7 @@ class _RoundStats:
         self.worker_retries = 0
         self.latencies: list[float] = []
         self.state_bytes = 0  # the round's state frame, sent once per connection
+        self.blocks: list[list[tuple[int, int]]] = []  # dispatched (position, client) blocks
 
 
 class ServeExecutor(ClientExecutor):
@@ -110,10 +118,12 @@ class ServeExecutor(ClientExecutor):
         timeout: stall deadline (seconds), reset on any socket progress.
         retries / backoff: worker-side connect/write retry policy.
         max_inflight: dispatched-but-unfinished client cap
-            (``None`` = ``2 * num_workers``).
+            (``None`` = two blocks a worker, ``2 * num_workers *
+            COHORT_BLOCK``); also bounds a block, so ``1`` hands a
+            worker one client at a time.
         queue_bytes: per-connection outbound queue bound; a connection
-            at or over it receives no new task until it drains (one
-            frame may always be queued so progress never deadlocks).
+            at or over it receives no new block until it drains (one
+            block may always be queued so progress never deadlocks).
     """
 
     name = "serve"
@@ -134,7 +144,9 @@ class ServeExecutor(ClientExecutor):
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.max_inflight = (
-            2 * self.num_workers if max_inflight is None else int(max_inflight)
+            2 * self.num_workers * COHORT_BLOCK
+            if max_inflight is None
+            else int(max_inflight)
         )
         self.queue_bytes = int(queue_bytes)
         self._fallback: SerialExecutor | None = None
@@ -377,10 +389,17 @@ class ServeExecutor(ClientExecutor):
         return not conn.outq or conn.out_bytes < self.queue_bytes
 
     def _pick_conn(self) -> _Conn | None:
-        """Least-loaded ready connection with outbound queue capacity."""
+        """Least-loaded ready connection with outbound queue capacity
+        that holds fewer than two blocks (one training, one queued) —
+        whatever else is pending waits for the next connection to say
+        hello or to finish a block, so a late worker gets its share."""
         best: _Conn | None = None
         for conn in self._conns.values():
-            if not conn.ready or not self._has_capacity(conn):
+            if (
+                not conn.ready
+                or not self._has_capacity(conn)
+                or conn.blocks_held() >= 2
+            ):
                 continue
             if best is None or len(conn.inflight) < len(best.inflight):
                 best = conn
@@ -420,24 +439,27 @@ class ServeExecutor(ClientExecutor):
         model_nbytes = int(model.nbytes)
 
         while done < len(ids):
-            # Dispatch as much as backpressure allows.
+            # Dispatch as many blocks as backpressure allows.
             inflight_total = sum(len(c.inflight) for c in self._conns.values())
             while pending and inflight_total < self.max_inflight:
                 conn = self._pick_conn()
                 if conn is None:
                     break
-                pos, cid = pending.popleft()
-                task = protocol.task_parts(round_idx, pos, cid, seq, model)
-                if pos in ever_dispatched:
-                    stats.redispatch_bytes += model_nbytes
-                    stats.redispatches += 1
-                else:
-                    ever_dispatched.add(pos)
-                    stats.down_model_bytes += model_nbytes
-                self._queue(conn, task, stats)
-                conn.inflight[pos] = cid
-                dispatch_time[pos] = time.monotonic()
-                inflight_total += 1
+                size = min(COHORT_BLOCK, self.max_inflight - inflight_total, len(pending))
+                block = [pending.popleft() for _ in range(size)]
+                stats.blocks.append(block)
+                for pos, cid in block:
+                    task = protocol.task_parts(round_idx, pos, cid, seq, size, model)
+                    if pos in ever_dispatched:
+                        stats.redispatch_bytes += model_nbytes
+                        stats.redispatches += 1
+                    else:
+                        ever_dispatched.add(pos)
+                        stats.down_model_bytes += model_nbytes
+                    self._queue(conn, task, stats)
+                    conn.inflight[pos] = (cid, len(stats.blocks))
+                    dispatch_time[pos] = time.monotonic()
+                inflight_total += size
                 deadline = time.monotonic() + self.timeout
 
             if not self._conns and not any(p.is_alive() for p in self._procs):
@@ -499,7 +521,7 @@ class ServeExecutor(ClientExecutor):
         """Close a broken connection, requeueing its unfinished tasks."""
         stats.disconnects += 1
         if pending is not None:
-            for pos, cid in sorted(conn.inflight.items(), reverse=True):
+            for pos, (cid, _block) in sorted(conn.inflight.items(), reverse=True):
                 pending.appendleft((pos, cid))
         conn.inflight.clear()
         self._close_conn(conn)
@@ -544,13 +566,27 @@ class ServeExecutor(ClientExecutor):
         tracer = algorithm.tracer
         if not tracer.enabled:
             return
-        for update in updates:
+        # A position's last dispatch is the block that answered it.
+        block_size = {pos: len(block) for block in stats.blocks for pos, _cid in block}
+        for pos, update in enumerate(updates):
             with tracer.span(
-                "local_train", client=update.client_id, worker=update.worker
+                "local_train", client=update.client_id, worker=update.worker,
+                block=block_size[pos],
             ) as span:
                 pass
             span.duration = update.train_seconds
         metrics = tracer.metrics
+        # What the workers' serial engines did with the blocks they were
+        # handed, asked of the same ``stack_refusal`` from this side of
+        # the socket (workers run untraced).
+        SerialExecutor.count_blocks(
+            metrics,
+            [
+                algorithm.cohort_blocks([cid for _pos, cid in block])[0]
+                for block in stats.blocks
+            ],
+        )
+        metrics.counter("serve.task_blocks").inc(len(stats.blocks))
         metrics.gauge("serve.workers").set(sum(1 for p in self._procs if p.is_alive()))
         metrics.gauge("serve.connections").set(len(self._conns))
         metrics.counter("serve.rounds").inc()

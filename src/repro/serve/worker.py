@@ -8,8 +8,10 @@ to the server socket with retry + exponential backoff, and then loops:
 * ``state`` frame -> adopt the round state via the same
   ``_install_worker_state`` path the shared-memory pool uses.
 * ``task`` frame  -> point ``global_params`` at the frame's ``model``
-  segment (the per-client downlink), run ``_client_update``, send the
-  packed update back.
+  segment (the per-client downlink) and hold the client until the
+  ``serve.block`` frames of its block have arrived; then train the block
+  as the serial engine would (:func:`repro.fl.parallel.run_held_clients`)
+  and send one packed update per client back, in order.
 * ``shutdown`` frame or EOF -> exit.
 
 Retry semantics: connects retry ``serve_retries`` times with doubling
@@ -27,6 +29,7 @@ import socket
 import time
 
 from repro.fl import wire
+from repro.fl.parallel import run_held_clients
 from repro.obs.trace import NULL_TRACER
 from repro.serve import protocol
 
@@ -116,6 +119,7 @@ def worker_main(
     except OSError:
         return
     state_seq = -1
+    held: list[int] = []  # clients of the block still arriving
     with sock:
         sock.settimeout(timeout)
         try:
@@ -147,13 +151,15 @@ def worker_main(
                             # race.  Exit; the server redispatches.
                             return
                         algorithm.global_params = payload["model"]
-                        update = algorithm._client_update(
-                            int(payload["serve.round"]), int(payload["serve.client"])
-                        )
-                        update.worker = os.getpid()
-                        send_with_retry(
-                            sock, protocol.build_update(update), retries, backoff
-                        )
+                        held.append(int(payload["serve.client"]))
+                        if len(held) < int(payload["serve.block"]):
+                            continue
+                        round_idx = int(payload["serve.round"])
+                        for update in run_held_clients(algorithm, round_idx, held):
+                            send_with_retry(
+                                sock, protocol.build_update(update), retries, backoff
+                            )
+                        held = []
                     elif kind == "shutdown":
                         return
         except (OSError, wire.WireError):

@@ -165,3 +165,15 @@ def test_spill_store_roundtrip(tmp_path):
     np.testing.assert_array_equal(store.pop(8), row_b)
     assert 8 not in store
     store.close()
+
+
+def test_stores_sharing_a_directory_keep_their_own_rows(tmp_path):
+    first = DeltaSpillStore(3, str(tmp_path))
+    second = DeltaSpillStore(3, str(tmp_path))
+    first.put(0, np.full(3, 1.0))
+    second.put(0, np.full(3, 2.0))
+    np.testing.assert_array_equal(first.get(0), np.full(3, 1.0))
+    np.testing.assert_array_equal(second.get(0), np.full(3, 2.0))
+    first.close()
+    second.close()
+    assert list(tmp_path.iterdir()) == []  # each removed the file it made

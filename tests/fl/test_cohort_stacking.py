@@ -150,9 +150,7 @@ def test_stacked_cohort_is_the_per_client_cohort(
 
     extra = dict(WIRE[wire])
     if population == "virtual":
-        # Per-client tables spill: more clients than resident rows.  (No
-        # state_dir: two spilling tables pointed at one directory share
-        # its one row file, and uploads with error feedback have two.)
+        # Per-client tables spill: more clients than resident rows.
         extra.update(state_cap=2)
     config = FLConfig(
         rounds=ROUNDS, local_steps=2, batch_size=BATCH, lr=0.1, seed=13,

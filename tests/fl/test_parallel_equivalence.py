@@ -118,6 +118,54 @@ def test_chunked_scheduling_is_bit_identical_to_serial(fed, name, kwargs):
     assert_equivalent_runs(serial, chunked)
 
 
+@pytest.mark.parametrize(
+    "name,kwargs,transport",
+    [("fedavg", {}, "wire"), ("fedavg", {}, "pickle"), ("rfedavg+", {"lam": 1e-3}, "wire")],
+)
+def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs, transport):
+    """A pool worker is the serial engine for the slots it holds: equal
+    shards behind an MLP train as one stacked block per chunk — each
+    client reports the chunk's one share of wall clock — and the run is
+    still the serial run."""
+    from repro.algorithms import make_algorithm
+    from repro.data import make_virtual_federation
+    from repro.fl.parallel import ParallelExecutor
+    from repro.fl.trainer import run_federated
+    from repro.models import build_model
+
+    stackable = make_virtual_federation(
+        10, seed=5, similarity=0.3, samples_per_client=12, num_test=32
+    ).materialize()
+    rounds = []
+
+    class Recording(ParallelExecutor):
+        def run(self, algorithm, round_idx, client_ids):
+            rounds.append(super().run(algorithm, round_idx, client_ids))
+            return rounds[-1]
+
+    def run(executor=None):
+        algorithm = make_algorithm(name, **kwargs)
+        if executor is not None:
+            algorithm.with_executor(executor)
+        history = run_federated(
+            algorithm, stackable,
+            lambda: build_model("mlp", stackable.spec, seed=2, scale=0.25),  # takes leading axes
+            config,
+        )
+        return algorithm, history
+
+    config = _config(seed=15)
+    serial = run()
+    chunked = run(Recording(2, chunked=True, transport=transport))
+    assert not chunked[0].executor.degraded
+    assert_equivalent_runs(serial, chunked)
+    assert len(rounds) == config.rounds
+    for updates in rounds:
+        for chunk in (updates[:5], updates[5:]):
+            assert len({(u.worker, u.train_seconds) for u in chunk}) == 1
+            assert chunk[0].worker != 0
+
+
 def test_partial_participation_is_bit_identical_to_serial(fed):
     """Client sampling happens in the parent; the engine must preserve
     the sampled order even when rounds select different subsets."""

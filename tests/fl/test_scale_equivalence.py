@@ -95,6 +95,28 @@ def test_sharded_table_matches_dense_bitwise(eager, name):
     assert spilling[0].delta_table.spilled_rows > 0  # the cap actually bit
 
 
+def test_two_spilling_tables_share_one_state_dir(eager, tmp_path):
+    """Error feedback plus a delta table, both over ``state_cap``, both
+    told the same ``state_dir``: each spills to a file of its own, so
+    the run is the one whose tables spill to private temp directories."""
+    overrides = dict(
+        compression="topk:0.05|qsgd:8", state_sharding="sharded", state_cap=2,
+    )
+    kwargs = {"lam": 1e-3}
+    private = run_with_workers(
+        "rfedavg+", kwargs, eager, _config(**overrides), num_workers=1
+    )
+    shared = run_with_workers(
+        "rfedavg+", kwargs, eager,
+        _config(state_dir=str(tmp_path / "state"), **overrides), num_workers=1,
+    )
+    assert_equivalent_runs(private, shared)
+    for algorithm in (private[0], shared[0]):
+        assert algorithm.delta_table.spilled_rows > 0
+        assert algorithm._residuals.spilled_rows > 0
+    assert shared[0].delta_table._spill.path != shared[0]._residuals._spill.path
+
+
 def test_auto_sharding_threshold(virt, eager):
     """'auto' picks sharded for virtual populations and for any
     population at/above the threshold, dense otherwise."""

@@ -111,13 +111,16 @@ def test_state_with_inexpressible_segments_raises_wire_error():
 
 def test_task_round_trip_carries_model():
     model = np.linspace(-1, 1, 17)
-    framed = protocol.build_task(round_idx=4, position=2, client_id=9, seq=5, model=model)
+    framed = protocol.build_task(
+        round_idx=4, position=2, client_id=9, seq=5, block=3, model=model
+    )
     kind, payload = protocol.parse_message(_deframe(framed))
     assert kind == "task"
     assert payload["serve.round"] == 4
     assert payload["serve.position"] == 2
     assert payload["serve.client"] == 9
     assert payload["serve.seq"] == 5
+    assert payload["serve.block"] == 3
     np.testing.assert_array_equal(payload["model"], model)
 
 

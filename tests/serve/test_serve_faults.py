@@ -243,8 +243,10 @@ def test_from_config_reads_the_serve_knobs():
     assert executor.queue_bytes == 4096
 
 
-def test_max_inflight_defaults_to_twice_the_workers():
-    assert ServeExecutor(num_workers=4).max_inflight == 8
+def test_max_inflight_defaults_to_two_blocks_a_worker():
+    from repro.algorithms.base import COHORT_BLOCK
+
+    assert ServeExecutor(num_workers=4).max_inflight == 2 * 4 * COHORT_BLOCK
 
 
 def test_make_executor_routes_serve(monkeypatch):

@@ -56,9 +56,9 @@ def test_build_state_and_task_are_the_joins_of_their_parts():
         wire.pack_state({**state, "serve.seq": 9})
     )
     model = state["global_params"]
-    length, pieces = protocol.task_parts(3, 1, 7, 9, model)
-    assert b"".join(pieces) == protocol.build_task(3, 1, 7, 9, model)
-    assert length == len(protocol.build_task(3, 1, 7, 9, model))
+    length, pieces = protocol.task_parts(3, 1, 7, 9, 2, model)
+    assert b"".join(pieces) == protocol.build_task(3, 1, 7, 9, 2, model)
+    assert length == len(protocol.build_task(3, 1, 7, 9, 2, model))
     # Nothing was copied: the model rides as a view of the caller's array.
     assert any(np.shares_memory(np.frombuffer(p, dtype=np.uint8), model) for p in pieces)
 
@@ -124,7 +124,7 @@ def test_shared_pieces_survive_partial_sends_on_every_connection(chunk):
         state = _state(1)
         state_frame = protocol.state_parts(state, 4)
         tasks = [
-            protocol.task_parts(2, pos, 10 + pos, 4, state["global_params"])
+            protocol.task_parts(2, pos, 10 + pos, 4, 3, state["global_params"])
             for pos in range(3)
         ]
         for conn in conns:
@@ -139,7 +139,7 @@ def test_shared_pieces_survive_partial_sends_on_every_connection(chunk):
             theirs.close()
     prefix = wire.FRAME_PREFIX.size
     expected = [protocol.build_state(state, 4)] + [
-        protocol.build_task(2, pos, 10 + pos, 4, state["global_params"]) for pos in range(3)
+        protocol.build_task(2, pos, 10 + pos, 4, 3, state["global_params"]) for pos in range(3)
     ]
     for frames in received:
         assert [digest(f) for f in frames] == [digest(e[prefix:]) for e in expected]
@@ -200,9 +200,9 @@ class _FrameLog:
             self.built[f"state:{seq}"] = digest(b"".join(frame[1])[prefix:])
             return frame
 
-        def logged_task(round_idx, position, client_id, seq, model):
-            frame = task_parts(round_idx, position, client_id, seq, model)
-            self.built[f"task:{seq}:{position}"] = digest(b"".join(frame[1])[prefix:])
+        def logged_task(round_idx, position, client_id, seq, block, model):
+            frame = task_parts(round_idx, position, client_id, seq, block, model)
+            self.built[f"task:{seq}:{position}:{block}"] = digest(b"".join(frame[1])[prefix:])
             return frame
 
         def logged_parse(message):
@@ -210,6 +210,7 @@ class _FrameLog:
             if kind in ("state", "task") and os.getpid() != self.server_pid:
                 key = f"state:{payload['serve.seq']}" if kind == "state" else (
                     f"task:{payload['serve.seq']}:{payload['serve.position']}"
+                    f":{payload['serve.block']}"
                 )
                 with open(os.path.join(directory, f"{os.getpid()}.log"), "a") as handle:
                     handle.write(json.dumps([key, digest(message)]) + "\n")
