@@ -12,7 +12,7 @@ almost no accuracy loss.
 from repro.algorithms import RFedAvgPlus
 from repro.experiments import build_image_federation, cross_silo_config, default_model_fn
 from repro.fl import run_federated
-from repro.fl.compression import TopKSparsifier, UniformQuantizer
+from repro.fl.compression import compressor_from_spec
 
 
 def main() -> None:
@@ -24,8 +24,8 @@ def main() -> None:
 
     variants = [
         ("dense uploads", None),
-        ("8-bit quantized", UniformQuantizer(8)),
-        ("top-10% sparsified", TopKSparsifier(0.10)),
+        ("8-bit quantized", compressor_from_spec("quantize:8")),
+        ("top-10% sparsified", compressor_from_spec("topk:0.1")),
     ]
     print(f"{'variant':22s} {'accuracy':>9s} {'uplink bytes':>14s}")
     for label, compressor in variants:

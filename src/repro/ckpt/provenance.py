@@ -8,8 +8,8 @@ checkpoint written under a different experiment instead of silently
 producing subtly different numbers.
 
 The config hash deliberately **excludes** fields that are guaranteed not
-to change results: worker count, executor and transport (the parallel
-engine is bit-identical to serial by contract) and the checkpointing
+to change results: worker count and executor (the parallel engine is
+bit-identical to serial by contract) and the checkpointing
 knobs themselves (changing the cadence or directory of checkpoints must
 not invalidate them).  Everything else — rounds, local steps, batch
 size, learning rate, seed, dtype, wire accounting — participates.
@@ -33,7 +33,6 @@ _EXECUTION_ONLY_FIELDS = frozenset(
     {
         "num_workers",
         "executor",
-        "transport",
         "checkpoint_dir",
         "checkpoint_every",
         "checkpoint_keep",
@@ -86,7 +85,6 @@ def run_provenance(config, algorithm_name: str | None = None) -> dict:
         "algorithm": algorithm_name,
         "seed": config.seed,
         "dtype": config.dtype,
-        "transport": config.transport,
         "executor": config.executor,
         "num_workers": config.num_workers,
     }
@@ -101,7 +99,7 @@ def check_resume_compatible(stored: dict, current: dict) -> None:
 
     Raises :class:`~repro.exceptions.CheckpointMismatchError` naming each
     differing field and what to do about it.  Execution-engine fields
-    (workers / executor / transport) may differ freely — the parallel
+    (workers / executor) may differ freely — the parallel
     engine is bit-identical to serial — and a library version difference
     is reported as part of the message but is not by itself fatal (the
     config hash catches semantic drift).

@@ -86,10 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--executor", default="auto",
                      help="client-execution engine: auto | serial | process "
                           "| chunked")
-    run.add_argument("--transport", default="wire",
-                     help="parallel payload transport: packed flat buffers over "
-                          "shared memory (wire) or the fork-per-round pickle "
-                          "engine; results are bit-identical either way")
     run.add_argument("--dtype", default="float64",
                      help="compute precision: float32 (~2x faster) or float64 "
                           "(the bit-reproducible default)")
@@ -303,7 +299,6 @@ def _command_run(args) -> int:
         seed=args.seed,
         num_workers=args.workers,
         executor=args.executor,
-        transport=args.transport,
         dtype=args.dtype,
         execution=args.execution,
         serve_addr=args.serve_addr,

@@ -203,7 +203,6 @@ def run_experiment(
     trace: bool = False,
     artifacts_dir: str | Path | None = None,
     workers: int | None = None,
-    transport: str | None = None,
     execution: str | None = None,
     runtime: str | None = None,
     buffer_size: int | None = None,
@@ -235,9 +234,6 @@ def run_experiment(
         workers: client-execution worker processes (shorthand for the
             ``num_workers`` config override; results are bit-identical
             for any value).
-        transport: parallel payload transport — 'wire' (packed
-            shared-memory, the default) or 'pickle'; shorthand for the
-            ``transport`` config override.
         execution: 'sync' (default), 'async' — the event-driven
             buffered engine (:mod:`repro.fl.async_engine`) — or 'serve'
             — the multi-process socket engine (:mod:`repro.serve`);
@@ -289,8 +285,6 @@ def run_experiment(
     )
     if workers is not None:
         config_overrides = {**config_overrides, "num_workers": workers}
-    if transport is not None:
-        config_overrides = {**config_overrides, "transport": transport}
     if execution is not None:
         config_overrides = {**config_overrides, "execution": execution}
     if runtime is not None:

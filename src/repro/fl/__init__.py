@@ -35,7 +35,6 @@ from repro.fl.config import (
 )
 from repro.fl.comm import CommLedger, vector_bytes
 from repro.fl.parallel import (
-    TRANSPORTS,
     ClientExecutor,
     ClientUpdate,
     ParallelExecutor,
@@ -57,15 +56,7 @@ from repro.fl.sampling import sample_clients
 from repro.fl.client import evaluate_model, local_sgd_steps
 from repro.fl.server import weighted_average
 from repro.fl.trainer import run_federated
-from repro.fl.compression import (
-    Compressor,
-    NoCompression,
-    TopKSparsifier,
-    RandomSubsampler,
-    UniformQuantizer,
-    WireSize,
-    make_compressor,
-)
+from repro.fl.compression import CompressionPipeline, WireSize, compressor_from_spec
 from repro.fl.faults import FaultModel
 from repro.fl.network import LinkModel, round_network_time, estimate_run_network_time
 from repro.fl.secure import SecureAggregator, secure_weighted_average
@@ -94,7 +85,6 @@ __all__ = [
     "ClientUpdate",
     "ParallelExecutor",
     "SerialExecutor",
-    "TRANSPORTS",
     "make_executor",
     "pack",
     "unpack",
@@ -111,13 +101,9 @@ __all__ = [
     "local_sgd_steps",
     "weighted_average",
     "run_federated",
-    "Compressor",
-    "NoCompression",
-    "TopKSparsifier",
-    "RandomSubsampler",
-    "UniformQuantizer",
+    "CompressionPipeline",
     "WireSize",
-    "make_compressor",
+    "compressor_from_spec",
     "FaultModel",
     "LinkModel",
     "round_network_time",

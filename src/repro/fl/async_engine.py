@@ -3,8 +3,8 @@
 FedAsync-style staleness weighting (Xie et al. 2019) built on the
 begin/commit halves of :class:`~repro.algorithms.base.FederatedAlgorithm`
 so **async is a scheduler swap, not an algorithm rewrite** — all ten
-registered algorithms run unmodified, parallel client execution and the
-packed wire transport included.  :func:`repro.fl.trainer.run_federated`
+registered algorithms run unmodified, parallel client execution
+included.  :func:`repro.fl.trainer.run_federated`
 owns the loop (sampling, records, evaluation, callbacks, checkpoints);
 with ``config.execution == "async"`` each of its rounds runs
 :meth:`BufferedStep.run`:
@@ -32,7 +32,7 @@ with ``config.execution == "async"`` each of its rounds runs
 **Zero-latency limit.**  With instant runtimes and a full-cohort buffer
 every dispatched update arrives fresh and in selection order, so step 3
 reduces to the synchronous round verbatim — the step is bit-identical
-to the barrier step for every algorithm, executor, transport and dtype
+to the barrier step for every algorithm, executor and dtype
 (the ``engine-equivalence`` test matrix enforces this).
 
 The step owns one checkpoint section (in-flight events, sim clock,
@@ -164,8 +164,7 @@ class AsyncHistory:
 # -- in-flight event (de)serialization for checkpoints ------------------------------
 
 _UPDATE_SCALAR_FIELDS = (
-    "client_id", "wire", "task_loss", "reg_loss", "num_steps",
-    "train_seconds", "worker",
+    "client_id", "task_loss", "reg_loss", "num_steps", "train_seconds", "worker",
 )
 
 
@@ -182,7 +181,7 @@ def _update_to_tree(update: ClientUpdate) -> dict:
     tree = {name: getattr(update, name) for name in _UPDATE_SCALAR_FIELDS}
     tree["params"] = update.params
     tree["payload"] = update.payload
-    tree["wire_size"] = asdict(update.wire_size) if update.wire_size else None
+    tree["wire_size"] = asdict(update.wire_size)
     if update.residual is not None:
         tree["residual"] = update.residual
     return tree
@@ -190,8 +189,10 @@ def _update_to_tree(update: ClientUpdate) -> dict:
 
 def _update_from_tree(tree: dict) -> ClientUpdate:
     """Inverse of :func:`_update_to_tree`; every array is copied out of
-    the (read-only) checkpoint section it was decoded from."""
-    wire_size = tree.get("wire_size")
+    the (read-only) checkpoint section it was decoded from.  Trees written
+    while uploads also had a scalar count carry a ``wire`` key and two
+    more ``wire_size`` keys; they are ignored."""
+    wire_size = tree["wire_size"]
     residual = tree.get("residual")
     payload = tree.get("payload")
     if payload is not None:
@@ -202,7 +203,11 @@ def _update_from_tree(tree: dict) -> ClientUpdate:
     return ClientUpdate(
         params=np.array(tree["params"], copy=True),
         payload=payload,
-        wire_size=WireSize(**wire_size) if wire_size else None,
+        wire_size=WireSize(
+            values=wire_size["values"],
+            index_ints=wire_size["index_ints"],
+            raw_bytes=wire_size["raw_bytes"],
+        ),
         residual=None if residual is None else np.array(residual, copy=True),
         **{name: tree[name] for name in _UPDATE_SCALAR_FIELDS},
     )

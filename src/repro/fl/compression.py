@@ -28,16 +28,15 @@ coder (last).  :func:`compressor_from_spec` is the canonical factory;
 :func:`repro.fl.config.validate_compression_spec` validates specs
 through the choice registry (typo suggestions included).
 
-Every compressor maps a flat float vector to a (reconstructed_vector,
-:class:`WireSize`) pair: the reconstruction is what the server
-aggregates (lossy), and the wire size describes what actually crosses
-the wire so the ledger can charge real bytes under the active dtype
-policy.  Pipelines (and the sparse legacy classes) additionally
-implement :meth:`Compressor.encode` / :meth:`Compressor.decode`, which
-split the payload into wire streams (an ``int32`` index stream plus a
-value stream) — the packed wire transport ships those instead of a
-dense reconstruction, and ``decode(encode(v))`` is bit-identical to
-``compress(v)`` under the same rng.
+A :class:`CompressionPipeline` maps a flat float vector to a
+(reconstructed_vector, :class:`WireSize`) pair: the reconstruction is
+what the server aggregates (lossy), and the wire size describes what
+actually crosses the wire so the ledger can charge real bytes under the
+active dtype policy.  :meth:`CompressionPipeline.encode` /
+:meth:`CompressionPipeline.decode` split the payload into wire streams
+(an optional ``int32`` index stream plus a value stream) — an upload
+always travels as those streams, and ``decode(encode(v))`` is
+bit-identical to ``compress(v)`` under the same rng.
 
 **Error feedback** lives one layer up (``repro.algorithms.base``): the
 client compresses ``update + residual`` and keeps
@@ -48,16 +47,11 @@ worker processes.
 **Byte accounting.**  Pipeline stage footprints are deterministic
 functions of the input size, so per-stage encoded bytes
 (:meth:`CompressionPipeline.stage_footprints`) can be reported without
-shipping extra metadata.  Historically indices were charged as "1
-scalar per index"; construct a *legacy* compressor class with
-``legacy_scalars=True`` to restore the old accounting (and dense
-shipping) when reproducing pre-wire experiment numbers — see
-``docs/compression.md`` and ``docs/performance.md``.
+shipping extra metadata — see ``docs/compression.md``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,31 +73,14 @@ class WireSize:
         index_ints: count of ``int32`` coordinate indices.
         raw_bytes: dtype-independent raw bytes (bit-packed quantization
             words).
-        legacy_scalars: the equivalent count under the old "everything
-            is one scalar" accounting, kept for back-compatibility
-            (:attr:`ClientUpdate.wire <repro.fl.parallel.ClientUpdate>`).
-        legacy: True when the producing compressor was constructed with
-            ``legacy_scalars=True`` — byte charges then use the old
-            scalar accounting.
     """
 
     values: int
     index_ints: int = 0
     raw_bytes: int = 0
-    legacy_scalars: int | None = None
-    legacy: bool = False
-
-    @property
-    def scalars(self) -> int:
-        """Equivalent scalar count under the legacy accounting."""
-        if self.legacy_scalars is not None:
-            return self.legacy_scalars
-        return self.values + self.index_ints
 
     def nbytes(self, dtype_bytes: int) -> int:
         """Actual wire bytes under a ``dtype_bytes``-per-scalar policy."""
-        if self.legacy:
-            return self.scalars * int(dtype_bytes)
         return (
             self.values * int(dtype_bytes)
             + self.index_ints * INDEX_BYTES
@@ -115,186 +92,7 @@ class WireSize:
             values=self.values + other.values,
             index_ints=self.index_ints + other.index_ints,
             raw_bytes=self.raw_bytes + other.raw_bytes,
-            legacy_scalars=self.scalars + other.scalars,
-            legacy=self.legacy or other.legacy,
         )
-
-
-class Compressor:
-    """Interface: compress a flat vector, report its wire size."""
-
-    name = "base"
-
-    def compress(
-        self, vec: np.ndarray, rng: np.random.Generator
-    ) -> tuple[np.ndarray, WireSize]:
-        """Return (lossy reconstruction, wire size)."""
-        raise NotImplementedError
-
-    def encode(
-        self, vec: np.ndarray, rng: np.random.Generator
-    ) -> tuple[dict[str, np.ndarray], WireSize] | None:
-        """Split ``vec`` into wire streams instead of a dense vector.
-
-        Returns ``None`` when this compressor has no stream form (the
-        caller then uses :meth:`compress` with the *same* rng — an
-        implementation must consume the rng in ``encode`` exactly when
-        it would in ``compress``, so either path sees identical draws).
-        """
-        return None
-
-    def decode(self, streams: dict[str, np.ndarray], size: int) -> np.ndarray:
-        """Materialize the dense reconstruction from wire streams.
-
-        Must be bit-identical to what :meth:`compress` would have
-        returned for the same input and rng.
-        """
-        raise NotImplementedError(f"{self.name} has no stream form")
-
-
-class NoCompression(Compressor):
-    name = "none"
-
-    def compress(self, vec, rng):
-        return np.array(vec, copy=True), WireSize(values=int(vec.size))
-
-
-class TopKSparsifier(Compressor):
-    """Keep the fraction ``ratio`` of largest-|x| coordinates.
-
-    Wire size: k values plus k ``int32`` indices (legacy accounting:
-    2 scalars per kept coordinate).
-    """
-
-    name = "topk"
-
-    def __init__(self, ratio: float, legacy_scalars: bool = False) -> None:
-        if not 0.0 < ratio <= 1.0:
-            raise ConfigError(f"ratio must be in (0, 1], got {ratio}")
-        self.ratio = ratio
-        self.legacy = bool(legacy_scalars)
-
-    def _keep(self, vec: np.ndarray) -> np.ndarray:
-        k = max(1, int(round(self.ratio * vec.size)))
-        return np.argpartition(np.abs(vec), -k)[-k:]
-
-    def _wire(self, k: int) -> WireSize:
-        return WireSize(values=k, index_ints=k, legacy_scalars=2 * k, legacy=self.legacy)
-
-    def compress(self, vec, rng):
-        vec = np.asarray(vec, dtype=np.float64)
-        keep = self._keep(vec)
-        out = np.zeros_like(vec)
-        out[keep] = vec[keep]
-        return out, self._wire(keep.size)
-
-    def encode(self, vec, rng):
-        if self.legacy:
-            return None  # legacy mode ships the dense reconstruction
-        vec = np.asarray(vec, dtype=np.float64)
-        keep = self._keep(vec)
-        streams = {
-            "indices": keep.astype(np.int32),
-            "values": vec[keep],
-        }
-        return streams, self._wire(keep.size)
-
-    def decode(self, streams, size):
-        out = np.zeros(size, dtype=streams["values"].dtype)
-        out[streams["indices"]] = streams["values"]
-        return out
-
-
-class RandomSubsampler(Compressor):
-    """Transmit a uniformly random coordinate subset, rescaled to be
-    unbiased: E[reconstruction] = vec."""
-
-    name = "subsample"
-
-    def __init__(self, ratio: float, legacy_scalars: bool = False) -> None:
-        if not 0.0 < ratio <= 1.0:
-            raise ConfigError(f"ratio must be in (0, 1], got {ratio}")
-        self.ratio = ratio
-        self.legacy = bool(legacy_scalars)
-
-    def _keep(self, vec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        k = max(1, int(round(self.ratio * vec.size)))
-        return rng.choice(vec.size, size=k, replace=False)
-
-    def _wire(self, k: int) -> WireSize:
-        return WireSize(values=k, index_ints=k, legacy_scalars=2 * k, legacy=self.legacy)
-
-    def compress(self, vec, rng):
-        vec = np.asarray(vec, dtype=np.float64)
-        keep = self._keep(vec, rng)
-        out = np.zeros_like(vec)
-        out[keep] = vec[keep] * (vec.size / keep.size)  # inverse-probability scaling
-        return out, self._wire(keep.size)
-
-    def encode(self, vec, rng):
-        if self.legacy:
-            return None
-        vec = np.asarray(vec, dtype=np.float64)
-        keep = self._keep(vec, rng)
-        streams = {
-            "indices": keep.astype(np.int32),
-            # Scaled exactly as compress() scales, so decode() scatters
-            # bit-identical values.
-            "values": vec[keep] * (vec.size / keep.size),
-        }
-        return streams, self._wire(keep.size)
-
-    def decode(self, streams, size):
-        out = np.zeros(size, dtype=streams["values"].dtype)
-        out[streams["indices"]] = streams["values"]
-        return out
-
-
-class UniformQuantizer(Compressor):
-    """b-bit stochastic uniform quantization over [min, max].
-
-    Unbiased: each value rounds up with probability equal to its
-    fractional position between adjacent levels.  Wire size: 2 range
-    scalars plus ``ceil(size * b / 8)`` raw bytes of bit-packed levels.
-    ``legacy_scalars=True`` keeps the old *scalar count* — ``2 +
-    ceil(size * b / 32)``, i.e. bit-packed words counted as 32-bit
-    scalars — on :attr:`WireSize.scalars`, but byte charges always use
-    the actual bit-width payload: the old mode multiplied the packed
-    words by the dtype width, double-charging a float64 run 4x.  The
-    reconstruction ships dense — there is no index stream to exploit.
-    """
-
-    name = "quantize"
-
-    def __init__(self, bits: int, legacy_scalars: bool = False) -> None:
-        if not 1 <= bits <= 16:
-            raise ConfigError(f"bits must be in [1, 16], got {bits}")
-        self.bits = bits
-        self.legacy = bool(legacy_scalars)
-
-    def _wire(self, size: int) -> WireSize:
-        # legacy=False always: quantized payloads are bit-packed words,
-        # so charging them as dtype-width scalars misstates the wire.
-        return WireSize(
-            values=2,
-            raw_bytes=int(np.ceil(size * self.bits / 8.0)),
-            legacy_scalars=2 + int(np.ceil(size * self.bits / 32.0)),
-            legacy=False,
-        )
-
-    def compress(self, vec, rng):
-        vec = np.asarray(vec, dtype=np.float64)
-        lo, hi = float(vec.min()), float(vec.max())
-        if hi == lo:
-            return np.full_like(vec, lo), WireSize(values=2, legacy=False)
-        levels = (1 << self.bits) - 1
-        scaled = (vec - lo) / (hi - lo) * levels
-        floor = np.floor(scaled)
-        frac = scaled - floor
-        rounded = floor + (rng.random(vec.shape) < frac)
-        rounded = np.clip(rounded, 0, levels)
-        recon = lo + rounded / levels * (hi - lo)
-        return recon, self._wire(vec.size)
 
 
 # -- composable pipeline stages ----------------------------------------------------
@@ -479,8 +277,9 @@ class _SignStage(_Stage):
 
 
 class _UniformStage(_Stage):
-    """Pipeline form of :class:`UniformQuantizer`: two range scalars
-    plus ``bits``-bit stochastic levels over [min, max]."""
+    """Stochastic uniform quantization: two range scalars plus
+    ``bits``-bit levels over [min, max], each value rounding up with
+    probability equal to its fractional position (unbiased)."""
 
     kind = "quantize"
     role = "coder"
@@ -565,17 +364,14 @@ def parse_compression_spec(spec: str) -> list[_Stage]:
     return stages
 
 
-class CompressionPipeline(Compressor):
+class CompressionPipeline:
     """Composable lossy compressor built from a spec string.
 
-    ``compress`` / ``encode`` / ``decode`` follow the
-    :class:`Compressor` contract; ``decode(encode(v))`` is bit-identical
-    to ``compress(v)`` by construction (both run the same selection /
-    coding and the same scatter).  Stage wire footprints depend only on
-    the input size — see :meth:`stage_footprints`.
+    ``decode(encode(v))`` is bit-identical to ``compress(v)`` by
+    construction (both run the same selection / coding and the same
+    scatter, and consume the rng identically).  Stage wire footprints
+    depend only on the input size — see :meth:`stage_footprints`.
     """
-
-    name = "pipeline"
 
     def __init__(self, spec: str) -> None:
         stages = parse_compression_spec(spec)
@@ -649,12 +445,19 @@ class CompressionPipeline(Compressor):
             return out
         return np.array(values, dtype=np.float64, copy=True)
 
-    def compress(self, vec, rng):
+    def compress(
+        self, vec: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, WireSize]:
+        """Return (lossy dense reconstruction, wire size)."""
         size = int(np.asarray(vec).size)
         indices, values = self._encode_parts(vec, rng)
         return self._expand(indices, values, size), self.wire_size(size)
 
-    def encode(self, vec, rng):
+    def encode(
+        self, vec: np.ndarray, rng: np.random.Generator
+    ) -> tuple[dict[str, np.ndarray], WireSize]:
+        """Split ``vec`` into wire streams: ``values`` plus, after a
+        coordinate selector, ``int32`` ``indices``."""
         size = int(np.asarray(vec).size)
         indices, values = self._encode_parts(vec, rng)
         streams = {"values": values}
@@ -662,11 +465,13 @@ class CompressionPipeline(Compressor):
             streams["indices"] = indices.astype(np.int32)
         return streams, self.wire_size(size)
 
-    def decode(self, streams, size):
+    def decode(self, streams: dict[str, np.ndarray], size: int) -> np.ndarray:
+        """The dense reconstruction :meth:`compress` returns, from the
+        streams :meth:`encode` returned."""
         return self._expand(streams.get("indices"), streams["values"], int(size))
 
 
-def compressor_from_spec(spec: str | None) -> Compressor | None:
+def compressor_from_spec(spec: str | None) -> CompressionPipeline | None:
     """Canonical factory: spec string -> compressor (``None`` for 'none').
 
     ``compressor_from_spec("none")`` (or ``None`` / ``""``) returns
@@ -679,34 +484,3 @@ def compressor_from_spec(spec: str | None) -> Compressor | None:
         return None
     return CompressionPipeline(spec)
 
-
-_MAKE_COMPRESSOR_WARNED = False
-
-
-def make_compressor(name: str, **kwargs) -> Compressor:
-    """Deprecated factory: 'none' | 'topk' | 'subsample' | 'quantize'.
-
-    Use spec strings instead — :func:`compressor_from_spec`
-    (``"topk:0.05"``, ``"quantize:8"``) or the ``FLConfig.compression``
-    knob, which add composition and error feedback.  This alias warns
-    once per process and delegates to the legacy single-stage classes
-    (still the right tool for ``legacy_scalars=True`` byte accounting).
-    """
-    global _MAKE_COMPRESSOR_WARNED
-    if not _MAKE_COMPRESSOR_WARNED:
-        _MAKE_COMPRESSOR_WARNED = True
-        warnings.warn(
-            "make_compressor() is deprecated; build compressors from spec "
-            "strings via compressor_from_spec() or FLConfig(compression=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    table = {
-        "none": NoCompression,
-        "topk": TopKSparsifier,
-        "subsample": RandomSubsampler,
-        "quantize": UniformQuantizer,
-    }
-    if name not in table:
-        raise ConfigError(f"unknown compressor {name!r}; choose from {sorted(table)}")
-    return table[name](**kwargs)

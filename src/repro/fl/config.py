@@ -1,7 +1,7 @@
 """Federated training configuration and the string-choice registry.
 
 Every string-valued knob with a closed set of values (``executor``,
-``transport``, ``optimizer``, ``dtype``, ``execution``, ``runtime``) is
+``optimizer``, ``dtype``, ``execution``, ``runtime``, ...) is
 validated through one registry here — :data:`CHOICES` plus
 :func:`validate_choice` — so the CLI, :class:`FLConfig` and
 :func:`repro.run_experiment` all raise the *same* typo-suggesting
@@ -20,7 +20,6 @@ from repro.nn.optim import LRSchedule
 # -- the string-choice knob registry ------------------------------------------------
 
 EXECUTOR_MODES = ("auto", "serial", "process", "chunked")
-TRANSPORTS = ("wire", "pickle")
 EXECUTION_MODES = ("sync", "async", "serve")
 RUNTIME_KINDS = ("instant", "gaussian", "trace")
 OPTIMIZERS = ("sgd", "rmsprop", "adam")
@@ -33,7 +32,6 @@ TOPOLOGY_KINDS = ("flat", "hier")
 
 CHOICES: dict[str, tuple[str, ...]] = {
     "executor": EXECUTOR_MODES,
-    "transport": TRANSPORTS,
     "execution": EXECUTION_MODES,
     "runtime": RUNTIME_KINDS,
     "optimizer": OPTIMIZERS,
@@ -190,12 +188,6 @@ class FLConfig:
             num_workers > 1, else serial), 'serial', 'process' (one
             task per client), or 'chunked' (one contiguous client chunk
             per worker).
-        transport: how parallel workers exchange payloads with the
-            parent — 'wire' (packed flat buffers, round state broadcast
-            once per round through fork-inherited shared memory, a
-            persistent worker pool) or 'pickle' (the pre-wire
-            fork-per-round engine).  Results are bit-identical either
-            way; 'wire' is faster.
         dtype: compute precision for the whole run: 'float64' (default,
             bit-reproducible against the historical behaviour) or
             'float32' (~2x faster kernels, half-size payloads; results
@@ -343,7 +335,6 @@ class FLConfig:
     wire_dtype_bytes: int | None = None
     num_workers: int = 1
     executor: str = "auto"
-    transport: str = "wire"
     dtype: str = "float64"
     execution: str = "sync"
     runtime: str = "instant"
@@ -387,7 +378,6 @@ class FLConfig:
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
         validate_choice("executor", self.executor)
-        validate_choice("transport", self.transport)
         validate_choice("optimizer", self.optimizer)
         validate_choice("dtype", self.dtype)
         validate_choice("execution", self.execution)

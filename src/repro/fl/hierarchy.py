@@ -18,9 +18,9 @@ around it:
 
 * Client execution goes through the algorithm's
   :class:`~repro.fl.parallel.ClientExecutor` —
-  :meth:`~repro.fl.parallel.ClientExecutor.run_regions` lets the wire
-  transport run *all* regions' clients concurrently on one persistent
-  process pool, which is the headline multi-core speedup.
+  :meth:`~repro.fl.parallel.ClientExecutor.run_regions` lets the
+  process pool run *all* regions' clients concurrently on one persistent
+  pool, which is the headline multi-core speedup.
 * Virtual populations, sharded delta tables, streaming
   histories/ledgers, compression pipelines and fault models all work
   unchanged; the optional ``cloud_compression`` spec compresses the

@@ -165,7 +165,7 @@ def run_federated(
                 region_observer=region_observer,
             )
         finally:
-            # The wire transport keeps a worker pool and a shared-memory
+            # The process pool keeps its workers and a shared-memory
             # buffer alive across rounds; release them with the run.  An
             # executor stays usable — it re-creates its pool lazily.
             algorithm.executor.close()

@@ -36,13 +36,13 @@ Three message kinds are used by the transport layer:
 * ``"state"`` — the round-constant algorithm state the parent broadcasts
   to workers once per round (:meth:`FederatedAlgorithm._worker_state`).
 * ``"update"`` — one finished :class:`~repro.fl.parallel.ClientUpdate`,
-  including compressed index/value streams when a sparsifying
-  compressor is active.
+  including its compressed streams when a compressor is active.
 * ``"generic"`` — free-form named segments.
 
 Anything that cannot be expressed as named arrays / float / int
 segments raises :class:`~repro.exceptions.WireError`; callers treat
-that as "fall back to pickle", never as a fatal error.
+that as a degradation (see :mod:`repro.fl.parallel`), never as a fatal
+error.
 
 **Framing.**  In memory a message's extent is known from context (a
 shared-memory header stores the length).  On a byte stream — the
@@ -377,7 +377,7 @@ def unpack_state(buf) -> dict[str, object]:
 # -- client updates -----------------------------------------------------------------
 
 # Fixed numeric fields of ClientUpdate, packed as scalar segments.
-_UPDATE_INTS = ("client_id", "wire", "num_steps", "worker")
+_UPDATE_INTS = ("client_id", "num_steps", "worker")
 _UPDATE_FLOATS = ("task_loss", "reg_loss", "train_seconds")
 
 
@@ -385,8 +385,8 @@ def pack_client_update(update) -> bytes:
     """Encode a :class:`~repro.fl.parallel.ClientUpdate`.
 
     Raises :class:`WireError` when the update carries anything the
-    format cannot express (e.g. an exotic payload value); the transport
-    then falls back to returning the pickled update.
+    format cannot express (e.g. an exotic payload value); the pool
+    then returns that one update as its pickled record.
     """
     segments: dict[str, object] = {}
     for field in _UPDATE_INTS:
@@ -397,13 +397,10 @@ def pack_client_update(update) -> bytes:
         segments["params"] = update.params
     if update.residual is not None:
         segments["residual"] = update.residual
-    if update.wire_size is not None:
-        ws = update.wire_size
-        legacy_scalars = -1 if ws.legacy_scalars is None else int(ws.legacy_scalars)
-        segments["wire_size"] = np.array(
-            [ws.values, ws.index_ints, ws.raw_bytes, legacy_scalars, int(ws.legacy)],
-            dtype=np.int64,
-        )
+    ws = update.wire_size
+    segments["wire_size"] = np.array(
+        [ws.values, ws.index_ints, ws.raw_bytes], dtype=np.int64
+    )
     if update.params_streams:
         for name, value in update.params_streams.items():
             if not isinstance(value, np.ndarray):
@@ -449,25 +446,19 @@ def client_update_from_segments(segments: Mapping[str, object]):
         elif name == "residual":
             residual = value
         elif name == "wire_size":
-            values, index_ints, raw_bytes, legacy_scalars, legacy = (
-                int(x) for x in value
-            )
-            wire_size = WireSize(
-                values=values,
-                index_ints=index_ints,
-                raw_bytes=raw_bytes,
-                legacy_scalars=None if legacy_scalars < 0 else legacy_scalars,
-                legacy=bool(legacy),
-            )
+            values, index_ints, raw_bytes = (int(x) for x in value)
+            wire_size = WireSize(values=values, index_ints=index_ints, raw_bytes=raw_bytes)
         else:
             raise WireError(f"unexpected segment {name!r} in update message")
     missing = [f for f in _UPDATE_INTS + _UPDATE_FLOATS if f not in fields]
+    if wire_size is None:
+        missing.append("wire_size")
     if missing:
         raise WireError(f"update message missing fields {missing}")
     return ClientUpdate(
         client_id=int(fields["client_id"]),
         params=params,
-        wire=int(fields["wire"]),
+        wire_size=wire_size,
         task_loss=float(fields["task_loss"]),
         reg_loss=float(fields["reg_loss"]),
         num_steps=int(fields["num_steps"]),
@@ -475,6 +466,5 @@ def client_update_from_segments(segments: Mapping[str, object]):
         worker=int(fields["worker"]),
         payload=payload or None,
         params_streams=streams or None,
-        wire_size=wire_size,
         residual=residual,
     )

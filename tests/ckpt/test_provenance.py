@@ -25,7 +25,6 @@ def test_hash_ignores_execution_only_fields(tmp_path):
     varied = _config(
         num_workers=4,
         executor="process",
-        transport="wire",
         checkpoint_dir=str(tmp_path),
         checkpoint_every=2,
         checkpoint_keep=7,
@@ -57,9 +56,7 @@ def test_compatible_provenance_passes():
     prov = run_provenance(_config(), "fedavg")
     check_resume_compatible(dict(prov), dict(prov))
     # Execution engine may differ freely.
-    other = run_provenance(
-        _config(num_workers=2, executor="process", transport="wire"), "fedavg"
-    )
+    other = run_provenance(_config(num_workers=2, executor="process"), "fedavg")
     check_resume_compatible(prov, other)
 
 

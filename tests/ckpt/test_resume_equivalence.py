@@ -73,7 +73,6 @@ def _crash_and_resume(
     *,
     num_workers=1,
     executor="auto",
-    transport="wire",
     decorate=None,
     config=None,
 ):
@@ -81,7 +80,7 @@ def _crash_and_resume(
     config = config if config is not None else _config()
     baseline = run_with_workers(
         name, kwargs, fed, config, num_workers=num_workers,
-        executor=executor, transport=transport, decorate=decorate,
+        executor=executor, decorate=decorate,
     )
     ckpt_dir = tmp_path / "ckpt"
     ckpt_config = config.with_updates(
@@ -89,13 +88,12 @@ def _crash_and_resume(
     )
     run_with_workers(
         name, kwargs, fed, ckpt_config, num_workers=num_workers,
-        executor=executor, transport=transport, decorate=decorate,
+        executor=executor, decorate=decorate,
     )
     _simulate_crash(ckpt_dir)
     resumed = run_with_workers(
         name, kwargs, fed, ckpt_config.with_updates(resume=True),
-        num_workers=num_workers, executor=executor, transport=transport,
-        decorate=decorate,
+        num_workers=num_workers, executor=executor, decorate=decorate,
     )
     assert_equivalent_runs(baseline, resumed)
     return baseline, resumed
@@ -124,8 +122,7 @@ def test_crash_resume_is_bit_identical(fed, name, kwargs, tmp_path):
 def test_crash_resume_under_parallel_wire(fed, name, kwargs, tmp_path):
     """Resume composes with the process executor and packed wire."""
     _crash_and_resume(
-        name, kwargs, fed, tmp_path,
-        num_workers=2, executor="process", transport="wire",
+        name, kwargs, fed, tmp_path, num_workers=2, executor="process"
     )
 
 

@@ -5,8 +5,9 @@ read back as read-only views a consumer copies once.  These tests pin
 the memory side of that — nothing multi-megabyte outlives the call that
 used it (no reference cycle, no driver-loop local), a save costs one
 gather of the reported rows — and the two contracts it rests on: the
-file holds the state as it was when ``save`` returned, and a checkpoint
-the parent commit wrote still resumes to the parent's result.
+file holds the state as it was when ``save`` returned, and checkpoints
+a parent commit wrote (a sync one, an async one with updates in flight)
+still resume to that parent's result.
 
 Each memory test fails at the parent commit for the reason it names.
 """
@@ -264,3 +265,42 @@ def test_parent_written_checkpoint_resumes_to_the_parents_digest(tmp_path):
     assert [record.round_idx for record in history.records] == [0, 1, 2, 3]
     digest = hashlib.sha256(algorithm.global_params.tobytes()).hexdigest()
     assert digest == PARENT_FINAL_PARAMS
+
+
+# sha256 of the final parameters the PARENT commit reached from its own
+# tests/ckpt/data/parent-async-rfedavgplus-00000002.rck (== its
+# uninterrupted run).  The file was written at the parent commit by
+#   run_with_workers("rfedavg+", {"lam": 1e-3}, make_toy_federation(similarity=0.0),
+#                    _parent_async_config(checkpoint_dir=D, checkpoint_every=1,
+#                                         checkpoint_keep=50), num_workers=1)
+# keeping D/ckpt-00000002.rck: an async round whose event heap holds two
+# in-flight updates still carrying their scalar upload count.
+PARENT_ASYNC_FINAL_PARAMS = "aca62a0d92b551736ad11b975adf5e8ed32c6060923dac8e2cbc256a84e43bcb"
+
+
+def _parent_async_config(**overrides) -> FLConfig:
+    return FLConfig(
+        rounds=6, local_steps=2, batch_size=8, lr=0.1, seed=19,
+        execution="async", runtime="gaussian:mean=1,std=0.5,het=2", buffer_size=2,
+        compression="topk:0.25|qsgd:8", **overrides,
+    )
+
+
+def test_parent_written_async_checkpoint_resumes_to_the_parents_digest(tmp_path):
+    source = DATA / "parent-async-rfedavgplus-00000002.rck"
+    _manifest, sections = read_checkpoint(source)
+    events = unpack_tree(sections["async"])["queue"]["events"]
+    assert len(events) == 2
+    for event in events:
+        assert "wire" in event["update"]
+        assert set(event["update"]["wire_size"]) > {"values", "index_ints", "raw_bytes"}
+
+    shutil.copy(source, tmp_path / "ckpt-00000002.rck")
+    config = _parent_async_config(
+        checkpoint_dir=str(tmp_path), checkpoint_every=1, checkpoint_keep=50, resume=True,
+    )
+    fed = make_toy_federation(similarity=0.0)
+    algorithm, history = run_with_workers("rfedavg+", {"lam": 1e-3}, fed, config, num_workers=1)
+    assert [record.round_idx for record in history.records] == list(range(6))
+    digest = hashlib.sha256(algorithm.global_params.tobytes()).hexdigest()
+    assert digest == PARENT_ASYNC_FINAL_PARAMS

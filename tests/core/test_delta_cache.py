@@ -216,7 +216,7 @@ def test_cached_parallel_wire_run_is_bit_identical(fed):
     """Workers keep their own cache instances; results must not drift."""
     serial = run_with_workers("rfedavg+", {"lam": 1e-3}, fed, _config(), num_workers=1)
     parallel = run_with_workers("rfedavg+", {"lam": 1e-3}, fed, _config(), num_workers=4)
-    assert parallel[0].executor.transport == "wire"
+    assert not parallel[0].executor.degraded
     assert_equivalent_runs(serial, parallel)
 
 
@@ -308,7 +308,7 @@ def test_no_cache_no_fingerprint(fed, phi_fingerprints, name):
 
 
 def test_a_call_without_phi_fp_hashes_per_call_and_cannot_hit_stale(fed, phi_fingerprints):
-    """``bench_comm``'s sweeps and rFedAvg's ``_client_payload`` call
+    """rFedAvg's ``_client_payload`` and callers outside a round call
     ``_raw_delta(client)`` bare, between arbitrary model mutations."""
     from repro.algorithms import make_algorithm
     from tests.helpers import tiny_model_fn

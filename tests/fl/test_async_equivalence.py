@@ -90,6 +90,6 @@ def test_zero_latency_async_under_parallel_wire(fed):
     sync = run_with_workers("scaffold", {}, fed, _config(), num_workers=1)
     asynchronous = run_with_workers(
         "scaffold", {}, fed, _config(execution="async"),
-        num_workers=WORKERS, executor="process", transport="wire",
+        num_workers=WORKERS, executor="process",
     )
     assert_equivalent_runs(sync, asynchronous)

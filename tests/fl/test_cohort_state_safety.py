@@ -31,7 +31,7 @@ SPEC = "topk:0.05|qsgd:8"
 
 def _worker_of(algorithm, cohort):
     """What a forked worker holds after adopting ``cohort``'s broadcast
-    (through the packed format, as both transports deliver it)."""
+    (through the packed format, as both executors deliver it)."""
     worker = copy.copy(algorithm)
     worker._install_worker_state(
         wire.unpack_state(wire.pack_state(algorithm._worker_state(cohort)))
@@ -101,15 +101,24 @@ def test_array_tables_installed_from_a_cohort_broadcast(name, table):
 
 def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
     """Round 0 broadcasts no residual row, later rounds up to a cohort's
-    worth; the shared buffer was sized for that at the first fork."""
+    worth; the shared buffer was sized for that at the first fork.  One
+    pool fork per run, one state pack per round."""
     forks = []
+    state_packs = []
+    pack_parts = wire.pack_parts
 
     class CountingPool(parallel._ProcessPool):
         def __init__(self, *args, **kwargs):
             forks.append(1)
             super().__init__(*args, **kwargs)
 
+    def counting_pack_parts(kind, segments):
+        if kind == "state":
+            state_packs.append(1)
+        return pack_parts(kind, segments)
+
     monkeypatch.setattr(parallel, "_ProcessPool", CountingPool)
+    monkeypatch.setattr(wire, "pack_parts", counting_pack_parts)
     fed = make_toy_federation(similarity=0.0, num_clients=16)
     config = FLConfig(
         rounds=6, local_steps=2, batch_size=8, lr=0.1, seed=11,
@@ -139,3 +148,4 @@ def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
     # ... and never by more than one row (+ id) per cohort client.
     assert max(state_bytes) - state_bytes[0] <= 4 * (algorithm.model_size * 8 + 8)
     assert len(forks) == 1
+    assert len(state_packs) == config.rounds

@@ -1,9 +1,8 @@
 """Composable compression pipeline + error-feedback tests.
 
 Covers the spec grammar, per-stage encode/decode bit-identity, the
-error-feedback recursion, byte accounting (including the fixed
-UniformQuantizer legacy mode), engine equivalences under compression,
-and the obs counters exported to ``summary.json``.
+error-feedback recursion, byte accounting, engine equivalences under
+compression, and the obs counters exported to ``summary.json``.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from repro.exceptions import ConfigError
 from repro.fl.compression import (
     INDEX_BYTES,
     CompressionPipeline,
-    UniformQuantizer,
     WireSize,
     compressor_from_spec,
-    make_compressor,
     parse_compression_spec,
 )
 from repro.fl.config import FLConfig, validate_compression_spec
@@ -63,10 +60,12 @@ def test_parse_canonical_spec_round_trips():
     "topk",            # missing ratio
     "topk:0",          # ratio out of range
     "topk:1.5",
+    "randk:0",
     "topk:abc",
     "qsgd:1",          # qsgd needs >= 2 bits (sign covers 1-bit)
     "qsgd:20",
     "quantize:0",
+    "quantize:32",
     "sign:2",          # sign takes no parameter
     "sign|topk:0.1",   # selector must come first
     "topk:0.1|randk:0.1",  # two selectors
@@ -190,45 +189,25 @@ def test_error_feedback_recursion_recovers_signal():
     assert err_ef < 0.35 * err_naive
 
 
-# -- byte accounting (satellite: quantizer legacy fix) ------------------------------
+# -- byte accounting ----------------------------------------------------------------
 
 
 def test_quantizer_bytes_use_bit_width_in_both_modes(rng):
-    """Regression: legacy_scalars=True must not dtype-inflate the packed
-    words — byte charges always reflect the actual bit-width payload."""
+    """The packed words are billed at their bit width under a float64
+    and a float32 wire alike — never as dtype-width scalars: 2 range
+    scalars + 320 coords x 8 bits."""
     vec = rng.normal(size=320)
-    modern = UniformQuantizer(8)
-    legacy = UniformQuantizer(8, legacy_scalars=True)
-    _recon, modern_wire = modern.compress(vec, np.random.default_rng(3))
-    _recon, legacy_wire = legacy.compress(vec, np.random.default_rng(3))
-    # Scalar *counts* keep the historical packed-words-as-scalars shape...
-    assert modern_wire.scalars == legacy_wire.scalars == 2 + 80
-    # ...but neither mode bills those words at dtype width any more:
-    # 2 range scalars + 320 coords x 8 bits = 336 bytes, not 656.
-    assert modern_wire.nbytes(8) == legacy_wire.nbytes(8) == 2 * 8 + 320
-    assert not legacy_wire.legacy
+    _recon, wire = compressor_from_spec("quantize:8").compress(vec, np.random.default_rng(3))
+    assert wire == WireSize(values=2, raw_bytes=320)
+    assert wire.nbytes(8) == 2 * 8 + 320
+    assert wire.nbytes(4) == 2 * 4 + 320
 
 
 def test_quantizer_constant_vector_bytes(rng):
-    _recon, wire = UniformQuantizer(8).compress(np.full(10, 3.0), rng)
-    assert wire.nbytes(8) == 16  # just the two (equal) range scalars
-
-
-# -- deprecated factory -------------------------------------------------------------
-
-
-def test_make_compressor_warns_once(monkeypatch):
-    import repro.fl.compression as comp
-
-    monkeypatch.setattr(comp, "_MAKE_COMPRESSOR_WARNED", False)
-    with pytest.deprecated_call():
-        make_compressor("topk", ratio=0.1)
-    # Second call in the same process stays quiet.
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        make_compressor("quantize", bits=4)
+    """The footprint is data-independent: a constant vector still ships
+    its (equal) range scalars and a level per coordinate."""
+    _recon, wire = compressor_from_spec("quantize:8").compress(np.full(10, 3.0), rng)
+    assert wire.nbytes(8) == 2 * 8 + 10
 
 
 # -- end-to-end: equivalences, accounting, obs --------------------------------------
@@ -254,7 +233,7 @@ def test_compressed_serial_parallel_wire_equivalence(toy_federation, spec):
     config = _base_config(compression=spec)
     serial = run_with_workers("fedavg", {}, toy_federation, config, 1)
     parallel = run_with_workers(
-        "fedavg", {}, toy_federation, config, 2, executor="process", transport="wire"
+        "fedavg", {}, toy_federation, config, 2, executor="process"
     )
     assert_equivalent_runs(serial, parallel)
 

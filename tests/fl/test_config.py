@@ -54,15 +54,28 @@ def test_choice_registry_covers_all_choice_knobs():
     from repro.fl.config import CHOICES
 
     assert set(CHOICES) >= {
-        "executor", "transport", "execution", "runtime", "optimizer", "dtype"
+        "executor", "execution", "runtime", "optimizer", "dtype"
     }
+    assert "transport" not in CHOICES
+
+
+def test_transport_knob_is_gone(capsys):
+    """The pool has one transport: asking for one is an unknown field /
+    an unknown argument, like any other."""
+    from repro.cli import main
+
+    with pytest.raises(TypeError, match="transport"):
+        FLConfig(transport="wire")
+    with pytest.raises(SystemExit):
+        main(["run", "--transport", "wire"])
+    assert "unrecognized arguments: --transport wire" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "kwargs,suggestion",
     [
         ({"executor": "proces"}, "process"),
-        ({"transport": "wrie"}, "wire"),
+        ({"history_mode": "strem"}, "stream"),
         ({"execution": "asynch"}, "async"),
         ({"runtime": "instan"}, "instant"),
         ({"optimizer": "adan"}, "adam"),

@@ -98,24 +98,14 @@ def test_hier_one_one_identity_with_partial_participation(fed):
     ],
 )
 def test_region_parallel_matches_region_serial(fed, name, kwargs):
-    """R > 1 on the wire-transport process pool == R > 1 serial: the
+    """R > 1 on the process pool == R > 1 serial: the
     concurrent region execution is a scheduler swap, not a numerical
     change."""
     config = _config(topology="hier:2:2")
     serial = run_with_workers(name, kwargs, fed, config, num_workers=1)
     parallel = run_with_workers(
         name, kwargs, fed, config,
-        num_workers=WORKERS, executor="process", transport="wire",
-    )
-    assert_equivalent_runs(serial, parallel)
-
-
-def test_region_parallel_pickle_transport_matches(fed):
-    config = _config(topology="hier:2:2")
-    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
-    parallel = run_with_workers(
-        "fedavg", {}, fed, config,
-        num_workers=WORKERS, executor="process", transport="pickle",
+        num_workers=WORKERS, executor="process",
     )
     assert_equivalent_runs(serial, parallel)
 

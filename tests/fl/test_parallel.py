@@ -190,12 +190,14 @@ def test_traced_serial_run_has_no_worker_attribute():
 
 
 def _fake_updates(train_seconds: float, n: int = 3) -> list:
+    from repro.fl.compression import WireSize
     from repro.fl.parallel import ClientUpdate
 
     return [
         ClientUpdate(
-            client_id=i, params=np.zeros(2), wire=2, task_loss=0.0,
-            reg_loss=0.0, num_steps=1, train_seconds=train_seconds, worker=100 + i,
+            client_id=i, params=np.zeros(2), wire_size=WireSize(values=2),
+            task_loss=0.0, reg_loss=0.0, num_steps=1,
+            train_seconds=train_seconds, worker=100 + i,
         )
         for i in range(n)
     ]

@@ -12,13 +12,16 @@ The worker count defaults to 4 and can be overridden with the
 from __future__ import annotations
 
 import os
+import warnings
 
 import pytest
 
-from repro.algorithms import ALGORITHMS
+from repro.algorithms import ALGORITHMS, FedAvg
+from repro.exceptions import WireError
 from repro.fl.config import FLConfig
+from repro.fl.trainer import run_federated
 from tests.conftest import make_toy_federation
-from tests.helpers import assert_equivalent_runs, run_with_workers
+from tests.helpers import assert_equivalent_runs, run_with_workers, tiny_model_fn
 
 WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
 
@@ -65,46 +68,53 @@ def test_parallel_run_is_bit_identical_to_serial(fed, name, kwargs):
     serial = run_with_workers(name, kwargs, fed, config, num_workers=1)
     parallel = run_with_workers(name, kwargs, fed, config, num_workers=WORKERS)
     assert parallel[0].executor.name == "process"
+    # Degrading to serial would mask a packing regression.
     assert not parallel[0].executor.degraded
-    # The wire transport must have stayed active — a silent fallback to
-    # pickling flips this attribute and would mask a packing regression.
-    assert parallel[0].executor.transport == "wire"
     assert_equivalent_runs(serial, parallel)
 
 
-@pytest.mark.parametrize("name,kwargs", [
-    ("fedavg", {}),
-    ("scaffold", {}),
-    ("rfedavg+", {"lam": 1e-3}),
-])
-def test_pickle_transport_is_bit_identical_to_wire(fed, name, kwargs):
-    """The two transports must be interchangeable, bit for bit."""
-    config = _config(seed=15)
-    wire_run = run_with_workers(name, kwargs, fed, config, num_workers=WORKERS)
-    pickle_run = run_with_workers(
-        name, kwargs, fed, config, num_workers=WORKERS, transport="pickle"
-    )
-    assert wire_run[0].executor.transport == "wire"
-    assert pickle_run[0].executor.transport == "pickle"
-    assert_equivalent_runs(wire_run, pickle_run)
+class _OptedOut(FedAvg):
+    name = "fedavg"
+    wire_transport_safe = False
 
 
-def test_unsafe_algorithm_uses_pickle_engine(fed):
-    """wire_transport_safe=False must route around the persistent pool."""
-    from repro.algorithms import FedAvg
-    from repro.fl.trainer import run_federated
-    from tests.helpers import tiny_model_fn
-
-    class _OptedOut(FedAvg):
-        name = "fedavg"
-        wire_transport_safe = False
-
-    config = _config(seed=16, num_workers=WORKERS, executor="process")
-    serial = run_with_workers("fedavg", {}, fed, _config(seed=16), num_workers=1)
+def test_unsafe_algorithm_degrades_to_serial_with_one_warning(fed):
+    """wire_transport_safe=False is a pool failure like any other: the
+    executor degrades once, says so once, and the run is the serial run."""
+    config = _config(seed=16)
+    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
     opted_out = _OptedOut()
-    history = run_federated(opted_out, fed, tiny_model_fn(fed), config)
-    assert not opted_out.executor.degraded
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        history = run_federated(
+            opted_out, fed, tiny_model_fn(fed),
+            config.with_updates(num_workers=WORKERS, executor="process"),
+        )
+    runtime_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(runtime_warnings) == 1
+    assert "cannot enumerate worker state" in str(runtime_warnings[0].message)
+    assert opted_out.executor.degraded
+    assert opted_out.executor._pool is None
     assert_equivalent_runs(serial, (opted_out, history))
+
+
+@pytest.mark.parametrize("topology", ["flat", "hier:2:2"])
+def test_inexpressible_round_state_degrades_to_serial(fed, monkeypatch, topology):
+    """Round state the wire format cannot express degrades ``run`` and
+    ``run_regions`` alike to in-process serial execution, once."""
+    from repro.fl.parallel import ParallelExecutor
+
+    def refuse(self, algorithm, state):
+        raise WireError("segment 'opaque' has no wire encoding")
+
+    monkeypatch.setattr(ParallelExecutor, "_broadcast_state", refuse)
+    config = _config(seed=17, topology=topology)
+    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
+    with pytest.warns(RuntimeWarning, match="no wire encoding") as caught:
+        degraded = run_with_workers("fedavg", {}, fed, config, num_workers=WORKERS)
+    assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
+    assert degraded[0].executor.degraded
+    assert_equivalent_runs(serial, degraded)
 
 
 @pytest.mark.parametrize("name,kwargs", [("fedavg", {}), ("scaffold", {})])
@@ -118,11 +128,8 @@ def test_chunked_scheduling_is_bit_identical_to_serial(fed, name, kwargs):
     assert_equivalent_runs(serial, chunked)
 
 
-@pytest.mark.parametrize(
-    "name,kwargs,transport",
-    [("fedavg", {}, "wire"), ("fedavg", {}, "pickle"), ("rfedavg+", {"lam": 1e-3}, "wire")],
-)
-def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs, transport):
+@pytest.mark.parametrize("name,kwargs", [("fedavg", {}), ("rfedavg+", {"lam": 1e-3})])
+def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs):
     """A pool worker is the serial engine for the slots it holds: equal
     shards behind an MLP train as one stacked block per chunk — each
     client reports the chunk's one share of wall clock — and the run is
@@ -156,7 +163,7 @@ def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs, transport
 
     config = _config(seed=15)
     serial = run()
-    chunked = run(Recording(2, chunked=True, transport=transport))
+    chunked = run(Recording(2, chunked=True))
     assert not chunked[0].executor.degraded
     assert_equivalent_runs(serial, chunked)
     assert len(rounds) == config.rounds

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import FedAvg
-from repro.fl.compression import UniformQuantizer
+from repro.fl.compression import compressor_from_spec
 from repro.fl.config import FLConfig
 from repro.fl.faults import FaultModel
 from tests.conftest import make_toy_federation
@@ -86,7 +86,7 @@ def test_compression_and_faults_compose_under_parallelism(fed):
     config = _config(seed=23)
 
     def decorate(algorithm):
-        algorithm.with_compressor(UniformQuantizer(8))
+        algorithm.with_compressor(compressor_from_spec("quantize:8"))
         algorithm.with_faults(_fault_model(byzantine_clients=(0,)))
 
     serial = run_with_workers("fedavg", {}, fed, config, num_workers=1, decorate=decorate)
@@ -137,11 +137,9 @@ class _PoisonedFedAvg(FedAvg):
         return super()._client_update(round_idx, client_id)
 
 
-@pytest.mark.parametrize("transport", ["wire", "pickle"])
-def test_worker_crash_degrades_to_serial_with_identical_results(fed, transport):
-    """A crash mid-round must degrade gracefully under either transport —
-    the wire engine also has a persistent pool and a shared-memory buffer
-    to tear down on the way out."""
+def test_worker_crash_degrades_to_serial_with_identical_results(fed):
+    """A crash mid-round must degrade gracefully — and tear down the
+    persistent pool and its shared-memory buffer on the way out."""
     from repro.fl.trainer import run_federated
 
     config = _config(seed=25)
@@ -152,9 +150,7 @@ def test_worker_crash_degrades_to_serial_with_identical_results(fed, transport):
     with pytest.warns(RuntimeWarning, match="worker pool failed"):
         crashing_hist = run_federated(
             crashing, fed, tiny_model_fn(fed),
-            config.with_updates(
-                num_workers=4, executor="process", transport=transport
-            ),
+            config.with_updates(num_workers=4, executor="process"),
         )
     assert crashing.executor.degraded
     assert crashing.executor._pool is None and crashing.executor._mmap is None
@@ -162,16 +158,14 @@ def test_worker_crash_degrades_to_serial_with_identical_results(fed, transport):
 
 
 def test_sparse_compression_rides_the_wire_bit_identically(fed):
-    """TopK updates travel as int32 index + value streams on the wire
-    path; the parent-side reconstruction must match serial compress()."""
-    from repro.fl.compression import TopKSparsifier
-
+    """TopK updates travel as int32 index + value streams from the pool;
+    the parent-side reconstruction must match serial compress()."""
     config = _config(seed=26)
 
     def decorate(algorithm):
-        algorithm.with_compressor(TopKSparsifier(0.25))
+        algorithm.with_compressor(compressor_from_spec("topk:0.25"))
 
     serial = run_with_workers("fedavg", {}, fed, config, num_workers=1, decorate=decorate)
     parallel = run_with_workers("fedavg", {}, fed, config, num_workers=4, decorate=decorate)
-    assert parallel[0].executor.transport == "wire"
+    assert not parallel[0].executor.degraded
     assert_equivalent_runs(serial, parallel)

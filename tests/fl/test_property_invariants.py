@@ -21,6 +21,7 @@ import pytest
 
 from repro.algorithms import FedAvg
 from repro.fl.comm import CommLedger
+from repro.fl.compression import WireSize
 from repro.fl.metrics import History, RoundRecord
 from repro.fl.parallel import ClientUpdate
 from repro.fl.server import weighted_average
@@ -139,7 +140,7 @@ def _updates(gen: random.Random, count: int) -> list[ClientUpdate]:
         ClientUpdate(
             client_id=cid,
             params=np.zeros(3),
-            wire=gen.randint(1, 5000),
+            wire_size=WireSize(values=gen.randint(1, 5000)),
             task_loss=0.0,
             reg_loss=0.0,
             num_steps=1,

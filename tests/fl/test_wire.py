@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import WireError
 from repro.fl import wire
-from repro.fl.compression import WireSize
+from repro.fl.compression import WireSize, compressor_from_spec
 from repro.fl.parallel import ClientUpdate
 
 
@@ -148,7 +148,6 @@ def _update(**overrides) -> ClientUpdate:
     base = dict(
         client_id=3,
         params=np.linspace(-1, 1, 17),
-        wire=17,
         task_loss=0.25,
         reg_loss=0.015625,
         num_steps=5,
@@ -167,7 +166,6 @@ def test_client_update_round_trip_dense():
     assert out.client_id == 3 and out.worker == 4242 and out.num_steps == 5
     assert out.task_loss == 0.25 and out.reg_loss == 0.015625
     assert out.train_seconds == 0.125
-    assert out.wire == 17
     assert out.wire_size == update.wire_size
     assert out.payload is None and out.params_streams is None
 
@@ -180,7 +178,7 @@ def test_client_update_round_trip_compressed_streams():
     update = _update(
         params=None,
         params_streams=streams,
-        wire_size=WireSize(values=3, index_ints=3, legacy_scalars=6),
+        wire_size=WireSize(values=3, index_ints=3, raw_bytes=5),
     )
     out = wire.unpack_client_update(wire.pack_client_update(update))
     assert out.params is None
@@ -188,6 +186,26 @@ def test_client_update_round_trip_compressed_streams():
     np.testing.assert_array_equal(out.params_streams["values"], streams["values"])
     assert out.params_streams["indices"].dtype == np.int32
     assert out.wire_size == update.wire_size
+
+
+def test_packed_topk_update_is_4x_smaller_than_dense_and_decodes_to_compress():
+    """A ``topk:0.05`` upload of a float32 model packs to int32 indices
+    plus values — at least 4x smaller than the packed dense update — and
+    decodes to exactly what ``compress()`` reconstructs."""
+    vec = np.random.default_rng(0).normal(size=20_000).astype(np.float32)
+    pipeline = compressor_from_spec("topk:0.05")
+    streams, size = pipeline.encode(vec, np.random.default_rng(1))
+    recon, _size = pipeline.compress(vec, np.random.default_rng(1))
+    packed = wire.pack_client_update(
+        _update(params=None, params_streams=streams, wire_size=size)
+    )
+    dense = wire.pack_client_update(
+        _update(params=vec, wire_size=WireSize(values=vec.size))
+    )
+    assert len(dense) >= 4 * len(packed)
+    out = wire.unpack_client_update(packed)
+    assert out.params_streams["indices"].dtype == np.int32
+    np.testing.assert_array_equal(pipeline.decode(out.params_streams, vec.size), recon)
 
 
 def test_client_update_round_trip_payload():
@@ -199,14 +217,16 @@ def test_client_update_round_trip_payload():
 
 
 def test_client_update_exotic_payload_raises_wire_error():
-    """The transport catches this and falls back to pickling the record."""
+    """The pool catches this and returns that one record pickled."""
     update = _update(payload={"weird": object()})
     with pytest.raises(WireError):
         wire.pack_client_update(update)
 
 
-def test_client_update_none_legacy_scalars_survives():
-    update = _update(wire_size=WireSize(values=17, legacy_scalars=None))
-    out = wire.unpack_client_update(wire.pack_client_update(update))
-    assert out.wire_size.legacy_scalars is None
-    assert out.wire_size.scalars == 17
+def test_client_update_without_wire_size_is_refused():
+    """Every update states its wire bytes; a message without them is
+    malformed, not an update to charge some other way."""
+    _kind, segments = wire.unpack(wire.pack_client_update(_update()))
+    del segments["wire_size"]
+    with pytest.raises(WireError, match="wire_size"):
+        wire.client_update_from_segments(segments)

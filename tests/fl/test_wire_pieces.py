@@ -60,7 +60,6 @@ def golden_update() -> ClientUpdate:
     return ClientUpdate(
         client_id=5,
         params=None,
-        wire=640,
         task_loss=0.75,
         reg_loss=0.0625,
         num_steps=3,
@@ -71,7 +70,7 @@ def golden_update() -> ClientUpdate:
             "indices": np.sort(gen.choice(12000, size=600, replace=False)).astype(np.int32),
             "values": gen.normal(size=600),
         },
-        wire_size=WireSize(values=2, index_ints=600, raw_bytes=600, legacy_scalars=1200),
+        wire_size=WireSize(values=2, index_ints=600, raw_bytes=600),
         residual=gen.normal(size=12000),
     )
 
@@ -79,7 +78,8 @@ def golden_update() -> ClientUpdate:
 GOLDEN = {
     "pack": "98e3d6265076d243c78bb5caa41b0e07",
     "pack_state": "89ad059b0e4b7ee0dab45746cfd86271",
-    "pack_client_update": "0cf5360ecf7a7020d20749b43d6e65c8",
+    # Re-recorded: the update message lost ``f.wire`` and two ``wire_size`` ints.
+    "pack_client_update": "0b02fa68d56515feba128ade5edbf149",
     "frame": "8c0bba3b7dd07c3aaf76441cf788fd02",
     "pack_empty": "2aaf953756dd1408bf52ec74c761d02d",
 }

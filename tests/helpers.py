@@ -123,7 +123,6 @@ def run_with_workers(
     config,
     num_workers: int,
     executor: str = "auto",
-    transport: str = "wire",
     decorate=None,
 ):
     """Run one federated job with the given worker count.
@@ -141,9 +140,7 @@ def run_with_workers(
         # silently drop the parallel leg of every equivalence matrix on
         # a 1-CPU box, so force the process pool explicitly.
         executor = "process"
-    run_config = config.with_updates(
-        num_workers=num_workers, executor=executor, transport=transport
-    )
+    run_config = config.with_updates(num_workers=num_workers, executor=executor)
     algorithm = make_algorithm(algorithm_name, **algorithm_kwargs)
     if decorate is not None:
         decorate(algorithm)

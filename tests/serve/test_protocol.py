@@ -135,7 +135,6 @@ def _update(**overrides) -> ClientUpdate:
     base = dict(
         client_id=3,
         params=np.linspace(-1, 1, 17),
-        wire=17,
         task_loss=0.25,
         reg_loss=0.0,
         num_steps=5,
