@@ -9,7 +9,7 @@ Three studies, each gated behind bit-identity checks:
   from a run that broke the invariant.
 * **region-parallel speedup** — a device-latency scenario (every client
   sleeps a fixed simulated device time) run hierarchically, serial vs
-  the wire-transport process pool executing all regions concurrently.
+  the process pool executing all regions concurrently.
   Client latencies on different workers overlap, so the pool wins
   regardless of host core count.  Serial and parallel hierarchical runs
   must be bit-identical before the speedup counts.
@@ -160,9 +160,7 @@ def speedup_study() -> dict:
     started = time.perf_counter()
     parallel_hist = run_federated(
         parallel_alg, fed, model_fn,
-        config.with_updates(
-            num_workers=WORKERS, executor="process", transport="wire"
-        ),
+        config.with_updates(num_workers=WORKERS, executor="process"),
     )
     parallel_sec = time.perf_counter() - started
 
