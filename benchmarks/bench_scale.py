@@ -3,8 +3,8 @@
 Two parts:
 
 1. **Bit-identity gate** — at small N the whole scale stack (virtual
-   clients, sharded delta table, streaming history) must reproduce the
-   eager/dense/appending run bit-for-bit, *including* across a
+   clients, lazily allocated delta table, streaming history) must
+   reproduce the eager/appending run bit-for-bit, *including* across a
    crash/resume.  The bench refuses to report memory numbers from a
    stack that changed the math.
 2. **Memory study** — one subprocess per population (``ru_maxrss`` is
@@ -136,9 +136,9 @@ def _identity_gate(tmp_path: Path) -> dict:
         run_federated(algorithm, fed, _model_fn(fed), config)
         return algorithm
 
-    # Virtual + sharded + streaming vs eager + dense + appending.
+    # Virtual + streaming vs eager + appending.
     lazy = _run(virt, stream_dir=str(tmp_path / "lazy"))
-    dense = _run(eager, history_mode="append", state_sharding="dense")
+    dense = _run(eager, history_mode="append")
     verdicts["virtual_sharded_streaming_vs_eager"] = bool(
         np.array_equal(lazy.global_params, dense.global_params)
     )
@@ -247,8 +247,8 @@ def main() -> None:
         "interpretation": (
             "Each population runs in its own subprocess (ru_maxrss is "
             "monotone) with 100 clients sampled per round by Floyd "
-            "reservoir, lazily materialized shards, a sharded delta "
-            "table and a streaming history. Peak RSS is flat across a "
+            "reservoir, lazily materialized shards, a lazily allocated "
+            "delta table and a streaming history. Peak RSS is flat across a "
             "100x population jump because the only O(N) state is the "
             "int64 size vector and the boolean reported mask; client "
             "data, delta rows and round records scale with the cohort. "

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.delta import CohortRows, DeltaTable, ShardedDeltaTable
+from repro.core.delta import CohortRows, DeltaTable
 from repro.data.dataset import FederatedDataset
 from repro.exceptions import ProtocolError
 from repro.fl.client import LocalResult, local_sgd_steps
@@ -214,37 +214,14 @@ class FederatedAlgorithm:
         if self.model is None or self.fed is None or self.config is None:
             raise ProtocolError(f"{self.name}: setup() must be called before a round runs")
 
-    # Populations at or above this size default to sharded per-client
-    # state tables under state_sharding='auto' (dense would allocate
-    # N*d float64).
-    AUTO_SHARD_THRESHOLD = 4096
-
-    def _use_sharded_state(self, fed, config) -> bool:
-        """Whether per-client server-side state (delta tables, error
-        residuals) should use the lazy spillable layout — the same rule
-        for every table, so one config reads one way everywhere."""
-        mode = config.state_sharding
-        if mode == "dense":
-            return False
-        if mode == "sharded":
-            return True
-        return bool(getattr(fed, "virtual", False)) or (
-            fed.num_clients >= self.AUTO_SHARD_THRESHOLD
-        )
-
-    def _make_state_table(self, dim: int):
-        """A per-client (N, dim) state table in the configured layout."""
+    def _make_state_table(self, dim: int) -> DeltaTable:
+        """A per-client (N, dim) state table under the run's row cap."""
         assert self.fed is not None and self.config is not None
-        if self._use_sharded_state(self.fed, self.config):
-            return ShardedDeltaTable(
-                self.fed.num_clients, dim,
-                dtype_bytes=self.config.wire_bytes_per_scalar(),
-                max_resident=self.config.state_cap,
-                spill_dir=self.config.state_dir,
-            )
         return DeltaTable(
             self.fed.num_clients, dim,
             dtype_bytes=self.config.wire_bytes_per_scalar(),
+            max_resident=self.config.state_cap,
+            spill_dir=self.config.state_dir,
         )
 
     # -- wire-transport worker state ---------------------------------------------

@@ -55,12 +55,6 @@ class RegularizedAlgorithm(FederatedAlgorithm):
         else:
             self.delta_cache = DeltaCache(max_entries=int(delta_cache))
 
-    # The layout rule (and AUTO_SHARD_THRESHOLD) lives on the base
-    # class now, shared with the error-feedback residual tables; the
-    # alias keeps the historical name for the delta-table call sites.
-    def _use_sharded_table(self, fed, config) -> bool:
-        return self._use_sharded_state(fed, config)
-
     def setup(self, model, fed, config) -> None:
         super().setup(model, fed, config)
         self.delta_table = self._make_state_table(model.feature_dim)
@@ -75,12 +69,7 @@ class RegularizedAlgorithm(FederatedAlgorithm):
     def _install_worker_state(self, state: dict) -> None:
         super()._install_worker_state(state)
         assert self.delta_table is not None
-        keys = (
-            ("delta_table", "delta_reported")
-            if "delta_table" in state
-            else ("delta_ids", "delta_rows", "delta_reported")
-        )
-        self.delta_table.install_worker_segments({k: state[k] for k in keys})
+        self.delta_table.install_worker_segments(state)
 
     def checkpoint_state(self) -> dict:
         state = super().checkpoint_state()

@@ -64,9 +64,8 @@ class RFedAvg(RegularizedAlgorithm):
     def _others_rows(self, client_id: int) -> np.ndarray | None:
         """Reported delta rows of every client except ``client_id``.
 
-        Goes through :meth:`DeltaTable.reported_rows_except` so the
-        dense and sharded layouts serve the identical (R, d) array —
-        the sharded table never materializes the (N, d) table here.
+        Goes through :meth:`DeltaTable.reported_rows_except`, so the
+        (N, d) table is never materialized here.
         """
         assert self.delta_table is not None
         return self.delta_table.reported_rows_except(client_id)

@@ -72,8 +72,8 @@ class RFedAvgPlus(RegularizedAlgorithm):
         self._sync_reference = None
         if self._sync_pipeline is not None and config.error_feedback:
             # Server-side residual for the model re-broadcast, per-client
-            # residuals for the delta re-uploads (sharded/spillable under
-            # the same layout rule as every other per-client table).
+            # residuals for the delta re-uploads (one more per-client
+            # table, under the same row cap as the others).
             self._sync_model_residual = np.zeros(self.model_size, dtype=np.float64)
             self._sync_delta_residuals = self._make_state_table(model.feature_dim)
 

@@ -9,10 +9,13 @@ producing subtly different numbers.
 
 The config hash deliberately **excludes** fields that are guaranteed not
 to change results: worker count and executor (the parallel engine is
-bit-identical to serial by contract) and the checkpointing
-knobs themselves (changing the cadence or directory of checkpoints must
-not invalidate them).  Everything else — rounds, local steps, batch
-size, learning rate, seed, dtype, wire accounting — participates.
+bit-identical to serial by contract), the checkpointing knobs
+themselves (changing the cadence or directory of checkpoints must not
+invalidate them) and the storage knobs of histories and per-client
+tables (``history_mode``, ``state_cap``, ``state_dir``: where records
+and rows live, never what they are).  Everything else — rounds, local
+steps, batch size, learning rate, seed, dtype, wire accounting —
+participates.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import repro
 # Config fields that cannot change the numbers a run produces.  The
 # scale-out knobs qualify by the bit-identity contracts of PR 7:
 # history_mode/stream_dir only change how records are stored,
-# state_sharding/state_cap/state_dir only change the delta-table layout
-# (sharded == dense bit for bit), while `sampler` and `dispatch_cap`
+# state_cap/state_dir only change where per-client table rows live
+# (a spilled row reads back bit for bit), while `sampler` and `dispatch_cap`
 # change which cohorts/updates exist and therefore stay hashed.
 _EXECUTION_ONLY_FIELDS = frozenset(
     {
@@ -39,7 +42,6 @@ _EXECUTION_ONLY_FIELDS = frozenset(
         "resume",
         "history_mode",
         "stream_dir",
-        "state_sharding",
         "state_cap",
         "state_dir",
         "serve_addr",

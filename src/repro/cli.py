@@ -129,12 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stream-dir", default=None, metavar="DIR",
                      help="spool streamed history/ledger records as JSONL "
                           "under DIR (requires --history-mode stream)")
-    run.add_argument("--state-sharding", default="auto",
-                     help="rFedAvg delta-table layout: auto | dense | sharded "
-                          "(lazily allocated per reporting client)")
     run.add_argument("--state-cap", type=int, default=None, metavar="R",
-                     help="sharded state: spill least-recently-used rows to "
-                          "disk past R resident rows")
+                     help="per-client server tables: spill least-recently-used "
+                          "rows to disk past R resident rows")
     run.add_argument("--compression", default="none", metavar="SPEC",
                      help="lossy upload-compression pipeline, stages joined "
                           "with '|': topk:R, randk:R, sketch:R, qsgd:B, sign, "
@@ -311,7 +308,6 @@ def _command_run(args) -> int:
         sampler=args.sampler,
         history_mode=args.history_mode,
         stream_dir=args.stream_dir,
-        state_sharding=args.state_sharding,
         state_cap=args.state_cap,
         compression=args.compression,
         sync_compression=args.sync_compression,

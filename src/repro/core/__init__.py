@@ -22,7 +22,7 @@ from repro.core.mmd import (
     median_heuristic,
 )
 from repro.core.coral import coral_distance, mean_and_coral_distance
-from repro.core.delta import DeltaSpillStore, DeltaTable, ShardedDeltaTable
+from repro.core.delta import DeltaSpillStore, DeltaTable
 from repro.core.regularizer import (
     DistributionRegularizer,
     pairwise_regularizer_loss,
@@ -40,7 +40,6 @@ __all__ = [
     "mean_embedding",
     "median_heuristic",
     "DeltaTable",
-    "ShardedDeltaTable",
     "DeltaSpillStore",
     "DistributionRegularizer",
     "pairwise_regularizer_loss",

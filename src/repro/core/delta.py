@@ -1,20 +1,20 @@
 """Per-client mean-embedding tables (the ``delta`` payloads).
 
 Both algorithms exchange mean embeddings ``delta^k = (1/n_k) sum_j
-phi(x_{k,j})``.  :class:`DeltaTable` is the server-side store: it tracks
-which clients have reported at least once (so the regularizer can stay
-inactive until real statistics exist), computes the leave-one-out
-averages rFedAvg+ broadcasts, and accounts payload sizes for Table III.
+phi(x_{k,j})``.  :class:`DeltaTable` is the server-side store of them,
+and of every other per-client table (error-feedback residuals,
+rFedAvg+'s sync residuals): it tracks which clients have reported at
+least once (so the regularizer can stay inactive until real statistics
+exist), computes the leave-one-out averages rFedAvg+ broadcasts, and
+accounts payload sizes for Table III.
 
-:class:`ShardedDeltaTable` is the cross-device variant of the same
-store: rows are allocated lazily the first time a client reports (a
-1M-client population with 100-client cohorts holds cohort-scale rows,
-not N), and past a configurable resident cap least-recently-used rows
-spill to an on-disk :class:`DeltaSpillStore`.  Every statistic is
-computed over reported rows *in ascending client-id order*, exactly the
-order the dense table's boolean-mask indexing produces, so the two
-layouts are bit-identical and the layout knob
-(``FLConfig.state_sharding``) is execution-only.
+Rows are allocated the first time a client reports (a 1M-client
+population with 100-client cohorts holds cohort-scale rows, not N), and
+past an optional resident cap least-recently-used rows spill to an
+on-disk :class:`DeltaSpillStore`.  Every statistic is computed over
+reported rows *in ascending client-id order* — the order an ``(N, d)``
+array's boolean-mask indexing produces — so the cap changes where rows
+live, never a bit of what is computed from them.
 
 A table that a client task reads only at its *own* row (error-feedback
 residuals, SCAFFOLD's client controls, MOON's previous models) never
@@ -57,18 +57,24 @@ def cohort_segments(prefix: str, cohort, rows_for, reported=None) -> dict[str, n
 
 
 def cohort_state_headroom(state: dict) -> int:
-    """Bytes by which this cohort's packed round state can still grow:
-    every ``rows`` segment ends at one row (plus its id) per ``cohort``
-    id once all of them have reported.  The shared-memory pool sizes its
-    buffer with it, so a table that fills up round by round never
-    outgrows the mapping the workers were forked with."""
+    """Bytes by which this packed round state can still grow: every
+    ``rows`` segment ends at one row (plus its id) per ``cohort`` id, and
+    a table sent whole (``<prefix>reported``) at one per client, once all
+    of them have reported.  The shared-memory pool sizes its buffer with
+    it, so a table that fills up round by round never outgrows the
+    mapping the workers were forked with (pages never written cost no
+    memory)."""
     headroom = 0
-    for key, cohort in state.items():
+    for key, reach in state.items():
         if key.endswith(".cohort"):
             prefix = key[: -len("cohort")]
-            rows = state[prefix + "rows"]
-            missing = len(cohort) - len(state[prefix + "ids"])
-            headroom += missing * (rows.shape[1] * rows.itemsize + cohort.itemsize)
+        elif key.endswith("_reported"):
+            prefix = key[: -len("reported")]
+        else:
+            continue
+        ids, rows = state[prefix + "ids"], state[prefix + "rows"]
+        missing = len(reach) - len(ids)
+        headroom += missing * (rows.shape[1] * rows.itemsize + ids.itemsize)
     return headroom
 
 
@@ -138,195 +144,14 @@ class RowBlocks:
         return np.asarray(self).tobytes()
 
 
-class DeltaTable:
-    """Server-side store of per-client delta vectors.
-
-    Attributes:
-        dim: embedding dimension d.
-        num_clients: number of clients N.
-        dtype_bytes: bytes per scalar on the wire.  ``None`` follows the
-            active dtype policy at construction; the paper reports
-            float32 payloads, which an explicit ``4`` reproduces from a
-            float64 training run.
-    """
-
-    def __init__(self, num_clients: int, dim: int, dtype_bytes: int | None = None) -> None:
-        if num_clients <= 0 or dim <= 0:
-            raise ProtocolError("num_clients and dim must be positive")
-        self.num_clients = num_clients
-        self.dim = dim
-        self.dtype_bytes = (
-            int(dtype_bytes) if dtype_bytes is not None else get_default_dtype().itemsize
-        )
-        self._table = np.zeros((num_clients, dim), dtype=np.float64)
-        self._reported = np.zeros(num_clients, dtype=bool)
-
-    # -- worker-state views (wire transport) -------------------------------------
-    def install_views(self, table: np.ndarray, reported: np.ndarray) -> None:
-        """Adopt shared (read-only) backing arrays in a worker process.
-
-        Worker-side code only reads the table (updates are committed by
-        the parent), so read-only views are sufficient; the read
-        accessors below copy before returning as they always did.
-        """
-        if table.shape != (self.num_clients, self.dim):
-            raise ProtocolError(f"table shape {table.shape} != "
-                                f"({self.num_clients}, {self.dim})")
-        self._table = table
-        self._reported = reported
-
-    # -- updates ---------------------------------------------------------------
-    def update(self, client: int, delta: np.ndarray) -> None:
-        """Store client's freshly computed mean embedding."""
-        delta = np.asarray(delta, dtype=np.float64)
-        if delta.shape != (self.dim,):
-            raise ProtocolError(f"delta shape {delta.shape} != ({self.dim},)")
-        self._table[client] = delta
-        self._reported[client] = True
-
-    # -- reads -----------------------------------------------------------------
-    @property
-    def reported_mask(self) -> np.ndarray:
-        """Boolean mask of clients that have reported at least once."""
-        return self._reported.copy()
-
-    @property
-    def any_reported(self) -> bool:
-        return bool(self._reported.any())
-
-    @property
-    def all_reported(self) -> bool:
-        return bool(self._reported.all())
-
-    def get(self, client: int) -> np.ndarray:
-        return self._table[client].copy()
-
-    def full_table(self) -> np.ndarray:
-        """The full (N, d) table — what rFedAvg broadcasts to every client."""
-        return self._table.copy()
-
-    def reported_ids(self) -> np.ndarray:
-        """Ids of clients that have reported, ascending."""
-        return np.flatnonzero(self._reported).astype(np.int64)
-
-    def reported_rows_except(self, client: int) -> np.ndarray | None:
-        """Reported delta rows of every client but ``client``, in
-        ascending client-id order; None when nobody else has reported."""
-        mask = self._reported.copy()
-        mask[client] = False
-        if not mask.any():
-            return None
-        return self._table[mask]
-
-    # -- worker-state / checkpoint segments ---------------------------------------
-    def worker_segments(self) -> dict[str, np.ndarray]:
-        """The whole table, for a round-state broadcast to tasks that
-        read every client's row (rFedAvg's pairwise regularizer)."""
-        return {"delta_table": self._table, "delta_reported": self._reported}
-
-    def cohort_segments(self, prefix: str, cohort) -> dict[str, np.ndarray]:
-        """The cohort's reported rows, for tasks that read only their own."""
-        return cohort_segments(prefix, cohort, self._table.__getitem__, self._reported)
-
-    def install_worker_segments(self, segments: dict) -> None:
-        self.install_views(segments["delta_table"], segments["delta_reported"])
-
-    def checkpoint_segments(self) -> dict:
-        """Layout-independent sparse snapshot (reported rows only).
-
-        The rows are not gathered: each maximal run of consecutive
-        reported ids is a slice of the table, and the writer streams
-        the slices to disk as they lie (one slice — the whole table —
-        once every client has reported)."""
-        ids = self.reported_ids()
-        runs = np.split(ids, np.flatnonzero(np.diff(ids) != 1) + 1)
-        blocks = [self._table[run[0] : run[-1] + 1] for run in runs if len(run)]
-        return {
-            "delta_ids": ids,
-            "delta_rows": RowBlocks(blocks, self.dim),
-            "delta_reported": self._reported.copy(),
-        }
-
-    def restore_checkpoint_segments(self, segments: dict) -> None:
-        """Restore either the sparse snapshot or the pre-sharding dense
-        form (``delta_table``/``delta_reported``)."""
-        if "delta_table" in segments:
-            np.copyto(self._table, segments["delta_table"])
-            np.copyto(self._reported, segments["delta_reported"])
-            return
-        self._table[:] = 0.0
-        ids = np.asarray(segments["delta_ids"], dtype=np.int64)
-        if len(ids):
-            self._table[ids] = np.asarray(segments["delta_rows"], dtype=np.float64)
-        np.copyto(self._reported, segments["delta_reported"])
-
-    def mean_of_others(self, client: int) -> np.ndarray:
-        """Leave-one-out average over *reported* clients other than ``client``.
-
-        This is ``delta^{-k}`` in Algorithm 2.  Falls back to the global
-        reported mean when only the client itself has reported, and to
-        zeros when nobody has (callers should gate on
-        :attr:`any_reported` anyway).
-        """
-        mask = self._reported.copy()
-        mask[client] = False
-        if not mask.any():
-            if self._reported[client]:
-                return self._table[client].copy()
-            return np.zeros(self.dim)
-        return self._table[mask].mean(axis=0)
-
-    def pairwise_mean_sq_distance(self, client: int) -> float:
-        """r_k = (1/(N-1)) sum_{j != k} ||delta^k - delta^j||^2 over reported js."""
-        mask = self._reported.copy()
-        mask[client] = False
-        if not mask.any():
-            return 0.0
-        gaps = self._table[mask] - self._table[client]
-        return float((gaps * gaps).sum(axis=1).mean())
-
-    def delta_inconsistency(self) -> float:
-        """Mean distance of reported deltas to their common mean.
-
-        Diagnostic for the rFedAvg drawback the paper calls "inconsistent
-        calculation of mappings": deltas computed from divergent local
-        models scatter more widely than deltas computed from one global
-        model.
-        """
-        if not self._reported.any():
-            return 0.0
-        reported = self._table[self._reported]
-        center = reported.mean(axis=0)
-        return float(np.linalg.norm(reported - center, axis=1).mean())
-
-    # -- payload accounting (Table III) -----------------------------------------
-    def broadcast_bytes_rfedavg(self) -> int:
-        """Per-round broadcast: every client gets the full table (N*d each)."""
-        return self.num_clients * self.num_clients * self.dim * self.dtype_bytes
-
-    def broadcast_bytes_rfedavg_plus(self) -> int:
-        """Per-round broadcast: every client gets only its own delta^{-k}."""
-        return self.num_clients * self.dim * self.dtype_bytes
-
-    def upload_bytes(self) -> int:
-        """Per-round upload: every client sends its own delta (both algs)."""
-        return self.num_clients * self.dim * self.dtype_bytes
-
-    def per_client_state_bytes(self, plus: bool) -> int:
-        """Size of the delta state one client must hold (Table III rows)."""
-        if plus:
-            return self.dim * self.dtype_bytes
-        return self.num_clients * self.dim * self.dtype_bytes
-
-
 class DeltaSpillStore:
     """Append-only on-disk store of per-client delta rows.
 
-    Backs :class:`ShardedDeltaTable` past its resident cap.  Rows are
-    raw float64 bytes appended to one file; re-reporting a client
-    appends a fresh row and repoints its offset (the dead bytes are
-    bounded by total reports, which is cohort x rounds — negligible
-    next to the dense table it replaces).  The file is the store's own
+    Backs :class:`DeltaTable` past its resident cap.  Rows are raw
+    float64 bytes appended to one file; re-reporting a client appends a
+    fresh row and repoints its offset (the dead bytes are bounded by
+    total reports, which is cohort x rounds — negligible next to an
+    (N, d) table).  The file is the store's own
     (several tables of one run share a ``state_dir``), created in
     ``directory`` when given, else in a self-cleaning temporary
     directory, and removed when the store closes.
@@ -389,22 +214,31 @@ class DeltaSpillStore:
         self._finalizer()
 
 
-class ShardedDeltaTable:
-    """Server-side delta store with lazily allocated, spillable rows.
+class DeltaTable:
+    """Server-side store of per-client rows, lazily allocated and
+    spillable.
 
-    Drop-in replacement for :class:`DeltaTable` (same statistics, same
-    payload accounting) whose memory scales with the number of clients
-    that ever *reported*, not the population: only the O(N) pieces are
-    one boolean reported mask (1 MB at a million clients) and the
-    transient dense view :meth:`full_table` builds on request.  With
-    ``max_resident`` set, least-recently-used rows beyond the cap move
-    to a :class:`DeltaSpillStore` (created lazily) and are read back on
-    demand — spilling never changes any statistic.
+    Memory scales with the number of clients that ever *reported*, not
+    the population: the only O(N) pieces are one boolean reported mask
+    (1 MB at a million clients) and the transient ``(N, d)`` array
+    :meth:`full_table` builds on request.  With ``max_resident`` set,
+    least-recently-used rows beyond the cap move to a
+    :class:`DeltaSpillStore` (created lazily in ``spill_dir``) and are
+    read back on demand — spilling never changes any statistic.  Every
+    aggregate reduces a stacked ``(R, d)`` float64 array of the reported
+    rows in ascending client-id order.
 
-    Bit-identity with the dense table: every aggregate iterates
-    reported rows in ascending client-id order, which is exactly the
-    order dense boolean-mask indexing yields, and accumulates through
-    the same numpy reductions on a stacked (R, d) float64 array.
+    A row is replaced on :meth:`update`, never written in place, so a
+    row array handed out by :meth:`checkpoint_segments` keeps the value
+    it had when it was handed out.
+
+    Attributes:
+        dim: row dimension d.
+        num_clients: number of clients N.
+        dtype_bytes: bytes per scalar on the wire.  ``None`` follows the
+            active dtype policy at construction; the paper reports
+            float32 payloads, which an explicit ``4`` reproduces from a
+            float64 training run.
     """
 
     def __init__(
@@ -467,6 +301,7 @@ class ShardedDeltaTable:
     # -- reads -----------------------------------------------------------------
     @property
     def reported_mask(self) -> np.ndarray:
+        """Boolean mask of clients that have reported at least once."""
         return self._reported.copy()
 
     @property
@@ -482,6 +317,7 @@ class ShardedDeltaTable:
         return len(self._rows)
 
     def reported_ids(self) -> np.ndarray:
+        """Ids of clients that have reported, ascending."""
         return np.flatnonzero(self._reported).astype(np.int64)
 
     def get(self, client: int) -> np.ndarray:
@@ -497,9 +333,9 @@ class ShardedDeltaTable:
         return out
 
     def full_table(self) -> np.ndarray:
-        """Dense (N, d) materialization — O(N) memory, kept for the
-        rFedAvg full-table broadcast semantics and debugging; scale-out
-        paths use :meth:`reported_rows_except` instead."""
+        """The (N, d) table rFedAvg broadcasts, zeros for clients that
+        never reported — O(N) memory, built on request; the regularizer
+        reads :meth:`reported_rows_except` instead."""
         table = np.zeros((self.num_clients, self.dim), dtype=np.float64)
         ids = self.reported_ids()
         if len(ids):
@@ -518,6 +354,9 @@ class ShardedDeltaTable:
         return self._view
 
     def reported_rows_except(self, client: int) -> np.ndarray | None:
+        """Reported rows of every client but ``client``, in ascending
+        client-id order (the caller's own copy); None when nobody else
+        has reported."""
         ids, rows = self._reported_view()
         others = ids != client
         if not others.any():
@@ -525,6 +364,10 @@ class ShardedDeltaTable:
         return rows[others]
 
     def mean_of_others(self, client: int) -> np.ndarray:
+        """Leave-one-out average over *reported* clients other than
+        ``client`` — ``delta^{-k}`` in Algorithm 2.  Falls back to the
+        client's own row when only it has reported, and to zeros when
+        nobody has (callers gate on :attr:`any_reported` anyway)."""
         others = self.reported_rows_except(client)
         if others is None:
             if self._reported[client]:
@@ -532,15 +375,14 @@ class ShardedDeltaTable:
             return np.zeros(self.dim)
         return others.mean(axis=0)
 
-    def pairwise_mean_sq_distance(self, client: int) -> float:
-        others = self.reported_rows_except(client)
-        if others is None:
-            return 0.0
-        own = self._row(client) if self._reported[client] else np.zeros(self.dim)
-        gaps = others - own
-        return float((gaps * gaps).sum(axis=1).mean())
-
     def delta_inconsistency(self) -> float:
+        """Mean distance of reported deltas to their common mean.
+
+        Diagnostic for the rFedAvg drawback the paper calls "inconsistent
+        calculation of mappings": deltas computed from divergent local
+        models scatter more widely than deltas computed from one global
+        model.
+        """
         ids, reported = self._reported_view()
         if not len(ids):
             return 0.0
@@ -549,6 +391,8 @@ class ShardedDeltaTable:
 
     # -- worker-state / checkpoint segments ---------------------------------------
     def worker_segments(self) -> dict[str, np.ndarray]:
+        """The whole table's reported rows, for a round-state broadcast
+        to tasks that read every client's row (the regularizer)."""
         ids = self.reported_ids()
         return {
             "delta_ids": ids,
@@ -575,17 +419,24 @@ class ShardedDeltaTable:
         self._spill = None
         self._reported = np.asarray(segments["delta_reported"], dtype=bool)
 
-    def checkpoint_segments(self) -> dict[str, np.ndarray]:
+    def checkpoint_segments(self) -> dict:
+        """Sparse snapshot (reported rows only).
+
+        The rows are not gathered: each goes to the writer as the array
+        it lies in, and a spilled row is read back once.  Rows are
+        replaced on :meth:`update`, never written in place, so the
+        snapshot keeps its values however the table moves on."""
         ids = self.reported_ids()
+        blocks = [self._row(int(client)).reshape(1, self.dim) for client in ids]
         return {
             "delta_ids": ids,
-            "delta_rows": self.rows_for(ids),
+            "delta_rows": RowBlocks(blocks, self.dim),
             "delta_reported": self._reported.copy(),
         }
 
     def restore_checkpoint_segments(self, segments: dict) -> None:
-        """Restore a sparse snapshot, or a pre-sharding dense one (the
-        layout knob is execution-only, so cross-layout resume is legal)."""
+        """Restore a sparse snapshot, or the dense ``delta_table`` form
+        checkpoints were written in before the table was sparse."""
         if "delta_table" in segments:
             reported = np.asarray(segments["delta_reported"], dtype=bool)
             ids = np.flatnonzero(reported).astype(np.int64)
@@ -604,15 +455,19 @@ class ShardedDeltaTable:
 
     # -- payload accounting (Table III) -----------------------------------------
     def broadcast_bytes_rfedavg(self) -> int:
+        """Per-round broadcast: every client gets the full table (N*d each)."""
         return self.num_clients * self.num_clients * self.dim * self.dtype_bytes
 
     def broadcast_bytes_rfedavg_plus(self) -> int:
+        """Per-round broadcast: every client gets only its own delta^{-k}."""
         return self.num_clients * self.dim * self.dtype_bytes
 
     def upload_bytes(self) -> int:
+        """Per-round upload: every client sends its own delta (both algs)."""
         return self.num_clients * self.dim * self.dtype_bytes
 
     def per_client_state_bytes(self, plus: bool) -> int:
+        """Size of the delta state one client must hold (Table III rows)."""
         if plus:
             return self.dim * self.dtype_bytes
         return self.num_clients * self.dim * self.dtype_bytes

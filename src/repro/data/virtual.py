@@ -235,8 +235,8 @@ class VirtualFederatedDataset:
     ``test``, ``num_clients``, ``client_sizes``, ``weights`` and
     ``total_train_samples()``, all of which work here without ever
     materializing the population.  ``virtual`` is True so scale-aware
-    code (sharded delta tables, round-boundary shard release, RSS
-    gauges) can detect it with ``getattr(fed, "virtual", False)``.
+    code (round-boundary shard release, RSS gauges) can detect it with
+    ``getattr(fed, "virtual", False)``.
     """
 
     virtual = True

@@ -8,14 +8,11 @@ synchronization phases (rFedAvg+ uses one).
 
 Beyond the synchronous loop the package provides the surrounding
 systems a deployment needs: byte-exact communication accounting
-(:mod:`repro.fl.comm`) with a network-time model
-(:mod:`repro.fl.network`), a packed flat-buffer wire format
+(:mod:`repro.fl.comm`), a packed flat-buffer wire format
 (:mod:`repro.fl.wire`), parallel client execution with
 serial-equivalence guarantees (:mod:`repro.fl.parallel`), upload
-compression
-(:mod:`repro.fl.compression`), failure injection
-(:mod:`repro.fl.faults`), secure aggregation (:mod:`repro.fl.secure`),
-adaptive client selection (:mod:`repro.fl.selection`), event-driven
+compression (:mod:`repro.fl.compression`), failure injection
+(:mod:`repro.fl.faults`), adaptive client selection (:mod:`repro.fl.selection`), event-driven
 asynchronous execution with buffered staleness-aware aggregation
 (:mod:`repro.fl.async_engine` behind ``FLConfig(execution="async")``,
 with per-client latency models in :mod:`repro.fl.runtime`),
@@ -58,8 +55,6 @@ from repro.fl.server import weighted_average
 from repro.fl.trainer import run_federated
 from repro.fl.compression import CompressionPipeline, WireSize, compressor_from_spec
 from repro.fl.faults import FaultModel
-from repro.fl.network import LinkModel, round_network_time, estimate_run_network_time
-from repro.fl.secure import SecureAggregator, secure_weighted_average
 from repro.fl.async_engine import AsyncHistory, AsyncUpdateRecord
 from repro.fl.runtime import (
     ClientRuntime,
@@ -105,11 +100,6 @@ __all__ = [
     "WireSize",
     "compressor_from_spec",
     "FaultModel",
-    "LinkModel",
-    "round_network_time",
-    "estimate_run_network_time",
-    "SecureAggregator",
-    "secure_weighted_average",
     "ClientSelector",
     "SelectionContext",
     "UniformSelector",

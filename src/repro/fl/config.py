@@ -26,7 +26,6 @@ OPTIMIZERS = ("sgd", "rmsprop", "adam")
 DTYPES = ("float32", "float64")
 SAMPLER_KINDS = ("uniform", "reservoir", "stratified")
 HISTORY_MODES = ("append", "stream")
-STATE_SHARDING_MODES = ("auto", "dense", "sharded")
 COMPRESSION_STAGES = ("none", "topk", "randk", "subsample", "sketch", "qsgd", "sign", "quantize")
 TOPOLOGY_KINDS = ("flat", "hier")
 
@@ -38,7 +37,6 @@ CHOICES: dict[str, tuple[str, ...]] = {
     "dtype": DTYPES,
     "sampler": SAMPLER_KINDS,
     "history_mode": HISTORY_MODES,
-    "state_sharding": STATE_SHARDING_MODES,
     "compression": COMPRESSION_STAGES,
     "topology": TOPOLOGY_KINDS,
 }
@@ -256,16 +254,13 @@ class FLConfig:
         stream_dir: directory for streaming-mode JSONL spools
             (``history.jsonl``, ``comm.jsonl``).  ``None`` keeps
             summaries only.
-        state_sharding: server-side delta-table layout for the
-            regularized algorithms — 'dense' (the historical (N, d)
-            array), 'sharded' (rows allocated lazily per reporting
-            client, spillable to disk), or 'auto' (sharded for virtual
-            or >= 4096-client populations, dense otherwise).
-            Execution-only: layouts are bit-identical by contract.
-        state_cap: sharded tables keep at most this many delta rows
+        state_cap: per-client server tables (delta tables,
+            error-feedback residuals) keep at most this many rows
             resident, spilling least-recently-used rows to an on-disk
-            store under ``state_dir`` (``None`` = no cap).
-        state_dir: directory for spilled delta rows (``None`` uses a
+            store under ``state_dir`` (``None`` = no cap; rows are
+            allocated only for clients that reported either way).
+            Execution-only: a spilled row reads back bit for bit.
+        state_dir: directory for spilled rows (``None`` uses a
             run-private temporary directory).
         compression: lossy upload-compression pipeline spec (see
             :mod:`repro.fl.compression`): 'none' (default, bit-identical
@@ -349,7 +344,6 @@ class FLConfig:
     dispatch_cap: bool = True
     history_mode: str = "append"
     stream_dir: str | None = None
-    state_sharding: str = "auto"
     state_cap: int | None = None
     state_dir: str | None = None
     compression: str = "none"
@@ -398,7 +392,6 @@ class FLConfig:
             raise ConfigError("resume=True requires checkpoint_dir")
         validate_sampler_spec(self.sampler)
         validate_choice("history_mode", self.history_mode)
-        validate_choice("state_sharding", self.state_sharding)
         if self.state_cap is not None and self.state_cap < 1:
             raise ConfigError("state_cap must be >= 1 (or None for no cap)")
         validate_compression_spec(self.compression)

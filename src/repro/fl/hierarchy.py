@@ -21,7 +21,7 @@ around it:
   :meth:`~repro.fl.parallel.ClientExecutor.run_regions` lets the
   process pool run *all* regions' clients concurrently on one persistent
   pool, which is the headline multi-core speedup.
-* Virtual populations, sharded delta tables, streaming
+* Virtual populations, spilling delta tables, streaming
   histories/ledgers, compression pipelines and fault models all work
   unchanged; the optional ``cloud_compression`` spec compresses the
   region -> cloud uplink as a delta against the last cloud model.

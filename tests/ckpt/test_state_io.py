@@ -159,21 +159,23 @@ def _table_with(reported: np.ndarray, dim: int) -> DeltaTable:
     ids=["none", "all", "alternating", "runs", "random"],
 )
 def test_row_blocks_encode_as_the_gathered_rows(reported, dim):
-    """Runs of consecutive reported ids go out as slices of the table;
-    the section is the one the gathered rows would have made."""
+    """Every reported row goes out as the array it lies in; the section
+    is the one the gathered rows would have made."""
     table = _table_with(reported, dim)
     segments = table.checkpoint_segments()
     rows = segments["delta_rows"]
     ids = np.flatnonzero(reported)
     assert rows.shape == (len(ids), dim)
-    assert all(np.shares_memory(block, table._table) for block in rows.blocks)
-    np.testing.assert_array_equal(np.asarray(rows), table._table[ids])
-    gathered = dict(segments, delta_rows=table._table[ids])
+    assert [np.shares_memory(block, table._rows[c]) for block, c in zip(rows.blocks, ids)] == [
+        True
+    ] * len(ids)
+    gathered = dict(segments, delta_rows=table.rows_for(ids))
+    np.testing.assert_array_equal(np.asarray(rows), gathered["delta_rows"])
     assert pack_tree({"ef": segments}) == pack_tree({"ef": gathered})
-    # The snapshot restores directly, too (cross-layout tests do this).
+    # The snapshot restores directly, too.
     other = DeltaTable(len(reported), dim)
     other.restore_checkpoint_segments(segments)
-    np.testing.assert_array_equal(other._table, table._table)
+    np.testing.assert_array_equal(other.full_table(), table.full_table())
 
 
 # -- the aliasing contract ----------------------------------------------------------
@@ -186,7 +188,8 @@ def test_file_holds_the_state_as_of_save(tmp_path):
     params = algorithm.global_params.copy()
     manager = CheckpointManager(tmp_path)
     path = manager.save(0, *_capture(algorithm, FLConfig(rounds=1)))
-    algorithm.table._table[:] = -1.0
+    for row in algorithm.table._rows.values():
+        row[:] = -1.0
     algorithm.global_params[:] = -1.0
     _manifest, sections = read_checkpoint(path)
     rows = unpack_tree(sections[SECTION_ALGORITHM])["ef_residuals"]["delta_rows"]

@@ -12,6 +12,8 @@ def test_construction_validation():
         DeltaTable(0, 4)
     with pytest.raises(ProtocolError):
         DeltaTable(4, 0)
+    with pytest.raises(ProtocolError):
+        DeltaTable(4, 4, max_resident=0)
 
 
 def test_update_and_get():
@@ -61,20 +63,31 @@ def test_mean_of_others_fallbacks():
     np.testing.assert_array_equal(table.mean_of_others(0), [7.0])
 
 
-def test_pairwise_mean_sq_distance():
+def _pairwise(table, client):
+    """r_k = (1/(N-1)) sum_{j != k} ||delta^k - delta^j||^2 over reported
+    js, from the rows rFedAvg's regularizer reads."""
+    others = table.reported_rows_except(client)
+    if others is None:
+        return 0.0
+    gaps = others - table.get(client)
+    return float((gaps * gaps).sum(axis=1).mean())
+
+
+def test_pairwise_term_from_reported_rows():
     table = DeltaTable(3, 1)
     table.update(0, np.array([0.0]))
     table.update(1, np.array([2.0]))
     table.update(2, np.array([4.0]))
     # r_0 = mean(|0-2|^2, |0-4|^2) = (4 + 16) / 2
-    assert table.pairwise_mean_sq_distance(0) == pytest.approx(10.0)
-    assert table.pairwise_mean_sq_distance(1) == pytest.approx(4.0)
+    assert _pairwise(table, 0) == pytest.approx(10.0)
+    assert _pairwise(table, 1) == pytest.approx(4.0)
 
 
 def test_pairwise_distance_no_peers_is_zero():
     table = DeltaTable(2, 1)
     table.update(0, np.array([1.0]))
-    assert table.pairwise_mean_sq_distance(0) == 0.0
+    assert table.reported_rows_except(0) is None
+    assert _pairwise(table, 0) == 0.0
 
 
 def test_delta_inconsistency():

@@ -1,8 +1,10 @@
-"""ShardedDeltaTable vs DeltaTable bit-identity (repro.core.delta).
+"""DeltaTable vs a dense (N, d) reference, bit for bit (repro.core.delta).
 
-The sharded store is a drop-in replacement for the dense table: every
-statistic must match to the bit — with and without an LRU spill cap —
-and checkpoints must cross layouts in both directions.
+The table allocates rows only for clients that reported and, under a
+resident cap, spills the least-recently-used ones to disk.  Neither may
+change a statistic: with and without a cap every read must equal the
+dense oracle's ``table[mask]`` reduction to the bit, and checkpoints
+must load from the old dense form as well as from the sparse one.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.delta import DeltaSpillStore, DeltaTable, ShardedDeltaTable
+from repro.core.delta import DeltaSpillStore, DeltaTable
 from repro.exceptions import ProtocolError
+from tests.helpers import DenseDeltaOracle
 
 
 def _report(table, rng, clients, dim):
@@ -20,37 +23,34 @@ def _report(table, rng, clients, dim):
 
 
 def _paired(num_clients=40, dim=6, seed=0, max_resident=None, rounds=3, cohort=9):
-    """A dense and a sharded table fed the identical report stream."""
-    dense = DeltaTable(num_clients, dim)
-    sharded = ShardedDeltaTable(num_clients, dim, max_resident=max_resident)
+    """The dense oracle and a table fed the identical report stream."""
+    dense = DenseDeltaOracle(num_clients, dim)
+    table = DeltaTable(num_clients, dim, max_resident=max_resident)
     rng = np.random.default_rng(seed)
     for _ in range(rounds):
         clients = rng.choice(num_clients, size=cohort, replace=False)
         deltas = rng.normal(size=(cohort, dim))
         for client, delta in zip(clients, deltas):
             dense.update(int(client), delta)
-            sharded.update(int(client), delta)
-    return dense, sharded
+            table.update(int(client), delta)
+    return dense, table
 
 
 @pytest.mark.parametrize("max_resident", [None, 2])
 def test_all_statistics_bit_identical_to_dense(max_resident):
-    dense, sharded = _paired(max_resident=max_resident)
-    np.testing.assert_array_equal(sharded.reported_mask, dense.reported_mask)
-    np.testing.assert_array_equal(sharded.reported_ids(), dense.reported_ids())
-    np.testing.assert_array_equal(sharded.full_table(), dense.full_table())
-    assert sharded.any_reported == dense.any_reported
-    assert sharded.all_reported == dense.all_reported
-    assert sharded.delta_inconsistency() == dense.delta_inconsistency()
-    for client in range(dense.num_clients):
-        np.testing.assert_array_equal(sharded.get(client), dense.get(client))
+    dense, table = _paired(max_resident=max_resident)
+    np.testing.assert_array_equal(table.reported_mask, dense.reported)
+    np.testing.assert_array_equal(table.reported_ids(), np.flatnonzero(dense.reported))
+    np.testing.assert_array_equal(table.full_table(), dense.table)
+    assert table.any_reported == dense.reported.any()
+    assert table.all_reported == dense.reported.all()
+    assert table.delta_inconsistency() == dense.delta_inconsistency()
+    for client in range(table.num_clients):
+        np.testing.assert_array_equal(table.get(client), dense.get(client))
         np.testing.assert_array_equal(
-            sharded.mean_of_others(client), dense.mean_of_others(client)
+            table.mean_of_others(client), dense.mean_of_others(client)
         )
-        assert sharded.pairwise_mean_sq_distance(
-            client
-        ) == dense.pairwise_mean_sq_distance(client)
-        a = sharded.reported_rows_except(client)
+        a = table.reported_rows_except(client)
         b = dense.reported_rows_except(client)
         if b is None:
             assert a is None
@@ -59,98 +59,93 @@ def test_all_statistics_bit_identical_to_dense(max_resident):
 
 
 def test_memory_is_reported_rows_not_population():
-    sharded = ShardedDeltaTable(1_000_000, 8)
+    table = DeltaTable(1_000_000, 8)
     rng = np.random.default_rng(1)
-    _report(sharded, rng, rng.choice(1_000_000, size=100, replace=False), 8)
-    assert sharded.resident_rows == 100
-    assert len(sharded.reported_ids()) == 100
+    _report(table, rng, rng.choice(1_000_000, size=100, replace=False), 8)
+    assert table.resident_rows == 100
+    assert len(table.reported_ids()) == 100
     # The only O(N) state is the boolean mask.
-    assert sharded.reported_mask.nbytes == 1_000_000
+    assert table.reported_mask.nbytes == 1_000_000
 
 
 def test_spill_cap_is_enforced_and_counted(tmp_path):
-    sharded = ShardedDeltaTable(
-        50, 4, max_resident=3, spill_dir=str(tmp_path / "spill")
-    )
+    table = DeltaTable(50, 4, max_resident=3, spill_dir=str(tmp_path / "spill"))
     rng = np.random.default_rng(2)
-    _report(sharded, rng, range(10), 4)
-    assert sharded.resident_rows == 3
-    assert sharded.spilled_rows == 7
-    assert len(sharded.reported_ids()) == 10  # spilling loses nothing
+    _report(table, rng, range(10), 4)
+    assert table.resident_rows == 3
+    assert table.spilled_rows == 7
+    assert len(table.reported_ids()) == 10  # spilling loses nothing
 
 
 def test_rereport_pops_spilled_row():
-    sharded = ShardedDeltaTable(10, 4, max_resident=2)
+    table = DeltaTable(10, 4, max_resident=2)
     rng = np.random.default_rng(3)
-    _report(sharded, rng, [0, 1, 2], 4)  # client 0 spills
-    assert sharded._spill is not None and 0 in sharded._spill
+    _report(table, rng, [0, 1, 2], 4)  # client 0 spills
+    assert table._spill is not None and 0 in table._spill
     fresh = np.full(4, 9.0)
-    sharded.update(0, fresh)
-    assert 0 not in sharded._spill  # stale spilled copy dropped
-    np.testing.assert_array_equal(sharded.get(0), fresh)
+    table.update(0, fresh)
+    assert 0 not in table._spill  # stale spilled copy dropped
+    np.testing.assert_array_equal(table.get(0), fresh)
 
 
 def test_cross_layout_checkpoint_restore():
-    dense, sharded = _paired(max_resident=2)
+    dense, table = _paired(max_resident=2)
 
-    # sharded sparse snapshot -> dense table
-    dense_restored = DeltaTable(dense.num_clients, dense.dim)
-    dense_restored.restore_checkpoint_segments(sharded.checkpoint_segments())
-    np.testing.assert_array_equal(dense_restored.full_table(), dense.full_table())
-    np.testing.assert_array_equal(dense_restored.reported_mask, dense.reported_mask)
+    # sparse snapshot (rows handed over as they lie, spilled ones read
+    # back) -> the dense reference
+    restored = DenseDeltaOracle(*dense.table.shape)
+    restored.restore(table.checkpoint_segments())
+    np.testing.assert_array_equal(restored.table, dense.table)
+    np.testing.assert_array_equal(restored.reported, dense.reported)
 
-    # dense legacy snapshot (delta_table form) -> sharded table
-    legacy = {
-        "delta_table": dense.full_table(),
-        "delta_reported": dense.reported_mask,
-    }
-    sharded_restored = ShardedDeltaTable(dense.num_clients, dense.dim, max_resident=2)
-    sharded_restored.restore_checkpoint_segments(legacy)
-    np.testing.assert_array_equal(sharded_restored.full_table(), dense.full_table())
-    assert sharded_restored.resident_rows <= 2  # cap re-enforced on restore
+    # old dense snapshot (delta_table form) -> the table
+    from_dense = DeltaTable(table.num_clients, table.dim, max_resident=2)
+    from_dense.restore_checkpoint_segments(dense.dense_segments())
+    np.testing.assert_array_equal(from_dense.full_table(), dense.table)
+    assert from_dense.resident_rows <= 2  # cap re-enforced on restore
 
     # sparse -> sparse round trip
-    again = ShardedDeltaTable(dense.num_clients, dense.dim)
-    again.restore_checkpoint_segments(sharded.checkpoint_segments())
-    assert again.delta_inconsistency() == sharded.delta_inconsistency()
+    again = DeltaTable(table.num_clients, table.dim)
+    again.restore_checkpoint_segments(table.checkpoint_segments())
+    assert again.delta_inconsistency() == table.delta_inconsistency()
 
 
 def test_worker_segments_round_trip():
-    _, sharded = _paired(max_resident=None)
-    worker = ShardedDeltaTable(sharded.num_clients, sharded.dim, max_resident=2)
-    worker.install_worker_segments(sharded.worker_segments())
+    _, table = _paired(max_resident=None)
+    worker = DeltaTable(table.num_clients, table.dim, max_resident=2)
+    worker.install_worker_segments(table.worker_segments())
     # Workers hold the broadcast rows resident regardless of their cap.
-    assert worker.resident_rows == len(sharded.reported_ids())
-    np.testing.assert_array_equal(worker.full_table(), sharded.full_table())
-    for client in sharded.reported_ids():
+    assert worker.resident_rows == len(table.reported_ids())
+    np.testing.assert_array_equal(worker.full_table(), table.full_table())
+    for client in table.reported_ids():
         np.testing.assert_array_equal(
-            worker.mean_of_others(int(client)), sharded.mean_of_others(int(client))
+            worker.mean_of_others(int(client)), table.mean_of_others(int(client))
         )
 
 
 def test_payload_accounting_matches_dense():
-    dense, sharded = _paired()
-    assert sharded.broadcast_bytes_rfedavg() == dense.broadcast_bytes_rfedavg()
-    assert (
-        sharded.broadcast_bytes_rfedavg_plus()
-        == dense.broadcast_bytes_rfedavg_plus()
-    )
-    assert sharded.upload_bytes() == dense.upload_bytes()
-    for plus in (True, False):
-        assert sharded.per_client_state_bytes(plus) == dense.per_client_state_bytes(
-            plus
-        )
+    """Table III prices the (N, d) table whatever the cap holds resident."""
+    dense, uncapped = _paired()
+    _, capped = _paired(max_resident=2)
+    n, d = dense.table.shape
+    bytes_per = uncapped.dtype_bytes
+    for table in (uncapped, capped):
+        assert table.broadcast_bytes_rfedavg() == n * n * d * bytes_per
+        assert table.broadcast_bytes_rfedavg_plus() == n * d * bytes_per
+        assert table.upload_bytes() == n * d * bytes_per
+        assert table.per_client_state_bytes(True) == d * bytes_per
+        assert table.per_client_state_bytes(False) == n * d * bytes_per
 
 
 def test_constructor_validation():
     with pytest.raises(ProtocolError):
-        ShardedDeltaTable(0, 4)
+        DeltaTable(0, 4)
     with pytest.raises(ProtocolError):
-        ShardedDeltaTable(4, 0)
+        DeltaTable(4, 0)
     with pytest.raises(ProtocolError):
-        ShardedDeltaTable(4, 4, max_resident=0)
+        DeltaTable(4, 4, max_resident=0)
     with pytest.raises(ProtocolError):
-        ShardedDeltaTable(4, 4).update(0, np.zeros(3))
+        DeltaTable(4, 4).update(0, np.zeros(3))
 
 
 def test_spill_store_roundtrip(tmp_path):

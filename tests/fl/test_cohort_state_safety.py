@@ -4,8 +4,9 @@ Worker-side, an own-row table is a :class:`~repro.core.delta.CohortRows`
 built from the broadcast: the parent's bytes for every cohort id, zeros
 for a cohort id that never reported, :class:`ProtocolError` for any
 other id — an earlier round's row is gone, not stale.  And because the
-pool sizes its shared buffer for the cohort with every row reported, a
-table that fills up round by round never forces a re-fork.
+pool sizes its shared buffer for the state with every row reported (a
+cohort's rows, or a whole table's), a table that fills up round by round
+never forces a re-fork.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.fl.config import FLConfig
 from repro.fl.trainer import run_federated
 from repro.obs import Tracer
 from tests.conftest import make_toy_federation
-from tests.helpers import assert_equivalent_runs, run_with_workers, tiny_model_fn
+from tests.helpers import assert_equivalent_runs, tiny_model_fn
 
 SPEC = "topk:0.05|qsgd:8"
 
@@ -39,13 +40,14 @@ def _worker_of(algorithm, cohort):
     return worker
 
 
-@pytest.mark.parametrize("layout", ["dense", "sharded"])
-def test_residual_rows_installed_from_a_cohort_broadcast(layout):
+# "dense": every row resident; "sharded": rows spill past a cap of 2.
+@pytest.mark.parametrize("state_cap", [None, 2], ids=["dense", "sharded"])
+def test_residual_rows_installed_from_a_cohort_broadcast(state_cap):
     fed = make_toy_federation(similarity=0.0, num_clients=16)
     algorithm = make_algorithm("fedavg")
     algorithm.setup(
         tiny_model_fn(fed)(), fed,
-        FLConfig(rounds=1, compression=SPEC, state_sharding=layout, state_cap=2),
+        FLConfig(rounds=1, compression=SPEC, state_cap=state_cap),
     )
     gen = np.random.default_rng(3)
     for client in (1, 2, 4, 7, 9, 11):
@@ -99,10 +101,7 @@ def test_array_tables_installed_from_a_cohort_broadcast(name, table):
     assert isinstance(getattr(algorithm, table), np.ndarray)
 
 
-def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
-    """Round 0 broadcasts no residual row, later rounds up to a cohort's
-    worth; the shared buffer was sized for that at the first fork.  One
-    pool fork per run, one state pack per round."""
+def _assert_pool_forks_once(monkeypatch, name, kwargs, feature_dim, overrides):
     forks = []
     state_packs = []
     pack_parts = wire.pack_parts
@@ -120,19 +119,21 @@ def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
     monkeypatch.setattr(parallel, "_ProcessPool", CountingPool)
     monkeypatch.setattr(wire, "pack_parts", counting_pack_parts)
     fed = make_toy_federation(similarity=0.0, num_clients=16)
+    model_fn = tiny_model_fn(fed, feature_dim=feature_dim)
     config = FLConfig(
         rounds=6, local_steps=2, batch_size=8, lr=0.1, seed=11,
-        sample_ratio=0.25, compression=SPEC,
+        sample_ratio=0.25, **overrides,
     )
-    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
+    serial = make_algorithm(name, **kwargs)
+    serial_history = run_federated(serial, fed, model_fn, config)
 
     tracer = Tracer()
     state_bytes = []
-    algorithm = make_algorithm("fedavg")
+    algorithm = make_algorithm(name, **kwargs)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         history = run_federated(
-            algorithm, fed, tiny_model_fn(fed),
+            algorithm, fed, model_fn,
             config.with_updates(num_workers=2, executor="process"),
             tracer=tracer,
             callbacks=[
@@ -142,10 +143,29 @@ def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
             ],
         )
     assert not algorithm.executor.degraded
-    assert_equivalent_runs(serial, (algorithm, history))
+    assert_equivalent_runs((serial, serial_history), (algorithm, history))
+    table = getattr(algorithm, "delta_table", None)
+    if table is None:
+        rows, row_bytes = 4, algorithm.model_size * 8 + 8  # the cohort's residuals
+    else:
+        rows, row_bytes = fed.num_clients, table.dim * 8 + 8  # the whole table
     # The state did outgrow the first round's by more than the slack ...
     assert max(state_bytes) - state_bytes[0] > 4096
-    # ... and never by more than one row (+ id) per cohort client.
-    assert max(state_bytes) - state_bytes[0] <= 4 * (algorithm.model_size * 8 + 8)
+    # ... and never by more than one row (+ id) per client it can carry.
+    assert max(state_bytes) - state_bytes[0] <= rows * row_bytes
     assert len(forks) == 1
     assert len(state_packs) == config.rounds
+
+
+def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
+    """Round 0 broadcasts no reported row, later rounds more of them; the
+    shared buffer was sized for every row at the first fork.  One pool
+    fork per run, one state pack per round, and the serial run's result —
+    for a cohort's residual rows (up to 4 a round), and for rFedAvg+'s
+    delta table, broadcast whole with its reported rows only (up to a
+    2 KB row for each of 16 clients), flat and hierarchical."""
+    _assert_pool_forks_once(monkeypatch, "fedavg", {}, 6, dict(compression=SPEC))
+    for topology in ("flat", "hier:2:2"):
+        _assert_pool_forks_once(
+            monkeypatch, "rfedavg+", {"lam": 1e-3}, 256, dict(topology=topology)
+        )

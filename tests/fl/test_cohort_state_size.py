@@ -1,10 +1,10 @@
 """The round-state broadcast scales with the cohort, not the population.
 
 Tables a task reads only at its own client's row — error-feedback
-residuals (dense and sharded), SCAFFOLD's client controls, MOON's
-previous local models — travel as the cohort's rows.  The packed state
-is therefore the same size for 64 and for 1 024 clients, and building
-it never disturbs a sharded table.
+residuals (all rows resident or spilling), SCAFFOLD's client controls,
+MOON's previous local models — travel as the cohort's rows.  The packed
+state is therefore the same size for 64 and for 1 024 clients, and
+building it never disturbs a spilling table.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.core.delta import ShardedDeltaTable, cohort_state_headroom
+from repro.core.delta import DeltaTable, cohort_state_headroom
 from repro.data import ArrayDataset, DatasetSpec, FederatedDataset
 from repro.fl import wire
 from repro.fl.config import FLConfig
@@ -52,11 +52,9 @@ def _populated(name: str, num_clients: int, **config):
     return algorithm
 
 
-CASES = {
-    "ef-dense": ("fedavg", dict(compression=SPEC, state_sharding="dense")),
-    "ef-sharded-spilling": (
-        "fedavg", dict(compression=SPEC, state_sharding="sharded", state_cap=4),
-    ),
+CASES = {  # "dense": every row resident (no cap)
+    "ef-dense": ("fedavg", dict(compression=SPEC)),
+    "ef-sharded-spilling": ("fedavg", dict(compression=SPEC, state_cap=4)),
     "scaffold": ("scaffold", {}),
     "moon": ("moon", {}),
 }
@@ -106,7 +104,7 @@ def test_duplicate_and_unordered_cohort_ids_pack_once():
 
 
 def test_building_the_broadcast_leaves_a_sharded_table_alone(tmp_path):
-    table = ShardedDeltaTable(64, 5, max_resident=4, spill_dir=str(tmp_path))
+    table = DeltaTable(64, 5, max_resident=4, spill_dir=str(tmp_path))
     gen = np.random.default_rng(2)
     rows = {client: gen.normal(size=5) for client in range(0, 40, 2)}
     for client, row in rows.items():

@@ -71,6 +71,21 @@ def test_transport_knob_is_gone(capsys):
     assert "unrecognized arguments: --transport wire" in capsys.readouterr().err
 
 
+def test_state_sharding_knob_is_gone(capsys):
+    """Per-client tables have one layout: asking for one is an unknown
+    field / an unknown argument, and no population-size threshold is
+    left to pick one."""
+    from repro.algorithms.base import FederatedAlgorithm
+    from repro.cli import main
+
+    with pytest.raises(TypeError, match="state_sharding"):
+        FLConfig(state_sharding="dense")
+    with pytest.raises(SystemExit):
+        main(["run", "--state-sharding", "dense"])
+    assert "unrecognized arguments: --state-sharding dense" in capsys.readouterr().err
+    assert not hasattr(FederatedAlgorithm, "AUTO_SHARD_THRESHOLD")
+
+
 @pytest.mark.parametrize(
     "kwargs,suggestion",
     [

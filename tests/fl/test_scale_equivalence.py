@@ -1,9 +1,9 @@
 """Scale-out correctness gates: the cross-device machinery (virtual
-clients, sharded delta tables, streaming histories) must change *where
-bytes live*, never *what they are*.
+clients, spilling per-client tables, streaming histories) must change
+*where bytes live*, never *what they are*.
 
 Every knob here is execution-only by contract, so at small N each one
-must reproduce the eager/dense/appending run bit-for-bit — including
+must reproduce the eager/uncapped/appending run bit-for-bit — including
 across a crash/resume with all three engaged at once.
 """
 
@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.core.delta import DeltaTable, ShardedDeltaTable
+from repro.ckpt.format import pack_tree, read_checkpoint, unpack_tree, write_checkpoint
+from repro.ckpt.state import SECTION_ALGORITHM
+from repro.core.delta import DeltaTable
 from repro.data import make_virtual_federation
 from repro.exceptions import ConfigError
 from repro.fl.config import FLConfig
@@ -72,26 +74,20 @@ def test_virtual_matches_eager_under_scale_samplers(virt, eager, sampler):
     assert_equivalent_runs(dense, lazy)
 
 
-# -- sharded vs dense server state --------------------------------------------------
+# -- spilling vs uncapped server state ----------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["rfedavg", "rfedavg+"])
 def test_sharded_table_matches_dense_bitwise(eager, name):
+    """Rows spilled past a cap of 2 ("sharded") against every row
+    resident ("dense"): the same run, bit for bit."""
     kwargs = {"lam": 1e-3}
-    dense = run_with_workers(
-        name, kwargs, eager, _config(state_sharding="dense"), num_workers=1
-    )
-    sharded = run_with_workers(
-        name, kwargs, eager, _config(state_sharding="sharded"), num_workers=1
-    )
+    uncapped = run_with_workers(name, kwargs, eager, _config(), num_workers=1)
     spilling = run_with_workers(
-        name, kwargs, eager,
-        _config(state_sharding="sharded", state_cap=2), num_workers=1,
+        name, kwargs, eager, _config(state_cap=2), num_workers=1
     )
-    assert_equivalent_runs(dense, sharded)
-    assert_equivalent_runs(dense, spilling)
-    assert isinstance(dense[0].delta_table, DeltaTable)
-    assert isinstance(sharded[0].delta_table, ShardedDeltaTable)
+    assert_equivalent_runs(uncapped, spilling)
+    assert uncapped[0].delta_table.spilled_rows == 0
     assert spilling[0].delta_table.spilled_rows > 0  # the cap actually bit
 
 
@@ -100,7 +96,7 @@ def test_two_spilling_tables_share_one_state_dir(eager, tmp_path):
     told the same ``state_dir``: each spills to a file of its own, so
     the run is the one whose tables spill to private temp directories."""
     overrides = dict(
-        compression="topk:0.05|qsgd:8", state_sharding="sharded", state_cap=2,
+        compression="topk:0.05|qsgd:8", state_cap=2,
     )
     kwargs = {"lam": 1e-3}
     private = run_with_workers(
@@ -117,29 +113,18 @@ def test_two_spilling_tables_share_one_state_dir(eager, tmp_path):
     assert shared[0].delta_table._spill.path != shared[0]._residuals._spill.path
 
 
-def test_auto_sharding_threshold(virt, eager):
-    """'auto' picks sharded for virtual populations and for any
-    population at/above the threshold, dense otherwise."""
-    algorithm = make_algorithm("rfedavg+", lam=1e-3)
+def test_every_population_gets_the_one_table(virt, eager):
+    """Eager or virtual, small or large: one table class, under the
+    run's row cap, allocating nothing until a client reports."""
     model = tiny_model_fn(eager)()
-    algorithm.setup(model, eager, _config())
-    assert isinstance(algorithm.delta_table, DeltaTable)
-    assert not isinstance(algorithm.delta_table, ShardedDeltaTable)
-
-    algorithm = make_algorithm("rfedavg+", lam=1e-3)
-    algorithm.setup(model, virt, _config())
-    assert isinstance(algorithm.delta_table, ShardedDeltaTable)
-
-    big = make_virtual_federation(
-        make_algorithm("rfedavg+", lam=1e-3).AUTO_SHARD_THRESHOLD, seed=0
-    )
-    algorithm = make_algorithm("rfedavg+", lam=1e-3)
-    algorithm.setup(model, big, _config())
-    assert isinstance(algorithm.delta_table, ShardedDeltaTable)
-
-    algorithm = make_algorithm("rfedavg+", lam=1e-3)
-    algorithm.setup(model, eager, _config(state_sharding="sharded"))
-    assert isinstance(algorithm.delta_table, ShardedDeltaTable)
+    big = make_virtual_federation(100_000, seed=0)
+    for fed, cap in ((eager, None), (virt, None), (big, 3)):
+        algorithm = make_algorithm("rfedavg+", lam=1e-3)
+        algorithm.setup(model, fed, _config(state_cap=cap))
+        table = algorithm.delta_table
+        assert type(table) is DeltaTable
+        assert table.num_clients == fed.num_clients and table.max_resident == cap
+        assert table.resident_rows == 0
 
 
 # -- crash/resume with everything engaged -------------------------------------------
@@ -147,7 +132,6 @@ def test_auto_sharding_threshold(virt, eager):
 
 def _scale_config(tmp_path, tag, **overrides):
     return _config(
-        state_sharding="sharded",
         state_cap=2,
         history_mode="stream",
         stream_dir=str(tmp_path / f"stream-{tag}"),
@@ -231,29 +215,42 @@ def test_streaming_run_matches_appending_run(virt, tmp_path):
     assert streaming[1].total_bytes() == appending[1].total_bytes()
 
 
-def test_cross_layout_resume(virt, tmp_path):
-    """state_sharding is execution-only: a dense-run checkpoint resumes
-    under sharded layout (and the result still matches the baseline)."""
+def test_cross_layout_resume(virt, tmp_path, monkeypatch):
+    """A checkpoint holding the delta table in its old dense form
+    (``delta_table`` = the (N, d) array) still restores — into a capped,
+    spilling table — and the resumed run matches the baseline."""
     kwargs = {"lam": 1e-3}
-    baseline = run_with_workers(
-        "rfedavg+", kwargs, virt, _config(state_sharding="dense"), num_workers=1
-    )
+    baseline = run_with_workers("rfedavg+", kwargs, virt, _config(), num_workers=1)
     ckpt_dir = tmp_path / "ckpt"
-    dense_config = _config(
-        state_sharding="dense", checkpoint_dir=str(ckpt_dir), checkpoint_keep=50
-    )
-    run_with_workers("rfedavg+", kwargs, virt, dense_config, num_workers=1)
-    for round_idx in range(2, ROUNDS):
-        path = ckpt_dir / f"ckpt-{round_idx:08d}.rck"
-        if path.exists():
+    config = _config(checkpoint_dir=str(ckpt_dir), checkpoint_keep=50)
+    run_with_workers("rfedavg+", kwargs, virt, config, num_workers=1)
+    kept = ckpt_dir / "ckpt-00000001.rck"
+    for path in ckpt_dir.glob("ckpt-*.rck"):
+        if path != kept:
             path.unlink()
+    manifest, sections = read_checkpoint(kept)
+    state = unpack_tree(sections[SECTION_ALGORITHM])
+    rows = state.pop("delta_rows")
+    table = np.zeros((virt.num_clients, rows.shape[1]))
+    table[state.pop("delta_ids")] = rows
+    state["delta_table"] = table
+    sections[SECTION_ALGORITHM] = pack_tree(state)
+    write_checkpoint(kept, manifest["meta"], sections)
+    forms = []
+    restore = DeltaTable.restore_checkpoint_segments
+
+    def spy(table, segments):
+        forms.append(sorted(k for k in segments if k.startswith("delta_")))
+        restore(table, segments)
+
+    monkeypatch.setattr(DeltaTable, "restore_checkpoint_segments", spy)
     resumed = run_with_workers(
         "rfedavg+", kwargs, virt,
-        dense_config.with_updates(resume=True, state_sharding="sharded", state_cap=2),
-        num_workers=1,
+        config.with_updates(resume=True, state_cap=2), num_workers=1,
     )
     assert_equivalent_runs(baseline, resumed)
-    assert isinstance(resumed[0].delta_table, ShardedDeltaTable)
+    assert forms == [["delta_cache", "delta_reported", "delta_table"]]
+    assert resumed[0].delta_table.spilled_rows > 0
 
 
 # -- guard rails --------------------------------------------------------------------

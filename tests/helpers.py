@@ -1,5 +1,6 @@
-"""Shared test utilities: gradient checking + the serial/parallel
-equivalence harness for the client-execution engine."""
+"""Shared test utilities: gradient checking, the serial/parallel
+equivalence harness for the client-execution engine, and the dense
+reference for the per-client state table."""
 
 from __future__ import annotations
 
@@ -171,3 +172,47 @@ def assert_equivalent_runs(serial, parallel) -> None:
     assert alg_a.ledger.rounds == alg_b.ledger.rounds
     for round_idx in range(alg_a.ledger.rounds):
         assert alg_a.ledger.round_bytes(round_idx) == alg_b.ledger.round_bytes(round_idx)
+
+
+class DenseDeltaOracle:
+    """Reference for :class:`repro.core.delta.DeltaTable`: an ``(N, d)``
+    array plus a reported mask.  Every statistic is a ``table[mask]``
+    reduction, so rows come out in ascending client-id order by
+    construction; a client that never reported holds a zero row."""
+
+    def __init__(self, num_clients: int, dim: int) -> None:
+        self.table = np.zeros((num_clients, dim))
+        self.reported = np.zeros(num_clients, dtype=bool)
+
+    def update(self, client: int, delta: np.ndarray) -> None:
+        self.table[client] = delta
+        self.reported[client] = True
+
+    def get(self, client: int) -> np.ndarray:
+        return self.table[client].copy()
+
+    def reported_rows_except(self, client: int) -> np.ndarray | None:
+        mask = self.reported.copy()
+        mask[client] = False
+        return self.table[mask] if mask.any() else None
+
+    def mean_of_others(self, client: int) -> np.ndarray:
+        others = self.reported_rows_except(client)
+        return self.get(client) if others is None else others.mean(axis=0)
+
+    def delta_inconsistency(self) -> float:
+        if not self.reported.any():
+            return 0.0
+        rows = self.table[self.reported]
+        return float(np.linalg.norm(rows - rows.mean(axis=0), axis=1).mean())
+
+    def restore(self, segments: dict) -> None:
+        """Adopt a sparse snapshot (``delta_ids`` / ``delta_rows``)."""
+        self.table[:] = 0.0
+        self.table[np.asarray(segments["delta_ids"])] = np.asarray(segments["delta_rows"])
+        self.reported[:] = segments["delta_reported"]
+
+    def dense_segments(self) -> dict:
+        """The ``delta_table`` form checkpoints were written in before
+        the table was sparse."""
+        return {"delta_table": self.table.copy(), "delta_reported": self.reported.copy()}
