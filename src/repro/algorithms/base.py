@@ -505,10 +505,6 @@ class FederatedAlgorithm:
         assert self.ledger is not None
         self.ledger.charge(CommLedger.DOWN, "model", self.model_size, copies=len(selected))
 
-    def _charge_upload(self, selected: np.ndarray) -> None:
-        assert self.ledger is not None
-        self.ledger.charge(CommLedger.UP, "model", self.model_size, copies=len(selected))
-
     def _charge_uploads(self, selected: np.ndarray, updates: list[ClientUpdate]) -> None:
         """Charge the round's uplink from the finished updates.
 

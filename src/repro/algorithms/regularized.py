@@ -190,8 +190,3 @@ class RegularizedAlgorithm(FederatedAlgorithm):
                 return hook(features)
 
         return traced
-
-    def delta_payload_bytes(self) -> int:
-        """Wire size of one delta vector."""
-        assert self.model is not None and self.config is not None
-        return self.model.feature_dim * self.config.wire_bytes_per_scalar()

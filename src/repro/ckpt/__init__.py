@@ -4,8 +4,10 @@ The subsystem has three layers:
 
 * :mod:`repro.ckpt.format` — the RCK1 container: atomic temp-file +
   fsync + rename writes, a self-describing JSON manifest with
-  per-section blake2b content hashes, and a tree codec that stores
-  numpy arrays dtype-true over the RFW1 wire format.
+  per-section content digests (the format version names the digest:
+  SHA-256 in the version-2 files it writes, blake2b-128 in version-1
+  files it still reads), and a tree codec that stores numpy arrays
+  dtype-true over the RFW1 wire format.
 * :mod:`repro.ckpt.manager` — per-run directory management: retention
   of the newest K checkpoints and corruption-tolerant recovery that
   rolls back to the newest valid file.

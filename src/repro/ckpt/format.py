@@ -13,10 +13,11 @@ rather than as silent corruption:
 
 The manifest is self-describing: a format version, free-form ``meta``
 (round index, provenance), and a section table where every entry carries
-the section's name, byte offset, length, and blake2b-128 content hash.
-:func:`read_checkpoint` verifies the magic, the manifest hash, and every
-section hash before returning anything; any failure raises
-:class:`~repro.exceptions.CheckpointError`.
+the section's name, byte offset, length, and the content digest its
+format version names (:data:`SECTION_DIGESTS`; version 2 is written,
+versions 1 and 2 are read).  :func:`read_checkpoint` verifies the magic,
+the manifest hash, and every section digest before returning anything;
+any failure raises :class:`~repro.exceptions.CheckpointError`.
 
 Writes are crash-safe the classic way: the full file is written to a
 temporary sibling, flushed and fsynced, then atomically renamed over the
@@ -32,6 +33,7 @@ or raw ``bytes`` (content fingerprints).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -45,18 +47,27 @@ from repro.exceptions import CheckpointError, WireError
 from repro.fl import wire
 
 MAGIC = b"RCK1\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _HEADER = struct.Struct("<5sI16s")  # magic, manifest length, manifest blake2b-128
+
+_blake2b_128 = functools.partial(hashlib.blake2b, digest_size=16)
+
+# format version -> (section-table key, digest constructor).  Version 2's
+# SHA-256 hashes ~2.5x faster with SHA extensions (docs/checkpointing.md).
+SECTION_DIGESTS = {
+    1: ("blake2b", _blake2b_128),
+    2: ("sha256", hashlib.sha256),
+}
 
 _ARRAY_KEY = "__nd__"
 _BYTES_KEY = "__hex__"
 _TUPLE_KEY = "__tuple__"
 
 
-def _digest(*pieces) -> bytes:
-    """blake2b-128 of the concatenation of ``pieces``, never formed."""
-    digest = hashlib.blake2b(digest_size=16)
+def _digest(pieces, new=_blake2b_128) -> bytes:
+    """``new()``'s digest of the concatenation of ``pieces``, never formed."""
+    digest = new()
     for piece in pieces:
         digest.update(piece)
     return digest.digest()
@@ -192,7 +203,7 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict) -> Path:
     """
     path = Path(path)
     table = []
-    offset = None  # filled once the manifest length is known
+    digest_key, new_digest = SECTION_DIGESTS[FORMAT_VERSION]
     blobs = [_section_pieces(section) for section in sections.values()]
     # Two-pass: manifest size depends on offsets, offsets depend on the
     # manifest size.  Build the table with zero offsets first to measure,
@@ -203,7 +214,7 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict) -> Path:
                 "name": name,
                 "offset": 0,
                 "length": sum(memoryview(piece).nbytes for piece in pieces),
-                "blake2b": _digest(*pieces).hex(),
+                digest_key: _digest(pieces, new_digest).hex(),
             }
         )
 
@@ -220,8 +231,7 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict) -> Path:
     # practice, bounded defensively).
     manifest_bytes = render(table)
     for _ in range(8):
-        offset = _HEADER.size + len(manifest_bytes)
-        cursor = offset
+        cursor = _HEADER.size + len(manifest_bytes)
         for entry in table:
             entry["offset"] = cursor
             cursor += entry["length"]
@@ -237,7 +247,7 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "wb") as handle:
-            handle.write(_HEADER.pack(MAGIC, len(manifest_bytes), _digest(manifest_bytes)))
+            handle.write(_HEADER.pack(MAGIC, len(manifest_bytes), _digest([manifest_bytes])))
             handle.write(manifest_bytes)
             for pieces in blobs:
                 for piece in pieces:
@@ -264,11 +274,7 @@ def write_checkpoint(path: str | Path, meta: dict, sections: dict) -> Path:
 
 def read_manifest(path: str | Path) -> dict:
     """Read and verify only the manifest (cheap validity/metadata probe)."""
-    manifest, _raw = _read_verified_manifest(Path(path))
-    return manifest
-
-
-def _read_verified_manifest(path: Path) -> tuple[dict, bytes]:
+    path = Path(path)
     try:
         with open(path, "rb") as handle:
             header = handle.read(_HEADER.size)
@@ -282,40 +288,45 @@ def _read_verified_manifest(path: Path) -> tuple[dict, bytes]:
         raise CheckpointError(f"{path}: unreadable ({exc})") from exc
     if len(manifest_bytes) < manifest_len:
         raise CheckpointError(f"{path.name}: truncated manifest")
-    if _digest(manifest_bytes) != manifest_hash:
+    if _digest([manifest_bytes]) != manifest_hash:
         raise CheckpointError(f"{path.name}: manifest hash mismatch")
     try:
         manifest = json.loads(manifest_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path.name}: undecodable manifest") from exc
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if manifest.get("format_version") not in SECTION_DIGESTS:
         raise CheckpointError(
             f"{path.name}: unsupported format version "
             f"{manifest.get('format_version')!r}"
         )
-    return manifest, manifest_bytes
+    return manifest
 
 
 def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, bytes]]:
     """Read, verify, and return ``(manifest, sections)``.
 
-    Every section's length and content hash is checked against the
-    manifest; a mismatch anywhere raises :class:`CheckpointError` so the
-    caller can roll back to an older checkpoint.
+    Every section's length and its version's digest are checked against
+    the manifest; a mismatch anywhere raises :class:`CheckpointError` so
+    the caller can roll back to an older checkpoint.
     """
     path = Path(path)
-    manifest, _raw = _read_verified_manifest(path)
+    manifest = read_manifest(path)
+    digest_key, new_digest = SECTION_DIGESTS[manifest["format_version"]]
     sections: dict[str, bytes] = {}
     try:
         with open(path, "rb") as handle:
             for entry in manifest.get("sections", []):
+                if digest_key not in entry:
+                    raise CheckpointError(
+                        f"{path.name}: section {entry['name']!r} has no {digest_key} digest"
+                    )
                 handle.seek(int(entry["offset"]))
                 blob = handle.read(int(entry["length"]))
                 if len(blob) < int(entry["length"]):
                     raise CheckpointError(
                         f"{path.name}: section {entry['name']!r} truncated"
                     )
-                if _digest(blob).hex() != entry["blake2b"]:
+                if _digest([blob], new_digest).hex() != entry[digest_key]:
                     raise CheckpointError(
                         f"{path.name}: section {entry['name']!r} hash mismatch"
                     )

@@ -16,7 +16,7 @@ import re
 import warnings
 from pathlib import Path
 
-from repro.ckpt.format import read_checkpoint, read_manifest, write_checkpoint
+from repro.ckpt.format import read_checkpoint, write_checkpoint
 from repro.exceptions import CheckpointError
 
 _NAME_RE = re.compile(r"^ckpt-(\d{8})\.rck$")
@@ -100,13 +100,4 @@ class CheckpointManager:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        return None
-
-    def latest_manifest(self) -> dict | None:
-        """Manifest of the newest *valid* checkpoint (cheap probe)."""
-        for round_idx in reversed(self.checkpoint_rounds()):
-            try:
-                return read_manifest(self.path_for(round_idx))
-            except CheckpointError:
-                continue
         return None

@@ -268,9 +268,6 @@ class StreamingHistory(History):
     def total_bytes(self) -> int:
         return self._total_bytes
 
-    def mean_train_loss(self) -> float:
-        return self._sum_train_loss / self.num_records if self.num_records else 0.0
-
     # -- full-series accessors (spool replay) ---------------------------------------
     def _spooled_records(self) -> list[RoundRecord]:
         if self.stream_path is None:

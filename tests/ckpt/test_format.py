@@ -3,12 +3,16 @@
 The format's contract is binary: a checkpoint either reads back exactly
 what was written (arrays dtype-true, big ints intact, tuples typed) or
 raises :class:`~repro.exceptions.CheckpointError` — never a silently
-wrong value.
+wrong value.  That holds for every format version the reader knows:
+files are written at version 2 (SHA-256 section digests) and the
+version-1 files under ``data/`` (blake2b-128) still verify.
 """
 
 from __future__ import annotations
 
 import hashlib
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +20,19 @@ import pytest
 from repro.ckpt import format as ckpt_format
 from repro.ckpt.format import (
     MAGIC,
+    SECTION_DIGESTS,
     pack_tree,
     read_checkpoint,
     read_manifest,
     unpack_tree,
     write_checkpoint,
 )
+from repro.ckpt.recast import recast_checkpoint
 from repro.exceptions import CheckpointError
+from repro.fl.config import FLConfig
+
+DATA = Path(__file__).parent / "data"
+PARENT_FILES = sorted(DATA.glob("parent-*.rck"))
 
 
 # -- tree codec --------------------------------------------------------------------
@@ -193,8 +203,9 @@ def test_overwrite_is_atomic_under_same_name(tmp_path):
 
 
 def golden_checkpoint() -> tuple[dict, dict[str, dict]]:
-    """Fixed ``(meta, name -> tree)`` inputs; the digest of the file the
-    PARENT commit wrote for them is :data:`GOLDEN_FILE`."""
+    """Fixed ``(meta, name -> tree)`` inputs; the digest of the file
+    written for them is :data:`GOLDEN_FILE`, and of its payload region
+    :data:`GOLDEN_PAYLOAD`."""
     gen = np.random.default_rng(1818)
     reported = gen.random(40) < 0.6
     ids = np.flatnonzero(reported).astype(np.int64)
@@ -218,11 +229,24 @@ def golden_checkpoint() -> tuple[dict, dict[str, dict]]:
     return meta, trees
 
 
-GOLDEN_FILE = "be968251dca018003e4bb177467a560e"
+# Re-recorded when section digests became SHA-256 (format version 2):
+# only the manifest changed; GOLDEN_PAYLOAD pins that the bytes after it
+# did not.
+GOLDEN_FILE = "0bb81c338902e1faf872458574f12440"
+
+# blake2b-128 of the golden file's payload region (the bytes after the
+# header and manifest), recorded from the version-1 writer.
+GOLDEN_PAYLOAD = "3ee0082191fc4c04503adc29832fe9cd"
 
 
 def _file_digest(path) -> str:
     return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+
+
+def _payload_region(path) -> bytes:
+    data = path.read_bytes()
+    _magic, manifest_len, _hash = ckpt_format._HEADER.unpack_from(data)
+    return data[ckpt_format._HEADER.size + manifest_len :]
 
 
 def test_file_from_bytes_sections_equals_the_parent_commits(tmp_path):
@@ -231,6 +255,14 @@ def test_file_from_bytes_sections_equals_the_parent_commits(tmp_path):
         tmp_path / "golden.rck", meta, {k: pack_tree(t) for k, t in trees.items()}
     )
     assert _file_digest(path) == GOLDEN_FILE
+
+
+def test_payload_region_equals_the_version_1_writers(tmp_path):
+    meta, trees = golden_checkpoint()
+    pieces = {k: ckpt_format.pack_tree_parts(t) for k, t in trees.items()}
+    path = write_checkpoint(tmp_path / "golden.rck", meta, pieces)
+    digest = hashlib.blake2b(_payload_region(path), digest_size=16).hexdigest()
+    assert digest == GOLDEN_PAYLOAD
 
 
 def test_file_from_pieces_is_byte_identical(tmp_path):
@@ -247,3 +279,81 @@ def test_file_from_pieces_is_byte_identical(tmp_path):
     assert manifest["meta"] == meta
     rows = unpack_tree(sections["algorithm"])["ef_residuals"]["delta_rows"]
     np.testing.assert_array_equal(rows, trees["algorithm"]["ef_residuals"]["delta_rows"])
+
+
+# -- format versions ----------------------------------------------------------------
+
+
+def test_new_file_is_version_2_with_sha256_entries(tmp_path):
+    meta, trees = golden_checkpoint()
+    path = write_checkpoint(
+        tmp_path / "v2.rck", meta, {k: ckpt_format.pack_tree_parts(t) for k, t in trees.items()}
+    )
+    manifest, sections = read_checkpoint(path)
+    assert manifest["format_version"] == ckpt_format.FORMAT_VERSION == 2
+    for entry in manifest["sections"]:
+        assert "blake2b" not in entry
+        assert entry["sha256"] == hashlib.sha256(sections[entry["name"]]).hexdigest()
+
+
+@pytest.mark.parametrize("source", PARENT_FILES, ids=lambda p: p.name)
+def test_version_1_parent_file_verifies_with_blake2b(source):
+    manifest, sections = read_checkpoint(source)
+    assert manifest["format_version"] == 1
+    for entry in manifest["sections"]:
+        assert "sha256" not in entry
+        digest = hashlib.blake2b(sections[entry["name"]], digest_size=16).hexdigest()
+        assert entry["blake2b"] == digest
+
+
+@pytest.mark.parametrize("source", PARENT_FILES, ids=lambda p: p.name)
+def test_version_1_section_bit_flip_is_detected(tmp_path, source):
+    """The flip sits in the last section, so every section before it
+    must verify first."""
+    entry = read_manifest(source)["sections"][-1]
+    data = bytearray(source.read_bytes())
+    data[entry["offset"] + entry["length"] // 2] ^= 0x10
+    path = tmp_path / source.name
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=f"{entry['name']}.*hash mismatch"):
+        read_checkpoint(path)
+
+
+def test_unknown_version_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setitem(SECTION_DIGESTS, 3, SECTION_DIGESTS[2])
+    monkeypatch.setattr(ckpt_format, "FORMAT_VERSION", 3)
+    path = _write(tmp_path)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="unsupported format version 3"):
+        read_manifest(path)
+    with pytest.raises(CheckpointError, match="unsupported format version 3"):
+        read_checkpoint(path)
+
+
+def test_version_2_entry_with_only_blake2b_is_refused(tmp_path, monkeypatch):
+    """A valid blake2b-128 digest does not stand in for the SHA-256 one
+    version 2 names."""
+    monkeypatch.setitem(SECTION_DIGESTS, 2, SECTION_DIGESTS[1])
+    path = _write(tmp_path)
+    monkeypatch.undo()
+    manifest = read_manifest(path)
+    assert manifest["format_version"] == 2
+    assert all("blake2b" in e and "sha256" not in e for e in manifest["sections"])
+    with pytest.raises(CheckpointError, match="has no sha256 digest"):
+        read_checkpoint(path)
+
+
+def test_recast_of_a_version_1_file_writes_version_2(tmp_path):
+    source = DATA / "parent-rfedavgplus-00000001.rck"
+    assert read_manifest(source)["meta"]["provenance"]["dtype"] == "float64"
+    shutil.copy(source, tmp_path / source.name)
+    dst = recast_checkpoint(
+        tmp_path / source.name, tmp_path / "out" / source.name,
+        config=FLConfig(rounds=4, dtype="float32"),
+    )
+    manifest, sections = read_checkpoint(dst)
+    assert manifest["format_version"] == 2
+    assert manifest["meta"]["provenance"]["recast_from"]["dtype"] == "float64"
+    assert set(sections) == {entry["name"] for entry in read_manifest(source)["sections"]}
+    for entry in manifest["sections"]:
+        assert set(entry) == {"name", "offset", "length", "sha256"}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt.format import pack_tree, unpack_tree
+from repro.ckpt.format import pack_tree, read_manifest, unpack_tree
 from repro.ckpt.manager import CheckpointManager
 from repro.exceptions import CheckpointError
 
@@ -71,7 +71,6 @@ def test_corrupt_newest_rolls_back_with_warning(tmp_path):
 def test_empty_directory_yields_none(tmp_path):
     manager = CheckpointManager(tmp_path / "nonexistent")
     assert manager.load_latest_valid() is None
-    assert manager.latest_manifest() is None
     assert manager.checkpoint_rounds() == []
 
 
@@ -93,5 +92,5 @@ def test_stray_temporaries_are_cleaned_on_construction(tmp_path):
 def test_latest_manifest_is_cheap_probe(tmp_path):
     manager = CheckpointManager(tmp_path)
     _save(manager, 4)
-    manifest = manager.latest_manifest()
+    manifest = read_manifest(manager.path_for(4))
     assert manifest["meta"]["round_idx"] == 4

@@ -256,15 +256,31 @@ def test_resumed_run_drops_the_restore_blobs(tmp_path, monkeypatch, no_gc, overr
 PARENT_FINAL_PARAMS = "85ed82606b71f064cec6d7eb68db63401255cbb7f5cb881b1cf4d9368abffb08"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_parent_written_checkpoint_resumes_to_the_parents_digest(tmp_path):
-    shutil.copy(DATA / "parent-rfedavgplus-00000001.rck", tmp_path / "ckpt-00000001.rck")
+    """The file is loaded, not skipped: a run that rejected it would warn
+    and start over from round 0, reaching the same digest."""
+    from repro.algorithms import make_algorithm
+    from repro.fl.trainer import run_federated
+    from tests.helpers import tiny_model_fn
+
+    source = DATA / "parent-rfedavgplus-00000001.rck"
+    manifest, _sections = read_checkpoint(source)
+    assert manifest["meta"]["round_idx"] == 1
+    shutil.copy(source, tmp_path / "ckpt-00000001.rck")
     config = FLConfig(
         rounds=4, local_steps=2, batch_size=8, lr=0.1, seed=18,
         compression="topk:0.25|qsgd:8", sync_compression="qsgd:8",
         checkpoint_dir=str(tmp_path), checkpoint_every=2, checkpoint_keep=50, resume=True,
     )
     fed = make_toy_federation(similarity=0.0)
-    algorithm, history = run_with_workers("rfedavg+", {"lam": 1e-3}, fed, config, num_workers=1)
+    algorithm = make_algorithm("rfedavg+", lam=1e-3)
+    trained = []
+    history = run_federated(
+        algorithm, fed, tiny_model_fn(fed), config,
+        callbacks=[lambda record: trained.append(record.round_idx)],
+    )
+    assert trained == [2, 3]
     assert [record.round_idx for record in history.records] == [0, 1, 2, 3]
     digest = hashlib.sha256(algorithm.global_params.tobytes()).hexdigest()
     assert digest == PARENT_FINAL_PARAMS
