@@ -12,7 +12,7 @@ The round itself is an *execution engine*: the per-client unit of work
 (:meth:`FederatedAlgorithm._client_update`) is side-effect-free with
 respect to shared algorithm state, so a pluggable
 :class:`~repro.fl.parallel.ClientExecutor` may run the selected clients
-serially or in a process pool.  Results come back as picklable
+serially or in worker processes.  Results come back as picklable
 :class:`~repro.fl.parallel.ClientUpdate` records and the round reduces
 them in **selection order** — upload charges are summed then recorded,
 per-client side effects run through :meth:`_commit_client`, and
@@ -118,11 +118,11 @@ class FederatedAlgorithm:
 
     name = "base"
 
-    # The process pool and the serve workers live across rounds and
-    # refresh their shared state from :meth:`_worker_state` each round.
-    # An algorithm whose worker-side work reads shared state that cannot
-    # be enumerated there must set this False; both executors then run
-    # it in-process (their one degradation, decided by
+    # Worker processes live across rounds and refresh their shared
+    # state from :meth:`_worker_state` each round.  An algorithm whose
+    # worker-side work reads shared state that cannot be enumerated
+    # there must set this False; the worker engine then runs it
+    # in-process (its one degradation, decided by
     # :func:`repro.fl.parallel.worker_refusal`).
     wire_transport_safe = True
 
@@ -230,9 +230,8 @@ class FederatedAlgorithm:
         clients in ``cohort`` reads from shared algorithm state, as
         wire-packable named segments.
 
-        The executor broadcasts this once per round (shared memory for
-        the pool, one frame per connection when serving) with the ids it
-        is about to run; long-lived workers re-adopt it via
+        The worker engine sends this once per round (one frame per
+        connection) with the ids it is about to run; long-lived workers re-adopt it via
         :meth:`_install_worker_state` before running tasks.  Subclasses
         with extra shared state must extend both methods symmetrically —
         or set ``wire_transport_safe = False``.  A table a task reads

@@ -86,10 +86,6 @@ class RegularizedAlgorithm(FederatedAlgorithm):
         if self.delta_cache is not None and "delta_cache" in state:
             self.delta_cache.load_state_dict(state["delta_cache"])
 
-    def _raw_delta(self, client_id: int, phi_fp: bytes | None = None) -> np.ndarray:
-        """:meth:`_raw_deltas` of one client."""
-        return self._raw_deltas([client_id], phi_fp)[0]
-
     def _raw_deltas(self, client_ids: list[int], phi_fp: bytes | None = None) -> list:
         """The clients' mean embeddings under the current workspace
         model, through the delta cache when enabled.  More than one

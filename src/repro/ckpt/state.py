@@ -13,11 +13,9 @@ into freshly constructed objects.
 Per-(round, client, phase) streams — client training RNGs, privacy
 noise, compression draws — are *derived* from the master seed on every
 use and therefore need no snapshotting; that statelessness is what keeps
-the checkpoint small and the resume exact.  The process pool needs no
-special handling either: worker pools re-adopt restored state
-through the existing per-round ``_worker_state`` broadcast (fork
-inheritance covers the pool's first round, the seq-guarded shared-memory
-refresh every one after).
+the checkpoint small and the resume exact.  Worker processes need no
+special handling either: they re-adopt restored state through the
+per-round ``_worker_state`` frame every round, the first included.
 """
 
 from __future__ import annotations

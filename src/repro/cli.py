@@ -84,8 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # the CLI, config objects and the facade all raise the identical
     # typo-suggesting ConfigError.
     run.add_argument("--executor", default="auto",
-                     help="client-execution engine: auto | serial | process "
-                          "| chunked")
+                     help="client-execution engine: auto | serial | process")
     run.add_argument("--dtype", default="float64",
                      help="compute precision: float32 (~2x faster) or float64 "
                           "(the bit-reproducible default)")

@@ -56,28 +56,6 @@ def cohort_segments(prefix: str, cohort, rows_for, reported=None) -> dict[str, n
     }
 
 
-def cohort_state_headroom(state: dict) -> int:
-    """Bytes by which this packed round state can still grow: every
-    ``rows`` segment ends at one row (plus its id) per ``cohort`` id, and
-    a table sent whole (``<prefix>reported``) at one per client, once all
-    of them have reported.  The shared-memory pool sizes its buffer with
-    it, so a table that fills up round by round never outgrows the
-    mapping the workers were forked with (pages never written cost no
-    memory)."""
-    headroom = 0
-    for key, reach in state.items():
-        if key.endswith(".cohort"):
-            prefix = key[: -len("cohort")]
-        elif key.endswith("_reported"):
-            prefix = key[: -len("reported")]
-        else:
-            continue
-        ids, rows = state[prefix + "ids"], state[prefix + "rows"]
-        missing = len(reach) - len(ids)
-        headroom += missing * (rows.shape[1] * rows.itemsize + ids.itemsize)
-    return headroom
-
-
 class CohortRows:
     """Worker-side stand-in for an own-row table: one round's rows.
 
@@ -300,17 +278,8 @@ class DeltaTable:
 
     # -- reads -----------------------------------------------------------------
     @property
-    def reported_mask(self) -> np.ndarray:
-        """Boolean mask of clients that have reported at least once."""
-        return self._reported.copy()
-
-    @property
     def any_reported(self) -> bool:
         return bool(self._reported.any())
-
-    @property
-    def all_reported(self) -> bool:
-        return bool(self._reported.all())
 
     @property
     def resident_rows(self) -> int:

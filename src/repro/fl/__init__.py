@@ -34,7 +34,6 @@ from repro.fl.comm import CommLedger, vector_bytes
 from repro.fl.parallel import (
     ClientExecutor,
     ClientUpdate,
-    ParallelExecutor,
     SerialExecutor,
     make_executor,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "vector_bytes",
     "ClientExecutor",
     "ClientUpdate",
-    "ParallelExecutor",
     "SerialExecutor",
     "make_executor",
     "pack",

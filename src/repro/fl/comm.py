@@ -17,8 +17,6 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
-
 from repro.nn.dtype import get_default_dtype
 from repro.obs.metrics import Counter, MetricsRegistry
 
@@ -239,7 +237,3 @@ class CommLedger:
         if key is None:
             return sum(r[self.DOWN] + r[self.UP] for r in self._round_totals)
         return sum(r.get(key, 0) for r in self._round_totals)
-
-    def per_round_series(self, key: str) -> np.ndarray:
-        rounds = self._spooled_rounds() if self.streaming else self._round_totals
-        return np.array([r.get(key, 0) for r in rounds], dtype=np.int64)

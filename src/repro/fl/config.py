@@ -19,7 +19,7 @@ from repro.nn.optim import LRSchedule
 
 # -- the string-choice knob registry ------------------------------------------------
 
-EXECUTOR_MODES = ("auto", "serial", "process", "chunked")
+EXECUTOR_MODES = ("auto", "serial", "process")
 EXECUTION_MODES = ("sync", "async", "serve")
 RUNTIME_KINDS = ("instant", "gaussian", "trace")
 OPTIMIZERS = ("sgd", "rmsprop", "adam")
@@ -180,12 +180,14 @@ class FLConfig:
             dtype-true; an explicit value overrides (4 simulates the
             paper's float32 wire from a float64 training run).
         num_workers: client-execution parallelism; workers > 1 trains
-            the round's clients in a process pool with results reduced
+            the round's clients in worker processes with results reduced
             in selection order, bit-identical to ``num_workers=1``.
-        executor: client-execution engine — 'auto' (process pool when
-            num_workers > 1, else serial), 'serial', 'process' (one
-            task per client), or 'chunked' (one contiguous client chunk
-            per worker).
+        executor: client-execution engine — 'auto' (worker processes
+            when num_workers > 1 on a multi-core host, else serial),
+            'serial', or 'process': the worker engine of
+            :mod:`repro.serve` with its workers forked locally, handed
+            the serial engine's blocks (whole where they stack, one
+            client each where ``stack_refusal`` refuses).
         dtype: compute precision for the whole run: 'float64' (default,
             bit-reproducible against the historical behaviour) or
             'float32' (~2x faster kernels, half-size payloads; results

@@ -90,12 +90,3 @@ class FaultModel:
         corruptions once per commit in the parent.
         """
         return anchor - self.corruption_scale * (params - anchor)
-
-    def maybe_corrupt(
-        self, client_id: int, params: np.ndarray, anchor: np.ndarray
-    ) -> np.ndarray:
-        """Return the (possibly corrupted) upload of ``client_id``."""
-        if not self.is_byzantine(client_id):
-            return params
-        self.corrupted_total += 1
-        return self.corrupt(client_id, params, anchor)

@@ -19,8 +19,8 @@ around it:
 * Client execution goes through the algorithm's
   :class:`~repro.fl.parallel.ClientExecutor` —
   :meth:`~repro.fl.parallel.ClientExecutor.run_regions` lets the
-  process pool run *all* regions' clients concurrently on one persistent
-  pool, which is the headline multi-core speedup.
+  worker engine run *all* regions' clients in one wave on its
+  persistent workers, which is the headline multi-core speedup.
 * Virtual populations, spilling delta tables, streaming
   histories/ledgers, compression pipelines and fault models all work
   unchanged; the optional ``cloud_compression`` spec compresses the
@@ -84,17 +84,9 @@ class RegionSet:
         sizes[:mod] += 1
         self.bounds = np.concatenate(([0], np.cumsum(sizes)))
 
-    def region_sizes(self) -> np.ndarray:
-        return np.diff(self.bounds)
-
     def slice(self, region: int) -> tuple[int, int]:
         """The ``[lo, hi)`` client-id range owned by one region."""
         return int(self.bounds[region]), int(self.bounds[region + 1])
-
-    def region_of(self, client_ids) -> np.ndarray:
-        """Owning region index for each client id."""
-        ids = np.asarray(client_ids, dtype=np.int64)
-        return np.searchsorted(self.bounds, ids, side="right") - 1
 
     def split_cohort(self, selected: np.ndarray) -> list[np.ndarray]:
         """Split a sorted cohort into per-region sub-cohorts.

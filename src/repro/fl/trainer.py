@@ -165,9 +165,9 @@ def run_federated(
                 region_observer=region_observer,
             )
         finally:
-            # The process pool keeps its workers and a shared-memory
-            # buffer alive across rounds; release them with the run.  An
-            # executor stays usable — it re-creates its pool lazily.
+            # The worker engine keeps its workers and sockets alive
+            # across rounds; release them with the run.  An executor
+            # stays usable — it re-forks its workers lazily.
             algorithm.executor.close()
 
 

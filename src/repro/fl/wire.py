@@ -28,7 +28,7 @@ a minimal self-describing binary layout instead:
 The payload buffers are dtype-true — a float32 vector costs 4 bytes per
 scalar on the wire, never a pickled float64 copy — and :func:`unpack`
 returns **zero-copy read-only views** into the source buffer, so a
-worker can decode a round-state broadcast out of shared memory without
+worker can decode a round-state frame where it was received without
 materializing anything.
 
 Three message kinds are used by the transport layer:
@@ -45,7 +45,7 @@ that as a degradation (see :mod:`repro.fl.parallel`), never as a fatal
 error.
 
 **Framing.**  In memory a message's extent is known from context (a
-shared-memory header stores the length).  On a byte stream — the
+checkpoint section's manifest entry).  On a byte stream — the
 multi-process serving subsystem (:mod:`repro.serve`) speaks RFW1 over
 TCP / Unix-domain sockets — messages are delimited by a little-endian
 ``u64`` length prefix (:func:`frame`) and reassembled from arbitrarily
@@ -194,10 +194,10 @@ def unpack(buf) -> tuple[str, dict[str, object]]:
     """Decode a wire message into ``(kind, segments)``.
 
     Array segments come back as zero-copy **read-only** views into
-    ``buf`` (which may be bytes, a memoryview, or an mmap); scalar
+    ``buf`` (which may be bytes, a bytearray or a memoryview); scalar
     segments come back as plain ``float`` / ``int``.  The views keep
-    ``buf`` alive, but a caller that overwrites a shared buffer in place
-    (the round-state mmap) must not hold views across the overwrite.
+    ``buf`` alive, but a caller that overwrites a buffer in place must
+    not hold views across the overwrite.
     """
     view = memoryview(buf)
     if len(view) < _HEADER.size:
@@ -323,13 +323,6 @@ class FrameAssembler:
         self._frame: bytearray | None = None  # None: still reading the prefix
         self._length = 0
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        if self._frame is None:
-            return len(self._prefix)
-        return FRAME_PREFIX.size + len(self._frame)
-
     def feed(self, data: bytes) -> list[bytearray]:
         """Absorb one read's bytes; return the completed frame payloads."""
         view = memoryview(data)
@@ -385,7 +378,7 @@ def pack_client_update(update) -> bytes:
     """Encode a :class:`~repro.fl.parallel.ClientUpdate`.
 
     Raises :class:`WireError` when the update carries anything the
-    format cannot express (e.g. an exotic payload value); the pool
+    format cannot express (e.g. an exotic payload value); a worker
     then returns that one update as its pickled record.
     """
     segments: dict[str, object] = {}

@@ -4,12 +4,11 @@ Every message on the socket is one RFW1 wire message wrapped in a
 length-prefixed frame (:func:`repro.fl.wire.frame`).  Four shapes occur:
 
 ``state`` (RFW1 kind ``state``)
-    Server -> worker, once per round (per region under a hierarchical
-    topology): the algorithm's :meth:`_worker_state` segments for the
+    Server -> worker, once per round (for the union of the regions'
+    cohorts under a hierarchical topology): the algorithm's :meth:`_worker_state` segments for the
     round's cohort (whole tables every client reads, cohort rows of
     tables a client reads only at its own id) plus a ``serve.seq``
-    sequence number.  Exactly the payload the in-process shared-memory
-    pool broadcasts, so the worker-side adoption path is shared code.
+    sequence number.
 ``generic`` control messages (RFW1 kind ``generic``)
     Discriminated by an integer ``serve.op`` segment: ``HELLO`` (worker
     -> server, announces readiness and how many connect attempts it
@@ -22,7 +21,7 @@ length-prefixed frame (:func:`repro.fl.wire.frame`).  Four shapes occur:
     (:func:`repro.fl.wire.pack_client_update`).
 ``generic`` pickled update (``serve.op == UPDATE_PICKLE``)
     The fallback when an update carries a payload the wire format
-    cannot express, mirroring the process pool's pickle fallback.  The
+    cannot express.  The
     blob is a pickle produced by our own forked worker — the serve
     sockets are a private transport between processes of one run, not
     an untrusted network surface (see ``docs/serving.md``).

@@ -1,33 +1,42 @@
-"""The serving server: a selector-loop client-execution engine.
+"""The worker engine: a selector loop over socket-connected worker processes.
 
-:class:`ServeExecutor` is a :class:`~repro.fl.parallel.ClientExecutor`,
-so the ordinary synchronous trainer loop *is* the federated server —
-selection, commit order, aggregation, checkpointing and crash-resume
-all come from the existing round decomposition; this engine only
-changes where the per-client work runs: in N forked worker processes
-reached over real TCP / Unix-domain sockets speaking length-prefixed
-RFW1 frames.
+:class:`ServeExecutor` is the one multi-process
+:class:`~repro.fl.parallel.ClientExecutor`, so the ordinary trainer loop
+*is* the federated server — selection, commit order, aggregation,
+checkpointing and crash-resume all come from the round decomposition;
+this engine only changes where the per-client work runs: in N forked
+worker processes reached over Unix-domain or TCP sockets speaking
+length-prefixed RFW1 frames.  ``executor='process'`` forks them locally
+over an ephemeral Unix socket; ``execution='serve'`` does the same, or
+listens where ``serve_addr`` says.
 
 One round, from the server's seat:
 
 1. Pack the algorithm's round state for this round's cohort once — as
    pieces (:func:`repro.fl.wire.pack_parts`), never joined — and queue
-   those same pieces to every live connection (sequence-numbered, like
-   the shared-memory pool's broadcast).
-2. Drive a non-blocking :mod:`selectors` loop: accept late workers,
+   those same pieces to every live connection (sequence-numbered).  A
+   hierarchical round (:meth:`ServeExecutor.run_regions`) sends one
+   state frame for the union of its regions' cohorts.
+2. Queue the serial engine's own blocks (``algorithm.cohort_blocks``,
+   cut per region): a block ``stack_refusal`` passes goes out whole, a
+   refused one one client per block, so workers balance per-client work
+   dynamically.  A block never straddles two regions: every ``task``
+   frame carries its region's parameters as ``model``, and the worker
+   trains a held block against the last one.
+3. Drive a non-blocking :mod:`selectors` loop: accept late workers,
    flush bounded per-connection write queues, reassemble frames from
-   partial reads, dispatch *blocks* of ``task`` frames (at most
-   ``COHORT_BLOCK`` clients, queued back to back on the least-loaded
-   connection that holds fewer than two blocks, capped by
-   ``serve_max_inflight``) which the worker trains as the serial engine
-   would, and slot arriving updates by client id.
-3. A dead connection's unfinished tasks are redispatched to surviving
-   workers (the determinism contract makes any duplicate identical);
-   when every worker is gone, or nothing makes progress for
-   ``serve_timeout`` seconds, the engine degrades to in-process serial
-   execution with a :class:`RuntimeWarning` — same fault story as the
-   process pool.
-4. After the round, socket-level model-payload bytes are reconciled
+   partial reads, dispatch the head block (its ``task`` frames queued
+   back to back on the least-loaded connection that holds fewer than
+   two blocks, cut to what ``serve_max_inflight`` leaves free) which the
+   worker trains as the serial engine would, and slot arriving updates
+   by client id.
+4. A dead connection's unfinished clients are requeued as blocks of
+   their own region and redispatched to surviving workers (the
+   determinism contract makes any duplicate identical); when every
+   worker is gone, or nothing makes progress for ``serve_timeout``
+   seconds, the engine degrades to in-process serial execution with one
+   :class:`RuntimeWarning`.
+5. After the round, socket-level model-payload bytes are reconciled
    against what the :class:`~repro.fl.comm.CommLedger` charges (see
    :meth:`ServeExecutor._reconcile`), so the ledger's byte counts hold
    on a real wire.
@@ -50,7 +59,7 @@ import weakref
 from collections import deque
 
 from repro.algorithms.base import COHORT_BLOCK
-from repro.exceptions import ProtocolError
+from repro.exceptions import ConfigError, ProtocolError
 from repro.fl.parallel import ClientExecutor, SerialExecutor, worker_refusal
 from repro.fl.wire import FrameAssembler
 from repro.serve import protocol
@@ -105,7 +114,8 @@ class _RoundStats:
         self.worker_retries = 0
         self.latencies: list[float] = []
         self.state_bytes = 0  # the round's state frame, sent once per connection
-        self.blocks: list[list[tuple[int, int]]] = []  # dispatched (position, client) blocks
+        # Dispatched blocks: (region, stack refusal, [(position, client)]).
+        self.blocks: list[tuple[int, str | None, list[tuple[int, int]]]] = []
 
 
 class ServeExecutor(ClientExecutor):
@@ -124,9 +134,9 @@ class ServeExecutor(ClientExecutor):
         queue_bytes: per-connection outbound queue bound; a connection
             at or over it receives no new block until it drains (one
             block may always be queued so progress never deadlocks).
+        name: ``'serve'`` or ``'process'``, the mode the engine was
+            built for.
     """
-
-    name = "serve"
 
     def __init__(
         self,
@@ -137,8 +147,12 @@ class ServeExecutor(ClientExecutor):
         backoff: float = 0.05,
         max_inflight: int | None = None,
         queue_bytes: int = 8 << 20,
+        name: str = "serve",
     ) -> None:
-        self.num_workers = max(1, int(num_workers))
+        if num_workers < 1:
+            raise ConfigError(f"num_workers must be >= 1, got {num_workers}")
+        self.name = name
+        self.num_workers = int(num_workers)
         self.addr_spec = addr
         self.timeout = float(timeout)
         self.retries = int(retries)
@@ -170,6 +184,7 @@ class ServeExecutor(ClientExecutor):
             backoff=config.serve_backoff,
             max_inflight=config.serve_max_inflight,
             queue_bytes=config.serve_queue_bytes,
+            name="serve" if config.execution == "serve" else "process",
         )
 
     # -- degradation ---------------------------------------------------------------
@@ -406,15 +421,37 @@ class ServeExecutor(ClientExecutor):
         return best
 
     # -- the round -------------------------------------------------------------------
-    def _serve_round(self, algorithm, round_idx: int, ids: list[int]):
+    @staticmethod
+    def _blocks(algorithm, regions) -> deque[tuple[int, str | None, list[tuple[int, int]]]]:
+        """A round's dispatch queue of ``(region, refusal, [(position,
+        client)])`` blocks: the serial engine's blocks, region by region
+        (positions run on across regions), whole where they stack and
+        one client each where ``stack_refusal`` says no."""
+        pending: deque[tuple[int, str | None, list[tuple[int, int]]]] = deque()
+        position = 0
+        for region, (region_ids, _model) in enumerate(regions):
+            for block, refusal in algorithm.cohort_blocks(region_ids):
+                slots = list(enumerate(block, position))
+                position += len(block)
+                if refusal is None:
+                    pending.append((region, None, slots))
+                else:
+                    pending.extend((region, refusal, [slot]) for slot in slots)
+        return pending
+
+    def _serve_round(self, algorithm, round_idx: int, regions: list[tuple[list[int], object]]):
+        """One wave over every region's clients: ``regions`` holds
+        ``(client_ids, model)`` pairs.  Returns the updates in input
+        order (regions concatenated) and the round's socket stats."""
         self._ensure_serving(algorithm)
         assert self._selector is not None
         stats = _RoundStats()
         self._seq += 1
         seq = self._seq
+        ids = [cid for region_ids, _model in regions for cid in region_ids]
         # WireError here (inexpressible round state) propagates to
-        # run(), which degrades — there is no pickled state transport
-        # over sockets.
+        # run_regions(), which degrades — there is no pickled state
+        # transport over sockets.
         state_frame = protocol.state_parts(algorithm._worker_state(ids), seq)
         stats.state_bytes = state_frame[0]
         for conn in list(self._conns.values()):
@@ -424,8 +461,8 @@ class ServeExecutor(ClientExecutor):
             self._queue(conn, state_frame, stats)
             conn.seq = seq
 
+        pending = self._blocks(algorithm, regions)
         results: list = [None] * len(ids)
-        pending: deque[tuple[int, int]] = deque(enumerate(ids))
         unfilled: dict[int, deque[int]] = {}
         for pos, cid in enumerate(ids):
             unfilled.setdefault(cid, deque()).append(pos)
@@ -434,10 +471,6 @@ class ServeExecutor(ClientExecutor):
         done = 0
         deadline = time.monotonic() + self.timeout
 
-        model = algorithm.global_params
-        assert model is not None
-        model_nbytes = int(model.nbytes)
-
         while done < len(ids):
             # Dispatch as many blocks as backpressure allows.
             inflight_total = sum(len(c.inflight) for c in self._conns.values())
@@ -445,19 +478,23 @@ class ServeExecutor(ClientExecutor):
                 conn = self._pick_conn()
                 if conn is None:
                     break
-                size = min(COHORT_BLOCK, self.max_inflight - inflight_total, len(pending))
-                block = [pending.popleft() for _ in range(size)]
-                stats.blocks.append(block)
-                for pos, cid in block:
+                region, refusal, slots = pending.popleft()
+                size = min(len(slots), self.max_inflight - inflight_total)
+                if size < len(slots):
+                    pending.appendleft((region, refusal, slots[size:]))
+                    slots = slots[:size]
+                stats.blocks.append((region, refusal, slots))
+                model = regions[region][1]
+                for pos, cid in slots:
                     task = protocol.task_parts(round_idx, pos, cid, seq, size, model)
                     if pos in ever_dispatched:
-                        stats.redispatch_bytes += model_nbytes
+                        stats.redispatch_bytes += model.nbytes
                         stats.redispatches += 1
                     else:
                         ever_dispatched.add(pos)
-                        stats.down_model_bytes += model_nbytes
+                        stats.down_model_bytes += model.nbytes
                     self._queue(conn, task, stats)
-                    conn.inflight[pos] = (cid, len(stats.blocks))
+                    conn.inflight[pos] = (cid, len(stats.blocks) - 1)
                     dispatch_time[pos] = time.monotonic()
                 inflight_total += size
                 deadline = time.monotonic() + self.timeout
@@ -518,47 +555,78 @@ class ServeExecutor(ClientExecutor):
     def _drop_conn(
         self, conn: _Conn, pending: deque | None, stats: _RoundStats
     ) -> None:
-        """Close a broken connection, requeueing its unfinished tasks."""
+        """Close a broken connection, requeueing its unfinished clients
+        at the head of ``pending``, each dispatched block's remainder as a
+        block of its own (so of its own region)."""
         stats.disconnects += 1
         if pending is not None:
-            for pos, (cid, _block) in sorted(conn.inflight.items(), reverse=True):
-                pending.appendleft((pos, cid))
+            held: dict[int, list[tuple[int, int]]] = {}
+            for pos, (cid, block) in sorted(conn.inflight.items()):
+                held.setdefault(block, []).append((pos, cid))
+            for block in sorted(held, reverse=True):
+                region, refusal, _slots = stats.blocks[block]
+                pending.appendleft((region, refusal, held[block]))
         conn.inflight.clear()
         self._close_conn(conn)
 
     # -- execution -------------------------------------------------------------------
     def run(self, algorithm, round_idx: int, client_ids: list[int]):
-        if self._fallback is not None:
-            return self._fallback.run(algorithm, round_idx, client_ids)
         if not len(client_ids):
             return []
-        refusal = worker_refusal(algorithm)
-        if refusal is not None:
-            return self._degrade(refusal).run(algorithm, round_idx, client_ids)
-        started = time.perf_counter()
-        try:
-            updates, stats = self._serve_round(
-                algorithm, round_idx, [int(c) for c in client_ids]
-            )
-        except Exception as exc:  # worker loss, stall, socket or wire failure
-            return self._degrade(f"socket serving failed: {exc!r}").run(
-                algorithm, round_idx, client_ids
-            )
-        elapsed = time.perf_counter() - started
-        self._record_metrics(algorithm, updates, stats, elapsed)
-        # Reconciliation runs OUTSIDE the degrade path: a byte-accounting
-        # mismatch is a correctness signal that must surface, not a
-        # transient fault to paper over with a serial rerun.
-        self._reconcile(algorithm, updates, stats, len(client_ids))
+        [updates] = self.run_regions(
+            algorithm, round_idx, [(client_ids, algorithm.global_params)]
+        )
         return updates
 
+    def run_regions(self, algorithm, round_idx: int, regions):
+        """Every region's clients in one wave (see the module docstring),
+        one update list per region, each in input order."""
+        if self._fallback is None:
+            if not any(len(ids) for ids, _params in regions):
+                return [[] for _ in regions]
+            refusal = worker_refusal(algorithm)
+            if refusal is not None:
+                self._degrade(refusal)
+            else:
+                started = time.perf_counter()
+                try:
+                    updates, stats = self._serve_round(
+                        algorithm, round_idx,
+                        [([int(c) for c in ids], params) for ids, params in regions],
+                    )
+                except Exception as exc:  # worker loss, stall, socket or wire failure
+                    self._degrade(f"socket serving failed: {exc!r}")
+                else:
+                    self._record_metrics(
+                        algorithm.tracer, updates, stats, time.perf_counter() - started
+                    )
+                    # Reconciliation runs OUTSIDE the degrade path: a
+                    # byte-accounting mismatch is a correctness signal that
+                    # must surface, not a transient fault to paper over
+                    # with a serial rerun.
+                    self._reconcile(algorithm, updates, stats, len(updates))
+                    out, start = [], 0
+                    for ids, _params in regions:
+                        out.append(updates[start : start + len(ids)])
+                        start += len(ids)
+                    return out
+        return self._fallback.run_regions(algorithm, round_idx, regions)
+
     # -- observability & reconciliation ------------------------------------------------
-    def _record_metrics(self, algorithm, updates, stats: _RoundStats, elapsed: float) -> None:
-        tracer = algorithm.tracer
+    def _record_metrics(self, tracer, updates, stats: _RoundStats, elapsed: float) -> None:
+        """Per-round telemetry.  Besides the traffic counters, this flags
+        rounds where the workers made things *slower* (busy time below
+        wall time — the cpu-bound regime on a single core, where fork,
+        framing and socket overhead dominate; see
+        ``docs/parallelism.md``) with a ``parallel_hint`` span and the
+        ``parallel.slowdown_rounds`` counter: an obs-layer signal, not a
+        warning, so determinism-focused test runs stay quiet."""
         if not tracer.enabled:
             return
         # A position's last dispatch is the block that answered it.
-        block_size = {pos: len(block) for block in stats.blocks for pos, _cid in block}
+        block_size = {
+            pos: len(slots) for _r, _refusal, slots in stats.blocks for pos, _cid in slots
+        }
         for pos, update in enumerate(updates):
             with tracer.span(
                 "local_train", client=update.client_id, worker=update.worker,
@@ -568,14 +636,10 @@ class ServeExecutor(ClientExecutor):
             span.duration = update.train_seconds
         metrics = tracer.metrics
         # What the workers' serial engines did with the blocks they were
-        # handed, asked of the same ``stack_refusal`` from this side of
-        # the socket (workers run untraced).
+        # handed (workers run untraced), with each refused block's reason.
         SerialExecutor.count_blocks(
             metrics,
-            [
-                algorithm.cohort_blocks([cid for _pos, cid in block])[0]
-                for block in stats.blocks
-            ],
+            [([cid for _pos, cid in slots], refusal) for _r, refusal, slots in stats.blocks],
         )
         metrics.counter("serve.task_blocks").inc(len(stats.blocks))
         metrics.gauge("serve.workers").set(sum(1 for p in self._procs if p.is_alive()))
@@ -599,8 +663,17 @@ class ServeExecutor(ClientExecutor):
             request_latency.observe(latency)
         metrics.quantile("serve.round_latency_sec").observe(elapsed)
         if elapsed > 0 and updates:
-            busy = sum(u.train_seconds for u in updates)
-            metrics.gauge("serve.speedup").set(busy / elapsed)
+            speedup = sum(u.train_seconds for u in updates) / elapsed
+            metrics.gauge("serve.speedup").set(speedup)
+            if speedup < 1.0:
+                metrics.counter("parallel.slowdown_rounds").inc()
+                with tracer.span(
+                    "parallel_hint",
+                    speedup=round(speedup, 3),
+                    hint="worker overhead exceeds parallel gain; "
+                    "consider executor='serial' on this machine",
+                ):
+                    pass
 
     def _reconcile(self, algorithm, updates, stats: _RoundStats, num_clients: int) -> None:
         """Check socket-level model bytes against the ledger's charges.

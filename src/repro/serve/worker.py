@@ -1,12 +1,12 @@
-"""The client worker process of the serving subsystem.
+"""The client worker process of the worker engine.
 
 A worker is forked by :class:`~repro.serve.server.ServeExecutor` (so the
 algorithm — model workspace, federated dataset, config — arrives as
-inherited memory, exactly like the process-pool engines), connects back
-to the server socket with retry + exponential backoff, and then loops:
+inherited memory), connects back to the server socket with retry +
+exponential backoff, and then loops:
 
-* ``state`` frame -> adopt the round state via the same
-  ``_install_worker_state`` path the shared-memory pool uses.
+* ``state`` frame -> adopt the round state via
+  ``_install_worker_state``.
 * ``task`` frame  -> point ``global_params`` at the frame's ``model``
   segment (the per-client downlink) and hold the client until the
   ``serve.block`` frames of its block have arrived; then train the block

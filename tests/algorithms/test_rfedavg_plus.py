@@ -97,7 +97,7 @@ def test_partial_participation_updates_selected_only(toy_federation):
     config = FLConfig(rounds=1, local_steps=2, batch_size=8, lr=0.1, sample_ratio=0.5, seed=1)
     alg = RFedAvgPlus(lam=1e-3)
     run_federated(alg, toy_federation, _model_fn(toy_federation), config)
-    assert alg.delta_table.reported_mask.sum() == 2
+    assert len(alg.delta_table.reported_ids()) == 2
 
 
 def test_learns_on_iid(iid_federation):

@@ -21,7 +21,7 @@ def test_update_and_get():
     table.update(1, np.array([1.0, 2.0]))
     np.testing.assert_array_equal(table.get(1), [1.0, 2.0])
     assert table.any_reported
-    assert not table.all_reported
+    assert table.reported_ids().tolist() == [1]
 
 
 def test_update_shape_validation():

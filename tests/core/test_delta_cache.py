@@ -309,21 +309,23 @@ def test_no_cache_no_fingerprint(fed, phi_fingerprints, name):
 
 def test_a_call_without_phi_fp_hashes_per_call_and_cannot_hit_stale(fed, phi_fingerprints):
     """rFedAvg's ``_client_payload`` and callers outside a round call
-    ``_raw_delta(client)`` bare, between arbitrary model mutations."""
+    ``_raw_deltas([client])`` bare, between arbitrary model mutations."""
     from repro.algorithms import make_algorithm
     from tests.helpers import tiny_model_fn
 
     alg = make_algorithm("rfedavg+", lam=1e-3)
     alg.setup(tiny_model_fn(fed)(), fed, _config())
-    first = alg._raw_delta(0)
-    np.testing.assert_array_equal(alg._raw_delta(0), first)
+    [first] = alg._raw_deltas([0])
+    np.testing.assert_array_equal(alg._raw_deltas([0])[0], first)
     assert (alg.delta_cache.hits, alg.delta_cache.misses) == (1, 1)
     alg.model.features.parameters()[0].data += 0.5  # in place, no reload
-    moved = alg._raw_delta(0)
+    [moved] = alg._raw_deltas([0])
     assert (alg.delta_cache.hits, alg.delta_cache.misses) == (1, 2)
     assert np.any(moved != first)
     assert len(phi_fingerprints) == 3
     # A supplied fingerprint is taken at its word: that is the contract
     # _synced_deltas keeps by loading the model once and not touching it.
-    np.testing.assert_array_equal(alg._raw_delta(0, phi_fp=phi_fingerprints[-1][1]), moved)
+    np.testing.assert_array_equal(
+        alg._raw_deltas([0], phi_fp=phi_fingerprints[-1][1])[0], moved
+    )
     assert len(phi_fingerprints) == 3

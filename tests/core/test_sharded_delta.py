@@ -39,11 +39,9 @@ def _paired(num_clients=40, dim=6, seed=0, max_resident=None, rounds=3, cohort=9
 @pytest.mark.parametrize("max_resident", [None, 2])
 def test_all_statistics_bit_identical_to_dense(max_resident):
     dense, table = _paired(max_resident=max_resident)
-    np.testing.assert_array_equal(table.reported_mask, dense.reported)
     np.testing.assert_array_equal(table.reported_ids(), np.flatnonzero(dense.reported))
     np.testing.assert_array_equal(table.full_table(), dense.table)
     assert table.any_reported == dense.reported.any()
-    assert table.all_reported == dense.reported.all()
     assert table.delta_inconsistency() == dense.delta_inconsistency()
     for client in range(table.num_clients):
         np.testing.assert_array_equal(table.get(client), dense.get(client))
@@ -65,7 +63,7 @@ def test_memory_is_reported_rows_not_population():
     assert table.resident_rows == 100
     assert len(table.reported_ids()) == 100
     # The only O(N) state is the boolean mask.
-    assert table.reported_mask.nbytes == 1_000_000
+    assert table._reported.nbytes == 1_000_000
 
 
 def test_spill_cap_is_enforced_and_counted(tmp_path):

@@ -3,21 +3,20 @@
 Worker-side, an own-row table is a :class:`~repro.core.delta.CohortRows`
 built from the broadcast: the parent's bytes for every cohort id, zeros
 for a cohort id that never reported, :class:`ProtocolError` for any
-other id — an earlier round's row is gone, not stale.  And because the
-pool sizes its shared buffer for the state with every row reported (a
-cohort's rows, or a whole table's), a table that fills up round by round
-never forces a re-fork.
+other id — an earlier round's row is gone, not stale.  And a table that
+fills up round by round never forces a re-fork: the workers are forked
+once a run and sent a fresh state frame every round.
 """
 
 from __future__ import annotations
 
 import copy
+import multiprocessing.context
 import warnings
 
 import numpy as np
 import pytest
 
-import repro.fl.parallel as parallel
 from repro.algorithms import make_algorithm
 from repro.exceptions import ProtocolError
 from repro.fl import wire
@@ -105,18 +104,18 @@ def _assert_pool_forks_once(monkeypatch, name, kwargs, feature_dim, overrides):
     forks = []
     state_packs = []
     pack_parts = wire.pack_parts
+    start = multiprocessing.context.ForkProcess.start
 
-    class CountingPool(parallel._ProcessPool):
-        def __init__(self, *args, **kwargs):
-            forks.append(1)
-            super().__init__(*args, **kwargs)
+    def counting_start(process):
+        forks.append(1)
+        start(process)
 
     def counting_pack_parts(kind, segments):
         if kind == "state":
             state_packs.append(1)
         return pack_parts(kind, segments)
 
-    monkeypatch.setattr(parallel, "_ProcessPool", CountingPool)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
     monkeypatch.setattr(wire, "pack_parts", counting_pack_parts)
     fed = make_toy_federation(similarity=0.0, num_clients=16)
     model_fn = tiny_model_fn(fed, feature_dim=feature_dim)
@@ -128,7 +127,12 @@ def _assert_pool_forks_once(monkeypatch, name, kwargs, feature_dim, overrides):
     serial_history = run_federated(serial, fed, model_fn, config)
 
     tracer = Tracer()
-    state_bytes = []
+    state_bytes = []  # each round's state frame
+
+    def record_state_bytes(record):
+        sent = tracer.metrics.counter("serve.state_bytes").value
+        state_bytes.append(sent - sum(state_bytes))
+
     algorithm = make_algorithm(name, **kwargs)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -136,11 +140,7 @@ def _assert_pool_forks_once(monkeypatch, name, kwargs, feature_dim, overrides):
             algorithm, fed, model_fn,
             config.with_updates(num_workers=2, executor="process"),
             tracer=tracer,
-            callbacks=[
-                lambda record: state_bytes.append(
-                    tracer.metrics.gauge("parallel.state_bytes").value
-                )
-            ],
+            callbacks=[record_state_bytes],
         )
     assert not algorithm.executor.degraded
     assert_equivalent_runs((serial, serial_history), (algorithm, history))
@@ -149,21 +149,21 @@ def _assert_pool_forks_once(monkeypatch, name, kwargs, feature_dim, overrides):
         rows, row_bytes = 4, algorithm.model_size * 8 + 8  # the cohort's residuals
     else:
         rows, row_bytes = fed.num_clients, table.dim * 8 + 8  # the whole table
-    # The state did outgrow the first round's by more than the slack ...
+    # The state did outgrow the first round's by more than 4 KB ...
     assert max(state_bytes) - state_bytes[0] > 4096
     # ... and never by more than one row (+ id) per client it can carry.
     assert max(state_bytes) - state_bytes[0] <= rows * row_bytes
-    assert len(forks) == 1
+    assert len(forks) == 2  # num_workers, once a run
     assert len(state_packs) == config.rounds
 
 
 def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
-    """Round 0 broadcasts no reported row, later rounds more of them; the
-    shared buffer was sized for every row at the first fork.  One pool
-    fork per run, one state pack per round, and the serial run's result —
-    for a cohort's residual rows (up to 4 a round), and for rFedAvg+'s
-    delta table, broadcast whole with its reported rows only (up to a
-    2 KB row for each of 16 clients), flat and hierarchical."""
+    """Round 0 broadcasts no reported row, later rounds more of them.
+    One fork per worker a run, one state pack per round, and the serial
+    run's result — for a cohort's residual rows (up to 4 a round), and
+    for rFedAvg+'s delta table, broadcast whole with its reported rows
+    only (up to a 2 KB row for each of 16 clients), flat and
+    hierarchical."""
     _assert_pool_forks_once(monkeypatch, "fedavg", {}, 6, dict(compression=SPEC))
     for topology in ("flat", "hier:2:2"):
         _assert_pool_forks_once(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.core.delta import DeltaTable, cohort_state_headroom
+from repro.core.delta import DeltaTable
 from repro.data import ArrayDataset, DatasetSpec, FederatedDataset
 from repro.fl import wire
 from repro.fl.config import FLConfig
@@ -78,21 +78,18 @@ def test_state_size_follows_the_cohort_not_the_population(case):
 
 
 def test_state_grows_by_the_announced_headroom():
-    """``cohort_state_headroom`` is exactly what the packed state gains
-    once every cohort client has reported — the pool sizes its shared
-    buffer with it."""
+    """Once every cohort client has reported, the packed state has
+    grown by exactly one row and its id per client that had not."""
     algorithm = _populated("fedavg", 64, compression=SPEC)
-    state = algorithm._worker_state(COHORT)
-    before = len(wire.pack_state(state))
+    before = len(wire.pack_state(algorithm._worker_state(COHORT)))
     missing = [c for c in COHORT if c not in REPORTED]
-    assert missing and cohort_state_headroom(state) == len(missing) * (
-        algorithm.model_size * 8 + 8
-    )
+    assert missing
     for client in missing:
         algorithm._residuals.update(client, np.ones(algorithm.model_size))
     full = algorithm._worker_state(COHORT)
-    assert cohort_state_headroom(full) == 0
-    assert len(wire.pack_state(full)) == before + cohort_state_headroom(state)
+    assert len(wire.pack_state(full)) == before + len(missing) * (
+        algorithm.model_size * 8 + 8
+    )
 
 
 def test_duplicate_and_unordered_cohort_ids_pack_once():

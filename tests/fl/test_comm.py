@@ -1,6 +1,5 @@
 """Communication ledger tests."""
 
-import numpy as np
 import pytest
 
 from repro.fl.comm import CommLedger, vector_bytes
@@ -117,8 +116,9 @@ def test_per_round_series():
     for size in [5, 7, 9]:
         ledger.charge(CommLedger.UP, "model", size)
         ledger.end_round()
-    np.testing.assert_array_equal(ledger.per_round_series("up"), [5, 7, 9])
-    np.testing.assert_array_equal(ledger.per_round_series("down"), [0, 0, 0])
+    rounds = [ledger.round_bytes(r) for r in range(ledger.rounds)]
+    assert [r["up"] for r in rounds] == [5, 7, 9]
+    assert [r["down"] for r in rounds] == [0, 0, 0]
 
 
 def test_total_counts_both_directions():

@@ -30,8 +30,7 @@ def test_no_faults_is_identity():
     model = FaultModel()
     selected = np.array([0, 1, 2])
     np.testing.assert_array_equal(model.surviving_clients(selected), selected)
-    params = np.ones(4)
-    np.testing.assert_array_equal(model.maybe_corrupt(0, params, np.zeros(4)), params)
+    assert not any(model.is_byzantine(client) for client in selected)
 
 
 def test_dropout_rate_approximate():
@@ -53,10 +52,10 @@ def test_byzantine_sign_flip():
     model = FaultModel(byzantine_clients=(2,), corruption_scale=2.0)
     anchor = np.zeros(3)
     honest = np.array([1.0, -1.0, 0.5])
-    corrupted = model.maybe_corrupt(2, honest, anchor)
+    assert model.is_byzantine(2) and not model.is_byzantine(1)
+    corrupted = model.corrupt(2, honest, anchor)
     np.testing.assert_allclose(corrupted, [-2.0, 2.0, -1.0])
-    np.testing.assert_array_equal(model.maybe_corrupt(1, honest, anchor), honest)
-    assert model.corrupted_total == 1
+    assert model.corrupted_total == 0  # pure: the commit counts corruptions
 
 
 def test_dropout_run_completes_and_records_fewer_clients(toy_federation):

@@ -66,10 +66,9 @@ def test_config_validates_topology():
 
 def test_region_set_partitions_population():
     regions = RegionSet(10, 3)
-    assert regions.region_sizes().tolist() == [4, 3, 3]
     assert regions.bounds.tolist() == [0, 4, 7, 10]
-    ids = np.arange(10)
-    np.testing.assert_array_equal(regions.region_of(ids), [0, 0, 0, 0, 1, 1, 1, 2, 2, 2])
+    parts = regions.split_cohort(np.arange(10))
+    assert [p.tolist() for p in parts] == [[0, 1, 2, 3], [4, 5, 6], [7, 8, 9]]
 
 
 def test_region_set_split_cohort():
@@ -88,7 +87,7 @@ def test_region_set_validation():
     with pytest.raises(ConfigError):
         RegionSet(4, 5)
     # One region per client is the finest legal partition.
-    assert RegionSet(4, 4).region_sizes().tolist() == [1, 1, 1, 1]
+    assert RegionSet(4, 4).bounds.tolist() == [0, 1, 2, 3, 4]
 
 
 # -- engine behaviour ----------------------------------------------------------
@@ -143,6 +142,28 @@ def test_cloud_traffic_cheaper_than_client_traffic(toy_federation):
     )
     total = sum(rc["up"] + rc["down"] for rc in rounds_bytes)
     assert 0 < cloud < total - cloud
+
+
+def test_cloud_link_carries_two_models_per_region_per_sync():
+    """Only ``2 R / P`` model transfers a round cross the charged cloud
+    link, against the flat engine's ``2 N``: at N=8 and hier:4:4 the
+    cloud carries 8x fewer bytes over equal rounds."""
+    from tests.conftest import make_toy_federation
+
+    fed = make_toy_federation(similarity=0.0, num_clients=8)
+    config = _config(rounds=8, eval_every=8, seed=3)
+    flat = run_federated(make_algorithm("fedavg"), fed, _model_fn(fed), config)
+    flat_cloud = sum(r.bytes_up + r.bytes_down for r in flat.records)
+    rounds_bytes = []
+    run_federated(
+        make_algorithm("fedavg"), fed, _model_fn(fed), config.with_updates(topology="hier:4:4"),
+        region_observer=lambda info: rounds_bytes.append(info["bytes"]),
+    )
+    hier_cloud = sum(
+        v for rc in rounds_bytes for k, v in rc.items()
+        if k.partition(":")[2] == "cloud-model"
+    )
+    assert flat_cloud == 8 * hier_cloud  # (2 N) / (2 R / P) = N P / R
 
 
 def test_cloud_compression_shrinks_cloud_bytes(toy_federation):

@@ -5,8 +5,7 @@ sync short-circuits entirely — must reproduce the flat engine **bit
 for bit** for every registered algorithm: parameters, every History
 field except wall time, and the per-round ledger.  That identity is
 what makes ``topology`` a deployment knob rather than a numerical
-change, and it is the gate ``benchmarks/bench_hierarchy.py`` sits
-behind.
+change.
 
 Also covered here: hier serial == hier wire-parallel at R > 1 (the
 region-parallel speedup path changes nothing numerically), crash-resume

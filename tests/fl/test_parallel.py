@@ -1,4 +1,5 @@
-"""Unit tests for the client-execution engine (:mod:`repro.fl.parallel`)."""
+"""Unit tests for the client-execution engines (:mod:`repro.fl.parallel`
+and the worker engine it builds for multi-process runs)."""
 
 from __future__ import annotations
 
@@ -7,16 +8,16 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.algorithms import FedAvg
+from repro.algorithms import FedAvg, make_algorithm
+from repro.algorithms.base import COHORT_BLOCK
+from repro.data import make_virtual_federation
 from repro.exceptions import ConfigError
 from repro.fl.config import FLConfig
-from repro.fl.parallel import (
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.fl.parallel import SerialExecutor, make_executor
 from repro.fl.trainer import run_federated
+from repro.models import build_model
 from repro.obs.trace import Tracer
+from repro.serve.server import ServeExecutor, _RoundStats
 from tests.conftest import make_toy_federation
 from tests.helpers import tiny_model_fn
 
@@ -39,9 +40,9 @@ def test_make_executor_auto_process_when_multiple_workers(monkeypatch):
 
     monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
     executor = make_executor(_config(num_workers=3))
-    assert isinstance(executor, ParallelExecutor)
+    assert isinstance(executor, ServeExecutor)
     assert executor.num_workers == 3
-    assert not executor.chunked
+    assert executor.name == "process"
 
 
 def test_make_executor_auto_serial_on_single_core(monkeypatch):
@@ -53,7 +54,7 @@ def test_make_executor_auto_serial_on_single_core(monkeypatch):
     monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
     assert isinstance(make_executor(_config(num_workers=4)), SerialExecutor)
     forced = make_executor(_config(num_workers=4, executor="process"))
-    assert isinstance(forced, ParallelExecutor)
+    assert isinstance(forced, ServeExecutor)
 
 
 def test_make_executor_auto_serial_when_cpu_count_unknown(monkeypatch):
@@ -66,9 +67,10 @@ def test_make_executor_auto_serial_when_cpu_count_unknown(monkeypatch):
 def test_make_executor_forced_modes():
     assert isinstance(make_executor(_config(num_workers=4, executor="serial")), SerialExecutor)
     process = make_executor(_config(num_workers=4, executor="process"))
-    assert isinstance(process, ParallelExecutor) and not process.chunked
-    chunked = make_executor(_config(num_workers=4, executor="chunked"))
-    assert isinstance(chunked, ParallelExecutor) and chunked.chunked
+    assert isinstance(process, ServeExecutor) and process.name == "process"
+    assert process.addr_spec is None  # forked locally, over an ephemeral socket
+    served = make_executor(_config(num_workers=4, execution="serve"))
+    assert isinstance(served, ServeExecutor) and served.name == "serve"
 
 
 def test_config_rejects_bad_executor_settings():
@@ -76,32 +78,58 @@ def test_config_rejects_bad_executor_settings():
         _config(num_workers=0)
     with pytest.raises(ConfigError):
         _config(executor="threads")
+    with pytest.raises(ConfigError):  # block size comes from stack_refusal
+        _config(executor="chunked")
 
 
 def test_parallel_executor_rejects_bad_worker_count():
     with pytest.raises(ConfigError):
-        ParallelExecutor(0)
+        ServeExecutor(0)
 
 
-# -- scheduling ------------------------------------------------------------------
+# -- scheduling: the serial engine's blocks -----------------------------------------
+
+
+def _set_up(model: str, num_clients: int):
+    fed = make_virtual_federation(
+        num_clients, seed=5, similarity=0.3, samples_per_client=12, num_test=16
+    ).materialize()
+    algorithm = make_algorithm("fedavg")
+    algorithm.setup(build_model(model, fed.spec, seed=2, scale=0.25), fed, _config())
+    return algorithm
 
 
 def test_singleton_tasks_one_per_client():
-    executor = ParallelExecutor(2)
-    tasks = executor._tasks([10, 11, 12])
-    assert tasks == [[(0, 10)], [(1, 11)], [(2, 12)]]
+    """A block stack_refusal refuses (a CNN: reason=model) goes out one
+    client a block, so workers balance per-client work."""
+    algorithm = _set_up("cnn", 6)
+    blocks = ServeExecutor._blocks(algorithm, [([4, 1, 2], None)])
+    assert list(blocks) == [(0, "model", [(0, 4)]), (0, "model", [(1, 1)]), (0, "model", [(2, 2)])]
 
 
 def test_chunked_tasks_contiguous_and_complete():
-    executor = ParallelExecutor(2, chunked=True)
-    tasks = executor._tasks([10, 11, 12, 13, 14])
-    assert tasks == [[(0, 10), (1, 11), (2, 12)], [(3, 13), (4, 14)]]
+    """Blocks that stack go out whole, contiguous, region by region: no
+    block straddles two regions and positions run on across them."""
+    n = 2 * COHORT_BLOCK + 8
+    algorithm = _set_up("mlp", n)
+    first, second = list(range(COHORT_BLOCK + 3)), list(range(COHORT_BLOCK + 3, n))
+    blocks = list(ServeExecutor._blocks(algorithm, [(first, None), (second, None)]))
+    assert [(region, len(slots)) for region, _refusal, slots in blocks] == [
+        (0, COHORT_BLOCK), (0, 3), (1, COHORT_BLOCK), (1, n - 2 * COHORT_BLOCK - 3),
+    ]
+    assert all(refusal is None for _region, refusal, _slots in blocks)
+    slots = [slot for _region, _refusal, block in blocks for slot in block]
+    assert slots == list(enumerate(range(n)))
 
 
 def test_chunked_tasks_never_exceed_client_count():
-    executor = ParallelExecutor(8, chunked=True)
-    tasks = executor._tasks([1, 2])
-    assert tasks == [[(0, 1)], [(1, 2)]]
+    algorithm = _set_up("mlp", 8)
+    assert list(ServeExecutor._blocks(algorithm, [([1, 2], None)])) == [
+        (0, None, [(0, 1), (1, 2)])
+    ]
+    assert list(ServeExecutor._blocks(algorithm, [([], None), ([5], None)])) == [
+        (1, None, [(0, 5)])
+    ]
 
 
 # -- executor wiring -------------------------------------------------------------
@@ -116,7 +144,8 @@ def test_setup_builds_executor_from_config():
         algorithm, fed, tiny_model_fn(fed),
         _config(num_workers=2, rounds=1, executor="process"),
     )
-    assert isinstance(algorithm.executor, ParallelExecutor)
+    assert isinstance(algorithm.executor, ServeExecutor)
+    assert algorithm.executor.name == "process"
 
 
 def test_with_executor_overrides_config():
@@ -128,7 +157,7 @@ def test_with_executor_overrides_config():
 
 
 def test_empty_selection_returns_empty():
-    assert ParallelExecutor(2).run(FedAvg(), 0, []) == []
+    assert ServeExecutor(2, name="process").run(FedAvg(), 0, []) == []
 
 
 # -- degradation -----------------------------------------------------------------
@@ -172,9 +201,9 @@ def test_traced_parallel_run_preserves_span_structure_and_reports_workers():
             assert child.attrs["worker"] > 0
             assert child.duration >= 0.0
 
-    workers_gauge = tracer.metrics.gauge("parallel.workers")
+    workers_gauge = tracer.metrics.gauge("serve.workers")
     assert workers_gauge.value == 2
-    speedup_gauge = tracer.metrics.gauge("parallel.speedup")
+    speedup_gauge = tracer.metrics.gauge("serve.speedup")
     assert speedup_gauge.value > 0.0
 
 
@@ -203,15 +232,21 @@ def _fake_updates(train_seconds: float, n: int = 3) -> list:
     ]
 
 
+def _stats(n: int = 3) -> _RoundStats:
+    stats = _RoundStats()
+    stats.blocks = [(0, None, [(i, i)]) for i in range(n)]
+    return stats
+
+
 def test_slowdown_round_emits_hint_and_counter():
     """When worker busy time is below round wall time (the CPU-bound
     single-core regime), the executor should say so via obs."""
-    executor = ParallelExecutor(2)
+    executor = ServeExecutor(2, name="process")
     tracer = Tracer()
     # 3 clients x 0.1s busy inside a 1.0s round: speedup 0.3.
-    executor._record_metrics(tracer, _fake_updates(0.1), elapsed=1.0)
+    executor._record_metrics(tracer, _fake_updates(0.1), _stats(), elapsed=1.0)
 
-    assert tracer.metrics.gauge("parallel.speedup").value == pytest.approx(0.3)
+    assert tracer.metrics.gauge("serve.speedup").value == pytest.approx(0.3)
     assert tracer.metrics.counter("parallel.slowdown_rounds").value == 1
     hints = tracer.find("parallel_hint")
     assert len(hints) == 1
@@ -220,12 +255,12 @@ def test_slowdown_round_emits_hint_and_counter():
 
 
 def test_genuine_speedup_emits_no_hint():
-    executor = ParallelExecutor(2)
+    executor = ServeExecutor(2, name="process")
     tracer = Tracer()
     # 3 clients x 1s busy inside a 1.5s round: speedup 2.0.
-    executor._record_metrics(tracer, _fake_updates(1.0), elapsed=1.5)
+    executor._record_metrics(tracer, _fake_updates(1.0), _stats(), elapsed=1.5)
 
-    assert tracer.metrics.gauge("parallel.speedup").value == pytest.approx(2.0)
+    assert tracer.metrics.gauge("serve.speedup").value == pytest.approx(2.0)
     assert tracer.metrics.counter("parallel.slowdown_rounds").value == 0
     assert tracer.find("parallel_hint") == []
 
@@ -233,6 +268,6 @@ def test_genuine_speedup_emits_no_hint():
 def test_untraced_run_records_nothing():
     from repro.obs.trace import NULL_TRACER
 
-    executor = ParallelExecutor(2)
+    executor = ServeExecutor(2, name="process")
     # Must not raise, and must stay allocation-free on the null path.
-    executor._record_metrics(NULL_TRACER, _fake_updates(0.1), elapsed=1.0)
+    executor._record_metrics(NULL_TRACER, _fake_updates(0.1), _stats(), elapsed=1.0)

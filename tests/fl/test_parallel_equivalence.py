@@ -94,7 +94,7 @@ def test_unsafe_algorithm_degrades_to_serial_with_one_warning(fed):
     assert len(runtime_warnings) == 1
     assert "cannot enumerate worker state" in str(runtime_warnings[0].message)
     assert opted_out.executor.degraded
-    assert opted_out.executor._pool is None
+    assert not opted_out.executor._procs  # no worker was ever forked
     assert_equivalent_runs(serial, (opted_out, history))
 
 
@@ -102,12 +102,12 @@ def test_unsafe_algorithm_degrades_to_serial_with_one_warning(fed):
 def test_inexpressible_round_state_degrades_to_serial(fed, monkeypatch, topology):
     """Round state the wire format cannot express degrades ``run`` and
     ``run_regions`` alike to in-process serial execution, once."""
-    from repro.fl.parallel import ParallelExecutor
+    from repro.serve import protocol
 
-    def refuse(self, algorithm, state):
+    def refuse(state, seq):
         raise WireError("segment 'opaque' has no wire encoding")
 
-    monkeypatch.setattr(ParallelExecutor, "_broadcast_state", refuse)
+    monkeypatch.setattr(protocol, "state_parts", refuse)
     config = _config(seed=17, topology=topology)
     serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
     with pytest.warns(RuntimeWarning, match="no wire encoding") as caught:
@@ -122,21 +122,21 @@ def test_chunked_scheduling_is_bit_identical_to_serial(fed, name, kwargs):
     config = _config(seed=12)
     serial = run_with_workers(name, kwargs, fed, config, num_workers=1)
     chunked = run_with_workers(
-        name, kwargs, fed, config, num_workers=WORKERS, executor="chunked"
+        name, kwargs, fed, config.with_updates(serve_max_inflight=2),
+        num_workers=WORKERS, executor="process",
     )
-    assert chunked[0].executor.chunked
+    assert chunked[0].executor.max_inflight == 2
     assert_equivalent_runs(serial, chunked)
 
 
 @pytest.mark.parametrize("name,kwargs", [("fedavg", {}), ("rfedavg+", {"lam": 1e-3})])
 def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs):
-    """A pool worker is the serial engine for the slots it holds: equal
-    shards behind an MLP train as one stacked block per chunk — each
-    client reports the chunk's one share of wall clock — and the run is
-    still the serial run."""
+    """A worker is the serial engine for the block it holds: equal
+    shards behind an MLP train as one stacked block — each client
+    reports the block's one share of wall clock — and the run is still
+    the serial run."""
     from repro.algorithms import make_algorithm
     from repro.data import make_virtual_federation
-    from repro.fl.parallel import ParallelExecutor
     from repro.fl.trainer import run_federated
     from repro.models import build_model
 
@@ -145,7 +145,9 @@ def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs):
     ).materialize()
     rounds = []
 
-    class Recording(ParallelExecutor):
+    from repro.serve.server import ServeExecutor
+
+    class Recording(ServeExecutor):
         def run(self, algorithm, round_idx, client_ids):
             rounds.append(super().run(algorithm, round_idx, client_ids))
             return rounds[-1]
@@ -163,14 +165,13 @@ def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs):
 
     config = _config(seed=15)
     serial = run()
-    chunked = run(Recording(2, chunked=True))
+    chunked = run(Recording(2, name="process"))
     assert not chunked[0].executor.degraded
     assert_equivalent_runs(serial, chunked)
     assert len(rounds) == config.rounds
-    for updates in rounds:
-        for chunk in (updates[:5], updates[5:]):
-            assert len({(u.worker, u.train_seconds) for u in chunk}) == 1
-            assert chunk[0].worker != 0
+    for updates in rounds:  # a block that stacks goes out whole
+        assert len({(u.worker, u.train_seconds) for u in updates}) == 1
+        assert updates[0].worker != 0
 
 
 def test_partial_participation_is_bit_identical_to_serial(fed):

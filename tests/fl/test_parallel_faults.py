@@ -3,14 +3,16 @@
 Fault randomness (dropout) is consumed only in the parent process and
 byzantine corruption is a pure function of ``(client, params, anchor)``,
 so fault-injected runs must stay bit-identical between serial and
-parallel execution — including the fault model's own counters.  A worker
-crash must degrade the run to in-process execution, not kill it.
+parallel execution — including the fault model's own counters.  A dead
+worker's clients are redispatched to the others; only when no worker is
+left does the run degrade to in-process execution — it never dies.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from repro.algorithms import FedAvg
 from repro.fl.compression import compressor_from_spec
 from repro.fl.config import FLConfig
 from repro.fl.faults import FaultModel
+from repro.obs import Tracer
 from tests.conftest import make_toy_federation
 from tests.helpers import assert_equivalent_runs, run_with_workers, tiny_model_fn
 
@@ -114,7 +117,7 @@ def test_slow_clients_under_chunked_scheduling_stay_bit_identical(fed):
     serial_alg = _SlowClientsFedAvg()
     serial_hist = run_federated(serial_alg, fed, tiny_model_fn(fed), config)
 
-    chunked_config = config.with_updates(num_workers=2, executor="chunked")
+    chunked_config = config.with_updates(num_workers=2, executor="process")
     chunked_alg = _SlowClientsFedAvg()
     chunked_hist = run_federated(chunked_alg, fed, tiny_model_fn(fed), chunked_config)
     assert not chunked_alg.executor.degraded
@@ -138,8 +141,8 @@ class _PoisonedFedAvg(FedAvg):
 
 
 def test_worker_crash_degrades_to_serial_with_identical_results(fed):
-    """A crash mid-round must degrade gracefully — and tear down the
-    persistent pool and its shared-memory buffer on the way out."""
+    """Every worker that takes client 2 dies, so the redispatches run out
+    of workers: the round degrades gracefully, once."""
     from repro.fl.trainer import run_federated
 
     config = _config(seed=25)
@@ -147,14 +150,59 @@ def test_worker_crash_degrades_to_serial_with_identical_results(fed):
     reference_hist = run_federated(reference, fed, tiny_model_fn(fed), config)
 
     crashing = _PoisonedFedAvg()
-    with pytest.warns(RuntimeWarning, match="worker pool failed"):
+    with pytest.warns(RuntimeWarning, match="socket client serving disabled"):
         crashing_hist = run_federated(
             crashing, fed, tiny_model_fn(fed),
             config.with_updates(num_workers=4, executor="process"),
         )
     assert crashing.executor.degraded
-    assert crashing.executor._pool is None and crashing.executor._mmap is None
     assert_equivalent_runs((reference, reference_hist), (crashing, crashing_hist))
+
+
+class _DiesOnceFedAvg(FedAvg):
+    """The first worker to receive client 2 exits on the spot; the
+    marker file it creates makes that happen once a run."""
+
+    name = "fedavg"
+
+    def __init__(self, marker: str) -> None:
+        super().__init__()
+        self._spawn_pid = os.getpid()
+        self._marker = marker
+
+    def _client_update(self, round_idx, client_id):
+        if client_id == 2 and os.getpid() != self._spawn_pid:
+            try:
+                os.close(os.open(self._marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(17)
+        return super()._client_update(round_idx, client_id)
+
+
+def test_dead_worker_is_redispatched_without_degrading(fed, tmp_path):
+    """One dead worker is routed around: its unfinished clients go to the
+    others and the run stays on the workers, with no warning."""
+    from repro.fl.trainer import run_federated
+
+    config = _config(seed=27)
+    reference = FedAvg()
+    reference_hist = run_federated(reference, fed, tiny_model_fn(fed), config)
+
+    marker = str(tmp_path / "died")
+    dying = _DiesOnceFedAvg(marker)
+    tracer = Tracer()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dying_hist = run_federated(
+            dying, fed, tiny_model_fn(fed),
+            config.with_updates(num_workers=2, executor="process"), tracer=tracer,
+        )
+    assert os.path.exists(marker)
+    assert not dying.executor.degraded
+    assert tracer.metrics.counter("serve.redispatches").value >= 1
+    assert_equivalent_runs((reference, reference_hist), (dying, dying_hist))
 
 
 def test_sparse_compression_rides_the_wire_bit_identically(fed):

@@ -55,12 +55,19 @@ def test_frame_rejects_oversized_message():
 # -- reassembly under fragmentation -----------------------------------------------
 
 
+def _drained(assembler) -> bool:
+    """Nothing is buffered toward a frame: the next frame fed whole
+    comes back whole, alone."""
+    sentinel = _message(99)
+    return assembler.feed(wire.frame(sentinel)) == [sentinel]
+
+
 def test_single_feed_round_trip():
     message = _message()
     assembler = wire.FrameAssembler()
     frames = assembler.feed(wire.frame(message))
     assert frames == [message]
-    assert assembler.pending_bytes == 0
+    assert _drained(assembler)
 
 
 def test_split_at_every_boundary():
@@ -72,7 +79,7 @@ def test_split_at_every_boundary():
         frames = assembler.feed(framed[:cut])
         frames += assembler.feed(framed[cut:])
         assert frames == [message], f"split at byte {cut} corrupted the frame"
-        assert assembler.pending_bytes == 0
+        assert _drained(assembler)
 
 
 def test_one_byte_dribble():
@@ -84,7 +91,6 @@ def test_one_byte_dribble():
         frames += assembler.feed(framed[i : i + 1])
         if i < len(framed) - 1:
             assert frames == []
-            assert assembler.pending_bytes == i + 1
     assert frames == [message]
 
 
@@ -106,7 +112,7 @@ def test_concatenated_frames_split_at_every_boundary():
         for i in range(0, len(blob), stride):
             frames += assembler.feed(blob[i : i + stride])
         assert frames == messages, f"stride {stride} corrupted the stream"
-        assert assembler.pending_bytes == 0
+        assert _drained(assembler)
 
 
 def test_reassembled_frames_are_independent_copies():

@@ -1,9 +1,10 @@
 """Block-dispatched task frames: a serve worker trains the block it was
 handed, through the serial engine.
 
-The server cuts a round's pending clients into blocks of at most
-``COHORT_BLOCK`` and queues a block's ``task`` frames back to back on
-one connection; the worker holds them until the block is complete and
+The server queues the serial engine's blocks (at most ``COHORT_BLOCK``
+clients; a block ``stack_refusal`` refuses goes out one client a block)
+and a block's ``task`` frames go back to back on one connection; the
+worker holds them until the block is complete and
 runs :func:`repro.fl.parallel.run_held_clients` — stacked where
 ``stack_refusal`` has no objection, one by one where it has.  Nobody can
 tell from the numbers: every served run here equals the serial run
@@ -129,7 +130,15 @@ def test_served_blocks_equal_the_serial_engine(case, addr, wire_name):
     counted = _counters(serve_tracer, "executor.")
     assert counted == _counters(serial_tracer, "executor.")
     blocks = -(-CLIENTS // COHORT_BLOCK) * ROUNDS
-    assert _counters(serve_tracer, "serve.")["serve.task_blocks"] == blocks
+    # A block that stacks goes out whole; a refused one, one client a
+    # block: {dispatched size: blocks of that size a round}.
+    dispatched = {
+        None: {COHORT_BLOCK: 2, 8: 1},
+        "ragged": {1: COHORT_BLOCK, COHORT_BLOCK: 1, 8: 1},
+    }.get(refusal, {1: CLIENTS})
+    assert _counters(serve_tracer, "serve.")["serve.task_blocks"] == (
+        sum(dispatched.values()) * ROUNDS
+    )
     if refusal is None:
         assert counted == {
             "executor.stacked_blocks": blocks,
@@ -144,7 +153,7 @@ def test_served_blocks_equal_the_serial_engine(case, addr, wire_name):
     else:
         assert counted == {f"executor.cohort_unstacked{{reason={refusal}}}": ROUNDS}
     sizes = Counter(span.attrs["block"] for span in serve_tracer.find("local_train"))
-    assert sizes == {COHORT_BLOCK: 2 * COHORT_BLOCK * ROUNDS, 8: 8 * ROUNDS}
+    assert sizes == {size: size * count * ROUNDS for size, count in dispatched.items()}
 
 
 def test_stacked_blocks_come_back_as_blocks(fed, served_rounds):

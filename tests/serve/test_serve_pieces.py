@@ -21,9 +21,7 @@ import pytest
 
 from repro.fl import wire
 from repro.fl.config import FLConfig
-from repro.fl.parallel import _STATE_HEADER, ParallelExecutor
 from repro.obs import Tracer
-from repro.obs.trace import NULL_TRACER
 from repro.serve import protocol
 from repro.serve.server import ServeExecutor, _Conn, _RoundStats
 from tests.fl.test_wire_pieces import digest
@@ -103,7 +101,6 @@ def _drain(executor, conns, peers, stats) -> list[list[bytearray]]:
                 frames += assembler.feed(peer.recv(1 << 16))
             except BlockingIOError:
                 break
-        assert assembler.pending_bytes == 0
     return received
 
 
@@ -145,31 +142,6 @@ def test_shared_pieces_survive_partial_sends_on_every_connection(chunk):
         assert [digest(f) for f in frames] == [digest(e[prefix:]) for e in expected]
     assert all(conn.out_bytes == 0 for conn in conns)
     assert stats.sent_bytes == 2 * sum(len(e) for e in expected)
-
-
-# -- the pool's shared mapping ------------------------------------------------------
-
-
-class _Bound:
-    """What ``_broadcast_state`` needs of an algorithm."""
-
-    tracer = NULL_TRACER
-
-
-def test_pool_mapping_holds_the_pack_state_bytes():
-    executor = ParallelExecutor(num_workers=1)
-    algorithm = _Bound()
-    try:
-        for seed in (2, 3):  # the second broadcast overwrites the first in place
-            state = _state(seed)
-            executor._broadcast_state(algorithm, state)
-            packed = wire.pack_state(state)
-            length, seq = _STATE_HEADER.unpack_from(executor._mmap, 0)
-            assert (length, seq) == (len(packed), executor._seq)
-            start = _STATE_HEADER.size
-            assert executor._mmap[start : start + length] == packed
-    finally:
-        executor.close()
 
 
 # -- end to end: both ends of the socket log what they saw --------------------------
