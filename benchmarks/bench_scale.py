@@ -100,7 +100,11 @@ def probe(population: int, topology: str = "flat") -> dict:
 def _probe_in_subprocess(population: int, topology: str = "flat") -> dict:
     proc = subprocess.run(
         [
-            sys.executable, str(Path(__file__).resolve()),
+            # The probe runs under this process's -W options, so
+            # `-W error::RuntimeWarning` (a lost render-ahead helper) is
+            # fatal there too.
+            sys.executable, *(f"-W{option}" for option in sys.warnoptions),
+            str(Path(__file__).resolve()),
             "--probe", str(population), "--probe-topology", topology,
         ],
         cwd=REPO_ROOT,

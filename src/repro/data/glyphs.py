@@ -121,11 +121,6 @@ def _shift_rows(img: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _shear_rows(img: np.ndarray, shear: float) -> np.ndarray:
-    """Shift each row horizontally by round(shear * row_index)."""
-    return _shift_rows(img, _row_shifts(img.shape[0], shear))
-
-
 @lru_cache(maxsize=1024)
 def _styled_bitmap(
     char: str, thickness: int, scale: int, shifts: tuple[int, ...]

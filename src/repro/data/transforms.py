@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.dataset import ArrayDataset
 from repro.exceptions import DataError
 
 
@@ -165,16 +164,3 @@ def client_style_pipeline(
     sigma = float(rng.uniform(0.0, 0.08) * strength)
     return Pipeline(BrightnessScale(factor), FixedShift(dy, dx), GaussianNoise(sigma))
 
-
-def augment_dataset(
-    dataset: ArrayDataset, pipeline: Transform, rng: np.random.Generator, copies: int = 1
-) -> ArrayDataset:
-    """Return ``dataset`` plus ``copies`` augmented replicas of it."""
-    if copies < 1:
-        raise DataError("copies must be >= 1")
-    xs = [dataset.x]
-    ys = [dataset.y]
-    for _ in range(copies):
-        xs.append(pipeline.apply(dataset.x, rng))
-        ys.append(dataset.y)
-    return ArrayDataset(np.concatenate(xs), np.concatenate(ys))

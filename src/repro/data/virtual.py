@@ -28,10 +28,22 @@ the lazy path would render, because both call the same
 ``[seed, _TAG_CLIENT, client_id]``.  A run over the virtual population
 therefore produces bit-identical results to the same run over its
 eager materialization (``tests/fl/test_scale_equivalence.py``).
+
+Render-ahead: the same purity lets a forked helper process render
+shards on a spare CPU while the trainer works.
+:meth:`VirtualClientSet.render_ahead` hands it a round's cohort and the
+next one; ``clients[k]`` then takes a pending shard's bytes from the
+helper instead of rendering them (``docs/scale.md``, "Rendering
+ahead").
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import socket
+import struct
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -40,6 +52,7 @@ import numpy as np
 from repro.data.dataset import ArrayDataset, DatasetSpec, FederatedDataset
 from repro.data.synth_mnist import render_digits
 from repro.exceptions import DataError
+from repro.obs import sysinfo
 
 # RNG stream tags: every virtual draw derives from [seed, tag, ...] so
 # streams never collide with each other or with the trainer's
@@ -168,6 +181,111 @@ def materialize_test(partition: VirtualPartition) -> ArrayDataset:
     return ArrayDataset(images, labels)
 
 
+# The render-ahead helper's messages: a request is a u32 count and that
+# many int64 client ids; a rendered shard is its int64 id, then the bytes
+# of its ``y`` (int64) and ``x`` (float64), whose shapes the receiver
+# knows from the partition.
+_COUNT = struct.Struct("<I")
+_ID = struct.Struct("<q")
+
+
+def _recv_exactly(sock: socket.socket, buffer) -> bool:
+    """Fill ``buffer`` from ``sock``; False on EOF."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        got = sock.recv_into(view)
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _render_loop(partition, sizes, sock, parent_end) -> None:
+    """The helper's body: render every id it is sent, in order, until the
+    socket closes.  It leaves through ``os._exit`` on every path, so it
+    never flushes the copies of the parent's buffered files it inherited."""
+    try:
+        parent_end.close()
+        count = bytearray(_COUNT.size)
+        while _recv_exactly(sock, count):
+            ids = np.empty(_COUNT.unpack(count)[0], dtype="<i8")
+            if not _recv_exactly(sock, ids):
+                break
+            for client_id in ids.tolist():
+                shard = materialize_client(partition, client_id, int(sizes[client_id]))
+                sock.sendall(_ID.pack(client_id))
+                sock.sendall(shard.y)
+                sock.sendall(shard.x)
+    finally:
+        os._exit(0)
+
+
+def _may_fork_helper() -> bool:
+    """A helper needs a CPU of its own, the ``fork`` start method, and a
+    parent allowed to have children (a daemonic process is not)."""
+    return (
+        sysinfo.spare_cpu()
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon
+    )
+
+
+class _RenderAhead:
+    """One forked child rendering the shards it is handed, in order,
+    streaming their bytes back over a ``socketpair``.
+
+    ``pending`` holds the ids requested and not yet received, in the
+    order they arrive.  The child's send buffer is sized to
+    ``buffer_bytes`` so it can finish a whole cohort while the parent is
+    not reading; ``granted_bytes`` is what the kernel gave
+    (``net.core.wmem_max`` caps it).
+    """
+
+    def __init__(self, partition, sizes: np.ndarray, buffer_bytes: int) -> None:
+        self.partition = partition
+        self.sizes = sizes
+        parent_end, child_end = socket.socketpair()
+        level, option = socket.SOL_SOCKET, socket.SO_SNDBUF
+        if child_end.getsockopt(level, option) < buffer_bytes:
+            child_end.setsockopt(level, option, buffer_bytes)
+        self.granted_bytes = child_end.getsockopt(level, option)
+        self.proc = multiprocessing.get_context("fork").Process(
+            target=_render_loop,
+            args=(partition, sizes, child_end, parent_end),
+            daemon=True,
+            name="repro-render-ahead",
+        )
+        self.proc.start()
+        child_end.close()
+        self.sock = parent_end
+        self.owner = os.getpid()
+        self.pending: OrderedDict[int, None] = OrderedDict()
+
+    def request(self, ids: list[int]) -> None:
+        self.sock.sendall(_COUNT.pack(len(ids)) + np.asarray(ids, dtype="<i8").tobytes())
+        self.pending.update(dict.fromkeys(ids))
+
+    def receive(self) -> tuple[int, ArrayDataset]:
+        """The next shard in request order; EOFError if the helper is gone."""
+        client_id, _ = self.pending.popitem(last=False)
+        side = self.partition.image_size
+        size = int(self.sizes[client_id])
+        header = bytearray(_ID.size)
+        y = np.empty(size, dtype=np.int64)
+        x = np.empty((size, 1, side, side))
+        for buffer in (header, y, x):
+            if not _recv_exactly(self.sock, buffer):
+                raise EOFError("the render-ahead helper closed its socket")
+        if _ID.unpack(header)[0] != client_id:
+            raise EOFError("the render-ahead helper's stream is out of order")
+        return client_id, ArrayDataset(x, y)
+
+    def close(self) -> None:
+        self.sock.close()
+        self.proc.kill()
+        self.proc.join()
+
+
 class VirtualClientSet:
     """Lazy sequence of client shards with a bounded LRU of live ones.
 
@@ -176,6 +294,10 @@ class VirtualClientSet:
     recently used.  Eviction only ever forces a re-render — the shard's
     bytes are a pure function of ``(partition, k)``, so lazy and eager
     access are bit-identical for any ``max_live``.
+
+    :meth:`render_ahead` moves the rendering to a forked helper on a
+    spare CPU; ``materializations`` counts the shards this process took,
+    rendered here or there, not the ones the helper rendered for nothing.
     """
 
     def __init__(
@@ -188,6 +310,10 @@ class VirtualClientSet:
         self.max_live = max_live
         self._live: OrderedDict[int, ArrayDataset] = OrderedDict()
         self.materializations = 0
+        self._ahead: _RenderAhead | None = None
+        self._ready: dict[int, ArrayDataset] = {}  # received, not yet taken
+        self._upcoming: set[int] = set()  # the next round's ids: release() keeps them
+        self.render_ahead_lost = False
 
     def __len__(self) -> int:
         return self.partition.population
@@ -201,9 +327,11 @@ class VirtualClientSet:
         if shard is not None:
             self._live.move_to_end(client_id)
             return shard
-        shard = materialize_client(
-            self.partition, client_id, int(self._sizes[client_id])
-        )
+        shard = self._rendered_ahead(client_id)
+        if shard is None:
+            shard = materialize_client(
+                self.partition, client_id, int(self._sizes[client_id])
+            )
         self.materializations += 1
         self._live[client_id] = shard
         while len(self._live) > self.max_live:
@@ -223,8 +351,109 @@ class VirtualClientSet:
         return len(self._live)
 
     def release(self) -> None:
-        """Drop every live shard (e.g. at a round boundary)."""
+        """Drop every live shard (e.g. at a round boundary), and every
+        shard rendered ahead that the next round will not ask for."""
         self._live.clear()
+        helper = self._helper()
+        if helper is None:
+            return
+        for client_id in [k for k in self._ready if k not in self._upcoming]:
+            del self._ready[client_id]
+        # The dropped ids were requested before the next round's, so
+        # draining them off the front keeps ``pending`` within two cohorts.
+        try:
+            while helper.pending and next(iter(helper.pending)) not in self._upcoming:
+                helper.receive()
+        except (EOFError, OSError):
+            self._lose_helper()
+
+    # -- render-ahead ------------------------------------------------------------------
+    def render_ahead(self, current, upcoming=()) -> None:
+        """Have a helper process render this round's shards (``current``)
+        and the next round's (``upcoming``) while this process trains.
+
+        The helper is forked on the first call, when this process may run
+        on more than one CPU (:func:`repro.obs.sysinfo.spare_cpu`) and may
+        fork, and lives until :meth:`close`.  Ids already live, received
+        or pending are not requested again.  :meth:`release` keeps what
+        was rendered for ``upcoming`` and drops the rest.  Without a
+        helper this is a no-op and every shard renders inline, with the
+        same bytes.
+        """
+        current = [int(k) for k in current]
+        upcoming = [int(k) for k in upcoming]
+        if self._ahead is None and not self.render_ahead_lost and _may_fork_helper():
+            self._ahead = _RenderAhead(
+                self.partition, self._sizes,
+                max(self._shard_bytes(current), self._shard_bytes(upcoming)),
+            )
+        helper = self._helper()
+        if helper is None:
+            return
+        queued = set(self._live) | set(self._ready) | set(helper.pending)
+        ids = [k for k in dict.fromkeys(current + upcoming) if k not in queued]
+        self._upcoming = set(upcoming)
+        try:
+            helper.request(ids)
+        except OSError:
+            self._lose_helper()
+
+    def close(self) -> None:
+        """Stop this process's helper and forget what it rendered; a
+        later :meth:`render_ahead` forks a new one.  A no-op in a process
+        that did not fork it."""
+        if self._ahead is not None:
+            if self._helper() is None:
+                return
+            self._ahead.close()
+        self._ahead = None
+        self._ready.clear()
+        self._upcoming = set()
+        self.render_ahead_lost = False
+
+    def _helper(self) -> _RenderAhead | None:
+        """The helper, if this process forked it: a worker forked from the
+        trainer inherits the object but must never touch the socket."""
+        helper = self._ahead
+        if helper is None or helper.owner != os.getpid():
+            return None
+        return helper
+
+    def _shard_bytes(self, ids: list[int]) -> int:
+        pixels = self.partition.image_size ** 2
+        return sum(_ID.size + 8 * (1 + pixels) * int(self._sizes[k]) for k in ids)
+
+    def _rendered_ahead(self, client_id: int) -> ArrayDataset | None:
+        """The shard the helper rendered for ``client_id``, waiting for it
+        if it is pending; ``None`` when it was never requested."""
+        helper = self._helper()
+        if helper is None:
+            return None
+        shard = self._ready.pop(client_id, None)
+        if shard is not None or client_id not in helper.pending:
+            return shard
+        try:
+            while True:
+                got_id, got = helper.receive()
+                if got_id == client_id:
+                    return got
+                self._ready[got_id] = got
+        except (EOFError, OSError):
+            self._lose_helper()
+            return None
+
+    def _lose_helper(self) -> None:
+        """The helper died: warn once, reap it, render inline from now on."""
+        warnings.warn(
+            "the render-ahead helper was lost; the rest of the run renders "
+            "its shards inline, with the same bytes",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        self._ahead.close()
+        self._ahead = None
+        self._ready.clear()
+        self.render_ahead_lost = True
 
 
 class VirtualFederatedDataset:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments.runner import RunResult
 
 # Canonical display names matching the paper's tables.
@@ -109,14 +107,3 @@ def format_comm_table(rows: dict[str, dict[str, int]], title: str = "") -> str:
         lines.append(row)
     return "\n".join(lines)
 
-
-def summarize_fairness(per_client: np.ndarray, worst_k: int = 5) -> dict[str, float]:
-    """Worst-client statistics for the fairness evaluation (Fig. 11)."""
-    sorted_acc = np.sort(per_client)
-    return {
-        "mean": float(per_client.mean()),
-        "std": float(per_client.std()),
-        "worst": float(sorted_acc[0]),
-        f"worst{worst_k}_mean": float(sorted_acc[:worst_k].mean()),
-        "best": float(sorted_acc[-1]),
-    }

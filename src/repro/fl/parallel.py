@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.fl.compression import WireSize
 from repro.fl.config import validate_choice
+from repro.obs import sysinfo
 
 
 @dataclass
@@ -230,8 +231,9 @@ def make_executor(config) -> ClientExecutor:
     :class:`repro.serve.server.ServeExecutor`: ``execution='serve'``, and
     ``executor='process'`` (its workers forked locally over an ephemeral
     Unix socket unless ``serve_addr`` says otherwise).  ``executor='auto'``
-    picks it whenever ``num_workers > 1`` **and** the host has more than
-    one CPU — on a single-core host worker overhead always exceeds the
+    picks it whenever ``num_workers > 1`` **and** this process may run on
+    more than one CPU (:func:`repro.obs.sysinfo.spare_cpu`, which reads
+    the affinity mask) — on a single core worker overhead always exceeds the
     parallel gain (fork, state frames and result packing buy nothing
     without a second core), so auto resolves to the serial loop there.
     An explicit ``'process'`` run on one core still gets the
@@ -242,7 +244,7 @@ def make_executor(config) -> ClientExecutor:
     validate_choice("executor", mode)
     if config.execution != "serve" and (
         mode == "serial"
-        or (mode == "auto" and (workers <= 1 or (os.cpu_count() or 1) <= 1))
+        or (mode == "auto" and (workers <= 1 or not sysinfo.spare_cpu()))
     ):
         return SerialExecutor()
     from repro.serve.server import ServeExecutor

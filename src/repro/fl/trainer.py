@@ -40,6 +40,7 @@ untraced path free of overhead.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -167,8 +168,11 @@ def run_federated(
         finally:
             # The worker engine keeps its workers and sockets alive
             # across rounds; release them with the run.  An executor
-            # stays usable — it re-forks its workers lazily.
+            # stays usable — it re-forks its workers lazily.  So does a
+            # virtual population's render-ahead helper.
             algorithm.executor.close()
+            if getattr(fed, "virtual", False):
+                fed.clients.close()
 
 
 def _drive(
@@ -242,6 +246,9 @@ def _drive(
             # bound here they would outlive the whole run.
             del loaded
 
+    # A virtual population renders its cohorts' shards one round ahead,
+    # on a spare CPU (repro.data.virtual.VirtualClientSet.render_ahead).
+    virtual = getattr(fed, "virtual", False)
     for round_idx in range(start_round, config.rounds):
         last_round = round_idx == config.rounds - 1
         with tracer.span("round", round=round_idx):
@@ -257,6 +264,14 @@ def _drive(
                         client_loss=lambda k: evaluate_global(fed.clients[k])[0],
                     )
                     cohort = np.asarray(selector.select(context), dtype=np.int64)
+                if virtual:
+                    # The next cohort is drawn from a copy of the stream,
+                    # so the real draws (and the checkpoint) are unchanged.
+                    upcoming = () if last_round or selector is not None else sample_cohort(
+                        fed.num_clients, config.sample_ratio, copy.deepcopy(round_rng),
+                        sampler=config.sampler,
+                    )
+                    fed.clients.render_ahead(cohort, upcoming)
             started = time.perf_counter()
             stats, dispatched = step.run(round_idx, cohort)
             elapsed = time.perf_counter() - started
@@ -306,8 +321,10 @@ def _drive(
             record_scale_gauges(tracer, fed)
         # Virtual populations drop the cohort's materialized shards so
         # resident memory stays flat across rounds.
-        if getattr(fed, "virtual", False):
+        if virtual:
             fed.release()
+    if virtual and fed.clients.render_ahead_lost:
+        tracer.metrics.counter("data.render_ahead_lost").inc()
 
     history.final_accuracy = history.last_accuracy()
     step.finish(history)

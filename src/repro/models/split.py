@@ -70,7 +70,3 @@ class SplitModel(Module):
             return self.features.backward(grad_feat)
         self.features.backward_params(grad_feat)
         return None
-
-    def feature_param_count(self) -> int:
-        """Number of scalars in phi's parameters (the w~ part of w)."""
-        return sum(p.size for p in self.features.parameters())

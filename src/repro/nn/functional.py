@@ -17,15 +17,6 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError("label out of range")
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 classification accuracy."""
     preds = logits.argmax(axis=-1)

@@ -1,16 +1,32 @@
-"""Process-level system gauges (resident memory).
+"""Process-level system gauges (resident memory, usable CPUs).
 
 Cross-device scale-out lives or dies by memory flatness: a
 million-client population must not cost more resident memory than a
 ten-thousand-client one.  These helpers read the numbers the scale
 gauges and ``benchmarks/bench_scale.py`` gate on, with no dependencies
 beyond ``/proc`` (Linux) and the stdlib ``resource`` fallback.
+:func:`spare_cpu` is the one test every second process (worker engine,
+render-ahead helper) is forked behind.
 """
 
 from __future__ import annotations
 
+import os
 import resource
 import sys
+
+
+def spare_cpu() -> bool:
+    """True when a second process can run beside this one on a CPU of
+    its own — the condition for forking one to work in parallel.
+
+    Counts the CPUs this process may run on: its affinity mask where the
+    platform has one (containers and ``taskset`` narrow it below
+    ``os.cpu_count()``), else ``os.cpu_count()``; one when unknown.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
 
 
 def current_rss_bytes() -> int:
@@ -65,4 +81,6 @@ def record_scale_gauges(tracer, fed) -> None:
         tracer.metrics.gauge("scale.rss_mb").set(rss / (1024.0 * 1024.0))
 
 
-__all__ = ["current_rss_bytes", "peak_rss_bytes", "record_scale_gauges"]
+__all__ = [
+    "current_rss_bytes", "peak_rss_bytes", "record_scale_gauges", "spare_cpu",
+]

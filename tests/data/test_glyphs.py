@@ -11,7 +11,7 @@ from repro.data.glyphs import (
     render_glyph,
     _dilate,
     _row_shifts,
-    _shear_rows,
+    _shift_rows,
     _styled_bitmap,
 )
 from repro.exceptions import DataError
@@ -42,7 +42,7 @@ def test_dilate_thickens():
 def test_shear_shifts_rows():
     img = np.zeros((4, 6))
     img[:, 2] = 1.0
-    sheared = _shear_rows(img, 1.0)
+    sheared = _shift_rows(img, _row_shifts(img.shape[0], 1.0))
     for row in range(4):
         assert sheared[row, 2 + row] == 1.0
 
@@ -126,7 +126,7 @@ def test_styled_bitmap_matches_the_step_by_step_pipeline():
         if scale > 1:
             expected = np.kron(expected, np.ones((scale, scale)))
         if shear:
-            expected = _shear_rows(expected, shear)
+            expected = _shift_rows(expected, _row_shifts(expected.shape[0], shear))
         got = _styled_bitmap(char, thickness, scale, _row_shifts(7 * scale, shear))
         np.testing.assert_array_equal(got, expected)
 

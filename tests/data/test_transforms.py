@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.data.dataset import ArrayDataset
 from repro.data.transforms import (
     Cutout,
     GaussianNoise,
     HorizontalFlip,
     Pipeline,
     RandomShift,
-    augment_dataset,
 )
 from repro.exceptions import DataError
 
@@ -83,20 +81,6 @@ def test_pipeline_composes(rng):
     out = pipe.apply(images, rng)
     assert out.shape == images.shape
     assert not np.array_equal(out, images)
-
-
-def test_augment_dataset_grows(rng):
-    ds = ArrayDataset(_images(rng, n=5), np.arange(5) % 2)
-    grown = augment_dataset(ds, GaussianNoise(0.1), rng, copies=2)
-    assert len(grown) == 15
-    np.testing.assert_array_equal(grown.y[:5], ds.y)
-    np.testing.assert_array_equal(grown.x[:5], ds.x)  # originals kept
-
-
-def test_augment_dataset_invalid_copies(rng):
-    ds = ArrayDataset(_images(rng, n=2), np.zeros(2))
-    with pytest.raises(DataError):
-        augment_dataset(ds, GaussianNoise(0.1), rng, copies=0)
 
 
 @pytest.mark.parametrize("cls,kwargs", [

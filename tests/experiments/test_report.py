@@ -2,13 +2,13 @@
 
 import numpy as np
 
+from repro.analysis.fairness import fairness_report
 from repro.experiments.report import (
     display_name,
     format_accuracy_table,
     format_comm_table,
     format_curve,
     format_rounds_table,
-    summarize_fairness,
 )
 from repro.experiments.runner import RunResult
 from repro.fl.metrics import History, RoundRecord
@@ -74,8 +74,9 @@ def test_comm_table():
 
 
 def test_summarize_fairness():
+    """The fairness summary lives in repro.analysis.fairness."""
     acc = np.array([0.1, 0.5, 0.9, 1.0])
-    summary = summarize_fairness(acc, worst_k=2)
-    assert summary["worst"] == 0.1
+    summary = fairness_report(acc, worst_k=2)
+    assert summary["min"] == 0.1
     assert summary["worst2_mean"] == 0.3
-    assert summary["best"] == 1.0
+    assert summary["max"] == 1.0

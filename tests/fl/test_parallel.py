@@ -16,6 +16,7 @@ from repro.fl.config import FLConfig
 from repro.fl.parallel import SerialExecutor, make_executor
 from repro.fl.trainer import run_federated
 from repro.models import build_model
+from repro.obs import sysinfo
 from repro.obs.trace import Tracer
 from repro.serve.server import ServeExecutor, _RoundStats
 from tests.conftest import make_toy_federation
@@ -35,10 +36,15 @@ def test_make_executor_auto_serial_when_single_worker():
     assert isinstance(make_executor(_config()), SerialExecutor)
 
 
-def test_make_executor_auto_process_when_multiple_workers(monkeypatch):
-    import repro.fl.parallel as parallel_module
+def _usable_cpus(monkeypatch, count: int) -> None:
+    """Give this process an affinity mask of ``count`` CPUs."""
+    monkeypatch.setattr(
+        sysinfo.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
 
-    monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 8)
+
+def test_make_executor_auto_process_when_multiple_workers(monkeypatch):
+    _usable_cpus(monkeypatch, 8)
     executor = make_executor(_config(num_workers=3))
     assert isinstance(executor, ServeExecutor)
     assert executor.num_workers == 3
@@ -49,18 +55,17 @@ def test_make_executor_auto_serial_on_single_core(monkeypatch):
     """'auto' resolves to serial on a 1-CPU box — a process pool there
     only adds IPC overhead.  Explicit executor='process' still wins (and
     gets the parallel_hint span instead)."""
-    import repro.fl.parallel as parallel_module
-
-    monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 1)
+    _usable_cpus(monkeypatch, 1)
     assert isinstance(make_executor(_config(num_workers=4)), SerialExecutor)
     forced = make_executor(_config(num_workers=4, executor="process"))
     assert isinstance(forced, ServeExecutor)
 
 
 def test_make_executor_auto_serial_when_cpu_count_unknown(monkeypatch):
-    import repro.fl.parallel as parallel_module
-
-    monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: None)
+    """Without an affinity mask the predicate falls back to
+    ``os.cpu_count()``, and an unknown count means one CPU."""
+    monkeypatch.delattr(sysinfo.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sysinfo.os, "cpu_count", lambda: None)
     assert isinstance(make_executor(_config(num_workers=4)), SerialExecutor)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn.functional import accuracy, clip_by_norm, log_softmax, one_hot, softmax
+from repro.nn.functional import accuracy, clip_by_norm, log_softmax, softmax
 
 finite_rows = hnp.arrays(
     np.float64,
@@ -38,18 +38,6 @@ def test_log_softmax_consistent_with_softmax(logits):
 def test_softmax_no_overflow_with_huge_values():
     probs = softmax(np.array([[1e308, 0.0]]))
     assert np.isfinite(probs).all()
-
-
-def test_one_hot_basic():
-    out = one_hot(np.array([0, 2]), 3)
-    np.testing.assert_array_equal(out, [[1, 0, 0], [0, 0, 1]])
-
-
-def test_one_hot_out_of_range():
-    with pytest.raises(ValueError):
-        one_hot(np.array([3]), 3)
-    with pytest.raises(ValueError):
-        one_hot(np.array([-1]), 3)
 
 
 def test_accuracy():

@@ -37,9 +37,11 @@ def test_split_model_last_features_before_forward_raises(rng):
 
 
 def test_split_model_feature_param_count(rng):
+    """phi (the w~ part of w) and the head partition the parameters."""
     model = build_mlp(10, 3, rng, (8,), feature_dim=4)
     head_params = 4 * 3 + 3
-    assert model.feature_param_count() == num_params(model) - head_params
+    assert num_params(model.features) == num_params(model) - head_params
+    assert num_params(model.head) == head_params
 
 
 def test_cnn_paper_architecture_dimensions(rng):
