@@ -17,14 +17,7 @@ from repro.analysis.tsne import (
     client_feature_discrepancy,
     client_marginal_discrepancy,
 )
-from repro.analysis.curves import (
-    oscillation_score,
-    detrended_oscillation,
-    trend_slope,
-    area_under_curve,
-)
 from repro.analysis.significance import ComparisonResult, paired_comparison, bootstrap_ci
-from repro.analysis.plotting import sparkline, ascii_plot, plot_histories
 from repro.analysis.estimation import (
     estimate_curvature_range,
     estimate_gradient_bound,
@@ -49,10 +42,6 @@ __all__ = [
     "class_separation_score",
     "client_feature_discrepancy",
     "client_marginal_discrepancy",
-    "oscillation_score",
-    "detrended_oscillation",
-    "trend_slope",
-    "area_under_curve",
     "ComparisonResult",
     "paired_comparison",
     "bootstrap_ci",
@@ -61,7 +50,4 @@ __all__ = [
     "estimate_phi_gradient_bound",
     "estimate_embedding_diameter",
     "estimate_problem_constants",
-    "sparkline",
-    "ascii_plot",
-    "plot_histories",
 ]

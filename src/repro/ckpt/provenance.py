@@ -7,14 +7,17 @@ dtype policy, and the execution engine — so a resumed run can refuse a
 checkpoint written under a different experiment instead of silently
 producing subtly different numbers.
 
-The config hash deliberately **excludes** fields that are guaranteed not
-to change results: worker count and executor (the parallel engine is
-bit-identical to serial by contract), the checkpointing knobs
-themselves (changing the cadence or directory of checkpoints must not
-invalidate them) and the storage knobs of histories and per-client
-tables (``history_mode``, ``state_cap``, ``state_dir``: where records
-and rows live, never what they are).  Everything else — rounds, local
-steps, batch size, learning rate, seed, dtype, wire accounting —
+The config hash deliberately **excludes** the fields
+:class:`~repro.fl.config.FLConfig` marks ``execution_only``, which are
+guaranteed not to change results: worker count and executor (the
+parallel engine is bit-identical to serial by contract), the
+checkpointing knobs themselves (changing the cadence or directory of
+checkpoints must not invalidate them), the storage knobs of histories
+and per-client tables (``history_mode``, ``state_cap``, ``state_dir``:
+where records and rows live, never what they are) and the serve
+transport knobs.  Everything else — rounds, local steps, batch size,
+learning rate, seed, dtype, wire accounting, ``sampler`` and
+``dispatch_cap`` (they change which cohorts and updates exist) —
 participates.
 """
 
@@ -26,39 +29,12 @@ from dataclasses import fields
 
 import repro
 
-# Config fields that cannot change the numbers a run produces.  The
-# scale-out knobs qualify by the bit-identity contracts of PR 7:
-# history_mode/stream_dir only change how records are stored,
-# state_cap/state_dir only change where per-client table rows live
-# (a spilled row reads back bit for bit), while `sampler` and `dispatch_cap`
-# change which cohorts/updates exist and therefore stay hashed.
-_EXECUTION_ONLY_FIELDS = frozenset(
-    {
-        "num_workers",
-        "executor",
-        "checkpoint_dir",
-        "checkpoint_every",
-        "checkpoint_keep",
-        "resume",
-        "history_mode",
-        "stream_dir",
-        "state_cap",
-        "state_dir",
-        "serve_addr",
-        "serve_timeout",
-        "serve_retries",
-        "serve_backoff",
-        "serve_max_inflight",
-        "serve_queue_bytes",
-    }
-)
-
 
 def config_hash(config) -> str:
     """blake2b-128 hex digest of the numerically relevant config fields."""
     relevant = {}
     for field in fields(config):
-        if field.name in _EXECUTION_ONLY_FIELDS:
+        if field.metadata.get("execution_only"):
             continue
         value = getattr(config, field.name)
         if field.name == "execution" and value == "serve":

@@ -17,25 +17,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from repro.algorithms import ALGORITHMS, make_algorithm
-from repro.experiments import (
-    build_femnist_federation,
-    build_image_federation,
-    build_sent140_federation,
-    default_model_fn,
-)
-from repro.experiments.facade import RUN_PRESETS, run_experiment as run_preset
+from repro.algorithms import ALGORITHMS
+from repro.experiments import default_model_fn
+from repro.experiments.facade import RUN_PRESETS, RunPreset, resolve_preset, run_preset
 from repro.experiments.registry import EXPERIMENTS
 from repro.fl.config import FLConfig
-from repro.fl.trainer import run_federated
-from repro.obs import (
-    Tracer,
-    format_round_table,
-    format_span_summary,
-    write_run_artifacts,
-)
+from repro.obs import Tracer, format_round_table, format_span_summary
 
 DATASETS = ("synth_mnist", "synth_cifar", "synth_sent140", "synth_femnist")
 
@@ -76,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float, default=1.0, help="model width multiplier")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--eval-every", type=int, default=5)
-    run.add_argument("--workers", type=int, default=1,
+    run.add_argument("--workers", dest="num_workers", metavar="WORKERS",
+                     type=int, default=1,
                      help="client-execution worker processes (1 = serial; "
                           "results are bit-identical for any value)")
     # Choice knobs deliberately carry no argparse choices= — FLConfig
@@ -138,7 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sync-compression", default="none", metavar="SPEC",
                      help="pipeline for the rFedAvg+ second synchronization "
                           "(model re-broadcast + delta re-upload; default none)")
-    run.add_argument("--no-error-feedback", action="store_true",
+    run.add_argument("--no-error-feedback", dest="error_feedback",
+                     action="store_false",
                      help="disable the per-client error-feedback residuals "
                           "under lossy compression (ablation)")
     run.add_argument("--topology", default="flat", metavar="SPEC",
@@ -168,7 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
     preset.add_argument("name", choices=sorted(RUN_PRESETS),
                         help="preset name (see repro.list_presets())")
     preset.add_argument("--seed", type=int, default=0)
-    preset.add_argument("--workers", type=int, default=None,
+    preset.add_argument("--workers", dest="num_workers", metavar="WORKERS",
+                        type=int, default=None,
                         help="client-execution worker processes")
     preset.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
@@ -211,36 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_federation(args):
-    if args.population is not None:
-        if args.dataset != "synth_mnist":
-            raise SystemExit(
-                "--population builds a procedural virtual population and "
-                "supports synth_mnist only"
-            )
-        from repro.experiments.presets import build_virtual_federation
-
-        return build_virtual_federation(
-            args.population,
-            similarity=1.0 if args.iid else args.similarity,
-            max_live=args.max_live,
-            seed=args.seed,
-        )
-    if args.dataset in ("synth_mnist", "synth_cifar"):
-        similarity = 1.0 if args.iid else args.similarity
-        return build_image_federation(
-            args.dataset, num_clients=args.clients, similarity=similarity,
-            seed=args.seed,
-        )
-    if args.dataset == "synth_sent140":
-        return build_sent140_federation(
-            num_users=args.clients, iid=args.iid, seed=args.seed
-        )
-    return build_femnist_federation(
-        num_writers=args.clients, iid=args.iid, seed=args.seed
-    )
-
-
 def _algorithm_kwargs(args) -> dict:
     name = args.algorithm
     if name in ("rfedavg", "rfedavg+", "rfedavg_exact"):
@@ -259,8 +222,23 @@ def _print_round(rec) -> None:
     print(line)
 
 
-def _report_run(history, tracer, trace_out, run_name: str, provenance=None) -> None:
-    """Shared post-run reporting for `run` and `preset`."""
+def _run_and_report(preset: RunPreset, args) -> int:
+    """Run ``preset`` and print the outcome; shared by `run` and `preset`.
+
+    Only ``--trace-out DIR`` writes artifacts, under
+    ``DIR/<preset name>-seed<seed>``; ``--trace`` alone prints the round
+    table and the span summary.
+    """
+    tracer = Tracer() if (args.trace or args.trace_out is not None) else None
+    artifacts_dir = (
+        Path(args.trace_out) / f"{preset.name}-seed{args.seed}"
+        if args.trace_out is not None
+        else None
+    )
+    history, artifacts = run_preset(
+        preset, seed=args.seed, callbacks=[_print_round], tracer=tracer,
+        artifacts_dir=artifacts_dir,
+    )
     print(f"final accuracy: {history.final_accuracy:.4f}")
     print(f"total traffic:  {history.total_bytes():,} bytes")
     if tracer is not None:
@@ -268,75 +246,28 @@ def _report_run(history, tracer, trace_out, run_name: str, provenance=None) -> N
         print(format_round_table(history))
         print()
         print(format_span_summary(tracer))
-        if trace_out is not None:
-            out_dir = write_run_artifacts(
-                Path(trace_out) / run_name, history, tracer, provenance=provenance
-            )
-            print(f"\nartifacts: {out_dir}")
-
-
-def _check_resume_args(args) -> None:
-    if getattr(args, "resume", False) and args.checkpoint_dir is None:
-        raise SystemExit("--resume requires --checkpoint-dir")
+    if artifacts is not None:
+        print(f"\nartifacts: {artifacts}")
+    return 0
 
 
 def _command_run(args) -> int:
-    _check_resume_args(args)
-    fed = _build_federation(args)
-    model_name = args.model or ("lstm" if fed.spec.kind == "sequence" else "mlp")
-    config = FLConfig(
-        rounds=args.rounds,
-        local_steps=args.local_steps,
-        batch_size=args.batch_size,
-        sample_ratio=args.sample_ratio,
-        optimizer=args.optimizer,
-        lr=args.lr,
-        eval_every=args.eval_every,
-        seed=args.seed,
-        num_workers=args.workers,
-        executor=args.executor,
-        dtype=args.dtype,
-        execution=args.execution,
-        serve_addr=args.serve_addr,
-        serve_timeout=args.serve_timeout,
-        serve_retries=args.serve_retries,
-        serve_backoff=args.serve_backoff,
-        runtime=args.runtime,
-        buffer_size=args.buffer_size,
-        staleness_exponent=args.staleness_exponent,
-        sampler=args.sampler,
-        history_mode=args.history_mode,
-        stream_dir=args.stream_dir,
-        state_cap=args.state_cap,
-        compression=args.compression,
-        sync_compression=args.sync_compression,
-        error_feedback=not args.no_error_feedback,
-        topology=args.topology,
-        cloud_compression=args.cloud_compression,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
+    flags = vars(args)
+    config = {f.name: flags[f.name] for f in fields(FLConfig) if f.name in flags}
+    preset = RunPreset(
+        name=f"{args.algorithm}-{args.dataset}",
+        description="",
+        algorithm_kwargs=_algorithm_kwargs(args),
+        num_test=500 if args.population is None else 256,
+        config=config,
+        **{f.name: flags[f.name] for f in fields(RunPreset) if f.name in flags},
     )
-    algorithm = make_algorithm(args.algorithm, **_algorithm_kwargs(args))
     print(
-        f"{args.algorithm} on {args.dataset}: {fed.num_clients} clients, "
-        f"{config.rounds} rounds, E={config.local_steps}, SR={config.sample_ratio}"
+        f"{args.algorithm} on {args.dataset}: "
+        f"{args.population or args.clients} clients, "
+        f"{args.rounds} rounds, E={args.local_steps}, SR={args.sample_ratio}"
     )
-    tracer = Tracer() if (args.trace or args.trace_out is not None) else None
-    history = run_federated(
-        algorithm,
-        fed,
-        default_model_fn(model_name, fed.spec, seed=args.seed, scale=args.scale),
-        config,
-        callbacks=[_print_round],
-        tracer=tracer,
-    )
-    run_name = f"{args.algorithm}-{args.dataset}-seed{args.seed}"
-    from repro.ckpt.provenance import run_provenance
-
-    _report_run(history, tracer, args.trace_out, run_name,
-                provenance=run_provenance(config, algorithm.name))
-    return 0
+    return _run_and_report(preset, args)
 
 
 def _parse_override_value(raw: str):
@@ -351,41 +282,19 @@ def _parse_override_value(raw: str):
 
 
 def _command_preset(args) -> int:
-    _check_resume_args(args)
     overrides = {}
     for item in args.overrides:
         key, sep, value = item.partition("=")
         if not sep:
             raise SystemExit(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key] = _parse_override_value(value)
-    preset = RUN_PRESETS[args.name]
+    for key in ("num_workers", "checkpoint_dir", "checkpoint_every", "resume"):
+        value = getattr(args, key)
+        if value is not None and value is not False:  # the flag was given
+            overrides[key] = value
+    preset = resolve_preset(args.name, overrides)
     print(f"{args.name}: {preset.description}")
-    trace = args.trace or args.trace_out is not None
-    artifacts_dir = (
-        Path(args.trace_out) / f"{args.name}-seed{args.seed}"
-        if args.trace_out is not None
-        else None
-    )
-    history, artifacts = run_preset(
-        args.name,
-        seed=args.seed,
-        overrides=overrides,
-        callbacks=[_print_round],
-        trace=trace,
-        artifacts_dir=artifacts_dir,
-        workers=args.workers,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        resume=args.resume,
-    )
-    print(f"final accuracy: {history.final_accuracy:.4f}")
-    print(f"total traffic:  {history.total_bytes():,} bytes")
-    if trace:
-        print()
-        print(format_round_table(history))
-    if artifacts is not None:
-        print(f"\nartifacts: {artifacts}")
-    return 0
+    return _run_and_report(preset, args)
 
 
 def _parse_values(raw: str) -> list:
@@ -401,9 +310,6 @@ def _parse_values(raw: str) -> list:
 
 
 def _command_sweep(args) -> int:
-    _check_resume_args(args)
-    from dataclasses import fields
-
     from repro.experiments import build_image_federation
     from repro.experiments.sweeps import sweep_algorithm_param, sweep_config_field
 
@@ -467,6 +373,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
+    if getattr(args, "resume", False) and args.checkpoint_dir is None:
+        raise SystemExit("--resume requires --checkpoint-dir")
     if args.command == "run":
         return _command_run(args)
     if args.command == "preset":

@@ -19,7 +19,6 @@ from repro.experiments.sweeps import (
     SweepResult,
     sweep_algorithm_param,
     sweep_config_field,
-    sweep_federation,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "SweepResult",
     "sweep_algorithm_param",
     "sweep_config_field",
-    "sweep_federation",
     "RobustComparison",
     "compare_with_significance",
 ]

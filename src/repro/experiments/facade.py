@@ -1,10 +1,13 @@
 """Single public entry point for named, runnable experiments.
 
-:func:`run_experiment` resolves a :class:`RunPreset` from the
-:data:`RUN_PRESETS` registry, builds the federation / model / config /
-algorithm it describes, runs one federated job, and (optionally) writes
-run artifacts — so examples and the CLI don't each re-implement the
-builder plumbing.
+A :class:`RunPreset` is the one description of a job: the paper's
+setting (``scenario``), a dataset split, a model, an algorithm and its
+:class:`~repro.fl.config.FLConfig` fields.  :func:`run_preset` runs one
+— it builds the federation, config, model and algorithm, runs the job
+and (optionally) writes run artifacts with provenance.  Both the CLI's
+``run`` / ``preset`` commands and :func:`run_experiment`, which
+resolves a named preset from the :data:`RUN_PRESETS` registry, go
+through it.
 
     import repro
     history, artifacts = repro.run_experiment(
@@ -14,8 +17,9 @@ builder plumbing.
 ``overrides`` keys are routed by name: :class:`RunPreset` fields
 (``dataset``, ``algorithm``, ``clients``, ``similarity``, ...) override
 the preset, :class:`~repro.fl.config.FLConfig` fields (``rounds``,
-``lr``, ...) override the training config, and anything else is passed
-to the algorithm constructor (``lam``, ``mu``, ``q``, ``eta_g``, ...).
+``lr``, ``num_workers``, ``checkpoint_dir``, ...) override the training
+config, and anything else is passed to the algorithm constructor
+(``lam``, ``mu``, ``q``, ``eta_g``, ...).
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ from repro.experiments.presets import (
     cross_silo_config,
     default_model_fn,
 )
+from repro.experiments.runner import run_job
 from repro.fl.config import FLConfig
 from repro.fl.metrics import History
-from repro.fl.trainer import run_federated
-from repro.obs.exporters import write_run_artifacts
 from repro.obs.trace import Tracer
 
 
@@ -55,8 +58,8 @@ class RunPreset:
     model: str | None = None  # None: mlp for images, lstm for sequences
     scale: float = 1.0
     clients: int = 10
-    similarity: float = 0.0  # image datasets only
-    iid: bool = False  # sent140 / femnist only
+    similarity: float = 0.0  # image and virtual datasets
+    iid: bool = False  # IID split; similarity 1.0 for image and virtual datasets
     num_train: int = 2000
     num_test: int = 400
     scenario: str = "cross_silo"  # 'cross_silo' | 'cross_device'
@@ -131,21 +134,26 @@ def list_presets() -> Sequence[RunPreset]:
     return list(RUN_PRESETS.values())
 
 
-def _resolve(name: str, overrides: dict | None) -> tuple[RunPreset, dict, dict]:
-    """Split overrides into (preset, config overrides, algorithm kwargs)."""
+def resolve_preset(name: str, overrides: dict | None = None) -> RunPreset:
+    """The named preset with ``overrides`` routed into it by key.
+
+    :class:`RunPreset` fields replace the preset's, :class:`FLConfig`
+    fields go into ``preset.config`` and anything else into
+    ``preset.algorithm_kwargs``.
+    """
     if name not in RUN_PRESETS:
         raise ConfigError(
             f"unknown experiment {name!r}; choose from {sorted(RUN_PRESETS)}"
         )
     preset = RUN_PRESETS[name]
-    config_overrides: dict = {}
+    config = dict(preset.config)
     algorithm_kwargs = dict(preset.algorithm_kwargs)
     preset_updates: dict = {}
     for key, value in (overrides or {}).items():
         if key in _PRESET_FIELDS:
             preset_updates[key] = value
         elif key in _CONFIG_FIELDS:
-            config_overrides[key] = value
+            config[key] = value
         else:
             algorithm_kwargs[key] = value
     if preset_updates.get("algorithm", preset.algorithm) != preset.algorithm:
@@ -155,12 +163,15 @@ def _resolve(name: str, overrides: dict | None) -> tuple[RunPreset, dict, dict]:
             k: v for k, v in algorithm_kwargs.items()
             if k not in preset.algorithm_kwargs or k in (overrides or {})
         }
-    if preset_updates:
-        preset = replace(preset, **preset_updates)
-    return preset, config_overrides, algorithm_kwargs
+    return replace(
+        preset, config=config, algorithm_kwargs=algorithm_kwargs, **preset_updates
+    )
 
 
 def _build_federation(preset: RunPreset, seed: int) -> FederatedDataset:
+    """The preset's federation; ``iid`` on an image or virtual split
+    means similarity 1.0."""
+    similarity = 1.0 if preset.iid else preset.similarity
     if preset.population is not None:
         if preset.dataset != "synth_mnist":
             raise ConfigError(
@@ -169,7 +180,7 @@ def _build_federation(preset: RunPreset, seed: int) -> FederatedDataset:
             )
         return build_virtual_federation(
             preset.population,
-            similarity=preset.similarity,
+            similarity=similarity,
             num_test=preset.num_test,
             max_live=preset.max_live,
             seed=seed,
@@ -178,7 +189,7 @@ def _build_federation(preset: RunPreset, seed: int) -> FederatedDataset:
         return build_image_federation(
             preset.dataset,
             num_clients=preset.clients,
-            similarity=preset.similarity,
+            similarity=similarity,
             num_train=preset.num_train,
             num_test=preset.num_test,
             seed=seed,
@@ -194,6 +205,43 @@ def _build_federation(preset: RunPreset, seed: int) -> FederatedDataset:
     raise ConfigError(f"unknown dataset {preset.dataset!r}")
 
 
+def run_preset(
+    preset: RunPreset,
+    *,
+    seed: int = 0,
+    callbacks=None,
+    tracer: Tracer | None = None,
+    artifacts_dir: str | Path | None = None,
+) -> tuple[History, Path | None]:
+    """Run the job ``preset`` describes; return ``(history, artifacts_path)``.
+
+    Builds the federation, the config (the preset's scenario base with
+    ``preset.config`` on top and ``seed`` forced), the model and the
+    algorithm, runs one federated job, and writes the run artifacts
+    with provenance under ``artifacts_dir`` when one is given.
+    """
+    fed = _build_federation(preset, seed)
+    base_config = (
+        cross_device_config if preset.scenario == "cross_device" else cross_silo_config
+    )
+    config = base_config(**{**preset.config, "seed": seed})
+    model_name = preset.model or ("lstm" if fed.spec.kind == "sequence" else "mlp")
+    model_fn = default_model_fn(model_name, fed.spec, seed=seed, scale=preset.scale)
+    try:
+        algorithm = make_algorithm(preset.algorithm, **preset.algorithm_kwargs)
+    except TypeError as exc:
+        # An override that matched neither a preset nor a config field
+        # was routed here; surface it as a config problem, not a crash.
+        raise ConfigError(
+            f"bad overrides for algorithm {preset.algorithm!r}: {exc}"
+        ) from exc
+
+    return run_job(
+        algorithm, fed, model_fn, config,
+        callbacks=callbacks, tracer=tracer, artifacts_dir=artifacts_dir,
+    )
+
+
 def run_experiment(
     name: str,
     *,
@@ -202,28 +250,14 @@ def run_experiment(
     callbacks=None,
     trace: bool = False,
     artifacts_dir: str | Path | None = None,
-    workers: int | None = None,
-    execution: str | None = None,
-    runtime: str | None = None,
-    buffer_size: int | None = None,
-    staleness_exponent: float | None = None,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_every: int | None = None,
-    resume: bool = False,
-    compression: str | None = None,
-    sync_compression: str | None = None,
-    error_feedback: bool | None = None,
-    topology: str | None = None,
-    cloud_compression: str | None = None,
-    serve_addr: str | None = None,
-    serve_timeout: float | None = None,
 ) -> tuple[History, Path | None]:
     """Run the named experiment preset; return ``(history, artifacts_path)``.
 
     Args:
         name: a :data:`RUN_PRESETS` key (see :func:`list_presets`).
         seed: master seed (fed partition, model init, round sampling).
-        overrides: preset / config / algorithm overrides, routed by key.
+        overrides: preset / config / algorithm overrides, routed by key
+            (``{"num_workers": 4, "execution": "async", ...}``).
         callbacks: per-round callables forwarded to
             :func:`~repro.fl.trainer.run_federated`.
         trace: collect spans + metrics and persist run artifacts
@@ -231,116 +265,17 @@ def run_experiment(
         artifacts_dir: where to write artifacts (implies persistence
             even without ``trace``; with ``trace`` overrides the default
             directory).
-        workers: client-execution worker processes (shorthand for the
-            ``num_workers`` config override; results are bit-identical
-            for any value).
-        execution: 'sync' (default), 'async' — the event-driven
-            buffered engine (:mod:`repro.fl.async_engine`) — or 'serve'
-            — the multi-process socket engine (:mod:`repro.serve`);
-            shorthand for the ``execution`` config override.
-        runtime: per-client latency model spec for async execution
-            ('instant', 'gaussian:het=2', 'trace:<path.json>');
-            shorthand for the ``runtime`` config override.
-        buffer_size: aggregate after this many updates arrive (async;
-            default: the full cohort); shorthand for the config
-            override.
-        staleness_exponent: staleness discount exponent ``a`` in
-            ``(1+s)^-a`` (async); shorthand for the config override.
-        checkpoint_dir: write crash-safe checkpoints here
-            (:mod:`repro.ckpt`); shorthand for the config override.
-        checkpoint_every: checkpoint cadence in rounds (shorthand).
-        resume: resume from the newest valid checkpoint in
-            ``checkpoint_dir``; the continued run is bit-identical to
-            an uninterrupted one.
-        compression: lossy upload-compression pipeline spec
-            (``'topk:0.01|qsgd:8'``, see :mod:`repro.fl.compression`);
-            shorthand for the ``compression`` config override.
-        sync_compression: pipeline spec for the rFedAvg+ second
-            synchronization (shorthand for the config override).
-        error_feedback: keep per-client error-feedback residuals under
-            lossy compression (default True; shorthand for the config
-            override).
-        topology: aggregation topology — 'flat' (default) or
-            'hier:R:P' (R regions aggregating in parallel, cloud sync
-            every P rounds; see :mod:`repro.fl.hierarchy`); shorthand
-            for the ``topology`` config override.
-        cloud_compression: compression pipeline spec for the region ->
-            cloud uplink of hierarchical runs (shorthand for the config
-            override).
-        serve_addr: listen address for ``execution='serve'``
-            (``'tcp:HOST:PORT'`` / ``'uds:/path.sock'``; shorthand for
-            the config override).
-        serve_timeout: serve-mode stall deadline in seconds (shorthand
-            for the config override).
 
     Returns:
         The run's :class:`History` and the artifact directory (``None``
         when nothing was persisted).
     """
-    preset, config_overrides, algorithm_kwargs = _resolve(name, overrides)
-
-    fed = _build_federation(preset, seed)
-    base_config = (
-        cross_device_config if preset.scenario == "cross_device" else cross_silo_config
+    if trace and artifacts_dir is None:
+        artifacts_dir = Path("runs") / f"{name}-seed{seed}"
+    return run_preset(
+        resolve_preset(name, overrides),
+        seed=seed,
+        callbacks=callbacks,
+        tracer=Tracer() if trace else None,
+        artifacts_dir=artifacts_dir,
     )
-    if workers is not None:
-        config_overrides = {**config_overrides, "num_workers": workers}
-    if execution is not None:
-        config_overrides = {**config_overrides, "execution": execution}
-    if runtime is not None:
-        config_overrides = {**config_overrides, "runtime": runtime}
-    if buffer_size is not None:
-        config_overrides = {**config_overrides, "buffer_size": buffer_size}
-    if staleness_exponent is not None:
-        config_overrides = {
-            **config_overrides, "staleness_exponent": staleness_exponent
-        }
-    if checkpoint_dir is not None:
-        config_overrides = {**config_overrides, "checkpoint_dir": str(checkpoint_dir)}
-    if checkpoint_every is not None:
-        config_overrides = {**config_overrides, "checkpoint_every": checkpoint_every}
-    if resume:
-        config_overrides = {**config_overrides, "resume": True}
-    if compression is not None:
-        config_overrides = {**config_overrides, "compression": compression}
-    if sync_compression is not None:
-        config_overrides = {**config_overrides, "sync_compression": sync_compression}
-    if error_feedback is not None:
-        config_overrides = {**config_overrides, "error_feedback": error_feedback}
-    if topology is not None:
-        config_overrides = {**config_overrides, "topology": topology}
-    if cloud_compression is not None:
-        config_overrides = {**config_overrides, "cloud_compression": cloud_compression}
-    if serve_addr is not None:
-        config_overrides = {**config_overrides, "serve_addr": serve_addr}
-    if serve_timeout is not None:
-        config_overrides = {**config_overrides, "serve_timeout": serve_timeout}
-    config = base_config(**{**preset.config, **config_overrides, "seed": seed})
-    model_name = preset.model or ("lstm" if fed.spec.kind == "sequence" else "mlp")
-    model_fn = default_model_fn(model_name, fed.spec, seed=seed, scale=preset.scale)
-    try:
-        algorithm = make_algorithm(preset.algorithm, **algorithm_kwargs)
-    except TypeError as exc:
-        # An override that matched neither a preset nor a config field
-        # was routed here; surface it as a config problem, not a crash.
-        raise ConfigError(
-            f"bad overrides for algorithm {preset.algorithm!r}: {exc}"
-        ) from exc
-
-    tracer = Tracer() if trace else None
-    history = run_federated(
-        algorithm, fed, model_fn, config, callbacks=callbacks, tracer=tracer
-    )
-
-    artifacts_path: Path | None = None
-    if trace or artifacts_dir is not None:
-        from repro.ckpt.provenance import run_provenance
-
-        out_dir = Path(artifacts_dir) if artifacts_dir is not None else (
-            Path("runs") / f"{name}-seed{seed}"
-        )
-        artifacts_path = write_run_artifacts(
-            out_dir, history, tracer,
-            provenance=run_provenance(config, algorithm.name),
-        )
-    return history, artifacts_path

@@ -56,6 +56,26 @@ class RunResult:
         return int(np.median(reached))
 
 
+def run_job(
+    algorithm, fed, model_fn, config, *, tracer=None, artifacts_dir=None, **run_kwargs
+) -> tuple[History, Path | None]:
+    """Run one federated job; write its artifacts, stamped with
+    provenance, under ``artifacts_dir`` when one is given.
+
+    Returns ``(history, artifacts_path)``; ``run_kwargs`` go to
+    :func:`~repro.fl.trainer.run_federated`.
+    """
+    history = run_federated(algorithm, fed, model_fn, config, tracer=tracer, **run_kwargs)
+    if artifacts_dir is None:
+        return history, None
+    from repro.ckpt.provenance import run_provenance
+
+    return history, write_run_artifacts(
+        artifacts_dir, history, tracer,
+        provenance=run_provenance(config, algorithm.name),
+    )
+
+
 def run_grid(
     algorithm_name: str,
     fed_builder: Callable[[int], FederatedDataset],
@@ -109,27 +129,24 @@ def run_grid(
                 continue
         fed = fed_builder(seed)
         algorithm = make_algorithm(algorithm_name, **algorithm_kwargs)
-        tracer = Tracer() if trace_out is not None else None
-        history = run_federated(
+        history, artifacts = run_job(
             algorithm,
             fed,
             model_fn_builder(fed, seed),
             run_config,
             eval_per_client=eval_per_client,
-            tracer=tracer,
+            tracer=Tracer() if trace_out is not None else None,
+            artifacts_dir=(
+                Path(trace_out) / f"{algorithm_name}-rep{rep}"
+                if trace_out is not None else None
+            ),
         )
         result.histories.append(history)
         if done_marker is not None:
             done_marker.parent.mkdir(parents=True, exist_ok=True)
             done_marker.write_text(history.to_json())
-        if trace_out is not None:
-            from repro.ckpt.provenance import run_provenance
-
-            out_dir = Path(trace_out) / f"{algorithm_name}-rep{rep}"
-            result.artifact_dirs.append(write_run_artifacts(
-                out_dir, history, tracer,
-                provenance=run_provenance(run_config, algorithm.name),
-            ))
+        if artifacts is not None:
+            result.artifact_dirs.append(artifacts)
     return result
 
 

@@ -1,9 +1,10 @@
 """Parameter sweeps (the machinery behind Fig. 9).
 
-A sweep varies one knob — an algorithm hyperparameter (lambda), a config
-field (E, SR), or a dataset property (N) — and records the resulting
-accuracy series.  The Fig. 9 bench and the CLI ``sweep`` command both
-drive this module.
+A sweep varies one knob — an algorithm hyperparameter (lambda) or a
+config field (E, SR) — and records the resulting accuracy series.  The
+CLI ``sweep`` command drives this module; the Fig. 9 bench
+(``benchmarks/test_fig9_parameter_study.py``) calls
+:func:`~repro.experiments.runner.run_grid` per cell directly.
 """
 
 from __future__ import annotations
@@ -108,30 +109,3 @@ def sweep_config_field(
         result.accuracies.append(run.accuracy_mean_std()[0])
     return result
 
-
-def sweep_federation(
-    algorithm: str,
-    knob: str,
-    values: list,
-    fed_builder_factory: Callable[..., Callable[[int], FederatedDataset]],
-    model_fn_builder: Callable[[FederatedDataset, int], Callable[[], SplitModel]],
-    config: FLConfig,
-    repeats: int = 1,
-    **algorithm_kwargs,
-) -> SweepResult:
-    """Sweep a federation property (e.g. num_clients).
-
-    ``fed_builder_factory(**{knob: value})`` must return a
-    seed -> federation builder.
-    """
-    result = SweepResult(knob=knob)
-    for value in values:
-        fed_builder = fed_builder_factory(**{knob: value})
-        run = run_grid(
-            algorithm, fed_builder, model_fn_builder,
-            _cell_config(config, knob, value),
-            repeats=repeats, **algorithm_kwargs,
-        )
-        result.values.append(value)
-        result.accuracies.append(run.accuracy_mean_std()[0])
-    return result

@@ -12,7 +12,7 @@ checks.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ConfigError
 from repro.nn.optim import LRSchedule
@@ -153,6 +153,15 @@ def validate_topology_spec(spec) -> str:
     """
     parse_topology_spec(spec)
     return spec
+
+
+def _execution_only(default):
+    """A field that cannot change the numbers a run produces.
+
+    :func:`repro.ckpt.provenance.config_hash` leaves these fields out,
+    so changing one never invalidates a checkpoint.
+    """
+    return field(default=default, metadata={"execution_only": True})
 
 
 @dataclass(frozen=True)
@@ -330,35 +339,35 @@ class FLConfig:
     eval_batch: int = 256
     seed: int = 0
     wire_dtype_bytes: int | None = None
-    num_workers: int = 1
-    executor: str = "auto"
+    num_workers: int = _execution_only(1)
+    executor: str = _execution_only("auto")
     dtype: str = "float64"
     execution: str = "sync"
     runtime: str = "instant"
     buffer_size: int | None = None
     buffer_timeout: float | None = None
     staleness_exponent: float = 0.5
-    checkpoint_dir: str | None = None
-    checkpoint_every: int = 1
-    checkpoint_keep: int = 3
-    resume: bool = False
+    checkpoint_dir: str | None = _execution_only(None)
+    checkpoint_every: int = _execution_only(1)
+    checkpoint_keep: int = _execution_only(3)
+    resume: bool = _execution_only(False)
     sampler: str = "uniform"
     dispatch_cap: bool = True
-    history_mode: str = "append"
-    stream_dir: str | None = None
-    state_cap: int | None = None
-    state_dir: str | None = None
+    history_mode: str = _execution_only("append")
+    stream_dir: str | None = _execution_only(None)
+    state_cap: int | None = _execution_only(None)
+    state_dir: str | None = _execution_only(None)
     compression: str = "none"
     error_feedback: bool = True
     sync_compression: str = "none"
     topology: str = "flat"
     cloud_compression: str = "none"
-    serve_addr: str | None = None
-    serve_timeout: float = 30.0
-    serve_retries: int = 5
-    serve_backoff: float = 0.05
-    serve_max_inflight: int | None = None
-    serve_queue_bytes: int = 8 << 20
+    serve_addr: str | None = _execution_only(None)
+    serve_timeout: float = _execution_only(30.0)
+    serve_retries: int = _execution_only(5)
+    serve_backoff: float = _execution_only(0.05)
+    serve_max_inflight: int | None = _execution_only(None)
+    serve_queue_bytes: int = _execution_only(8 << 20)
 
     def __post_init__(self) -> None:
         if self.rounds <= 0:

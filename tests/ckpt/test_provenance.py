@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 import repro
@@ -33,6 +35,36 @@ def test_hash_ignores_execution_only_fields(tmp_path):
     # resume alone needs checkpoint_dir to validate, hence the pairing.
     resumed = _config(checkpoint_dir=str(tmp_path), resume=True)
     assert config_hash(base) == config_hash(resumed)
+
+
+def test_execution_only_marks_match_the_hashed_field_lists():
+    # The split the hash was defined by when it lived in a list of names
+    # next to config_hash; FLConfig's field metadata must reproduce it.
+    unhashed = {f.name for f in fields(FLConfig) if f.metadata.get("execution_only")}
+    hashed = {f.name for f in fields(FLConfig)} - unhashed
+    assert unhashed == {
+        "checkpoint_dir", "checkpoint_every", "checkpoint_keep", "executor",
+        "history_mode", "num_workers", "resume", "serve_addr", "serve_backoff",
+        "serve_max_inflight", "serve_queue_bytes", "serve_retries",
+        "serve_timeout", "state_cap", "state_dir", "stream_dir",
+    }
+    assert hashed == {
+        "batch_size", "buffer_size", "buffer_timeout", "cloud_compression",
+        "compression", "dispatch_cap", "dtype", "error_feedback", "eval_batch",
+        "eval_every", "execution", "local_steps", "lr", "lr_schedule",
+        "optimizer", "rounds", "runtime", "sample_ratio", "sampler", "seed",
+        "staleness_exponent", "sync_compression", "topology", "wire_dtype_bytes",
+    }
+
+
+def test_config_hash_digests_are_pinned():
+    # Recorded before the execution-only split moved into field metadata;
+    # a checkpoint's stored hash must keep matching.
+    assert config_hash(FLConfig()) == "b58641de8f2b8d88c5bae52a0c57ec96"
+    assert config_hash(_config(
+        num_workers=2, execution="serve", compression="topk:0.25|qsgd:8",
+        sampler="reservoir", state_cap=4,
+    )) == "acc3bbe60f5f11946484e129f84c7240"
 
 
 @pytest.mark.parametrize(

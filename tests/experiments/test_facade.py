@@ -1,10 +1,12 @@
 """Tests for the repro.run_experiment facade."""
 
+import inspect
+
 import pytest
 
 import repro
 from repro.exceptions import ConfigError
-from repro.experiments.facade import RUN_PRESETS, _resolve, list_presets
+from repro.experiments.facade import _build_federation, list_presets, resolve_preset
 from repro.fl.metrics import History
 
 TINY = {
@@ -25,24 +27,48 @@ def test_unknown_preset_rejected():
 
 
 def test_override_routing():
-    preset, config_overrides, algorithm_kwargs = _resolve(
-        "quickstart", {"rounds": 5, "clients": 3, "lam": 0.5}
-    )
+    preset = resolve_preset("quickstart", {"rounds": 5, "clients": 3, "lam": 0.5})
     assert preset.clients == 3  # preset field
-    assert config_overrides == {"rounds": 5}  # FLConfig field
-    assert algorithm_kwargs == {"lam": 0.5}  # algorithm kwarg wins over preset
+    assert preset.config["rounds"] == 5  # FLConfig field
+    assert preset.config["lr"] == 0.5  # the preset's own config stays
+    assert preset.algorithm_kwargs == {"lam": 0.5}  # wins over the preset's
 
 
 def test_switching_algorithm_drops_preset_specific_kwargs():
-    preset, _config, algorithm_kwargs = _resolve(
-        "quickstart", {"algorithm": "fedavg"}
-    )
+    preset = resolve_preset("quickstart", {"algorithm": "fedavg"})
     assert preset.algorithm == "fedavg"
-    assert "lam" not in algorithm_kwargs  # rfedavg+'s lam must not leak
-    _preset, _config, kwargs = _resolve(
-        "quickstart", {"algorithm": "fedprox", "mu": 0.1}
+    assert "lam" not in preset.algorithm_kwargs  # rfedavg+'s lam must not leak
+    preset = resolve_preset("quickstart", {"algorithm": "fedprox", "mu": 0.1})
+    assert preset.algorithm_kwargs == {"mu": 0.1}
+
+
+def test_config_shorthands_are_gone():
+    """Config fields have one spelling, an ``overrides`` key; the old
+    keyword shorthands are unknown arguments like any other."""
+    assert set(inspect.signature(repro.run_experiment).parameters) == {
+        "name", "seed", "overrides", "callbacks", "trace", "artifacts_dir"
+    }
+    for shorthand in (
+        "workers", "execution", "runtime", "buffer_size", "staleness_exponent",
+        "checkpoint_dir", "checkpoint_every", "resume", "compression",
+        "sync_compression", "error_feedback", "topology", "cloud_compression",
+        "serve_addr", "serve_timeout",
+    ):
+        with pytest.raises(TypeError, match=shorthand):
+            repro.run_experiment("quickstart", overrides=TINY, **{shorthand: None})
+
+
+def test_iid_override_on_an_image_preset_is_similarity_one():
+    iid = _build_federation(resolve_preset("quickstart", {**TINY, "iid": True}), 0)
+    sim = _build_federation(
+        resolve_preset("quickstart", {**TINY, "similarity": 1.0}), 0
     )
-    assert kwargs == {"mu": 0.1}
+    non_iid = _build_federation(resolve_preset("quickstart", TINY), 0)
+    assert [c.y.tolist() for c in iid.clients] == [c.y.tolist() for c in sim.clients]
+    assert [c.x.tobytes() for c in iid.clients] == [c.x.tobytes() for c in sim.clients]
+    assert [c.y.tolist() for c in iid.clients] != [
+        c.y.tolist() for c in non_iid.clients
+    ]
 
 
 def test_unknown_override_key_is_a_config_error():
@@ -107,14 +133,15 @@ def test_top_level_lazy_exports():
 def test_run_experiment_checkpoints_and_resumes(tmp_path):
     ckpt = tmp_path / "ckpt"
     baseline, _ = repro.run_experiment(
-        "quickstart", seed=3, overrides=TINY, checkpoint_dir=ckpt
+        "quickstart", seed=3, overrides={**TINY, "checkpoint_dir": str(ckpt)}
     )
     assert list(ckpt.glob("ckpt-*.rck"))
     # Lose the newest checkpoint (as a crash between rounds would) and
     # resume: the replayed round must reproduce the baseline exactly.
     (ckpt / "ckpt-00000001.rck").unlink()
     resumed, _ = repro.run_experiment(
-        "quickstart", seed=3, overrides=TINY, checkpoint_dir=ckpt, resume=True
+        "quickstart", seed=3,
+        overrides={**TINY, "checkpoint_dir": str(ckpt), "resume": True},
     )
     assert resumed.train_losses().tolist() == baseline.train_losses().tolist()
     assert resumed.final_accuracy == baseline.final_accuracy

@@ -8,7 +8,6 @@ from repro.experiments.sweeps import (
     SweepResult,
     sweep_algorithm_param,
     sweep_config_field,
-    sweep_federation,
 )
 from repro.fl.config import FLConfig
 from repro.models import build_mlp
@@ -17,13 +16,6 @@ from tests.conftest import make_toy_federation
 
 def _fed_builder(seed):
     return make_toy_federation(similarity=0.0)
-
-
-def _fed_builder_factory(num_clients=4):
-    def factory(seed):
-        return make_toy_federation(similarity=0.0, num_clients=num_clients)
-
-    return factory
 
 
 def _model_fn_builder(fed, seed):
@@ -62,14 +54,6 @@ def test_sweep_config_field():
         "fedavg", "local_steps", [1, 3], _fed_builder, _model_fn_builder, _config()
     )
     assert result.values == [1, 3]
-    assert len(result.accuracies) == 2
-
-
-def test_sweep_federation_property():
-    result = sweep_federation(
-        "fedavg", "num_clients", [2, 4], _fed_builder_factory, _model_fn_builder, _config()
-    )
-    assert result.values == [2, 4]
     assert len(result.accuracies) == 2
 
 

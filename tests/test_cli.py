@@ -205,3 +205,42 @@ def test_sweep_bad_values_rejected():
             "sweep", "--knob", "lam", "--values", "a,b",
             "--clients", "4", "--rounds", "1",
         ])
+
+
+def _without_wall_times(history):
+    out = history.to_dict()
+    for record in out["records"]:
+        record.pop("wall_time_sec")
+    return out
+
+
+def test_run_command_is_run_preset_of_its_flags(monkeypatch):
+    import repro.cli as cli
+    from repro.experiments.facade import RunPreset, run_preset
+
+    histories = []
+
+    def recording_run_preset(preset, **kwargs):
+        history, artifacts = run_preset(preset, **kwargs)
+        histories.append(history)
+        return history, artifacts
+
+    monkeypatch.setattr(cli, "run_preset", recording_run_preset)
+    assert main([
+        "run", "--dataset", "synth_mnist", "--algorithm", "fedprox",
+        "--mu", "0.5", "--iid", "--clients", "4", "--rounds", "2",
+        "--local-steps", "1", "--batch-size", "8", "--scale", "0.25",
+        "--workers", "2", "--no-error-feedback", "--compression", "topk:0.25",
+    ]) == 0
+    expected, _ = run_preset(
+        RunPreset(
+            "fedprox-synth_mnist", "", algorithm="fedprox",
+            algorithm_kwargs={"mu": 0.5}, clients=4, similarity=1.0,
+            num_test=500, scale=0.25,
+            config=dict(rounds=2, local_steps=1, batch_size=8, lr=0.5,
+                        eval_every=5, num_workers=2, error_feedback=False,
+                        compression="topk:0.25"),
+        ),
+        seed=0,
+    )
+    assert _without_wall_times(histories[0]) == _without_wall_times(expected)

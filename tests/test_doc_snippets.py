@@ -1,0 +1,87 @@
+"""The examples and the Python in the docs call ``run_experiment`` with
+keywords it has.
+
+Nothing runs ``examples/*.py`` or the fenced snippets of ``README.md``
+and ``docs/*.md``, so a renamed or deleted keyword would leave them
+stale without a failure anywhere.  This test parses them with ``ast``
+(fenced ``python`` blocks, and ``python - <<'PY'`` heredocs inside shell
+blocks) and checks every ``run_experiment(...)`` call's keywords against
+the function's signature.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.facade import run_experiment
+
+ROOT = Path(__file__).resolve().parent.parent
+_FENCE = re.compile(r"^```(\w*)[^\n]*\n(.*?)^```", re.M | re.S)
+_HEREDOC = re.compile(r"<<\s*'?(\w+)'?\n(.*?)^\1$", re.M | re.S)
+
+
+def _snippets(path: Path) -> list[str]:
+    text = path.read_text()
+    if path.suffix == ".py":
+        return [text]
+    out = []
+    for lang, body in _FENCE.findall(text):
+        if lang in ("python", "py"):
+            out.append(body)
+        elif lang in ("bash", "sh", "shell", ""):
+            out.extend(code for _tag, code in _HEREDOC.findall(body))
+    return out
+
+
+def _sources() -> list[Path]:
+    return [
+        *sorted((ROOT / "examples").glob("*.py")),
+        ROOT / "README.md",
+        *sorted((ROOT / "docs").glob("*.md")),
+    ]
+
+
+def _run_experiment_calls(tree: ast.AST):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "run_experiment":
+            yield node
+
+
+@pytest.mark.parametrize("path", _sources(), ids=lambda p: str(p.relative_to(ROOT)))
+def test_run_experiment_calls_use_real_keywords(path):
+    accepted = set(inspect.signature(run_experiment).parameters)
+    problems = []
+    for snippet in _snippets(path):
+        tree = ast.parse(snippet)  # a snippet that does not parse is stale too
+        for call in _run_experiment_calls(tree):
+            for keyword in call.keywords:
+                if keyword.arg is not None and keyword.arg not in accepted:
+                    problems.append(f"line {call.lineno}: {keyword.arg}=")
+    assert not problems, (
+        f"{path.name} passes run_experiment keywords it does not take "
+        f"(config fields go in overrides={{...}}): {problems}"
+    )
+
+
+def test_the_scan_sees_the_snippets():
+    calls = [
+        call
+        for path in _sources()
+        for snippet in _snippets(path)
+        for call in _run_experiment_calls(ast.parse(snippet))
+    ]
+    # README, examples/quickstart.py, docs/scale.md's heredoc and the
+    # docs' facade snippets all call it.
+    assert len(calls) >= 8
+    bad = ast.parse('repro.run_experiment("quickstart", workers=4)')
+    [call] = _run_experiment_calls(bad)
+    assert call.keywords[0].arg not in inspect.signature(run_experiment).parameters
