@@ -36,6 +36,14 @@ In-process, the unit is a *block* of clients where it can be
 (:meth:`FederatedAlgorithm._block_update`, gated by
 :meth:`FederatedAlgorithm.stack_refusal`): one stacked pass through the
 same training loop, returning the same per-client updates.
+
+Server state an algorithm keeps across rounds is declared once, as
+:class:`StateSlot` entries of :attr:`FederatedAlgorithm.state_slots`;
+the worker broadcast (:meth:`FederatedAlgorithm._worker_state` /
+:meth:`FederatedAlgorithm._install_worker_state`) and the checkpoint
+(:meth:`FederatedAlgorithm.checkpoint_state` /
+:meth:`FederatedAlgorithm.restore_checkpoint_state`) are derived from
+that declaration here, and nowhere else.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.delta import CohortRows, DeltaTable
+from repro.core.delta import CohortRows, DeltaCache, DeltaTable
 from repro.data.dataset import FederatedDataset
 from repro.exceptions import ProtocolError
 from repro.fl.client import LocalResult, local_sgd_steps
@@ -96,6 +104,36 @@ _BLOCK_HOOKS = (
 )
 
 
+# What a worker task reads of a slot: all of it.
+WHOLE = "whole"
+
+
+@dataclass(frozen=True)
+class StateSlot:
+    """One named piece of an algorithm's server state.
+
+    ``key`` is its checkpoint key (and a worker-read vector's segment
+    name); ``None`` puts a table's segments at the checkpoint's top level
+    (rFedAvg's ``delta_ids`` / ``delta_rows`` / ``delta_reported``).
+    ``attr`` holds the value (default: ``key``): a server vector, a
+    per-client :class:`DeltaTable` from
+    :meth:`FederatedAlgorithm._make_state_table`, the checkpoint-only
+    :class:`DeltaCache`, or ``None`` in a run without the slot.
+    ``reads`` is what a worker task reads of it: ``None``, nothing;
+    :data:`WHOLE`, all of it (a table's ``worker_segments``); or a
+    segment prefix (``"ef."``): its own client's row, sent as the
+    cohort's rows and read back through a :class:`CohortRows`.
+    """
+
+    key: str | None
+    attr: str | None = None
+    reads: str | None = None
+
+    @property
+    def name(self) -> str:
+        return self.attr or self.key
+
+
 @dataclass
 class RoundStats:
     """What one round reports back to the trainer."""
@@ -118,13 +156,12 @@ class FederatedAlgorithm:
 
     name = "base"
 
-    # Worker processes live across rounds and refresh their shared
-    # state from :meth:`_worker_state` each round.  An algorithm whose
-    # worker-side work reads shared state that cannot be enumerated
-    # there must set this False; the worker engine then runs it
-    # in-process (its one degradation, decided by
-    # :func:`repro.fl.parallel.worker_refusal`).
-    wire_transport_safe = True
+    # Server state kept across rounds besides the global model, in
+    # checkpoint and broadcast order; subclasses extend the tuple, and
+    # the four state methods below read nothing else.
+    state_slots: tuple[StateSlot, ...] = (
+        StateSlot("ef_residuals", "_residuals", reads="ef."),
+    )
 
     # Whether the round can run independently per region under a
     # hierarchical topology (R > 1): per-client tables partition by
@@ -214,79 +251,92 @@ class FederatedAlgorithm:
         if self.model is None or self.fed is None or self.config is None:
             raise ProtocolError(f"{self.name}: setup() must be called before a round runs")
 
-    def _make_state_table(self, dim: int) -> DeltaTable:
-        """A per-client (N, dim) state table under the run's row cap."""
+    def _make_state_table(self, dim: int, default: np.ndarray | None = None) -> DeltaTable:
+        """A per-client (N, dim) state table under the run's row cap;
+        clients that never reported read ``default`` (zeros if None)."""
         assert self.fed is not None and self.config is not None
         return DeltaTable(
             self.fed.num_clients, dim,
             dtype_bytes=self.config.wire_bytes_per_scalar(),
             max_resident=self.config.state_cap,
             spill_dir=self.config.state_dir,
+            default=default,
         )
+
+    def _live_slots(self):
+        """``(slot, value)`` for every declared slot this run uses."""
+        for slot in self.state_slots:
+            value = getattr(self, slot.name)
+            if value is not None:
+                yield slot, value
 
     # -- wire-transport worker state ---------------------------------------------
     def _worker_state(self, cohort) -> dict:
-        """Everything the worker-side :meth:`_client_update` of the
-        clients in ``cohort`` reads from shared algorithm state, as
-        wire-packable named segments.
+        """What the worker-side :meth:`_client_update` of the clients in
+        ``cohort`` reads from shared state, as wire-packable segments:
+        the global parameters and every slot a task reads.
 
-        The worker engine sends this once per round (one frame per
-        connection) with the ids it is about to run; long-lived workers re-adopt it via
-        :meth:`_install_worker_state` before running tasks.  Subclasses
-        with extra shared state must extend both methods symmetrically —
-        or set ``wire_transport_safe = False``.  A table a task reads
-        only at its own client's row (error-feedback residuals, control
-        variates, previous local models) sends the cohort's rows
-        (:func:`repro.core.delta.cohort_segments`, adopted as a
-        :class:`~repro.core.delta.CohortRows`); a table every client
-        reads in full (rFedAvg's delta table, server controls) is sent
-        whole.
+        The worker engine sends this once per round with the ids it is
+        about to run; long-lived workers adopt it via
+        :meth:`_install_worker_state`.  An own-row table sends the
+        cohort's reported rows only, so the frame follows the cohort.
         """
         assert self.global_params is not None
         state = {"global_params": self.global_params}
-        if self._residuals is not None:
-            # Read worker-side: a client compresses update + e_t.
-            state.update(self._residuals.cohort_segments("ef.", cohort))
+        for slot, value in self._live_slots():
+            if slot.reads == WHOLE and isinstance(value, DeltaTable):
+                state.update(value.worker_segments())
+            elif slot.reads == WHOLE:
+                state[slot.key] = value
+            elif slot.reads is not None:
+                state.update(value.cohort_segments(slot.reads, cohort))
         return state
 
     def _install_worker_state(self, state: dict) -> None:
-        """Adopt a round-state broadcast (worker-side only).
-
-        The arrays are zero-copy read-only views into the shared
-        buffer; they stay valid for the round they are installed for.
-        """
+        """Adopt a round-state broadcast (worker-side only): zero-copy
+        read-only views, valid for the round they are installed for.  An
+        own-row table becomes a :class:`CohortRows` whose default row is
+        the one the worker inherited from setup."""
         self.global_params = state["global_params"]
-        if self._residuals is not None:
-            self._residuals = CohortRows.from_state(state, "ef.")
+        for slot, value in self._live_slots():
+            if slot.reads == WHOLE and isinstance(value, DeltaTable):
+                value.install_worker_segments(state)
+            elif slot.reads == WHOLE:
+                setattr(self, slot.name, state[slot.key])
+            elif slot.reads is not None:
+                setattr(self, slot.name, CohortRows.from_state(state, slot.reads, value.default))
 
     # -- checkpointing -----------------------------------------------------------
     def checkpoint_state(self) -> dict:
-        """Algorithm-owned server state for a between-rounds checkpoint.
-
-        The global model itself is captured separately by
-        :mod:`repro.ckpt.state`; this hook covers everything *else* an
-        algorithm accumulates across rounds (control variates, server
-        momentum, delta tables, caches).  The base round is stateless.
-
-        Subclasses with server state must extend this and
-        :meth:`restore_checkpoint_state` symmetrically — values must
-        survive :func:`repro.ckpt.format.pack_tree` (arrays, scalars,
-        strings, bytes, lists, dicts).
-        """
+        """Every slot this run uses, for a between-rounds checkpoint (the
+        global model is captured by :mod:`repro.ckpt.state`).  A table's
+        rows go to the writer as the arrays they lie in."""
         state: dict = {}
-        if self._residuals is not None:
-            state["ef_residuals"] = self._residuals.checkpoint_segments()
+        for slot, value in self._live_slots():
+            if isinstance(value, np.ndarray):
+                state[slot.key] = value
+            elif isinstance(value, DeltaCache):
+                state[slot.key] = value.state_dict()
+            elif slot.key is None:
+                state.update(value.checkpoint_segments())
+            else:
+                state[slot.key] = value.checkpoint_segments()
         return state
 
     def restore_checkpoint_state(self, state: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` snapshot.
-
-        Called after :meth:`setup` (arrays allocated, config bound) and
-        before the resumed round runs; implementations copy values in
-        rather than aliasing the decoded buffers.
-        """
-        if self._residuals is not None and "ef_residuals" in state:
-            self._residuals.restore_checkpoint_segments(state["ef_residuals"])
+        """Adopt a :meth:`checkpoint_state` snapshot after :meth:`setup`,
+        copying values in; a slot the snapshot lacks keeps its fresh
+        value."""
+        for slot, value in self._live_slots():
+            section = state if slot.key is None else state.get(slot.key)
+            if section is None:
+                continue
+            if isinstance(value, np.ndarray):
+                setattr(self, slot.name, np.array(section, dtype=np.float64, copy=True))
+            elif isinstance(value, DeltaCache):
+                value.load_state_dict(section)
+            else:
+                value.restore_checkpoint_segments(section)
 
     # -- per-client helpers --------------------------------------------------------
     def client_rng(self, round_idx: int, client_id: int) -> np.random.Generator:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FederatedAlgorithm
+from repro.algorithms.base import FederatedAlgorithm, StateSlot
 from repro.exceptions import ConfigError
 from repro.fl.server import weighted_average
 
@@ -27,6 +27,9 @@ class FedAvgM(FederatedAlgorithm):
 
     name = "fedavgm"
 
+    # The server momentum never leaves the server.
+    state_slots = FederatedAlgorithm.state_slots + (StateSlot("velocity", "_velocity"),)
+
     def __init__(self, server_momentum: float = 0.9, server_lr: float = 1.0) -> None:
         super().__init__()
         if not 0.0 <= server_momentum < 1.0:
@@ -40,15 +43,6 @@ class FedAvgM(FederatedAlgorithm):
     def setup(self, model, fed, config) -> None:
         super().setup(model, fed, config)
         self._velocity = np.zeros(self.model_size)
-
-    def checkpoint_state(self) -> dict:
-        state = super().checkpoint_state()
-        state["velocity"] = self._velocity
-        return state
-
-    def restore_checkpoint_state(self, state: dict) -> None:
-        super().restore_checkpoint_state(state)
-        self._velocity = np.array(state["velocity"], copy=True)
 
     def _aggregate(
         self, round_idx: int, selected: np.ndarray, updates: list[np.ndarray]

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FederatedAlgorithm
-from repro.core.delta import CohortRows, cohort_segments
+from repro.algorithms.base import FederatedAlgorithm, StateSlot
+from repro.core.delta import CohortRows, DeltaTable
 from repro.exceptions import ConfigError
 from repro.fl.parallel import ClientUpdate
 from repro.models.split import SplitModel
@@ -80,6 +80,11 @@ class Moon(FederatedAlgorithm):
 
     name = "moon"
 
+    # A task reads its own client's previous local model only.
+    state_slots = FederatedAlgorithm.state_slots + (
+        StateSlot("prev_params", "_prev_params", reads="prev."),
+    )
+
     def __init__(self, mu: float = 1.0, temperature: float = 0.5) -> None:
         super().__init__()
         if mu < 0:
@@ -89,40 +94,22 @@ class Moon(FederatedAlgorithm):
         self.mu = mu
         self.temperature = temperature
         # per-client previous models (a worker holds its cohort's rows)
-        self._prev_params: np.ndarray | CohortRows | None = None
+        self._prev_params: DeltaTable | CohortRows | None = None
         self._frozen: SplitModel | None = None  # scratch model for z_glob/z_prev
 
     def setup(self, model, fed, config) -> None:
         super().setup(model, fed, config)
         # Every client starts from the same initial model, so "previous
-        # local model" is the initial global model in round 0.
-        start = get_flat_params(model)
-        self._prev_params = np.tile(start, (fed.num_clients, 1))
+        # local model" is the initial global model until the client has
+        # trained: the table's default row, stored once.
+        self._prev_params = self._make_state_table(
+            self.model_size, default=get_flat_params(model)
+        )
         # An independent frozen copy for anchor feature computation; its
         # weights are overwritten before every use.
         import copy
 
         self._frozen = copy.deepcopy(model)
-
-    def _worker_state(self, cohort) -> dict:
-        assert self._prev_params is not None
-        state = super()._worker_state(cohort)
-        # A task reads its own client's previous local model only.
-        state.update(cohort_segments("prev.", cohort, self._prev_params.__getitem__))
-        return state
-
-    def _install_worker_state(self, state: dict) -> None:
-        super()._install_worker_state(state)
-        self._prev_params = CohortRows.from_state(state, "prev.")
-
-    def checkpoint_state(self) -> dict:
-        state = super().checkpoint_state()
-        state["prev_params"] = self._prev_params
-        return state
-
-    def restore_checkpoint_state(self, state: dict) -> None:
-        super().restore_checkpoint_state(state)
-        self._prev_params = np.array(state["prev_params"], copy=True)
 
     def _anchor_features(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         assert self._frozen is not None
@@ -143,7 +130,7 @@ class Moon(FederatedAlgorithm):
             and self._prev_params is not None
         )
         global_snapshot = np.array(self.global_params, copy=True)
-        prev_snapshot = np.array(self._prev_params[client_id], copy=True)
+        prev_snapshot = self._prev_params.get(client_id)
 
         # local_sgd_steps calls the reg hook with the *features* of the
         # current batch; MOON additionally needs the raw inputs, which we
@@ -196,4 +183,4 @@ class Moon(FederatedAlgorithm):
     def _commit_client(self, round_idx: int, update: ClientUpdate) -> None:
         super()._commit_client(round_idx, update)
         assert self._prev_params is not None
-        self._prev_params[update.client_id] = update.payload["prev_params"]
+        self._prev_params.update(update.client_id, update.payload["prev_params"])

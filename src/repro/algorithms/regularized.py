@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FederatedAlgorithm
+from repro.algorithms.base import WHOLE, FederatedAlgorithm, StateSlot
 from repro.core.delta import DeltaCache, DeltaTable
 from repro.core.privacy import GaussianDeltaMechanism
 from repro.core.regularizer import DistributionRegularizer
@@ -34,6 +34,14 @@ class RegularizedAlgorithm(FederatedAlgorithm):
 
     name = "regularized-base"
 
+    # Every client's regularizer reads the other clients' rows, so the
+    # delta table travels whole (its segments at the checkpoint's top
+    # level); the delta cache is server-side only.
+    state_slots = FederatedAlgorithm.state_slots + (
+        StateSlot(None, "delta_table", reads=WHOLE),
+        StateSlot("delta_cache"),
+    )
+
     def __init__(
         self,
         lam: float,
@@ -58,33 +66,6 @@ class RegularizedAlgorithm(FederatedAlgorithm):
     def setup(self, model, fed, config) -> None:
         super().setup(model, fed, config)
         self.delta_table = self._make_state_table(model.feature_dim)
-
-    def _worker_state(self, cohort) -> dict:
-        state = super()._worker_state(cohort)
-        assert self.delta_table is not None
-        # Every client's regularizer reads the other clients' rows.
-        state.update(self.delta_table.worker_segments())
-        return state
-
-    def _install_worker_state(self, state: dict) -> None:
-        super()._install_worker_state(state)
-        assert self.delta_table is not None
-        self.delta_table.install_worker_segments(state)
-
-    def checkpoint_state(self) -> dict:
-        state = super().checkpoint_state()
-        assert self.delta_table is not None
-        state.update(self.delta_table.checkpoint_segments())
-        if self.delta_cache is not None:
-            state["delta_cache"] = self.delta_cache.state_dict()
-        return state
-
-    def restore_checkpoint_state(self, state: dict) -> None:
-        super().restore_checkpoint_state(state)
-        assert self.delta_table is not None
-        self.delta_table.restore_checkpoint_segments(state)
-        if self.delta_cache is not None and "delta_cache" in state:
-            self.delta_cache.load_state_dict(state["delta_cache"])
 
     def _raw_deltas(self, client_ids: list[int], phi_fp: bytes | None = None) -> list:
         """The clients' mean embeddings under the current workspace

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import block_aware
+from repro.algorithms.base import StateSlot, block_aware
 from repro.algorithms.regularized import RegularizedAlgorithm
 from repro.core.privacy import GaussianDeltaMechanism
 from repro.core.regularizer import DistributionRegularizer
@@ -46,6 +46,14 @@ class RFedAvgPlus(RegularizedAlgorithm):
     """Distribution-regularized FedAvg with consistent global mappings."""
 
     name = "rfedavg+"
+
+    # The compressed second sync's error-feedback residuals: the server's
+    # for the model re-broadcast, one row per client for the delta
+    # re-uploads.  Both run server-side, so no worker reads them.
+    state_slots = RegularizedAlgorithm.state_slots + (
+        StateSlot("sync_model_residual", "_sync_model_residual"),
+        StateSlot("sync_delta_residuals", "_sync_delta_residuals"),
+    )
 
     def __init__(
         self,
@@ -76,27 +84,6 @@ class RFedAvgPlus(RegularizedAlgorithm):
             # table, under the same row cap as the others).
             self._sync_model_residual = np.zeros(self.model_size, dtype=np.float64)
             self._sync_delta_residuals = self._make_state_table(model.feature_dim)
-
-    def checkpoint_state(self) -> dict:
-        state = super().checkpoint_state()
-        if self._sync_model_residual is not None:
-            state["sync_model_residual"] = self._sync_model_residual
-        if self._sync_delta_residuals is not None:
-            state["sync_delta_residuals"] = (
-                self._sync_delta_residuals.checkpoint_segments()
-            )
-        return state
-
-    def restore_checkpoint_state(self, state: dict) -> None:
-        super().restore_checkpoint_state(state)
-        if self._sync_model_residual is not None and "sync_model_residual" in state:
-            self._sync_model_residual = np.array(
-                state["sync_model_residual"], dtype=np.float64, copy=True
-            )
-        if self._sync_delta_residuals is not None and "sync_delta_residuals" in state:
-            self._sync_delta_residuals.restore_checkpoint_segments(
-                state["sync_delta_residuals"]
-            )
 
     @block_aware
     def _reg_hook(self, round_idx: int, client_id):

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import FederatedAlgorithm
-from repro.core.delta import CohortRows, cohort_segments
+from repro.algorithms.base import WHOLE, FederatedAlgorithm, StateSlot
+from repro.core.delta import CohortRows, DeltaTable
 from repro.exceptions import ConfigError
 from repro.fl.comm import CommLedger
 from repro.fl.parallel import ClientUpdate
@@ -36,48 +36,28 @@ class Scaffold(FederatedAlgorithm):
 
     name = "scaffold"
 
+    # Every task reads the server control c, and its own client's c_k.
+    state_slots = FederatedAlgorithm.state_slots + (
+        StateSlot("server_control", reads=WHOLE),
+        StateSlot("client_controls", reads="controls."),
+    )
+
     def __init__(self, eta_g: float = 1.0) -> None:
         super().__init__()
         if eta_g <= 0:
             raise ConfigError(f"eta_g must be positive, got {eta_g}")
         self.eta_g = eta_g
         self.server_control: np.ndarray | None = None
-        self.client_controls: np.ndarray | CohortRows | None = None
+        self.client_controls: DeltaTable | CohortRows | None = None
 
     def setup(self, model, fed, config) -> None:
         super().setup(model, fed, config)
         self.server_control = np.zeros(self.model_size)
-        self.client_controls = np.zeros((fed.num_clients, self.model_size))
-
-    def _worker_state(self, cohort) -> dict:
-        assert self.client_controls is not None
-        state = super()._worker_state(cohort)
-        state["server_control"] = self.server_control
-        # A task reads c_k for its own client only.
-        state.update(
-            cohort_segments("controls.", cohort, self.client_controls.__getitem__)
-        )
-        return state
-
-    def _install_worker_state(self, state: dict) -> None:
-        super()._install_worker_state(state)
-        self.server_control = state["server_control"]
-        self.client_controls = CohortRows.from_state(state, "controls.")
-
-    def checkpoint_state(self) -> dict:
-        state = super().checkpoint_state()
-        state["server_control"] = self.server_control
-        state["client_controls"] = self.client_controls
-        return state
-
-    def restore_checkpoint_state(self, state: dict) -> None:
-        super().restore_checkpoint_state(state)
-        self.server_control = np.array(state["server_control"], copy=True)
-        self.client_controls = np.array(state["client_controls"], copy=True)
+        self.client_controls = self._make_state_table(self.model_size)
 
     def _grad_hook(self, round_idx: int, client_id: int):
         assert self.server_control is not None and self.client_controls is not None
-        correction = self.server_control - self.client_controls[client_id]
+        correction = self.server_control - self.client_controls.get(client_id)
 
         def hook(model: SplitModel) -> None:
             add_flat_to_grads(model, correction)
@@ -112,16 +92,14 @@ class Scaffold(FederatedAlgorithm):
         # (the workspace still holds it; the upload pipeline only
         # transforms the reported copy).
         y_k = get_flat_params(self.model)
+        control = self.client_controls.get(client_id)
         new_control = (
-            self.client_controls[client_id]
+            control
             - self.server_control
             + (self.global_params - y_k)
             / (self.config.local_steps * self._local_lr(round_idx))
         )
-        update.payload = {
-            "new_control": new_control,
-            "delta_c": new_control - self.client_controls[client_id],
-        }
+        update.payload = {"new_control": new_control, "delta_c": new_control - control}
         return update
 
     def _charge_uploads(self, selected: np.ndarray, updates: list[ClientUpdate]) -> None:
@@ -135,7 +113,7 @@ class Scaffold(FederatedAlgorithm):
     def _commit_client(self, round_idx: int, update: ClientUpdate) -> None:
         super()._commit_client(round_idx, update)
         assert self.client_controls is not None
-        self.client_controls[update.client_id] = update.payload["new_control"]
+        self.client_controls.update(update.client_id, update.payload["new_control"])
 
     def _aggregate_updates(
         self, round_idx: int, selected: np.ndarray, updates: list[ClientUpdate]

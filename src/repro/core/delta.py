@@ -16,12 +16,15 @@ reported rows *in ascending client-id order* — the order an ``(N, d)``
 array's boolean-mask indexing produces — so the cap changes where rows
 live, never a bit of what is computed from them.
 
-A table that a client task reads only at its *own* row (error-feedback
-residuals, SCAFFOLD's client controls, MOON's previous models) never
-travels whole: :func:`cohort_segments` packs the rows of one round's
-cohort and :class:`CohortRows` is what a worker reads them back
-through, so a round-state broadcast scales with who participates, not
-with the population.
+A client that never reported reads the table's *default row*: zeros,
+or the one vector it was built with (MOON's initial model).  A table a
+task reads only at its *own* row (a state slot read by prefix, see
+:class:`repro.algorithms.base.StateSlot`: error-feedback residuals,
+SCAFFOLD's client controls, MOON's previous models) never travels
+whole: :meth:`DeltaTable.cohort_segments` packs the cohort's reported
+rows and :class:`CohortRows` is what a worker reads them back through,
+with the default row the forked worker inherited — so a round-state
+broadcast scales with who participates, not with the population.
 """
 
 from __future__ import annotations
@@ -38,47 +41,34 @@ from repro.exceptions import ProtocolError
 from repro.nn.dtype import get_default_dtype
 
 
-def cohort_segments(prefix: str, cohort, rows_for, reported=None) -> dict[str, np.ndarray]:
-    """One round's rows of an own-row table, as round-state segments.
-
-    ``<prefix>cohort`` holds the round's client ids (ascending, unique),
-    ``<prefix>ids`` the subset that has a stored row (``reported`` is
-    the table's boolean mask; ``None`` means every client has one) and
-    ``<prefix>rows`` those rows stacked in ``ids`` order, read through
-    ``rows_for(ids)``.  :class:`CohortRows` is the reading side.
-    """
-    cohort = np.unique(np.asarray(cohort, dtype=np.int64))
-    ids = cohort if reported is None else cohort[reported[cohort]]
-    return {
-        prefix + "cohort": cohort,
-        prefix + "ids": ids,
-        prefix + "rows": rows_for(ids),
-    }
-
-
 class CohortRows:
     """Worker-side stand-in for an own-row table: one round's rows.
 
-    Built from the segments :func:`cohort_segments` broadcast, it keeps
-    exactly those (read-only, zero-copy) rows.  Reading a cohort client
-    that never reported yields zeros, as the parent's table would; a
-    client outside the cohort raises :class:`ProtocolError` — its row
-    was not sent, and an earlier round's copy would be stale.
+    Built from the segments :meth:`DeltaTable.cohort_segments` broadcast,
+    it keeps exactly those (read-only, zero-copy) rows.  Reading a cohort
+    client that never reported yields the table's (read-only) ``default``
+    row, as the parent's table would; a client outside the cohort raises
+    :class:`ProtocolError` — its row was not sent, and an earlier
+    round's copy would be stale.
     """
 
-    def __init__(self, cohort: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-        if rows.ndim != 2 or len(rows) != len(ids):
+    def __init__(
+        self, cohort: np.ndarray, ids: np.ndarray, rows: np.ndarray, default: np.ndarray
+    ) -> None:
+        if rows.ndim != 2 or len(rows) != len(ids) or rows.shape[1] != len(default):
             raise ProtocolError(
                 f"cohort rows of shape {rows.shape} do not match {len(ids)} ids"
             )
-        self.dim = rows.shape[1]
+        self.default = default
         self._cohort = frozenset(int(c) for c in cohort)
         self._index = {int(c): i for i, c in enumerate(ids)}
         self._rows = rows
 
     @classmethod
-    def from_state(cls, state: dict, prefix: str) -> "CohortRows":
-        return cls(state[prefix + "cohort"], state[prefix + "ids"], state[prefix + "rows"])
+    def from_state(cls, state: dict, prefix: str, default: np.ndarray) -> "CohortRows":
+        return cls(
+            state[prefix + "cohort"], state[prefix + "ids"], state[prefix + "rows"], default
+        )
 
     def get(self, client: int) -> np.ndarray:
         index = self._index.get(client)
@@ -89,10 +79,7 @@ class CohortRows:
                 f"client {client} is outside the cohort this round state was "
                 "broadcast for"
             )
-        return np.zeros(self.dim)
-
-    # Tables the parent holds as a plain (N, d) array are read by index.
-    __getitem__ = get
+        return self.default
 
 
 class RowBlocks:
@@ -217,6 +204,8 @@ class DeltaTable:
             active dtype policy at construction; the paper reports
             float32 payloads, which an explicit ``4`` reproduces from a
             float64 training run.
+        default: the (read-only) row a client that never reported reads
+            — zeros unless the table was built with one.
     """
 
     def __init__(
@@ -226,13 +215,18 @@ class DeltaTable:
         dtype_bytes: int | None = None,
         max_resident: int | None = None,
         spill_dir: str | None = None,
+        default: np.ndarray | None = None,
     ) -> None:
         if num_clients <= 0 or dim <= 0:
             raise ProtocolError("num_clients and dim must be positive")
         if max_resident is not None and max_resident < 1:
             raise ProtocolError(f"max_resident must be >= 1, got {max_resident}")
+        if default is not None and np.shape(default) != (dim,):
+            raise ProtocolError(f"default row shape {np.shape(default)} != ({dim},)")
         self.num_clients = num_clients
         self.dim = dim
+        self.default = np.zeros(dim) if default is None else np.array(default, dtype=np.float64)
+        self.default.flags.writeable = False
         self.dtype_bytes = (
             int(dtype_bytes) if dtype_bytes is not None else get_default_dtype().itemsize
         )
@@ -291,7 +285,7 @@ class DeltaTable:
 
     def get(self, client: int) -> np.ndarray:
         if not self._reported[client]:
-            return np.zeros(self.dim)
+            return self.default.copy()
         return self._row(client).copy()
 
     def rows_for(self, ids: np.ndarray) -> np.ndarray:
@@ -302,10 +296,10 @@ class DeltaTable:
         return out
 
     def full_table(self) -> np.ndarray:
-        """The (N, d) table rFedAvg broadcasts, zeros for clients that
-        never reported — O(N) memory, built on request; the regularizer
-        reads :meth:`reported_rows_except` instead."""
-        table = np.zeros((self.num_clients, self.dim), dtype=np.float64)
+        """The (N, d) table rFedAvg broadcasts, the default row for
+        clients that never reported — O(N) memory, built on request; the
+        regularizer reads :meth:`reported_rows_except` instead."""
+        table = np.tile(self.default, (self.num_clients, 1))
         ids = self.reported_ids()
         if len(ids):
             table[ids] = self.rows_for(ids)
@@ -370,9 +364,15 @@ class DeltaTable:
         }
 
     def cohort_segments(self, prefix: str, cohort) -> dict[str, np.ndarray]:
-        """The cohort's reported rows, resident or spilled; like every
-        read, it leaves LRU order and the spill file alone."""
-        return cohort_segments(prefix, cohort, self.rows_for, self._reported)
+        """One round's rows of an own-row table, as round-state segments:
+        ``<prefix>cohort`` the round's client ids (ascending, unique),
+        ``<prefix>ids`` those that reported and ``<prefix>rows`` their
+        rows, resident or spilled, stacked in ``ids`` order; like every
+        read, it leaves LRU order and the spill file alone.
+        :class:`CohortRows` is the reading side."""
+        cohort = np.unique(np.asarray(cohort, dtype=np.int64))
+        ids = cohort[self._reported[cohort]]
+        return {prefix + "cohort": cohort, prefix + "ids": ids, prefix + "rows": self.rows_for(ids)}
 
     def install_worker_segments(self, segments: dict) -> None:
         """Adopt a broadcast sparse snapshot in a worker process.
@@ -403,10 +403,20 @@ class DeltaTable:
             "delta_reported": self._reported.copy(),
         }
 
-    def restore_checkpoint_segments(self, segments: dict) -> None:
-        """Restore a sparse snapshot, or the dense ``delta_table`` form
-        checkpoints were written in before the table was sparse."""
-        if "delta_table" in segments:
+    def restore_checkpoint_segments(self, segments) -> None:
+        """Restore a sparse snapshot, or a dense form older checkpoints
+        hold: the ``delta_table`` array with its reported mask, or a bare
+        (N, d) array (SCAFFOLD's ``client_controls``, MOON's
+        ``prev_params``), whose rows that differ from the default row in
+        any bit are the reported ones — every row reads back its bytes."""
+        if isinstance(segments, np.ndarray):
+            dense = np.ascontiguousarray(segments, dtype=np.float64)
+            if dense.shape != (self.num_clients, self.dim):
+                raise ProtocolError(f"dense table of shape {dense.shape} != (N, {self.dim})")
+            reported = (dense.view(np.uint64) != self.default.view(np.uint64)).any(axis=1)
+            ids = np.flatnonzero(reported).astype(np.int64)
+            rows = dense[ids]
+        elif "delta_table" in segments:
             reported = np.asarray(segments["delta_reported"], dtype=bool)
             ids = np.flatnonzero(reported).astype(np.int64)
             rows = np.asarray(segments["delta_table"], dtype=np.float64)[ids]

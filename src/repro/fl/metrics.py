@@ -159,15 +159,6 @@ class History:
     def from_json(cls, text: str) -> "History":
         return cls.from_dict(json.loads(text))
 
-    def save_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
-
-    @classmethod
-    def load_json(cls, path: str) -> "History":
-        with open(path) as handle:
-            return cls.from_dict(json.load(handle))
-
     def save_csv(self, path: str) -> None:
         """One row per round, spreadsheet-friendly."""
         fields = [

@@ -24,19 +24,21 @@ selection order, so a parallel round is bit-identical to
 
 **Worker-state contract.**  Because workers live across rounds,
 everything a worker-side ``_client_update`` reads from shared algorithm
-state must be enumerated by ``Algorithm._worker_state(cohort)`` (and
-reinstated by ``_install_worker_state``); state not listed there goes
-stale in the workers after round 0.  ``cohort`` is the ids the round is
-about to run: a table a task reads only at its own client's row travels
-as the cohort's rows, never whole.  An algorithm that cannot enumerate
-its round state sets ``wire_transport_safe = False``.
+state must be a state slot the algorithm declares as read by workers
+(``Algorithm.state_slots``, :class:`repro.algorithms.base.StateSlot`);
+``_worker_state(cohort)`` / ``_install_worker_state`` are derived from
+the declaration, and state not declared there goes stale in the workers
+after round 0.  ``cohort`` is the ids the round is about to run: a table
+a task reads only at its own client's row travels as the cohort's
+reported rows, never whole; the row a never-reported client reads is
+fixed at setup, which the forked workers inherit.
 
 **Degradation.**  The worker engine has exactly one: a failure it
-cannot route around — the ``fork`` start method unavailable, an
-algorithm with ``wire_transport_safe = False`` (:func:`worker_refusal`),
-round state the wire format cannot express, every worker gone, no
-progress for ``serve_timeout`` — sends it to in-process serial execution
-for the rest of the run, with one :class:`RuntimeWarning`.  A single
+cannot route around — the ``fork`` start method unavailable
+(:func:`worker_refusal`), round state the wire format cannot express,
+every worker gone, no progress for ``serve_timeout`` — sends it to
+in-process serial execution for the rest of the run, with one
+:class:`RuntimeWarning`.  A single
 dead worker is not such a failure: its unfinished clients are
 redispatched to the others.  The determinism contract makes either
 rerun safe.  A single *update* the wire format cannot express (an
@@ -209,18 +211,13 @@ def run_held_clients(algorithm, round_idx: int, client_ids: list[int]) -> list[C
     return updates
 
 
-def worker_refusal(algorithm) -> str | None:
-    """Why forked long-lived workers cannot run ``algorithm``'s clients,
-    or ``None``: the eligibility rule of
-    :class:`repro.serve.server.ServeExecutor`, which degrades to serial on
-    a reason."""
+def worker_refusal() -> str | None:
+    """Why forked long-lived workers cannot run here, or ``None``: the
+    eligibility rule of :class:`repro.serve.server.ServeExecutor`, which
+    degrades to serial on a reason.  Every algorithm can: its round state
+    is its declared state slots."""
     if "fork" not in multiprocessing.get_all_start_methods():
         return "the 'fork' start method is unavailable"
-    if not (
-        getattr(algorithm, "wire_transport_safe", False)
-        and hasattr(algorithm, "_worker_state")
-    ):
-        return f"algorithm {algorithm.name!r} cannot enumerate worker state"
     return None
 
 

@@ -584,7 +584,7 @@ class ServeExecutor(ClientExecutor):
         if self._fallback is None:
             if not any(len(ids) for ids, _params in regions):
                 return [[] for _ in regions]
-            refusal = worker_refusal(algorithm)
+            refusal = worker_refusal()
             if refusal is not None:
                 self._degrade(refusal)
             else:

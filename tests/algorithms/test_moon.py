@@ -103,7 +103,7 @@ def test_moon_tracks_previous_local_models(toy_federation, fast_config):
 
     initial = get_flat_params(start)
     for cid in range(toy_federation.num_clients):
-        assert not np.allclose(moon._prev_params[cid], initial)
+        assert not np.allclose(moon._prev_params.get(cid), initial)
 
 
 def test_moon_reports_contrastive_loss(toy_federation):

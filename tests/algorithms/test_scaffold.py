@@ -25,7 +25,7 @@ def test_controls_initialized_zero_and_updated(toy_federation, fast_config):
     alg = Scaffold()
     run_federated(alg, toy_federation, _model_fn(toy_federation), fast_config)
     # After full-participation rounds every client control moved.
-    norms = np.linalg.norm(alg.client_controls, axis=1)
+    norms = np.linalg.norm(alg.client_controls.full_table(), axis=1)
     assert np.all(norms > 0)
     assert np.linalg.norm(alg.server_control) > 0
 
@@ -36,7 +36,7 @@ def test_server_control_is_participation_weighted_mean(toy_federation):
     alg = Scaffold()
     run_federated(alg, toy_federation, _model_fn(toy_federation), config)
     np.testing.assert_allclose(
-        alg.server_control, alg.client_controls.mean(axis=0), atol=1e-12
+        alg.server_control, alg.client_controls.full_table().mean(axis=0), atol=1e-12
     )
 
 
@@ -44,7 +44,7 @@ def test_partial_participation_leaves_others_untouched(toy_federation):
     config = FLConfig(rounds=1, local_steps=2, batch_size=8, lr=0.1, sample_ratio=0.5, seed=1)
     alg = Scaffold()
     run_federated(alg, toy_federation, _model_fn(toy_federation), config)
-    norms = np.linalg.norm(alg.client_controls, axis=1)
+    norms = np.linalg.norm(alg.client_controls.full_table(), axis=1)
     assert (norms == 0).sum() == 2  # 2 of 4 clients never selected
     assert (norms > 0).sum() == 2
 

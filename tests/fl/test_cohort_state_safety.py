@@ -1,8 +1,9 @@
 """A worker reads exactly the rows its round's cohort broadcast carried.
 
 Worker-side, an own-row table is a :class:`~repro.core.delta.CohortRows`
-built from the broadcast: the parent's bytes for every cohort id, zeros
-for a cohort id that never reported, :class:`ProtocolError` for any
+built from the broadcast: the parent's bytes for every cohort id, the
+table's default row (zeros here) for a cohort id that never reported,
+:class:`ProtocolError` for any
 other id — an earlier round's row is gone, not stale.  And a table that
 fills up round by round never forces a re-fork: the workers are forked
 once a run and sent a fresh state frame every round.
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
+from repro.core.delta import DeltaTable
 from repro.exceptions import ProtocolError
 from repro.fl import wire
 from repro.fl.config import FLConfig
@@ -83,21 +85,22 @@ def test_array_tables_installed_from_a_cohort_broadcast(name, table):
     algorithm = make_algorithm(name)
     algorithm.setup(tiny_model_fn(fed)(), fed, FLConfig(rounds=1))
     gen = np.random.default_rng(4)
-    getattr(algorithm, table)[:] = gen.normal(size=(16, algorithm.model_size))
+    for client, row in enumerate(gen.normal(size=(16, algorithm.model_size))):
+        getattr(algorithm, table).update(client, row)
 
     worker = _worker_of(algorithm, [3, 8, 12])
     for client in (3, 8, 12):
         assert (
-            getattr(worker, table)[client].tobytes()
-            == getattr(algorithm, table)[client].tobytes()
+            getattr(worker, table).get(client).tobytes()
+            == getattr(algorithm, table).get(client).tobytes()
         )
     with pytest.raises(ProtocolError, match="outside the cohort"):
-        getattr(worker, table)[4]
+        getattr(worker, table).get(4)
     # A task for a client outside the cohort fails instead of training
     # against a row that was never sent.
     with pytest.raises(ProtocolError, match="outside the cohort"):
         worker._client_update(0, 4)
-    assert isinstance(getattr(algorithm, table), np.ndarray)
+    assert isinstance(getattr(algorithm, table), DeltaTable)
 
 
 def _assert_pool_forks_once(monkeypatch, name, kwargs, feature_dim, overrides):

@@ -46,9 +46,9 @@ def _populated(name: str, num_clients: int, **config):
         if algorithm._residuals is not None:
             algorithm._residuals.update(client, row)
         if name == "scaffold":
-            algorithm.client_controls[client] = row
+            algorithm.client_controls.update(client, row)
         if name == "moon":
-            algorithm._prev_params[client] = row
+            algorithm._prev_params.update(client, row)
     return algorithm
 
 

@@ -69,12 +69,18 @@ def test_wall_times():
     assert hist.mean_round_time() == pytest.approx(1.0)
 
 
+def _file_roundtrip(hist: History, tmp_path) -> History:
+    """Through a file the way the experiment runner's ``result.json``
+    goes: ``to_json`` (the ``to_dict`` tree) out, ``History.from_json`` in."""
+    path = tmp_path / "history.json"
+    path.write_text(hist.to_json())
+    return History.from_json(path.read_text())
+
+
 def test_json_roundtrip(tmp_path):
     hist = _history_with_accs([0.2, 0.5, 0.8])
     hist.final_accuracy = 0.8
-    path = str(tmp_path / "history.json")
-    hist.save_json(path)
-    loaded = History.load_json(path)
+    loaded = _file_roundtrip(hist, tmp_path)
     assert loaded.algorithm == hist.algorithm
     assert loaded.final_accuracy == 0.8
     np.testing.assert_allclose(loaded.train_losses(), hist.train_losses())
@@ -84,9 +90,7 @@ def test_json_roundtrip(tmp_path):
 def test_json_roundtrip_with_per_client(tmp_path):
     hist = _history_with_accs([0.5])
     hist.per_client_accuracy = np.array([0.4, 0.6])
-    path = str(tmp_path / "history.json")
-    hist.save_json(path)
-    loaded = History.load_json(path)
+    loaded = _file_roundtrip(hist, tmp_path)
     np.testing.assert_array_equal(loaded.per_client_accuracy, [0.4, 0.6])
 
 

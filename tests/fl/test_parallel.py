@@ -4,6 +4,7 @@ and the worker engine it builds for multi-process runs)."""
 from __future__ import annotations
 
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.obs import sysinfo
 from repro.obs.trace import Tracer
 from repro.serve.server import ServeExecutor, _RoundStats
 from tests.conftest import make_toy_federation
-from tests.helpers import tiny_model_fn
+from tests.helpers import assert_equivalent_runs, tiny_model_fn
 
 
 def _config(**overrides) -> FLConfig:
@@ -169,19 +170,28 @@ def test_empty_selection_returns_empty():
 
 
 def test_fork_unavailable_degrades_to_serial(monkeypatch):
+    """Without the fork start method the worker engine degrades before
+    forking anything, says so once, and the run is the serial run —
+    under ``executor='process'`` and ``execution='serve'`` alike."""
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     fed = make_toy_federation(similarity=0.0)
     serial_alg = FedAvg()
-    run_federated(serial_alg, fed, tiny_model_fn(fed), _config())
+    serial = (serial_alg, run_federated(serial_alg, fed, tiny_model_fn(fed), _config()))
 
-    parallel_alg = FedAvg()
-    with pytest.warns(RuntimeWarning, match="fork"):
-        run_federated(
-            parallel_alg, fed, tiny_model_fn(fed),
-            _config(num_workers=4, executor="process"),
-        )
-    assert parallel_alg.executor.degraded
-    np.testing.assert_array_equal(serial_alg.global_params, parallel_alg.global_params)
+    for engine in (dict(executor="process"), dict(execution="serve")):
+        parallel_alg = FedAvg()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            history = run_federated(
+                parallel_alg, fed, tiny_model_fn(fed), _config(num_workers=4, **engine)
+            )
+        runtime_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime_warnings) == 1
+        assert "fork" in str(runtime_warnings[0].message)
+        assert parallel_alg.executor.degraded
+        assert not parallel_alg.executor._procs  # no worker was ever forked
+        np.testing.assert_array_equal(serial_alg.global_params, parallel_alg.global_params)
+        assert_equivalent_runs(serial, (parallel_alg, history))
 
 
 # -- observability ---------------------------------------------------------------

@@ -12,16 +12,14 @@ The worker count defaults to 4 and can be overridden with the
 from __future__ import annotations
 
 import os
-import warnings
 
 import pytest
 
-from repro.algorithms import ALGORITHMS, FedAvg
+from repro.algorithms import ALGORITHMS
 from repro.exceptions import WireError
 from repro.fl.config import FLConfig
-from repro.fl.trainer import run_federated
 from tests.conftest import make_toy_federation
-from tests.helpers import assert_equivalent_runs, run_with_workers, tiny_model_fn
+from tests.helpers import assert_equivalent_runs, run_with_workers
 
 WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
 
@@ -71,31 +69,6 @@ def test_parallel_run_is_bit_identical_to_serial(fed, name, kwargs):
     # Degrading to serial would mask a packing regression.
     assert not parallel[0].executor.degraded
     assert_equivalent_runs(serial, parallel)
-
-
-class _OptedOut(FedAvg):
-    name = "fedavg"
-    wire_transport_safe = False
-
-
-def test_unsafe_algorithm_degrades_to_serial_with_one_warning(fed):
-    """wire_transport_safe=False is a pool failure like any other: the
-    executor degrades once, says so once, and the run is the serial run."""
-    config = _config(seed=16)
-    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
-    opted_out = _OptedOut()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        history = run_federated(
-            opted_out, fed, tiny_model_fn(fed),
-            config.with_updates(num_workers=WORKERS, executor="process"),
-        )
-    runtime_warnings = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert len(runtime_warnings) == 1
-    assert "cannot enumerate worker state" in str(runtime_warnings[0].message)
-    assert opted_out.executor.degraded
-    assert not opted_out.executor._procs  # no worker was ever forked
-    assert_equivalent_runs(serial, (opted_out, history))
 
 
 @pytest.mark.parametrize("topology", ["flat", "hier:2:2"])

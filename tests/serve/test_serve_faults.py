@@ -90,27 +90,6 @@ def test_all_workers_dead_degrades_with_warning(fed, monkeypatch):
     assert_equivalent_runs(serial, served)
 
 
-def test_unsafe_algorithm_degrades_with_warning(fed):
-    """wire_transport_safe=False cannot enumerate socket state."""
-    from repro.algorithms import FedAvg
-
-    class _OptedOut(FedAvg):
-        name = "fedavg"
-        wire_transport_safe = False
-
-    serial = run_with_workers("fedavg", {}, fed, _config(seed=42), num_workers=1)
-
-    from repro.fl.trainer import run_federated
-    from tests.helpers import tiny_model_fn
-
-    algorithm = _OptedOut()
-    run_config = _config(seed=42).with_updates(execution="serve", num_workers=2)
-    with pytest.warns(RuntimeWarning, match="cannot enumerate worker state"):
-        history = run_federated(algorithm, fed, tiny_model_fn(fed), run_config)
-    assert algorithm.executor.degraded
-    assert_equivalent_runs(serial, (algorithm, history))
-
-
 def test_executor_close_is_reusable(fed):
     """close() tears the sockets down; the next round re-forks."""
     config = _config(rounds=2, seed=43)
