@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.delta import CohortRows, DeltaCache, DeltaTable
+from repro.core.delta import CohortRows, DeltaTable
 from repro.data.dataset import FederatedDataset
 from repro.exceptions import ProtocolError
 from repro.fl.client import LocalResult, local_sgd_steps
@@ -117,8 +117,8 @@ class StateSlot:
     (rFedAvg's ``delta_ids`` / ``delta_rows`` / ``delta_reported``).
     ``attr`` holds the value (default: ``key``): a server vector, a
     per-client :class:`DeltaTable` from
-    :meth:`FederatedAlgorithm._make_state_table`, the checkpoint-only
-    :class:`DeltaCache`, or ``None`` in a run without the slot.
+    :meth:`FederatedAlgorithm._make_state_table`, or ``None`` in a run
+    without the slot.
     ``reads`` is what a worker task reads of it: ``None``, nothing;
     :data:`WHOLE`, all of it (a table's ``worker_segments``); or a
     segment prefix (``"ef."``): its own client's row, sent as the
@@ -315,8 +315,6 @@ class FederatedAlgorithm:
         for slot, value in self._live_slots():
             if isinstance(value, np.ndarray):
                 state[slot.key] = value
-            elif isinstance(value, DeltaCache):
-                state[slot.key] = value.state_dict()
             elif slot.key is None:
                 state.update(value.checkpoint_segments())
             else:
@@ -326,15 +324,14 @@ class FederatedAlgorithm:
     def restore_checkpoint_state(self, state: dict) -> None:
         """Adopt a :meth:`checkpoint_state` snapshot after :meth:`setup`,
         copying values in; a slot the snapshot lacks keeps its fresh
-        value."""
+        value, and a key no slot claims (a section older files carry) is
+        skipped."""
         for slot, value in self._live_slots():
             section = state if slot.key is None else state.get(slot.key)
             if section is None:
                 continue
             if isinstance(value, np.ndarray):
                 setattr(self, slot.name, np.array(section, dtype=np.float64, copy=True))
-            elif isinstance(value, DeltaCache):
-                value.load_state_dict(section)
             else:
                 value.restore_checkpoint_segments(section)
 

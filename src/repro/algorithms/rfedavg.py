@@ -34,14 +34,8 @@ class RFedAvg(RegularizedAlgorithm):
         self,
         lam: float = 1e-4,
         privacy: GaussianDeltaMechanism | None = None,
-        delta_cache: bool | int = True,
     ) -> None:
-        super().__init__(
-            lam,
-            mode=DistributionRegularizer.PAIRWISE,
-            privacy=privacy,
-            delta_cache=delta_cache,
-        )
+        super().__init__(lam, mode=DistributionRegularizer.PAIRWISE, privacy=privacy)
 
     def _reg_hook(self, round_idx: int, client_id: int):
         assert self.delta_table is not None

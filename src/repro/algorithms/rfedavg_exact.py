@@ -12,6 +12,11 @@ for the delayed-mapping ablation:
 * the ledger charges a per-step all-pairs exchange — E * N * (N-1)
   delta transfers per round — making the infeasibility quantitative.
 
+The refresh costs N mean-embedding passes a round (stacked in blocks
+where the shards stack) on top of the second sync's pass over the
+cohort; last round's cohort is embedded again under the same global
+model its second sync used.
+
 Accuracy-wise this is the best the regularizer can do; the ablation
 bench shows rFedAvg+ tracks it closely at a fraction of the traffic.
 """
@@ -41,9 +46,8 @@ class RFedAvgExact(RFedAvgPlus):
         self,
         lam: float = 1e-4,
         privacy: GaussianDeltaMechanism | None = None,
-        delta_cache: bool | int = True,
     ) -> None:
-        super().__init__(lam, privacy=privacy, delta_cache=delta_cache)
+        super().__init__(lam, privacy=privacy)
 
     def _pre_round(self, round_idx: int, selected: np.ndarray) -> None:
         assert (

@@ -35,7 +35,7 @@ from repro.core.privacy import GaussianDeltaMechanism
 from repro.core.regularizer import DistributionRegularizer
 from repro.fl.comm import CommLedger
 from repro.fl.compression import compressor_from_spec
-from repro.nn.serialization import params_fingerprint, set_flat_params
+from repro.nn.serialization import set_flat_params
 
 # Dedicated rng stream tag for second-synchronization compression (the
 # upload pipeline uses 0xC0, privacy deltas 0xD9).
@@ -59,14 +59,8 @@ class RFedAvgPlus(RegularizedAlgorithm):
         self,
         lam: float = 1e-4,
         privacy: GaussianDeltaMechanism | None = None,
-        delta_cache: bool | int = True,
     ) -> None:
-        super().__init__(
-            lam,
-            mode=DistributionRegularizer.LOO,
-            privacy=privacy,
-            delta_cache=delta_cache,
-        )
+        super().__init__(lam, mode=DistributionRegularizer.LOO, privacy=privacy)
         self._sync_pipeline = None
         self._sync_model_residual: np.ndarray | None = None
         self._sync_delta_residuals = None
@@ -131,15 +125,11 @@ class RFedAvgPlus(RegularizedAlgorithm):
         """Load ``params`` into the workspace model and yield ``(client,
         delta)`` for each client under it — a block of clients
         (:meth:`cohort_blocks`) at a time where their shards stack, so a
-        block's deltas are all computed before its first is yielded.
-        Phi is fingerprinted once for the whole loop (when there is a
-        cache to key), so the consumer must not mutate the workspace
-        model between two deltas."""
+        block's deltas are all computed before its first is yielded."""
         set_flat_params(self.model, params)
-        phi_fp = None if self.delta_cache is None else params_fingerprint(self.model.features)
         for block, refusal in self.cohort_blocks(client_ids):
             for group in [block] if refusal is None else [[cid] for cid in block]:
-                yield from zip(group, self._client_deltas(round_idx, group, phase, phi_fp))
+                yield from zip(group, self._client_deltas(round_idx, group, phase))
 
     def _post_aggregate(self, round_idx: int, selected: np.ndarray) -> None:
         """Phase 2: second sync — deltas from the fresh global model."""

@@ -28,7 +28,7 @@ sibling — never a half-written checkpoint under the real name.
 Section payloads reuse the RFW1 wire format (:mod:`repro.fl.wire`)
 through :func:`pack_tree` / :func:`unpack_tree`, which round-trip an
 arbitrary JSON-able tree whose leaves may additionally be numpy arrays
-or raw ``bytes`` (content fingerprints).
+or raw ``bytes`` (files older commits wrote carry some).
 """
 
 from __future__ import annotations

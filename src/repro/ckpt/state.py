@@ -3,7 +3,7 @@
 What makes a resumed federated run *bit-identical* to an uninterrupted
 one is that nothing round-coupled is lost: besides the global model,
 algorithms carry server state (control variates, momentum, delayed
-delta tables, memoized delta caches), the trainer carries the selection
+delta tables), the trainer carries the selection
 RNG and the growing :class:`~repro.fl.metrics.History`, the ledger
 carries cumulative byte totals, and an attached fault model carries its
 own RNG plus counters.  :func:`capture_run_state` snapshots all of it

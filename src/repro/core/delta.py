@@ -451,99 +451,3 @@ class DeltaTable:
             return self.dim * self.dtype_bytes
         return self.num_clients * self.dim * self.dtype_bytes
 
-
-class DeltaCache:
-    """Per-client memoization of raw mean embeddings.
-
-    A client's delta depends on exactly two things: the feature
-    extractor's parameters phi and the client's local data.  Both are
-    fingerprinted (:func:`repro.nn.serialization.params_fingerprint`,
-    :meth:`repro.data.dataset.ArrayDataset.content_fingerprint`) and a
-    recomputation is skipped when neither changed since the client's
-    last participation — e.g. the round-start refresh in the exact
-    variant reuses the deltas the previous round's post-aggregation
-    sync computed from the same global model.
-
-    Only the *raw* (pre-privacy) delta is cached: privacy noise draws
-    from a per-``(round, client, phase)`` stream and must be applied
-    per call, so cached and uncached runs stay bit-identical.
-
-    One entry per client — federated rounds alternate between at most
-    two phi versions (pre/post aggregation), and a client re-keys its
-    entry whenever phi or its data moves on.
-
-    ``max_entries`` bounds the cache with LRU eviction (a production
-    federation can have far more clients than worth caching; an
-    unbounded table would grow for the whole run).  Eviction only ever
-    forces a recomputation — cached and uncached runs stay bit-identical
-    for any limit — and evictions are counted in :attr:`evictions` so
-    the obs layer can export them.
-    """
-
-    def __init__(self, max_entries: int | None = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ProtocolError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        # Insertion order doubles as recency order: lookups and stores
-        # re-insert the client's entry at the end (python dicts preserve
-        # insertion order), so the first key is always the LRU victim.
-        self._entries: dict[int, tuple[bytes, bytes, np.ndarray]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, client: int, phi_fp: bytes, data_fp: bytes) -> np.ndarray | None:
-        """The cached delta for ``client``, or None on any mismatch."""
-        entry = self._entries.get(client)
-        if entry is not None and entry[0] == phi_fp and entry[1] == data_fp:
-            self.hits += 1
-            # Refresh recency.
-            del self._entries[client]
-            self._entries[client] = entry
-            return entry[2].copy()
-        self.misses += 1
-        return None
-
-    def store(self, client: int, phi_fp: bytes, data_fp: bytes, delta: np.ndarray) -> None:
-        if client in self._entries:
-            del self._entries[client]
-        elif self.max_entries is not None and len(self._entries) >= self.max_entries:
-            victim = next(iter(self._entries))
-            del self._entries[victim]
-            self.evictions += 1
-        self._entries[client] = (phi_fp, data_fp, np.array(delta, copy=True))
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    # -- checkpointing -----------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Entries in recency order plus the hit/miss/eviction counters."""
-        return {
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": [
-                {"client": client, "phi_fp": phi_fp, "data_fp": data_fp, "delta": delta}
-                for client, (phi_fp, data_fp, delta) in self._entries.items()
-            ],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore entries *and their recency order* (LRU eviction after
-        a resume must pick the same victims an uninterrupted run would)."""
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
-        self.evictions = int(state["evictions"])
-        self._entries = {
-            int(e["client"]): (
-                bytes(e["phi_fp"]),
-                bytes(e["data_fp"]),
-                np.array(e["delta"], copy=True),
-            )
-            for e in state["entries"]
-        }

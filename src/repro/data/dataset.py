@@ -84,23 +84,6 @@ class ArrayDataset:
     def label_counts(self, num_classes: int) -> np.ndarray:
         return np.bincount(self.y, minlength=num_classes)
 
-    def content_fingerprint(self) -> bytes:
-        """Content hash of the samples (blake2b-128).
-
-        Computed fresh on every call (never memoized) so in-place
-        mutation of ``x``/``y`` is always detected — the delta cache
-        keys on this to notice client-data drift.
-        """
-        import hashlib
-
-        digest = hashlib.blake2b(digest_size=16)
-        for arr in (self.x, self.y):
-            arr = np.ascontiguousarray(arr)
-            digest.update(str(arr.dtype).encode())
-            digest.update(str(arr.shape).encode())
-            digest.update(arr.tobytes())
-        return digest.digest()
-
 
 @dataclass
 class FederatedDataset:

@@ -11,7 +11,6 @@ back into a model casts to each parameter's dtype.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -98,27 +97,6 @@ def add_flat_to_grads(model: Module, flat: np.ndarray) -> None:
     for p in model.parameters():
         p.grad += flat[offset : offset + p.size].reshape(p.shape)
         offset += p.size
-
-
-def params_fingerprint(model: Module) -> bytes:
-    """Content hash of a module's parameters (blake2b-128).
-
-    Bit-exact: two parameter sets fingerprint equal iff every tensor is
-    byte-identical (shape, dtype and values).  Used to key the
-    delta-embedding cache on the feature extractor's version.  Not
-    free next to what it guards: for the bench MLP (91 KB of phi) and a
-    20-sample shard hashing takes 150-190 us and the mean-embedding
-    forward pass 45-75 us; for the CNN and LSTM extractors hashing is the
-    cheaper side (0.45 ms against 2.6 ms for the bench CNN on 40
-    samples).  So hash once per model version, not once per client.
-    """
-    digest = hashlib.blake2b(digest_size=16)
-    for p in model.parameters():
-        data = np.ascontiguousarray(p.data)
-        digest.update(str(data.dtype).encode())
-        digest.update(str(data.shape).encode())
-        digest.update(data.tobytes())
-    return digest.digest()
 
 
 def save_params(model: Module, path: str) -> None:

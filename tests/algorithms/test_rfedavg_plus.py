@@ -108,70 +108,31 @@ def test_learns_on_iid(iid_federation):
     assert history.final_accuracy > 0.5
 
 
-# -- one load, one phi fingerprint, many deltas -----------------------------------
-
-
-@pytest.mark.parametrize("sync_compression", ["none", "topk:0.5|qsgd:8"])
-def test_second_sync_fingerprints_phi_once_whatever_the_cohort(
-    toy_federation, phi_fingerprints, sync_compression
-):
-    config = FLConfig(
-        rounds=1, local_steps=2, batch_size=8, lr=0.1, seed=4,
-        sync_compression=sync_compression,
-    )
-    alg = RFedAvgPlus(lam=1e-3)
-    run_federated(alg, toy_federation, _model_fn(toy_federation), config)
-    assert len(phi_fingerprints) == 1  # the parent: one per selected client
-    for cohort in ([0, 1, 2, 3], [2], []):
-        del phi_fingerprints[:]
-        alg._sync_reference = alg.global_params
-        alg._post_aggregate(1, np.array(cohort, dtype=np.int64))
-        assert len(phi_fingerprints) == 1
-
-
-def test_exact_refresh_fingerprints_phi_once_for_the_whole_population(
-    toy_federation, phi_fingerprints
-):
-    from repro.algorithms import RFedAvgExact
-
-    config = FLConfig(rounds=2, local_steps=2, batch_size=8, lr=0.1, seed=4)
-    alg = RFedAvgExact(lam=1e-3)
-    run_federated(alg, toy_federation, _model_fn(toy_federation), config)
-    # Per round: the refresh of all four clients, then the second sync.
-    hashed = [digest for _model, digest in phi_fingerprints]
-    assert len(hashed) == 4
-    # Round 1's refresh runs under the model round 0's sync ran under.
-    assert hashed[1] == hashed[2] and hashed[0] != hashed[1] != hashed[3]
-    assert alg.delta_cache.hits == 4
-
-
-def test_every_round_is_keyed_on_that_rounds_phi(toy_federation, phi_fingerprints):
-    """Hashing once per loop must not mean hashing once: phi moves every
-    round, and an entry keyed on an older phi would be a stale hit."""
-    from repro.nn.serialization import params_fingerprint
-
+def test_deltas_after_many_rounds_come_from_the_last_global_model(toy_federation):
+    """Every round recomputes the deltas under that round's model: after
+    three, no row holds an embedding under an older one."""
     config = FLConfig(rounds=3, local_steps=2, batch_size=8, lr=0.1, seed=4)
     alg = RFedAvgPlus(lam=1e-3)
     run_federated(alg, toy_federation, _model_fn(toy_federation), config)
-    assert len(phi_fingerprints) == len({digest for _model, digest in phi_fingerprints}) == 3
     model = _model_fn(toy_federation)()
     set_flat_params(model, alg.global_params)
-    final_phi = params_fingerprint(model.features)
-    entries = alg.delta_cache.state_dict()["entries"]
-    assert [bytes(e["phi_fp"]) for e in entries] == [final_phi] * 4
-    assert (alg.delta_cache.hits, alg.delta_cache.misses) == (0, 12)
-    for entry, shard in zip(entries, toy_federation.clients):
+    assert alg.delta_table.reported_ids().tolist() == [0, 1, 2, 3]
+    for cid, shard in enumerate(toy_federation.clients):
         np.testing.assert_array_equal(
-            entry["delta"], compute_mean_embedding(model, shard, config.eval_batch)
+            alg.delta_table.get(cid), compute_mean_embedding(model, shard, config.eval_batch)
         )
 
 
-# blake2b-128 of the ``algorithm`` section (delta table, delta cache, sync
-# residuals) of the round-2 checkpoint of the run below, RECORDED FROM THE
-# PARENT; the history section holds wall-clock times and is left out.
+# blake2b-128 of the ``algorithm`` section (delta table, sync residuals)
+# of the round-2 checkpoint of the run below, RECORDED FROM THE PARENT with
+# its retired ``delta_cache`` entry dropped (``unpack_tree``, drop the key,
+# ``pack_tree``); the parent's whole sections were (1416,
+# "1108a7e0133bd362d20549f723fca016") and (8984,
+# "23b8d09abdb23b528490995559336341").  The history section holds
+# wall-clock times and is left out.
 PARENT_ALGORITHM_SECTIONS = {
-    "none": (1416, "1108a7e0133bd362d20549f723fca016"),
-    "qsgd:8": (8984, "23b8d09abdb23b528490995559336341"),
+    "none": (456, "0821e2db0a2d71ffb9cd9a3daee74ae3"),
+    "qsgd:8": (8024, "047d02394b817b9c8ede5fcde676c28e"),
 }
 
 

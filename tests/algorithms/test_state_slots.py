@@ -65,7 +65,7 @@ EXPECTED_KEYS = {
     "rfedavg+": (
         dict(compression="topk:0.25", sync_compression="qsgd:8"),
         [
-            "ef_residuals", "delta_ids", "delta_rows", "delta_reported", "delta_cache",
+            "ef_residuals", "delta_ids", "delta_rows", "delta_reported",
             "sync_model_residual", "sync_delta_residuals",
         ],
         [

@@ -61,23 +61,3 @@ def iid_federation() -> FederatedDataset:
 @pytest.fixture
 def fast_config() -> FLConfig:
     return FLConfig(rounds=3, local_steps=2, batch_size=16, lr=0.1, seed=3)
-
-
-@pytest.fixture
-def phi_fingerprints(monkeypatch):
-    """Every ``params_fingerprint`` call the rFedAvg algorithms make, as
-    ``(module hashed, digest returned)`` — whichever of the two modules
-    that import the function made it."""
-    import repro.algorithms.regularized as regularized
-    import repro.algorithms.rfedavg_plus as rfedavg_plus
-    from repro.nn.serialization import params_fingerprint
-
-    calls = []
-
-    def counting(model):
-        calls.append((model, params_fingerprint(model)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(regularized, "params_fingerprint", counting)
-    monkeypatch.setattr(rfedavg_plus, "params_fingerprint", counting)
-    return calls

@@ -249,7 +249,7 @@ def test_cross_layout_resume(virt, tmp_path, monkeypatch):
         config.with_updates(resume=True, state_cap=2), num_workers=1,
     )
     assert_equivalent_runs(baseline, resumed)
-    assert forms == [["delta_cache", "delta_reported", "delta_table"]]
+    assert forms == [["delta_reported", "delta_table"]]
     assert resumed[0].delta_table.spilled_rows > 0
 
 
