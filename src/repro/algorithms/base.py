@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,18 +294,43 @@ class FederatedAlgorithm:
         return state
 
     def _install_worker_state(self, state: dict) -> None:
-        """Adopt a round-state broadcast (worker-side only): zero-copy
-        read-only views, valid for the round they are installed for.  An
-        own-row table becomes a :class:`CohortRows` whose default row is
-        the one the worker inherited from setup."""
+        """Adopt a round-state broadcast: zero-copy read-only views, valid
+        for the round they are installed for.  A whole table becomes a new
+        :class:`DeltaTable` holding the snapshot, an own-row table a
+        :class:`CohortRows` whose default row is the one the table was
+        built with."""
         self.global_params = state["global_params"]
         for slot, value in self._live_slots():
             if slot.reads == WHOLE and isinstance(value, DeltaTable):
-                value.install_worker_segments(state)
+                table = DeltaTable(
+                    value.num_clients, value.dim,
+                    dtype_bytes=value.dtype_bytes, default=value.default,
+                )
+                table.install_worker_segments(state)
+                setattr(self, slot.name, table)
             elif slot.reads == WHOLE:
                 setattr(self, slot.name, state[slot.key])
             elif slot.reads is not None:
                 setattr(self, slot.name, CohortRows.from_state(state, slot.reads, value.default))
+
+    @contextmanager
+    def as_of(self, state: dict):
+        """Run the block on an earlier round's state: a
+        :meth:`_worker_state` snapshot is installed in place of the live
+        global model and worker-read slots, which come back on exit.  An
+        executor given this algorithm inside the block trains clients as
+        that round would have (the async engine trains a client when its
+        update lands, not when it was dispatched)."""
+        live = {"global_params": self.global_params}
+        live.update(
+            (slot.name, value) for slot, value in self._live_slots() if slot.reads is not None
+        )
+        self._install_worker_state(state)
+        try:
+            yield
+        finally:
+            for name, value in live.items():
+                setattr(self, name, value)
 
     # -- checkpointing -----------------------------------------------------------
     def checkpoint_state(self) -> dict:

@@ -74,12 +74,26 @@ class CohortRows:
         index = self._index.get(client)
         if index is not None:
             return self._rows[index]
+        self._check_in_cohort(client)
+        return self.default
+
+    def cohort_segments(self, prefix: str, cohort) -> dict[str, np.ndarray]:
+        """What :meth:`DeltaTable.cohort_segments` sent for ``cohort`` when
+        these rows were the table's: a round's state, held for some of its
+        clients (the async engine trains a round's clients as they land)."""
+        cohort = np.unique(np.asarray(cohort, dtype=np.int64))
+        for client in cohort:
+            self._check_in_cohort(int(client))
+        ids = np.array([c for c in cohort if int(c) in self._index], dtype=np.int64)
+        index = np.array([self._index[int(c)] for c in ids], dtype=np.int64)
+        return {prefix + "cohort": cohort, prefix + "ids": ids, prefix + "rows": self._rows[index]}
+
+    def _check_in_cohort(self, client: int) -> None:
         if client not in self._cohort:
             raise ProtocolError(
                 f"client {client} is outside the cohort this round state was "
                 "broadcast for"
             )
-        return self.default
 
 
 class RowBlocks:
@@ -360,7 +374,7 @@ class DeltaTable:
         return {
             "delta_ids": ids,
             "delta_rows": self.rows_for(ids),
-            "delta_reported": self._reported,
+            "delta_reported": self._reported.copy(),
         }
 
     def cohort_segments(self, prefix: str, cohort) -> dict[str, np.ndarray]:

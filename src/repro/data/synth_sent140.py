@@ -62,20 +62,26 @@ def make_synth_sent140(
     xs: list[np.ndarray] = []
     ys: list[int] = []
     users: list[int] = []
+    num_sentiment = cfg.num_sentiment_words
     for user in range(cfg.num_users):
         count = max(2, int(rng.poisson(cfg.tweets_per_user_mean)))
         style = rng.choice(neutral_words, size=cfg.style_dim, replace=False)
         style_probs = rng.dirichlet(np.ones(cfg.style_dim))
         sentiment_prior = float(rng.beta(2.0, 2.0))
+        # The draws ``Generator.choice`` makes, without its per-call set-up:
+        # one uniform against the normalized CDF for a weighted pick, one
+        # bounded integer for a uniform one.
+        cdf = style_probs.cumsum()
+        cdf /= cdf[-1]
         for _ in range(count):
             label = int(rng.random() < sentiment_prior)
             sentiment_pool = pos_words if label == 1 else neg_words
             tokens = np.empty(cfg.seq_len, dtype=np.int64)
             for t in range(cfg.seq_len):
                 if rng.random() < cfg.sentiment_word_rate:
-                    tokens[t] = rng.choice(sentiment_pool)
+                    tokens[t] = sentiment_pool[rng.integers(0, num_sentiment)]
                 else:
-                    tokens[t] = rng.choice(style, p=style_probs)
+                    tokens[t] = style[cdf.searchsorted(rng.random(), side="right")]
             xs.append(tokens)
             ys.append(label)
             users.append(user)

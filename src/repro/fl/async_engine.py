@@ -10,16 +10,18 @@ with ``config.execution == "async"`` each of its rounds runs
 :meth:`BufferedStep.run`:
 
 1. **Dispatch.**  The round's cohort — sampled from the *same*
-   selection stream as a synchronous run — is charged the broadcast
-   and runs its local work immediately through the algorithm's
-   :class:`~repro.fl.parallel.ClientExecutor`.  Each finished update is
-   pushed onto an event heap with an *arrival time* drawn from the
-   per-client runtime model (:mod:`repro.fl.runtime`) — training is
-   simulated-time-shifted, not recomputed, so heavy lifting happens
-   exactly once.
+   selection stream as a synchronous run — is charged the broadcast,
+   the round records the state its clients train on (the
+   ``_worker_state`` snapshot the worker engine broadcasts), and each
+   client is pushed onto an event heap with an *arrival time* drawn
+   from the per-client runtime model (:mod:`repro.fl.runtime`).
 2. **Drain.**  The server pops arrivals in simulated-time order into a
    buffer until ``buffer_size`` updates are in hand (FedBuff-style), or
-   the optional ``buffer_timeout`` fires with at least one update.
+   the optional ``buffer_timeout`` fires with at least one update, and
+   trains them through the algorithm's
+   :class:`~repro.fl.parallel.ClientExecutor` on the state their
+   dispatch round recorded — so heavy lifting happens at most once,
+   when an update lands, and an update that never lands never trains.
    Updates dispatched in earlier rounds arrive late and count with
    their staleness ``s = flush_round - dispatch_round``.
 3. **Flush.**  Each buffered update that is stale (``s >= 1``) is
@@ -37,7 +39,9 @@ to the barrier step for every algorithm, executor and dtype
 
 The step owns one checkpoint section (in-flight events, sim clock,
 update-level history) that the trainer saves and restores with the
-standard run snapshot, so a resumed async run replays bit-identically.
+standard run snapshot, so a resumed async run replays bit-identically;
+the events still pending train before it is written, so it holds
+trained updates only.
 Runtime models are stateless by construction, so there is no runtime
 RNG to snapshot.
 """
@@ -171,9 +175,9 @@ _UPDATE_SCALAR_FIELDS = (
 def _update_to_tree(update: ClientUpdate) -> dict:
     """A :class:`ClientUpdate` as a pack_tree-able dict.
 
-    In-flight updates are always materialized (``params`` dense; the
-    compressed ``params_streams`` they were decoded from are spent)
-    before they enter the event heap, so only dense parameters, the
+    A trained update is materialized (``params`` dense; the compressed
+    ``params_streams`` it was decoded from are spent) by the executor
+    call that trained it, so only dense parameters, the
     scalar fields, the algorithm payload and the wire accounting need
     to ride along.
     """
@@ -216,31 +220,44 @@ def _update_from_tree(tree: dict) -> ClientUpdate:
 # -- the round step -----------------------------------------------------------------
 
 
-class _EventQueue:
-    """Min-heap of in-flight updates ordered by (arrival time, dispatch
+@dataclass(order=True)
+class _Event:
+    """One dispatched client update, ordered by (arrival time, dispatch
     sequence).  The sequence number both breaks time ties (dispatch
     order == selection order, the zero-latency bit-identity invariant)
-    and keeps heap comparisons away from the payload objects."""
+    and keeps comparisons away from the arrays.  A pending event holds
+    ``state``, the round state its dispatch round recorded (shared by
+    that round's events), until it is trained into ``update``."""
+
+    when: float
+    seq: int
+    dispatch_round: int = field(compare=False)
+    client_id: int = field(compare=False)
+    base: np.ndarray = field(compare=False, repr=False)
+    state: dict | None = field(default=None, compare=False, repr=False)
+    update: ClientUpdate | None = field(default=None, compare=False, repr=False)
+
+
+class _EventQueue:
+    """Min-heap of in-flight :class:`_Event` records."""
 
     def __init__(self) -> None:
-        self.heap: list[tuple[float, int, int, np.ndarray, ClientUpdate]] = []
+        self.heap: list[_Event] = []
         self.seq = 0
 
     def __len__(self) -> int:
         return len(self.heap)
 
-    def push(
-        self, when: float, dispatch_round: int, base: np.ndarray, update: ClientUpdate
-    ) -> None:
-        heapq.heappush(self.heap, (when, self.seq, dispatch_round, base, update))
+    def push(self, when: float, dispatch_round: int, client_id: int, state: dict) -> None:
+        event = _Event(when, self.seq, dispatch_round, client_id, state["global_params"], state)
+        heapq.heappush(self.heap, event)
         self.seq += 1
 
     def peek_time(self) -> float:
-        return self.heap[0][0]
+        return self.heap[0].when
 
-    def pop(self) -> tuple[float, int, np.ndarray, ClientUpdate]:
-        when, _seq, dispatch_round, base, update = heapq.heappop(self.heap)
-        return when, dispatch_round, base, update
+    def pop(self) -> _Event:
+        return heapq.heappop(self.heap)
 
     def inflight_clients(self) -> set[int]:
         """Ids of clients with an undelivered update in the queue.
@@ -249,36 +266,36 @@ class _EventQueue:
         reconstructs exactly the same set — the dispatch cap needs no
         extra persisted state.
         """
-        return {update.client_id for _, _, _, _, update in self.heap}
+        return {event.client_id for event in self.heap}
 
     # -- checkpointing -----------------------------------------------------------
     def state_tree(self) -> dict:
+        """Every event, trained (the step trains pending ones first)."""
         return {
             "seq": self.seq,
             "events": [
                 {
-                    "time": float(when),
-                    "seq": int(seq),
-                    "round": int(dispatch_round),
-                    "base": base,
-                    "update": _update_to_tree(update),
+                    "time": float(event.when),
+                    "seq": int(event.seq),
+                    "round": int(event.dispatch_round),
+                    "base": event.base,
+                    "update": _update_to_tree(event.update),
                 }
-                for when, seq, dispatch_round, base, update in self.heap
+                for event in self.heap
             ],
         }
 
     def restore_tree(self, tree: dict) -> None:
         self.seq = int(tree["seq"])
-        self.heap = [
-            (
-                float(event["time"]),
-                int(event["seq"]),
-                int(event["round"]),
-                np.array(event["base"], copy=True),
-                _update_from_tree(event["update"]),
+        self.heap = []
+        for data in tree["events"]:
+            update = _update_from_tree(data["update"])
+            self.heap.append(
+                _Event(
+                    float(data["time"]), int(data["seq"]), int(data["round"]),
+                    update.client_id, np.array(data["base"], copy=True), update=update,
+                )
             )
-            for event in tree["events"]
-        ]
         heapq.heapify(self.heap)
 
 
@@ -324,17 +341,20 @@ class BufferedStep:
                 if tracer.enabled:
                     tracer.metrics.counter("async.deferred_dispatches").inc(deferred)
         cohort = algorithm.begin_round(round_idx, cohort)
+        # Nothing trains yet: the round records the state its clients
+        # train on, and each client's arrival time.
         with tracer.span("dispatch", cohort=len(cohort)):
-            base = algorithm.global_params
-            for update in algorithm._execute_clients(round_idx, cohort):
-                queue.push(
-                    self.clock + self.runtime.duration(round_idx, update.client_id),
-                    round_idx,
-                    base,
-                    update,
-                )
+            if len(cohort):
+                state = algorithm._worker_state(cohort)
+                for client_id in cohort:
+                    queue.push(
+                        self.clock + self.runtime.duration(round_idx, int(client_id)),
+                        round_idx,
+                        int(client_id),
+                        state,
+                    )
 
-        # 2. Drain arrivals into the buffer.
+        # 2. Drain arrivals into the buffer, and train what landed.
         target = config.buffer_size or len(cohort)
         if not target and len(queue):
             # Every cohort member was deferred: the round still
@@ -345,17 +365,19 @@ class BufferedStep:
             if config.buffer_timeout is not None
             else None
         )
-        arrivals: list[tuple[int, np.ndarray, ClientUpdate]] = []
+        arrivals: list[_Event] = []
         while len(queue) and len(arrivals) < target:
             if deadline is not None and arrivals and queue.peek_time() > deadline:
                 break
-            when, dispatch_round, event_base, update = queue.pop()
-            self.clock = max(self.clock, when)
-            arrivals.append((dispatch_round, event_base, update))
+            event = queue.pop()
+            self.clock = max(self.clock, event.when)
+            arrivals.append(event)
+        self._train(arrivals)
 
         # 3. Flush: staleness-discount, then commit and aggregate.
         buffer: list[ClientUpdate] = []
-        for dispatch_round, event_base, update in arrivals:
+        for event in arrivals:
+            update, dispatch_round = event.update, event.dispatch_round
             staleness = round_idx - dispatch_round
             weight = 1.0
             if staleness > 0:
@@ -363,7 +385,7 @@ class BufferedStep:
                 # discount it; fresh updates stay bitwise untouched.
                 weight = (1.0 + staleness) ** (-config.staleness_exponent)
                 update.params = algorithm.global_params + weight * (
-                    update.params - event_base
+                    update.params - event.base
                 )
             buffer.append(update)
             self.history.records.append(
@@ -391,6 +413,22 @@ class BufferedStep:
         buffer_ids = np.array([u.client_id for u in buffer], dtype=np.int64)
         return algorithm.commit_round(round_idx, buffer_ids, buffer), cohort
 
+    def _train(self, events: list[_Event]) -> None:
+        """Train every pending event in ``events``: each dispatch round's
+        clients in one executor call, on the state that round recorded,
+        with that round's per-(round, client) streams."""
+        algorithm = self.algorithm
+        by_round: dict[int, list[_Event]] = {}
+        for event in events:
+            if event.update is None:
+                by_round.setdefault(event.dispatch_round, []).append(event)
+        for dispatch_round, group in by_round.items():
+            ids = np.array([event.client_id for event in group], dtype=np.int64)
+            with algorithm.as_of(group[0].state):
+                updates = algorithm._execute_clients(dispatch_round, ids)
+            for event, update in zip(group, updates):
+                event.update, event.state = update, None
+
     def observe(self, record: RoundRecord, round_comm: dict) -> None:
         """An evaluated round stamps its accuracy on the last update it
         committed."""
@@ -414,6 +452,10 @@ class BufferedStep:
 
     # -- checkpointing -----------------------------------------------------------
     def state_tree(self) -> dict:
+        """The section a checkpoint writes: the events still pending are
+        trained first, so it holds every in-flight update as a trained
+        one, as it always has."""
+        self._train(self.queue.heap)
         return {
             "clock": float(self.clock),
             "update_counter": int(self.update_counter),

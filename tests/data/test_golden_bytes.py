@@ -1,4 +1,4 @@
-"""Golden bytes of every glyph-rendered dataset.
+"""Golden bytes of every glyph-rendered dataset, and of synthetic Sent140.
 
 The digests below were recorded from the commit *before* the renderer
 became table-driven (the string-font / ``np.roll`` / ``np.clip``
@@ -18,6 +18,7 @@ import pytest
 from repro.data import synth_femnist
 from repro.data.synth_femnist import FemnistConfig, make_synth_femnist
 from repro.data.synth_mnist import make_synth_mnist
+from repro.data.synth_sent140 import Sent140Config, make_synth_sent140
 from repro.data.virtual import VirtualPartition, materialize_client, materialize_test
 
 
@@ -95,3 +96,30 @@ def test_materialize_test_bytes():
     partition = VirtualPartition(population=100_000, seed=0)
     test = materialize_test(partition)
     assert _digest(test.x, test.y) == "6a45ca205f710c5b1f8c693af54e985d"
+
+
+# Synthetic Sent140 draws every token from the generator's stream, so
+# these pin the order and kind of every draw.  They were recorded while
+# each token was a ``Generator.choice`` call; the bench's Sent140 shape
+# is the third case.
+SENT140_GOLDEN = [
+    (dict(seed=0),
+     "130b2cc09930020c9ae0fbc29237ecb7", "d841c6bdd289777a5e084968ac0d2ca8"),
+    (dict(num_users=20, seed=1),
+     "0edebb837ef0b7e043b639f819b1563c", "c934c4a74ea0d7a2e119b434c5b12ece"),
+    (dict(num_users=25, tweets_per_user_mean=60.0, seq_len=22, vocab_size=400, seed=3),
+     "33bf47d442f4ee5d22687c710e5373dc", "eacdfae4d58c658d8f74c385f82e19bd"),
+    (dict(num_users=50, tweets_per_user_mean=30.0, seq_len=12, vocab_size=300,
+          style_dim=20, sentiment_word_rate=0.5, seed=17),
+     "eac37e224a86e6b72150c1793ba0daf4", "28479a7ed9a9c961055fd44a78e08edf"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, train_digest, test_digest", SENT140_GOLDEN,
+    ids=[f"seed{case[0]['seed']}" for case in SENT140_GOLDEN],
+)
+def test_synth_sent140_bytes(config, train_digest, test_digest):
+    _, train, test, users = make_synth_sent140(Sent140Config(**config))
+    assert _digest(train.x, train.y, users) == train_digest
+    assert _digest(test.x, test.y) == test_digest

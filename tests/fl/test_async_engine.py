@@ -24,6 +24,10 @@ from repro.obs.trace import Tracer
 from tests.conftest import make_toy_federation
 from tests.helpers import assert_equivalent_runs, tiny_model_fn
 
+# A worker-engine leg that degrades to serial warns, and must fail here
+# rather than pass as the serial engine.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # Toy federation has 4 clients; two fast, two 10x slower — with a
 # 3-deep buffer the slow clients' updates land one round late.
 STRAGGLER_TIMES = [0.1, 0.1, 1.0, 1.0]

@@ -23,6 +23,10 @@ from repro.fl.config import FLConfig
 from tests.conftest import make_toy_federation
 from tests.helpers import assert_equivalent_runs, run_with_workers
 
+# A worker-engine leg that degrades to serial warns, and must fail here
+# rather than pass as the serial engine.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
 
 # (name, constructor kwargs, slow?) — one row per registered algorithm.
