@@ -1,7 +1,7 @@
 """Op-level kernel benchmark and float64 regression harness.
 
 Times the hot forward/backward kernels (Conv2d, MaxPool2d, Dense,
-LSTMCell, GRUCell, rbf_mmd) and the end-to-end training steps (the
+LSTMCell, rbf_mmd) and the end-to-end training steps (the
 paper's CNN and LSTM models) in three configurations.  The recurrent
 rows run twice: at this harness's own size and at the shape the
 ``bench/`` Sent140 workload trains at (``*_bench``: B=32, T=22, E=12,
@@ -191,14 +191,13 @@ def bench_ops(quick: bool, repeats: int) -> dict:
         "": (b, seq, emb, hid),
         "_bench": (k["batch"], k["seq"], k["emb"], k["hid"]),
     }.items():
-        for cell, cell_cls, seed in (("lstm_cell", nn.LSTMCell, 3), ("gru_cell", nn.GRUCell, 4)):
-            ops[cell + suffix] = _op_record(
-                cell + suffix,
-                lambda: cell_cls(remb, rhid, rng=np.random.default_rng(seed)),
-                lambda dt: rng.normal(size=(rb, rseq, remb)).astype(dt),
-                lambda x, dt: rng.normal(size=(x.shape[0], rseq, rhid)).astype(dt),
-                repeats=repeats,
-            )
+        ops["lstm_cell" + suffix] = _op_record(
+            "lstm_cell" + suffix,
+            lambda: nn.LSTMCell(remb, rhid, rng=np.random.default_rng(3)),
+            lambda dt: rng.normal(size=(rb, rseq, remb)).astype(dt),
+            lambda x, dt: rng.normal(size=(x.shape[0], rseq, rhid)).astype(dt),
+            repeats=repeats,
+        )
     ops["lstm_cell_eval"] = _eval_record(
         "lstm_cell_eval",
         lambda: nn.LSTMCell(k["emb"], k["hid"], rng=np.random.default_rng(3)),

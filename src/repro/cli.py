@@ -111,8 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(0 disables the discount)")
     run.add_argument("--sampler", default="uniform",
                      help="cohort sampler: uniform (historical stream) | "
-                          "reservoir | stratified[:k] — the latter two never "
-                          "enumerate the population")
+                          "reservoir (never enumerates the population)")
     run.add_argument("--history-mode", default="append",
                      help="round history: append (full record list) or stream "
                           "(O(1) running summaries)")

@@ -17,11 +17,9 @@ from repro.core.mmd import (
     linear_mmd,
     squared_linear_mmd,
     rbf_mmd,
-    multi_kernel_mmd,
     mean_embedding,
     median_heuristic,
 )
-from repro.core.coral import coral_distance, mean_and_coral_distance
 from repro.core.delta import DeltaSpillStore, DeltaTable
 from repro.core.regularizer import (
     DistributionRegularizer,
@@ -34,9 +32,6 @@ __all__ = [
     "linear_mmd",
     "squared_linear_mmd",
     "rbf_mmd",
-    "multi_kernel_mmd",
-    "coral_distance",
-    "mean_and_coral_distance",
     "mean_embedding",
     "median_heuristic",
     "DeltaTable",

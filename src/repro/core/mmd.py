@@ -124,24 +124,3 @@ def rbf_mmd(
     sum_yy = (kyy.sum() - np.trace(kyy)) / (m * (m - 1))
     stat = sum_xx + sum_yy - 2.0 * kxy.mean()
     return float(stat)  # can be slightly negative by construction
-
-
-def multi_kernel_mmd(
-    x: np.ndarray,
-    y: np.ndarray,
-    bandwidths: list[float] | None = None,
-) -> float:
-    """Multi-kernel MMD: mean of RBF MMDs over a bandwidth family.
-
-    The standard robustness trick (Long et al.'s DAN uses a geometric
-    family around the median heuristic) — no single bandwidth is right
-    for every feature scale.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if bandwidths is None:
-        base = median_heuristic(x, y)
-        bandwidths = [base * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
-    if not bandwidths:
-        raise DataError("need at least one bandwidth")
-    return float(np.mean([rbf_mmd(x, y, bandwidth=b) for b in bandwidths]))

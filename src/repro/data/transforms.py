@@ -1,9 +1,9 @@
-"""Input transforms / augmentations for image datasets.
+"""Per-client input styles for image datasets (feature-skew non-IIDness).
 
-Client-side augmentation is standard practice in FL image pipelines;
-these numpy transforms compose into a :class:`Pipeline` that can be
-applied to an :class:`~repro.data.dataset.ArrayDataset` (eagerly, so the
-training loop stays allocation-free) or per-batch.
+:func:`client_style_pipeline` gives each client a fixed brightness,
+shift and noise level; the numpy transforms compose into a
+:class:`Pipeline` that is applied to a client's images once, eagerly, so
+the training loop stays allocation-free.
 
 All transforms accept and return (N, C, H, W) arrays and take an
 explicit rng for reproducibility.
@@ -23,47 +23,6 @@ class Transform:
         raise NotImplementedError
 
 
-class RandomShift(Transform):
-    """Shift each image by up to ``max_pixels`` in each spatial axis."""
-
-    def __init__(self, max_pixels: int = 1) -> None:
-        if max_pixels < 0:
-            raise DataError("max_pixels must be non-negative")
-        self.max_pixels = max_pixels
-
-    def apply(self, images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        out = np.empty_like(images)
-        m = self.max_pixels
-        for i, img in enumerate(images):
-            dy, dx = rng.integers(-m, m + 1, size=2)
-            shifted = np.roll(img, (int(dy), int(dx)), axis=(1, 2))
-            if dy > 0:
-                shifted[:, :dy, :] = 0.0
-            elif dy < 0:
-                shifted[:, dy:, :] = 0.0
-            if dx > 0:
-                shifted[:, :, :dx] = 0.0
-            elif dx < 0:
-                shifted[:, :, dx:] = 0.0
-            out[i] = shifted
-        return out
-
-
-class HorizontalFlip(Transform):
-    """Flip each image left-right with probability ``prob``."""
-
-    def __init__(self, prob: float = 0.5) -> None:
-        if not 0.0 <= prob <= 1.0:
-            raise DataError("prob must be in [0, 1]")
-        self.prob = prob
-
-    def apply(self, images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        flips = rng.random(len(images)) < self.prob
-        out = images.copy()
-        out[flips] = out[flips, :, :, ::-1]
-        return out
-
-
 class GaussianNoise(Transform):
     """Additive pixel noise, clipped back to [0, 1]."""
 
@@ -77,26 +36,6 @@ class GaussianNoise(Transform):
             return images.copy()
         noisy = images + rng.normal(0.0, self.sigma, size=images.shape)
         return np.clip(noisy, 0.0, 1.0)
-
-
-class Cutout(Transform):
-    """Zero a random square patch of side ``size`` per image."""
-
-    def __init__(self, size: int = 3) -> None:
-        if size <= 0:
-            raise DataError("size must be positive")
-        self.size = size
-
-    def apply(self, images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        _n, _c, height, width = images.shape
-        if self.size > min(height, width):
-            raise DataError("cutout larger than image")
-        out = images.copy()
-        for img in out:
-            top = int(rng.integers(0, height - self.size + 1))
-            left = int(rng.integers(0, width - self.size + 1))
-            img[:, top : top + self.size, left : left + self.size] = 0.0
-        return out
 
 
 class Pipeline(Transform):
@@ -163,4 +102,3 @@ def client_style_pipeline(
     dx = int(rng.integers(-max_shift, max_shift + 1)) if max_shift else 0
     sigma = float(rng.uniform(0.0, 0.08) * strength)
     return Pipeline(BrightnessScale(factor), FixedShift(dy, dx), GaussianNoise(sigma))
-

@@ -22,9 +22,9 @@ from repro.nn.optim import LRSchedule
 EXECUTOR_MODES = ("auto", "serial", "process")
 EXECUTION_MODES = ("sync", "async", "serve")
 RUNTIME_KINDS = ("instant", "gaussian", "trace")
-OPTIMIZERS = ("sgd", "rmsprop", "adam")
+OPTIMIZERS = ("sgd", "rmsprop")
 DTYPES = ("float32", "float64")
-SAMPLER_KINDS = ("uniform", "reservoir", "stratified")
+SAMPLER_KINDS = ("uniform", "reservoir")
 HISTORY_MODES = ("append", "stream")
 COMPRESSION_STAGES = ("none", "topk", "randk", "subsample", "sketch", "qsgd", "sign", "quantize")
 TOPOLOGY_KINDS = ("flat", "hier")
@@ -72,20 +72,6 @@ def validate_runtime_spec(spec) -> str:
     """
     kind = str(spec).partition(":")[0]
     validate_choice("runtime", kind)
-    return spec
-
-
-def validate_sampler_spec(spec) -> str:
-    """Validate a ``sampler`` spec string (``kind[:strata]``).
-
-    The kind is registry-checked here; the optional strata parameter is
-    parsed (and errors) in :func:`repro.fl.sampling.parse_sampler_spec`.
-    """
-    kind = str(spec).partition(":")[0]
-    validate_choice("sampler", kind)
-    from repro.fl.sampling import parse_sampler_spec
-
-    parse_sampler_spec(spec)
     return spec
 
 
@@ -176,12 +162,13 @@ class FLConfig:
         batch_size: minibatch size B.
         sample_ratio: fraction of clients selected per round SR
             (1.0 = full participation, the cross-silo setting).
-        optimizer: 'sgd' | 'rmsprop' | 'adam' — the local optimizer.
+        optimizer: 'sgd' | 'rmsprop' — the local optimizer (the paper's
+            CNNs train with SGD, its Sent140 LSTM with RMSProp).
         lr: base learning rate (ignored when lr_schedule is given).
         lr_schedule: optional schedule over *global* SGD steps t = c*E+i,
             as in the convergence theory.
         eval_every: evaluate the global model every this many rounds.
-        eval_batch: evaluation minibatch size (memory knob only).
+        eval_batch: evaluation minibatch size, >= 1 (memory knob only).
         seed: master seed; all round/client randomness derives from it.
         wire_dtype_bytes: bytes per scalar on the wire for the
             communication ledger.  ``None`` (default) follows ``dtype``
@@ -242,13 +229,12 @@ class FLConfig:
             A resumed run is bit-identical to an uninterrupted one;
             resuming under a mismatched config raises
             :class:`~repro.exceptions.CheckpointMismatchError`.
-        sampler: cohort sampler spec — 'uniform' (the historical
-            ``Generator.choice`` path), 'reservoir' (Floyd's O(cohort)
-            selection that never enumerates the population), or
-            'stratified[:strata]' (proportional allocation over
-            contiguous id strata).  The sampler changes which cohorts a
-            seed draws, so it is numerically relevant and participates
-            in the checkpoint config hash.
+        sampler: cohort sampler — 'uniform' (the historical
+            ``Generator.choice`` path) or 'reservoir' (Floyd's O(cohort)
+            selection that never enumerates the population).  The
+            sampler changes which cohorts a seed draws, so it is
+            numerically relevant and participates in the checkpoint
+            config hash.
         dispatch_cap: async execution only — cap each client at one
             in-flight update: a sampled client whose previous dispatch
             has not arrived yet is skipped this round instead of being
@@ -380,6 +366,8 @@ class FLConfig:
             raise ConfigError("sample_ratio must be in (0, 1]")
         if self.eval_every <= 0:
             raise ConfigError("eval_every must be positive")
+        if self.eval_batch <= 0:
+            raise ConfigError("eval_batch must be positive")
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
         validate_choice("executor", self.executor)
@@ -401,7 +389,7 @@ class FLConfig:
             raise ConfigError("checkpoint_keep must be positive")
         if self.resume and self.checkpoint_dir is None:
             raise ConfigError("resume=True requires checkpoint_dir")
-        validate_sampler_spec(self.sampler)
+        validate_choice("sampler", self.sampler)
         validate_choice("history_mode", self.history_mode)
         if self.state_cap is not None and self.state_cap < 1:
             raise ConfigError("state_cap must be >= 1 (or None for no cap)")

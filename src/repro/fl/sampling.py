@@ -1,6 +1,6 @@
 """Client sampling.
 
-Three cohort samplers share one contract — return a sorted int64 array
+Two cohort samplers share one contract — return a sorted int64 array
 of distinct client ids:
 
 - :func:`sample_clients` (``sampler='uniform'``): the historical
@@ -10,13 +10,8 @@ of distinct client ids:
 - :func:`reservoir_sample` (``sampler='reservoir'``): Robert Floyd's
   reservoir-style selection — O(cohort) memory and O(cohort) RNG draws
   regardless of population size, never enumerating the id range.
-- :func:`stratified_sample` (``sampler='stratified[:strata]'``):
-  proportional allocation over contiguous id-range strata (largest
-  remainder), Floyd-sampled within each stratum.  Virtual populations
-  assign home labels by contiguous id blocks, so id strata double as
-  label strata.
 
-All three are deterministic functions of ``(num_clients, count, rng)``
+Both are deterministic functions of ``(num_clients, count, rng)``
 state, which is what lets checkpoint resume replay cohorts bit-exactly.
 """
 
@@ -76,99 +71,24 @@ def reservoir_sample(
     return np.sort(np.fromiter(selected, dtype=np.int64, count=count))
 
 
-def stratified_sample(
-    num_clients: int, count: int, rng: np.random.Generator, strata: int = 10
-) -> np.ndarray:
-    """``count`` ids stratified over ``strata`` contiguous id ranges.
-
-    The cohort is allocated proportionally to stratum sizes (largest
-    remainder, ties to lower strata), then Floyd-sampled within each
-    stratum — so every stratum of a skewed population is represented in
-    every cohort instead of only in expectation.  Memory and RNG cost
-    stay O(count + strata).
-    """
-    if strata < 1:
-        raise ConfigError(f"strata must be >= 1, got {strata}")
-    if num_clients <= 0:
-        raise ConfigError("num_clients must be positive")
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
-    if count >= num_clients:
-        return np.arange(num_clients)
-    strata = min(strata, num_clients, count)
-    bounds = np.linspace(0, num_clients, strata + 1).astype(np.int64)
-    sizes = np.diff(bounds)
-    # Largest-remainder proportional allocation, capped at stratum size.
-    exact = count * sizes / num_clients
-    alloc = np.floor(exact).astype(np.int64)
-    remainder = count - int(alloc.sum())
-    if remainder > 0:
-        order = np.argsort(-(exact - alloc), kind="stable")
-        alloc[order[:remainder]] += 1
-    # Cap at stratum sizes and push overflow to strata with headroom.
-    overflow = int(np.maximum(alloc - sizes, 0).sum())
-    alloc = np.minimum(alloc, sizes)
-    while overflow > 0:
-        headroom = np.flatnonzero(alloc < sizes)
-        take = headroom[: overflow]
-        alloc[take] += 1
-        overflow -= len(take)
-    parts = []
-    for s in range(strata):
-        if alloc[s] == 0:
-            continue
-        within = reservoir_sample(int(sizes[s]), int(alloc[s]), rng)
-        parts.append(within + bounds[s])
-    return np.sort(np.concatenate(parts))
-
-
-def parse_sampler_spec(spec: str) -> tuple[str, int | None]:
-    """Split a ``sampler`` spec into (kind, strata).
-
-    Accepted: ``'uniform'``, ``'reservoir'``, ``'stratified'``,
-    ``'stratified:<strata>'``.  Kind validity is checked by the choice
-    registry (:func:`repro.fl.config.validate_sampler_spec`); this
-    parses the parameter.
-    """
-    kind, _, param = str(spec).partition(":")
-    if not param:
-        return kind, None
-    if kind != "stratified":
-        raise ConfigError(f"sampler {kind!r} takes no parameter, got {spec!r}")
-    try:
-        strata = int(param)
-    except ValueError:
-        raise ConfigError(
-            f"sampler spec {spec!r}: strata must be an integer"
-        ) from None
-    if strata < 1:
-        raise ConfigError(f"sampler spec {spec!r}: strata must be >= 1")
-    return kind, strata
-
-
 def sample_cohort(
     num_clients: int,
     sample_ratio: float,
     rng: np.random.Generator,
     sampler: str = "uniform",
 ) -> np.ndarray:
-    """One round's cohort under the configured sampler spec.
+    """One round's cohort under the configured sampler.
 
     ``'uniform'`` is bit-identical to the historical
-    :func:`sample_clients` path; the scale-out samplers draw different
+    :func:`sample_clients` path; ``'reservoir'`` draws different
     (equally uniform) cohorts, so the sampler knob is part of a run's
     numeric identity and participates in the checkpoint config hash.
     """
-    kind, strata = parse_sampler_spec(sampler)
     count = _cohort_count(num_clients, sample_ratio)
-    if kind == "uniform":
+    if sampler == "uniform":
         return sample_clients(num_clients, sample_ratio, rng)
+    if sampler != "reservoir":
+        raise ConfigError(f"unknown sampler {sampler!r}")
     if sample_ratio >= 1.0:
         return np.arange(num_clients)
-    if kind == "reservoir":
-        return reservoir_sample(num_clients, count, rng)
-    if kind == "stratified":
-        return stratified_sample(
-            num_clients, count, rng, strata=strata if strata is not None else 10
-        )
-    raise ConfigError(f"unknown sampler kind {kind!r}")
+    return reservoir_sample(num_clients, count, rng)

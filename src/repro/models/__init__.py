@@ -8,7 +8,7 @@ followed by a classification ``head``.
 
 from repro.models.split import SplitModel
 from repro.models.cnn import build_cnn
-from repro.models.lstm import build_gru_classifier, build_lstm_classifier
+from repro.models.lstm import build_lstm_classifier
 from repro.models.mlp import build_mlp
 from repro.models.logistic import build_logistic
 from repro.models.zoo import build_model, MODEL_BUILDERS
@@ -17,7 +17,6 @@ __all__ = [
     "SplitModel",
     "build_cnn",
     "build_lstm_classifier",
-    "build_gru_classifier",
     "build_mlp",
     "build_logistic",
     "build_model",

@@ -52,30 +52,3 @@ def build_lstm_classifier(
     )
     head = nn.Linear(feature_dim, num_classes, rng=rng)
     return SplitModel(features, head, feature_dim=feature_dim)
-
-
-def build_gru_classifier(
-    vocab_size: int,
-    num_classes: int,
-    rng: np.random.Generator,
-    embed_dim: int = 50,
-    hidden_dim: int = 256,
-    feature_dim: int = 256,
-    num_layers: int = 2,
-    scale: float = 1.0,
-) -> SplitModel:
-    """GRU variant of the sequence classifier (25% smaller recurrent
-    payload than the LSTM — see the model-size test)."""
-    if scale != 1.0:
-        embed_dim = max(8, int(round(embed_dim * scale)))
-        hidden_dim = max(8, int(round(hidden_dim * scale)))
-        feature_dim = max(8, int(round(feature_dim * scale)))
-    features = nn.Sequential(
-        nn.Embedding(vocab_size, embed_dim, rng=rng),
-        nn.GRU(embed_dim, hidden_dim, num_layers=num_layers, rng=rng),
-        nn.LastTimestep(),
-        nn.Linear(hidden_dim, feature_dim, rng=rng),
-        nn.ReLU(),
-    )
-    head = nn.Linear(feature_dim, num_classes, rng=rng)
-    return SplitModel(features, head, feature_dim=feature_dim)

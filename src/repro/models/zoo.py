@@ -8,7 +8,7 @@ from repro.data.dataset import DatasetSpec
 from repro.exceptions import ConfigError
 from repro.models.cnn import build_cnn
 from repro.models.logistic import build_logistic
-from repro.models.lstm import build_gru_classifier, build_lstm_classifier
+from repro.models.lstm import build_lstm_classifier
 from repro.models.mlp import build_mlp
 from repro.models.split import SplitModel
 
@@ -27,13 +27,6 @@ def _build_lstm(spec: DatasetSpec, rng: np.random.Generator, scale: float) -> Sp
         raise ConfigError(f"lstm needs a sequence dataset, got {spec.kind}")
     assert spec.vocab_size is not None
     return build_lstm_classifier(spec.vocab_size, spec.num_classes, rng, scale=scale)
-
-
-def _build_gru(spec: DatasetSpec, rng: np.random.Generator, scale: float) -> SplitModel:
-    if spec.kind != "sequence":
-        raise ConfigError(f"gru needs a sequence dataset, got {spec.kind}")
-    assert spec.vocab_size is not None
-    return build_gru_classifier(spec.vocab_size, spec.num_classes, rng, scale=scale)
 
 
 def _build_mlp(spec: DatasetSpec, rng: np.random.Generator, scale: float) -> SplitModel:
@@ -58,7 +51,6 @@ def _build_logistic(spec: DatasetSpec, rng: np.random.Generator, scale: float) -
 MODEL_BUILDERS = {
     "cnn": _build_cnn,
     "lstm": _build_lstm,
-    "gru": _build_gru,
     "mlp": _build_mlp,
     "logistic": _build_logistic,
 }
@@ -70,7 +62,8 @@ def build_model(
     """Build a named model for a dataset spec.
 
     Args:
-        name: 'cnn' | 'lstm' | 'mlp' | 'logistic'.
+        name: 'cnn' | 'lstm' | 'mlp' | 'logistic'; any other name raises
+            :class:`~repro.exceptions.ConfigError`.
         spec: dataset description (shapes, classes, vocab).
         seed: weight-init seed — identical seeds give bit-identical
             initial global models, which federated runs require.

@@ -26,38 +26,29 @@ from repro.nn.dtype import (
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn.linear import Linear
 from repro.nn.conv import Conv2d
-from repro.nn.pooling import MaxPool2d, AvgPool2d
+from repro.nn.pooling import MaxPool2d
 from repro.nn.activations import ReLU, Tanh, Sigmoid, LeakyReLU
 from repro.nn.dropout import Dropout
-from repro.nn.norm import LayerNorm, BatchNorm1d
 from repro.nn.embedding import Embedding
 from repro.nn.recurrent import LSTM, LSTMCell, LastTimestep
-from repro.nn.gru import GRU, GRUCell
 from repro.nn.reshape import Flatten
 from repro.nn.losses import (
     Loss,
     SoftmaxCrossEntropy,
     MeanSquaredError,
-    BinaryCrossEntropy,
 )
 from repro.nn.optim import (
     Optimizer,
     SGD,
     RMSProp,
-    Adam,
     ConstantLR,
     InverseDecayLR,
-    StepLR,
 )
 from repro.nn.serialization import (
     get_flat_params,
     set_flat_params,
     get_flat_grads,
     num_params,
-    save_params,
-    load_params,
-    save_state,
-    load_state,
 )
 from repro.nn import functional
 
@@ -71,39 +62,27 @@ __all__ = [
     "Linear",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
     "ReLU",
     "Tanh",
     "Sigmoid",
     "LeakyReLU",
     "Dropout",
-    "LayerNorm",
-    "BatchNorm1d",
     "Embedding",
     "LSTM",
     "LSTMCell",
-    "GRU",
-    "GRUCell",
     "LastTimestep",
     "Flatten",
     "Loss",
     "SoftmaxCrossEntropy",
     "MeanSquaredError",
-    "BinaryCrossEntropy",
     "Optimizer",
     "SGD",
     "RMSProp",
-    "Adam",
     "ConstantLR",
     "InverseDecayLR",
-    "StepLR",
     "get_flat_params",
     "set_flat_params",
     "get_flat_grads",
     "num_params",
-    "save_params",
-    "load_params",
-    "save_state",
-    "load_state",
     "functional",
 ]

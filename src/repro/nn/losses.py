@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.activations import sigmoid
-
 
 class Loss:
     """Interface for batch-mean losses."""
@@ -73,30 +71,3 @@ class MeanSquaredError(Loss):
         if self._diff is None:
             raise RuntimeError("backward called before forward")
         return 2.0 * self._diff / self._diff.size
-
-
-class BinaryCrossEntropy(Loss):
-    """Binary cross-entropy on a single logit column (B,) or (B, 1)."""
-
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._target: np.ndarray | None = None
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        self._shape = pred.shape
-        logits = pred.reshape(-1)
-        target = np.asarray(target, dtype=pred.dtype).reshape(-1)
-        probs = sigmoid(logits)
-        self._probs = probs
-        self._target = target
-        eps = 1e-12
-        return float(
-            -(target * np.log(probs + eps) + (1 - target) * np.log(1 - probs + eps)).mean()
-        )
-
-    def backward(self) -> np.ndarray:
-        if self._probs is None or self._target is None or self._shape is None:
-            raise RuntimeError("backward called before forward")
-        grad = (self._probs - self._target) / self._probs.shape[0]
-        return grad.reshape(self._shape)

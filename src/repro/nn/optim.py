@@ -45,18 +45,6 @@ class InverseDecayLR(LRSchedule):
         return self.scale / (self.gamma + step)
 
 
-class StepLR(LRSchedule):
-    """Multiply the base rate by ``decay`` every ``every`` steps."""
-
-    def __init__(self, lr: float, every: int, decay: float = 0.5) -> None:
-        self.lr = lr
-        self.every = every
-        self.decay = decay
-
-    def rate(self, step: int) -> float:
-        return self.lr * (self.decay ** (step // self.every))
-
-
 def _as_schedule(lr: float | LRSchedule) -> LRSchedule:
     if isinstance(lr, LRSchedule):
         return lr
@@ -69,14 +57,7 @@ class Optimizer:
     ``max_grad_norm`` optionally applies global-norm gradient clipping
     before every update (the standard stabilizer for recurrent models
     and for SCAFFOLD-style corrected gradients).
-
-    Subclasses declare their per-parameter slot buffers in ``_slots``
-    (attribute names holding one array per parameter), which makes
-    :meth:`state_dict` / :meth:`load_state_dict` work for every
-    optimizer here without per-class serialization code.
     """
-
-    _slots: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -119,59 +100,9 @@ class Optimizer:
         for p in self.params:
             p.zero_grad()
 
-    # -- checkpointing -----------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Step counter plus every per-parameter slot buffer (copies)."""
-        return {
-            "step_count": self.step_count,
-            "slots": {
-                name.lstrip("_"): [np.array(a, copy=True) for a in getattr(self, name)]
-                for name in self._slots
-            },
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot into this optimizer.
-
-        The optimizer must wrap the same parameter list the snapshot was
-        taken from — slot names, counts, and per-slot shapes are all
-        checked, and values are copied into the existing buffers.
-        """
-        expected = {name.lstrip("_") for name in self._slots}
-        stored = set(state.get("slots", {}))
-        if stored != expected:
-            raise ValueError(
-                f"optimizer slot mismatch: snapshot has {sorted(stored)}, "
-                f"{type(self).__name__} expects {sorted(expected)}"
-            )
-        # Validate fully before mutating, so a bad snapshot cannot leave
-        # the optimizer half-loaded.
-        checked: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
-        for name in self._slots:
-            buffers = getattr(self, name)
-            arrays = [np.asarray(a) for a in state["slots"][name.lstrip("_")]]
-            if len(arrays) != len(buffers):
-                raise ValueError(
-                    f"slot {name.lstrip('_')!r} has {len(arrays)} arrays, "
-                    f"optimizer has {len(buffers)} parameters"
-                )
-            for i, (buf, arr) in enumerate(zip(buffers, arrays)):
-                if arr.shape != buf.shape:
-                    raise ValueError(
-                        f"slot {name.lstrip('_')!r}[{i}] shape mismatch: "
-                        f"{arr.shape} vs {buf.shape}"
-                    )
-            checked.append((buffers, arrays))
-        for buffers, arrays in checked:
-            for buf, arr in zip(buffers, arrays):
-                buf[...] = arr
-        self.step_count = int(state["step_count"])
-
 
 class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay."""
-
-    _slots = ("_velocity",)
 
     def __init__(
         self,
@@ -204,8 +135,6 @@ class SGD(Optimizer):
 class RMSProp(Optimizer):
     """RMSProp as used for the paper's Sent140 LSTM (lr=0.01)."""
 
-    _slots = ("_sq_avg",)
-
     def __init__(
         self,
         params: list[Parameter],
@@ -226,42 +155,11 @@ class RMSProp(Optimizer):
             p.data -= lr * p.grad / (np.sqrt(sq) + self.eps)
 
 
-class Adam(Optimizer):
-    _slots = ("_m", "_v")
-
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float | LRSchedule,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        max_grad_norm: float | None = None,
-    ) -> None:
-        super().__init__(params, lr, max_grad_norm)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-
-    def _apply(self, lr: float) -> None:
-        t = self.step_count + 1
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
-        for p, m, v in zip(self.params, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
 def make_optimizer(
     name: str, params: list[Parameter], lr: float | LRSchedule
 ) -> Optimizer:
-    """Factory used by experiment configs ('sgd' | 'rmsprop' | 'adam')."""
-    table = {"sgd": SGD, "rmsprop": RMSProp, "adam": Adam}
+    """Factory used by experiment configs ('sgd' | 'rmsprop')."""
+    table = {"sgd": SGD, "rmsprop": RMSProp}
     key = name.lower()
     if key not in table:
         raise ValueError(f"unknown optimizer {name!r}; choose from {sorted(table)}")

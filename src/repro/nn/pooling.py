@@ -79,36 +79,3 @@ class MaxPool2d(Module):
         for weight, position in zip(self._weights, self._positions(grad)):
             np.multiply(weight, grad_out, out=position)
         return grad
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling with a square window."""
-
-    def __init__(self, pool_size: int = 2) -> None:
-        super().__init__()
-        self.pool_size = pool_size
-        self._x_shape: tuple[int, ...] | None = None
-
-    def _free_buffers(self) -> None:
-        self._x_shape = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        p = self.pool_size
-        if height % p or width % p:
-            raise ValueError(
-                f"AvgPool2d: spatial dims ({height},{width}) not divisible by {p}"
-            )
-        self._x_shape = x.shape
-        blocks = x.reshape(batch, channels, height // p, p, width // p, p)
-        return blocks.mean(axis=(3, 5))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        p = self.pool_size
-        grad = grad_out[:, :, :, None, :, None] / (p * p)
-        grad = np.broadcast_to(
-            grad, grad_out.shape[:3] + (p,) + grad_out.shape[3:4] + (p,)
-        )
-        return grad.reshape(self._x_shape)

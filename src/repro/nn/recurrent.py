@@ -1,10 +1,10 @@
 """Multi-layer LSTM with exact backpropagation through time.
 
 The Sent140 model in the paper is a 2-layer LSTM followed by a fully
-connected layer.  This module implements an :class:`LSTMCell` (one step),
-an :class:`LSTM` (a stack of layers unrolled over a full sequence), and
-:class:`LastTimestep` (extracts the final hidden state for
-classification heads).
+connected layer.  This module implements :class:`LSTMCell` (one layer
+unrolled over a sequence, the package's one recurrent cell),
+:class:`LSTM` (a stack of cells), and :class:`LastTimestep` (extracts the
+final hidden state for classification heads).
 
 Kernel design (``docs/performance.md``, "The Sent140 LSTM path"): every
 sequence-long array is time-major ``(T, B, ·)`` and the gate cache
@@ -15,12 +15,12 @@ cell and :class:`LastTimestep` their contiguous blocks for free.  The
 input projection is one ``(T*B, in) @ (in, 4H)`` GEMM outside the time
 loop, a step activates its ``(B, 4H)`` row with one branch-free sigmoid
 (then tanh over the g slot), and backward applies the gate derivatives
-to all four gates at once.  All buffers live in one scratch per cell
-(:class:`RecurrentCell`), reused across a client's steps; an eval-mode
-forward keeps no backward state.  BLAS GEMM rows are independent and
-every elementwise chain keeps the reference's operands and association,
-so every value matches :class:`repro.nn.reference.ReferenceLSTMCell` bit
-for bit in float64 — the equivalence tests enforce exactly that.  The
+to all four gates at once.  All buffers live in one scratch per cell,
+reused across a client's steps; an eval-mode forward keeps no backward
+state.  BLAS GEMM rows are independent and every elementwise chain keeps
+the reference's operands and association, so every value matches
+:class:`repro.nn.reference.ReferenceLSTMCell` bit for bit in float64 —
+the equivalence tests enforce exactly that.  The
 five per-step backward GEMMs are the documented floor: hoisted over the
 sequence they are not byte-equal and bought under 10 % of the workload.
 Everything follows the input/parameter dtype: float32 stays float32.
@@ -37,24 +37,46 @@ from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.module import Module, Parameter
 
 
-class RecurrentCell(Module):
-    """What :class:`LSTMCell` and :class:`~repro.nn.gru.GRUCell` share:
-    the backward cache and one reusable scratch.
+class LSTMCell(Module):
+    """Single LSTM layer unrolled over time.
 
-    The scratch is a namespace of zeroed buffers, named and shaped by the
-    subclass's ``_scratch_shapes(batch, depth)`` (``depth`` timesteps of
-    backward state).  A training forward keeps it while ``(x.shape, dtype)``
-    matches and ``free_buffers()`` drops it — the
-    :class:`~repro.nn.conv.Im2colWorkspace` contract.  Reuse is layout-only:
-    every buffer but ``zero`` (the initial state, never written) is
-    rewritten before it is read, and none is returned to a caller.
+    Input: (B, T, input_dim).  Output: the full hidden sequence
+    (B, T, hidden_dim).  Gate order in the fused weight matrix is
+    [input, forget, cell, output].  The forget-gate bias starts at 1.0
+    (standard remedy for vanishing memory early in training).
+
+    Every buffer a forward and backward use lives in one scratch, a
+    namespace of zeroed arrays.  A training forward keeps it while
+    ``(x.shape, dtype)`` matches and ``free_buffers()`` drops it — the
+    :class:`~repro.nn.conv.Im2colWorkspace` contract.  Reuse is
+    layout-only: every buffer but ``zero`` (the initial state, never
+    written) is rewritten before it is read, and none is returned to a
+    caller.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None = None
+    ) -> None:
         super().__init__()
         # xt and hs of the last training forward; its other backward state is in the scratch.
         self._cache: dict | None = None
         self._scratch: SimpleNamespace | None = None
+        rng = rng if rng is not None else np.random.default_rng(0)
+        self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
+        self.w_x = Parameter(
+            glorot_uniform(rng, (input_dim, 4 * hidden_dim), input_dim, hidden_dim),
+            name="lstm.w_x",
+        )
+        self.w_h = Parameter(
+            np.concatenate(
+                [orthogonal(rng, (hidden_dim, hidden_dim)) for _ in range(4)], axis=1
+            ),
+            name="lstm.w_h",
+        )
+        bias = zeros((4 * hidden_dim,))
+        bias[hidden_dim : 2 * hidden_dim] = 1.0  # forget gate
+        self.bias = Parameter(bias, name="lstm.bias")
 
     def _free_buffers(self) -> None:
         self._cache = None
@@ -74,11 +96,19 @@ class RecurrentCell(Module):
         key = (x.shape, np.result_type(x.dtype, w_x.dtype))
         ws = self._scratch if self.training else None
         if ws is None or ws.key != key:
-            shapes = self._scratch_shapes(batch, steps if self.training else 1)
-            shapes.update(
-                xt=(steps, batch, in_dim), xw=(steps, batch, w_x.shape[1]),
-                zero=(batch, self.hidden_dim),
+            hid, depth = self.hidden_dim, steps if self.training else 1
+            row, state, slots = (batch, 4 * hid), (batch, hid), (4, batch, hid)
+            shapes = dict(
+                cells=(depth, batch, hid), tanh_cells=(depth, batch, hid), gates=(depth, *slots),
+                z=row, act=row, prod=state, xt=(steps, batch, in_dim), xw=(steps, batch, 4 * hid),
+                zero=state,
             )
+            if self.training:
+                shapes.update(
+                    f=slots, g=slots, s=slots, dz=row, q=state, dh=state, dc=state,
+                    dh_next=state, dc_next=state, gw_x=w_x.shape, gw_h=self.w_h.data.shape,
+                    gbias=(4 * hid,),
+                )
             ws = SimpleNamespace(
                 key=key, **{name: np.zeros(shape, dtype=key[1]) for name, shape in shapes.items()}
             )
@@ -98,50 +128,6 @@ class RecurrentCell(Module):
         else:
             np.matmul(xt.reshape(steps * batch, in_dim), w_x, out=ws.xw.reshape(steps * batch, -1))
         return ws, xt
-
-
-class LSTMCell(RecurrentCell):
-    """Single LSTM layer unrolled over time.
-
-    Input: (B, T, input_dim).  Output: the full hidden sequence
-    (B, T, hidden_dim).  Gate order in the fused weight matrix is
-    [input, forget, cell, output].  The forget-gate bias starts at 1.0
-    (standard remedy for vanishing memory early in training).
-    """
-
-    def __init__(
-        self, input_dim: int, hidden_dim: int, rng: np.random.Generator | None = None
-    ) -> None:
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.input_dim = input_dim
-        self.hidden_dim = hidden_dim
-        self.w_x = Parameter(
-            glorot_uniform(rng, (input_dim, 4 * hidden_dim), input_dim, hidden_dim),
-            name="lstm.w_x",
-        )
-        self.w_h = Parameter(
-            np.concatenate(
-                [orthogonal(rng, (hidden_dim, hidden_dim)) for _ in range(4)], axis=1
-            ),
-            name="lstm.w_h",
-        )
-        bias = zeros((4 * hidden_dim,))
-        bias[hidden_dim : 2 * hidden_dim] = 1.0  # forget gate
-        self.bias = Parameter(bias, name="lstm.bias")
-
-    def _scratch_shapes(self, batch: int, depth: int) -> dict:
-        hid = self.hidden_dim
-        row, state, slots = (batch, 4 * hid), (batch, hid), (4, batch, hid)
-        shapes = dict.fromkeys(("cells", "tanh_cells"), (depth, batch, hid))
-        shapes.update(gates=(depth, *slots), z=row, act=row, prod=state)
-        if self.training:
-            shapes.update(
-                f=slots, g=slots, s=slots, dz=row, q=state, dh=state, dc=state, dh_next=state,
-                dc_next=state, gw_x=self.w_x.data.shape, gw_h=self.w_h.data.shape,
-                gbias=(4 * hid,),
-            )
-        return shapes
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         ws, xt = self._begin(x)

@@ -1,8 +1,8 @@
 """Reference (pre-optimization) kernels kept as equivalence oracles.
 
 The optimized hot-path kernels in :mod:`repro.nn.conv`,
-:mod:`repro.nn.pooling`, :mod:`repro.nn.activations`,
-:mod:`repro.nn.recurrent` and :mod:`repro.nn.gru` are required to be
+:mod:`repro.nn.pooling`, :mod:`repro.nn.activations` and
+:mod:`repro.nn.recurrent` are required to be
 *bit-for-bit* identical to these straightforward
 implementations in float64 — that is the contract that lets the kernel
 rewrites ship without re-validating every paper experiment.  The equivalence tests
@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.conv import Conv2d
-from repro.nn.gru import GRUCell
 from repro.nn.module import Module
 from repro.nn.pooling import MaxPool2d
 from repro.nn.recurrent import LSTMCell
@@ -240,85 +239,10 @@ class ReferenceLSTMCell(LSTMCell):
         return grad_x
 
 
-class ReferenceGRUCell(GRUCell):
-    """Original GRU step: per-timestep input GEMM."""
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, steps, _ = x.shape
-        hid = self.hidden_dim
-        h = np.zeros((batch, hid))
-        hs = np.zeros((batch, steps, hid))
-        cache = {
-            "x": x,
-            "z": np.zeros((batch, steps, hid)),
-            "r": np.zeros((batch, steps, hid)),
-            "n": np.zeros((batch, steps, hid)),
-            "h_prev": np.zeros((batch, steps, hid)),
-            "hu_n": np.zeros((batch, steps, hid)),
-        }
-        u_z = self.w_h.data[:, :hid]
-        u_r = self.w_h.data[:, hid : 2 * hid]
-        u_n = self.w_h.data[:, 2 * hid :]
-        for t in range(steps):
-            cache["h_prev"][:, t] = h
-            xw = x[:, t] @ self.w_x.data + self.bias.data
-            z = sigmoid_reference(xw[:, :hid] + h @ u_z)
-            r = sigmoid_reference(xw[:, hid : 2 * hid] + h @ u_r)
-            hu_n = h @ u_n
-            n = np.tanh(xw[:, 2 * hid :] + r * hu_n)
-            h = (1.0 - z) * n + z * h
-            cache["z"][:, t], cache["r"][:, t] = z, r
-            cache["n"][:, t], cache["hu_n"][:, t] = n, hu_n
-            hs[:, t] = h
-        self._cache = cache
-        return hs
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        cache = self._cache
-        x = cache["x"]
-        batch, steps, _ = x.shape
-        hid = self.hidden_dim
-        u_z = self.w_h.data[:, :hid]
-        u_r = self.w_h.data[:, hid : 2 * hid]
-        u_n = self.w_h.data[:, 2 * hid :]
-        grad_x = np.zeros_like(x)
-        dh_next = np.zeros((batch, hid))
-        for t in reversed(range(steps)):
-            z, r = cache["z"][:, t], cache["r"][:, t]
-            n, hu_n = cache["n"][:, t], cache["hu_n"][:, t]
-            h_prev = cache["h_prev"][:, t]
-            dh = grad_out[:, t] + dh_next
-            dz = dh * (h_prev - n)
-            dn = dh * (1.0 - z)
-            dh_prev = dh * z
-            dn_pre = dn * (1.0 - n**2)
-            dr = dn_pre * hu_n
-            dz_pre = dz * z * (1.0 - z)
-            dr_pre = dr * r * (1.0 - r)
-            dxw = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
-            self.w_x.grad += x[:, t].T @ dxw
-            self.bias.grad += dxw.sum(axis=0)
-            self.w_h.grad[:, :hid] += h_prev.T @ dz_pre
-            self.w_h.grad[:, hid : 2 * hid] += h_prev.T @ dr_pre
-            self.w_h.grad[:, 2 * hid :] += h_prev.T @ (dn_pre * r)
-            grad_x[:, t] = dxw @ self.w_x.data.T
-            dh_prev = (
-                dh_prev
-                + dz_pre @ u_z.T
-                + dr_pre @ u_r.T
-                + (dn_pre * r) @ u_n.T
-            )
-            dh_next = dh_prev
-        return grad_x
-
-
 _REFERENCE_CLASSES = {
     Conv2d: ReferenceConv2d,
     MaxPool2d: ReferenceMaxPool2d,
     LSTMCell: ReferenceLSTMCell,
-    GRUCell: ReferenceGRUCell,
 }
 
 

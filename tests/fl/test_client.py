@@ -6,7 +6,7 @@ import pytest
 from repro.data.dataset import ArrayDataset
 from repro.fl.client import compute_mean_embedding, evaluate_model, local_sgd_steps
 from repro.fl.config import FLConfig
-from repro.models import build_cnn, build_gru_classifier, build_lstm_classifier, build_mlp
+from repro.models import build_cnn, build_lstm_classifier, build_mlp
 from repro.nn.serialization import get_flat_params
 
 
@@ -155,7 +155,7 @@ def test_forward_only_helpers_leave_no_activation_cache(rng, helper):
     assert model.training
 
 
-@pytest.mark.parametrize("build", [build_lstm_classifier, build_gru_classifier])
+@pytest.mark.parametrize("build", [build_lstm_classifier])
 @pytest.mark.parametrize("helper", [evaluate_model, compute_mean_embedding])
 def test_forward_only_helpers_leave_nothing_on_recurrent_models(rng, helper, build, monkeypatch):
     model = build(30, 2, rng, scale=0.1)

@@ -21,6 +21,11 @@ def test_defaults_valid():
         {"sample_ratio": 0.0},
         {"sample_ratio": 1.5},
         {"eval_every": 0},
+        {"eval_batch": 0},
+        {"eval_batch": -1},
+        {"optimizer": "adam"},
+        {"sampler": "stratified:4"},
+        {"sampler": "uniform:5"},
     ],
 )
 def test_invalid_fields_rejected(kwargs):
@@ -93,7 +98,7 @@ def test_state_sharding_knob_is_gone(capsys):
         ({"history_mode": "strem"}, "stream"),
         ({"execution": "asynch"}, "async"),
         ({"runtime": "instan"}, "instant"),
-        ({"optimizer": "adan"}, "adam"),
+        ({"optimizer": "rmsprp"}, "rmsprop"),
         ({"dtype": "float62"}, "float64"),
     ],
 )

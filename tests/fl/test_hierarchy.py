@@ -216,10 +216,10 @@ def test_single_client_regions(toy_federation):
     assert history.final_accuracy is not None
 
 
-def test_stratified_sampler_hier_identity(toy_federation):
-    """Stratified cohorts compose with region slices: hier:1:1 still
+def test_reservoir_sampler_hier_identity(toy_federation):
+    """Reservoir cohorts compose with region slices: hier:1:1 still
     reproduces the flat engine exactly."""
-    config = _config(sample_ratio=0.5, sampler="stratified:2")
+    config = _config(sample_ratio=0.5, sampler="reservoir")
     flat = make_algorithm("fedavg")
     run_federated(flat, toy_federation, _model_fn(toy_federation), config)
     hier = make_algorithm("fedavg")

@@ -1,9 +1,9 @@
 """Property-based tests for the scale-out cohort samplers.
 
-Reservoir (Floyd) and stratified sampling must behave like uniform
-sampling in every observable way that matters — determinism under a
-fixed seed, sorted unique cohorts, exact proportions — while never
-enumerating the population.  Cases sweep a grid of populations, ratios
+Reservoir (Floyd) sampling must behave like uniform sampling in every
+observable way that matters — determinism under a fixed seed, sorted
+unique cohorts, exact proportions — while never enumerating the
+population.  Cases sweep a grid of populations, ratios
 and seeds rather than single examples.
 """
 
@@ -13,13 +13,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigError
-from repro.fl.sampling import (
-    parse_sampler_spec,
-    reservoir_sample,
-    sample_clients,
-    sample_cohort,
-    stratified_sample,
-)
+from repro.fl.sampling import reservoir_sample, sample_clients, sample_cohort
 
 POPULATIONS = (1, 2, 7, 64, 1000, 12345)
 RATIOS = (0.01, 0.1, 0.5, 1.0)
@@ -33,7 +27,7 @@ def _grid():
                 yield num, ratio, seed
 
 
-@pytest.mark.parametrize("sampler", ["uniform", "reservoir", "stratified:10"])
+@pytest.mark.parametrize("sampler", ["uniform", "reservoir"])
 def test_determinism_under_fixed_seed(sampler):
     for num, ratio, seed in _grid():
         a = sample_cohort(num, ratio, np.random.default_rng(seed), sampler=sampler)
@@ -41,7 +35,7 @@ def test_determinism_under_fixed_seed(sampler):
         np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("sampler", ["uniform", "reservoir", "stratified:10"])
+@pytest.mark.parametrize("sampler", ["uniform", "reservoir"])
 def test_cohorts_are_sorted_unique_in_range(sampler):
     for num, ratio, seed in _grid():
         cohort = sample_cohort(
@@ -55,7 +49,7 @@ def test_cohorts_are_sorted_unique_in_range(sampler):
             assert cohort.min() >= 0 and cohort.max() < num
 
 
-@pytest.mark.parametrize("sampler", ["uniform", "reservoir", "stratified:10"])
+@pytest.mark.parametrize("sampler", ["uniform", "reservoir"])
 def test_exact_uniformity_at_full_participation(sampler):
     """ratio=1.0: the cohort is exactly the whole population."""
     for num in POPULATIONS:
@@ -109,50 +103,6 @@ def test_reservoir_matches_uniform_distribution_statistically():
     expected = trials * count / num
     # Binomial std is sqrt(trials * p * (1-p)) ~ 6; allow 5 sigma.
     assert np.abs(hits - expected).max() < 5 * np.sqrt(expected)
-
-
-def test_stratified_proportions_are_largest_remainder_exact():
-    """Each stratum contributes floor or ceil of its proportional share."""
-    for strata in (2, 5, 10):
-        for num, count in ((1000, 100), (997, 31), (64, 7)):
-            cohort = stratified_sample(
-                num, count, np.random.default_rng(7), strata=strata
-            )
-            bounds = np.linspace(0, num, strata + 1).astype(np.int64)
-            per = np.array([
-                np.count_nonzero((cohort >= lo) & (cohort < hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ])
-            assert per.sum() == len(cohort)
-            share = count * np.diff(bounds) / num
-            assert (per >= np.floor(share) - 1).all()
-            assert (per <= np.ceil(share) + 1).all()
-
-
-def test_stratified_covers_every_stratum_when_count_allows():
-    cohort = stratified_sample(1000, 100, np.random.default_rng(0), strata=10)
-    bounds = np.linspace(0, 1000, 11).astype(np.int64)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        assert np.count_nonzero((cohort >= lo) & (cohort < hi)) > 0
-
-
-def test_stratified_handles_more_strata_than_cohort():
-    cohort = stratified_sample(1000, 3, np.random.default_rng(2), strata=10)
-    assert len(cohort) == 3
-    assert len(np.unique(cohort)) == 3
-
-
-def test_parse_sampler_spec():
-    assert parse_sampler_spec("uniform") == ("uniform", None)
-    assert parse_sampler_spec("reservoir") == ("reservoir", None)
-    assert parse_sampler_spec("stratified") == ("stratified", None)
-    assert parse_sampler_spec("stratified:25") == ("stratified", 25)
-    with pytest.raises(ConfigError):
-        parse_sampler_spec("stratified:0")
-    with pytest.raises(ConfigError):
-        parse_sampler_spec("stratified:abc")
-    with pytest.raises(ConfigError):
-        parse_sampler_spec("uniform:5")  # only stratified takes a parameter
 
 
 def test_sample_cohort_rejects_unknown_sampler():

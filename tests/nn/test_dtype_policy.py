@@ -114,17 +114,8 @@ def _f32_cnn():
             ),
             lambda rng: rng.integers(0, 11, size=(3, 6)),
         ),
-        (
-            lambda: nn.Sequential(
-                nn.Embedding(11, 4, rng=np.random.default_rng(1)),
-                nn.GRU(4, 5, num_layers=1, rng=np.random.default_rng(2)),
-                nn.LastTimestep(),
-                nn.Linear(5, 3, rng=np.random.default_rng(3)),
-            ),
-            lambda rng: rng.integers(0, 11, size=(3, 6)),
-        ),
     ],
-    ids=["cnn", "mlp-dropout", "lstm", "gru"],
+    ids=["cnn", "mlp-dropout", "lstm"],
 )
 def test_float32_model_never_upcasts(rng, build, make_input):
     with nn.default_dtype("float32"):

@@ -21,7 +21,6 @@ from repro.fl.client import local_sgd_steps
 from repro.fl.config import FLConfig
 from repro.models import (
     build_cnn,
-    build_gru_classifier,
     build_logistic,
     build_lstm_classifier,
     build_mlp,
@@ -29,7 +28,6 @@ from repro.models import (
 from repro.models.split import SplitModel
 from repro.nn.activations import sigmoid
 from repro.nn.conv import Conv2d, col2im, im2col
-from repro.nn.gru import GRUCell
 from repro.nn.recurrent import LSTMCell
 from repro.nn.reference import (
     as_reference,
@@ -123,10 +121,8 @@ def test_conv2d_matches_reference_bitwise(rng):
     [
         (LSTMCell, (13, 16, 4, 7)),
         (LSTMCell, (25, 32, 9, 12)),
-        (GRUCell, (13, 16, 4, 7)),
-        (GRUCell, (25, 32, 9, 12)),
     ],
-    ids=["lstm-small", "lstm-wide", "gru-small", "gru-wide"],
+    ids=["lstm-small", "lstm-wide"],
 )
 def test_recurrent_cell_matches_reference_bitwise(rng, cell_cls, dims):
     in_dim, hid, batch, steps = dims
@@ -211,7 +207,6 @@ ZOO = {
     "logistic": (lambda r: build_logistic(48, 4, r), _images(4, 3)),
     "linear": (_bare_linear, lambda r: r.normal(size=(6, 12))),
     "lstm": (lambda r: build_lstm_classifier(30, 4, r, scale=0.1), _tokens),
-    "gru": (lambda r: build_gru_classifier(30, 4, r, scale=0.1), _tokens),
 }
 
 

@@ -22,7 +22,6 @@ from repro.fl.client import compute_mean_embedding, local_sgd_steps
 from repro.fl.config import FLConfig
 from repro.models import (
     build_cnn,
-    build_gru_classifier,
     build_logistic,
     build_lstm_classifier,
     build_mlp,
@@ -72,8 +71,6 @@ ZOO = {
                  4810, "2f6849c9351800c2a7b34fd7d086796f"),
     "lstm": (lambda rng: build_lstm_classifier(30, 2, rng, scale=0.1),
              10148, "1752803c37fd1f37461b8196984a8910"),
-    "gru": (lambda rng: build_gru_classifier(30, 2, rng, scale=0.1),
-            7860, "005e5ce36666f89c9d9c25c203949eea"),
 }
 
 
@@ -243,7 +240,7 @@ def test_the_memo_does_not_travel_in_a_pickle():
 # -- the other readers ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", ["cnn-k5", "lstm", "gru", "mlp"])
+@pytest.mark.parametrize("name", ["cnn-k5", "lstm", "mlp"])
 def test_as_reference_swaps_every_kernel_layer_and_keeps_the_parameters(name):
     model = _build(name)
     params = model.parameters()

@@ -49,23 +49,6 @@ def test_rmsprop_normalizes_gradient_scale():
     assert abs(big.data[0] - small.data[0]) < 0.05 * abs(big.data[0])
 
 
-def test_adam_bias_correction_first_step():
-    p = _param(0.0)
-    p.grad[...] = 1.0
-    nn.Adam([p], lr=0.1).step()
-    # First Adam step is ~lr regardless of gradient scale.
-    np.testing.assert_allclose(p.data, [-0.1], atol=1e-6)
-
-
-def test_adam_converges_on_quadratic():
-    p = _param(5.0)
-    opt = nn.Adam([p], lr=0.3)
-    for _ in range(300):
-        p.grad[...] = 2.0 * p.data  # d/dp p^2
-        opt.step()
-    assert abs(p.data[0]) < 1e-2
-
-
 def test_constant_schedule():
     sched = nn.ConstantLR(0.05)
     assert sched.rate(0) == sched.rate(1000) == 0.05
@@ -85,13 +68,6 @@ def test_inverse_decay_invalid_gamma():
         nn.InverseDecayLR(scale=1.0, gamma=0.0)
 
 
-def test_step_schedule_halves():
-    sched = nn.StepLR(1.0, every=10, decay=0.5)
-    assert sched.rate(9) == 1.0
-    assert sched.rate(10) == 0.5
-    assert sched.rate(25) == 0.25
-
-
 def test_zero_grad_clears_params(rng):
     model = nn.Sequential(nn.Linear(3, 3, rng=rng))
     opt = nn.SGD(model.parameters(), lr=0.1)
@@ -105,9 +81,9 @@ def test_make_optimizer_factory():
     p = _param(0.0)
     assert isinstance(make_optimizer("sgd", [p], 0.1), nn.SGD)
     assert isinstance(make_optimizer("RMSProp", [p], 0.1), nn.RMSProp)
-    assert isinstance(make_optimizer("adam", [p], 0.1), nn.Adam)
-    with pytest.raises(ValueError):
-        make_optimizer("nope", [p], 0.1)
+    for name in ("nope", "adam"):
+        with pytest.raises(ValueError):
+            make_optimizer(name, [p], 0.1)
 
 
 def test_optimizer_uses_schedule_per_step():
@@ -152,7 +128,7 @@ def test_grad_clipping_invalid():
 
 
 def test_grad_clipping_available_on_all_optimizers():
-    for cls in (nn.SGD, nn.RMSProp, nn.Adam):
+    for cls in (nn.SGD, nn.RMSProp):
         p = _param(0.0)
         p.grad[...] = 100.0
         opt = cls([p], lr=0.1, max_grad_norm=1.0)

@@ -15,12 +15,6 @@ def test_maxpool_forward_values():
     np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
 
 
-def test_avgpool_forward_values():
-    x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-    out = nn.AvgPool2d(2)(x)
-    np.testing.assert_array_equal(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-
 def test_maxpool_backward_routes_to_max():
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
     layer = nn.MaxPool2d(2)
@@ -37,26 +31,19 @@ def test_maxpool_tie_splits_gradient():
     np.testing.assert_array_equal(grad[0, 0], [[2, 2], [2, 2]])
 
 
-def test_avgpool_backward_spreads_evenly():
-    layer = nn.AvgPool2d(2)
-    layer(np.zeros((1, 1, 2, 2)))
-    grad = layer.backward(np.array([[[[4.0]]]]))
-    np.testing.assert_array_equal(grad[0, 0], [[1, 1], [1, 1]])
-
-
-@pytest.mark.parametrize("cls", [nn.MaxPool2d, nn.AvgPool2d])
+@pytest.mark.parametrize("cls", [nn.MaxPool2d])
 def test_indivisible_dims_raise(cls):
     with pytest.raises(ValueError):
         cls(2)(np.zeros((1, 1, 5, 4)))
 
 
-@pytest.mark.parametrize("cls", [nn.MaxPool2d, nn.AvgPool2d])
+@pytest.mark.parametrize("cls", [nn.MaxPool2d])
 def test_backward_before_forward_raises(cls):
     with pytest.raises(RuntimeError):
         cls(2).backward(np.zeros((1, 1, 2, 2)))
 
 
-@pytest.mark.parametrize("cls", [nn.MaxPool2d, nn.AvgPool2d])
+@pytest.mark.parametrize("cls", [nn.MaxPool2d])
 def test_gradcheck_pooling(rng, cls):
     model = nn.Sequential(
         nn.Conv2d(1, 2, 3, padding=1, rng=rng), cls(2), nn.Flatten(),

@@ -1,6 +1,6 @@
 """The recurrent hot path: bytes, workspaces and modes.
 
-``sigmoid``, ``LSTMCell``/``LSTM`` and ``GRUCell`` ship under the kernel
+``sigmoid`` and ``LSTMCell``/``LSTM`` ship under the kernel
 contract of ``test_kernel_equivalence.py`` — in float64 the same bits as
 the frozen twins in :mod:`repro.nn.reference` — at the shapes the
 ``bench/`` Sent140 workload runs (B=32 training steps, B=256 eval
@@ -21,11 +21,10 @@ from repro.fl.client import local_sgd_steps
 from repro.fl.config import FLConfig
 from repro.models import build_lstm_classifier
 from repro.nn.activations import sigmoid
-from repro.nn.gru import GRUCell
 from repro.nn.recurrent import LSTMCell
 from repro.nn.reference import as_reference, sigmoid_reference
 
-CELLS = [LSTMCell, GRUCell]
+CELLS = [LSTMCell]
 
 
 def _assert_same_bytes(got, want):

@@ -8,9 +8,7 @@ from repro.nn.serialization import (
     add_flat_to_grads,
     get_flat_grads,
     get_flat_params,
-    load_params,
     num_params,
-    save_params,
     set_flat_params,
 )
 
@@ -71,155 +69,8 @@ def test_add_flat_to_grads(rng):
         add_flat_to_grads(model, np.zeros(1))
 
 
-def test_save_load_roundtrip(rng, tmp_path):
-    model = _model(rng)
-    path = str(tmp_path / "ckpt.npz")
-    save_params(model, path)
-    other = _model(np.random.default_rng(999))
-    load_params(other, path)
-    np.testing.assert_array_equal(get_flat_params(other), get_flat_params(model))
-
-
-def test_load_shape_mismatch_raises(rng, tmp_path):
-    model = _model(rng)
-    path = str(tmp_path / "ckpt.npz")
-    save_params(model, path)
-    wrong = nn.Sequential(nn.Linear(5, 3, rng=rng))
-    with pytest.raises(ValueError):
-        load_params(wrong, path)
-
-
 def test_empty_model_serializes():
     model = nn.Sequential(nn.ReLU())
     assert get_flat_params(model).size == 0
     assert get_flat_grads(model).size == 0
     set_flat_params(model, np.zeros(0))
-
-
-# -- training-state round-trip (save_state / load_state) --------------------------
-
-
-def _train_steps(model, optimizer, rng, steps=3):
-    loss_fn = nn.MeanSquaredError()
-    for _ in range(steps):
-        x = rng.normal(size=(4, 4))
-        loss_fn.forward(model(x), np.zeros((4, 2)))
-        model.zero_grad()
-        model.backward(loss_fn.backward())
-        optimizer.step()
-
-
-def _optimizer(kind, model):
-    from repro.nn.optim import SGD, Adam, RMSProp
-
-    params = model.parameters()
-    if kind == "sgd":
-        return SGD(params, lr=0.05, momentum=0.9)
-    if kind == "rmsprop":
-        return RMSProp(params, lr=0.01)
-    return Adam(params, lr=0.01)
-
-
-@pytest.mark.parametrize("kind", ["sgd", "rmsprop", "adam"])
-def test_save_state_round_trips_optimizer(kind, rng, tmp_path):
-    from repro.nn.serialization import load_state, save_state
-
-    path = str(tmp_path / "state.npz")
-    model = _model(rng)
-    optimizer = _optimizer(kind, model)
-    _train_steps(model, optimizer, rng)
-    save_state(path, model, optimizer)
-
-    fresh_rng = np.random.default_rng(999)
-    other = _model(fresh_rng)
-    other_opt = _optimizer(kind, other)
-    load_state(path, other, other_opt)
-
-    np.testing.assert_array_equal(get_flat_params(other), get_flat_params(model))
-    assert other_opt.step_count == optimizer.step_count
-    for slot in optimizer._slots:
-        for a, b in zip(getattr(optimizer, slot), getattr(other_opt, slot)):
-            np.testing.assert_array_equal(a, b)
-
-    # The real contract: further training continues bit-identically.
-    step_rng = np.random.default_rng(7)
-    _train_steps(model, optimizer, step_rng)
-    step_rng = np.random.default_rng(7)
-    _train_steps(other, other_opt, step_rng)
-    np.testing.assert_array_equal(get_flat_params(other), get_flat_params(model))
-
-
-def test_save_state_without_optimizer_is_params_plus_tag(rng, tmp_path):
-    from repro.nn.serialization import load_state, save_state
-
-    path = str(tmp_path / "state.npz")
-    model = _model(rng)
-    save_state(path, model)
-    other = _model(np.random.default_rng(999))
-    load_state(path, other)
-    np.testing.assert_array_equal(get_flat_params(other), get_flat_params(model))
-
-
-def test_load_state_refuses_dtype_policy_mismatch(rng, tmp_path):
-    from repro.exceptions import CheckpointMismatchError
-    from repro.nn.serialization import load_state, save_state
-
-    path = str(tmp_path / "state.npz")
-    save_state(path, _model(rng))  # written under the float64 default
-    with nn.default_dtype("float32"):
-        target = _model(np.random.default_rng(1))
-        before = get_flat_params(target)
-        with pytest.raises(CheckpointMismatchError, match="float64"):
-            load_state(path, target)
-        # No silent cast, no partial write.
-        np.testing.assert_array_equal(get_flat_params(target), before)
-
-
-def test_load_state_refuses_optimizer_class_mismatch(rng, tmp_path):
-    from repro.exceptions import CheckpointMismatchError
-    from repro.nn.serialization import load_state, save_state
-
-    path = str(tmp_path / "state.npz")
-    model = _model(rng)
-    sgd = _optimizer("sgd", model)
-    _train_steps(model, sgd, rng)
-    save_state(path, model, sgd)
-
-    other = _model(np.random.default_rng(2))
-    adam = _optimizer("adam", other)
-    before = get_flat_params(other)
-    with pytest.raises(CheckpointMismatchError, match="SGD"):
-        load_state(path, other, adam)
-    np.testing.assert_array_equal(get_flat_params(other), before)
-    assert adam.step_count == 0
-
-
-def test_load_state_rejects_plain_param_files(rng, tmp_path):
-    from repro.nn.serialization import load_state
-
-    path = str(tmp_path / "params.npz")
-    save_params(_model(rng), path)
-    with pytest.raises(ValueError, match="dtype tag"):
-        load_state(path, _model(rng))
-
-
-def test_load_state_without_optimizer_state_raises(rng, tmp_path):
-    from repro.nn.serialization import load_state, save_state
-
-    path = str(tmp_path / "state.npz")
-    model = _model(rng)
-    save_state(path, model)  # no optimizer section
-    with pytest.raises(ValueError, match="no optimizer state"):
-        load_state(path, _model(np.random.default_rng(3)), _optimizer("sgd", model))
-
-
-def test_load_state_shape_mismatch_leaves_model_untouched(rng, tmp_path):
-    from repro.nn.serialization import load_state, save_state
-
-    path = str(tmp_path / "state.npz")
-    save_state(path, _model(rng))
-    wrong = nn.Sequential(nn.Linear(5, 3, rng=rng))
-    before = get_flat_params(wrong)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        load_state(path, wrong)
-    np.testing.assert_array_equal(get_flat_params(wrong), before)

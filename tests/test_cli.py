@@ -171,6 +171,12 @@ def test_unknown_algorithm_rejected():
         main(["run", "--algorithm", "magic"])
 
 
+def test_unknown_model_rejected():
+    with pytest.raises(SystemExit, match="unknown model 'gru'"):
+        main(["run", "--dataset", "synth_sent140", "--model", "gru",
+              "--clients", "2", "--rounds", "1", "--scale", "0.25"])
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -1,9 +1,10 @@
 """The examples and the Python in the docs call ``run_experiment`` and
 ``make_algorithm`` with keywords they have.
 
-Nothing runs ``examples/*.py`` or the fenced snippets of ``README.md``
-and ``docs/*.md``, so a renamed or deleted keyword would leave them
-stale without a failure anywhere.  This test parses them with ``ast``
+CI runs ``examples/*.py`` to completion on one Python version only, and
+nothing runs the fenced snippets of ``README.md`` and ``docs/*.md``, so
+a renamed or deleted keyword would leave them stale without a tier-1
+failure.  This test parses them with ``ast``
 (fenced ``python`` blocks, and ``python - <<'PY'`` heredocs inside shell
 blocks) and checks every ``run_experiment(...)`` call's keywords against
 the function's signature, and every ``make_algorithm("<name>", ...)``

@@ -115,6 +115,8 @@ def test_zoo_builds_and_runs(name, spec, rng):
 def test_zoo_unknown_model():
     with pytest.raises(ConfigError):
         build_model("transformer", IMAGE_SPEC)
+    with pytest.raises(ConfigError, match="unknown model 'gru'"):
+        build_model("gru", SEQ_SPEC)
 
 
 def test_zoo_kind_mismatch():
@@ -150,18 +152,3 @@ def test_cnn_gradcheck_with_feature_injection(rng):
         return task + result.loss, loss_fn.backward(), result.feature_grad
 
     split_model_objective_gradcheck(model, objective_and_grads, rng, num_coords=8)
-
-
-def test_zoo_builds_gru(rng):
-    model = build_model("gru", SEQ_SPEC, seed=0, scale=0.25)
-    ids = rng.integers(0, SEQ_SPEC.vocab_size, size=(3, *SEQ_SPEC.input_shape))
-    out = model.forward(ids)
-    assert out.shape == (3, SEQ_SPEC.num_classes)
-
-
-def test_gru_classifier_smaller_than_lstm(rng):
-    from repro.models import build_gru_classifier, build_lstm_classifier
-
-    gru = build_gru_classifier(50, 2, rng, scale=0.25)
-    lstm = build_lstm_classifier(50, 2, rng, scale=0.25)
-    assert num_params(gru) < num_params(lstm)

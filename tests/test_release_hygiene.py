@@ -28,7 +28,8 @@ def test_every_module_has_a_docstring(module_name):
 @pytest.mark.parametrize(
     "package",
     ["repro", "repro.nn", "repro.data", "repro.core", "repro.fl",
-     "repro.models", "repro.algorithms", "repro.analysis", "repro.experiments"],
+     "repro.models", "repro.algorithms", "repro.analysis", "repro.experiments",
+     "repro.obs", "repro.ckpt", "repro.serve"],
 )
 def test_all_exports_resolve(package):
     module = importlib.import_module(package)
@@ -43,11 +44,16 @@ def test_readme_referenced_paths_exist():
         assert os.path.exists(os.path.join(REPO_ROOT, path)), path
 
 
-def test_design_referenced_benches_exist():
+def test_design_referenced_paths_exist():
+    """Every backticked ``dir/file.py`` in DESIGN.md names a file, read from
+    the repo root, ``src/`` or ``src/repro/``."""
     with open(os.path.join(REPO_ROOT, "DESIGN.md")) as handle:
         design = handle.read()
-    for path in re.findall(r"`(benchmarks/[\w./]+\.py)`", design):
-        assert os.path.exists(os.path.join(REPO_ROOT, path)), path
+    paths = re.findall(r"`([\w.-]+/[\w./-]+\.py)`", design)
+    assert paths
+    bases = (REPO_ROOT, os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "src", "repro"))
+    for path in paths:
+        assert any(os.path.exists(os.path.join(base, path)) for base in bases), path
 
 
 def test_core_docs_exist_and_are_substantial():
