@@ -245,7 +245,9 @@ class FederatedAlgorithm:
         self.executor = (
             self._executor_override
             if self._executor_override is not None
-            else make_executor(config)
+            else make_executor(
+                config, metrics=self.tracer.metrics if self.tracer.enabled else None
+            )
         )
 
     def _require_setup(self) -> None:

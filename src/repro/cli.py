@@ -67,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--eval-every", type=int, default=5)
     run.add_argument("--workers", dest="num_workers", metavar="WORKERS",
-                     type=int, default=1,
-                     help="client-execution worker processes (1 = serial; "
-                          "results are bit-identical for any value)")
+                     type=int, default=None,
+                     help="client-execution worker processes (default: the "
+                          "setting's, the usable CPUs; 1 = serial; results "
+                          "are bit-identical for any value)")
     # Choice knobs deliberately carry no argparse choices= — FLConfig
     # validates them against the shared registry (repro.fl.config), so
     # the CLI, config objects and the facade all raise the identical
@@ -253,6 +254,8 @@ def _run_and_report(preset: RunPreset, args) -> int:
 def _command_run(args) -> int:
     flags = vars(args)
     config = {f.name: flags[f.name] for f in fields(FLConfig) if f.name in flags}
+    if config["num_workers"] is None:  # the flag was not given
+        del config["num_workers"]
     preset = RunPreset(
         name=f"{args.algorithm}-{args.dataset}",
         description="",

@@ -220,16 +220,6 @@ def _render_loop(partition, sizes, sock, parent_end) -> None:
         os._exit(0)
 
 
-def _may_fork_helper() -> bool:
-    """A helper needs a CPU of its own, the ``fork`` start method, and a
-    parent allowed to have children (a daemonic process is not)."""
-    return (
-        sysinfo.spare_cpu()
-        and "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-    )
-
-
 class _RenderAhead:
     """One forked child rendering the shards it is handed, in order,
     streaming their bytes back over a ``socketpair``.
@@ -373,8 +363,9 @@ class VirtualClientSet:
         and the next round's (``upcoming``) while this process trains.
 
         The helper is forked on the first call, when this process may run
-        on more than one CPU (:func:`repro.obs.sysinfo.spare_cpu`) and may
-        fork, and lives until :meth:`close`.  Ids already live, received
+        on more than one CPU (:func:`repro.obs.sysinfo.usable_cpus`) and may
+        fork (:func:`repro.obs.sysinfo.fork_refusal`), and lives until
+        :meth:`close`.  Ids already live, received
         or pending are not requested again.  :meth:`release` keeps what
         was rendered for ``upcoming`` and drops the rest.  Without a
         helper this is a no-op and every shard renders inline, with the
@@ -382,7 +373,12 @@ class VirtualClientSet:
         """
         current = [int(k) for k in current]
         upcoming = [int(k) for k in upcoming]
-        if self._ahead is None and not self.render_ahead_lost and _may_fork_helper():
+        if (
+            self._ahead is None
+            and not self.render_ahead_lost
+            and sysinfo.usable_cpus() > 1
+            and sysinfo.fork_refusal() is None
+        ):
             self._ahead = _RenderAhead(
                 self.partition, self._sizes,
                 max(self._shard_bytes(current), self._shard_bytes(upcoming)),

@@ -6,7 +6,11 @@ Paper settings:
 
 The builders below default to CPU-budget scales (fewer clients, smaller
 synthetic corpora, narrow models) but accept the paper-scale values —
-every bench documents the scale it ran at in EXPERIMENTS.md.
+every bench documents the scale it ran at in EXPERIMENTS.md.  The two
+setting configs default ``num_workers`` to the CPUs this process may
+use, so ``executor='auto'`` may hand a round's clients to the worker
+engine when a probe says it pays (``docs/parallelism.md``); a plain
+:class:`~repro.fl.config.FLConfig` stays the serial reference.
 """
 
 from __future__ import annotations
@@ -32,18 +36,21 @@ from repro.data.synth_sent140 import Sent140Config
 from repro.exceptions import ConfigError
 from repro.fl.config import FLConfig
 from repro.models import SplitModel, build_model
+from repro.obs.sysinfo import usable_cpus
 
 
 def cross_silo_config(**overrides) -> FLConfig:
     """The paper's cross-silo setting (full participation)."""
-    base = dict(rounds=30, local_steps=5, batch_size=100, sample_ratio=1.0, lr=0.1)
+    base = dict(rounds=30, local_steps=5, batch_size=100, sample_ratio=1.0, lr=0.1,
+                num_workers=usable_cpus())
     base.update(overrides)
     return FLConfig(**base)
 
 
 def cross_device_config(**overrides) -> FLConfig:
     """The paper's cross-device setting (20% participation)."""
-    base = dict(rounds=30, local_steps=10, batch_size=32, sample_ratio=0.2, lr=0.1)
+    base = dict(rounds=30, local_steps=10, batch_size=32, sample_ratio=0.2, lr=0.1,
+                num_workers=usable_cpus())
     base.update(overrides)
     return FLConfig(**base)
 

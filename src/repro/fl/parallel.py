@@ -13,6 +13,8 @@ change the numbers.  The engines here exploit that:
   over sockets speaking RFW1 frames, with the round state packed
   **once per round** (:mod:`repro.fl.wire`).  Its workers run
   :func:`run_held_clients`, i.e. this module's serial engine.
+* :class:`MeasuredExecutor` — ``executor='auto'`` with CPUs to spare:
+  in process until a timed probe says the worker engine pays.
 
 **Determinism contract.**  ``Algorithm._client_update`` must not mutate
 shared algorithm state (worker-side mutations are discarded); every
@@ -34,9 +36,9 @@ reported rows, never whole; the row a never-reported client reads is
 fixed at setup, which the forked workers inherit.
 
 **Degradation.**  The worker engine has exactly one: a failure it
-cannot route around — the ``fork`` start method unavailable
-(:func:`worker_refusal`), round state the wire format cannot express,
-every worker gone, no progress for ``serve_timeout`` — sends it to
+cannot route around — no ``fork`` for this process
+(:func:`repro.obs.sysinfo.fork_refusal`), round state the wire format
+cannot express, every worker gone, no progress for ``serve_timeout`` — sends it to
 in-process serial execution for the rest of the run, with one
 :class:`RuntimeWarning`.  A single
 dead worker is not such a failure: its unfinished clients are
@@ -48,8 +50,8 @@ the round stays on the workers.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,39 +213,162 @@ def run_held_clients(algorithm, round_idx: int, client_ids: list[int]) -> list[C
     return updates
 
 
-def worker_refusal() -> str | None:
-    """Why forked long-lived workers cannot run here, or ``None``: the
-    eligibility rule of :class:`repro.serve.server.ServeExecutor`, which
-    degrades to serial on a reason.  Every algorithm can: its round state
-    is its declared state slots."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return "the 'fork' start method is unavailable"
-    return None
+def speedup(updates: list[ClientUpdate], elapsed: float) -> float:
+    """A worker call's busy seconds per wall second:
+    ``sum(train_seconds) / elapsed``; below 1 the workers made it slower
+    than training in process would have."""
+    if elapsed <= 0 or not updates:
+        return 0.0
+    return sum(update.train_seconds for update in updates) / elapsed
 
 
-def make_executor(config) -> ClientExecutor:
+# Predicted in-process seconds the rest of a round must exceed before
+# MeasuredExecutor hands it to the worker engine.  A worker round has a
+# fixed cost (the state frame, task frames, the selector loop, unpacking
+# the updates), 11-18 ms on a 50-client MLP cohort with two workers on a
+# 2-vCPU host (docs/parallelism.md, "auto: the measured engine"), plus
+# one fork a run; 0.1 s is several times that, so a round below it stays
+# in process.
+HANDOFF_SECONDS = 0.1
+
+
+class MeasuredExecutor(ClientExecutor):
+    """``executor='auto'`` with a spare CPU: in process until measurement
+    says the worker engine pays.
+
+    The work is the worker engine's dispatch units (a stacked block, or
+    one client of a refused block).  The first call with two or more
+    units trains its first unit in process and times it.  If the rest of
+    the call is predicted to take more than :data:`HANDOFF_SECONDS` in
+    process, the rest of the call and every later one go to the one
+    worker engine (:class:`repro.serve.server.ServeExecutor`), else the
+    run stays in process.  A worker call whose :func:`speedup` is below
+    1 sends the run back in process for good (the first one, which pays
+    the fork, is not judged), and a call of a single unit always trains
+    in process: one worker would only add its cost.  The determinism
+    contract makes every placement bit-identical.
+    Traced runs count each decision as ``executor.placement{engine,
+    reason}``.
+    """
+
+    name = "auto"
+
+    def __init__(self, config) -> None:
+        self.num_workers = int(config.num_workers)
+        self._config = config
+        self._serial = SerialExecutor()
+        self._workers = None  # the ServeExecutor, built at the hand-off
+        self._forked = False  # a worker call has run (and paid the fork)
+        self.placement: str | None = None  # None until the probe: "serial" | "process"
+
+    @property
+    def degraded(self) -> bool:
+        """True once the worker engine has fallen back to serial."""
+        return self._workers is not None and self._workers.degraded
+
+    def run(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
+        if not len(client_ids):
+            return []
+        [updates] = self.run_regions(
+            algorithm, round_idx, [(client_ids, algorithm.global_params)]
+        )
+        return updates
+
+    def run_regions(self, algorithm, round_idx: int, regions):
+        from repro.serve.server import ServeExecutor
+
+        if self.placement == "serial":
+            return self._serial.run_regions(algorithm, round_idx, regions)
+        regions = [([int(c) for c in ids], params) for ids, params in regions]
+        units = ServeExecutor._blocks(algorithm, regions)
+        if self.placement == "process":
+            return self._on_workers(algorithm, round_idx, regions, len(units))
+        if len(units) < 2:
+            return self._serial.run_regions(algorithm, round_idx, regions)
+        # The probe: the first unit in process, timed.
+        region, _refusal, slots = units[0]
+        probe = [cid for _position, cid in slots]
+        entry_params = algorithm.global_params
+        algorithm.global_params = regions[region][1]
+        started = time.perf_counter()
+        probed = self._serial.run(algorithm, round_idx, probe)
+        per_client = (time.perf_counter() - started) / len(probe)
+        algorithm.global_params = entry_params
+        rest = list(regions)
+        rest[region] = (regions[region][0][len(probe) :], regions[region][1])
+        remaining = sum(len(ids) for ids, _params in rest)
+        if per_client * remaining > HANDOFF_SECONDS:
+            self._place(algorithm, "process", "probe")
+            self._workers = ServeExecutor.from_config(self._config)
+            out = self._on_workers(algorithm, round_idx, rest, len(units) - 1)
+        else:
+            self._place(algorithm, "serial", "probe")
+            out = self._serial.run_regions(algorithm, round_idx, rest)
+        out[region] = probed + out[region]
+        return out
+
+    def _on_workers(self, algorithm, round_idx: int, regions, units: int):
+        """A call of ``units`` dispatch units on the worker engine, and
+        its speedup check.  The first such call forks the workers, a cost
+        paid once a run, so the check starts with the second."""
+        if units < 2:
+            return self._serial.run_regions(algorithm, round_idx, regions)
+        started = time.perf_counter()
+        out = self._workers.run_regions(algorithm, round_idx, regions)
+        elapsed = time.perf_counter() - started
+        updates = [update for region in out for update in region]
+        if self._forked and speedup(updates, elapsed) < 1.0:
+            self._place(algorithm, "serial", "no_gain")
+            self._workers.close()
+        self._forked = True
+        return out
+
+    def _place(self, algorithm, engine: str, reason: str) -> None:
+        self.placement = engine
+        if algorithm.tracer.enabled:
+            count_placement(algorithm.tracer.metrics, engine, reason)
+
+    def close(self) -> None:
+        if self._workers is not None:
+            self._workers.close()
+
+
+def count_placement(metrics, engine: str, reason: str) -> None:
+    """One ``executor.placement{engine, reason}`` event: where
+    ``executor='auto'`` put a run's clients and why."""
+    metrics.counter("executor.placement", engine=engine, reason=reason).inc()
+
+
+def make_executor(config, metrics=None) -> ClientExecutor:
     """Build the engine an :class:`~repro.fl.config.FLConfig` asks for.
 
     Every multi-process run is the one worker engine,
     :class:`repro.serve.server.ServeExecutor`: ``execution='serve'``, and
     ``executor='process'`` (its workers forked locally over an ephemeral
     Unix socket unless ``serve_addr`` says otherwise).  ``executor='auto'``
-    picks it whenever ``num_workers > 1`` **and** this process may run on
-    more than one CPU (:func:`repro.obs.sysinfo.spare_cpu`, which reads
-    the affinity mask) — on a single core worker overhead always exceeds the
-    parallel gain (fork, state frames and result packing buy nothing
-    without a second core), so auto resolves to the serial loop there.
-    An explicit ``'process'`` run on one core still gets the
-    ``parallel_hint`` span instead of a silent downgrade.
+    with ``num_workers > 1`` is the :class:`MeasuredExecutor`, which
+    starts in process and hands rounds to the worker engine when a probe
+    says it pays — unless this process may run on one CPU only
+    (:func:`repro.obs.sysinfo.usable_cpus`, which reads the affinity
+    mask) or may not fork (:func:`repro.obs.sysinfo.fork_refusal`): then
+    ``auto`` is the serial engine, silently, with the reason counted on
+    ``metrics`` when given.  An explicit ``'process'`` run keeps its
+    workers on one CPU, and degrades with a warning when it may not fork.
     """
     mode = config.executor
-    workers = config.num_workers
     validate_choice("executor", mode)
-    if config.execution != "serve" and (
-        mode == "serial"
-        or (mode == "auto" and (workers <= 1 or not sysinfo.spare_cpu()))
-    ):
-        return SerialExecutor()
-    from repro.serve.server import ServeExecutor
+    if config.execution == "serve" or mode == "process":
+        from repro.serve.server import ServeExecutor
 
-    return ServeExecutor.from_config(config)
+        return ServeExecutor.from_config(config)
+    if mode == "serial" or config.num_workers <= 1:
+        return SerialExecutor()
+    if sysinfo.usable_cpus() < 2:
+        reason = "one_cpu"
+    elif sysinfo.fork_refusal() is not None:
+        reason = "no_fork"
+    else:
+        return MeasuredExecutor(config)
+    if metrics is not None:
+        count_placement(metrics, "serial", reason)
+    return SerialExecutor()

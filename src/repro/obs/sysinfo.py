@@ -5,28 +5,36 @@ million-client population must not cost more resident memory than a
 ten-thousand-client one.  These helpers read the numbers the scale
 gauges and ``benchmarks/bench_scale.py`` gate on, with no dependencies
 beyond ``/proc`` (Linux) and the stdlib ``resource`` fallback.
-:func:`spare_cpu` is the one test every second process (worker engine,
-render-ahead helper) is forked behind.
+:func:`usable_cpus` and :func:`fork_refusal` are the tests every second
+process (worker engine, render-ahead helper) is forked behind.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import resource
 import sys
 
 
-def spare_cpu() -> bool:
-    """True when a second process can run beside this one on a CPU of
-    its own — the condition for forking one to work in parallel.
-
-    Counts the CPUs this process may run on: its affinity mask where the
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
     platform has one (containers and ``taskset`` narrow it below
-    ``os.cpu_count()``), else ``os.cpu_count()``; one when unknown.
-    """
+    ``os.cpu_count()``), else ``os.cpu_count()``; one when unknown."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fork_refusal() -> str | None:
+    """Why this process may not fork a long-lived child, or ``None``:
+    the ``fork`` start method must exist and the parent must not be
+    daemonic (a daemonic process may not have children)."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return "the 'fork' start method is unavailable"
+    if multiprocessing.current_process().daemon:
+        return "a daemonic process may not have children"
+    return None
 
 
 def current_rss_bytes() -> int:
@@ -82,5 +90,6 @@ def record_scale_gauges(tracer, fed) -> None:
 
 
 __all__ = [
-    "current_rss_bytes", "peak_rss_bytes", "record_scale_gauges", "spare_cpu",
+    "current_rss_bytes", "fork_refusal", "peak_rss_bytes", "record_scale_gauges",
+    "usable_cpus",
 ]

@@ -60,8 +60,9 @@ from collections import deque
 
 from repro.algorithms.base import COHORT_BLOCK
 from repro.exceptions import ConfigError, ProtocolError
-from repro.fl.parallel import ClientExecutor, SerialExecutor, worker_refusal
+from repro.fl.parallel import ClientExecutor, SerialExecutor, speedup
 from repro.fl.wire import FrameAssembler
+from repro.obs import sysinfo
 from repro.serve import protocol
 
 RECV_CHUNK = 1 << 16
@@ -584,7 +585,7 @@ class ServeExecutor(ClientExecutor):
         if self._fallback is None:
             if not any(len(ids) for ids, _params in regions):
                 return [[] for _ in regions]
-            refusal = worker_refusal()
+            refusal = sysinfo.fork_refusal()
             if refusal is not None:
                 self._degrade(refusal)
             else:
@@ -663,13 +664,13 @@ class ServeExecutor(ClientExecutor):
             request_latency.observe(latency)
         metrics.quantile("serve.round_latency_sec").observe(elapsed)
         if elapsed > 0 and updates:
-            speedup = sum(u.train_seconds for u in updates) / elapsed
-            metrics.gauge("serve.speedup").set(speedup)
-            if speedup < 1.0:
+            ratio = speedup(updates, elapsed)
+            metrics.gauge("serve.speedup").set(ratio)
+            if ratio < 1.0:
                 metrics.counter("parallel.slowdown_rounds").inc()
                 with tracer.span(
                     "parallel_hint",
-                    speedup=round(speedup, 3),
+                    speedup=round(ratio, 3),
                     hint="worker overhead exceeds parallel gain; "
                     "consider executor='serial' on this machine",
                 ):

@@ -50,17 +50,17 @@ def _fed():
 
 
 def _helper(on: bool):
-    """The CPU predicate the helper is forked behind, forced."""
-    return lambda: on
+    """The CPU count the helper is forked behind, forced."""
+    return lambda: 2 if on else 1
 
 
 @pytest.fixture
 def helper_on(monkeypatch):
-    monkeypatch.setattr(sysinfo, "spare_cpu", _helper(True))
+    monkeypatch.setattr(sysinfo, "usable_cpus", _helper(True))
 
 
 def _run(fed, config, on: bool, monkeypatch, name_kwargs=RFEDAVG_PLUS, **kwargs):
-    monkeypatch.setattr(sysinfo, "spare_cpu", _helper(on))
+    monkeypatch.setattr(sysinfo, "usable_cpus", _helper(on))
     name, algorithm_kwargs = name_kwargs
     algorithm = make_algorithm(name, **algorithm_kwargs)
     decorate = kwargs.pop("decorate", None)
@@ -240,7 +240,7 @@ def test_a_forked_process_renders_inline_and_leaves_the_helper_alone(helper_on):
 def test_process_executor_over_a_virtual_population_equals_serial(monkeypatch):
     """Workers forked after the helper inherit it but never read its
     socket (the owner-pid guard): no lost helper, serial's numbers."""
-    monkeypatch.setattr(sysinfo, "spare_cpu", _helper(True))
+    monkeypatch.setattr(sysinfo, "usable_cpus", _helper(True))
     name, kwargs = RFEDAVG_PLUS
     config = _config()
     serial = run_with_workers(name, kwargs, _fed(), config, num_workers=1)

@@ -14,7 +14,7 @@ from repro.algorithms.base import COHORT_BLOCK
 from repro.data import make_virtual_federation
 from repro.exceptions import ConfigError
 from repro.fl.config import FLConfig
-from repro.fl.parallel import SerialExecutor, make_executor
+from repro.fl.parallel import MeasuredExecutor, SerialExecutor, make_executor
 from repro.fl.trainer import run_federated
 from repro.models import build_model
 from repro.obs import sysinfo
@@ -45,17 +45,20 @@ def _usable_cpus(monkeypatch, count: int) -> None:
 
 
 def test_make_executor_auto_process_when_multiple_workers(monkeypatch):
+    """With CPUs to spare, 'auto' is the measured engine: undecided until
+    its probe, its worker engine built only at a hand-off."""
     _usable_cpus(monkeypatch, 8)
     executor = make_executor(_config(num_workers=3))
-    assert isinstance(executor, ServeExecutor)
+    assert isinstance(executor, MeasuredExecutor)
     assert executor.num_workers == 3
-    assert executor.name == "process"
+    assert executor.name == "auto"
+    assert executor.placement is None and not executor.degraded
 
 
 def test_make_executor_auto_serial_on_single_core(monkeypatch):
-    """'auto' resolves to serial on a 1-CPU box — a process pool there
-    only adds IPC overhead.  Explicit executor='process' still wins (and
-    gets the parallel_hint span instead)."""
+    """'auto' resolves to serial on a 1-CPU box — workers there only add
+    IPC overhead.  Explicit executor='process' still wins (and gets the
+    parallel_hint span instead)."""
     _usable_cpus(monkeypatch, 1)
     assert isinstance(make_executor(_config(num_workers=4)), SerialExecutor)
     forced = make_executor(_config(num_workers=4, executor="process"))

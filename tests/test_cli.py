@@ -250,3 +250,31 @@ def test_run_command_is_run_preset_of_its_flags(monkeypatch):
         seed=0,
     )
     assert _without_wall_times(histories[0]) == _without_wall_times(expected)
+
+
+@pytest.mark.parametrize("flags", [[], ["--workers", "1"]], ids=["no-flag", "workers-1"])
+def test_run_command_workers_flag_overrides_only_when_given(monkeypatch, flags):
+    """Without ``--workers`` the setting's default (the usable CPUs)
+    stands; ``--workers 1`` is the serial engine."""
+    import repro.algorithms.base as base
+    from repro.fl.parallel import SerialExecutor, make_executor
+    from repro.obs.sysinfo import usable_cpus
+
+    built = []
+
+    def recording_make_executor(config, **kwargs):
+        executor = make_executor(config, **kwargs)
+        built.append((config.num_workers, executor))
+        return executor
+
+    monkeypatch.setattr(base, "make_executor", recording_make_executor)
+    assert main([
+        "run", "--dataset", "synth_mnist", "--algorithm", "fedavg",
+        "--clients", "4", "--rounds", "1", "--local-steps", "1",
+        "--batch-size", "8", "--scale", "0.25", *flags,
+    ]) == 0
+    [(workers, executor)] = built
+    if flags:
+        assert workers == 1 and type(executor) is SerialExecutor
+    else:
+        assert workers == usable_cpus()
