@@ -18,10 +18,13 @@ with ``config.execution == "async"`` each of its rounds runs
 2. **Drain.**  The server pops arrivals in simulated-time order into a
    buffer until ``buffer_size`` updates are in hand (FedBuff-style), or
    the optional ``buffer_timeout`` fires with at least one update, and
-   trains them through the algorithm's
-   :class:`~repro.fl.parallel.ClientExecutor` on the state their
-   dispatch round recorded — so heavy lifting happens at most once,
-   when an update lands, and an update that never lands never trains.
+   trains them in one call of the algorithm's
+   :class:`~repro.fl.parallel.ClientExecutor` (a group per dispatch
+   round) on the state their dispatch round recorded — so heavy lifting
+   happens at most once, when an update lands.  In process an update
+   that never lands never trains; on workers, the slots a drain would
+   leave idle train the earliest pending updates ahead of landing (at
+   most ``num_workers - 1`` a drain, none in the final round).
    Updates dispatched in earlier rounds arrive late and count with
    their staleness ``s = flush_round - dispatch_round``.
 3. **Flush.**  Each buffered update that is stale (``s >= 1``) is
@@ -220,6 +223,16 @@ def _update_from_tree(tree: dict) -> ClientUpdate:
 # -- the round step -----------------------------------------------------------------
 
 
+def _wave(groups: list[list["_Event"]]) -> list[tuple]:
+    """Groups of pending events of one dispatch round each, as
+    ``run_regions`` groups: ``(client_ids, params, round, state)``."""
+    return [
+        ([event.client_id for event in group], group[0].base, group[0].dispatch_round,
+         group[0].state)
+        for group in groups
+    ]
+
+
 @dataclass(order=True)
 class _Event:
     """One dispatched client update, ordered by (arrival time, dispatch
@@ -372,7 +385,7 @@ class BufferedStep:
             event = queue.pop()
             self.clock = max(self.clock, event.when)
             arrivals.append(event)
-        self._train(arrivals)
+        self._train(arrivals, fill=round_idx < config.rounds - 1)
 
         # 3. Flush: staleness-discount, then commit and aggregate.
         buffer: list[ClientUpdate] = []
@@ -413,19 +426,38 @@ class BufferedStep:
         buffer_ids = np.array([u.client_id for u in buffer], dtype=np.int64)
         return algorithm.commit_round(round_idx, buffer_ids, buffer), cohort
 
-    def _train(self, events: list[_Event]) -> None:
-        """Train every pending event in ``events``: each dispatch round's
-        clients in one executor call, on the state that round recorded,
-        with that round's per-(round, client) streams."""
+    def _train(self, events: list[_Event], fill: bool = False) -> None:
+        """Train every pending event in ``events`` in one executor call:
+        each dispatch round's clients a group, on the state that round
+        recorded, with that round's per-(round, client) streams.  With
+        ``fill``, the worker slots the call would leave idle
+        (:meth:`~repro.fl.parallel.ClientExecutor.spare_slots`) train the
+        earliest pending events still in flight, each a group of its own
+        (so a dispatch unit of its own), which keep their update until
+        they land."""
         algorithm = self.algorithm
         by_round: dict[int, list[_Event]] = {}
         for event in events:
             if event.update is None:
                 by_round.setdefault(event.dispatch_round, []).append(event)
-        for dispatch_round, group in by_round.items():
-            ids = np.array([event.client_id for event in group], dtype=np.int64)
+        groups = list(by_round.values())
+        if not groups:
+            return
+        if fill:
+            from repro.serve.server import ServeExecutor
+
+            units = len(ServeExecutor._blocks(algorithm, _wave(groups)))
+            ahead = heapq.nsmallest(
+                algorithm.executor.spare_slots(units),
+                (event for event in self.queue.heap if event.update is None),
+            )
+            groups += [[event] for event in ahead]
+            if ahead and algorithm.tracer.enabled:
+                algorithm.tracer.metrics.counter("async.trained_ahead").inc(len(ahead))
+        out = algorithm.executor.run_regions(algorithm, max(by_round), _wave(groups))
+        for group, updates in zip(groups, out):
             with algorithm.as_of(group[0].state):
-                updates = algorithm._execute_clients(dispatch_round, ids)
+                algorithm._receive_updates(updates)
             for event, update in zip(group, updates):
                 event.update, event.state = update, None
 

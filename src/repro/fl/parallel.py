@@ -10,8 +10,8 @@ change the numbers.  The engines here exploit that:
 * :class:`repro.serve.server.ServeExecutor` — the one multi-process
   engine (``executor='process'``, and ``execution='serve'``): worker
   processes forked **once per run** train the clients they are handed
-  over sockets speaking RFW1 frames, with the round state packed
-  **once per round** (:mod:`repro.fl.wire`).  Its workers run
+  over sockets speaking RFW1 frames, with each round state a call
+  trains on packed **once** (:mod:`repro.fl.wire`).  Its workers run
   :func:`run_held_clients`, i.e. this module's serial engine.
 * :class:`MeasuredExecutor` — ``executor='auto'`` with CPUs to spare:
   in process until a timed probe says the worker engine pays.
@@ -120,32 +120,56 @@ class ClientExecutor:
         self,
         algorithm,
         round_idx: int,
-        regions: list[tuple[np.ndarray, np.ndarray]],
+        regions: list[tuple],
     ) -> list[list[ClientUpdate]]:
-        """Run several regions' cohorts, each against its own model.
+        """Run several groups of clients, each against its own model.
 
-        ``regions`` is a list of ``(client_ids, region_params)`` pairs
-        (the hierarchical engine's per-region sub-cohorts).  Returns one
-        update list per region, each in input order.  The base
-        implementation runs regions sequentially through :meth:`run`
-        with the region's parameters installed; the worker engine
-        overrides this to run *all* regions' clients in one wave.
-        Determinism contract as :meth:`run`: per-client work depends
-        only on ``(seed, round, client)`` and the installed region
-        state, so scheduling cannot change the numbers.
+        ``regions`` is a list of groups (:func:`wave_group`): a
+        ``(client_ids, region_params)`` pair is a hierarchical region,
+        trained at ``round_idx`` on the live state; a ``(client_ids,
+        params, round, state)`` group (the async engine's dispatch
+        rounds) trains at its own round on its recorded
+        ``_worker_state`` snapshot.  Returns one update list per group,
+        each in input order.  The base implementation runs groups
+        sequentially through :meth:`run`; the worker engine overrides
+        this to run *all* groups' clients in one wave.  Determinism
+        contract as :meth:`run`: per-client work depends only on
+        ``(seed, round, client)`` and the group's state, so scheduling
+        cannot change the numbers.
         """
         out: list[list[ClientUpdate]] = []
-        for client_ids, params in regions:
-            if not len(client_ids):
+        for region in regions:
+            client_ids, params, group_round, state = wave_group(round_idx, region)
+            if not client_ids:
                 out.append([])
-                continue
-            algorithm.global_params = params
-            out.append(self.run(algorithm, round_idx, [int(c) for c in client_ids]))
+            elif state is None:
+                algorithm.global_params = params
+                out.append(self.run(algorithm, group_round, client_ids))
+            else:
+                with algorithm.as_of(state):
+                    out.append(self.run(algorithm, group_round, client_ids))
         return out
+
+    def spare_slots(self, units: int) -> int:
+        """Dispatch units a call of ``units`` would leave idle on this
+        engine's workers: what the async engine may fill with pending
+        updates ahead of their landing.  None in process."""
+        return 0
 
     def close(self) -> None:
         """Release workers and sockets.  The executor stays usable —
         resources are re-created lazily on the next :meth:`run`."""
+
+
+def wave_group(round_idx: int, region) -> tuple[list[int], np.ndarray, int, dict | None]:
+    """A :meth:`ClientExecutor.run_regions` group as ``(client_ids,
+    params, round, state)``.  A hierarchical region ``(client_ids,
+    params)`` trains at the call's ``round_idx`` on the live state
+    (``state`` None); an async group carries its dispatch round and
+    the ``_worker_state`` snapshot that round recorded."""
+    client_ids, params, *rest = region
+    group_round, state = rest if rest else (round_idx, None)
+    return [int(c) for c in client_ids], params, int(group_round), state
 
 
 class SerialExecutor(ClientExecutor):
@@ -279,7 +303,7 @@ class MeasuredExecutor(ClientExecutor):
 
         if self.placement == "serial":
             return self._serial.run_regions(algorithm, round_idx, regions)
-        regions = [([int(c) for c in ids], params) for ids, params in regions]
+        regions = [wave_group(round_idx, region) for region in regions]
         units = ServeExecutor._blocks(algorithm, regions)
         if self.placement == "process":
             return self._on_workers(algorithm, round_idx, regions, len(units))
@@ -288,15 +312,17 @@ class MeasuredExecutor(ClientExecutor):
         # The probe: the first unit in process, timed.
         region, _refusal, slots = units[0]
         probe = [cid for _position, cid in slots]
+        ids, params, group_round, state = regions[region]
         entry_params = algorithm.global_params
-        algorithm.global_params = regions[region][1]
         started = time.perf_counter()
-        probed = self._serial.run(algorithm, round_idx, probe)
+        [probed] = self._serial.run_regions(
+            algorithm, round_idx, [(probe, params, group_round, state)]
+        )
         per_client = (time.perf_counter() - started) / len(probe)
         algorithm.global_params = entry_params
         rest = list(regions)
-        rest[region] = (regions[region][0][len(probe) :], regions[region][1])
-        remaining = sum(len(ids) for ids, _params in rest)
+        rest[region] = (ids[len(probe) :], params, group_round, state)
+        remaining = sum(len(group[0]) for group in rest)
         if per_client * remaining > HANDOFF_SECONDS:
             self._place(algorithm, "process", "probe")
             self._workers = ServeExecutor.from_config(self._config)
@@ -322,6 +348,11 @@ class MeasuredExecutor(ClientExecutor):
             self._workers.close()
         self._forked = True
         return out
+
+    def spare_slots(self, units: int) -> int:
+        """The worker engine's idle slots once the run is on it; none
+        before the probe or in process."""
+        return self._workers.spare_slots(units) if self.placement == "process" else 0
 
     def _place(self, algorithm, engine: str, reason: str) -> None:
         self.placement = engine

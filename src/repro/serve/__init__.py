@@ -14,7 +14,7 @@ serve-mode run is bit-identical to the in-process serial engine — for
 all algorithms, under compression pipelines, and across a mid-round
 server kill + checkpoint resume (the sync loop's between-rounds
 checkpoints are the recovery points; workers are stateless between
-rounds because every round's state is re-broadcast).
+rounds because every wave sends the state its blocks train on).
 
 Select with ``FLConfig(execution="serve")`` (knobs: ``serve_addr``,
 ``serve_timeout``, ``serve_retries``, ``serve_backoff``,

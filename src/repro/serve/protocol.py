@@ -4,11 +4,12 @@ Every message on the socket is one RFW1 wire message wrapped in a
 length-prefixed frame (:func:`repro.fl.wire.frame`).  Four shapes occur:
 
 ``state`` (RFW1 kind ``state``)
-    Server -> worker, once per round (for the union of the regions'
-    cohorts under a hierarchical topology): the algorithm's :meth:`_worker_state` segments for the
-    round's cohort (whole tables every client reads, cohort rows of
-    tables a client reads only at its own id) plus a ``serve.seq``
-    sequence number.
+    Server -> worker, just before a connection's first block of a state
+    (the round's, for the union of the regions' cohorts under a
+    hierarchical topology, or an async dispatch round's recorded one):
+    the algorithm's :meth:`_worker_state` segments for the cohort
+    (whole tables every client reads, cohort rows of tables a client
+    reads only at its own id) plus a ``serve.seq`` sequence number.
 ``generic`` control messages (RFW1 kind ``generic``)
     Discriminated by an integer ``serve.op`` segment: ``HELLO`` (worker
     -> server, announces readiness and how many connect attempts it

@@ -12,26 +12,29 @@ listens where ``serve_addr`` says.
 
 One round, from the server's seat:
 
-1. Pack the algorithm's round state for this round's cohort once — as
-   pieces (:func:`repro.fl.wire.pack_parts`), never joined — and queue
-   those same pieces to every live connection (sequence-numbered).  A
-   hierarchical round (:meth:`ServeExecutor.run_regions`) sends one
-   state frame for the union of its regions' cohorts.
+1. Pack each state the wave's groups train on once — as pieces
+   (:func:`repro.fl.wire.pack_parts`), never joined, sequence-numbered.
+   A group (:func:`repro.fl.parallel.wave_group`) is a hierarchical
+   region, and all of those share one frame of the live state for the
+   union of their cohorts, or an async dispatch round, which carries
+   its round index and recorded ``_worker_state`` snapshot.
 2. Queue the serial engine's own blocks (``algorithm.cohort_blocks``,
-   cut per region): a block ``stack_refusal`` passes goes out whole, a
+   cut per group): a block ``stack_refusal`` passes goes out whole, a
    refused one one client per block, so workers balance per-client work
-   dynamically.  A block never straddles two regions: every ``task``
-   frame carries its region's parameters as ``model``, and the worker
-   trains a held block against the last one.
+   dynamically.  A block never straddles two groups: every ``task``
+   frame carries its group's round and parameters (``model``), and the
+   worker trains a held block against the last one.
 3. Drive a non-blocking :mod:`selectors` loop: accept late workers,
    flush bounded per-connection write queues, reassemble frames from
-   partial reads, dispatch the head block (its ``task`` frames queued
+   partial reads, dispatch the head block (its group's state frame
+   first where the connection holds another, then its ``task`` frames
    back to back on the least-loaded connection that holds fewer than
-   two blocks, cut to what ``serve_max_inflight`` leaves free) which the
-   worker trains as the serial engine would, and slot arriving updates
-   by client id.
+   two blocks — one until every live worker has said hello — cut to
+   what ``serve_max_inflight`` leaves free) which the worker trains as
+   the serial engine would, and slot each arriving update into the
+   earliest position its connection holds for that client.
 4. A dead connection's unfinished clients are requeued as blocks of
-   their own region and redispatched to surviving workers (the
+   their own group and redispatched to surviving workers (the
    determinism contract makes any duplicate identical); when every
    worker is gone, or nothing makes progress for ``serve_timeout``
    seconds, the engine degrades to in-process serial execution with one
@@ -60,7 +63,7 @@ from collections import deque
 
 from repro.algorithms.base import COHORT_BLOCK
 from repro.exceptions import ConfigError, ProtocolError
-from repro.fl.parallel import ClientExecutor, SerialExecutor, speedup
+from repro.fl.parallel import ClientExecutor, SerialExecutor, speedup, wave_group
 from repro.fl.wire import FrameAssembler
 from repro.obs import sysinfo
 from repro.serve import protocol
@@ -114,8 +117,8 @@ class _RoundStats:
         self.connects = 0
         self.worker_retries = 0
         self.latencies: list[float] = []
-        self.state_bytes = 0  # the round's state frame, sent once per connection
-        # Dispatched blocks: (region, stack refusal, [(position, client)]).
+        self.state_bytes = 0  # the wave's state frames, each counted once
+        # Dispatched blocks: (group, stack refusal, [(position, client)]).
         self.blocks: list[tuple[int, str | None, list[tuple[int, int]]]] = []
 
 
@@ -324,7 +327,7 @@ class ServeExecutor(ClientExecutor):
             if existing is conn:
                 del self._conns[fd]
 
-    def _accept(self, stats: _RoundStats, state_frame: tuple | None, seq: int) -> None:
+    def _accept(self, stats: _RoundStats) -> None:
         assert self._listener is not None and self._selector is not None
         while True:
             try:
@@ -338,9 +341,6 @@ class ServeExecutor(ClientExecutor):
             self._conns[sock.fileno()] = conn
             self._selector.register(sock, selectors.EVENT_READ, conn)
             stats.connects += 1
-            if state_frame is not None:
-                self._queue(conn, state_frame, stats)
-                conn.seq = seq
 
     def _queue(self, conn: _Conn, frame: tuple, stats: _RoundStats) -> None:
         """Queue one ``(length, pieces)`` frame.  The pieces are shared,
@@ -406,16 +406,15 @@ class ServeExecutor(ClientExecutor):
 
     def _pick_conn(self) -> _Conn | None:
         """Least-loaded ready connection with outbound queue capacity
-        that holds fewer than two blocks (one training, one queued) —
-        whatever else is pending waits for the next connection to say
-        hello or to finish a block, so a late worker gets its share."""
+        that holds fewer than two blocks (one training, one queued), or
+        none while a live forked worker has not said hello — whatever
+        else is pending waits for the next connection to say hello or to
+        finish a block, so a late worker gets its share."""
+        ready = [conn for conn in self._conns.values() if conn.ready]
+        limit = 2 if len(ready) >= sum(p.is_alive() for p in self._procs) else 1
         best: _Conn | None = None
-        for conn in self._conns.values():
-            if (
-                not conn.ready
-                or not self._has_capacity(conn)
-                or conn.blocks_held() >= 2
-            ):
+        for conn in ready:
+            if not self._has_capacity(conn) or conn.blocks_held() >= limit:
                 continue
             if best is None or len(conn.inflight) < len(best.inflight):
                 best = conn
@@ -424,13 +423,13 @@ class ServeExecutor(ClientExecutor):
     # -- the round -------------------------------------------------------------------
     @staticmethod
     def _blocks(algorithm, regions) -> deque[tuple[int, str | None, list[tuple[int, int]]]]:
-        """A round's dispatch queue of ``(region, refusal, [(position,
-        client)])`` blocks: the serial engine's blocks, region by region
-        (positions run on across regions), whole where they stack and
+        """A wave's dispatch queue of ``(group, refusal, [(position,
+        client)])`` blocks: the serial engine's blocks, group by group
+        (positions run on across groups), whole where they stack and
         one client each where ``stack_refusal`` says no."""
         pending: deque[tuple[int, str | None, list[tuple[int, int]]]] = deque()
         position = 0
-        for region, (region_ids, _model) in enumerate(regions):
+        for region, (region_ids, *_group) in enumerate(regions):
             for block, refusal in algorithm.cohort_blocks(region_ids):
                 slots = list(enumerate(block, position))
                 position += len(block)
@@ -440,33 +439,39 @@ class ServeExecutor(ClientExecutor):
                     pending.extend((region, refusal, [slot]) for slot in slots)
         return pending
 
-    def _serve_round(self, algorithm, round_idx: int, regions: list[tuple[list[int], object]]):
-        """One wave over every region's clients: ``regions`` holds
-        ``(client_ids, model)`` pairs.  Returns the updates in input
-        order (regions concatenated) and the round's socket stats."""
+    def _serve_round(self, algorithm, groups: list[tuple]):
+        """One wave over every group's clients: ``groups`` holds
+        ``(client_ids, model, round, state)`` (:func:`wave_group`).
+        Returns the updates in input order (groups concatenated) and the
+        wave's socket stats."""
         self._ensure_serving(algorithm)
         assert self._selector is not None
         stats = _RoundStats()
-        self._seq += 1
-        seq = self._seq
-        ids = [cid for region_ids, _model in regions for cid in region_ids]
-        # WireError here (inexpressible round state) propagates to
-        # run_regions(), which degrades — there is no pickled state
-        # transport over sockets.
-        state_frame = protocol.state_parts(algorithm._worker_state(ids), seq)
-        stats.state_bytes = state_frame[0]
+        ids = [cid for group in groups for cid in group[0]]
+        # One state frame a state the groups carry (a group shares it
+        # with every group that carries the same), and one for the live
+        # state of the rest, over the union of their ids.  WireError here
+        # (inexpressible round state) propagates to run_regions(), which
+        # degrades — there is no pickled state transport over sockets.
+        live_ids = [cid for group_ids, *_g, state in groups if state is None for cid in group_ids]
+        # id(state), None for the live state -> (seq, state frame)
+        frame_of: dict[int | None, tuple[int, tuple]] = {}
+        state_frames = []  # each group's (seq, state frame)
+        for group_ids, _model, _round, state in groups:
+            key = None if state is None else id(state)
+            if group_ids and key not in frame_of:
+                self._seq += 1
+                frame_of[key] = self._seq, protocol.state_parts(
+                    algorithm._worker_state(live_ids) if state is None else state, self._seq
+                )
+            state_frames.append(frame_of.get(key))
+        stats.state_bytes = sum(frame[0] for _seq, frame in frame_of.values())
         for conn in list(self._conns.values()):
             if self._flush(conn, stats):  # broke while draining old bytes
                 self._drop_conn(conn, None, stats)
-                continue
-            self._queue(conn, state_frame, stats)
-            conn.seq = seq
 
-        pending = self._blocks(algorithm, regions)
+        pending = self._blocks(algorithm, groups)
         results: list = [None] * len(ids)
-        unfilled: dict[int, deque[int]] = {}
-        for pos, cid in enumerate(ids):
-            unfilled.setdefault(cid, deque()).append(pos)
         dispatch_time: dict[int, float] = {}
         ever_dispatched: set[int] = set()
         done = 0
@@ -479,15 +484,19 @@ class ServeExecutor(ClientExecutor):
                 conn = self._pick_conn()
                 if conn is None:
                     break
-                region, refusal, slots = pending.popleft()
+                group, refusal, slots = pending.popleft()
                 size = min(len(slots), self.max_inflight - inflight_total)
                 if size < len(slots):
-                    pending.appendleft((region, refusal, slots[size:]))
+                    pending.appendleft((group, refusal, slots[size:]))
                     slots = slots[:size]
-                stats.blocks.append((region, refusal, slots))
-                model = regions[region][1]
+                stats.blocks.append((group, refusal, slots))
+                _ids, model, group_round, _state = groups[group]
+                seq, state_frame = state_frames[group]
+                if conn.seq != seq:  # the group's state goes with its first block here
+                    self._queue(conn, state_frame, stats)
+                    conn.seq = seq
                 for pos, cid in slots:
-                    task = protocol.task_parts(round_idx, pos, cid, seq, size, model)
+                    task = protocol.task_parts(group_round, pos, cid, seq, size, model)
                     if pos in ever_dispatched:
                         stats.redispatch_bytes += model.nbytes
                         stats.redispatches += 1
@@ -510,7 +519,7 @@ class ServeExecutor(ClientExecutor):
                 )
             for key, mask in self._selector.select(min(POLL_SEC, remaining)):
                 if key.data is None:
-                    self._accept(stats, state_frame, seq)
+                    self._accept(stats)
                     deadline = time.monotonic() + self.timeout
                     continue
                 conn = key.data
@@ -532,11 +541,20 @@ class ServeExecutor(ClientExecutor):
                         )
                     elif msg_kind == "update":
                         update = payload
-                        queue = unfilled.get(int(update.client_id))
-                        if not queue:
+                        # A worker answers its blocks in the order it was
+                        # handed them, so an update fills the earliest
+                        # position its own connection holds for the client
+                        # (one client may sit in two groups of a wave).
+                        pos = next(
+                            (
+                                pos for pos, (cid, _block) in conn.inflight.items()
+                                if cid == update.client_id
+                            ),
+                            None,
+                        )
+                        if pos is None:
                             stats.duplicates += 1
                             continue
-                        pos = queue.popleft()
                         results[pos] = update
                         for owner in self._conns.values():
                             owner.inflight.pop(pos, None)
@@ -558,7 +576,7 @@ class ServeExecutor(ClientExecutor):
     ) -> None:
         """Close a broken connection, requeueing its unfinished clients
         at the head of ``pending``, each dispatched block's remainder as a
-        block of its own (so of its own region)."""
+        block of its own (so of its own group)."""
         stats.disconnects += 1
         if pending is not None:
             held: dict[int, list[tuple[int, int]]] = {}
@@ -580,10 +598,11 @@ class ServeExecutor(ClientExecutor):
         return updates
 
     def run_regions(self, algorithm, round_idx: int, regions):
-        """Every region's clients in one wave (see the module docstring),
-        one update list per region, each in input order."""
+        """Every group's clients in one wave (see the module docstring),
+        one update list per group, each in input order."""
         if self._fallback is None:
-            if not any(len(ids) for ids, _params in regions):
+            groups = [wave_group(round_idx, region) for region in regions]
+            if not any(group[0] for group in groups):
                 return [[] for _ in regions]
             refusal = sysinfo.fork_refusal()
             if refusal is not None:
@@ -591,10 +610,7 @@ class ServeExecutor(ClientExecutor):
             else:
                 started = time.perf_counter()
                 try:
-                    updates, stats = self._serve_round(
-                        algorithm, round_idx,
-                        [([int(c) for c in ids], params) for ids, params in regions],
-                    )
+                    updates, stats = self._serve_round(algorithm, groups)
                 except Exception as exc:  # worker loss, stall, socket or wire failure
                     self._degrade(f"socket serving failed: {exc!r}")
                 else:
@@ -607,11 +623,17 @@ class ServeExecutor(ClientExecutor):
                     # with a serial rerun.
                     self._reconcile(algorithm, updates, stats, len(updates))
                     out, start = [], 0
-                    for ids, _params in regions:
-                        out.append(updates[start : start + len(ids)])
-                        start += len(ids)
+                    for group_ids, *_group in groups:
+                        out.append(updates[start : start + len(group_ids)])
+                        start += len(group_ids)
                     return out
         return self._fallback.run_regions(algorithm, round_idx, regions)
+
+    def spare_slots(self, units: int) -> int:
+        """Worker slots a wave of ``units`` leaves idle in its last turn
+        (``(-units) mod num_workers``; a dead worker is re-forked at the
+        next call); none once degraded."""
+        return 0 if self.degraded else -units % self.num_workers
 
     # -- observability & reconciliation ------------------------------------------------
     def _record_metrics(self, tracer, updates, stats: _RoundStats, elapsed: float) -> None:

@@ -18,11 +18,16 @@ import json
 import numpy as np
 import pytest
 
+from repro.algorithms import make_algorithm
 from repro.ckpt.format import pack_tree, read_checkpoint, unpack_tree
+from repro.fl import parallel
 from repro.fl.config import FLConfig
 from repro.fl.parallel import SerialExecutor
+from repro.fl.trainer import run_federated
+from repro.obs import sysinfo
+from repro.obs.trace import Tracer
 from tests.conftest import make_toy_federation
-from tests.helpers import run_with_workers
+from tests.helpers import run_with_workers, tiny_model_fn
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -104,6 +109,29 @@ def test_final_params_are_the_parents(fed, case, executor):
     assert _digests(algorithm, history) == (params_digest, history_digest)
 
 
+@pytest.mark.parametrize("case", PARENT_DIGESTS)
+def test_auto_runs_that_train_ahead_are_the_parents(fed, case, monkeypatch):
+    """``executor='auto'`` with a hand-off threshold of 0 (and no
+    speedup check) sends every drain after the probe to the workers,
+    and the slot a drain leaves idle trains the earliest pending update
+    before it lands.  Nothing a run computes moves.  A drain here is two
+    units (``buffer_size=2``, no stacking), which two workers fill, so
+    the case runs three."""
+    monkeypatch.setattr(sysinfo.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(parallel, "HANDOFF_SECONDS", 0.0)
+    monkeypatch.setattr(parallel, "speedup", lambda updates, elapsed: float("inf"))
+    name, kwargs, overrides, params_digest, history_digest = PARENT_DIGESTS[case]
+    algorithm = make_algorithm(name, **kwargs)
+    tracer = Tracer()
+    history = run_federated(
+        algorithm, fed, tiny_model_fn(fed),
+        _config(executor="auto", num_workers=3, **overrides), tracer=tracer,
+    )
+    assert algorithm.executor.placement == "process"
+    assert tracer.metrics.counter("async.trained_ahead").value > 0
+    assert _digests(algorithm, history) == (params_digest, history_digest)
+
+
 def test_mid_run_async_section_is_the_parents(fed, tmp_path):
     """A checkpoint trains the updates still pending, so the section it
     writes holds trained updates, byte for byte the ones dispatch-time
@@ -127,6 +155,21 @@ class _CountingExecutor(SerialExecutor):
     def run(self, algorithm, round_idx, client_ids):
         self.trained += [(round_idx, int(c)) for c in client_ids]
         return super().run(algorithm, round_idx, client_ids)
+
+
+def _sent140_bench_shape():
+    """The federation, config and model of the test below."""
+    from repro.experiments import presets
+
+    fed = presets.build_sent140_federation(
+        seed=5, num_users=25, tweets_per_user=60.0, seq_len=22, vocab_size=400
+    )
+    config = presets.cross_device_config(
+        seed=5, rounds=4, eval_every=2, optimizer="rmsprop", lr=0.01,
+        execution="async", runtime="gaussian:mean=1,std=0.1,het=1",
+        buffer_size=3, dispatch_cap=False,
+    )
+    return fed, config, presets.default_model_fn("lstm", fed.spec, seed=5, scale=0.25)
 
 
 def test_the_sent140_bench_shape_trains_only_what_lands():
@@ -158,3 +201,83 @@ def test_the_sent140_bench_shape_trains_only_what_lands():
         (record.dispatch_round, record.client_id) for record in async_history.records
     )
     assert np.isfinite(algorithm.global_params).all()
+
+
+def test_the_sent140_bench_shape_on_two_workers_trains_at_most_one_ahead_a_drain():
+    """On two workers a drain of an odd number of units leaves a slot
+    idle, which trains the earliest pending update: at most W - 1 = 1
+    more a drain than land, none in the final round, and each update at
+    most once.  The run is the serial one."""
+    fed, config, model_fn = _sent140_bench_shape()
+    serial = make_algorithm("rfedavg+", lam=1e-2)
+    serial_history = run_federated(serial, fed, model_fn, config)
+    algorithm = make_algorithm("rfedavg+", lam=1e-2)
+    calls: list[list[tuple[int, int]]] = []
+    setup = algorithm.setup
+
+    def setup_and_record(*args):
+        setup(*args)
+        run_regions = algorithm.executor.run_regions
+
+        def recording(alg, round_idx, groups):
+            calls.append([(group[2], int(c)) for group in groups for c in group[0]])
+            return run_regions(alg, round_idx, groups)
+
+        algorithm.executor.run_regions = recording
+
+    algorithm.setup = setup_and_record
+    tracer = Tracer()
+    history = run_federated(
+        algorithm, fed, model_fn, config.with_updates(executor="process", num_workers=2),
+        tracer=tracer,
+    )
+    np.testing.assert_array_equal(algorithm.global_params, serial.global_params)
+    assert history.async_history.to_dict() == serial_history.async_history.to_dict()
+    records = history.async_history.records
+    landed = {(record.dispatch_round, record.client_id) for record in records}
+    trained = [pair for call in calls for pair in call]
+    drains = config.rounds
+    assert len(calls) == drains
+    assert len(set(trained)) == len(trained)
+    assert landed <= set(trained)
+    assert len(landed) < len(trained) <= len(landed) + (2 - 1) * (drains - 1)
+    final = {(r.dispatch_round, r.client_id) for r in records if r.flush_round == drains - 1}
+    assert set(calls[-1]) <= final
+    ahead = tracer.metrics.counter("async.trained_ahead").value
+    assert ahead >= len(trained) - len(landed)
+
+
+class _OneSpareSlotExecutor(_CountingExecutor):
+    """The serial engine, claiming one idle worker slot at every call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.drains: list[int] = []  # where each call's trained pairs start
+
+    def spare_slots(self, units: int) -> int:
+        return 1
+
+    def run_regions(self, algorithm, round_idx, regions):
+        self.drains.append(len(self.trained))
+        return super().run_regions(algorithm, round_idx, regions)
+
+
+def test_a_spare_slot_trains_one_ahead_a_drain_but_not_in_the_final_round():
+    """Every drain but the last trains one pending update ahead of its
+    landing, none is trained twice, and the last drain trains only
+    updates that land in it."""
+    fed, config, model_fn = _sent140_bench_shape()
+    executor = _OneSpareSlotExecutor()
+    algorithm = make_algorithm("rfedavg+", lam=1e-2).with_executor(executor)
+    tracer = Tracer()
+    history = run_federated(algorithm, fed, model_fn, config, tracer=tracer)
+    records = history.async_history.records
+    landed = {(record.dispatch_round, record.client_id) for record in records}
+    assert len(executor.drains) == config.rounds
+    assert len(set(executor.trained)) == len(executor.trained)
+    assert landed <= set(executor.trained)
+    ahead = tracer.metrics.counter("async.trained_ahead").value
+    assert ahead == config.rounds - 1
+    assert len(executor.trained) <= len(landed) + ahead
+    final = {(r.dispatch_round, r.client_id) for r in records if r.flush_round == config.rounds - 1}
+    assert set(executor.trained[executor.drains[-1] :]) <= final

@@ -407,13 +407,11 @@ def _wait_for(path, seconds=10.0) -> None:
         time.sleep(0.005)
 
 
-def test_a_late_hello_in_round_zero_is_not_left_without_work(
-    fed, tmp_path, monkeypatch, served_rounds
-):
+def _stage_late_hello(monkeypatch, tmp_path, early_lag: float = 0.0) -> str:
     """Worker 2 connects only once worker 1 has a task in hand, and
-    worker 1 does not start training until worker 2 has one too.  With
-    the whole round offered to whoever says hello first, worker 2 would
-    never see a task and worker 1 would sit out its wait."""
+    worker 1 does not start training until worker 2 has one too (and
+    ``early_lag`` seconds more).  Returns the file worker 2 creates when
+    its first task arrives."""
     early_has_task, late_has_task = str(tmp_path / "early"), str(tmp_path / "late")
     real_main = worker.worker_main
 
@@ -429,6 +427,7 @@ def test_a_late_hello_in_round_zero_is_not_left_without_work(
                 open(late_has_task if late else early_has_task, "w").close()
                 if not late:
                     _wait_for(late_has_task)
+                    time.sleep(early_lag)
             return kind, payload
 
         protocol.parse_message = parse  # this forked child's copy only
@@ -437,14 +436,60 @@ def test_a_late_hello_in_round_zero_is_not_left_without_work(
         real_main(algorithm, resolved, worker_id, *rest)
 
     monkeypatch.setattr(worker, "worker_main", staged_main)
+    return late_has_task
+
+
+def test_a_late_hello_in_round_zero_is_not_left_without_work(
+    fed, tmp_path, monkeypatch, served_rounds
+):
+    """Staged as :func:`_stage_late_hello`.  With the whole round
+    offered to whoever says hello first, worker 2 would never see a task
+    and worker 1 would sit out its wait."""
+    late_has_task = _stage_late_hello(monkeypatch, tmp_path)
+    picks = []  # (connections ready, blocks the picked one held)
+    real_pick = ServeExecutor._pick_conn
+
+    def recording_pick(self):
+        conn = real_pick(self)
+        if conn is not None:
+            picks.append((sum(c.ready for c in self._conns.values()), conn.blocks_held()))
+        return conn
+
+    monkeypatch.setattr(ServeExecutor, "_pick_conn", recording_pick)
     serial = _run("fedavg", fed, _config(seed=63))
     served = _serve("fedavg", fed, _config(seed=63))
     assert_equivalent_runs(serial, served)
     assert os.path.exists(late_has_task)
-    # Round 0: two blocks to the early worker, the third waited for the
-    # late one's hello.
+    # Round 0: the early worker held exactly one block until the late
+    # hello; then the late one took the second block, and the early one
+    # the third.
+    round_zero = picks[: -(-CLIENTS // COHORT_BLOCK)]
+    assert [held for ready, held in round_zero if ready == 1] == [0]
     per_worker = Counter(u.worker for u in served_rounds[0])
-    assert sorted(per_worker.values()) == [CLIENTS - 2 * COHORT_BLOCK, 2 * COHORT_BLOCK]
+    assert sorted(per_worker.values()) == [COHORT_BLOCK, CLIENTS - COHORT_BLOCK]
+
+
+def test_a_two_unit_call_right_after_the_fork_trains_on_two_pids(fed, tmp_path, monkeypatch):
+    """The first worker to say hello holds one block until the other
+    has said hello too, so the two units of the call that forks the
+    workers do not train back to back on one of them."""
+    late_has_task = _stage_late_hello(monkeypatch, tmp_path)
+    algorithm = make_algorithm("scaffold")  # refuses stacking: one client a unit
+    algorithm.setup(build_model("mlp", fed.spec, seed=2, scale=0.25), fed, _config())
+    expected = SerialExecutor().run(algorithm, 0, [3, 7])
+    executor = ServeExecutor(num_workers=2, name="process")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            updates = executor.run(algorithm, 0, [3, 7])
+    finally:
+        executor.close()
+    assert os.path.exists(late_has_task)
+    assert len({update.worker for update in updates}) == 2 and 0 not in {
+        update.worker for update in updates
+    }
+    for got, want in zip(updates, expected):
+        np.testing.assert_array_equal(got.params, want.params)
 
 
 # -- (f) strict dense reconciliation, block or not -------------------------------------
@@ -461,3 +506,41 @@ def test_dense_blocks_reconcile_exactly(fed):
     per_direction = algorithm.model_size * 8 * CLIENTS * ROUNDS
     assert counters["serve.bytes_wire_down"] == per_direction
     assert counters["serve.bytes_wire_up"] == per_direction
+
+
+# -- (g) one wave, several round states ------------------------------------------------
+
+
+def test_one_client_in_two_groups_of_a_wave_trains_each_on_its_own_state(
+    fed, tmp_path, monkeypatch
+):
+    """An async drain's wave: the same client in two groups, each with
+    its own round and recorded state, on two workers (staged as
+    :func:`_stage_late_hello`).  Each group's state frame goes with a
+    connection's first block of it, each update fills the position its
+    own connection held, and both equal the serial engine's, bit for
+    bit.  The second group's worker answers first, so a match by client
+    id alone would swap the two."""
+    _stage_late_hello(monkeypatch, tmp_path, early_lag=0.3)
+    algorithm = make_algorithm("rfedavg+", lam=1e-2)
+    algorithm.setup(build_model("mlp", fed.spec, seed=2, scale=0.25), fed, _config())
+    early = algorithm._worker_state([3, 5])
+    algorithm.global_params = algorithm.global_params + 0.25
+    late = algorithm._worker_state([3])
+    wave = [([3], early["global_params"], 0, early), ([3], late["global_params"], 1, late)]
+    expected = SerialExecutor().run_regions(algorithm, 1, wave)
+    executor = ServeExecutor(num_workers=2, name="process")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            served = executor.run_regions(algorithm, 1, wave)
+    finally:
+        executor.close()
+    assert [len(group) for group in served] == [1, 1]
+    (first,), (second,) = served
+    assert 0 not in {first.worker, second.worker}
+    assert first.worker != second.worker
+    for (got,), (want,) in zip(served, expected):
+        np.testing.assert_array_equal(got.params, want.params)
+        assert (got.task_loss, got.reg_loss) == (want.task_loss, want.reg_loss)
+    assert not np.array_equal(expected[0][0].params, expected[1][0].params)

@@ -241,9 +241,15 @@ def test_delivered_frames_equal_the_built_bytes(fed, tmp_path, monkeypatch, comp
     seen = set()
     for pid, entries in received.items():
         assert entries, f"worker {pid} logged nothing"
+        installed = None  # the seq of the last state this worker received
         for key, frame_digest in entries:
             assert log.built[key] == frame_digest, f"worker {pid}: {key} differs from build_*"
             seen.add(key)
+            kind, seq = key.split(":")[:2]
+            if kind == "state":
+                installed = seq
+            else:  # a state goes with a connection's first block of it
+                assert seq == installed, f"worker {pid}: {key} before its state"
     # Every frame that was built reached some worker intact: a state per
     # round, a task per (round, position).
     assert {k for k in log.built if k.startswith("task")} <= seen
@@ -252,5 +258,5 @@ def test_delivered_frames_equal_the_built_bytes(fed, tmp_path, monkeypatch, comp
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["serve.redispatches"] >= 1
         # Two forked at the start, one replacement that joined late and
-        # was sent the round's shared state pieces on accept.
+        # was sent the round's shared state pieces with its first block.
         assert len(received) == 3
