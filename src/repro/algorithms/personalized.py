@@ -53,7 +53,6 @@ def personalize(
     lr: float = 0.05,
     batch_size: int = 16,
     seed: int = 0,
-    head_only: bool = False,
 ) -> PersonalizationResult:
     """Fine-tune the global model locally on every client.
 
@@ -65,8 +64,6 @@ def personalize(
         lr: fine-tuning learning rate.
         batch_size: fine-tuning minibatch size.
         seed: randomness for batch draws.
-        head_only: freeze the feature extractor phi and adapt only the
-            classifier head (the cheaper personalization variant).
     """
     model = model_fn()
     config = FLConfig(
@@ -77,22 +74,12 @@ def personalize(
     after_local = np.zeros(num_clients)
     after_global = np.zeros(num_clients)
 
-    def freeze_features(m: SplitModel) -> None:
-        for p in m.features.parameters():
-            p.grad[...] = 0.0
-
     for cid, shard in enumerate(fed.clients):
         set_flat_params(model, global_params)
         _loss, acc = evaluate_model(model, shard)
         before[cid] = acc
         rng = np.random.default_rng([seed, 0xBE57, cid])
-        local_sgd_steps(
-            model,
-            shard,
-            config,
-            rng,
-            grad_hook=freeze_features if head_only else None,
-        )
+        local_sgd_steps(model, shard, config, rng)
         _loss, after_local[cid] = evaluate_model(model, shard)
         _loss, after_global[cid] = evaluate_model(model, fed.test)
     return PersonalizationResult(

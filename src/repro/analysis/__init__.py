@@ -11,12 +11,7 @@ from repro.analysis.convergence import (
     theory_schedule,
 )
 from repro.analysis.fairness import fairness_report, gini_coefficient, worst_k_mean
-from repro.analysis.tsne import (
-    tsne,
-    class_separation_score,
-    client_feature_discrepancy,
-    client_marginal_discrepancy,
-)
+from repro.analysis.tsne import tsne, client_marginal_discrepancy
 from repro.analysis.significance import ComparisonResult, paired_comparison, bootstrap_ci
 from repro.analysis.estimation import (
     estimate_curvature_range,
@@ -39,8 +34,6 @@ __all__ = [
     "gini_coefficient",
     "worst_k_mean",
     "tsne",
-    "class_separation_score",
-    "client_feature_discrepancy",
     "client_marginal_discrepancy",
     "ComparisonResult",
     "paired_comparison",

@@ -4,15 +4,11 @@ The paper's Fig. 1 embeds last-FC-layer features of FedAvg-trained
 models with t-SNE and observes that, under non-IID partitions, different
 clients' feature clouds disagree.  Our reproduction provides (a) the
 embedding itself (:func:`tsne`, the exact O(n^2) algorithm — fine for
-the few hundred points the figure uses) and (b) two quantitative scores
+the few hundred points the figure uses) and (b) a quantitative score
 so the bench can assert the observation instead of eyeballing a plot:
-
-* :func:`class_separation_score` — between-class vs within-class
-  distance ratio in feature space (higher = cleaner clusters);
-* :func:`client_feature_discrepancy` — mean pairwise linear MMD between
-  the per-client feature distributions of the *same* class (higher =
-  clients disagree about what the class looks like, the non-IID
-  signature of Fig. 1d-f).
+:func:`client_marginal_discrepancy`, the mean pairwise linear MMD
+between clients' feature clouds (higher = clients occupy different
+regions of feature space, the non-IID signature of Fig. 1d-f).
 """
 
 from __future__ import annotations
@@ -109,27 +105,6 @@ def tsne(
     return y
 
 
-def class_separation_score(features: np.ndarray, labels: np.ndarray) -> float:
-    """Between-class / within-class mean-distance ratio (>1 = separated)."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise ConfigError("need at least two classes")
-    centroids = np.stack([features[labels == c].mean(axis=0) for c in classes])
-    within = np.mean(
-        [
-            np.linalg.norm(features[labels == c] - centroids[i], axis=1).mean()
-            for i, c in enumerate(classes)
-        ]
-    )
-    between_dists = _pairwise_sq_dists(centroids)
-    between = np.sqrt(between_dists[np.triu_indices(len(classes), k=1)]).mean()
-    if within == 0:
-        return np.inf
-    return float(between / within)
-
-
 def client_marginal_discrepancy(features_per_client: list[np.ndarray]) -> float:
     """Mean pairwise linear MMD between clients' *marginal* feature clouds.
 
@@ -147,34 +122,4 @@ def client_marginal_discrepancy(features_per_client: list[np.ndarray]) -> float:
         for j in range(i + 1, len(clouds)):
             total += linear_mmd(clouds[i], clouds[j])
             count += 1
-    return total / count
-
-
-def client_feature_discrepancy(
-    features_per_client: list[np.ndarray], labels_per_client: list[np.ndarray]
-) -> float:
-    """Mean pairwise linear MMD between clients' same-class feature clouds.
-
-    For each class present on two or more clients, compute the linear
-    MMD between every client pair's embeddings of that class; average
-    over classes and pairs.  IID clients agree (small value); label- or
-    feature-skewed clients disagree (large value) — Fig. 1's phenomenon
-    as a single number.
-    """
-    if len(features_per_client) != len(labels_per_client):
-        raise ConfigError("features and labels lists must align")
-    all_classes = np.unique(np.concatenate(labels_per_client))
-    total, count = 0.0, 0
-    for cls in all_classes:
-        clouds = [
-            f[l == cls]
-            for f, l in zip(features_per_client, labels_per_client)
-            if (l == cls).sum() >= 2
-        ]
-        for i in range(len(clouds)):
-            for j in range(i + 1, len(clouds)):
-                total += linear_mmd(clouds[i], clouds[j])
-                count += 1
-    if count == 0:
-        return 0.0
     return total / count

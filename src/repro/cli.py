@@ -24,6 +24,7 @@ from repro.algorithms import ALGORITHMS
 from repro.experiments import default_model_fn
 from repro.experiments.facade import RUN_PRESETS, RunPreset, resolve_preset, run_preset
 from repro.experiments.registry import EXPERIMENTS
+from repro.fl.compression import stage_usage
 from repro.fl.config import FLConfig
 from repro.obs import Tracer, format_round_table, format_span_summary
 
@@ -124,8 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "rows to disk past R resident rows")
     run.add_argument("--compression", default="none", metavar="SPEC",
                      help="lossy upload-compression pipeline, stages joined "
-                          "with '|': topk:R, randk:R, sketch:R, qsgd:B, sign, "
-                          "quantize:B (e.g. 'topk:0.01|qsgd:8'; default none)")
+                          f"with '|': {stage_usage()} "
+                          "(e.g. 'topk:0.01|qsgd:8'; default none)")
     run.add_argument("--sync-compression", default="none", metavar="SPEC",
                      help="pipeline for the rFedAvg+ second synchronization "
                           "(model re-broadcast + delta re-upload; default none)")

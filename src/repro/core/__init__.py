@@ -15,7 +15,6 @@
 
 from repro.core.mmd import (
     linear_mmd,
-    squared_linear_mmd,
     rbf_mmd,
     mean_embedding,
     median_heuristic,
@@ -30,7 +29,6 @@ from repro.core.privacy import GaussianDeltaMechanism
 
 __all__ = [
     "linear_mmd",
-    "squared_linear_mmd",
     "rbf_mmd",
     "mean_embedding",
     "median_heuristic",

@@ -34,12 +34,6 @@ def linear_mmd(x_features: np.ndarray, y_features: np.ndarray) -> float:
     return float(np.linalg.norm(mean_embedding(x_features) - mean_embedding(y_features)))
 
 
-def squared_linear_mmd(x_features: np.ndarray, y_features: np.ndarray) -> float:
-    """The squared distance d^2 used in the regularizer (Eq. 5)."""
-    gap = mean_embedding(x_features) - mean_embedding(y_features)
-    return float(gap @ gap)
-
-
 # Above this many output elements (n * m), _pairwise_sq_dists switches to
 # row blocks so the distance matrix is built without a second full-size
 # temporary.  4M float64 elements = 32 MiB per temporary.

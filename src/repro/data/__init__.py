@@ -43,12 +43,7 @@ from repro.data.virtual import (
 from repro.data.synth_cifar import make_synth_cifar
 from repro.data.synth_sent140 import make_synth_sent140
 from repro.data.synth_femnist import make_synth_femnist
-from repro.data.stats import (
-    label_histograms,
-    mean_pairwise_tv_distance,
-    label_entropy,
-    quantity_imbalance,
-)
+from repro.data.stats import quantity_imbalance
 
 __all__ = [
     "ArrayDataset",
@@ -69,8 +64,5 @@ __all__ = [
     "make_synth_cifar",
     "make_synth_sent140",
     "make_synth_femnist",
-    "label_histograms",
-    "mean_pairwise_tv_distance",
-    "label_entropy",
     "quantity_imbalance",
 ]

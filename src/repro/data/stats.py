@@ -1,48 +1,8 @@
-"""Quantitative skew measures for federated partitions.
-
-Used by tests (to verify the partitioners actually produce the skew they
-claim) and by the experiment reports (to characterize each setting).
-"""
+"""Quantity skew of a federated partition (characterizes a setting)."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.data.dataset import ArrayDataset
-
-
-def label_histograms(
-    clients: list[ArrayDataset], num_classes: int, normalize: bool = True
-) -> np.ndarray:
-    """Per-client label distributions, shape (num_clients, num_classes)."""
-    hist = np.stack([c.label_counts(num_classes).astype(np.float64) for c in clients])
-    if normalize:
-        hist /= np.maximum(hist.sum(axis=1, keepdims=True), 1.0)
-    return hist
-
-
-def mean_pairwise_tv_distance(hist: np.ndarray) -> float:
-    """Mean total-variation distance between all client label pairs.
-
-    0 = identical label distributions (IID); 1 = disjoint label support
-    (extreme non-IID).
-    """
-    n = hist.shape[0]
-    if n < 2:
-        return 0.0
-    total = 0.0
-    count = 0
-    for i in range(n):
-        diffs = np.abs(hist[i + 1 :] - hist[i]).sum(axis=1) / 2.0
-        total += float(diffs.sum())
-        count += len(diffs)
-    return total / count
-
-
-def label_entropy(hist: np.ndarray) -> np.ndarray:
-    """Per-client label entropy in nats (low entropy = concentrated labels)."""
-    safe = np.where(hist > 0, hist, 1.0)
-    return -(hist * np.log(safe)).sum(axis=1)
 
 
 def quantity_imbalance(sizes: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from repro.experiments.presets import (
 from repro.experiments.facade import RunPreset, RUN_PRESETS, list_presets
 from repro.experiments.runner import run_grid, compare_algorithms, RunResult
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec, get_experiment
-from repro.experiments.report import format_accuracy_table, format_curve, format_rounds_table
+from repro.experiments.report import format_accuracy_table, format_rounds_table
 from repro.experiments.robustness import RobustComparison, compare_with_significance
 from repro.experiments.sweeps import (
     SweepResult,
@@ -40,7 +40,6 @@ __all__ = [
     "ExperimentSpec",
     "get_experiment",
     "format_accuracy_table",
-    "format_curve",
     "format_rounds_table",
     "SweepResult",
     "sweep_algorithm_param",

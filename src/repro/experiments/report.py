@@ -58,20 +58,6 @@ def format_accuracy_table(
     return "\n".join(lines)
 
 
-def format_curve(result: RunResult, metric: str = "accuracy") -> str:
-    """Render one algorithm's per-round series as aligned text."""
-    if metric == "accuracy":
-        curve = result.mean_accuracy_curve()
-        label = "acc"
-    else:
-        curve = result.mean_loss_curve()
-        label = "loss"
-    lines = [f"{display_name(result.algorithm)} ({label})"]
-    for round_idx, value in curve:
-        lines.append(f"  round {int(round_idx):4d}  {value:8.4f}")
-    return "\n".join(lines)
-
-
 def format_rounds_table(
     results: dict[str, RunResult], thresholds: list[float], title: str = ""
 ) -> str:

@@ -44,7 +44,6 @@ from repro.fl.wire import (
     pack_client_update,
     pack_state,
     unpack,
-    unpack_client_update,
     unpack_state,
 )
 from repro.fl.metrics import RoundRecord, History
@@ -86,7 +85,6 @@ __all__ = [
     "pack_state",
     "unpack_state",
     "pack_client_update",
-    "unpack_client_update",
     "RoundRecord",
     "History",
     "sample_clients",

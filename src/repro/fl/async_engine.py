@@ -52,7 +52,6 @@ RNG to snapshot.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -70,9 +69,8 @@ from repro.nn.serialization import set_flat_params  # noqa: F401 -- bench/instru
 class AsyncUpdateRecord:
     """One client update applied by the asynchronous server.
 
-    The JSON contract is symmetric with
-    :class:`~repro.fl.metrics.RoundRecord`: :meth:`to_dict` /
-    :meth:`from_dict` round-trip exactly and unknown keys are ignored.
+    :meth:`to_dict` / :meth:`from_dict` round-trip exactly (a checkpoint
+    stores the dict as JSON) and unknown keys are ignored.
     """
 
     update_idx: int
@@ -90,18 +88,11 @@ class AsyncUpdateRecord:
         """JSON-serializable representation (plain python scalars)."""
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: dict) -> "AsyncUpdateRecord":
         """Inverse of :meth:`to_dict`; unknown keys are ignored."""
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
-
-    @classmethod
-    def from_json(cls, text: str) -> "AsyncUpdateRecord":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass
@@ -150,9 +141,6 @@ class AsyncHistory:
             "records": [r.to_dict() for r in self.records],
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_dict(cls, data: dict) -> "AsyncHistory":
         """Inverse of :meth:`to_dict`; extra top-level keys are ignored."""
@@ -162,10 +150,6 @@ class AsyncHistory:
         for record in data.get("records", []):
             history.records.append(AsyncUpdateRecord.from_dict(record))
         return history
-
-    @classmethod
-    def from_json(cls, text: str) -> "AsyncHistory":
-        return cls.from_dict(json.loads(text))
 
 
 # -- in-flight event (de)serialization for checkpoints ------------------------------

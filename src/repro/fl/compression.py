@@ -1,7 +1,7 @@
 """Lossy payload compression for federated uploads.
 
 The paper's related-work section surveys communication-compression
-approaches (Konecny et al.'s quantization / random subsampling, sketch
+approaches (sparsification, Konecny et al.'s quantization, sign
 methods).  This module implements that menu as a **composable
 pipeline**: a spec string such as ``"topk:0.01|qsgd:8"`` chains an
 optional *selector* stage (which coordinates travel) with an optional
@@ -11,10 +11,6 @@ optional *selector* stage (which coordinates travel) with an optional
 stage      role      meaning
 ========== ========= ====================================================
 ``topk:R``   selector keep the ``R`` fraction of largest-|x| coordinates
-``randk:R``  selector keep a uniformly random ``R`` fraction, rescaled
-                      to be unbiased (alias: ``subsample:R``)
-``sketch:R`` selector count-sketch projection into ``R * d`` buckets
-                      (deterministic hash/sign tables; no index stream)
 ``qsgd:B``   coder    QSGD-style stochastic quantization to ``B``-bit
                       signed levels around a max-norm scale
 ``sign``     coder    1-bit sign compression with a mean-|x| scale
@@ -25,8 +21,9 @@ stage      role      meaning
 
 Composition rules: at most one selector (first) and at most one value
 coder (last).  :func:`compressor_from_spec` is the canonical factory;
-:func:`repro.fl.config.validate_compression_spec` validates specs
-through the choice registry (typo suggestions included).
+:func:`parse_compression_spec` checks each stage kind against the
+``compression`` choice registry of :mod:`repro.fl.config`, which lists
+``"none"`` plus :data:`PIPELINE_STAGES` (typo suggestions included).
 
 A :class:`CompressionPipeline` maps a flat float vector to a
 (reconstructed_vector, :class:`WireSize`) pair: the reconstruction is
@@ -59,8 +56,6 @@ import numpy as np
 from repro.exceptions import ConfigError
 
 INDEX_BYTES = 4  # compressed coordinate indices travel as int32
-
-_SKETCH_SEED = 0x5CE7C4  # root of the deterministic count-sketch tables
 
 
 @dataclass(frozen=True)
@@ -108,6 +103,7 @@ class _Stage:
 
     kind = "stage"
     role = ""  # "selector" | "coder"
+    param = ""  # the parameter's placeholder in usage text ('R' in 'topk:R')
 
     @property
     def spec(self) -> str:
@@ -139,6 +135,7 @@ def _parse_bits(kind: str, arg: str, lo: int, hi: int) -> int:
 class _TopKStage(_Stage):
     kind = "topk"
     role = "selector"
+    param = "R"
 
     def __init__(self, arg: str) -> None:
         self.ratio = _parse_ratio(self.kind, arg)
@@ -153,75 +150,10 @@ class _TopKStage(_Stage):
     def footprint(self, size: int) -> WireSize:
         return WireSize(values=0, index_ints=self.carrier_size(size))
 
-    def select(self, vec: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    def select(self, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k = self.carrier_size(vec.size)
         keep = np.argpartition(np.abs(vec), -k)[-k:]
         return keep, vec[keep]
-
-
-class _RandKStage(_Stage):
-    kind = "randk"
-    role = "selector"
-
-    def __init__(self, arg: str) -> None:
-        self.ratio = _parse_ratio(self.kind, arg)
-
-    @property
-    def spec(self) -> str:
-        return f"{self.kind}:{self.ratio:g}"
-
-    def carrier_size(self, size: int) -> int:
-        return max(1, int(round(self.ratio * size)))
-
-    def footprint(self, size: int) -> WireSize:
-        return WireSize(values=0, index_ints=self.carrier_size(size))
-
-    def select(self, vec: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-        k = self.carrier_size(vec.size)
-        keep = rng.choice(vec.size, size=k, replace=False)
-        # Inverse-probability scaling keeps the selection unbiased.
-        return keep, vec[keep] * (vec.size / k)
-
-
-class _SketchStage(_Stage):
-    """Count-sketch projection: d coordinates hash into ``ratio * d``
-    signed buckets; the estimate for coordinate i is
-    ``sign(i) * bucket[h(i)]``.  Hash and sign tables derive
-    deterministically from (size, width), so decode needs no streams
-    beyond the buckets themselves and no index ints cross the wire."""
-
-    kind = "sketch"
-    role = "selector"
-
-    def __init__(self, arg: str) -> None:
-        self.ratio = _parse_ratio(self.kind, arg)
-
-    @property
-    def spec(self) -> str:
-        return f"{self.kind}:{self.ratio:g}"
-
-    def carrier_size(self, size: int) -> int:
-        return max(1, int(round(self.ratio * size)))
-
-    def footprint(self, size: int) -> WireSize:
-        return WireSize(values=0)  # the bucket payload is charged downstream
-
-    def _tables(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        width = self.carrier_size(size)
-        rng = np.random.default_rng([_SKETCH_SEED, size, width])
-        buckets = rng.integers(0, width, size=size)
-        signs = (rng.integers(0, 2, size=size) * 2 - 1).astype(np.float64)
-        return buckets, signs
-
-    def project(self, vec: np.ndarray) -> np.ndarray:
-        buckets, signs = self._tables(vec.size)
-        out = np.zeros(self.carrier_size(vec.size), dtype=np.float64)
-        np.add.at(out, buckets, signs * vec)
-        return out
-
-    def expand(self, values: np.ndarray, size: int) -> np.ndarray:
-        buckets, signs = self._tables(size)
-        return signs * values[buckets]
 
 
 class _QSGDStage(_Stage):
@@ -230,6 +162,7 @@ class _QSGDStage(_Stage):
 
     kind = "qsgd"
     role = "coder"
+    param = "B"
 
     def __init__(self, arg: str) -> None:
         self.bits = _parse_bits(self.kind, arg, 2, 16)
@@ -283,6 +216,7 @@ class _UniformStage(_Stage):
 
     kind = "quantize"
     role = "coder"
+    param = "B"
 
     def __init__(self, arg: str) -> None:
         self.bits = _parse_bits(self.kind, arg, 1, 16)
@@ -307,30 +241,35 @@ class _UniformStage(_Stage):
         return lo + rounded / levels * (hi - lo)
 
 
-#: stage kind -> class, also consulted by the config choice registry.
+#: stage kind -> class: the one stage table.  The config choice registry
+#: and the CLI help derive from it.
 PIPELINE_STAGES: dict[str, type[_Stage]] = {
     _TopKStage.kind: _TopKStage,
-    _RandKStage.kind: _RandKStage,
-    _SketchStage.kind: _SketchStage,
     _QSGDStage.kind: _QSGDStage,
     _SignStage.kind: _SignStage,
     _UniformStage.kind: _UniformStage,
 }
 
-#: accepted spellings for spec validation ('none' + stage kinds + aliases).
-SPEC_STAGE_KINDS: tuple[str, ...] = ("none", *PIPELINE_STAGES, "subsample")
 
-_STAGE_ALIASES = {"subsample": "randk"}
+def stage_usage() -> str:
+    """The stages as usage text: ``'topk:R, qsgd:B, sign, quantize:B'``."""
+    return ", ".join(
+        f"{kind}:{cls.param}" if cls.param else kind for kind, cls in PIPELINE_STAGES.items()
+    )
 
 
 def parse_compression_spec(spec: str) -> list[_Stage]:
     """Parse and validate a pipeline spec like ``"topk:0.01|qsgd:8"``.
 
     Returns the (possibly empty, for ``"none"``) stage list.  Raises
-    :class:`~repro.exceptions.ConfigError` on unknown stages, bad
-    parameters, or illegal compositions (more than one selector, more
-    than one value coder, selector not first, coder not last).
+    :class:`~repro.exceptions.ConfigError` on unknown stages (through
+    the ``compression`` choice registry, with its did-you-mean
+    suggestion), bad parameters, or illegal compositions (more than one
+    selector, more than one value coder, selector not first, coder not
+    last).
     """
+    from repro.fl.config import validate_choice
+
     if not isinstance(spec, str) or not spec.strip():
         raise ConfigError(f"compression spec must be a non-empty string, got {spec!r}")
     parts = [part.strip() for part in spec.split("|")]
@@ -342,15 +281,8 @@ def parse_compression_spec(spec: str) -> list[_Stage]:
         return []
     stages: list[_Stage] = []
     for part in parts:
-        kind, sep, arg = part.partition(":")
-        kind = _STAGE_ALIASES.get(kind.strip(), kind.strip())
-        cls = PIPELINE_STAGES.get(kind)
-        if cls is None:
-            raise ConfigError(
-                f"unknown compression stage {kind!r} in spec {spec!r}; "
-                f"choose from {sorted(SPEC_STAGE_KINDS)}"
-            )
-        stages.append(cls(arg.strip()))
+        kind, _, arg = part.partition(":")
+        stages.append(PIPELINE_STAGES[validate_choice("compression", kind.strip())](arg.strip()))
     selectors = [s for s in stages if s.role == "selector"]
     coders = [s for s in stages if s.role == "coder"]
     if len(selectors) > 1:
@@ -389,10 +321,6 @@ class CompressionPipeline:
         return f"CompressionPipeline({self.spec!r})"
 
     # -- shape accounting -------------------------------------------------------
-    def carrier_size(self, size: int) -> int:
-        """How many carrier values survive selection for a d=size input."""
-        return self.selector.carrier_size(size) if self.selector is not None else int(size)
-
     def wire_size(self, size: int) -> WireSize:
         """Total wire footprint for one d=size upload (data-independent)."""
         total = WireSize(values=0)
@@ -424,12 +352,9 @@ class CompressionPipeline:
     ) -> tuple[np.ndarray | None, np.ndarray]:
         vec = np.asarray(vec, dtype=np.float64).ravel()
         indices: np.ndarray | None = None
-        if isinstance(self.selector, _SketchStage):
-            values = self.selector.project(vec)
-        elif self.selector is not None:
-            indices, values = self.selector.select(vec, rng)
-        else:
-            values = vec
+        values = vec
+        if self.selector is not None:
+            indices, values = self.selector.select(vec)
         if self.coder is not None:
             values = self.coder.code(values, rng)
         return indices, np.asarray(values, dtype=np.float64)
@@ -437,8 +362,6 @@ class CompressionPipeline:
     def _expand(
         self, indices: np.ndarray | None, values: np.ndarray, size: int
     ) -> np.ndarray:
-        if isinstance(self.selector, _SketchStage):
-            return self.selector.expand(values, size)
         if self.selector is not None:
             out = np.zeros(int(size), dtype=np.float64)
             out[indices] = values

@@ -15,6 +15,7 @@ import difflib
 from dataclasses import dataclass, field, replace
 
 from repro.exceptions import ConfigError
+from repro.fl.compression import PIPELINE_STAGES, parse_compression_spec
 from repro.nn.optim import LRSchedule
 
 # -- the string-choice knob registry ------------------------------------------------
@@ -26,7 +27,7 @@ OPTIMIZERS = ("sgd", "rmsprop")
 DTYPES = ("float32", "float64")
 SAMPLER_KINDS = ("uniform", "reservoir")
 HISTORY_MODES = ("append", "stream")
-COMPRESSION_STAGES = ("none", "topk", "randk", "subsample", "sketch", "qsgd", "sign", "quantize")
+COMPRESSION_STAGES = ("none", *PIPELINE_STAGES)
 TOPOLOGY_KINDS = ("flat", "hier")
 
 CHOICES: dict[str, tuple[str, ...]] = {
@@ -72,25 +73,6 @@ def validate_runtime_spec(spec) -> str:
     """
     kind = str(spec).partition(":")[0]
     validate_choice("runtime", kind)
-    return spec
-
-
-def validate_compression_spec(spec) -> str:
-    """Validate a compression pipeline spec (``stage[:param]|...``).
-
-    Each stage kind is registry-checked here (typo suggestions
-    included); parameter parsing and composition rules (one selector
-    first, one value coder last) live in
-    :func:`repro.fl.compression.parse_compression_spec`.
-    """
-    if not isinstance(spec, str) or not spec.strip():
-        raise ConfigError(f"compression spec must be a non-empty string, got {spec!r}")
-    for part in spec.split("|"):
-        kind = part.strip().partition(":")[0].strip()
-        validate_choice("compression", kind)
-    from repro.fl.compression import parse_compression_spec
-
-    parse_compression_spec(spec)
     return spec
 
 
@@ -178,8 +160,12 @@ class FLConfig:
         num_workers: client-execution parallelism; workers > 1 trains
             the round's clients in worker processes with results reduced
             in selection order, bit-identical to ``num_workers=1``.
-        executor: client-execution engine — 'auto' (worker processes
-            when num_workers > 1 on a multi-core host, else serial),
+        executor: client-execution engine — 'auto' (with num_workers > 1
+            on a host where this process may use two CPUs and fork: start
+            in process, time the first dispatch unit, and hand the rest
+            of the run to the worker engine when that probe says it pays,
+            taking it back if a worker call's speedup falls below 1 —
+            :class:`repro.fl.parallel.MeasuredExecutor`; else serial),
             'serial', or 'process': the worker engine of
             :mod:`repro.serve` with its workers forked locally, handed
             the serial engine's blocks (whole where they stack, one
@@ -262,7 +248,7 @@ class FLConfig:
         compression: lossy upload-compression pipeline spec (see
             :mod:`repro.fl.compression`): 'none' (default, bit-identical
             to runs predating the knob) or stages joined with '|', e.g.
-            'topk:0.01|qsgd:8', 'sign', 'sketch:0.05'.  Numerically
+            'topk:0.01|qsgd:8', 'sign', 'quantize:8'.  Numerically
             relevant, hence part of the checkpoint config hash.
         error_feedback: keep a per-client residual accumulator
             ``e_{t+1} = e_t + update - decompress(compress(update + e_t))``
@@ -393,10 +379,10 @@ class FLConfig:
         validate_choice("history_mode", self.history_mode)
         if self.state_cap is not None and self.state_cap < 1:
             raise ConfigError("state_cap must be >= 1 (or None for no cap)")
-        validate_compression_spec(self.compression)
-        validate_compression_spec(self.sync_compression)
+        parse_compression_spec(self.compression)
+        parse_compression_spec(self.sync_compression)
         validate_topology_spec(self.topology)
-        validate_compression_spec(self.cloud_compression)
+        parse_compression_spec(self.cloud_compression)
         if self.topology != "flat" and self.execution == "async":
             raise ConfigError(
                 "hierarchical topology requires execution='sync'; the async "

@@ -84,10 +84,6 @@ class RegionSet:
         sizes[:mod] += 1
         self.bounds = np.concatenate(([0], np.cumsum(sizes)))
 
-    def slice(self, region: int) -> tuple[int, int]:
-        """The ``[lo, hi)`` client-id range owned by one region."""
-        return int(self.bounds[region]), int(self.bounds[region + 1])
-
     def split_cohort(self, selected: np.ndarray) -> list[np.ndarray]:
         """Split a sorted cohort into per-region sub-cohorts.
 

@@ -38,7 +38,7 @@ import json
 import numpy as np
 
 from repro.exceptions import ConfigError
-from repro.fl.config import RUNTIME_KINDS, validate_choice  # noqa: F401  (re-export)
+from repro.fl.config import validate_choice
 
 # Sub-stream tags keeping runtime draws disjoint from training/privacy
 # RNG streams derived from the same master seed.
@@ -49,22 +49,15 @@ _JITTER_TAG = 0xA52
 class ClientRuntime:
     """Interface: simulated seconds for one dispatched client round."""
 
-    kind = "base"
-
     def duration(self, round_idx: int, client_id: int) -> float:
         """Simulated seconds client ``client_id`` needs for the local
         round it was dispatched in round ``round_idx``.  Deterministic
         in its arguments."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.kind
-
 
 class InstantRuntime(ClientRuntime):
     """Every client completes immediately — the zero-latency limit."""
-
-    kind = "instant"
 
     def duration(self, round_idx: int, client_id: int) -> float:
         return 0.0
@@ -80,8 +73,6 @@ class GaussianRuntime(ClientRuntime):
     multiplies the base by ``max(eps, 1 + std * z)`` — relative jitter,
     so fast and slow clients wobble proportionally.
     """
-
-    kind = "gaussian"
 
     def __init__(
         self,
@@ -112,12 +103,6 @@ class GaussianRuntime(ClientRuntime):
         jitter = max(1e-6, 1.0 + self.std * rng.standard_normal())
         return float(self.base_times[client_id] * jitter)
 
-    def describe(self) -> str:
-        return (
-            f"gaussian(mean={self.mean}, std={self.std}, "
-            f"het={self.heterogeneity})"
-        )
-
 
 class TraceRuntime(ClientRuntime):
     """Trace-driven durations from an explicit per-client table.
@@ -125,8 +110,6 @@ class TraceRuntime(ClientRuntime):
     ``times`` is ``(num_clients,)`` (a constant per-client duration) or
     ``(num_clients, T)`` (per-dispatch traces, cycled by round index).
     """
-
-    kind = "trace"
 
     def __init__(self, times) -> None:
         table = np.asarray(times, dtype=np.float64)
@@ -143,9 +126,6 @@ class TraceRuntime(ClientRuntime):
     def duration(self, round_idx: int, client_id: int) -> float:
         row = self.times[client_id]
         return float(row[round_idx % len(row)])
-
-    def describe(self) -> str:
-        return f"trace(clients={self.times.shape[0]}, length={self.times.shape[1]})"
 
     @classmethod
     def from_json(cls, path: str) -> "TraceRuntime":

@@ -405,14 +405,6 @@ def pack_client_update(update) -> bytes:
     return pack("update", segments)
 
 
-def unpack_client_update(buf):
-    """Decode a packed client update; array fields are zero-copy views."""
-    kind, segments = unpack(buf)
-    if kind != "update":
-        raise WireError(f"expected an update message, got {kind!r}")
-    return client_update_from_segments(segments)
-
-
 def client_update_from_segments(segments: Mapping[str, object]):
     """The :class:`~repro.fl.parallel.ClientUpdate` an already unpacked
     ``update`` message holds (a caller that had to :func:`unpack` the

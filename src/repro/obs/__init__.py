@@ -37,7 +37,6 @@ from repro.obs.trace import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.exporters import (
     format_round_table,
     format_span_summary,
-    read_jsonl,
     summary_dict,
     write_jsonl,
     write_run_artifacts,
@@ -58,7 +57,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "write_jsonl",
-    "read_jsonl",
     "summary_dict",
     "write_run_artifacts",
     "format_round_table",

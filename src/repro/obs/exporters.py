@@ -58,12 +58,6 @@ def write_jsonl(path: str | Path, tracer) -> Path:
     return path
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Parse a JSONL event file back into a list of dicts."""
-    with open(path) as handle:
-        return [json.loads(line) for line in handle if line.strip()]
-
-
 def summary_dict(history, tracer=None, provenance=None) -> dict:
     """History dict + a ``trace`` section (span aggregates, metrics).
 

@@ -17,7 +17,7 @@ Usage::
     with profiler.profile(model):
         logits = model.forward(x)
         model.backward(grad)
-    print(profiler.report())
+    print(profiler.totals())
 """
 
 from __future__ import annotations
@@ -122,22 +122,3 @@ class LayerProfiler:
                 if attr == "forward_sec":
                     entry["calls"] += hist.count
         return out
-
-    def report(self) -> str:
-        """Fixed-width table of per-layer-type time, heaviest first."""
-        totals = self.totals()
-        if not totals:
-            return "(no layers profiled)"
-        header = f"{'layer':<20}  {'calls':>6}  {'fwd_ms':>9}  {'bwd_ms':>9}"
-        lines = [header, "-" * len(header)]
-        for layer, entry in sorted(
-            totals.items(),
-            key=lambda kv: kv[1]["forward_sec"] + kv[1]["backward_sec"],
-            reverse=True,
-        ):
-            lines.append(
-                f"{layer:<20}  {entry['calls']:>6}  "
-                f"{1000 * entry['forward_sec']:>9.2f}  "
-                f"{1000 * entry['backward_sec']:>9.2f}"
-            )
-        return "\n".join(lines)

@@ -62,18 +62,6 @@ class Span:
         self._tracer._pop(self)
         return False
 
-    def to_dict(self) -> dict:
-        """Recursive JSON-serializable form."""
-        out = {"name": self.name, "duration_sec": self.duration}
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Span({self.name!r}, {self.duration * 1e3:.2f}ms, {len(self.children)} children)"
-
 
 class Tracer:
     """Collects span trees and run metrics.

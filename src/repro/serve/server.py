@@ -317,15 +317,12 @@ class ServeExecutor(ClientExecutor):
                 self._selector.unregister(conn.sock)
             except (KeyError, ValueError):
                 pass
+        fd = conn.sock.fileno()  # -1 once closed
         try:
             conn.sock.close()
         except OSError:
             pass
-        self._conns.pop(conn.sock.fileno(), None)
-        # fileno() is -1 after close; sweep by identity as the fallback.
-        for fd, existing in list(self._conns.items()):
-            if existing is conn:
-                del self._conns[fd]
+        self._conns.pop(fd, None)
 
     def _accept(self, stats: _RoundStats) -> None:
         assert self._listener is not None and self._selector is not None

@@ -1,13 +1,9 @@
-"""t-SNE and feature-geometry score tests."""
+"""t-SNE tests."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.tsne import (
-    class_separation_score,
-    client_feature_discrepancy,
-    tsne,
-)
+from repro.analysis.tsne import tsne
 from repro.exceptions import ConfigError
 
 
@@ -48,45 +44,3 @@ def test_tsne_deterministic_given_seed(rng):
 def test_tsne_too_few_points():
     with pytest.raises(ConfigError):
         tsne(np.zeros((3, 4)))
-
-
-def test_class_separation_orders_clean_vs_mixed(rng):
-    clean_x, clean_y = _two_blobs(rng, gap=10.0)
-    mixed_x, mixed_y = _two_blobs(rng, gap=0.1)
-    assert class_separation_score(clean_x, clean_y) > 3 * class_separation_score(
-        mixed_x, mixed_y
-    )
-
-
-def test_class_separation_needs_two_classes(rng):
-    with pytest.raises(ConfigError):
-        class_separation_score(rng.normal(size=(10, 3)), np.zeros(10))
-
-
-def test_client_discrepancy_zero_when_clients_agree(rng):
-    feats = rng.normal(size=(40, 6))
-    labels = rng.integers(0, 2, 40)
-    # Two clients drawn from the *same* distribution.
-    disc = client_feature_discrepancy(
-        [feats[:20], feats[20:]], [labels[:20], labels[20:]]
-    )
-    shifted = client_feature_discrepancy(
-        [feats[:20], feats[20:] + 5.0], [labels[:20], labels[20:]]
-    )
-    assert disc < shifted
-
-
-def test_client_discrepancy_handles_missing_classes(rng):
-    """Clients with label-skewed shards (the Fig. 1 scenario) — classes
-    missing on a client are simply skipped."""
-    feats_a = rng.normal(size=(10, 4))
-    feats_b = rng.normal(size=(10, 4))
-    disc = client_feature_discrepancy(
-        [feats_a, feats_b], [np.zeros(10, dtype=int), np.ones(10, dtype=int)]
-    )
-    assert disc == 0.0  # no shared classes -> nothing to compare
-
-
-def test_client_discrepancy_validates(rng):
-    with pytest.raises(ConfigError):
-        client_feature_discrepancy([rng.normal(size=(5, 2))], [])

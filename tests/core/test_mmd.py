@@ -11,7 +11,6 @@ from repro.core.mmd import (
     mean_embedding,
     median_heuristic,
     rbf_mmd,
-    squared_linear_mmd,
 )
 from repro.exceptions import DataError
 
@@ -47,12 +46,6 @@ def test_linear_mmd_symmetric_nonnegative(x, y):
         y = np.resize(y, (y.shape[0], x.shape[1]))
     assert linear_mmd(x, y) >= 0.0
     assert linear_mmd(x, y) == pytest.approx(linear_mmd(y, x))
-
-
-def test_squared_linear_mmd_is_square(rng):
-    x = rng.normal(size=(5, 4))
-    y = rng.normal(size=(7, 4))
-    assert squared_linear_mmd(x, y) == pytest.approx(linear_mmd(x, y) ** 2)
 
 
 def test_linear_mmd_detects_mean_shift(rng):

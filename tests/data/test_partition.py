@@ -12,9 +12,9 @@ from repro.data.partition import (
     quantity_skew_sizes,
     similarity_partition,
 )
-from repro.data.stats import label_histograms, mean_pairwise_tv_distance
 from repro.data.dataset import ArrayDataset
 from repro.exceptions import DataError
+from tests.helpers import label_histograms, mean_pairwise_tv_distance
 
 
 def _labels(n=200, classes=10, seed=0):

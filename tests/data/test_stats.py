@@ -1,15 +1,12 @@
-"""Partition statistics tests."""
+"""Partition statistics tests: ``quantity_imbalance`` and the label-skew
+measures of ``tests.helpers``."""
 
 import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset
-from repro.data.stats import (
-    label_entropy,
-    label_histograms,
-    mean_pairwise_tv_distance,
-    quantity_imbalance,
-)
+from repro.data.stats import quantity_imbalance
+from tests.helpers import label_histograms, mean_pairwise_tv_distance
 
 
 def _client(labels):
@@ -38,13 +35,6 @@ def test_tv_distance_extremes():
 def test_tv_distance_single_client_is_zero():
     hists = label_histograms([_client([0, 1])], 2)
     assert mean_pairwise_tv_distance(hists) == 0.0
-
-
-def test_label_entropy():
-    hists = np.array([[1.0, 0.0], [0.5, 0.5]])
-    ent = label_entropy(hists)
-    assert ent[0] == pytest.approx(0.0)
-    assert ent[1] == pytest.approx(np.log(2))
 
 
 def test_quantity_imbalance():

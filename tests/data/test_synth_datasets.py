@@ -9,11 +9,12 @@ from repro.data import (
     make_synth_mnist,
     make_synth_sent140,
 )
-from repro.data.stats import label_histograms, mean_pairwise_tv_distance, quantity_imbalance
+from repro.data.stats import quantity_imbalance
 from repro.data.partition import by_user_partition
 from repro.data.synth_femnist import FemnistConfig
 from repro.data.synth_sent140 import Sent140Config
 from repro.exceptions import DataError
+from tests.helpers import label_histograms, mean_pairwise_tv_distance
 
 
 def test_synth_mnist_shapes_and_spec():

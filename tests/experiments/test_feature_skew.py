@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.tsne import client_marginal_discrepancy
-from repro.data.stats import label_histograms, mean_pairwise_tv_distance
 from repro.data.transforms import client_style_pipeline
 from repro.exceptions import DataError
 from repro.experiments import build_feature_skew_federation
+from tests.helpers import label_histograms, mean_pairwise_tv_distance
 
 
 def test_structure():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.data.stats import label_histograms, mean_pairwise_tv_distance
 from repro.exceptions import ConfigError
 from repro.experiments import (
     build_femnist_federation,
@@ -13,6 +12,7 @@ from repro.experiments import (
     cross_silo_config,
     default_model_fn,
 )
+from tests.helpers import label_histograms, mean_pairwise_tv_distance
 
 
 def test_cross_silo_defaults_match_paper():

@@ -7,7 +7,6 @@ from repro.experiments.report import (
     display_name,
     format_accuracy_table,
     format_comm_table,
-    format_curve,
     format_rounds_table,
 )
 from repro.experiments.runner import RunResult
@@ -42,17 +41,6 @@ def test_accuracy_table_contains_all_methods_and_settings():
     assert "Sim 0%" in table and "Sim 100%" in table
     assert "-" in table  # missing cell placeholder
     assert "60.00" in table  # 0.6 as percent
-
-
-def test_format_curve_lists_rounds():
-    text = format_curve(_result("fedavg", [0.1, 0.2]))
-    assert "round    0" in text
-    assert "0.2000" in text
-
-
-def test_format_curve_loss_mode():
-    text = format_curve(_result("fedavg", [0.1, 0.2]), metric="loss")
-    assert "loss" in text
 
 
 def test_rounds_table():

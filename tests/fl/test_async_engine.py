@@ -9,6 +9,7 @@ zero-latency sync==async bit-identity matrix lives in
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +60,13 @@ def _run(fed, config, algorithm="fedavg", runtime=None, **kwargs):
 
 
 def test_update_record_json_round_trip():
+    """A checkpoint stores the record's dict as JSON."""
     record = AsyncUpdateRecord(
         update_idx=3, sim_time=1.25, client_id=2, staleness=1,
         effective_weight=0.7071, train_loss=0.42, test_accuracy=0.9,
         dispatch_round=1, flush_round=2,
     )
-    assert AsyncUpdateRecord.from_json(record.to_json()) == record
+    assert AsyncUpdateRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
 
 
 def test_update_record_from_dict_ignores_unknown_keys():
@@ -81,7 +83,7 @@ def test_async_history_json_round_trip(fed):
         fed, _config(buffer_size=3), runtime=TraceRuntime(STRAGGLER_TIMES)
     )
     original = history.async_history
-    restored = AsyncHistory.from_json(original.to_json())
+    restored = AsyncHistory.from_dict(json.loads(json.dumps(original.to_dict())))
     assert restored.to_dict() == original.to_dict()
     assert restored.records == original.records
     assert restored.final_accuracy == original.final_accuracy
@@ -240,7 +242,7 @@ def test_async_artifacts_include_update_log(fed, tmp_path):
     out = write_run_artifacts(tmp_path / "run", history)
     async_json = Path(out) / "async.json"
     assert async_json.is_file()
-    restored = AsyncHistory.from_json(async_json.read_text())
+    restored = AsyncHistory.from_dict(json.loads(async_json.read_text()))
     assert restored.to_dict() == history.async_history.to_dict()
 
 

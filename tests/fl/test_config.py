@@ -76,6 +76,25 @@ def test_transport_knob_is_gone(capsys):
     assert "unrecognized arguments: --transport wire" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["randk:0.1", "subsample:0.1", "sketch:0.05"])
+def test_deleted_compression_stages_are_gone(spec):
+    """The random-subsample and count-sketch stages (and the alias) are
+    deleted: each is an unknown choice at FLConfig construction and on the
+    CLI, and the message lists the stages that remain."""
+    from repro.cli import main
+    from repro.fl.compression import PIPELINE_STAGES
+
+    remaining = str(("none", *PIPELINE_STAGES))
+    assert remaining == "('none', 'topk', 'qsgd', 'sign', 'quantize')"
+    with pytest.raises(ConfigError) as caught:
+        FLConfig(compression=spec)
+    message = str(caught.value)
+    assert remaining in message and repr(spec.partition(":")[0]) in message
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "--compression", spec])
+    assert exited.value.code == f"repro: {message}"
+
+
 def test_state_sharding_knob_is_gone(capsys):
     """Per-client tables have one layout: asking for one is an unknown
     field / an unknown argument, and no population-size threshold is

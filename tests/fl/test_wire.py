@@ -159,9 +159,16 @@ def _update(**overrides) -> ClientUpdate:
     return ClientUpdate(**base)
 
 
+def _unpack_update(buf) -> ClientUpdate:
+    """Decode a packed update the way the worker engine does."""
+    kind, segments = wire.unpack(buf)
+    assert kind == "update"
+    return wire.client_update_from_segments(segments)
+
+
 def test_client_update_round_trip_dense():
     update = _update()
-    out = wire.unpack_client_update(wire.pack_client_update(update))
+    out = _unpack_update(wire.pack_client_update(update))
     np.testing.assert_array_equal(out.params, update.params)
     assert out.client_id == 3 and out.worker == 4242 and out.num_steps == 5
     assert out.task_loss == 0.25 and out.reg_loss == 0.015625
@@ -180,7 +187,7 @@ def test_client_update_round_trip_compressed_streams():
         params_streams=streams,
         wire_size=WireSize(values=3, index_ints=3, raw_bytes=5),
     )
-    out = wire.unpack_client_update(wire.pack_client_update(update))
+    out = _unpack_update(wire.pack_client_update(update))
     assert out.params is None
     np.testing.assert_array_equal(out.params_streams["indices"], streams["indices"])
     np.testing.assert_array_equal(out.params_streams["values"], streams["values"])
@@ -203,14 +210,14 @@ def test_packed_topk_update_is_4x_smaller_than_dense_and_decodes_to_compress():
         _update(params=vec, wire_size=WireSize(values=vec.size))
     )
     assert len(dense) >= 4 * len(packed)
-    out = wire.unpack_client_update(packed)
+    out = _unpack_update(packed)
     assert out.params_streams["indices"].dtype == np.int32
     np.testing.assert_array_equal(pipeline.decode(out.params_streams, vec.size), recon)
 
 
 def test_client_update_round_trip_payload():
     update = _update(payload={"delta": np.full(6, 2.5), "start_loss": 1.75, "tau": 4})
-    out = wire.unpack_client_update(wire.pack_client_update(update))
+    out = _unpack_update(wire.pack_client_update(update))
     np.testing.assert_array_equal(out.payload["delta"], update.payload["delta"])
     assert out.payload["start_loss"] == 1.75
     assert out.payload["tau"] == 4

@@ -1,6 +1,7 @@
 """Shared test utilities: gradient checking, the serial/parallel
-equivalence harness for the client-execution engine, and the dense
-reference for the per-client state table."""
+equivalence harness for the client-execution engine, the dense
+reference for the per-client state table, the label-skew measures the
+partition tests assert on, and the softmax the loss is checked against."""
 
 from __future__ import annotations
 
@@ -9,9 +10,50 @@ from typing import Callable
 
 import numpy as np
 
+from repro.data.dataset import ArrayDataset
 from repro.models.split import SplitModel
 from repro.nn.module import Module
 from repro.nn.serialization import get_flat_grads, get_flat_params, set_flat_params
+
+
+def label_histograms(
+    clients: list[ArrayDataset], num_classes: int, normalize: bool = True
+) -> np.ndarray:
+    """Per-client label distributions, shape (num_clients, num_classes)."""
+    hist = np.stack([c.label_counts(num_classes).astype(np.float64) for c in clients])
+    if normalize:
+        hist /= np.maximum(hist.sum(axis=1, keepdims=True), 1.0)
+    return hist
+
+
+def mean_pairwise_tv_distance(hist: np.ndarray) -> float:
+    """Mean total-variation distance between all client label pairs.
+
+    0 = identical label distributions (IID); 1 = disjoint label support
+    (extreme non-IID).
+    """
+    n = hist.shape[0]
+    if n < 2:
+        return 0.0
+    total = 0.0
+    count = 0
+    for i in range(n):
+        diffs = np.abs(hist[i + 1 :] - hist[i]).sum(axis=1) / 2.0
+        total += float(diffs.sum())
+        count += len(diffs)
+    return total / count
+
+
+def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax."""
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = logits - logits.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def finite_difference_check(

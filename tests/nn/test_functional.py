@@ -1,12 +1,13 @@
-"""Functional helper tests (with hypothesis property tests)."""
+"""Functional helper tests (with hypothesis property tests): ``clip_by_norm``
+and the softmax of ``tests.helpers``."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn.functional import accuracy, clip_by_norm, log_softmax, softmax
+from repro.nn.functional import clip_by_norm
+from tests.helpers import log_softmax, softmax
 
 finite_rows = hnp.arrays(
     np.float64,
@@ -38,11 +39,6 @@ def test_log_softmax_consistent_with_softmax(logits):
 def test_softmax_no_overflow_with_huge_values():
     probs = softmax(np.array([[1e308, 0.0]]))
     assert np.isfinite(probs).all()
-
-
-def test_accuracy():
-    logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-    assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
 
 
 @given(

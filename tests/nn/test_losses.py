@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.nn.functional import log_softmax, softmax
+from tests.helpers import log_softmax, softmax
 
 
 def test_cross_entropy_matches_manual(rng):

@@ -7,7 +7,6 @@ from repro.obs.exporters import (
     format_round_table,
     format_span_summary,
     iter_events,
-    read_jsonl,
     summary_dict,
     write_jsonl,
     write_run_artifacts,
@@ -58,7 +57,7 @@ def test_iter_events_flattens_spans_with_paths():
 def test_jsonl_round_trip(tmp_path):
     tracer = _traced_round()
     path = write_jsonl(tmp_path / "events.jsonl", tracer)
-    assert read_jsonl(path) == iter_events(tracer)
+    assert [json.loads(line) for line in path.read_text().splitlines()] == iter_events(tracer)
 
 
 def test_summary_dict_embeds_trace_section():

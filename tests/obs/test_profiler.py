@@ -78,19 +78,6 @@ def test_detach_happens_even_on_exception():
     assert "forward" not in _leaf_modules(model)[0].__dict__
 
 
-def test_report_renders_table():
-    model = _model()
-    profiler = LayerProfiler()
-    x = _batch()
-    with profiler.profile(model):
-        model.forward(x)
-        model.backward(np.ones((len(x), 4)) / len(x))
-    report = profiler.report()
-    assert report.splitlines()[0].split() == ["layer", "calls", "fwd_ms", "bwd_ms"]
-    assert "Linear" in report
-    assert LayerProfiler().report() == "(no layers profiled)"
-
-
 def test_profiler_shares_external_registry():
     registry = MetricsRegistry()
     model = _model()

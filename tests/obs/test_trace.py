@@ -136,18 +136,6 @@ def test_on_round_mirrors_record_into_metrics():
     assert snap["histograms"]["round.num_selected"]["count"] == 2
 
 
-def test_span_to_dict_round_structure():
-    tracer = Tracer()
-    with tracer.span("round", round=1):
-        with tracer.span("eval"):
-            pass
-    d = tracer.roots[0].to_dict()
-    assert d["name"] == "round"
-    assert d["attrs"] == {"round": 1}
-    assert d["children"][0]["name"] == "eval"
-    assert "children" not in d["children"][0]
-
-
 def test_null_tracer_is_inert_and_shared():
     assert NULL_TRACER.enabled is False
     span_a = NULL_TRACER.span("x", attr=1)

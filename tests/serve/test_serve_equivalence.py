@@ -78,7 +78,7 @@ def test_serve_over_tcp_is_bit_identical_to_serial(fed, name, kwargs):
     [
         pytest.param({"compression": "topk:0.25"}, id="topk"),
         pytest.param({"compression": "topk:0.25|qsgd:8"}, id="topk-qsgd-ef"),
-        pytest.param({"compression": "randk:0.5|sign"}, id="randk-sign"),
+        pytest.param({"compression": "topk:0.5|sign"}, id="topk-sign"),
     ],
 )
 def test_serve_with_compression_is_bit_identical(fed, overrides):
