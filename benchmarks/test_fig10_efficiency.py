@@ -108,3 +108,60 @@ def test_fig10cd_time_per_round(once):
     # (ii) the paper-scale source of the 2x: pairwise costs a large
     # multiple of leave-one-out per local step.
     assert per_step_pairwise > 3.0 * per_step_loo
+
+
+def test_fig10cd_train_step_speed_vs_reference(once):
+    """Time per round is mostly the local train step.  The shipped kernels
+    must beat their frozen pre-optimization twins (``repro.nn.reference``)
+    on the paper's models: the CNN step in float32 >= 1.5x the reference
+    in float64, the LSTM step in float64 >= 1.2x.  Best of 7 timed steps
+    after a warm-up, with ``input_grad=False`` as local training runs them.
+    Timings are of one process; pin BLAS to one thread
+    (``OPENBLAS_NUM_THREADS=1``) for numbers comparable across hosts."""
+    import timeit
+
+    import numpy as np
+
+    from repro import nn
+    from repro.models.cnn import build_cnn
+    from repro.models.lstm import build_lstm_classifier
+    from repro.nn.reference import as_reference
+
+    def step_seconds(build, x, y, *, reference=False):
+        model = as_reference(build()) if reference else build()
+        loss_fn = nn.SoftmaxCrossEntropy()
+
+        def step():
+            loss_fn.forward(model.forward(x), y)
+            model.zero_grad()
+            model.backward(loss_fn.backward(), input_grad=False)
+            for p in model.parameters():
+                p.data -= 0.1 * p.grad
+
+        step()
+        return min(timeit.repeat(step, number=1, repeat=7))
+
+    def run():
+        rng = np.random.default_rng(5)
+        x_img, y_img = rng.normal(size=(32, 3, 28, 28)), rng.integers(0, 10, 32)
+        x_tok, y_tok = rng.integers(0, 200, size=(32, 25)), rng.integers(0, 2, 32)
+
+        def cnn():
+            return build_cnn(3, 28, 10, np.random.default_rng(6), scale=0.5)
+
+        def lstm():
+            return build_lstm_classifier(200, 2, np.random.default_rng(7), scale=0.5)
+
+        cnn_ref = step_seconds(cnn, x_img, y_img, reference=True)
+        with nn.default_dtype("float32"):
+            cnn_f32 = step_seconds(cnn, x_img, y_img)
+        lstm_ref = step_seconds(lstm, x_tok, y_tok, reference=True)
+        lstm_f64 = step_seconds(lstm, x_tok, y_tok)
+        return cnn_ref / cnn_f32, lstm_ref / lstm_f64
+
+    cnn_speedup, lstm_speedup = once(run)
+    banner("Fig. 10(c)/(d) — train step, shipped kernels vs frozen reference")
+    report(f"CNN  step (B=32, 28x28, scale 0.5): float32 {cnn_speedup:.2f}x the float64 reference")
+    report(f"LSTM step (B=32, T=25, scale 0.5): float64 {lstm_speedup:.2f}x the float64 reference")
+    assert cnn_speedup >= 1.5
+    assert lstm_speedup >= 1.2

@@ -12,7 +12,6 @@ almost no accuracy loss.
 from repro.algorithms import RFedAvgPlus
 from repro.experiments import build_image_federation, cross_silo_config, default_model_fn
 from repro.fl import run_federated
-from repro.fl.compression import compressor_from_spec
 
 
 def main() -> None:
@@ -23,16 +22,17 @@ def main() -> None:
     model_fn = default_model_fn("mlp", fed.spec, scale=1.0)
 
     variants = [
-        ("dense uploads", None),
-        ("8-bit quantized", compressor_from_spec("quantize:8")),
-        ("top-10% sparsified", compressor_from_spec("topk:0.1")),
+        ("dense uploads", "none"),
+        ("8-bit quantized", "quantize:8"),
+        ("top-10% sparsified", "topk:0.1"),
     ]
     print(f"{'variant':22s} {'accuracy':>9s} {'uplink bytes':>14s}")
-    for label, compressor in variants:
+    for label, spec in variants:
         algorithm = RFedAvgPlus(lam=1e-3)
-        if compressor is not None:
-            algorithm = algorithm.with_compressor(compressor)
-        history = run_federated(algorithm, fed, model_fn, config)
+        history = run_federated(
+            algorithm, fed, model_fn,
+            config.with_updates(compression=spec, error_feedback=False),
+        )
         uplink = algorithm.ledger.total("up:model")
         print(f"{label:22s} {history.tail_mean_accuracy(3):9.4f} {uplink:14,}")
 

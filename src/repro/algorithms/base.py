@@ -180,26 +180,12 @@ class FederatedAlgorithm:
         self.global_params: np.ndarray | None = None
         self.ledger: CommLedger | None = None
         self.model_size = 0
-        self.compressor = None  # optional upload CompressionPipeline
+        self.compressor = None  # upload CompressionPipeline of config.compression
         self._residuals = None  # per-client error-feedback accumulators
         self.fault_model = None  # optional FaultModel
         self.tracer = NULL_TRACER  # the trainer swaps in a live Tracer
         self.executor: ClientExecutor = SerialExecutor()
         self._executor_override: ClientExecutor | None = None
-
-    def with_compressor(self, compressor) -> "FederatedAlgorithm":
-        """Compress client model uploads with a
-        :class:`~repro.fl.compression.CompressionPipeline` (FedAvg-family
-        rounds only).
-
-        The pipeline acts on the *update* (local params minus the
-        round's global params); the server aggregates the lossy
-        reconstruction and the ledger is charged the compressed size.
-        Unlike ``FLConfig.compression`` it keeps no error-feedback
-        residuals.
-        """
-        self.compressor = compressor
-        return self
 
     def with_faults(self, fault_model) -> "FederatedAlgorithm":
         """Inject client dropout / byzantine corruption into rounds."""
@@ -233,15 +219,11 @@ class FederatedAlgorithm:
             ),
         )
         self.model_size = num_params(model)
-        # The config's compression spec builds the upload pipeline unless
-        # one was attached via with_compressor() (which runs without
-        # error feedback).
+        # The config's compression spec is the one way to compress uploads.
+        self.compressor = compressor_from_spec(config.compression)
         self._residuals = None
-        spec = config.compression
-        if self.compressor is None and spec not in (None, "", "none"):
-            self.compressor = compressor_from_spec(spec)
-            if config.error_feedback:
-                self._residuals = self._make_state_table(self.model_size)
+        if self.compressor is not None and config.error_feedback:
+            self._residuals = self._make_state_table(self.model_size)
         self.executor = (
             self._executor_override
             if self._executor_override is not None

@@ -22,7 +22,13 @@ from pathlib import Path
 
 from repro.algorithms import ALGORITHMS
 from repro.experiments import default_model_fn
-from repro.experiments.facade import RUN_PRESETS, RunPreset, resolve_preset, run_preset
+from repro.experiments.facade import (
+    RUN_PRESETS,
+    RunPreset,
+    preset_config,
+    resolve_preset,
+    run_preset,
+)
 from repro.experiments.registry import EXPERIMENTS
 from repro.fl.compression import stage_usage
 from repro.fl.config import FLConfig
@@ -265,6 +271,7 @@ def _command_run(args) -> int:
         config=config,
         **{f.name: flags[f.name] for f in fields(RunPreset) if f.name in flags},
     )
+    preset_config(preset, args.seed)  # refuse a bad knob before the banner
     print(
         f"{args.algorithm} on {args.dataset}: "
         f"{args.population or args.clients} clients, "
@@ -296,6 +303,7 @@ def _command_preset(args) -> int:
         if value is not None and value is not False:  # the flag was given
             overrides[key] = value
     preset = resolve_preset(args.name, overrides)
+    preset_config(preset, args.seed)  # refuse a bad knob before the banner
     print(f"{args.name}: {preset.description}")
     return _run_and_report(preset, args)
 

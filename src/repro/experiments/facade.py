@@ -205,6 +205,15 @@ def _build_federation(preset: RunPreset, seed: int) -> FederatedDataset:
     raise ConfigError(f"unknown dataset {preset.dataset!r}")
 
 
+def preset_config(preset: RunPreset, seed: int = 0) -> FLConfig:
+    """The run's config: the preset's scenario base with ``preset.config``
+    on top and ``seed`` forced.  Raises :class:`ConfigError` on a bad knob."""
+    base_config = (
+        cross_device_config if preset.scenario == "cross_device" else cross_silo_config
+    )
+    return base_config(**{**preset.config, "seed": seed})
+
+
 def run_preset(
     preset: RunPreset,
     *,
@@ -220,11 +229,8 @@ def run_preset(
     algorithm, runs one federated job, and writes the run artifacts
     with provenance under ``artifacts_dir`` when one is given.
     """
+    config = preset_config(preset, seed)
     fed = _build_federation(preset, seed)
-    base_config = (
-        cross_device_config if preset.scenario == "cross_device" else cross_silo_config
-    )
-    config = base_config(**{**preset.config, "seed": seed})
     model_name = preset.model or ("lstm" if fed.spec.kind == "sequence" else "mlp")
     model_fn = default_model_fn(model_name, fed.spec, seed=seed, scale=preset.scale)
     try:

@@ -6,9 +6,10 @@ The optimized hot-path kernels in :mod:`repro.nn.conv`,
 *bit-for-bit* identical to these straightforward
 implementations in float64 — that is the contract that lets the kernel
 rewrites ship without re-validating every paper experiment.  The equivalence tests
-(``tests/nn/test_kernel_equivalence.py``) and the benchmark regression
-harness (``benchmarks/bench_kernels.py``) both compare against this
-module; it is not used on any training path.
+(``tests/nn/test_kernel_equivalence.py``, ``test_recurrent_kernels.py``,
+``test_pooling.py``) and the train-step speed check in
+``benchmarks/test_fig10_efficiency.py`` compare against this module; it
+is not used on any training path.
 
 The code here is the original loop-based implementation, frozen on
 purpose — do not "optimize" it.

@@ -41,7 +41,7 @@ from repro.obs.exporters import (
     write_jsonl,
     write_run_artifacts,
 )
-from repro.obs.profiler import LayerProfiler, time_op
+from repro.obs.profiler import LayerProfiler
 from repro.obs.sysinfo import current_rss_bytes, peak_rss_bytes, record_scale_gauges
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "format_round_table",
     "format_span_summary",
     "LayerProfiler",
-    "time_op",
     "current_rss_bytes",
     "peak_rss_bytes",
     "record_scale_gauges",

@@ -29,24 +29,6 @@ from repro.nn.module import Module
 from repro.obs.metrics import MetricsRegistry
 
 
-def time_op(fn, *, repeats: int = 5, warmup: int = 1) -> float:
-    """Best-of-``repeats`` wall time of ``fn()`` in seconds.
-
-    The micro-benchmark primitive used by ``benchmarks/bench_kernels.py``:
-    warmup calls absorb one-time costs (allocator, BLAS thread spin-up),
-    and taking the minimum rather than the mean discards scheduler noise,
-    which is the conventional choice for single-core kernel timing.
-    """
-    for _ in range(max(0, warmup)):
-        fn()
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def _leaf_modules(module: Module) -> list[Module]:
     """All modules in the tree with no child modules, depth-first."""
     return [m for m in module.modules() if len(m.modules()) == 1]

@@ -3,7 +3,7 @@
 Cross-device scale-out lives or dies by memory flatness: a
 million-client population must not cost more resident memory than a
 ten-thousand-client one.  These helpers read the numbers the scale
-gauges and ``benchmarks/bench_scale.py`` gate on, with no dependencies
+gauges and ``tests/fl/test_scale_memory.py`` gate on, with no dependencies
 beyond ``/proc`` (Linux) and the stdlib ``resource`` fallback.
 :func:`usable_cpus` and :func:`fork_refusal` are the tests every second
 process (worker engine, render-ahead helper) is forked behind.
@@ -59,7 +59,7 @@ def peak_rss_bytes() -> int:
 
     ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; it is
     monotone, so per-scenario measurements need a subprocess each
-    (which is exactly how bench_scale.py uses it).
+    (which is exactly how ``tests/fl/test_scale_memory.py`` uses it).
     """
     try:
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

@@ -228,6 +228,23 @@ def test_resume_refuses_mismatched_configuration(fed, tmp_path):
         )
 
 
+def test_resume_refuses_a_different_compressor(fed, tmp_path):
+    """Upload compression is set only through the config, so the hash
+    sees it: a quantized run's checkpoint does not resume uncompressed."""
+    ckpt_dir = str(tmp_path / "ckpt")
+    run_with_workers(
+        "fedavg", {}, fed,
+        _config(rounds=3, checkpoint_dir=ckpt_dir, compression="quantize:8"),
+        num_workers=1,
+    )
+    with pytest.raises(CheckpointMismatchError, match="config_hash"):
+        run_with_workers(
+            "fedavg", {}, fed,
+            _config(rounds=3, checkpoint_dir=ckpt_dir, compression="none", resume=True),
+            num_workers=1,
+        )
+
+
 def test_resume_refuses_different_algorithm(fed, tmp_path):
     config = _config(checkpoint_dir=str(tmp_path / "ckpt"))
     run_with_workers("fedavg", {}, fed, config, num_workers=1)

@@ -2,8 +2,8 @@
 
 The digests below were recorded from the commit *before* the renderer
 became table-driven (the string-font / ``np.roll`` / ``np.clip``
-implementation), so they pin the pixels every committed BENCH_*.json
-and EXPERIMENTS.md number was measured on.  A change that moves one
+implementation), so they pin the pixels every EXPERIMENTS.md number and
+every measurement dated in docs/performance.md was taken on.  A change that moves one
 pixel, reorders one RNG draw or changes a dtype fails here.  To re-record
 after an *intended* data change, print ``_digest(...)`` of each case.
 """

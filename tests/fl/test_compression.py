@@ -138,8 +138,11 @@ def test_compressed_fedavg_reduces_uplink(toy_federation, fast_config):
 
     plain = FedAvg()
     run_federated(plain, toy_federation, model_fn, fast_config)
-    compressed = FedAvg().with_compressor(compressor_from_spec("topk:0.05"))
-    run_federated(compressed, toy_federation, model_fn, fast_config)
+    compressed = FedAvg()
+    run_federated(
+        compressed, toy_federation, model_fn,
+        fast_config.with_updates(compression="topk:0.05", error_feedback=False),
+    )
     assert compressed.ledger.total("up:model") < 0.2 * plain.ledger.total("up:model")
     # Downlink unchanged (server still broadcasts the dense model).
     assert compressed.ledger.total("down:model") == plain.ledger.total("down:model")
@@ -157,7 +160,10 @@ def test_compressed_fedavg_still_learns(iid_federation):
             np.random.default_rng(0), (16,), feature_dim=8,
         )
 
-    config = FLConfig(rounds=20, local_steps=4, batch_size=16, lr=0.3, eval_every=5, seed=0)
-    alg = FedAvg().with_compressor(compressor_from_spec("topk:0.25"))
+    config = FLConfig(
+        rounds=20, local_steps=4, batch_size=16, lr=0.3, eval_every=5, seed=0,
+        compression="topk:0.25", error_feedback=False,
+    )
+    alg = FedAvg()
     history = run_federated(alg, iid_federation, model_fn, config)
     assert history.final_accuracy > 0.45

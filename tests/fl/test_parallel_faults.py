@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms import FedAvg
-from repro.fl.compression import compressor_from_spec
 from repro.fl.config import FLConfig
 from repro.fl.faults import FaultModel
 from repro.obs import Tracer
@@ -86,10 +85,9 @@ def test_byzantine_corruption_is_bit_identical_and_counts_match(fed):
 
 
 def test_compression_and_faults_compose_under_parallelism(fed):
-    config = _config(seed=23)
+    config = _config(seed=23, compression="quantize:8", error_feedback=False)
 
     def decorate(algorithm):
-        algorithm.with_compressor(compressor_from_spec("quantize:8"))
         algorithm.with_faults(_fault_model(byzantine_clients=(0,)))
 
     serial = run_with_workers("fedavg", {}, fed, config, num_workers=1, decorate=decorate)
@@ -208,12 +206,8 @@ def test_dead_worker_is_redispatched_without_degrading(fed, tmp_path):
 def test_sparse_compression_rides_the_wire_bit_identically(fed):
     """TopK updates travel as int32 index + value streams from the pool;
     the parent-side reconstruction must match serial compress()."""
-    config = _config(seed=26)
-
-    def decorate(algorithm):
-        algorithm.with_compressor(compressor_from_spec("topk:0.25"))
-
-    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1, decorate=decorate)
-    parallel = run_with_workers("fedavg", {}, fed, config, num_workers=4, decorate=decorate)
+    config = _config(seed=26, compression="topk:0.25", error_feedback=False)
+    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
+    parallel = run_with_workers("fedavg", {}, fed, config, num_workers=4)
     assert not parallel[0].executor.degraded
     assert_equivalent_runs(serial, parallel)

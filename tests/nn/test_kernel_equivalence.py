@@ -199,7 +199,13 @@ def _bare_linear(r):
     return SplitModel(features, nn.Linear(8, 4, rng=r), feature_dim=8)
 
 
+def _bench_tokens(r):
+    """A batch at the Sent140 bench cell's train shape: B=32, T=22."""
+    return r.integers(0, 400, size=(32, 22))
+
+
 # name -> (model builder, batch builder); the CNN picks K=5 at 16x16, K=3 at 8x8.
+# "lstm-bench" is the Sent140 bench cell's model (E=12, H=64, two layers).
 ZOO = {
     "cnn-k5": (lambda r: build_cnn(3, 16, 4, r, scale=0.25), _images(16, 3)),
     "cnn-k3": (lambda r: build_cnn(1, 8, 4, r, scale=0.25), _images(8, 1)),
@@ -207,6 +213,7 @@ ZOO = {
     "logistic": (lambda r: build_logistic(48, 4, r), _images(4, 3)),
     "linear": (_bare_linear, lambda r: r.normal(size=(6, 12))),
     "lstm": (lambda r: build_lstm_classifier(30, 4, r, scale=0.1), _tokens),
+    "lstm-bench": (lambda r: build_lstm_classifier(400, 4, r, scale=0.25), _bench_tokens),
 }
 
 

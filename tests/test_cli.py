@@ -177,6 +177,21 @@ def test_unknown_model_rejected():
               "--clients", "2", "--rounds", "1", "--scale", "0.25"])
 
 
+@pytest.mark.parametrize(
+    "argv,suggestion",
+    [
+        (["run", "--compression", "topk:0.1|qsdg:8"], "did you mean 'qsgd'?"),
+        (["preset", "quickstart", "--set", "compression=top:0.1"], "did you mean 'topk'?"),
+    ],
+    ids=["run", "preset"],
+)
+def test_refused_knob_exits_before_the_banner(capsys, argv, suggestion):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert suggestion in str(excinfo.value.code)
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

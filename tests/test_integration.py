@@ -11,7 +11,6 @@ import pytest
 
 from repro.algorithms import FedAvg, RFedAvgPlus, make_algorithm
 from repro.analysis.tsne import client_marginal_discrepancy
-from repro.fl.compression import compressor_from_spec
 from repro.fl.config import FLConfig
 from repro.fl.selection import PowerOfChoiceSelector
 from repro.fl.trainer import run_federated
@@ -65,8 +64,9 @@ def test_full_stack_composition_runs():
     """Regularizer + quantized uploads + loss-biased selection together."""
     fed = make_toy_federation(similarity=0.0)
     config = FLConfig(rounds=6, local_steps=3, batch_size=16, lr=0.2,
-                      sample_ratio=0.5, seed=2)
-    alg = RFedAvgPlus(lam=1e-3).with_compressor(compressor_from_spec("quantize:8"))
+                      sample_ratio=0.5, seed=2,
+                      compression="quantize:8", error_feedback=False)
+    alg = RFedAvgPlus(lam=1e-3)
     history = run_federated(
         alg, fed, _model_fn(fed), config,
         selector=PowerOfChoiceSelector(0.5, candidate_factor=2.0),
