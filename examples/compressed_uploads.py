@@ -2,9 +2,14 @@
 
 The paper's related work surveys quantization / sparsification for
 communication-efficient FL; this example shows they compose with
-rFedAvg+ — the delta payloads are already tiny (Table III), and the
-model uploads can be quantized on top for a ~4x total traffic cut with
-almost no accuracy loss.
+rFedAvg+, with error feedback (the default) carrying what an upload
+drops into that client's next one.  The delta payloads are already tiny
+(Table III); on top, 8-bit quantized model uploads send 8x fewer uplink
+bytes than dense float64 and top-10% sparsified ones 6.7x fewer.  The
+accuracy is not free at this small setting (10 clients, 40 rounds): the
+table reads 0.5217 tail accuracy dense, 0.48-0.49 at 8 bits (3-4 points
+lower; the row moves with the BLAS thread count) and 0.5933 at top-10%
+(+7.2, sparsification acting as a regularizer).
 
     python examples/compressed_uploads.py
 """
@@ -29,10 +34,7 @@ def main() -> None:
     print(f"{'variant':22s} {'accuracy':>9s} {'uplink bytes':>14s}")
     for label, spec in variants:
         algorithm = RFedAvgPlus(lam=1e-3)
-        history = run_federated(
-            algorithm, fed, model_fn,
-            config.with_updates(compression=spec, error_feedback=False),
-        )
+        history = run_federated(algorithm, fed, model_fn, config.with_updates(compression=spec))
         uplink = algorithm.ledger.total("up:model")
         print(f"{label:22s} {history.tail_mean_accuracy(3):9.4f} {uplink:14,}")
 

@@ -60,7 +60,7 @@ from repro.fl.client import evaluate_model  # noqa: F401 -- bench/instrument.py 
 from repro.fl.compression import WireSize
 from repro.fl.config import FLConfig
 from repro.fl.metrics import History, RoundRecord
-from repro.fl.parallel import ClientUpdate
+from repro.fl.parallel import ClientUpdate, dispatch_units
 from repro.fl.runtime import make_runtime
 from repro.nn.serialization import set_flat_params  # noqa: F401 -- bench/instrument.py wraps this name
 
@@ -428,9 +428,7 @@ class BufferedStep:
         if not groups:
             return
         if fill:
-            from repro.serve.server import ServeExecutor
-
-            units = len(ServeExecutor._blocks(algorithm, _wave(groups)))
+            units = len(dispatch_units(algorithm, _wave(groups)))
             ahead = heapq.nsmallest(
                 algorithm.executor.spare_slots(units),
                 (event for event in self.queue.heap if event.update is None),

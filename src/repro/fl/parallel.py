@@ -113,8 +113,15 @@ class ClientExecutor:
     num_workers = 1
 
     def run(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
-        """Return one :class:`ClientUpdate` per client, in input order."""
-        raise NotImplementedError
+        """Return one :class:`ClientUpdate` per client, in input order:
+        here a one-group :meth:`run_regions` call, so an engine
+        overrides one of the two."""
+        if not len(client_ids):
+            return []
+        [updates] = self.run_regions(
+            algorithm, round_idx, [(client_ids, algorithm.global_params)]
+        )
+        return updates
 
     def run_regions(
         self,
@@ -170,6 +177,24 @@ def wave_group(round_idx: int, region) -> tuple[list[int], np.ndarray, int, dict
     client_ids, params, *rest = region
     group_round, state = rest if rest else (round_idx, None)
     return [int(c) for c in client_ids], params, int(group_round), state
+
+
+def dispatch_units(algorithm, groups) -> list[tuple[int, str | None, list[tuple[int, int]]]]:
+    """A wave's dispatch units, ``(group, refusal, [(position, client)])``:
+    the serial engine's blocks, group by group (positions run on across
+    groups), whole where they stack and one client each where
+    ``stack_refusal`` says no.  ``groups`` start with their client ids."""
+    units = []
+    position = 0
+    for group, (group_ids, *_rest) in enumerate(groups):
+        for block, refusal in algorithm.cohort_blocks(group_ids):
+            slots = list(enumerate(block, position))
+            position += len(block)
+            if refusal is None:
+                units.append((group, None, slots))
+            else:
+                units.extend((group, refusal, [slot]) for slot in slots)
+    return units
 
 
 class SerialExecutor(ClientExecutor):
@@ -290,21 +315,11 @@ class MeasuredExecutor(ClientExecutor):
         """True once the worker engine has fallen back to serial."""
         return self._workers is not None and self._workers.degraded
 
-    def run(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
-        if not len(client_ids):
-            return []
-        [updates] = self.run_regions(
-            algorithm, round_idx, [(client_ids, algorithm.global_params)]
-        )
-        return updates
-
     def run_regions(self, algorithm, round_idx: int, regions):
-        from repro.serve.server import ServeExecutor
-
         if self.placement == "serial":
             return self._serial.run_regions(algorithm, round_idx, regions)
         regions = [wave_group(round_idx, region) for region in regions]
-        units = ServeExecutor._blocks(algorithm, regions)
+        units = dispatch_units(algorithm, regions)
         if self.placement == "process":
             return self._on_workers(algorithm, round_idx, regions, len(units))
         if len(units) < 2:
@@ -325,7 +340,7 @@ class MeasuredExecutor(ClientExecutor):
         remaining = sum(len(group[0]) for group in rest)
         if per_client * remaining > HANDOFF_SECONDS:
             self._place(algorithm, "process", "probe")
-            self._workers = ServeExecutor.from_config(self._config)
+            self._workers = make_executor(self._config.with_updates(executor="process"))
             out = self._on_workers(algorithm, round_idx, rest, len(units) - 1)
         else:
             self._place(algorithm, "serial", "probe")

@@ -1,31 +1,15 @@
 """The message vocabulary spoken between the serve server and workers.
 
 Every message on the socket is one RFW1 wire message wrapped in a
-length-prefixed frame (:func:`repro.fl.wire.frame`).  Four shapes occur:
-
-``state`` (RFW1 kind ``state``)
-    Server -> worker, just before a connection's first block of a state
-    (the round's, for the union of the regions' cohorts under a
-    hierarchical topology, or an async dispatch round's recorded one):
-    the algorithm's :meth:`_worker_state` segments for the cohort
-    (whole tables every client reads, cohort rows of tables a client
-    reads only at its own id) plus a ``serve.seq`` sequence number.
-``generic`` control messages (RFW1 kind ``generic``)
-    Discriminated by an integer ``serve.op`` segment: ``HELLO`` (worker
-    -> server, announces readiness and how many connect attempts it
-    took), ``TASK`` (server -> worker: round / client / sequence, the
-    size of the block of task frames it was queued with, plus the dense
-    ``model`` segment — the per-client downlink), and ``SHUTDOWN``
-    (server -> worker).
-``update`` (RFW1 kind ``update``)
-    Worker -> server: one packed :class:`~repro.fl.parallel.ClientUpdate`
-    (:func:`repro.fl.wire.pack_client_update`).
-``generic`` pickled update (``serve.op == UPDATE_PICKLE``)
-    The fallback when an update carries a payload the wire format
-    cannot express.  The
-    blob is a pickle produced by our own forked worker — the serve
-    sockets are a private transport between processes of one run, not
-    an untrusted network surface (see ``docs/serving.md``).
+length-prefixed frame (:func:`repro.fl.wire.frame`): a ``state`` frame
+(a round state's :meth:`_worker_state` segments plus a ``serve.seq``),
+``generic`` control messages told apart by an integer ``serve.op``
+(``HELLO``, ``TASK``, ``SHUTDOWN``, and ``UPDATE_PICKLE``, the fallback
+for an update the wire format cannot express), and packed ``update``
+frames.  ``docs/serving.md`` tabulates their segments; when each is sent
+is :mod:`repro.serve.schedule`'s.  The pickle blob is produced by our
+own forked worker: the serve sockets are a private transport between
+processes of one run, not an untrusted network surface.
 
 Address specs (``serve_addr``) parse here too, so the config layer can
 reject a bad address at construction time without importing sockets.

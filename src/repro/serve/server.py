@@ -18,28 +18,21 @@ One round, from the server's seat:
    region, and all of those share one frame of the live state for the
    union of their cohorts, or an async dispatch round, which carries
    its round index and recorded ``_worker_state`` snapshot.
-2. Queue the serial engine's own blocks (``algorithm.cohort_blocks``,
-   cut per group): a block ``stack_refusal`` passes goes out whole, a
-   refused one one client per block, so workers balance per-client work
-   dynamically.  A block never straddles two groups: every ``task``
-   frame carries its group's round and parameters (``model``), and the
-   worker trains a held block against the last one.
-3. Drive a non-blocking :mod:`selectors` loop: accept late workers,
+2. Queue the wave's dispatch units
+   (:func:`repro.fl.parallel.dispatch_units`) on the
+   :class:`~repro.serve.schedule.WaveSchedule`: its docstring states
+   which block and state frame go to which connection, and names the
+   scripted test of each rule.
+3. Drive a non-blocking :mod:`selectors` loop — accept late workers,
    flush bounded per-connection write queues, reassemble frames from
-   partial reads, dispatch the head block (its group's state frame
-   first where the connection holds another, then its ``task`` frames
-   back to back on the least-loaded connection that holds fewer than
-   two blocks — one until every live worker has said hello — cut to
-   what ``serve_max_inflight`` leaves free) which the worker trains as
-   the serial engine would, and slot each arriving update into the
-   earliest position its connection holds for that client.
-4. A dead connection's unfinished clients are requeued as blocks of
-   their own group and redispatched to surviving workers (the
-   determinism contract makes any duplicate identical); when every
-   worker is gone, or nothing makes progress for ``serve_timeout``
-   seconds, the engine degrades to in-process serial execution with one
-   :class:`RuntimeWarning`.
-5. After the round, socket-level model-payload bytes are reconciled
+   partial reads — that turns socket events into the schedule's
+   ``hello`` / ``update`` / ``dead`` and each of its sends into a state
+   frame and ``task`` frames queued on one connection.  A dead
+   connection's worker is joined, so the next wave forks its
+   replacement.  When every worker is gone, or nothing makes progress
+   for ``serve_timeout`` seconds, the engine degrades to in-process
+   serial execution with one :class:`RuntimeWarning`.
+4. After the round, socket-level model-payload bytes are reconciled
    against what the :class:`~repro.fl.comm.CommLedger` charges (see
    :meth:`ServeExecutor._reconcile`), so the ledger's byte counts hold
    on a real wire.
@@ -60,13 +53,17 @@ import time
 import warnings
 import weakref
 from collections import deque
+from dataclasses import dataclass, field
 
 from repro.algorithms.base import COHORT_BLOCK
 from repro.exceptions import ConfigError, ProtocolError
-from repro.fl.parallel import ClientExecutor, SerialExecutor, speedup, wave_group
+from repro.fl.parallel import (
+    ClientExecutor, SerialExecutor, dispatch_units, speedup, wave_group,
+)
 from repro.fl.wire import FrameAssembler
 from repro.obs import sysinfo
 from repro.serve import protocol
+from repro.serve.schedule import WaveSchedule
 
 RECV_CHUNK = 1 << 16
 POLL_SEC = 0.05
@@ -78,48 +75,35 @@ class ServeError(RuntimeError):
 
 
 class _Conn:
-    """Per-connection server-side state."""
+    """Per-connection state: its bytes, and the worker that said hello on it."""
 
-    __slots__ = ("sock", "assembler", "outq", "out_bytes", "ready", "inflight", "seq")
+    __slots__ = ("sock", "assembler", "outq", "out_bytes", "proc")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.assembler = FrameAssembler()
         self.outq: deque[memoryview] = deque()
         self.out_bytes = 0
-        self.ready = False  # becomes True on the worker's hello
-        self.inflight: dict[int, tuple[int, int]] = {}  # position -> (client_id, block)
-        self.seq = -1
-
-    def blocks_held(self) -> int:
-        """Dispatched blocks this connection has not finished answering."""
-        return len({block for _cid, block in self.inflight.values()})
+        self.proc = None
 
 
+@dataclass
 class _RoundStats:
     """Socket-side accounting for one served round."""
 
-    __slots__ = (
-        "sent_bytes", "recv_bytes", "down_model_bytes", "up_model_bytes",
-        "redispatch_bytes", "redispatches", "disconnects", "duplicates",
-        "connects", "worker_retries", "latencies", "state_bytes", "blocks",
-    )
-
-    def __init__(self) -> None:
-        self.sent_bytes = 0
-        self.recv_bytes = 0
-        self.down_model_bytes = 0
-        self.up_model_bytes = 0
-        self.redispatch_bytes = 0
-        self.redispatches = 0
-        self.disconnects = 0
-        self.duplicates = 0
-        self.connects = 0
-        self.worker_retries = 0
-        self.latencies: list[float] = []
-        self.state_bytes = 0  # the wave's state frames, each counted once
-        # Dispatched blocks: (group, stack refusal, [(position, client)]).
-        self.blocks: list[tuple[int, str | None, list[tuple[int, int]]]] = []
+    sent_bytes: int = 0
+    recv_bytes: int = 0
+    down_model_bytes: int = 0
+    up_model_bytes: int = 0
+    redispatch_bytes: int = 0
+    redispatches: int = 0
+    disconnects: int = 0
+    duplicates: int = 0
+    connects: int = 0
+    worker_retries: int = 0
+    latencies: list = field(default_factory=list)
+    state_bytes: int = 0  # the wave's state frames, each counted once
+    blocks: list = field(default_factory=list)  # the schedule's, as dispatched
 
 
 class ServeExecutor(ClientExecutor):
@@ -177,6 +161,7 @@ class ServeExecutor(ClientExecutor):
         self._bound = None  # weakref to the algorithm forked into workers
         self._seq = 0
         self._next_worker_id = 0
+        self._schedule = WaveSchedule(self.max_inflight)
 
     @classmethod
     def from_config(cls, config) -> "ServeExecutor":
@@ -260,7 +245,7 @@ class ServeExecutor(ClientExecutor):
                     self.timeout, self.retries, self.backoff, inherited,
                 ),
                 daemon=True,
-                name=f"repro-serve-worker-{self._next_worker_id}",
+                name=_worker_name(self._next_worker_id),
             )
             proc.start()
             self._procs.append(proc)
@@ -278,23 +263,16 @@ class ServeExecutor(ClientExecutor):
             except OSError:
                 pass
             self._close_conn(conn)
-        if self._listener is not None:
-            if self._selector is not None:
-                try:
-                    self._selector.unregister(self._listener)
-                except (KeyError, ValueError):
-                    pass
-            self._listener.close()
-            self._listener = None
         if self._selector is not None:
             self._selector.close()
             self._selector = None
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
         for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
+            _reap(proc, grace=5.0)
         self._procs = []
+        self._schedule = WaveSchedule(self.max_inflight)
         if self._uds_dir is not None:
             try:
                 sock_path = os.path.join(self._uds_dir, "serve.sock")
@@ -398,44 +376,22 @@ class ServeExecutor(ClientExecutor):
             closed = True
         return closed, frames
 
-    def _has_capacity(self, conn: _Conn) -> bool:
-        return not conn.outq or conn.out_bytes < self.queue_bytes
+    def _unhelloed(self) -> int:
+        """Live forked workers that have not said hello on an open connection."""
+        helloed = {conn.proc for conn in self._conns.values()}
+        return sum(proc not in helloed and proc.is_alive() for proc in self._procs)
 
-    def _pick_conn(self) -> _Conn | None:
-        """Least-loaded ready connection with outbound queue capacity
-        that holds fewer than two blocks (one training, one queued), or
-        none while a live forked worker has not said hello — whatever
-        else is pending waits for the next connection to say hello or to
-        finish a block, so a late worker gets its share."""
-        ready = [conn for conn in self._conns.values() if conn.ready]
-        limit = 2 if len(ready) >= sum(p.is_alive() for p in self._procs) else 1
-        best: _Conn | None = None
-        for conn in ready:
-            if not self._has_capacity(conn) or conn.blocks_held() >= limit:
-                continue
-            if best is None or len(conn.inflight) < len(best.inflight):
-                best = conn
-        return best
+    def _drop_conn(self, conn: _Conn, stats: _RoundStats) -> None:
+        """Close a broken connection: the schedule requeues what it held,
+        and its worker is reaped, so the next wave forks a replacement."""
+        stats.disconnects += 1
+        self._schedule.dead(conn)
+        self._close_conn(conn)
+        if conn.proc in self._procs:
+            _reap(conn.proc, grace=1.0)
+            self._procs.remove(conn.proc)
 
     # -- the round -------------------------------------------------------------------
-    @staticmethod
-    def _blocks(algorithm, regions) -> deque[tuple[int, str | None, list[tuple[int, int]]]]:
-        """A wave's dispatch queue of ``(group, refusal, [(position,
-        client)])`` blocks: the serial engine's blocks, group by group
-        (positions run on across groups), whole where they stack and
-        one client each where ``stack_refusal`` says no."""
-        pending: deque[tuple[int, str | None, list[tuple[int, int]]]] = deque()
-        position = 0
-        for region, (region_ids, *_group) in enumerate(regions):
-            for block, refusal in algorithm.cohort_blocks(region_ids):
-                slots = list(enumerate(block, position))
-                position += len(block)
-                if refusal is None:
-                    pending.append((region, None, slots))
-                else:
-                    pending.extend((region, refusal, [slot]) for slot in slots)
-        return pending
-
     def _serve_round(self, algorithm, groups: list[tuple]):
         """One wave over every group's clients: ``groups`` holds
         ``(client_ids, model, round, state)`` (:func:`wave_group`).
@@ -444,66 +400,58 @@ class ServeExecutor(ClientExecutor):
         self._ensure_serving(algorithm)
         assert self._selector is not None
         stats = _RoundStats()
-        ids = [cid for group in groups for cid in group[0]]
         # One state frame a state the groups carry (a group shares it
         # with every group that carries the same), and one for the live
         # state of the rest, over the union of their ids.  WireError here
         # (inexpressible round state) propagates to run_regions(), which
         # degrades — there is no pickled state transport over sockets.
         live_ids = [cid for group_ids, *_g, state in groups if state is None for cid in group_ids]
-        # id(state), None for the live state -> (seq, state frame)
-        frame_of: dict[int | None, tuple[int, tuple]] = {}
-        state_frames = []  # each group's (seq, state frame)
+        seq_of: dict[int | None, int] = {}  # id(state), None for the live state -> seq
+        state_frames: dict[int, tuple] = {}  # seq -> state frame
+        seqs = []  # each group's seq
         for group_ids, _model, _round, state in groups:
             key = None if state is None else id(state)
-            if group_ids and key not in frame_of:
+            if group_ids and key not in seq_of:
                 self._seq += 1
-                frame_of[key] = self._seq, protocol.state_parts(
+                seq_of[key] = self._seq
+                state_frames[self._seq] = protocol.state_parts(
                     algorithm._worker_state(live_ids) if state is None else state, self._seq
                 )
-            state_frames.append(frame_of.get(key))
-        stats.state_bytes = sum(frame[0] for _seq, frame in frame_of.values())
+            seqs.append(seq_of.get(key))
+        stats.state_bytes = sum(length for length, _pieces in state_frames.values())
         for conn in list(self._conns.values()):
             if self._flush(conn, stats):  # broke while draining old bytes
-                self._drop_conn(conn, None, stats)
+                self._drop_conn(conn, stats)
 
-        pending = self._blocks(algorithm, groups)
-        results: list = [None] * len(ids)
+        schedule = self._schedule
+        schedule.begin_wave(dispatch_units(algorithm, groups), seqs)
+        stats.blocks = schedule.blocks
+        results: list = [None] * schedule.remaining
         dispatch_time: dict[int, float] = {}
-        ever_dispatched: set[int] = set()
-        done = 0
         deadline = time.monotonic() + self.timeout
 
-        while done < len(ids):
-            # Dispatch as many blocks as backpressure allows.
-            inflight_total = sum(len(c.inflight) for c in self._conns.values())
-            while pending and inflight_total < self.max_inflight:
-                conn = self._pick_conn()
-                if conn is None:
+        while schedule.remaining:
+            while True:
+                room = [  # an empty queue, or one under its bound, takes a block
+                    c for c in self._conns.values() if not c.outq or c.out_bytes < self.queue_bytes
+                ]
+                send = schedule.next_send(room, self._unhelloed())
+                if send is None:
                     break
-                group, refusal, slots = pending.popleft()
-                size = min(len(slots), self.max_inflight - inflight_total)
-                if size < len(slots):
-                    pending.appendleft((group, refusal, slots[size:]))
-                    slots = slots[:size]
-                stats.blocks.append((group, refusal, slots))
-                _ids, model, group_round, _state = groups[group]
-                seq, state_frame = state_frames[group]
-                if conn.seq != seq:  # the group's state goes with its first block here
-                    self._queue(conn, state_frame, stats)
-                    conn.seq = seq
-                for pos, cid in slots:
-                    task = protocol.task_parts(group_round, pos, cid, seq, size, model)
-                    if pos in ever_dispatched:
+                _ids, model, group_round, _state = groups[send.group]
+                if send.state is not None:
+                    self._queue(send.conn, state_frames[send.state], stats)
+                for pos, cid in send.slots:
+                    task = protocol.task_parts(
+                        group_round, pos, cid, seqs[send.group], len(send.slots), model
+                    )
+                    if send.redispatch:
                         stats.redispatch_bytes += model.nbytes
                         stats.redispatches += 1
                     else:
-                        ever_dispatched.add(pos)
                         stats.down_model_bytes += model.nbytes
-                    self._queue(conn, task, stats)
-                    conn.inflight[pos] = (cid, len(stats.blocks) - 1)
+                    self._queue(send.conn, task, stats)
                     dispatch_time[pos] = time.monotonic()
-                inflight_total += size
                 deadline = time.monotonic() + self.timeout
 
             if not self._conns and not any(p.is_alive() for p in self._procs):
@@ -512,7 +460,7 @@ class ServeExecutor(ClientExecutor):
             if remaining <= 0:
                 raise ServeError(
                     f"no progress for {self.timeout:.1f}s with "
-                    f"{len(ids) - done} clients outstanding"
+                    f"{schedule.remaining} clients outstanding"
                 )
             for key, mask in self._selector.select(min(POLL_SEC, remaining)):
                 if key.data is None:
@@ -522,78 +470,35 @@ class ServeExecutor(ClientExecutor):
                 conn = key.data
                 if mask & selectors.EVENT_WRITE:
                     if self._flush(conn, stats):
-                        self._drop_conn(conn, pending, stats)
+                        self._drop_conn(conn, stats)
                         continue
                     self._update_events(conn)
                 if not (mask & selectors.EVENT_READ):
                     continue
-                closed, frames = self._read(conn, stats)
-                for message in frames:
+                closed, messages = self._read(conn, stats)
+                for message in messages:
                     deadline = time.monotonic() + self.timeout
                     msg_kind, payload = protocol.parse_message(message)
                     if msg_kind == "hello":
-                        conn.ready = True
-                        stats.worker_retries += max(
-                            0, int(payload.get("serve.attempts", 1)) - 1
-                        )
+                        name = _worker_name(int(payload["serve.worker"]))
+                        conn.proc = next((p for p in self._procs if p.name == name), None)
+                        schedule.hello(conn)
+                        stats.worker_retries += max(0, int(payload.get("serve.attempts", 1)) - 1)
                     elif msg_kind == "update":
-                        update = payload
-                        # A worker answers its blocks in the order it was
-                        # handed them, so an update fills the earliest
-                        # position its own connection holds for the client
-                        # (one client may sit in two groups of a wave).
-                        pos = next(
-                            (
-                                pos for pos, (cid, _block) in conn.inflight.items()
-                                if cid == update.client_id
-                            ),
-                            None,
-                        )
+                        pos = schedule.update(conn, payload.client_id)
                         if pos is None:
                             stats.duplicates += 1
                             continue
-                        results[pos] = update
-                        for owner in self._conns.values():
-                            owner.inflight.pop(pos, None)
-                        done += 1
-                        stats.up_model_bytes += protocol.update_model_bytes(update)
-                        started = dispatch_time.get(pos)
-                        if started is not None:
-                            stats.latencies.append(time.monotonic() - started)
+                        results[pos] = payload
+                        stats.up_model_bytes += protocol.update_model_bytes(payload)
+                        stats.latencies.append(time.monotonic() - dispatch_time[pos])
                     else:
-                        raise ServeError(
-                            f"unexpected {msg_kind!r} message from a worker"
-                        )
+                        raise ServeError(f"unexpected {msg_kind!r} message from a worker")
                 if closed:
-                    self._drop_conn(conn, pending, stats)
+                    self._drop_conn(conn, stats)
         return results, stats
 
-    def _drop_conn(
-        self, conn: _Conn, pending: deque | None, stats: _RoundStats
-    ) -> None:
-        """Close a broken connection, requeueing its unfinished clients
-        at the head of ``pending``, each dispatched block's remainder as a
-        block of its own (so of its own group)."""
-        stats.disconnects += 1
-        if pending is not None:
-            held: dict[int, list[tuple[int, int]]] = {}
-            for pos, (cid, block) in sorted(conn.inflight.items()):
-                held.setdefault(block, []).append((pos, cid))
-            for block in sorted(held, reverse=True):
-                region, refusal, _slots = stats.blocks[block]
-                pending.appendleft((region, refusal, held[block]))
-        conn.inflight.clear()
-        self._close_conn(conn)
-
     # -- execution -------------------------------------------------------------------
-    def run(self, algorithm, round_idx: int, client_ids: list[int]):
-        if not len(client_ids):
-            return []
-        [updates] = self.run_regions(
-            algorithm, round_idx, [(client_ids, algorithm.global_params)]
-        )
-        return updates
-
     def run_regions(self, algorithm, round_idx: int, regions):
         """Every group's clients in one wave (see the module docstring),
         one update list per group, each in input order."""
@@ -634,13 +539,10 @@ class ServeExecutor(ClientExecutor):
 
     # -- observability & reconciliation ------------------------------------------------
     def _record_metrics(self, tracer, updates, stats: _RoundStats, elapsed: float) -> None:
-        """Per-round telemetry.  Besides the traffic counters, this flags
-        rounds where the workers made things *slower* (busy time below
-        wall time — the cpu-bound regime on a single core, where fork,
-        framing and socket overhead dominate; see
-        ``docs/parallelism.md``) with a ``parallel_hint`` span and the
-        ``parallel.slowdown_rounds`` counter: an obs-layer signal, not a
-        warning, so determinism-focused test runs stay quiet."""
+        """Per-round telemetry.  A round the workers made *slower* (busy
+        time below wall time; ``docs/parallelism.md``) gets a
+        ``parallel_hint`` span and ``parallel.slowdown_rounds``: an
+        obs-layer signal, not a warning, so test runs stay quiet."""
         if not tracer.enabled:
             return
         # A position's last dispatch is the block that answered it.
@@ -668,16 +570,15 @@ class ServeExecutor(ClientExecutor):
         metrics.counter("serve.bytes_sent").inc(stats.sent_bytes)
         metrics.counter("serve.bytes_received").inc(stats.recv_bytes)
         metrics.counter("serve.state_bytes").inc(stats.state_bytes)
-        if stats.connects:
-            metrics.counter("serve.connects").inc(stats.connects)
-        if stats.disconnects:
-            metrics.counter("serve.disconnects").inc(stats.disconnects)
-        if stats.redispatches:
-            metrics.counter("serve.redispatches").inc(stats.redispatches)
-        if stats.duplicates:
-            metrics.counter("serve.duplicate_updates").inc(stats.duplicates)
-        if stats.worker_retries:
-            metrics.counter("serve.connect_retries").inc(stats.worker_retries)
+        for name, count in (
+            ("serve.connects", stats.connects),
+            ("serve.disconnects", stats.disconnects),
+            ("serve.redispatches", stats.redispatches),
+            ("serve.duplicate_updates", stats.duplicates),
+            ("serve.connect_retries", stats.worker_retries),
+        ):
+            if count:
+                metrics.counter(name).inc(count)
         request_latency = metrics.quantile("serve.request_latency_sec")
         for latency in stats.latencies:
             request_latency.observe(latency)
@@ -696,24 +597,11 @@ class ServeExecutor(ClientExecutor):
                     pass
 
     def _reconcile(self, algorithm, updates, stats: _RoundStats, num_clients: int) -> None:
-        """Check socket-level model bytes against the ledger's charges.
-
-        The ``model`` ledger kind is exactly the base formula for every
-        algorithm, both directions: ``down = model_size * cohort *
-        dtype_bytes`` and ``up = sum(wire_size.nbytes(dtype_bytes))``.
-        The socket side measured the dense ``model`` segment of each
-        first-dispatch task and each update's model payload (params or
-        compressed streams), so the two agree *exactly* whenever the
-        arrays on the wire are priced at their true width — no
-        compressor and no ``wire_dtype_bytes`` override — and the check
-        is a hard :class:`ProtocolError` there.  Coder stages ship
-        decoded float64 carriers while the ledger charges bit-packed
-        words, and a ``wire_dtype_bytes`` override deliberately prices a
-        different width, so those runs record the drift in counters
-        instead (``serve.reconcile_mismatches``).  Redispatched tasks
-        are not ledger-charged and are counted separately
-        (``serve.redispatch_bytes``).
-        """
+        """Check socket-level model bytes against the ledger's charges
+        (``docs/serving.md``, "Byte reconciliation"): exact for dense,
+        dtype-true runs, where drift raises :class:`ProtocolError`, and
+        counted in ``serve.reconcile_mismatches`` otherwise.  Redispatched
+        tasks are not ledger-charged (``serve.redispatch_bytes``)."""
         ledger = algorithm.ledger
         if ledger is None:
             return
@@ -747,3 +635,15 @@ class ServeExecutor(ClientExecutor):
                 f"dtype_bytes={dtype_bytes})"
             )
         metrics.counter("serve.reconcile_mismatches").inc()
+
+
+def _worker_name(worker_id: int) -> str:
+    return f"repro-serve-worker-{worker_id}"
+
+
+def _reap(proc, grace: float) -> None:
+    """Join a worker process, terminating it after ``grace`` seconds."""
+    proc.join(timeout=grace)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(timeout=1.0)

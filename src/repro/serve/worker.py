@@ -14,12 +14,7 @@ exponential backoff, and then loops:
   and send one packed update per client back, in order.
 * ``shutdown`` frame or EOF -> exit.
 
-Retry semantics: connects retry ``serve_retries`` times with doubling
-backoff; reads block with a ``serve_timeout`` socket timeout and an
-idle timeout simply loops (a worker waiting between rounds is normal) —
-unless the parent died, in which case the worker exits instead of
-lingering as an orphan; writes track their position and retry timed-out
-sends with the same backoff, so a retry never duplicates bytes.
+Retries, timeouts and the orphan exit: ``docs/serving.md``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from repro.algorithms.base import COHORT_BLOCK
 from repro.data import make_virtual_federation
 from repro.exceptions import ConfigError
 from repro.fl.config import FLConfig
-from repro.fl.parallel import MeasuredExecutor, SerialExecutor, make_executor
+from repro.fl.parallel import MeasuredExecutor, SerialExecutor, dispatch_units, make_executor
 from repro.fl.trainer import run_federated
 from repro.models import build_model
 from repro.obs import sysinfo
@@ -112,7 +112,7 @@ def test_singleton_tasks_one_per_client():
     """A block stack_refusal refuses (a CNN: reason=model) goes out one
     client a block, so workers balance per-client work."""
     algorithm = _set_up("cnn", 6)
-    blocks = ServeExecutor._blocks(algorithm, [([4, 1, 2], None)])
+    blocks = dispatch_units(algorithm, [([4, 1, 2], None)])
     assert list(blocks) == [(0, "model", [(0, 4)]), (0, "model", [(1, 1)]), (0, "model", [(2, 2)])]
 
 
@@ -122,7 +122,7 @@ def test_chunked_tasks_contiguous_and_complete():
     n = 2 * COHORT_BLOCK + 8
     algorithm = _set_up("mlp", n)
     first, second = list(range(COHORT_BLOCK + 3)), list(range(COHORT_BLOCK + 3, n))
-    blocks = list(ServeExecutor._blocks(algorithm, [(first, None), (second, None)]))
+    blocks = list(dispatch_units(algorithm, [(first, None), (second, None)]))
     assert [(region, len(slots)) for region, _refusal, slots in blocks] == [
         (0, COHORT_BLOCK), (0, 3), (1, COHORT_BLOCK), (1, n - 2 * COHORT_BLOCK - 3),
     ]
@@ -133,10 +133,10 @@ def test_chunked_tasks_contiguous_and_complete():
 
 def test_chunked_tasks_never_exceed_client_count():
     algorithm = _set_up("mlp", 8)
-    assert list(ServeExecutor._blocks(algorithm, [([1, 2], None)])) == [
+    assert list(dispatch_units(algorithm, [([1, 2], None)])) == [
         (0, None, [(0, 1), (1, 2)])
     ]
-    assert list(ServeExecutor._blocks(algorithm, [([], None), ([5], None)])) == [
+    assert list(dispatch_units(algorithm, [([], None), ([5], None)])) == [
         (1, None, [(0, 5)])
     ]
 

@@ -1,15 +1,10 @@
-"""Block-dispatched task frames: a serve worker trains the block it was
-handed, through the serial engine.
-
-The server queues the serial engine's blocks (at most ``COHORT_BLOCK``
-clients; a block ``stack_refusal`` refuses goes out one client a block)
-and a block's ``task`` frames go back to back on one connection; the
-worker holds them until the block is complete and
-runs :func:`repro.fl.parallel.run_held_clients` — stacked where
-``stack_refusal`` has no objection, one by one where it has.  Nobody can
-tell from the numbers: every served run here equals the serial run
-exactly, whatever the block size, however the frames were cut on their
-way in, and whichever worker died holding half of one.
+"""Block-dispatched task frames, end to end: a serve worker trains the
+block it was handed (:func:`repro.fl.parallel.dispatch_units`, handed
+out by :mod:`repro.serve.schedule`) through the serial engine, holding
+its frames until the block is complete.  Nobody can tell from the
+numbers: every served run here equals the serial run exactly, whatever
+the block size, however the frames were cut on their way in, and
+whichever worker died holding half of one.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
 import warnings
 from collections import Counter
 
@@ -398,100 +392,6 @@ def test_max_inflight_below_a_block_equals_serial(fed, cap):
         assert "executor.stacked_blocks" not in _counters(tracer)
 
 
-# -- (e) two blocks a connection: a late worker still gets its share -------------------
-
-
-def _wait_for(path, seconds=10.0) -> None:
-    deadline = time.monotonic() + seconds
-    while not os.path.exists(path) and time.monotonic() < deadline:
-        time.sleep(0.005)
-
-
-def _stage_late_hello(monkeypatch, tmp_path, early_lag: float = 0.0) -> str:
-    """Worker 2 connects only once worker 1 has a task in hand, and
-    worker 1 does not start training until worker 2 has one too (and
-    ``early_lag`` seconds more).  Returns the file worker 2 creates when
-    its first task arrives."""
-    early_has_task, late_has_task = str(tmp_path / "early"), str(tmp_path / "late")
-    real_main = worker.worker_main
-
-    def staged_main(algorithm, resolved, worker_id, *rest):
-        late = worker_id == 2
-        real_parse = protocol.parse_message
-        first_task = [True]
-
-        def parse(message):
-            kind, payload = real_parse(message)
-            if kind == "task" and first_task[0]:
-                first_task[0] = False
-                open(late_has_task if late else early_has_task, "w").close()
-                if not late:
-                    _wait_for(late_has_task)
-                    time.sleep(early_lag)
-            return kind, payload
-
-        protocol.parse_message = parse  # this forked child's copy only
-        if late:
-            _wait_for(early_has_task)
-        real_main(algorithm, resolved, worker_id, *rest)
-
-    monkeypatch.setattr(worker, "worker_main", staged_main)
-    return late_has_task
-
-
-def test_a_late_hello_in_round_zero_is_not_left_without_work(
-    fed, tmp_path, monkeypatch, served_rounds
-):
-    """Staged as :func:`_stage_late_hello`.  With the whole round
-    offered to whoever says hello first, worker 2 would never see a task
-    and worker 1 would sit out its wait."""
-    late_has_task = _stage_late_hello(monkeypatch, tmp_path)
-    picks = []  # (connections ready, blocks the picked one held)
-    real_pick = ServeExecutor._pick_conn
-
-    def recording_pick(self):
-        conn = real_pick(self)
-        if conn is not None:
-            picks.append((sum(c.ready for c in self._conns.values()), conn.blocks_held()))
-        return conn
-
-    monkeypatch.setattr(ServeExecutor, "_pick_conn", recording_pick)
-    serial = _run("fedavg", fed, _config(seed=63))
-    served = _serve("fedavg", fed, _config(seed=63))
-    assert_equivalent_runs(serial, served)
-    assert os.path.exists(late_has_task)
-    # Round 0: the early worker held exactly one block until the late
-    # hello; then the late one took the second block, and the early one
-    # the third.
-    round_zero = picks[: -(-CLIENTS // COHORT_BLOCK)]
-    assert [held for ready, held in round_zero if ready == 1] == [0]
-    per_worker = Counter(u.worker for u in served_rounds[0])
-    assert sorted(per_worker.values()) == [COHORT_BLOCK, CLIENTS - COHORT_BLOCK]
-
-
-def test_a_two_unit_call_right_after_the_fork_trains_on_two_pids(fed, tmp_path, monkeypatch):
-    """The first worker to say hello holds one block until the other
-    has said hello too, so the two units of the call that forks the
-    workers do not train back to back on one of them."""
-    late_has_task = _stage_late_hello(monkeypatch, tmp_path)
-    algorithm = make_algorithm("scaffold")  # refuses stacking: one client a unit
-    algorithm.setup(build_model("mlp", fed.spec, seed=2, scale=0.25), fed, _config())
-    expected = SerialExecutor().run(algorithm, 0, [3, 7])
-    executor = ServeExecutor(num_workers=2, name="process")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            updates = executor.run(algorithm, 0, [3, 7])
-    finally:
-        executor.close()
-    assert os.path.exists(late_has_task)
-    assert len({update.worker for update in updates}) == 2 and 0 not in {
-        update.worker for update in updates
-    }
-    for got, want in zip(updates, expected):
-        np.testing.assert_array_equal(got.params, want.params)
-
-
 # -- (f) strict dense reconciliation, block or not -------------------------------------
 
 
@@ -506,41 +406,3 @@ def test_dense_blocks_reconcile_exactly(fed):
     per_direction = algorithm.model_size * 8 * CLIENTS * ROUNDS
     assert counters["serve.bytes_wire_down"] == per_direction
     assert counters["serve.bytes_wire_up"] == per_direction
-
-
-# -- (g) one wave, several round states ------------------------------------------------
-
-
-def test_one_client_in_two_groups_of_a_wave_trains_each_on_its_own_state(
-    fed, tmp_path, monkeypatch
-):
-    """An async drain's wave: the same client in two groups, each with
-    its own round and recorded state, on two workers (staged as
-    :func:`_stage_late_hello`).  Each group's state frame goes with a
-    connection's first block of it, each update fills the position its
-    own connection held, and both equal the serial engine's, bit for
-    bit.  The second group's worker answers first, so a match by client
-    id alone would swap the two."""
-    _stage_late_hello(monkeypatch, tmp_path, early_lag=0.3)
-    algorithm = make_algorithm("rfedavg+", lam=1e-2)
-    algorithm.setup(build_model("mlp", fed.spec, seed=2, scale=0.25), fed, _config())
-    early = algorithm._worker_state([3, 5])
-    algorithm.global_params = algorithm.global_params + 0.25
-    late = algorithm._worker_state([3])
-    wave = [([3], early["global_params"], 0, early), ([3], late["global_params"], 1, late)]
-    expected = SerialExecutor().run_regions(algorithm, 1, wave)
-    executor = ServeExecutor(num_workers=2, name="process")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            served = executor.run_regions(algorithm, 1, wave)
-    finally:
-        executor.close()
-    assert [len(group) for group in served] == [1, 1]
-    (first,), (second,) = served
-    assert 0 not in {first.worker, second.worker}
-    assert first.worker != second.worker
-    for (got,), (want,) in zip(served, expected):
-        np.testing.assert_array_equal(got.params, want.params)
-        assert (got.task_loss, got.reg_loss) == (want.task_loss, want.reg_loss)
-    assert not np.array_equal(expected[0][0].params, expected[1][0].params)

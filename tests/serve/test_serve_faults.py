@@ -43,10 +43,6 @@ def _kill_a_worker_between_rounds(fed, compression: str) -> None:
             killed.append(victim.pid)
 
     record_algorithm = []
-
-    def decorate(algorithm):
-        record_algorithm.append(algorithm)
-
     from repro.fl.trainer import run_federated
     from repro.algorithms import make_algorithm
     from tests.helpers import tiny_model_fn
