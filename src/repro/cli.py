@@ -97,15 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="--execution serve listen address: tcp:HOST:PORT "
                           "(port 0 = ephemeral) or uds:/path.sock (default: "
                           "an ephemeral Unix-domain socket)")
-    run.add_argument("--serve-timeout", type=float, default=30.0, metavar="SEC",
-                     help="serve mode: stall deadline before degrading to "
-                          "in-process execution (default 30)")
-    run.add_argument("--serve-retries", type=int, default=5, metavar="N",
-                     help="serve mode: worker connect/write retry attempts "
-                          "(default 5)")
-    run.add_argument("--serve-backoff", type=float, default=0.05, metavar="SEC",
-                     help="serve mode: initial retry backoff, doubled per "
-                          "attempt (default 0.05)")
     run.add_argument("--runtime", default="instant",
                      help="per-client latency model for --execution async: "
                           "instant | gaussian[:mean=..,std=..,het=..] | "

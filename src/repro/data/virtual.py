@@ -27,7 +27,7 @@ the lazy path would render, because both call the same
 :func:`materialize_client` with the same per-client RNG stream
 ``[seed, _TAG_CLIENT, client_id]``.  A run over the virtual population
 therefore produces bit-identical results to the same run over its
-eager materialization (``tests/fl/test_scale_equivalence.py``).
+eager materialization (the ``virtual`` legs of ``tests/test_engine_identity.py``).
 
 Render-ahead: the same purity lets a forked helper process render
 shards on a spare CPU while the trainer works.

@@ -279,25 +279,6 @@ class FLConfig:
             ``'uds:/path/to.sock'``.  ``None`` (default) uses an
             ephemeral Unix-domain socket in a run-private temporary
             directory.  Execution-only.
-        serve_timeout: serve mode's stall deadline in seconds — reset
-            on any socket progress; when the server sees no progress
-            for this long mid-round (all workers dead or wedged) the
-            round falls back to in-process serial execution.  Also the
-            worker-side socket timeout.
-        serve_retries: worker connect attempts before giving up
-            (each separated by exponential backoff).
-        serve_backoff: initial worker backoff in seconds, doubled per
-            retry (0.05 -> 0.1 -> 0.2 ...).
-        serve_max_inflight: serve-mode backpressure — at most this many
-            clients dispatched-but-uncommitted at once.  Clients go out
-            in blocks of at most ``COHORT_BLOCK`` that a worker trains
-            together, and a block never exceeds what the cap leaves
-            free, so ``1`` is one client per task.  ``None`` (default)
-            means two blocks a worker, ``2 * num_workers * COHORT_BLOCK``.
-        serve_queue_bytes: per-connection bound on queued outbound
-            bytes; a connection whose write queue holds at least this
-            much gets no new block until it drains (one block may always
-            be queued so progress never deadlocks).
     """
 
     rounds: int = 30
@@ -335,11 +316,6 @@ class FLConfig:
     topology: str = "flat"
     cloud_compression: str = "none"
     serve_addr: str | None = _execution_only(None)
-    serve_timeout: float = _execution_only(30.0)
-    serve_retries: int = _execution_only(5)
-    serve_backoff: float = _execution_only(0.05)
-    serve_max_inflight: int | None = _execution_only(None)
-    serve_queue_bytes: int = _execution_only(8 << 20)
 
     def __post_init__(self) -> None:
         if self.rounds <= 0:
@@ -393,18 +369,6 @@ class FLConfig:
             from repro.serve.protocol import parse_serve_addr
 
             parse_serve_addr(self.serve_addr)
-        if self.serve_timeout <= 0:
-            raise ConfigError("serve_timeout must be positive")
-        if self.serve_retries < 1:
-            raise ConfigError("serve_retries must be >= 1")
-        if self.serve_backoff < 0:
-            raise ConfigError("serve_backoff must be non-negative")
-        if self.serve_max_inflight is not None and self.serve_max_inflight < 1:
-            raise ConfigError(
-                "serve_max_inflight must be >= 1 (or None for two blocks a worker)"
-            )
-        if self.serve_queue_bytes < 1:
-            raise ConfigError("serve_queue_bytes must be positive")
 
     def wire_bytes_per_scalar(self) -> int:
         """Resolved per-scalar wire width: the explicit override, or the

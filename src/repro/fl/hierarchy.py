@@ -34,7 +34,7 @@ around it:
 **House invariant.** ``topology="hier:1:1"`` (one region, cloud sync
 every round — where the sync short-circuits entirely) reproduces the
 barrier step bit for bit — parameters, ledger, history — for every
-registered algorithm (``tests/fl/test_hierarchy_equivalence.py``).
+registered algorithm (the ``hier:1:1`` legs of ``tests/test_engine_identity.py``).
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ fixed at setup, which the forked workers inherit.
 **Degradation.**  The worker engine has exactly one: a failure it
 cannot route around — no ``fork`` for this process
 (:func:`repro.obs.sysinfo.fork_refusal`), round state the wire format
-cannot express, every worker gone, no progress for ``serve_timeout`` — sends it to
+cannot express, every worker gone, no progress for its ``timeout`` — sends it to
 in-process serial execution for the rest of the run, with one
 :class:`RuntimeWarning`.  A single
 dead worker is not such a failure: its unfinished clients are

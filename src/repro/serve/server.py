@@ -30,7 +30,7 @@ One round, from the server's seat:
    frame and ``task`` frames queued on one connection.  A dead
    connection's worker is joined, so the next wave forks its
    replacement.  When every worker is gone, or nothing makes progress
-   for ``serve_timeout`` seconds, the engine degrades to in-process
+   for ``timeout`` seconds, the engine degrades to in-process
    serial execution with one :class:`RuntimeWarning`.
 4. After the round, socket-level model-payload bytes are reconciled
    against what the :class:`~repro.fl.comm.CommLedger` charges (see
@@ -113,7 +113,8 @@ class ServeExecutor(ClientExecutor):
         num_workers: worker processes to fork.
         addr: ``serve_addr`` spec (``'tcp:HOST:PORT'`` / ``'uds:PATH'``)
             or ``None`` for an ephemeral Unix-domain socket.
-        timeout: stall deadline (seconds), reset on any socket progress.
+        timeout: stall deadline (seconds), reset on any socket progress;
+            also the worker-side socket timeout.
         retries / backoff: worker-side connect/write retry policy.
         max_inflight: dispatched-but-unfinished client cap
             (``None`` = two blocks a worker, ``2 * num_workers *
@@ -124,6 +125,11 @@ class ServeExecutor(ClientExecutor):
             block may always be queued so progress never deadlocks).
         name: ``'serve'`` or ``'process'``, the mode the engine was
             built for.
+
+    :meth:`from_config` reads ``num_workers``, ``addr`` and ``name``
+    from an :class:`~repro.fl.config.FLConfig`; the rest keep their
+    defaults unless the engine is built here and attached with
+    ``algorithm.with_executor``.
     """
 
     def __init__(
@@ -168,11 +174,6 @@ class ServeExecutor(ClientExecutor):
         return cls(
             num_workers=config.num_workers,
             addr=config.serve_addr,
-            timeout=config.serve_timeout,
-            retries=config.serve_retries,
-            backoff=config.serve_backoff,
-            max_inflight=config.serve_max_inflight,
-            queue_bytes=config.serve_queue_bytes,
             name="serve" if config.execution == "serve" else "process",
         )
 

@@ -44,9 +44,8 @@ def test_execution_only_marks_match_the_hashed_field_lists():
     hashed = {f.name for f in fields(FLConfig)} - unhashed
     assert unhashed == {
         "checkpoint_dir", "checkpoint_every", "checkpoint_keep", "executor",
-        "history_mode", "num_workers", "resume", "serve_addr", "serve_backoff",
-        "serve_max_inflight", "serve_queue_bytes", "serve_retries",
-        "serve_timeout", "state_cap", "state_dir", "stream_dir",
+        "history_mode", "num_workers", "resume", "serve_addr", "state_cap",
+        "state_dir", "stream_dir",
     }
     assert hashed == {
         "batch_size", "buffer_size", "buffer_timeout", "cloud_compression",

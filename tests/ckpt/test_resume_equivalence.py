@@ -1,12 +1,9 @@
-"""Crash/resume equivalence: a resumed run is bit-identical to an
-uninterrupted one.
-
-The crash is simulated two ways: by deleting every checkpoint newer than
-the crash point (as if the process died mid-round, after its last
-successful checkpoint) and — for one hard case — by actually killing a
-subprocess with ``os._exit`` from inside a round callback.  Either way,
-resuming must reproduce the uninterrupted run exactly: final parameters,
-every History field except wall time, and per-round ledger bytes.
+"""Crash/resume edge cases: a torn newest checkpoint, an empty or a
+finished directory, refused mismatches, and a real ``os._exit`` from
+inside a round callback.  Whatever resumes must reproduce the
+uninterrupted run exactly.  (Crash/resume == uninterrupted for every
+algorithm, on workers, with error-feedback residuals and with faults
+are rows of ``tests/test_engine_identity.py``.)
 """
 
 from __future__ import annotations
@@ -21,23 +18,8 @@ import pytest
 
 from repro.exceptions import CheckpointMismatchError
 from repro.fl.config import FLConfig
-from repro.fl.faults import FaultModel
 from tests.conftest import make_toy_federation
-from tests.helpers import assert_equivalent_runs, run_with_workers
-
-# (name, constructor kwargs, slow?) — mirrors the parallel-equivalence matrix.
-MATRIX = [
-    ("fedavg", {}, False),
-    ("fedavgm", {}, False),
-    ("fednova", {}, False),
-    ("fedprox", {"mu": 0.1}, False),
-    ("moon", {"mu": 0.5}, True),
-    ("scaffold", {}, False),
-    ("qfedavg", {"q": 1.0}, False),
-    ("rfedavg", {"lam": 1e-3}, True),
-    ("rfedavg+", {"lam": 1e-3}, False),
-    ("rfedavg_exact", {"lam": 1e-3}, True),
-]
+from tests.helpers import assert_equivalent_runs, run_with_workers, simulate_crash
 
 ROUNDS = 6
 CRASH_ROUND = 3  # rounds >= this lose their checkpoint
@@ -54,136 +36,13 @@ def fed():
     return make_toy_federation(similarity=0.0)
 
 
-def _simulate_crash(ckpt_dir: Path, crash_round: int = CRASH_ROUND) -> None:
-    """Drop every checkpoint from ``crash_round`` on, as a crash would."""
-    removed = 0
-    for round_idx in range(crash_round, ROUNDS):
-        path = ckpt_dir / f"ckpt-{round_idx:08d}.rck"
-        if path.exists():
-            path.unlink()
-            removed += 1
-    assert removed > 0, "crash simulation deleted nothing — cadence changed?"
-
-
-def _crash_and_resume(
-    name,
-    kwargs,
-    fed,
-    tmp_path,
-    *,
-    num_workers=1,
-    executor="auto",
-    decorate=None,
-    config=None,
-):
-    """Uninterrupted baseline vs crash-at-CRASH_ROUND-then-resume."""
-    config = config if config is not None else _config()
-    baseline = run_with_workers(
-        name, kwargs, fed, config, num_workers=num_workers,
-        executor=executor, decorate=decorate,
-    )
-    ckpt_dir = tmp_path / "ckpt"
-    ckpt_config = config.with_updates(
-        checkpoint_dir=str(ckpt_dir), checkpoint_keep=50
-    )
-    run_with_workers(
-        name, kwargs, fed, ckpt_config, num_workers=num_workers,
-        executor=executor, decorate=decorate,
-    )
-    _simulate_crash(ckpt_dir)
-    resumed = run_with_workers(
-        name, kwargs, fed, ckpt_config.with_updates(resume=True),
-        num_workers=num_workers, executor=executor, decorate=decorate,
-    )
-    assert_equivalent_runs(baseline, resumed)
-    return baseline, resumed
-
-
-@pytest.mark.parametrize(
-    "name,kwargs",
-    [
-        pytest.param(name, kwargs, id=name, marks=[pytest.mark.slow] if slow else [])
-        for name, kwargs, slow in MATRIX
-    ],
-)
-def test_crash_resume_is_bit_identical(fed, name, kwargs, tmp_path):
-    _crash_and_resume(name, kwargs, fed, tmp_path)
-
-
-@pytest.mark.parametrize(
-    "name,kwargs",
-    [
-        pytest.param("scaffold", {}, id="scaffold"),
-        pytest.param(
-            "rfedavg+", {"lam": 1e-3}, id="rfedavg+", marks=[pytest.mark.slow]
-        ),
-    ],
-)
-def test_crash_resume_under_parallel_wire(fed, name, kwargs, tmp_path):
-    """Resume composes with the process executor and packed wire."""
-    _crash_and_resume(
-        name, kwargs, fed, tmp_path, num_workers=2, executor="process"
-    )
-
-
-@pytest.mark.parametrize(
-    "name,kwargs,overrides",
-    [
-        pytest.param("fedavg", {}, {"compression": "topk:0.25|qsgd:8"}, id="fedavg-ef"),
-        pytest.param(
-            "rfedavg+",
-            {"lam": 1e-3},
-            {"compression": "topk:0.25|qsgd:8", "sync_compression": "qsgd:8"},
-            id="rfedavg+-ef-sync",
-        ),
-    ],
-)
-def test_crash_resume_with_error_feedback_residuals(fed, name, kwargs, overrides, tmp_path):
-    """Crash with non-empty error-feedback residuals, resume, bit-identical.
-
-    By CRASH_ROUND every client has accumulated a non-zero residual, so
-    this exercises the ``ef_residuals`` checkpoint segments (and, for
-    rfedavg+, the second-synchronization model/delta residuals) rather
-    than the trivially-empty-table path.
-    """
-    import numpy as np
-
-    baseline, resumed = _crash_and_resume(
-        name, kwargs, fed, tmp_path, config=_config(**overrides)
-    )
-    algorithm = resumed[0]
-    assert algorithm._residuals is not None
-    norms = [
-        float(np.linalg.norm(algorithm._residuals.get(cid)))
-        for cid in range(fed.num_clients)
-    ]
-    assert max(norms) > 0.0, "residuals never became non-trivial — weak test"
-
-
-def test_crash_resume_with_faults(fed, tmp_path):
-    """The fault model's RNG stream and counters survive a resume."""
-    models = []
-
-    def decorate(algorithm):
-        fault = FaultModel(dropout_prob=0.4, seed=9)
-        models.append(fault)
-        algorithm.with_faults(fault)
-
-    baseline, resumed = _crash_and_resume(
-        "scaffold", {}, fed, tmp_path, decorate=decorate
-    )
-    uninterrupted, _checkpointed, restored = models
-    assert restored.dropped_total == uninterrupted.dropped_total
-    assert uninterrupted.dropped_total > 0
-
-
 def test_resume_rolls_back_past_corrupt_newest(fed, tmp_path):
     config = _config()
     baseline = run_with_workers("fedavg", {}, fed, config, num_workers=1)
     ckpt_dir = tmp_path / "ckpt"
     ckpt_config = config.with_updates(checkpoint_dir=str(ckpt_dir), checkpoint_keep=50)
     run_with_workers("fedavg", {}, fed, ckpt_config, num_workers=1)
-    _simulate_crash(ckpt_dir, crash_round=CRASH_ROUND + 1)
+    simulate_crash(ckpt_dir, CRASH_ROUND + 1, ROUNDS)
     # The newest surviving checkpoint is itself torn.
     torn = ckpt_dir / f"ckpt-{CRASH_ROUND:08d}.rck"
     torn.write_bytes(torn.read_bytes()[:-10])

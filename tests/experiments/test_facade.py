@@ -52,7 +52,7 @@ def test_config_shorthands_are_gone():
         "workers", "execution", "runtime", "buffer_size", "staleness_exponent",
         "checkpoint_dir", "checkpoint_every", "resume", "compression",
         "sync_compression", "error_feedback", "topology", "cloud_compression",
-        "serve_addr", "serve_timeout",
+        "serve_addr",
     ):
         with pytest.raises(TypeError, match=shorthand):
             repro.run_experiment("quickstart", overrides=TINY, **{shorthand: None})

@@ -2,9 +2,9 @@
 
 Buffering/staleness semantics, the History/RoundRecord-symmetric JSON
 contract of AsyncHistory/AsyncUpdateRecord, checkpoint/resume
-bit-identity, and the run_federated dispatch plumbing.  The full
-zero-latency sync==async bit-identity matrix lives in
-``test_async_equivalence.py``.
+bit-identity, and the run_federated dispatch plumbing.  Zero-latency
+async == sync for every algorithm is the ``async-instant`` leg of
+``tests/test_engine_identity.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.fl.runtime import TraceRuntime
 from repro.fl.trainer import run_federated
 from repro.obs.trace import Tracer
 from tests.conftest import make_toy_federation
-from tests.helpers import assert_equivalent_runs, tiny_model_fn
+from tests.helpers import assert_equivalent_runs, simulate_crash, tiny_model_fn
 
 # A worker-engine leg that degrades to serial warns, and must fail here
 # rather than pass as the serial engine.
@@ -256,13 +256,7 @@ def _crash_and_resume_async(fed, tmp_path, config):
         checkpoint_dir=str(ckpt_dir), checkpoint_keep=50
     )
     _run(fed, ckpt_config, runtime=TraceRuntime(STRAGGLER_TIMES))
-    removed = 0
-    for round_idx in range(2, config.rounds):
-        path = ckpt_dir / f"ckpt-{round_idx:08d}.rck"
-        if path.exists():
-            path.unlink()
-            removed += 1
-    assert removed > 0
+    simulate_crash(ckpt_dir, 2, config.rounds)
     resumed = _run(
         fed, ckpt_config.with_updates(resume=True),
         runtime=TraceRuntime(STRAGGLER_TIMES),

@@ -1,41 +1,17 @@
-"""Serial/parallel equivalence matrix for the client-execution engine.
-
-Every registered algorithm runs the same 3-round job twice — once with
-``num_workers=1`` (the serial reference) and once with a process pool —
-and the results must be bit-identical: final global parameters, every
-History field except wall time, and the per-round ledger totals.
-
-The worker count defaults to 4 and can be overridden with the
-``REPRO_EQUIV_WORKERS`` environment variable (CI runs the matrix at 2).
+"""The worker engine where it is more than a placement: round state it
+cannot express degrades it to serial, and a block that stacks goes out
+whole.  Either way the run is the serial run.  (Worker runs == serial
+for every algorithm are rows of ``tests/test_engine_identity.py``.)
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.algorithms import ALGORITHMS
 from repro.exceptions import WireError
 from repro.fl.config import FLConfig
 from tests.conftest import make_toy_federation
-from tests.helpers import assert_equivalent_runs, run_with_workers
-
-WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "4"))
-
-# (name, constructor kwargs, slow?) — one row per registered algorithm.
-MATRIX = [
-    ("fedavg", {}, False),
-    ("fedavgm", {}, False),
-    ("fednova", {}, False),
-    ("fedprox", {"mu": 0.1}, False),
-    ("moon", {"mu": 0.5}, True),
-    ("scaffold", {}, False),
-    ("qfedavg", {"q": 1.0}, False),
-    ("rfedavg", {"lam": 1e-3}, True),
-    ("rfedavg+", {"lam": 1e-3}, False),
-    ("rfedavg_exact", {"lam": 1e-3}, True),
-]
+from tests.helpers import WORKERS, assert_equivalent_runs, run_with_workers
 
 
 def _config(**overrides) -> FLConfig:
@@ -47,28 +23,6 @@ def _config(**overrides) -> FLConfig:
 @pytest.fixture(scope="module")
 def fed():
     return make_toy_federation(similarity=0.0)
-
-
-def test_matrix_covers_every_registered_algorithm():
-    """A new algorithm must be added to the equivalence matrix."""
-    assert {name for name, _, _ in MATRIX} == set(ALGORITHMS)
-
-
-@pytest.mark.parametrize(
-    "name,kwargs",
-    [
-        pytest.param(name, kwargs, id=name, marks=[pytest.mark.slow] if slow else [])
-        for name, kwargs, slow in MATRIX
-    ],
-)
-def test_parallel_run_is_bit_identical_to_serial(fed, name, kwargs):
-    config = _config()
-    serial = run_with_workers(name, kwargs, fed, config, num_workers=1)
-    parallel = run_with_workers(name, kwargs, fed, config, num_workers=WORKERS)
-    assert parallel[0].executor.name == "process"
-    # Degrading to serial would mask a packing regression.
-    assert not parallel[0].executor.degraded
-    assert_equivalent_runs(serial, parallel)
 
 
 @pytest.mark.parametrize("topology", ["flat", "hier:2:2"])
@@ -88,18 +42,6 @@ def test_inexpressible_round_state_degrades_to_serial(fed, monkeypatch, topology
     assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) == 1
     assert degraded[0].executor.degraded
     assert_equivalent_runs(serial, degraded)
-
-
-@pytest.mark.parametrize("name,kwargs", [("fedavg", {}), ("scaffold", {})])
-def test_chunked_scheduling_is_bit_identical_to_serial(fed, name, kwargs):
-    config = _config(seed=12)
-    serial = run_with_workers(name, kwargs, fed, config, num_workers=1)
-    chunked = run_with_workers(
-        name, kwargs, fed, config.with_updates(serve_max_inflight=2),
-        num_workers=WORKERS, executor="process",
-    )
-    assert chunked[0].executor.max_inflight == 2
-    assert_equivalent_runs(serial, chunked)
 
 
 @pytest.mark.parametrize("name,kwargs", [("fedavg", {}), ("rfedavg+", {"lam": 1e-3})])
@@ -145,19 +87,3 @@ def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs):
     for updates in rounds:  # a block that stacks goes out whole
         assert len({(u.worker, u.train_seconds) for u in updates}) == 1
         assert updates[0].worker != 0
-
-
-def test_partial_participation_is_bit_identical_to_serial(fed):
-    """Client sampling happens in the parent; the engine must preserve
-    the sampled order even when rounds select different subsets."""
-    config = _config(sample_ratio=0.5, rounds=4, seed=13)
-    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
-    parallel = run_with_workers("fedavg", {}, fed, config, num_workers=WORKERS)
-    assert_equivalent_runs(serial, parallel)
-
-
-def test_more_workers_than_clients_is_bit_identical(fed):
-    config = _config(seed=14)
-    serial = run_with_workers("fedavg", {}, fed, config, num_workers=1)
-    oversized = run_with_workers("fedavg", {}, fed, config, num_workers=16)
-    assert_equivalent_runs(serial, oversized)

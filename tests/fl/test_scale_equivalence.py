@@ -4,7 +4,9 @@ clients, spilling per-client tables, streaming histories) must change
 
 Every knob here is execution-only by contract, so at small N each one
 must reproduce the eager/uncapped/appending run bit-for-bit — including
-across a crash/resume with all three engaged at once.
+across a crash/resume with all three engaged at once.  (Virtual == eager
+and spilling == uncapped per algorithm are rows of
+``tests/test_engine_identity.py``.)
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from repro.data import make_virtual_federation
 from repro.exceptions import ConfigError
 from repro.fl.config import FLConfig
 from repro.fl.metrics import StreamingHistory
-from tests.helpers import assert_equivalent_runs, run_with_workers, tiny_model_fn
+from tests.helpers import (
+    assert_equivalent_runs,
+    run_with_workers,
+    simulate_crash,
+    tiny_model_fn,
+)
 
 ROUNDS = 5
 
@@ -47,48 +54,7 @@ def eager(virt):
     return virt.materialize()
 
 
-# -- virtual vs eager ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "name,kwargs",
-    [("fedavg", {}), ("rfedavg+", {"lam": 1e-3}), ("scaffold", {})],
-    ids=["fedavg", "rfedavg+", "scaffold"],
-)
-def test_virtual_population_matches_eager_bitwise(virt, eager, name, kwargs):
-    config = _config()
-    lazy = run_with_workers(name, kwargs, virt, config, num_workers=1)
-    dense = run_with_workers(name, kwargs, eager, config, num_workers=1)
-    assert_equivalent_runs(dense, lazy)
-    # The virtual run never held more than max_live shards.
-    assert virt.clients.live_clients == 0  # released after the final round
-
-
-@pytest.mark.parametrize("sampler", ["reservoir"])
-def test_virtual_matches_eager_under_scale_samplers(virt, eager, sampler):
-    """The reservoir sampler sees only (population, ratio, rng) — identical
-    cohorts either way, so identical runs."""
-    config = _config(sampler=sampler)
-    lazy = run_with_workers("fedavg", {}, virt, config, num_workers=1)
-    dense = run_with_workers("fedavg", {}, eager, config, num_workers=1)
-    assert_equivalent_runs(dense, lazy)
-
-
-# -- spilling vs uncapped server state ----------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["rfedavg", "rfedavg+"])
-def test_sharded_table_matches_dense_bitwise(eager, name):
-    """Rows spilled past a cap of 2 ("sharded") against every row
-    resident ("dense"): the same run, bit for bit."""
-    kwargs = {"lam": 1e-3}
-    uncapped = run_with_workers(name, kwargs, eager, _config(), num_workers=1)
-    spilling = run_with_workers(
-        name, kwargs, eager, _config(state_cap=2), num_workers=1
-    )
-    assert_equivalent_runs(uncapped, spilling)
-    assert uncapped[0].delta_table.spilled_rows == 0
-    assert spilling[0].delta_table.spilled_rows > 0  # the cap actually bit
+# -- spilling server state ----------------------------------------------------------
 
 
 def test_two_spilling_tables_share_one_state_dir(eager, tmp_path):
@@ -173,13 +139,7 @@ def test_crash_resume_with_virtual_sharded_streaming(virt, tmp_path):
         tmp_path, "crash", checkpoint_dir=str(ckpt_dir), checkpoint_keep=50
     )
     run_with_workers("rfedavg+", kwargs, virt, crashed_config, num_workers=1)
-    removed = 0
-    for round_idx in range(2, ROUNDS):
-        path = ckpt_dir / f"ckpt-{round_idx:08d}.rck"
-        if path.exists():
-            path.unlink()
-            removed += 1
-    assert removed > 0
+    simulate_crash(ckpt_dir, 2, ROUNDS)
     resumed = run_with_workers(
         "rfedavg+", kwargs, virt,
         crashed_config.with_updates(resume=True), num_workers=1,

@@ -6,6 +6,8 @@ partition tests assert on, and the softmax the loss is checked against."""
 from __future__ import annotations
 
 import dataclasses
+import os
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -145,6 +147,9 @@ def split_model_objective_gradcheck(
 
 # -- serial/parallel equivalence harness -----------------------------------------
 
+# Worker processes a worker-engine equivalence run forks.
+WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "2"))
+
 
 def tiny_model_fn(fed, seed: int = 0, hidden: int = 12, feature_dim: int = 6):
     """The smallest useful model factory for equivalence runs."""
@@ -214,6 +219,17 @@ def assert_equivalent_runs(serial, parallel) -> None:
     assert alg_a.ledger.rounds == alg_b.ledger.rounds
     for round_idx in range(alg_a.ledger.rounds):
         assert alg_a.ledger.round_bytes(round_idx) == alg_b.ledger.round_bytes(round_idx)
+
+
+def simulate_crash(ckpt_dir: Path, crash_round: int, rounds: int) -> None:
+    """Drop every checkpoint from ``crash_round`` on, as a crash would."""
+    removed = 0
+    for round_idx in range(crash_round, rounds):
+        path = Path(ckpt_dir) / f"ckpt-{round_idx:08d}.rck"
+        if path.exists():
+            path.unlink()
+            removed += 1
+    assert removed > 0, "crash simulation deleted nothing — cadence changed?"
 
 
 class DenseDeltaOracle:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import os
 import warnings
 
 import pytest
 
 from tests.conftest import make_toy_federation
-
-WORKERS = int(os.environ.get("REPRO_EQUIV_WORKERS", "2"))
+from tests.helpers import WORKERS, tiny_model_fn
 
 
 @pytest.fixture(scope="module")
@@ -26,22 +24,25 @@ def run_serve(
     decorate=None,
     tracer=None,
     allow_degrade: bool = False,
-    **serve_overrides,
+    **executor_kwargs,
 ):
     """Run one federated job through the socket serving engine.
 
-    Degradation to in-process execution raises (via warnings-as-errors)
-    unless ``allow_degrade`` is set — a silently-degraded run would make
-    every equivalence assertion vacuous.  Returns ``(algorithm, history)``.
+    ``executor_kwargs`` (``timeout``, ``queue_bytes``, ...) build the
+    :class:`~repro.serve.server.ServeExecutor` with those bounds and
+    attach it; without them the config builds it.  Degradation to
+    in-process execution raises (via warnings-as-errors) unless
+    ``allow_degrade`` is set — a silently-degraded run would make every
+    equivalence assertion vacuous.  Returns ``(algorithm, history)``.
     """
     from repro.algorithms import make_algorithm
     from repro.fl.trainer import run_federated
-    from tests.helpers import tiny_model_fn
+    from repro.serve.server import ServeExecutor
 
-    run_config = config.with_updates(
-        execution="serve", num_workers=num_workers, **serve_overrides
-    )
+    run_config = config.with_updates(execution="serve", num_workers=num_workers)
     algorithm = make_algorithm(algorithm_name, **algorithm_kwargs)
+    if executor_kwargs:
+        algorithm.with_executor(ServeExecutor(num_workers, **executor_kwargs))
     if decorate is not None:
         decorate(algorithm)
     with warnings.catch_warnings():

@@ -62,19 +62,18 @@ def test_config_validates_serve_addr_at_construction():
         FLConfig(rounds=1, serve_addr="carrier-pigeon:coop")
 
 
-@pytest.mark.parametrize(
-    "overrides,match",
-    [
-        ({"serve_timeout": 0.0}, "serve_timeout"),
-        ({"serve_retries": 0}, "serve_retries"),
-        ({"serve_backoff": -0.1}, "serve_backoff"),
-        ({"serve_max_inflight": 0}, "serve_max_inflight"),
-        ({"serve_queue_bytes": 0}, "serve_queue_bytes"),
-    ],
-)
-def test_config_rejects_bad_serve_knobs(overrides, match):
-    with pytest.raises(ConfigError, match=match):
-        FLConfig(rounds=1, **overrides)
+def test_socket_bounds_are_not_config_fields():
+    """The worker engine's timeout, retries, backoff, in-flight cap and
+    queue bound are ``ServeExecutor`` arguments: no config field, no flag."""
+    from repro.cli import main
+
+    for knob in ("serve_timeout", "serve_retries", "serve_backoff",
+                 "serve_max_inflight", "serve_queue_bytes"):
+        with pytest.raises(TypeError, match=knob):
+            FLConfig(rounds=1, **{knob: 1})
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--serve-timeout", "5"])
+    assert excinfo.value.code == 2  # refused by the parser, before any run
 
 
 # -- message round trips ----------------------------------------------------------

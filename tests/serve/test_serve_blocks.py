@@ -58,8 +58,10 @@ def _config(**overrides) -> FLConfig:
     return FLConfig(**base)
 
 
-def _run(name, fed, config, model="mlp", tracer=None):
+def _run(name, fed, config, model="mlp", tracer=None, executor=None):
     algorithm = make_algorithm(name)
+    if executor is not None:
+        algorithm.with_executor(executor)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # a degraded run proves nothing
         history = run_federated(
@@ -383,7 +385,9 @@ def test_max_inflight_below_a_block_equals_serial(fed, cap):
     config = _config(seed=62)
     serial = _run("fedavg", fed, config)
     tracer = Tracer()
-    served = _serve("fedavg", fed, config.with_updates(serve_max_inflight=cap), tracer=tracer)
+    served = _serve(
+        "fedavg", fed, config, tracer=tracer, executor=ServeExecutor(2, max_inflight=cap)
+    )
     assert_equivalent_runs(serial, served)
     sizes = {span.attrs["block"] for span in tracer.find("local_train")}
     assert max(sizes) <= cap

@@ -80,7 +80,7 @@ def test_all_workers_dead_degrades_with_warning(fed, monkeypatch):
     serial = run_with_workers("fedavg", {}, fed, _config(), num_workers=1)
     with pytest.warns(RuntimeWarning, match="socket client serving disabled"):
         served = run_serve(
-            "fedavg", {}, fed, _config(), allow_degrade=True, serve_timeout=5.0
+            "fedavg", {}, fed, _config(), allow_degrade=True, timeout=5.0
         )
     assert served[0].executor.degraded
     assert_equivalent_runs(serial, served)
@@ -197,25 +197,23 @@ def test_latency_quantiles_reach_the_snapshot(fed):
 # -- direct executor units --------------------------------------------------------
 
 
-def test_from_config_reads_the_serve_knobs():
-    config = FLConfig(
-        rounds=1,
-        num_workers=3,
-        serve_addr="tcp:127.0.0.1:0",
-        serve_timeout=9.0,
-        serve_retries=7,
-        serve_backoff=0.25,
-        serve_max_inflight=5,
-        serve_queue_bytes=4096,
-    )
+def test_from_config_reads_workers_and_address():
+    """The socket bounds are not config fields: a config builds the
+    engine with its defaults, and a test that needs another bound builds
+    the engine itself."""
+    config = FLConfig(rounds=1, num_workers=3, serve_addr="tcp:127.0.0.1:0")
     executor = ServeExecutor.from_config(config)
     assert executor.num_workers == 3
     assert executor.addr_spec == "tcp:127.0.0.1:0"
-    assert executor.timeout == 9.0
-    assert executor.retries == 7
-    assert executor.backoff == 0.25
-    assert executor.max_inflight == 5
-    assert executor.queue_bytes == 4096
+    assert executor.name == "process"
+    defaults = ServeExecutor(3)
+    for bound in ("timeout", "retries", "backoff", "max_inflight", "queue_bytes"):
+        assert getattr(executor, bound) == getattr(defaults, bound)
+    built = ServeExecutor(
+        3, timeout=9.0, retries=7, backoff=0.25, max_inflight=5, queue_bytes=4096
+    )
+    assert (built.timeout, built.retries, built.backoff) == (9.0, 7, 0.25)
+    assert (built.max_inflight, built.queue_bytes) == (5, 4096)
 
 
 def test_max_inflight_defaults_to_two_blocks_a_worker():

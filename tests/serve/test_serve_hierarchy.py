@@ -4,15 +4,15 @@
 served round — one state frame for the union cohort, each ``task`` frame
 carrying its own region's model, blocks that never straddle two
 regions.  None of that may show in the numbers: served ``hier:R:P`` runs
-equal the serial hierarchical run bit for bit.
+equal the serial hierarchical run bit for bit (for every algorithm, with
+one served round a round: the ``hier:2:2`` rows of
+``tests/test_engine_identity.py``).
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-
-import pytest
 
 from repro.algorithms import FedAvg, make_algorithm
 from repro.data import make_virtual_federation
@@ -22,7 +22,7 @@ from repro.models import build_model
 from repro.obs import Tracer
 from tests.conftest import make_toy_federation
 from tests.fl.test_cohort_stacking import _counters
-from tests.helpers import assert_equivalent_runs, run_with_workers, tiny_model_fn
+from tests.helpers import assert_equivalent_runs, tiny_model_fn
 
 TOPOLOGY = "hier:2:2"
 
@@ -42,21 +42,6 @@ def _served(algorithm, fed, model_fn, config, tracer):
         )
     assert algorithm.executor.name == "serve" and not algorithm.executor.degraded
     return algorithm, history
-
-
-@pytest.mark.parametrize(
-    "name, kwargs", [("rfedavg+", {"lam": 1e-3}), ("scaffold", {})], ids=["rfedavg+", "scaffold"]
-)
-def test_served_hierarchy_is_bit_identical_to_serial(name, kwargs):
-    fed = make_toy_federation(similarity=0.0, num_clients=8)
-    config = _config()
-    serial = run_with_workers(name, kwargs, fed, config, num_workers=1)
-    tracer = Tracer()
-    served = _served(make_algorithm(name, **kwargs), fed, tiny_model_fn(fed), config, tracer)
-    assert_equivalent_runs(serial, served)
-    # One wave a round: one served round and one state frame, not one
-    # per region.
-    assert _counters(tracer, "serve.")["serve.rounds"] == config.rounds
 
 
 def test_served_hierarchy_stacks_within_regions_only():

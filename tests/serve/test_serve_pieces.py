@@ -209,11 +209,13 @@ class _FrameLog:
         return out
 
 
-def _serve(name, kwargs, fed, config, tracer=None):
+def _serve(name, kwargs, fed, config, tracer=None, executor=None):
     from repro.algorithms import make_algorithm
     from repro.fl.trainer import run_federated
 
     algorithm = make_algorithm(name, **kwargs)
+    if executor is not None:
+        algorithm.with_executor(executor)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         history = run_federated(
@@ -228,13 +230,13 @@ def _serve(name, kwargs, fed, config, tracer=None):
 @pytest.mark.parametrize("scenario", ["backpressure", "worker-dies"])
 def test_delivered_frames_equal_the_built_bytes(fed, tmp_path, monkeypatch, compression, scenario):
     config = FLConfig(
-        rounds=6, local_steps=2, batch_size=8, lr=0.1, seed=52, compression=compression,
-        **({"serve_queue_bytes": 1} if scenario == "backpressure" else {}),
+        rounds=6, local_steps=2, batch_size=8, lr=0.1, seed=52, compression=compression
     )
     serial = run_with_workers("scaffold", {}, fed, config, num_workers=1)
     log = _FrameLog(str(tmp_path), monkeypatch, die_in_round=1 if scenario == "worker-dies" else None)
     tracer = Tracer()
-    served = _serve("scaffold", {}, fed, config, tracer=tracer)
+    executor = ServeExecutor(2, queue_bytes=1) if scenario == "backpressure" else None
+    served = _serve("scaffold", {}, fed, config, tracer=tracer, executor=executor)
     assert_equivalent_runs(serial, served)
 
     received = log.received()

@@ -44,13 +44,19 @@ def test_readme_referenced_paths_exist():
         assert os.path.exists(os.path.join(REPO_ROOT, path)), path
 
 
-def test_design_referenced_paths_exist():
-    """Every backticked ``dir/file.py`` in DESIGN.md names a file, read from
-    the repo root, ``src/`` or ``src/repro/``."""
-    with open(os.path.join(REPO_ROOT, "DESIGN.md")) as handle:
-        design = handle.read()
-    paths = re.findall(r"`([\w.-]+/[\w./-]+\.py)`", design)
-    assert paths
+DOCS = ["DESIGN.md"] + sorted(
+    f"docs/{name}" for name in os.listdir(os.path.join(REPO_ROOT, "docs")) if name.endswith(".md")
+)
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_design_referenced_paths_exist(doc):
+    """Every backticked ``dir/file.py`` in DESIGN.md and ``docs/`` names a
+    file, read from the repo root, ``src/`` or ``src/repro/``."""
+    with open(os.path.join(REPO_ROOT, doc)) as handle:
+        paths = re.findall(r"`([\w.-]+/[\w./-]+\.py)`", handle.read())
+    if doc == "DESIGN.md":
+        assert paths
     bases = (REPO_ROOT, os.path.join(REPO_ROOT, "src"), os.path.join(REPO_ROOT, "src", "repro"))
     for path in paths:
         assert any(os.path.exists(os.path.join(base, path)) for base in bases), path
