@@ -1,15 +1,21 @@
-"""Shared benchmark scaffolding.
+"""Shared benchmark data: the two base presets, the algorithm tables and
+the report helpers.
 
 Every bench reproduces one paper table/figure at a **reduced scale**
 documented here and in EXPERIMENTS.md:
 
 * models: MLP (32-d features) for most runs, the paper CNN at scale
   0.15 for the CIFAR curve bench, the paper LSTM at scale 0.15 for
-  Sent140 — full-width CNN/LSTM at paper client counts would take days
-  on one CPU core and change no qualitative conclusion.
+  Sent140.
 * clients: cross-silo N=10 (paper: 20), cross-device N=50, SR=0.2
   (paper: 500, SR=0.2).
 * rounds: 40-60 (paper: 60-200) — enough for the orderings to settle.
+
+Each bench describes its job as a :class:`~repro.experiments.RunPreset`
+— :data:`SILO` or :data:`DEVICE` with overrides — and runs a table as
+:func:`~repro.experiments.run_grid` cells, or calls the preset's pieces
+and :func:`~repro.fl.trainer.run_federated` when it needs the algorithm
+object after the run.
 
 Regularization weights: lambda is a normalization-sensitive knob (the
 paper uses 1e-4 MNIST / 1e-5 CIFAR at 512-d features); our features are
@@ -19,136 +25,54 @@ paper uses 1e-4 MNIST / 1e-5 CIFAR at 512-d features); our features are
 from __future__ import annotations
 
 import os
-from typing import Callable
 
-from repro.data.dataset import FederatedDataset
-from repro.experiments import (
-    build_femnist_federation,
-    build_image_federation,
-    build_sent140_federation,
-    cross_device_config,
-    cross_silo_config,
-    default_model_fn,
-)
-from repro.experiments.runner import RunResult, compare_algorithms
-from repro.fl.config import FLConfig
+from repro.experiments import RunPreset
 
-# Scaled-down counterparts of the paper's two settings.
-SILO_CLIENTS = 10
-DEVICE_CLIENTS = 50
-TRAIN_SAMPLES = 2000
-TEST_SAMPLES = 400
 LAMBDA = 1e-3  # MLP feature dim 32; see Fig. 9a bench
 LAMBDA_LSTM = 1e-2
 
-# The six compared methods with their paper hyperparameters (adapted
-# where the paper itself adapts them per dataset).
+# Scaled-down counterparts of the paper's two settings: synth-MNIST,
+# Sim 0%, 2000 train / 400 test samples, MLP, rFedAvg+ at LAMBDA.
+SILO = RunPreset(
+    "bench-silo",
+    "cross-silo bench setting (N=10, E=5, SR=1.0)",
+    algorithm_kwargs={"lam": LAMBDA},
+    clients=10,
+    config=dict(rounds=60, batch_size=32, lr=0.5, eval_every=3),
+)
+DEVICE = RunPreset(
+    "bench-device",
+    "cross-device bench setting (N=50, E=10, SR=0.2)",
+    algorithm_kwargs={"lam": LAMBDA},
+    clients=50,
+    scenario="cross_device",
+    config=dict(rounds=60, batch_size=32, lr=0.5, eval_every=3),
+)
+
+# The six compared methods as grid cells, with their paper
+# hyperparameters (adapted where the paper itself adapts them per
+# dataset).  SCAFFOLD's control variates are unstable at the bench lr,
+# so its cell lowers it — mirroring the paper's own per-method tuning
+# (it lowers FedProx's lr on cross-device Sent140 "otherwise it will not
+# converge").
 IMAGE_ALGORITHMS: dict[str, dict] = {
-    "fedavg": {},
-    "fedprox": {"mu": 1.0},
-    "scaffold": {"eta_g": 1.0},
-    "qfedavg": {"q": 1.0},
-    "rfedavg": {"lam": LAMBDA},
-    "rfedavg+": {"lam": LAMBDA},
+    "fedavg": {"algorithm": "fedavg"},
+    "fedprox": {"algorithm": "fedprox", "mu": 1.0},
+    "scaffold": {"algorithm": "scaffold", "eta_g": 1.0, "lr": 0.15},
+    "qfedavg": {"algorithm": "qfedavg", "q": 1.0},
+    "rfedavg": {"algorithm": "rfedavg", "lam": LAMBDA},
+    "rfedavg+": {"algorithm": "rfedavg+", "lam": LAMBDA},
 }
 
-# Per-method config tuning, mirroring the paper's own practice (it
-# lowers FedProx's lr on cross-device Sent140 "otherwise it will not
-# converge"); SCAFFOLD's control variates are unstable at the bench lr.
-CONFIG_OVERRIDES: dict[str, dict] = {
-    "scaffold": {"lr": 0.15},
-}
-
+# Sent140's RMSProp lr already suits every method.
 SENT140_ALGORITHMS: dict[str, dict] = {
-    "fedavg": {},
-    "fedprox": {"mu": 0.01},
-    "scaffold": {"eta_g": 1.0},
-    "qfedavg": {"q": 1e-4},
-    "rfedavg": {"lam": LAMBDA_LSTM},
-    "rfedavg+": {"lam": LAMBDA_LSTM},
+    "fedavg": {"algorithm": "fedavg"},
+    "fedprox": {"algorithm": "fedprox", "mu": 0.01},
+    "scaffold": {"algorithm": "scaffold", "eta_g": 1.0},
+    "qfedavg": {"algorithm": "qfedavg", "q": 1e-4},
+    "rfedavg": {"algorithm": "rfedavg", "lam": LAMBDA_LSTM},
+    "rfedavg+": {"algorithm": "rfedavg+", "lam": LAMBDA_LSTM},
 }
-
-
-def silo_config(**overrides) -> FLConfig:
-    base = dict(rounds=60, batch_size=32, lr=0.5, eval_every=3)
-    base.update(overrides)
-    return cross_silo_config(**base)
-
-
-def device_config(**overrides) -> FLConfig:
-    base = dict(rounds=60, batch_size=32, lr=0.5, eval_every=3)
-    base.update(overrides)
-    return cross_device_config(**base)
-
-
-def image_fed_builder(
-    dataset: str, num_clients: int, similarity: float
-) -> Callable[[int], FederatedDataset]:
-    def build(seed: int) -> FederatedDataset:
-        return build_image_federation(
-            dataset,
-            num_clients=num_clients,
-            similarity=similarity,
-            num_train=TRAIN_SAMPLES,
-            num_test=TEST_SAMPLES,
-            seed=seed,
-        )
-
-    return build
-
-
-def sent140_fed_builder(num_users: int, iid: bool) -> Callable[[int], FederatedDataset]:
-    def build(seed: int) -> FederatedDataset:
-        return build_sent140_federation(num_users=num_users, iid=iid, seed=seed)
-
-    return build
-
-
-def femnist_fed_builder(num_writers: int) -> Callable[[int], FederatedDataset]:
-    def build(seed: int) -> FederatedDataset:
-        return build_femnist_federation(
-            num_writers=num_writers, samples_per_writer=20, seed=seed
-        )
-
-    return build
-
-
-def model_builder(model_name: str, scale: float = 1.0):
-    """(fed, seed) -> model factory, for run_experiment."""
-
-    def build(fed: FederatedDataset, seed: int):
-        return default_model_fn(model_name, fed.spec, seed=seed, scale=scale)
-
-    return build
-
-
-def run_comparison(
-    algorithms: dict[str, dict],
-    fed_builder: Callable[[int], FederatedDataset],
-    config: FLConfig,
-    model_name: str = "mlp",
-    scale: float = 1.0,
-    repeats: int = 2,
-    eval_per_client: bool = False,
-    config_overrides: dict[str, dict] | None = None,
-) -> dict[str, RunResult]:
-    """Run the full method comparison once; used by most benches.
-
-    ``config_overrides`` defaults to the image-task overrides; pass {}
-    to disable (the Sent140 bench does — its RMSProp lr already suits
-    every method).
-    """
-    if config_overrides is None:
-        config_overrides = CONFIG_OVERRIDES
-    return compare_algorithms(
-        algorithms,
-        fed_builder,
-        model_builder(model_name, scale),
-        config,
-        repeats=repeats,
-        eval_per_client=eval_per_client,
-        config_overrides=config_overrides,
-    )
 
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")

@@ -13,10 +13,14 @@ limitation its Sec. IV-C remarks acknowledge):
 4. the byzantine-outlier failure mode the paper's remarks warn about.
 """
 
-from benchmarks.common import LAMBDA, banner, image_fed_builder, model_builder, silo_config, report
+from benchmarks.common import LAMBDA, SILO, banner, report
 from repro.algorithms import FedAvg, RFedAvgPlus, make_algorithm
-from repro.experiments import build_image_federation, default_model_fn
-from repro.fl.config import FLConfig
+from repro.experiments import (
+    preset_config,
+    preset_federation,
+    preset_model_fn,
+    with_overrides,
+)
 from repro.fl.faults import FaultModel
 from repro.fl.trainer import run_federated
 
@@ -25,33 +29,29 @@ UPLINK_REDUCTION_MIN = 8.0
 ACCURACY_LOSS_MAX_PP = 0.5  # percentage points of tail-mean accuracy
 
 
-def _run_once(alg, fed, config):
-    history = run_federated(alg, fed, model_builder("mlp")(fed, 0), config)
+def _run_once(alg, fed, preset, **config_overrides):
+    """Run ``alg`` on ``fed``, the federation of ``preset`` at seed 0,
+    with ``config_overrides``; return (tail accuracy, uplink model bytes)."""
+    config = preset_config(with_overrides(preset, config_overrides), 0)
+    history = run_federated(alg, fed, preset_model_fn(preset, fed.spec, 0), config)
     return history.tail_mean_accuracy(3), alg.ledger.total("up:model")
 
 
 def test_ablation_compression_tradeoff(once):
     def run():
-        fed = image_fed_builder("synth_cifar", 10, 0.0)(0)
-
-        def config(**overrides):
-            return silo_config(rounds=40, eval_every=4, **overrides)
-
+        preset = with_overrides(
+            SILO, {"dataset": "synth_cifar", "rounds": 40, "eval_every": 4}
+        )
+        fed = preset_federation(preset, 0)
         rows = {}
-        rows["dense"] = _run_once(RFedAvgPlus(lam=LAMBDA), fed, config())
-        rows["top-25%"] = _run_once(
-            RFedAvgPlus(lam=LAMBDA), fed, config(compression="topk:0.25")
-        )
-        rows["top-5%"] = _run_once(
-            RFedAvgPlus(lam=LAMBDA), fed, config(compression="topk:0.05")
-        )
-        rows["top-5%/no-ef"] = _run_once(
-            RFedAvgPlus(lam=LAMBDA), fed,
-            config(compression="topk:0.05", error_feedback=False),
-        )
-        rows["8-bit"] = _run_once(
-            RFedAvgPlus(lam=LAMBDA), fed, config(compression="quantize:8")
-        )
+        for name, overrides in [
+            ("dense", {}),
+            ("top-25%", {"compression": "topk:0.25"}),
+            ("top-5%", {"compression": "topk:0.05"}),
+            ("top-5%/no-ef", {"compression": "topk:0.05", "error_feedback": False}),
+            ("8-bit", {"compression": "quantize:8"}),
+        ]:
+            rows[name] = _run_once(RFedAvgPlus(lam=LAMBDA), fed, preset, **overrides)
         return rows
 
     rows = once(run)
@@ -79,14 +79,15 @@ def test_ablation_compression_recovery(once):
     dense run and lose <= 0.5 pp of tail-mean accuracy."""
 
     def run():
-        fed = build_image_federation(
-            "synth_mnist", num_clients=8, similarity=0.0,
-            num_train=1600, num_test=400, seed=0,
+        preset = with_overrides(
+            SILO,
+            {"clients": 8, "num_train": 1600, "model": "cnn", "scale": 0.15,
+             "rounds": 40, "local_steps": 3, "batch_size": 16, "lr": 0.3,
+             "eval_every": 4},
         )
-        model_fn = default_model_fn("cnn", fed.spec, seed=0, scale=0.15)
-        config = FLConfig(
-            rounds=40, local_steps=3, batch_size=16, lr=0.3, eval_every=4, seed=0,
-        )
+        fed = preset_federation(preset, 0)
+        model_fn = preset_model_fn(preset, fed.spec, 0)
+        config = preset_config(preset, 0)
         compressed = {
             "fedavg": dict(compression=RECOVERY_SPEC),
             "rfedavg+": dict(compression=RECOVERY_SPEC, sync_compression=RECOVERY_SPEC),
@@ -119,14 +120,14 @@ def test_ablation_compression_recovery(once):
 
 def test_ablation_dropout_robustness(once):
     def run():
-        fed = image_fed_builder("synth_mnist", 10, 0.0)(0)
-        config = silo_config(rounds=40, eval_every=4)
+        preset = with_overrides(SILO, {"rounds": 40, "eval_every": 4})
+        fed = preset_federation(preset, 0)
         accs = {}
         for prob in [0.0, 0.3]:
             alg = RFedAvgPlus(lam=LAMBDA)
             if prob:
                 alg = alg.with_faults(FaultModel(dropout_prob=prob, seed=1))
-            accs[prob], _ = _run_once(alg, fed, config)
+            accs[prob], _ = _run_once(alg, fed, preset)
         return accs
 
     accs = once(run)
@@ -143,8 +144,8 @@ def test_ablation_byzantine_limitation(once):
     rFedAvg+ about as much as FedAvg — there is no implicit robustness."""
 
     def run():
-        fed = image_fed_builder("synth_mnist", 10, 0.0)(0)
-        config = silo_config(rounds=30, eval_every=5, lr=0.2)
+        preset = with_overrides(SILO, {"rounds": 30, "eval_every": 5, "lr": 0.2})
+        fed = preset_federation(preset, 0)
         out = {}
         for label, alg in [
             ("fedavg-clean", FedAvg()),
@@ -154,7 +155,7 @@ def test_ablation_byzantine_limitation(once):
             ("rfedavg+-attacked", RFedAvgPlus(lam=LAMBDA).with_faults(
                 FaultModel(byzantine_clients=(0,), corruption_scale=3.0, seed=2))),
         ]:
-            out[label], _ = _run_once(alg, fed, config)
+            out[label], _ = _run_once(alg, fed, preset)
         return out
 
     out = once(run)

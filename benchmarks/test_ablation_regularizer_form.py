@@ -12,23 +12,40 @@
 
 import numpy as np
 
-from benchmarks.common import LAMBDA, banner, image_fed_builder, model_builder, silo_config, report
+from benchmarks.common import LAMBDA, SILO, banner, report
 from repro.algorithms import FedAvg, RFedAvg, RFedAvgExact, RFedAvgPlus
 from repro.core.mmd import linear_mmd, rbf_mmd
+from repro.experiments import (
+    preset_config,
+    preset_federation,
+    preset_model_fn,
+    with_overrides,
+)
 from repro.fl.trainer import run_federated
 from repro.nn.serialization import set_flat_params
 
 
+def _pieces(clients: int, eval_every: int):
+    """Federation, model factory and config of a 30-round Sim 0%
+    synth-CIFAR silo run at seed 0."""
+    preset = with_overrides(
+        SILO,
+        {"dataset": "synth_cifar", "clients": clients, "rounds": 30,
+         "eval_every": eval_every},
+    )
+    fed = preset_federation(preset, 0)
+    return fed, preset_model_fn(preset, fed.spec, 0), preset_config(preset, 0)
+
+
 def test_ablation_delayed_vs_exact_mapping(once):
     def run():
-        fed = image_fed_builder("synth_cifar", 8, 0.0)(0)
-        config = silo_config(rounds=30, eval_every=5)
+        fed, model_fn, config = _pieces(8, 5)
         out = {}
         for name, alg in [
             ("rfedavg+", RFedAvgPlus(lam=LAMBDA)),
             ("exact", RFedAvgExact(lam=LAMBDA)),
         ]:
-            history = run_federated(alg, fed, model_builder("mlp")(fed, 0), config)
+            history = run_federated(alg, fed, model_fn, config)
             out[name] = (history.tail_mean_accuracy(3), alg.ledger.total("up:delta"))
         return out
 
@@ -45,14 +62,13 @@ def test_ablation_delayed_vs_exact_mapping(once):
 
 def test_ablation_pairwise_vs_loo_accuracy_parity(once):
     def run():
-        fed = image_fed_builder("synth_cifar", 8, 0.0)(0)
-        config = silo_config(rounds=30, eval_every=5)
+        fed, model_fn, config = _pieces(8, 5)
         accs = {}
         for name, alg in [
             ("pairwise (rFedAvg)", RFedAvg(lam=LAMBDA)),
             ("loo (rFedAvg+)", RFedAvgPlus(lam=LAMBDA)),
         ]:
-            history = run_federated(alg, fed, model_builder("mlp")(fed, 0), config)
+            history = run_federated(alg, fed, model_fn, config)
             accs[name] = history.tail_mean_accuracy(3)
         return accs
 
@@ -69,11 +85,9 @@ def test_ablation_regularizer_reduces_mmd_under_both_kernels(once):
     discrepancy (by linear AND RBF MMD) is lower than under FedAvg."""
 
     def run():
-        fed = image_fed_builder("synth_cifar", 6, 0.0)(0)
-        config = silo_config(rounds=30, eval_every=30)
+        fed, model_fn, config = _pieces(6, 30)
         out = {}
         for name, alg in [("fedavg", FedAvg()), ("rfedavg+", RFedAvgPlus(lam=1e-2))]:
-            model_fn = model_builder("mlp")(fed, 0)
             run_federated(alg, fed, model_fn, config)
             model = model_fn()
             set_flat_params(model, alg.global_params)

@@ -11,16 +11,14 @@ convex), and (c) the bound actually dominating the measured gap.
 
 import numpy as np
 
-from benchmarks.common import banner, image_fed_builder, model_builder, report
-from repro.algorithms import FedAvg, RFedAvg, RFedAvgPlus
+from benchmarks.common import SILO, banner, report
 from repro.analysis.convergence import (
     ProblemConstants,
     constant_c2,
     constant_c3,
     theory_schedule,
 )
-from repro.fl.config import FLConfig
-from repro.fl.trainer import run_federated
+from repro.experiments import run_grid, run_preset, with_overrides
 
 
 def _constants():
@@ -34,6 +32,16 @@ def _constants():
         local_steps=5,
         num_clients=8,
         lam=1e-3,
+    )
+
+
+def _preset(rounds: int):
+    """rFedAvg+ (lambda 1e-3) on the strongly convex logistic model over
+    8 Sim 0% synth-MNIST clients, with the theory's inverse-decay schedule."""
+    return with_overrides(
+        SILO,
+        {"model": "logistic", "clients": 8, "rounds": rounds, "batch_size": 64,
+         "lr": 0.1, "lr_schedule": theory_schedule(_constants()), "eval_every": 2},
     )
 
 
@@ -65,21 +73,15 @@ def test_empirical_one_over_t_decay(once):
     algorithms on the strongly convex model with the theory schedule."""
 
     def run():
-        fed = image_fed_builder("synth_mnist", 8, 0.0)(0)
-        constants = _constants()
-        config = FLConfig(
-            rounds=60, local_steps=5, batch_size=64, sample_ratio=1.0,
-            lr_schedule=theory_schedule(constants), eval_every=2, seed=0,
+        grid = run_grid(
+            _preset(60),
+            {
+                "fedavg": {"algorithm": "fedavg"},
+                "rfedavg": {"algorithm": "rfedavg", "lam": 1e-3},
+                "rfedavg+": {"algorithm": "rfedavg+", "lam": 1e-3},
+            },
         )
-        losses = {}
-        for name, alg in [
-            ("fedavg", FedAvg()),
-            ("rfedavg", RFedAvg(lam=1e-3)),
-            ("rfedavg+", RFedAvgPlus(lam=1e-3)),
-        ]:
-            history = run_federated(alg, fed, model_builder("logistic")(fed, 0), config)
-            losses[name] = history.test_losses()
-        return losses
+        return {name: result.histories[0].test_losses() for name, result in grid.items()}
 
     losses = once(run)
     banner("Thm. 1/2 — strongly convex optimality-gap decay")
@@ -98,15 +100,8 @@ def test_bound_dominates_measured_gap(once):
     constants are instantiated conservatively."""
 
     def run():
-        fed = image_fed_builder("synth_mnist", 8, 0.0)(0)
-        constants = _constants()
-        config = FLConfig(
-            rounds=40, local_steps=5, batch_size=64, sample_ratio=1.0,
-            lr_schedule=theory_schedule(constants), eval_every=2, seed=0,
-        )
-        alg = RFedAvgPlus(lam=1e-3)
-        history = run_federated(alg, fed, model_builder("logistic")(fed, 0), config)
-        return history.test_losses(), constants
+        history, _ = run_preset(_preset(40), seed=0)
+        return history.test_losses(), _constants()
 
     curve, constants = once(run)
     from repro.analysis.convergence import theorem1_bound

@@ -15,11 +15,19 @@ hierarchical round step.
 
 import numpy as np
 
-from benchmarks.common import banner, image_fed_builder, model_builder, report
-from repro.algorithms import make_algorithm
-from repro.fl.config import FLConfig
+from benchmarks.common import SILO, banner, report
+from repro.experiments import (
+    preset_algorithm,
+    preset_config,
+    preset_federation,
+    preset_model_fn,
+    with_overrides,
+)
 from repro.fl.runtime import TraceRuntime
 from repro.fl.trainer import run_federated
+
+# FedAvg on 8 Sim 0% synth-MNIST clients, E=5, B=32, lr 0.3.
+FEDAVG = with_overrides(SILO, {"algorithm": "fedavg", "clients": 8, "lr": 0.3})
 
 
 def _edge_divergence(region_params):
@@ -29,20 +37,21 @@ def _edge_divergence(region_params):
 
 def test_extension_async_staleness_discount(once):
     def run():
-        fed = image_fed_builder("synth_mnist", 8, 0.0)(0)
-        model_fn = model_builder("mlp")(fed, 0)
+        fed = preset_federation(FEDAVG, 0)
+        model_fn = preset_model_fn(FEDAVG, fed.spec, 0)
         rng = np.random.default_rng(1)
         speeds = np.concatenate([[1.0, 1.0], rng.uniform(6.0, 12.0, size=6)])
         runtime = TraceRuntime(speeds)
         out = {}
         for exponent in [0.0, 1.0]:
-            config = FLConfig(
-                rounds=120, local_steps=5, batch_size=32, lr=0.3,
-                execution="async", buffer_size=1,
-                staleness_exponent=exponent, eval_every=20, seed=0,
+            preset = with_overrides(
+                FEDAVG,
+                {"rounds": 120, "execution": "async", "buffer_size": 1,
+                 "staleness_exponent": exponent, "eval_every": 20},
             )
             history = run_federated(
-                make_algorithm("fedavg"), fed, model_fn, config, runtime=runtime
+                preset_algorithm(preset), fed, model_fn, preset_config(preset, 0),
+                runtime=runtime,
             )
             async_history = history.async_history
             out[exponent] = (
@@ -70,11 +79,10 @@ def test_extension_async_staleness_discount(once):
 
 def test_extension_hierarchy_edge_drift(once):
     def run():
-        fed = image_fed_builder("synth_mnist", 8, 0.0)(0)
-        config = FLConfig(
-            rounds=12, local_steps=5, batch_size=32, lr=0.3, seed=0,
-            topology="hier:2:4", eval_every=4,
+        preset = with_overrides(
+            FEDAVG, {"rounds": 12, "topology": "hier:2:4", "eval_every": 4}
         )
+        fed = preset_federation(preset, 0)
         records = []
 
         def observe(info):
@@ -88,8 +96,8 @@ def test_extension_hierarchy_edge_drift(once):
             )
 
         history = run_federated(
-            make_algorithm("fedavg"), fed, model_builder("mlp")(fed, 0), config,
-            region_observer=observe,
+            preset_algorithm(preset), fed, preset_model_fn(preset, fed.spec, 0),
+            preset_config(preset, 0), region_observer=observe,
         )
         return records, history.final_accuracy
 

@@ -10,43 +10,56 @@ most direct.  This bench builds exactly that setting (IID labels +
 per-client input styles) and shows the regularizer's largest wins.
 """
 
-from benchmarks.common import banner, model_builder, silo_config, report
-from repro.experiments import build_feature_skew_federation
+from benchmarks.common import IMAGE_ALGORITHMS, SILO, banner, report
+from repro.experiments import (
+    RunResult,
+    build_feature_skew_federation,
+    preset_algorithm,
+    preset_config,
+    preset_model_fn,
+    run_grid,
+    with_overrides,
+)
 from repro.experiments.report import format_accuracy_table
-from repro.experiments.runner import compare_algorithms
+from repro.fl.trainer import run_federated
 
 ALGORITHMS = {
-    "fedavg": {},
-    "scaffold": {"eta_g": 1.0},
-    "rfedavg": {"lam": 1e-2},
-    "rfedavg+": {"lam": 1e-2},
+    "fedavg": {"algorithm": "fedavg"},
+    "scaffold": IMAGE_ALGORITHMS["scaffold"],
+    "rfedavg": {"algorithm": "rfedavg", "lam": 1e-2},
+    "rfedavg+": {"algorithm": "rfedavg+", "lam": 1e-2},
 }
+REPEATS = 2
+
+
+def _feature_skew_cell(overrides: dict, strength: float) -> RunResult:
+    """One cell of SILO over the feature-skewed synth-CIFAR federation.
+    No preset dataset builds that federation, so the cell runs its own
+    seeded repeats, at the seeds run_grid would use."""
+    preset = with_overrides(SILO, {"dataset": "synth_cifar", **overrides})
+    result = RunResult(algorithm=preset.algorithm)
+    for rep in range(REPEATS):
+        seed = 1000 * rep
+        fed = build_feature_skew_federation(
+            preset.dataset, num_clients=preset.clients, skew_strength=strength,
+            num_train=preset.num_train, num_test=preset.num_test, seed=seed,
+        )
+        result.histories.append(run_federated(
+            preset_algorithm(preset), fed, preset_model_fn(preset, fed.spec, seed),
+            preset_config(preset, seed),
+        ))
+    return result
 
 
 def test_extension_feature_skew(once):
     def run():
-        columns = {}
-        for strength, label in [(0.5, "mild skew"), (1.5, "strong skew")]:
-
-            def fed_builder(seed, _s=strength):
-                return build_feature_skew_federation(
-                    "synth_cifar",
-                    num_clients=10,
-                    skew_strength=_s,
-                    num_train=2000,
-                    num_test=400,
-                    seed=seed,
-                )
-
-            columns[label] = compare_algorithms(
-                ALGORITHMS,
-                fed_builder,
-                model_builder("mlp"),
-                silo_config(),
-                repeats=2,
-                config_overrides={"scaffold": {"lr": 0.15}},
-            )
-        return columns
+        return {
+            label: {
+                name: _feature_skew_cell(overrides, strength)
+                for name, overrides in ALGORITHMS.items()
+            }
+            for strength, label in [(0.5, "mild skew"), (1.5, "strong skew")]
+        }
 
     columns = once(run)
     banner("Extension — feature-distribution skew (synth-CIFAR, IID labels)")
@@ -61,24 +74,18 @@ def test_extension_contrastive_vs_distributional(once):
     """MOON aligns each client's features to the global model per
     sample; rFedAvg+ aligns client feature *distributions* to each
     other.  Compare both against FedAvg on label-skewed CIFAR."""
-    from benchmarks.common import LAMBDA, image_fed_builder
-
     def run():
-        fed = image_fed_builder("synth_cifar", 10, 0.0)(0)
-        from repro.algorithms import FedAvg, Moon, RFedAvgPlus
-        from repro.fl.trainer import run_federated
-
-        accs = {}
-        for name, alg in [
-            ("fedavg", FedAvg()),
-            ("moon", Moon(mu=1.0)),
-            ("rfedavg+", RFedAvgPlus(lam=LAMBDA)),
-        ]:
-            history = run_federated(
-                alg, fed, model_builder("mlp")(fed, 0), silo_config(rounds=40, eval_every=4)
-            )
-            accs[name] = history.tail_mean_accuracy(3)
-        return accs
+        grid = run_grid(
+            with_overrides(
+                SILO, {"dataset": "synth_cifar", "rounds": 40, "eval_every": 4}
+            ),
+            {
+                "fedavg": IMAGE_ALGORITHMS["fedavg"],
+                "moon": {"algorithm": "moon", "mu": 1.0},
+                "rfedavg+": IMAGE_ALGORITHMS["rfedavg+"],
+            },
+        )
+        return {name: result.accuracy_mean_std()[0] for name, result in grid.items()}
 
     accs = once(run)
     banner("Extension — contrastive (MOON) vs distributional (rFedAvg+) alignment")

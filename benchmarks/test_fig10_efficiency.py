@@ -10,26 +10,17 @@ cheaper broadcast) and close to FedAvg; we also require the measured
 extra time of rFedAvg+ over FedAvg to stay modest.
 """
 
-from benchmarks.common import (
-    DEVICE_CLIENTS,
-    IMAGE_ALGORITHMS,
-    banner,
-    device_config,
-    image_fed_builder,
-    run_comparison,
-    report,
-)
+from benchmarks.common import DEVICE, IMAGE_ALGORITHMS, banner, report
+from repro.experiments import run_grid, with_overrides
 from repro.experiments.report import display_name, format_rounds_table
 
 SUBSET = {k: IMAGE_ALGORITHMS[k] for k in ["fedavg", "scaffold", "rfedavg", "rfedavg+"]}
 
 
 def _run(dataset: str):
-    return run_comparison(
+    return run_grid(
+        with_overrides(DEVICE, {"dataset": dataset, "rounds": 50, "eval_every": 1}),
         SUBSET,
-        image_fed_builder(dataset, DEVICE_CLIENTS, 0.0),
-        device_config(rounds=50, eval_every=1),
-        repeats=1,
     )
 
 

@@ -7,25 +7,17 @@ client's shard; we print the distribution summary and check the
 worst-k statistic.
 """
 
-from benchmarks.common import (
-    LAMBDA,
-    SILO_CLIENTS,
-    banner,
-    image_fed_builder,
-    run_comparison,
-    silo_config,
-    report,
-)
+from benchmarks.common import IMAGE_ALGORITHMS, SILO, banner, report
 from repro.analysis.fairness import fairness_report
+from repro.experiments import run_grid, with_overrides
 
-ALGORITHMS = {"fedavg": {}, "rfedavg+": {"lam": LAMBDA}}
+ALGORITHMS = {k: IMAGE_ALGORITHMS[k] for k in ["fedavg", "rfedavg+"]}
 
 
 def _run(dataset):
-    return run_comparison(
+    return run_grid(
+        with_overrides(SILO, {"dataset": dataset, "rounds": 50, "eval_every": 10}),
         ALGORITHMS,
-        image_fed_builder(dataset, SILO_CLIENTS, 0.0),
-        silo_config(rounds=50, eval_every=10),
         repeats=2,
         eval_per_client=True,
     )

@@ -7,28 +7,33 @@ noise std scales as sigma * C0 / n_k, so to see degradation at the
 paper's sigma range we also test an aggressive clip/sigma pair.
 """
 
-from benchmarks.common import LAMBDA, banner, image_fed_builder, model_builder, report
+from benchmarks.common import LAMBDA, SILO, banner, report
 from repro.algorithms import RFedAvgPlus
 from repro.core.privacy import GaussianDeltaMechanism
-from repro.fl.config import FLConfig
+from repro.experiments import (
+    preset_config,
+    preset_federation,
+    preset_model_fn,
+    with_overrides,
+)
 from repro.fl.trainer import run_federated
 
-
-def _config():
-    return FLConfig(rounds=30, local_steps=5, batch_size=32, sample_ratio=1.0,
-                    lr=0.3, eval_every=5, seed=0)
+CIFAR = with_overrides(
+    SILO, {"dataset": "synth_cifar", "rounds": 30, "lr": 0.3, "eval_every": 5}
+)
 
 
 def test_fig12_noise_sweep(once):
     sigmas = [0.0, 1.0, 5.0, 20.0, 200.0]
 
     def run():
-        fed = image_fed_builder("synth_cifar", 10, 0.0)(0)
+        fed = preset_federation(CIFAR, 0)
+        model_fn = preset_model_fn(CIFAR, fed.spec, 0)
         accs = {}
         for sigma in sigmas:
             privacy = GaussianDeltaMechanism(sigma=sigma, clip_norm=5.0, seed=1)
             alg = RFedAvgPlus(lam=LAMBDA, privacy=privacy)
-            history = run_federated(alg, fed, model_builder("mlp")(fed, 0), _config())
+            history = run_federated(alg, fed, model_fn, preset_config(CIFAR, 0))
             accs[sigma] = history.tail_mean_accuracy(3)
         return accs
 

@@ -11,19 +11,29 @@ regularizer targets (Eq. 2) — is far higher under the non-IID partition.
 
 import numpy as np
 
-from benchmarks.common import banner, image_fed_builder, model_builder, silo_config, report
+from benchmarks.common import SILO, banner, report
 from repro.algorithms import FedAvg
 from repro.analysis.tsne import client_marginal_discrepancy, tsne
+from repro.experiments import (
+    preset_config,
+    preset_federation,
+    preset_model_fn,
+    with_overrides,
+)
 from repro.fl.trainer import run_federated
 from repro.nn.serialization import set_flat_params
 
 
 def _client_features(similarity: float):
-    fed = image_fed_builder("synth_cifar", 8, similarity)(0)
-    config = silo_config(rounds=25, eval_every=25)
+    preset = with_overrides(
+        SILO,
+        {"dataset": "synth_cifar", "clients": 8, "similarity": similarity,
+         "rounds": 25, "eval_every": 25},
+    )
+    fed = preset_federation(preset, 0)
     alg = FedAvg()
-    model_fn = model_builder("mlp")(fed, 0)
-    run_federated(alg, fed, model_fn, config)
+    model_fn = preset_model_fn(preset, fed.spec, 0)
+    run_federated(alg, fed, model_fn, preset_config(preset, 0))
     model = model_fn()
     set_flat_params(model, alg.global_params)
     model.eval()

@@ -8,17 +8,8 @@ methods end near each other because MNIST barely suffers from non-IID
 
 import numpy as np
 
-from benchmarks.common import (
-    DEVICE_CLIENTS,
-    IMAGE_ALGORITHMS,
-    SILO_CLIENTS,
-    banner,
-    device_config,
-    image_fed_builder,
-    run_comparison,
-    silo_config,
-    report,
-)
+from benchmarks.common import DEVICE, IMAGE_ALGORITHMS, SILO, banner, report
+from repro.experiments import run_grid, with_overrides
 from repro.experiments.report import display_name
 
 
@@ -41,12 +32,7 @@ def _print_curves(results, metric="accuracy"):
 
 
 def test_fig2a_fig3a_cross_device_sim0(once):
-    results = once(
-        run_comparison,
-        IMAGE_ALGORITHMS,
-        image_fed_builder("synth_mnist", DEVICE_CLIENTS, 0.0),
-        device_config(),
-    )
+    results = once(run_grid, DEVICE, IMAGE_ALGORITHMS, repeats=2)
     banner("Fig. 2(a) — MNIST cross-device Sim 0% accuracy curves")
     _print_curves(results, "accuracy")
     banner("Fig. 3(a) — MNIST cross-device Sim 0% loss curves")
@@ -58,12 +44,7 @@ def test_fig2a_fig3a_cross_device_sim0(once):
 
 
 def test_fig2b_fig3b_cross_silo_sim0(once):
-    results = once(
-        run_comparison,
-        IMAGE_ALGORITHMS,
-        image_fed_builder("synth_mnist", SILO_CLIENTS, 0.0),
-        silo_config(),
-    )
+    results = once(run_grid, SILO, IMAGE_ALGORITHMS, repeats=2)
     banner("Fig. 2(b) — MNIST cross-silo Sim 0% accuracy curves")
     _print_curves(results, "accuracy")
     banner("Fig. 3(b) — MNIST cross-silo Sim 0% loss curves")
@@ -76,17 +57,13 @@ def test_fig2b_fig3b_cross_silo_sim0(once):
 
 def test_fig2cd_sim10(once):
     def run_both():
-        return (
-            run_comparison(
+        return tuple(
+            run_grid(
+                with_overrides(preset, {"similarity": 0.1}),
                 IMAGE_ALGORITHMS,
-                image_fed_builder("synth_mnist", DEVICE_CLIENTS, 0.1),
-                device_config(),
-            ),
-            run_comparison(
-                IMAGE_ALGORITHMS,
-                image_fed_builder("synth_mnist", SILO_CLIENTS, 0.1),
-                silo_config(),
-            ),
+                repeats=2,
+            )
+            for preset in (DEVICE, SILO)
         )
 
     device, silo = once(run_both)

@@ -6,29 +6,20 @@ fast MLP for the Sim 10% comparison.  Expected shape: non-IID costs a
 large accuracy gap vs IID; rFedAvg+ leads on Sim 0%.
 """
 
-from benchmarks.common import (
-    IMAGE_ALGORITHMS,
-    SILO_CLIENTS,
-    banner,
-    image_fed_builder,
-    run_comparison,
-    silo_config,
-    report,
-)
+from benchmarks.common import IMAGE_ALGORITHMS, SILO, banner, report
+from repro.experiments import run_grid, with_overrides
 from repro.experiments.report import display_name, format_accuracy_table
+
+CIFAR = with_overrides(SILO, {"dataset": "synth_cifar"})
 
 
 def test_fig4b_cross_silo_sim0_with_cnn(once):
     """The flagship curve with the real (scaled) CNN architecture."""
     subset = {k: IMAGE_ALGORITHMS[k] for k in ["fedavg", "rfedavg", "rfedavg+"]}
     results = once(
-        run_comparison,
+        run_grid,
+        with_overrides(CIFAR, {"rounds": 30, "model": "cnn", "scale": 0.15}),
         subset,
-        image_fed_builder("synth_cifar", SILO_CLIENTS, 0.0),
-        silo_config(rounds=30, eval_every=3),
-        "cnn",
-        0.15,
-        1,
     )
     banner("Fig. 4(b) — CIFAR cross-silo Sim 0% (CNN), accuracy curve tails")
     for name, result in results.items():
@@ -41,14 +32,16 @@ def test_fig4b_cross_silo_sim0_with_cnn(once):
 
 def test_fig4_5_mlp_sim_sweep(once):
     def run_all():
-        columns = {}
-        for similarity, label in [(0.0, "Sim 0%"), (0.1, "Sim 10%"), (1.0, "Sim 100%")]:
-            columns[label] = run_comparison(
+        return {
+            label: run_grid(
+                with_overrides(
+                    CIFAR, {"similarity": similarity, "rounds": 50, "eval_every": 5}
+                ),
                 IMAGE_ALGORITHMS,
-                image_fed_builder("synth_cifar", SILO_CLIENTS, similarity),
-                silo_config(rounds=50, eval_every=5),
+                repeats=2,
             )
-        return columns
+            for similarity, label in [(0.0, "Sim 0%"), (0.1, "Sim 10%"), (1.0, "Sim 100%")]
+        }
 
     columns = once(run_all)
     banner("Fig. 4/5 summary — CIFAR cross-silo accuracy by similarity")

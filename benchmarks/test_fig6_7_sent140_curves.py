@@ -8,50 +8,26 @@ gap on IID.  (The paper also observes FedProx/q-FedAvg struggling with
 RMSProp — their corrections assume plain SGD.)
 """
 
-from benchmarks.common import (
-    SENT140_ALGORITHMS,
-    banner,
-    run_comparison,
-    sent140_fed_builder,
-    report,
-)
+from benchmarks.common import SENT140_ALGORITHMS, banner, report
+from repro.experiments import RunPreset, run_grid, with_overrides
 from repro.experiments.report import display_name, format_accuracy_table
-from repro.fl.config import FLConfig
 
-
-def _config():
-    return FLConfig(
-        rounds=12,
-        local_steps=5,
-        batch_size=10,
-        sample_ratio=1.0,
-        optimizer="rmsprop",
-        lr=0.01,
-        eval_every=2,
-    )
+SENT140 = RunPreset(
+    "bench-sent140",
+    "naturally non-IID synth-Sent140, LSTM + RMSProp (E=5, SR=1.0)",
+    dataset="synth_sent140",
+    clients=20,
+    scale=0.15,
+    config=dict(rounds=12, batch_size=10, optimizer="rmsprop", lr=0.01, eval_every=2),
+)
 
 
 def test_fig6_7_sent140(once):
     def run_both():
-        non_iid = run_comparison(
-            SENT140_ALGORITHMS,
-            sent140_fed_builder(num_users=20, iid=False),
-            _config(),
-            model_name="lstm",
-            scale=0.15,
-            repeats=1,
-            config_overrides={},
+        return tuple(
+            run_grid(with_overrides(SENT140, {"iid": iid}), SENT140_ALGORITHMS)
+            for iid in (False, True)
         )
-        iid = run_comparison(
-            SENT140_ALGORITHMS,
-            sent140_fed_builder(num_users=20, iid=True),
-            _config(),
-            model_name="lstm",
-            scale=0.15,
-            repeats=1,
-            config_overrides={},
-        )
-        return non_iid, iid
 
     non_iid, iid = once(run_both)
     banner("Fig. 6/7 + Table I Sent140 columns (scaled, LSTM + RMSProp)")

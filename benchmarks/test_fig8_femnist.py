@@ -6,40 +6,33 @@ shape: rFedAvg leads or ties; the high-cost setting converges in fewer
 rounds than the low-cost one.
 """
 
-from benchmarks.common import banner, femnist_fed_builder, run_comparison, report
+from benchmarks.common import DEVICE, IMAGE_ALGORITHMS, banner, report
+from repro.experiments import run_grid, with_overrides
 from repro.experiments.report import format_accuracy_table
-from repro.fl.config import FLConfig
 
-ALGORITHMS = {
-    "fedavg": {},
-    "scaffold": {"eta_g": 1.0},
-    "rfedavg": {"lam": 1e-3},
-    "rfedavg+": {"lam": 1e-3},
+ALGORITHMS = {k: IMAGE_ALGORITHMS[k] for k in ["fedavg", "scaffold", "rfedavg", "rfedavg+"]}
+FEMNIST = with_overrides(
+    DEVICE,
+    {"dataset": "synth_femnist", "rounds": 25, "batch_size": 16, "lr": 0.3,
+     "eval_every": 5},
+)
+COST = {
+    "low": {"local_steps": 10, "sample_ratio": 0.1},
+    "high": {"local_steps": 20, "sample_ratio": 0.2},
 }
 
 
-def _config(low_cost: bool):
-    if low_cost:
-        return FLConfig(rounds=25, local_steps=10, batch_size=16, sample_ratio=0.1,
-                        lr=0.3, eval_every=5)
-    return FLConfig(rounds=25, local_steps=20, batch_size=16, sample_ratio=0.2,
-                    lr=0.3, eval_every=5)
-
-
 def test_fig8_writer_and_cost_grid(once):
-    def run_grid():
-        columns = {}
-        for writers, wl in [(30, "100c"), (60, "500c")]:
-            for low, cl in [(True, "low"), (False, "high")]:
-                columns[f"{wl}/{cl}"] = run_comparison(
-                    ALGORITHMS,
-                    femnist_fed_builder(writers),
-                    _config(low),
-                    repeats=1,
-                )
-        return columns
+    def run_all():
+        return {
+            f"{wl}/{cl}": run_grid(
+                with_overrides(FEMNIST, {"clients": writers, **COST[cl]}), ALGORITHMS
+            )
+            for writers, wl in [(30, "100c"), (60, "500c")]
+            for cl in ("low", "high")
+        }
 
-    columns = once(run_grid)
+    columns = once(run_all)
     banner("Fig. 8 (scaled) — FEMNIST accuracy, writers x cost grid")
     report(format_accuracy_table(columns))
 

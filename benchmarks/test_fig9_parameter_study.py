@@ -10,23 +10,17 @@
 
 import numpy as np
 
-from benchmarks.common import banner, image_fed_builder, model_builder, report
-from repro.experiments.runner import run_grid
-from repro.fl.config import FLConfig
+from benchmarks.common import SILO, banner, report
+from repro.experiments import run_grid, sweep, with_overrides
+
+# rFedAvg+ (lambda 1e-3) on Sim 0% synth-CIFAR, N=10, E=5, SR=1.0.
+CIFAR = with_overrides(
+    SILO, {"dataset": "synth_cifar", "rounds": 30, "lr": 0.3, "eval_every": 5}
+)
 
 
-def _config(**overrides):
-    base = dict(rounds=30, local_steps=5, batch_size=32, sample_ratio=1.0,
-                lr=0.3, eval_every=5, seed=0)
-    base.update(overrides)
-    return FLConfig(**base)
-
-
-def _accuracy(algorithm, fed_builder, config, repeats=1, **kwargs):
-    result = run_grid(
-        algorithm, fed_builder, model_builder("mlp"), config, repeats=repeats, **kwargs
-    )
-    return result.accuracy_mean_std()[0]
+def _accuracies(result) -> dict:
+    return dict(zip(result.values, result.accuracies))
 
 
 def test_fig9a_lambda_sweep(once):
@@ -35,12 +29,10 @@ def test_fig9a_lambda_sweep(once):
     def run():
         # The lambda ordering is the headline of Fig. 9a — use longer
         # runs and two repeats to push the seed noise below the effect.
-        fed_builder = image_fed_builder("synth_cifar", 10, 0.0)
-        config = _config(rounds=60)
-        accs = {}
-        for lam in lambdas:
-            accs[lam] = _accuracy("rfedavg+", fed_builder, config, repeats=2, lam=lam)
-        accs["fedavg"] = _accuracy("fedavg", fed_builder, config, repeats=2)
+        preset = with_overrides(CIFAR, {"rounds": 60})
+        accs = _accuracies(sweep(preset, "lam", lambdas, repeats=2))
+        fedavg = run_grid(preset, {"fedavg": {"algorithm": "fedavg"}}, repeats=2)
+        accs["fedavg"] = fedavg["fedavg"].accuracy_mean_std()[0]
         return accs
 
     accs = once(run)
@@ -60,15 +52,11 @@ def test_fig9b_client_count(once):
     counts = [5, 10, 20, 40]
 
     def run():
-        return {
-            n: _accuracy(
-                "rfedavg+",
-                image_fed_builder("synth_cifar", n, 0.0),
-                _config(sample_ratio=0.2 if n >= 10 else 0.4),
-                lam=1e-3,
-            )
-            for n in counts
-        }
+        grid = run_grid(
+            CIFAR,
+            {n: {"clients": n, "sample_ratio": 0.2 if n >= 10 else 0.4} for n in counts},
+        )
+        return {n: grid[n].accuracy_mean_std()[0] for n in counts}
 
     accs = once(run)
     banner("Fig. 9(b) — impact of client count N (SR ~ 0.2)")
@@ -82,11 +70,7 @@ def test_fig9c_local_steps(once):
     steps = [1, 2, 5, 10]
 
     def run():
-        fed_builder = image_fed_builder("synth_cifar", 10, 0.0)
-        return {
-            e: _accuracy("rfedavg+", fed_builder, _config(local_steps=e), lam=1e-3)
-            for e in steps
-        }
+        return _accuracies(sweep(CIFAR, "local_steps", steps))
 
     accs = once(run)
     banner("Fig. 9(c) — impact of local steps E (fixed rounds C)")
@@ -102,11 +86,9 @@ def test_fig9d_sample_ratio(once):
     ratios = [0.1, 0.2, 0.5, 1.0]
 
     def run():
-        fed_builder = image_fed_builder("synth_cifar", 20, 0.0)
-        return {
-            sr: _accuracy("rfedavg+", fed_builder, _config(sample_ratio=sr), lam=1e-3)
-            for sr in ratios
-        }
+        return _accuracies(
+            sweep(with_overrides(CIFAR, {"clients": 20}), "sample_ratio", ratios)
+        )
 
     accs = once(run)
     banner("Fig. 9(d) — impact of sample ratio SR (N=20)")

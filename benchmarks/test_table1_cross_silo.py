@@ -6,27 +6,20 @@ by the Fig. 6/7 bench).  Here: N=10, MLP, synth datasets, 40 rounds,
 FedProx/q-FedAvg trail FedAvg; on Sim 100% everyone ties.
 """
 
-from benchmarks.common import (
-    IMAGE_ALGORITHMS,
-    SILO_CLIENTS,
-    banner,
-    image_fed_builder,
-    run_comparison,
-    silo_config,
-    report,
-)
+from benchmarks.common import IMAGE_ALGORITHMS, SILO, banner, report
+from repro.experiments import run_grid, with_overrides
 from repro.experiments.report import format_accuracy_table
 
 
 def _run_table(dataset: str) -> dict:
-    columns = {}
-    for similarity, label in [(0.0, "Sim 0%"), (0.1, "Sim 10%"), (1.0, "Sim 100%")]:
-        columns[label] = run_comparison(
+    return {
+        label: run_grid(
+            with_overrides(SILO, {"dataset": dataset, "similarity": similarity}),
             IMAGE_ALGORITHMS,
-            image_fed_builder(dataset, SILO_CLIENTS, similarity),
-            silo_config(),
+            repeats=2,
         )
-    return columns
+        for similarity, label in [(0.0, "Sim 0%"), (0.1, "Sim 10%"), (1.0, "Sim 100%")]
+    }
 
 
 def test_table1_mnist(once):

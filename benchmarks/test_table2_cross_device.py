@@ -5,27 +5,20 @@ Partial participation makes non-IID harder (each round sees a biased
 10-client subset), which is where the delayed global delta table helps.
 """
 
-from benchmarks.common import (
-    DEVICE_CLIENTS,
-    IMAGE_ALGORITHMS,
-    banner,
-    device_config,
-    image_fed_builder,
-    run_comparison,
-    report,
-)
+from benchmarks.common import DEVICE, IMAGE_ALGORITHMS, banner, report
+from repro.experiments import run_grid, with_overrides
 from repro.experiments.report import format_accuracy_table
 
 
 def _run_table(dataset: str) -> dict:
-    columns = {}
-    for similarity, label in [(0.0, "Sim 0%"), (0.1, "Sim 10%"), (1.0, "Sim 100%")]:
-        columns[label] = run_comparison(
+    return {
+        label: run_grid(
+            with_overrides(DEVICE, {"dataset": dataset, "similarity": similarity}),
             IMAGE_ALGORITHMS,
-            image_fed_builder(dataset, DEVICE_CLIENTS, similarity),
-            device_config(),
+            repeats=2,
         )
-    return columns
+        for similarity, label in [(0.0, "Sim 0%"), (0.1, "Sim 10%"), (1.0, "Sim 100%")]
+    }
 
 
 def test_table2_mnist(once):

@@ -9,9 +9,15 @@ analytically from :class:`DeltaTable` with the paper's feature dims, and
 
 import numpy as np
 
-from benchmarks.common import LAMBDA, banner, image_fed_builder, model_builder, silo_config, report
+from benchmarks.common import LAMBDA, SILO, banner, report
 from repro.algorithms import RFedAvg, RFedAvgPlus
 from repro.core.delta import DeltaTable
+from repro.experiments import (
+    preset_config,
+    preset_federation,
+    preset_model_fn,
+    with_overrides,
+)
 from repro.experiments.report import format_comm_table
 from repro.fl.trainer import run_federated
 
@@ -52,18 +58,20 @@ def test_table3_measured_ledger(once):
     """The measured per-round delta downlink must scale as N^2 vs N."""
 
     def run():
-        fed = image_fed_builder("synth_mnist", 8, 0.0)(0)
-        config = silo_config(rounds=4)
+        preset = with_overrides(SILO, {"clients": 8, "rounds": 4})
+        fed = preset_federation(preset, 0)
+        model_fn = preset_model_fn(preset, fed.spec, 0)
+        config = preset_config(preset, 0)
         plain = RFedAvg(lam=LAMBDA)
-        run_federated(plain, fed, model_builder("mlp")(fed, 0), config)
+        run_federated(plain, fed, model_fn, config)
         plus = RFedAvgPlus(lam=LAMBDA)
-        run_federated(plus, fed, model_builder("mlp")(fed, 0), config)
+        run_federated(plus, fed, model_fn, config)
         # Same run with the second synchronization riding a compression
         # spec (error feedback on): the O(d N) delta re-upload shrinks.
         synced = RFedAvgPlus(lam=LAMBDA)
         run_federated(
-            synced, fed, model_builder("mlp")(fed, 0),
-            silo_config(rounds=4, sync_compression="topk:0.25|qsgd:8"),
+            synced, fed, model_fn,
+            config.with_updates(sync_compression="topk:0.25|qsgd:8"),
         )
         return fed.num_clients, plain, plus, synced
 

@@ -36,7 +36,8 @@ def paired_comparison(
     """Paired t-test on matched-seed accuracy pairs.
 
     Runs must be *paired* — same seeds, same data partitions — which is
-    exactly what :func:`repro.experiments.compare_algorithms` produces.
+    what two cells of one :func:`repro.experiments.run_grid` are: pass
+    their ``tail_accuracies()``.
     """
     a = np.asarray(accs_a, dtype=np.float64)
     b = np.asarray(accs_b, dtype=np.float64)

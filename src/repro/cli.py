@@ -21,13 +21,13 @@ from dataclasses import fields
 from pathlib import Path
 
 from repro.algorithms import ALGORITHMS
-from repro.experiments import default_model_fn
 from repro.experiments.facade import (
     RUN_PRESETS,
     RunPreset,
+    preset_algorithm,
     preset_config,
-    resolve_preset,
     run_preset,
+    with_overrides,
 )
 from repro.experiments.registry import EXPERIMENTS
 from repro.fl.compression import stage_usage
@@ -196,6 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--resume", action="store_true",
                        help="skip finished cells and resume interrupted "
                             "ones from their checkpoints")
+    sweep.set_defaults(local_steps=5, batch_size=32, eval_every=5)
 
     sub.add_parser("list", help="list algorithms and datasets")
     sub.add_parser("experiments", help="list the paper experiment index")
@@ -249,18 +250,28 @@ def _run_and_report(preset: RunPreset, args) -> int:
     return 0
 
 
-def _command_run(args) -> int:
+def _preset_from_flags(args, **fields_) -> RunPreset:
+    """The preset a command's flags describe: flags named after
+    :class:`RunPreset` fields set those, flags named after
+    :class:`FLConfig` fields go into its config."""
     flags = vars(args)
     config = {f.name: flags[f.name] for f in fields(FLConfig) if f.name in flags}
-    if config["num_workers"] is None:  # the flag was not given
+    if config.get("num_workers", 0) is None:  # the flag was not given
         del config["num_workers"]
-    preset = RunPreset(
+    return RunPreset(
         name=f"{args.algorithm}-{args.dataset}",
         description="",
-        algorithm_kwargs=_algorithm_kwargs(args),
-        num_test=500 if args.population is None else 256,
         config=config,
         **{f.name: flags[f.name] for f in fields(RunPreset) if f.name in flags},
+        **fields_,
+    )
+
+
+def _command_run(args) -> int:
+    preset = _preset_from_flags(
+        args,
+        algorithm_kwargs=_algorithm_kwargs(args),
+        num_test=500 if args.population is None else 256,
     )
     preset_config(preset, args.seed)  # refuse a bad knob before the banner
     print(
@@ -293,8 +304,9 @@ def _command_preset(args) -> int:
         value = getattr(args, key)
         if value is not None and value is not False:  # the flag was given
             overrides[key] = value
-    preset = resolve_preset(args.name, overrides)
+    preset = with_overrides(RUN_PRESETS[args.name], overrides)
     preset_config(preset, args.seed)  # refuse a bad knob before the banner
+    preset_algorithm(preset)
     print(f"{args.name}: {preset.description}")
     return _run_and_report(preset, args)
 
@@ -312,34 +324,12 @@ def _parse_values(raw: str) -> list:
 
 
 def _command_sweep(args) -> int:
-    from repro.experiments import build_image_federation
-    from repro.experiments.sweeps import sweep_algorithm_param, sweep_config_field
+    from repro.experiments.runner import sweep
 
-    values = _parse_values(args.values)
-
-    def fed_builder(seed):
-        return build_image_federation(
-            args.dataset, num_clients=args.clients, similarity=args.similarity,
-            seed=seed,
-        )
-
-    def model_fn_builder(fed, seed):
-        return default_model_fn("mlp", fed.spec, seed=seed, scale=args.scale)
-
-    config = FLConfig(rounds=args.rounds, local_steps=5, batch_size=32,
-                      lr=args.lr, eval_every=5, seed=args.seed,
-                      checkpoint_dir=args.checkpoint_dir, resume=args.resume)
-    config_fields = {f.name for f in fields(FLConfig)}
-    if args.knob in config_fields:
-        result = sweep_config_field(
-            args.algorithm, args.knob, values, fed_builder, model_fn_builder,
-            config, repeats=args.repeats,
-        )
-    else:
-        result = sweep_algorithm_param(
-            args.algorithm, args.knob, values, fed_builder, model_fn_builder,
-            config, repeats=args.repeats,
-        )
+    result = sweep(
+        _preset_from_flags(args, num_test=500), args.knob,
+        _parse_values(args.values), repeats=args.repeats, seed=args.seed,
+    )
     print(result.as_table())
     best_value, best_acc = result.best()
     print(f"best: {args.knob}={best_value} (accuracy {best_acc:.4f})")

@@ -1,4 +1,4 @@
-"""Experiment presets, the table/figure registry, and the runner."""
+"""Experiment presets, the table/figure registry, and the grid runner."""
 
 from repro.experiments.presets import (
     build_image_federation,
@@ -10,16 +10,20 @@ from repro.experiments.presets import (
     cross_silo_config,
     cross_device_config,
 )
-from repro.experiments.facade import RunPreset, RUN_PRESETS, list_presets
-from repro.experiments.runner import run_grid, compare_algorithms, RunResult
+from repro.experiments.facade import (
+    RunPreset,
+    RUN_PRESETS,
+    list_presets,
+    with_overrides,
+    preset_federation,
+    preset_model_fn,
+    preset_config,
+    preset_algorithm,
+    run_preset,
+)
+from repro.experiments.runner import RunResult, SweepResult, run_grid, sweep
 from repro.experiments.registry import EXPERIMENTS, ExperimentSpec, get_experiment
 from repro.experiments.report import format_accuracy_table, format_rounds_table
-from repro.experiments.robustness import RobustComparison, compare_with_significance
-from repro.experiments.sweeps import (
-    SweepResult,
-    sweep_algorithm_param,
-    sweep_config_field,
-)
 
 __all__ = [
     "build_image_federation",
@@ -33,17 +37,19 @@ __all__ = [
     "RunPreset",
     "RUN_PRESETS",
     "list_presets",
+    "with_overrides",
+    "preset_federation",
+    "preset_model_fn",
+    "preset_config",
+    "preset_algorithm",
+    "run_preset",
     "run_grid",
-    "compare_algorithms",
+    "sweep",
     "RunResult",
+    "SweepResult",
     "EXPERIMENTS",
     "ExperimentSpec",
     "get_experiment",
     "format_accuracy_table",
     "format_rounds_table",
-    "SweepResult",
-    "sweep_algorithm_param",
-    "sweep_config_field",
-    "RobustComparison",
-    "compare_with_significance",
 ]

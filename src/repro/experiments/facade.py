@@ -3,10 +3,12 @@
 A :class:`RunPreset` is the one description of a job: the paper's
 setting (``scenario``), a dataset split, a model, an algorithm and its
 :class:`~repro.fl.config.FLConfig` fields.  :func:`run_preset` runs one
-— it builds the federation, config, model and algorithm, runs the job
-and (optionally) writes run artifacts with provenance.  Both the CLI's
-``run`` / ``preset`` commands and :func:`run_experiment`, which
-resolves a named preset from the :data:`RUN_PRESETS` registry, go
+from its pieces — :func:`preset_federation`, :func:`preset_model_fn`,
+:func:`preset_config` and :func:`preset_algorithm` — and (optionally)
+writes run artifacts with provenance.  The CLI's ``run`` / ``preset`` /
+``sweep`` commands, :func:`run_experiment` (a named preset from the
+:data:`RUN_PRESETS` registry) and :func:`~repro.experiments.runner.run_grid`
+(cells of overrides over one preset, repeated on paired seeds) all go
 through it.
 
     import repro
@@ -14,22 +16,23 @@ through it.
         "quickstart", seed=0, overrides={"algorithm": "fedavg"}, trace=True
     )
 
-``overrides`` keys are routed by name: :class:`RunPreset` fields
-(``dataset``, ``algorithm``, ``clients``, ``similarity``, ...) override
-the preset, :class:`~repro.fl.config.FLConfig` fields (``rounds``,
-``lr``, ``num_workers``, ``checkpoint_dir``, ...) override the training
-config, and anything else is passed to the algorithm constructor
-(``lam``, ``mu``, ``q``, ``eta_g``, ...).
+:func:`with_overrides` routes ``overrides`` keys by name:
+:class:`RunPreset` fields (``dataset``, ``algorithm``, ``clients``,
+``similarity``, ...) override the preset,
+:class:`~repro.fl.config.FLConfig` fields (``rounds``, ``lr``,
+``num_workers``, ``checkpoint_dir``, ...) override the training config,
+and anything else is passed to the algorithm constructor (``lam``,
+``mu``, ``q``, ``eta_g``, ...).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.algorithms import make_algorithm
-from repro.data.dataset import FederatedDataset
+from repro.data.dataset import DatasetSpec, FederatedDataset
 from repro.exceptions import ConfigError
 from repro.experiments.presets import (
     build_femnist_federation,
@@ -40,9 +43,11 @@ from repro.experiments.presets import (
     cross_silo_config,
     default_model_fn,
 )
-from repro.experiments.runner import run_job
 from repro.fl.config import FLConfig
 from repro.fl.metrics import History
+from repro.fl.trainer import run_federated
+from repro.models.split import SplitModel
+from repro.obs.exporters import write_run_artifacts
 from repro.obs.trace import Tracer
 
 
@@ -134,22 +139,18 @@ def list_presets() -> Sequence[RunPreset]:
     return list(RUN_PRESETS.values())
 
 
-def resolve_preset(name: str, overrides: dict | None = None) -> RunPreset:
-    """The named preset with ``overrides`` routed into it by key.
+def with_overrides(preset: RunPreset, overrides: dict | None = None) -> RunPreset:
+    """``preset`` with ``overrides`` routed into it by key.
 
     :class:`RunPreset` fields replace the preset's, :class:`FLConfig`
     fields go into ``preset.config`` and anything else into
     ``preset.algorithm_kwargs``.
     """
-    if name not in RUN_PRESETS:
-        raise ConfigError(
-            f"unknown experiment {name!r}; choose from {sorted(RUN_PRESETS)}"
-        )
-    preset = RUN_PRESETS[name]
+    overrides = overrides or {}
     config = dict(preset.config)
     algorithm_kwargs = dict(preset.algorithm_kwargs)
     preset_updates: dict = {}
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if key in _PRESET_FIELDS:
             preset_updates[key] = value
         elif key in _CONFIG_FIELDS:
@@ -161,14 +162,14 @@ def resolve_preset(name: str, overrides: dict | None = None) -> RunPreset:
         # (e.g. rfedavg+'s lam makes no sense for fedavg).
         algorithm_kwargs = {
             k: v for k, v in algorithm_kwargs.items()
-            if k not in preset.algorithm_kwargs or k in (overrides or {})
+            if k not in preset.algorithm_kwargs or k in overrides
         }
     return replace(
         preset, config=config, algorithm_kwargs=algorithm_kwargs, **preset_updates
     )
 
 
-def _build_federation(preset: RunPreset, seed: int) -> FederatedDataset:
+def preset_federation(preset: RunPreset, seed: int) -> FederatedDataset:
     """The preset's federation; ``iid`` on an image or virtual split
     means similarity 1.0."""
     similarity = 1.0 if preset.iid else preset.similarity
@@ -205,6 +206,15 @@ def _build_federation(preset: RunPreset, seed: int) -> FederatedDataset:
     raise ConfigError(f"unknown dataset {preset.dataset!r}")
 
 
+def preset_model_fn(
+    preset: RunPreset, spec: DatasetSpec, seed: int
+) -> Callable[[], SplitModel]:
+    """The preset's model factory (mlp for images and lstm for sequences
+    unless ``preset.model`` names one)."""
+    model_name = preset.model or ("lstm" if spec.kind == "sequence" else "mlp")
+    return default_model_fn(model_name, spec, seed=seed, scale=preset.scale)
+
+
 def preset_config(preset: RunPreset, seed: int = 0) -> FLConfig:
     """The run's config: the preset's scenario base with ``preset.config``
     on top and ``seed`` forced.  Raises :class:`ConfigError` on a bad knob."""
@@ -214,27 +224,11 @@ def preset_config(preset: RunPreset, seed: int = 0) -> FLConfig:
     return base_config(**{**preset.config, "seed": seed})
 
 
-def run_preset(
-    preset: RunPreset,
-    *,
-    seed: int = 0,
-    callbacks=None,
-    tracer: Tracer | None = None,
-    artifacts_dir: str | Path | None = None,
-) -> tuple[History, Path | None]:
-    """Run the job ``preset`` describes; return ``(history, artifacts_path)``.
-
-    Builds the federation, the config (the preset's scenario base with
-    ``preset.config`` on top and ``seed`` forced), the model and the
-    algorithm, runs one federated job, and writes the run artifacts
-    with provenance under ``artifacts_dir`` when one is given.
-    """
-    config = preset_config(preset, seed)
-    fed = _build_federation(preset, seed)
-    model_name = preset.model or ("lstm" if fed.spec.kind == "sequence" else "mlp")
-    model_fn = default_model_fn(model_name, fed.spec, seed=seed, scale=preset.scale)
+def preset_algorithm(preset: RunPreset):
+    """A fresh algorithm of the preset.  Raises :class:`ConfigError` on
+    a kwarg the algorithm does not take."""
     try:
-        algorithm = make_algorithm(preset.algorithm, **preset.algorithm_kwargs)
+        return make_algorithm(preset.algorithm, **preset.algorithm_kwargs)
     except TypeError as exc:
         # An override that matched neither a preset nor a config field
         # was routed here; surface it as a config problem, not a crash.
@@ -242,9 +236,38 @@ def run_preset(
             f"bad overrides for algorithm {preset.algorithm!r}: {exc}"
         ) from exc
 
-    return run_job(
-        algorithm, fed, model_fn, config,
-        callbacks=callbacks, tracer=tracer, artifacts_dir=artifacts_dir,
+
+def run_preset(
+    preset: RunPreset,
+    *,
+    seed: int = 0,
+    eval_per_client: bool = False,
+    callbacks=None,
+    tracer: Tracer | None = None,
+    artifacts_dir: str | Path | None = None,
+) -> tuple[History, Path | None]:
+    """Run the job ``preset`` describes; return ``(history, artifacts_path)``.
+
+    Builds the preset's config, federation, model factory and algorithm
+    at ``seed``, runs one federated job, and writes the run artifacts
+    with provenance under ``artifacts_dir`` when one is given.
+    ``eval_per_client`` and ``callbacks`` go to
+    :func:`~repro.fl.trainer.run_federated`.
+    """
+    config = preset_config(preset, seed)
+    fed = preset_federation(preset, seed)
+    algorithm = preset_algorithm(preset)
+    history = run_federated(
+        algorithm, fed, preset_model_fn(preset, fed.spec, seed), config,
+        eval_per_client=eval_per_client, callbacks=callbacks, tracer=tracer,
+    )
+    if artifacts_dir is None:
+        return history, None
+    from repro.ckpt.provenance import run_provenance
+
+    return history, write_run_artifacts(
+        artifacts_dir, history, tracer,
+        provenance=run_provenance(config, algorithm.name),
     )
 
 
@@ -278,8 +301,12 @@ def run_experiment(
     """
     if trace and artifacts_dir is None:
         artifacts_dir = Path("runs") / f"{name}-seed{seed}"
+    if name not in RUN_PRESETS:
+        raise ConfigError(
+            f"unknown experiment {name!r}; choose from {sorted(RUN_PRESETS)}"
+        )
     return run_preset(
-        resolve_preset(name, overrides),
+        with_overrides(RUN_PRESETS[name], overrides),
         seed=seed,
         callbacks=callbacks,
         tracer=Tracer() if trace else None,

@@ -1,35 +1,48 @@
-"""Seeded multi-repeat experiment execution."""
+"""Grids of seeded repeats over one :class:`~repro.experiments.facade.RunPreset`.
+
+A grid is one preset and its cells ``{label: overrides}``.  Every cell
+runs the preset with its overrides routed in by
+:func:`~repro.experiments.facade.with_overrides`, ``repeats`` times;
+repeat ``k`` runs at seed ``seed + 1000 k`` in every cell, so the cells
+of one repeat share their partition and model initialization and their
+tail accuracies pair up for
+:func:`~repro.analysis.significance.paired_comparison`.  A sweep is a
+grid with one cell per value of one knob.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from repro.algorithms import make_algorithm
-from repro.data.dataset import FederatedDataset
-from repro.fl.config import FLConfig
+from repro.exceptions import ConfigError
+from repro.experiments.facade import (
+    RunPreset,
+    preset_algorithm,
+    preset_config,
+    run_preset,
+    with_overrides,
+)
 from repro.fl.metrics import History
-from repro.fl.trainer import run_federated
-from repro.models.split import SplitModel
-from repro.obs.exporters import write_run_artifacts
-from repro.obs.trace import Tracer
 
 
 @dataclass
 class RunResult:
-    """Aggregated outcome of repeated runs of one algorithm."""
+    """Aggregated outcome of the repeats of one grid cell."""
 
     algorithm: str
     histories: list[History] = field(default_factory=list)
-    artifact_dirs: list[Path] = field(default_factory=list)
+
+    def tail_accuracies(self, tail: int = 3) -> np.ndarray:
+        """Tail-averaged accuracy of each repeat, in repeat order."""
+        return np.array([h.tail_mean_accuracy(tail) for h in self.histories])
 
     def accuracy_mean_std(self, tail: int = 3) -> tuple[float, float]:
         """Mean +/- std of tail-averaged accuracy across repeats
         (the format of the paper's Tables I and II)."""
-        accs = np.array([h.tail_mean_accuracy(tail) for h in self.histories])
+        accs = self.tail_accuracies(tail)
         return float(accs.mean()), float(accs.std())
 
     def mean_accuracy_curve(self) -> np.ndarray:
@@ -48,135 +61,117 @@ class RunResult:
         return float(np.mean([h.mean_round_time() for h in self.histories]))
 
     def rounds_to_reach(self, accuracy: float) -> int | None:
-        """Median rounds-to-accuracy across repeats (None if never)."""
+        """Median rounds-to-accuracy across repeats.  A repeat that never
+        reaches ``accuracy`` counts as infinitely many rounds, so the
+        median is None (never) unless at least half the repeats reach it."""
         reached = [h.rounds_to_reach(accuracy) for h in self.histories]
-        reached = [r for r in reached if r is not None]
-        if not reached:
-            return None
-        return int(np.median(reached))
-
-
-def run_job(
-    algorithm, fed, model_fn, config, *, tracer=None, artifacts_dir=None, **run_kwargs
-) -> tuple[History, Path | None]:
-    """Run one federated job; write its artifacts, stamped with
-    provenance, under ``artifacts_dir`` when one is given.
-
-    Returns ``(history, artifacts_path)``; ``run_kwargs`` go to
-    :func:`~repro.fl.trainer.run_federated`.
-    """
-    history = run_federated(algorithm, fed, model_fn, config, tracer=tracer, **run_kwargs)
-    if artifacts_dir is None:
-        return history, None
-    from repro.ckpt.provenance import run_provenance
-
-    return history, write_run_artifacts(
-        artifacts_dir, history, tracer,
-        provenance=run_provenance(config, algorithm.name),
-    )
+        median = np.median([np.inf if r is None else r for r in reached])
+        return int(median) if np.isfinite(median) else None
 
 
 def run_grid(
-    algorithm_name: str,
-    fed_builder: Callable[[int], FederatedDataset],
-    model_fn_builder: Callable[[FederatedDataset, int], Callable[[], SplitModel]],
-    config: FLConfig,
+    preset: RunPreset,
+    cells: dict | None = None,
     repeats: int = 1,
+    seed: int = 0,
+    *,
     eval_per_client: bool = False,
-    config_override: dict | None = None,
-    trace_out: str | Path | None = None,
-    **algorithm_kwargs,
-) -> RunResult:
-    """Run one algorithm ``repeats`` times with varied seeds.
+) -> dict:
+    """Run every cell of ``preset`` ``repeats`` times; results by label.
 
     Args:
-        algorithm_name: registry name ('fedavg', 'rfedavg+', ...).
-        fed_builder: seed -> federated dataset (so repeats resample the
-            partition, matching the paper's +/- std columns).
-        model_fn_builder: (fed, seed) -> model factory.
-        config: base config; the seed field is varied per repeat.
-        repeats: number of independent runs.
-        eval_per_client: forward to the trainer (fairness data).
-        config_override: per-algorithm config field overrides — the
-            paper itself tunes some methods separately (e.g. FedProx's
-            learning rate on cross-device Sent140), and SCAFFOLD needs a
-            smaller local lr to stay stable.
-        trace_out: when given, each repeat runs traced and persists its
-            artifacts (events.jsonl, summary.json, rounds.csv) under
-            ``trace_out/<algorithm>-rep<k>/``.
-        **algorithm_kwargs: algorithm hyperparameters (lam, mu, q, ...).
+        preset: the job every cell shares.
+        cells: label -> overrides, routed as by
+            :func:`~repro.experiments.facade.with_overrides`; a label
+            is any hashable, and ``str(label)`` names its checkpoint
+            directory.  E.g.
+            ``{"fedavg": {"algorithm": "fedavg"}, "scaffold":
+            {"algorithm": "scaffold", "lr": 0.15}}``.  Default: one cell,
+            the preset itself, labelled by its algorithm.
+        repeats: runs per cell; repeat ``k`` runs at ``seed + 1000 k``,
+            so repeats resample the partition and the model
+            initialization (the paper's +/- std columns).
+        seed: the seed of repeat 0.
+        eval_per_client: forwarded to the trainer (Fig. 11 fairness data).
 
-    Checkpointing: when ``config.checkpoint_dir`` is set, every repeat
-    gets its own cell directory ``<checkpoint_dir>/<algorithm>-rep<k>``
-    so repeats never clobber each other's checkpoints.  A finished cell
-    is marked with a ``result.json`` (the repeat's full History); with
-    ``config.resume`` an interrupted grid reloads finished cells from
-    their markers and resumes only the unfinished ones mid-run.
+    Every cell's config and algorithm are built before the first cell
+    runs, so a bad knob raises :class:`ConfigError` up front.
+
+    Checkpointing: when a cell's config sets ``checkpoint_dir``, repeat
+    ``k`` of cell ``label`` checkpoints into
+    ``<checkpoint_dir>/<label>/<algorithm>-rep<k>`` and is marked
+    finished by a ``result.json`` there (its History).  With ``resume``
+    an interrupted grid reloads finished repeats from their markers and
+    resumes only the unfinished ones mid-run.
     """
-    if config_override:
-        config = config.with_updates(**config_override)
-    result = RunResult(algorithm=algorithm_name)
+    jobs = {
+        label: with_overrides(preset, overrides)
+        for label, overrides in (cells or {preset.algorithm: {}}).items()
+    }
+    for job in jobs.values():
+        preset_config(job, seed)
+        preset_algorithm(job)
+    return {
+        label: _run_cell(label, job, repeats, seed, eval_per_client)
+        for label, job in jobs.items()
+    }
+
+
+def _run_cell(label, job: RunPreset, repeats, seed, eval_per_client) -> RunResult:
+    result = RunResult(algorithm=job.algorithm)
+    checkpoint_dir = job.config.get("checkpoint_dir")
     for rep in range(repeats):
-        seed = config.seed + 1000 * rep
-        run_config = config.with_updates(seed=seed)
-        done_marker: Path | None = None
-        if config.checkpoint_dir is not None:
-            cell_dir = Path(config.checkpoint_dir) / f"{algorithm_name}-rep{rep}"
-            run_config = run_config.with_updates(checkpoint_dir=str(cell_dir))
-            done_marker = cell_dir / "result.json"
-            if config.resume and done_marker.is_file():
-                result.histories.append(History.from_json(done_marker.read_text()))
+        run, marker = job, None
+        if checkpoint_dir is not None:
+            cell_dir = Path(checkpoint_dir) / str(label) / f"{job.algorithm}-rep{rep}"
+            marker = cell_dir / "result.json"
+            if job.config.get("resume") and marker.is_file():
+                result.histories.append(History.from_json(marker.read_text()))
                 continue
-        fed = fed_builder(seed)
-        algorithm = make_algorithm(algorithm_name, **algorithm_kwargs)
-        history, artifacts = run_job(
-            algorithm,
-            fed,
-            model_fn_builder(fed, seed),
-            run_config,
-            eval_per_client=eval_per_client,
-            tracer=Tracer() if trace_out is not None else None,
-            artifacts_dir=(
-                Path(trace_out) / f"{algorithm_name}-rep{rep}"
-                if trace_out is not None else None
-            ),
+            run = with_overrides(job, {"checkpoint_dir": str(cell_dir)})
+        history, _ = run_preset(
+            run, seed=seed + 1000 * rep, eval_per_client=eval_per_client
         )
         result.histories.append(history)
-        if done_marker is not None:
-            done_marker.parent.mkdir(parents=True, exist_ok=True)
-            done_marker.write_text(history.to_json())
-        if artifacts is not None:
-            result.artifact_dirs.append(artifacts)
+        if marker is not None:
+            marker.parent.mkdir(parents=True, exist_ok=True)
+            marker.write_text(history.to_json())
     return result
 
 
-def compare_algorithms(
-    algorithms: dict[str, dict],
-    fed_builder: Callable[[int], FederatedDataset],
-    model_fn_builder: Callable[[FederatedDataset, int], Callable[[], SplitModel]],
-    config: FLConfig,
-    repeats: int = 1,
-    eval_per_client: bool = False,
-    config_overrides: dict[str, dict] | None = None,
-) -> dict[str, RunResult]:
-    """Run several algorithms under identical data/model/seeds.
+@dataclass
+class SweepResult:
+    """Accuracy (mean over repeats) per swept value."""
 
-    ``algorithms`` maps registry names to their kwargs, e.g.
-    ``{"fedavg": {}, "rfedavg+": {"lam": 1e-3}}``; ``config_overrides``
-    optionally adjusts config fields per algorithm (paper-style
-    per-method tuning).
-    """
-    overrides = config_overrides or {}
-    return {
-        name: run_grid(
-            name,
-            fed_builder,
-            model_fn_builder,
-            config,
-            repeats=repeats,
-            eval_per_client=eval_per_client,
-            config_override=overrides.get(name),
-            **kwargs,
-        )
-        for name, kwargs in algorithms.items()
-    }
+    knob: str
+    values: list = field(default_factory=list)
+    accuracies: list[float] = field(default_factory=list)
+
+    def best(self):
+        """(value, accuracy) of the best-performing setting."""
+        if not self.values:
+            raise ConfigError("empty sweep")
+        idx = int(np.argmax(self.accuracies))
+        return self.values[idx], self.accuracies[idx]
+
+    def as_table(self) -> str:
+        lines = [f"{self.knob:>12s} {'accuracy':>10s}"]
+        for value, acc in zip(self.values, self.accuracies):
+            lines.append(f"{str(value):>12s} {acc:10.4f}")
+        return "\n".join(lines)
+
+
+def sweep(
+    preset: RunPreset, knob: str, values: list, repeats: int = 1, seed: int = 0
+) -> SweepResult:
+    """Vary one knob of ``preset`` (Fig. 9): a grid with one cell per
+    value, labelled ``<knob>-<value>``.  The knob is routed like any
+    override, so it may be a preset field (``clients``), a config field
+    (``local_steps``, ``sample_ratio``) or an algorithm kwarg (``lam``)."""
+    grid = run_grid(
+        preset, {f"{knob}-{value}": {knob: value} for value in values}, repeats, seed
+    )
+    return SweepResult(
+        knob, list(values),
+        [grid[f"{knob}-{value}"].accuracy_mean_std()[0] for value in values],
+    )

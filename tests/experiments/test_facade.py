@@ -6,7 +6,13 @@ import pytest
 
 import repro
 from repro.exceptions import ConfigError
-from repro.experiments.facade import _build_federation, list_presets, resolve_preset
+from repro.experiments.facade import (
+    RUN_PRESETS,
+    list_presets,
+    preset_federation,
+    run_preset,
+    with_overrides,
+)
 from repro.fl.metrics import History
 
 TINY = {
@@ -24,6 +30,10 @@ def test_presets_registered():
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError, match="unknown experiment"):
         repro.run_experiment("nope")
+
+
+def resolve_preset(name, overrides):
+    return with_overrides(RUN_PRESETS[name], overrides)
 
 
 def test_override_routing():
@@ -59,11 +69,11 @@ def test_config_shorthands_are_gone():
 
 
 def test_iid_override_on_an_image_preset_is_similarity_one():
-    iid = _build_federation(resolve_preset("quickstart", {**TINY, "iid": True}), 0)
-    sim = _build_federation(
+    iid = preset_federation(resolve_preset("quickstart", {**TINY, "iid": True}), 0)
+    sim = preset_federation(
         resolve_preset("quickstart", {**TINY, "similarity": 1.0}), 0
     )
-    non_iid = _build_federation(resolve_preset("quickstart", TINY), 0)
+    non_iid = preset_federation(resolve_preset("quickstart", TINY), 0)
     assert [c.y.tolist() for c in iid.clients] == [c.y.tolist() for c in sim.clients]
     assert [c.x.tobytes() for c in iid.clients] == [c.x.tobytes() for c in sim.clients]
     assert [c.y.tolist() for c in iid.clients] != [
@@ -81,6 +91,13 @@ def test_run_experiment_returns_history(tmp_path):
     assert isinstance(history, History)
     assert len(history.records) == 2
     assert artifacts is None  # nothing persisted by default
+
+
+def test_run_preset_eval_per_client():
+    preset = resolve_preset("quickstart", TINY)
+    history, _ = run_preset(preset, seed=1, eval_per_client=True)
+    assert len(history.per_client_accuracy) == preset.clients
+    assert run_preset(preset, seed=1)[0].per_client_accuracy is None
 
 
 def test_run_experiment_same_seed_reproduces():

@@ -182,8 +182,9 @@ def test_unknown_model_rejected():
     [
         (["run", "--compression", "topk:0.1|qsdg:8"], "did you mean 'qsgd'?"),
         (["preset", "quickstart", "--set", "compression=top:0.1"], "did you mean 'topk'?"),
+        (["preset", "quickstart", "--set", "bogus=1"], "unexpected keyword argument 'bogus'"),
     ],
-    ids=["run", "preset"],
+    ids=["run", "preset", "preset-algorithm-kwarg"],
 )
 def test_refused_knob_exits_before_the_banner(capsys, argv, suggestion):
     with pytest.raises(SystemExit) as excinfo:
@@ -218,6 +219,20 @@ def test_sweep_config_field(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "local_steps" in out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--knob", "bogus"], ["--knob", "lam", "--algorithm", "fedavg"]],
+    ids=["unknown-knob", "knob-of-another-algorithm"],
+)
+def test_sweep_bad_knob_exits_cleanly(capsys, flags):
+    """A knob no preset field, config field or algorithm kwarg takes is
+    refused like ``repro preset --set bogus=1``, before any cell runs."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", *flags, "--values", "1,2", "--rounds", "1"])
+    assert str(excinfo.value.code).startswith("repro: bad overrides for algorithm")
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_bad_values_rejected():
