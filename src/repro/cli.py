@@ -353,7 +353,7 @@ def _command_experiments() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.exceptions import ConfigError
+    from repro.exceptions import CheckpointError, ConfigError
 
     args = _build_parser().parse_args(argv)
     try:
@@ -362,6 +362,11 @@ def main(argv: list[str] | None = None) -> int:
         # Registry-validated knobs (--executor, --execution, ...) raise
         # here with a did-you-mean suggestion; show it without a trace.
         raise SystemExit(f"repro: {exc}")
+    except CheckpointError as exc:
+        # --resume over a checkpoint (or a sweep's finished cell) that
+        # another job wrote, or one that cannot be read.
+        reason = str(exc).removeprefix("refusing to resume: ")
+        raise SystemExit(f"repro: refusing to resume: {reason}")
 
 
 def _dispatch(args) -> int:

@@ -12,11 +12,13 @@ grid with one cell per value of one knob.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.ckpt.provenance import check_resume_compatible, run_provenance
 from repro.exceptions import ConfigError
 from repro.experiments.facade import (
     RunPreset,
@@ -100,9 +102,13 @@ def run_grid(
     Checkpointing: when a cell's config sets ``checkpoint_dir``, repeat
     ``k`` of cell ``label`` checkpoints into
     ``<checkpoint_dir>/<label>/<algorithm>-rep<k>`` and is marked
-    finished by a ``result.json`` there (its History).  With ``resume``
-    an interrupted grid reloads finished repeats from their markers and
-    resumes only the unfinished ones mid-run.
+    finished by a ``result.json`` there (its History, stamped with the
+    repeat's run provenance).  With ``resume`` an interrupted grid
+    reloads finished repeats from their markers and resumes only the
+    unfinished ones mid-run.  A marker written by a different job raises
+    :class:`~repro.exceptions.CheckpointMismatchError`, as the cell's
+    checkpoints would; one with no stamp is not trusted, and its repeat
+    resumes from its checkpoints instead.
     """
     jobs = {
         label: with_overrides(preset, overrides)
@@ -125,17 +131,23 @@ def _run_cell(label, job: RunPreset, repeats, seed, eval_per_client) -> RunResul
         if checkpoint_dir is not None:
             cell_dir = Path(checkpoint_dir) / str(label) / f"{job.algorithm}-rep{rep}"
             marker = cell_dir / "result.json"
-            if job.config.get("resume") and marker.is_file():
-                result.histories.append(History.from_json(marker.read_text()))
-                continue
             run = with_overrides(job, {"checkpoint_dir": str(cell_dir)})
+            stamp = run_provenance(
+                preset_config(run, seed + 1000 * rep), preset_algorithm(run).name
+            )
+            if job.config.get("resume") and marker.is_file():
+                finished = json.loads(marker.read_text())
+                if "provenance" in finished:
+                    check_resume_compatible(finished["provenance"], stamp)
+                    result.histories.append(History.from_dict(finished))
+                    continue
         history, _ = run_preset(
             run, seed=seed + 1000 * rep, eval_per_client=eval_per_client
         )
         result.histories.append(history)
         if marker is not None:
             marker.parent.mkdir(parents=True, exist_ok=True)
-            marker.write_text(history.to_json())
+            marker.write_text(json.dumps({**history.to_dict(), "provenance": stamp}))
     return result
 
 

@@ -150,7 +150,12 @@ class FLConfig:
         lr_schedule: optional schedule over *global* SGD steps t = c*E+i,
             as in the convergence theory.
         eval_every: evaluate the global model every this many rounds.
-        eval_batch: evaluation minibatch size, >= 1 (memory knob only).
+        eval_batch: minibatch size of the forward-only passes (test
+            loss, the rFedAvg mean embeddings, q-FedAvg's and the
+            selectors' per-client losses), >= 1.  Those sums run block
+            by block, so it moves their last bits (accuracy is exact);
+            their memory grows with it except in ``Conv2d``, which
+            streams a forward-only pass through a fixed-size workspace.
         seed: master seed; all round/client randomness derives from it.
         wire_dtype_bytes: bytes per scalar on the wire for the
             communication ledger.  ``None`` (default) follows ``dtype``

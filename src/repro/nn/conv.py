@@ -22,6 +22,16 @@ from repro.nn.module import Module, Parameter
 # full block go through a one-sample table, one product each.
 _FOLD_SAMPLES = 8
 
+# Bytes of ``cols`` a forward-only pass unfolds at a time (at least one
+# sample): its workspace and peak stay this size whatever the batch.
+_EVAL_CHUNK_BYTES = 1 << 20
+
+# Fewest multiply-adds a chunk's GEMM may have unless the whole pass has
+# fewer.  GEMM rows are independent only within one BLAS kernel, and
+# OpenBLAS hands products of at most 100**3 of them to its small-matrix
+# kernels, which sum in another order (so does a one-row gemv).
+_GEMM_FLOOR = 1 << 20
+
 
 @lru_cache(maxsize=32)
 def _gather_index(
@@ -106,14 +116,18 @@ class Im2colWorkspace:
     """Scratch for unfolding inputs of one shape and dtype into GEMM layout.
 
     Owns the zero-bordered padded copy of the input and the column
-    matrix; the gather table that maps one sample's padded pixels to its
-    ``OH*OW*C*K*K`` column slots is the shared :func:`_gather_index`.
-    :class:`Conv2d` keeps one per layer and reuses it while the input
-    shape matches, so a train step or a full-shard pass stops paying for
-    a fresh multi-megabyte ``cols`` (``mmap`` plus page faults) on every
-    call.  Reuse is layout-only:
-    every slot is rewritten by each :meth:`unfold`, and nothing here is
-    ever returned to a caller of the layer.
+    matrix, sized for ``x_shape[0]`` samples; the gather table that maps
+    one sample's padded pixels to its ``OH*OW*C*K*K`` column slots is the
+    shared :func:`_gather_index`.  :class:`Conv2d` keeps two per layer
+    and reuses each while its shape matches: a whole-batch one for
+    training-mode passes, whose ``cols`` feed the weight gradient, and a
+    chunk-sized one that a forward-only pass streams its batch through a
+    few samples at a time (:data:`_EVAL_CHUNK_BYTES`).  Either way a
+    train step or a full-shard pass stops paying for a fresh
+    multi-megabyte ``cols`` (``mmap`` plus page faults) on every call.
+    Reuse is layout-only: every slot a :meth:`unfold` returns is
+    rewritten by it, and nothing here is ever returned to a caller of
+    the layer.
     """
 
     def __init__(
@@ -144,20 +158,23 @@ class Im2colWorkspace:
         )
 
     def unfold(self, x: np.ndarray) -> np.ndarray:
-        """Fill and return :attr:`cols` for ``x``."""
+        """Fill and return the rows of :attr:`cols` that ``x`` covers
+        (all of them when ``x`` has the workspace's batch size)."""
         batch = x.shape[0]
         if self.padded is not None:
             p = self.padding
-            self.padded[:, :, p:-p, p:-p] = x
-            x = self.padded
+            padded = self.padded[:batch]
+            padded[:, :, p:-p, p:-p] = x
+            x = padded
+        cols = self.cols[: batch * self.out_h * self.out_w]
         # One gather per sample row; mode="clip" only tells numpy the
         # indices need no bounds check (they are in range by
         # construction), which lets it write straight into ``out``.
         np.take(
             x.reshape(batch, self.sample_size), self.index, axis=1,
-            out=self.cols.reshape(batch, self.index.size), mode="clip",
+            out=cols.reshape(batch, self.index.size), mode="clip",
         )
-        return self.cols
+        return cols
 
 
 def im2col(
@@ -211,7 +228,20 @@ def col2im(
 
 
 class Conv2d(Module):
-    """Standard 2-D convolution with square kernels."""
+    """Standard 2-D convolution with square kernels.
+
+    A training-mode forward unfolds the whole batch into one ``cols``
+    and keeps it for the weight gradient.  A forward-only (eval-mode)
+    pass keeps nothing for backward, so it streams: it unfolds and
+    multiplies a few samples at a time through one chunk-sized
+    :class:`Im2colWorkspace`, each chunk's GEMM writing its rows of the
+    output, and adds the bias once at the end.  GEMM rows are
+    independent, so every output element is the same dot product over
+    the same ``C*K*K`` slots either way and the two passes agree bit for
+    bit — as long as both go through the same BLAS kernel: no chunk is
+    cut below :data:`_GEMM_FLOOR` multiply-adds or to one GEMM row unless
+    the whole pass is.
+    """
 
     def __init__(
         self,
@@ -241,29 +271,67 @@ class Conv2d(Module):
         self._x_shape: tuple[int, int, int, int] | None = None
         self._out_hw: tuple[int, int] | None = None
         self._workspace: Im2colWorkspace | None = None
+        self._eval_workspace: Im2colWorkspace | None = None
 
     def _free_buffers(self) -> None:
         self._cols = None
         self._x_shape = None
         self._out_hw = None
         self._workspace = None
+        self._eval_workspace = None
+
+    def _reuse(
+        self, workspace: Im2colWorkspace | None, x_shape: tuple, dtype: np.dtype
+    ) -> Im2colWorkspace:
+        """``workspace`` if it fits ``x_shape`` and ``dtype``, else a new one."""
+        if workspace is None or workspace.key != (x_shape, dtype):
+            workspace = Im2colWorkspace(
+                x_shape, dtype, self.kernel_size, self.stride, self.padding
+            )
+        return workspace
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if not self.training:
+            self._cols = None
+            return self._forward_streamed(x)
         batch = x.shape[0]
-        workspace = self._workspace
-        if workspace is None or workspace.key != (x.shape, x.dtype):
-            workspace = self._workspace = Im2colWorkspace(
-                x.shape, x.dtype, self.kernel_size, self.stride, self.padding
-            )
-        cols = workspace.unfold(x)
+        workspace = self._workspace = self._reuse(self._workspace, x.shape, x.dtype)
+        workspace.unfold(x)
+        cols = workspace.cols
         out_h, out_w = workspace.out_h, workspace.out_w
         w_mat = self.weight.data.reshape(self.out_channels, -1)  # (O, C*K*K)
         out = cols @ w_mat.T  # (B*OH*OW, O), fresh: it is what the caller gets
         out += self.bias.data
-        # A forward-only (eval-mode) pass keeps nothing for backward.
-        self._cols = cols if self.training else None
+        self._cols = cols
         self._x_shape = x.shape
         self._out_hw = (out_h, out_w)
+        return out.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+
+    def _forward_streamed(self, x: np.ndarray) -> np.ndarray:
+        batch, channels, height, width = x.shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        out_h = (height + 2 * p - k) // s + 1
+        out_w = (width + 2 * p - k) // s + 1
+        rows = out_h * out_w  # GEMM rows per sample
+        depth = channels * k * k
+        # Fewest samples a chunk may have: above the GEMM floor, and never
+        # one row (a gemv) unless the whole pass is one.
+        least = max(-(-_GEMM_FLOOR // (rows * depth * self.out_channels)), 2 if rows == 1 else 1)
+        samples = min(batch, max(least, _EVAL_CHUNK_BYTES // (rows * depth * x.dtype.itemsize)))
+        workspace = self._eval_workspace = self._reuse(
+            self._eval_workspace, (samples, channels, height, width), x.dtype
+        )
+        w_mat = self.weight.data.reshape(self.out_channels, -1)  # (O, C*K*K)
+        out = np.empty((batch * rows, self.out_channels), dtype=np.result_type(x, w_mat))
+        for start in range(0, batch, samples):
+            stop = min(start + samples, batch)
+            # A short last chunk reaches back into the one before: it
+            # rewrites those rows with the same bits.
+            start = min(start, max(stop - least, 0))
+            np.matmul(
+                workspace.unfold(x[start:stop]), w_mat.T, out=out[start * rows : stop * rows]
+            )
+        out += self.bias.data
         return out.reshape(batch, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def _accumulate_param_grads(self, grad_out: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Grid, sweep and RunResult tests: every job is a RunPreset."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.analysis.significance import paired_comparison
-from repro.exceptions import ConfigError, DataError
+from repro.exceptions import CheckpointMismatchError, ConfigError, DataError
 from repro.experiments import (
     RUN_PRESETS,
     RunResult,
@@ -285,3 +287,42 @@ def test_checkpointed_sweep_isolates_cells_and_resumes(tmp_path):
     resumed = sweep(with_overrides(preset, {"resume": True}), "local_steps", [1, 2])
     assert resumed.values == first.values
     assert resumed.accuracies == first.accuracies
+
+
+def test_grid_resume_refuses_a_finished_cell_of_another_job(tmp_path, monkeypatch):
+    """A sweep resumed under another config must not reprint the old
+    table: a finished cell's marker is checked like its checkpoints."""
+    preset = with_overrides(
+        TINY, {"checkpoint_dir": str(tmp_path), "resume": True, "rounds": 2}
+    )
+    first = sweep(preset, "lam", [0.0, 1e-3])
+    assert sweep(preset, "lam", [0.0, 1e-3]).accuracies == first.accuracies
+
+    calls = _count_trainer_calls(monkeypatch)
+    longer = with_overrides(preset, {"rounds": 6, "lr": 0.05})
+    with pytest.raises(CheckpointMismatchError, match="config_hash"):
+        sweep(longer, "lam", [0.0, 1e-3])
+    assert calls == []
+    fresh = sweep(with_overrides(longer, {"checkpoint_dir": str(tmp_path / "fresh")}),
+                  "lam", [0.0, 1e-3])
+    assert fresh.accuracies != first.accuracies
+
+
+def test_grid_resume_reruns_an_unstamped_marker_from_its_checkpoints(tmp_path, monkeypatch):
+    """A marker with no provenance is not trusted: the repeat re-enters
+    the trainer, which resumes from its own checkpoints and their check."""
+    preset = with_overrides(FEDAVG, {"checkpoint_dir": str(tmp_path), "resume": True})
+    [first] = run_grid(preset)["fedavg"].histories
+    marker = tmp_path / "fedavg" / "fedavg-rep0" / "result.json"
+    stale = History(algorithm="fedavg")
+    marker.write_text(stale.to_json())
+
+    calls = _count_trainer_calls(monkeypatch)
+    [again] = run_grid(preset)["fedavg"].histories
+    assert len(calls) == 1
+    assert _without_wall_times(again) == _without_wall_times(first)
+    assert json.loads(marker.read_text())["provenance"]["algorithm"] == "fedavg"
+
+    marker.write_text(stale.to_json())
+    with pytest.raises(CheckpointMismatchError, match="config_hash"):
+        run_grid(with_overrides(preset, {"lr": 0.05}))

@@ -179,11 +179,15 @@ def test_padded_scratch_border_stays_zero_across_calls(rng):
 
 def test_free_buffers_drops_the_scratch(rng):
     layer = nn.Conv2d(1, 2, 3, padding=1, rng=np.random.default_rng(0))
+    layer.forward(rng.normal(size=(2, 1, 4, 4)))
     layer.eval()
     layer.forward(rng.normal(size=(2, 1, 4, 4)))
-    assert layer._workspace is not None  # scratch outlives a forward-only pass
+    # Both scratches outlive their passes, each apart from the other.
+    assert layer._workspace is not None and layer._eval_workspace is not None
+    assert not np.shares_memory(layer._workspace.cols, layer._eval_workspace.cols)
     layer.free_buffers()
-    assert layer._workspace is None and layer._cols is None
+    assert layer._workspace is None and layer._eval_workspace is None
+    assert layer._cols is None
 
 
 def test_backward_twice_accumulates_identically(rng):

@@ -116,6 +116,30 @@ def test_run_command_checkpoints_and_resumes(capsys, tmp_path):
     assert final_accuracy(first) == final_accuracy(second)
 
 
+@pytest.mark.parametrize(
+    "command,changed",
+    [
+        (["run", "--dataset", "synth_mnist", "--local-steps", "1", "--batch-size", "8"],
+         ["--rounds", "3"]),
+        (["sweep", "--knob", "lam", "--values", "0,0.001"], ["--rounds", "3", "--lr", "0.05"]),
+    ],
+    ids=["run", "sweep"],
+)
+def test_refused_resume_exits_without_a_traceback(capsys, tmp_path, command, changed):
+    """--resume over a directory another job wrote exits non-zero with
+    the mismatch, not a CheckpointMismatchError traceback."""
+    args = [*command, "--clients", "4", "--rounds", "2", "--scale", "0.25",
+            "--checkpoint-dir", str(tmp_path / "ck"), "--resume"]
+    assert main(args) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, *changed])
+    message = str(excinfo.value.code)
+    assert message.startswith("repro: refusing to resume: ")
+    assert message.count("refusing to resume") == 1
+    assert "config_hash" in message
+
+
 def test_run_command_checkpoint_cadence(tmp_path):
     ckpt = tmp_path / "ckpt"
     args = _run_args(["--checkpoint-dir", str(ckpt), "--checkpoint-every", "2"])
