@@ -48,6 +48,7 @@ that declaration here, and nowhere else.
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 from contextlib import contextmanager
@@ -186,6 +187,18 @@ class FederatedAlgorithm:
         self.tracer = NULL_TRACER  # the trainer swaps in a live Tracer
         self.executor: ClientExecutor = SerialExecutor()
         self._executor_override: ClientExecutor | None = None
+
+    def hyperparameters(self) -> dict:
+        """The scalar constructor arguments (λ, μ, q, ...) by name, as the
+        instance holds them: what a resumed run must share with its
+        checkpoint besides the config.  Objects and callables (a privacy
+        mechanism, FedNova's ``local_steps_fn``) are not stamped."""
+        names = inspect.signature(type(self).__init__).parameters
+        values = {name: getattr(self, name, None) for name in names}
+        return {
+            name: value for name, value in values.items()
+            if isinstance(value, (bool, int, float, str))
+        }
 
     def with_faults(self, fault_model) -> "FederatedAlgorithm":
         """Inject client dropout / byzantine corruption into rounds."""

@@ -2,8 +2,10 @@
 
 Every checkpoint (and, when artifacts are persisted, every run artifact
 directory) is stamped with a small provenance dict — library version,
-a content hash of the *numerically relevant* configuration, the active
-dtype policy, and the execution engine — so a resumed run can refuse a
+a content hash of the *numerically relevant* configuration, the
+algorithm and its scalar hyperparameters (λ, μ, q, ...; they live on
+the algorithm, not in the config), the active dtype policy, and the
+execution engine — so a resumed run can refuse a
 checkpoint written under a different experiment instead of silently
 producing subtly different numbers.
 
@@ -55,12 +57,17 @@ def config_hash(config) -> str:
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
-def run_provenance(config, algorithm_name: str | None = None) -> dict:
-    """The provenance stamp for one run under ``config``."""
+def run_provenance(
+    config, algorithm_name: str | None = None, hyperparameters: dict | None = None
+) -> dict:
+    """The provenance stamp for one run under ``config``, by an algorithm
+    with ``hyperparameters`` (its
+    :meth:`~repro.algorithms.base.FederatedAlgorithm.hyperparameters`)."""
     return {
         "repro_version": repro.__version__,
         "config_hash": config_hash(config),
         "algorithm": algorithm_name,
+        "hyperparameters": hyperparameters,
         "seed": config.seed,
         "dtype": config.dtype,
         "executor": config.executor,
@@ -76,7 +83,10 @@ def check_resume_compatible(stored: dict, current: dict) -> None:
     """Refuse to resume from a checkpoint of a different experiment.
 
     Raises :class:`~repro.exceptions.CheckpointMismatchError` naming each
-    differing field and what to do about it.  Execution-engine fields
+    differing field and what to do about it, an algorithm hyperparameter
+    as ``hyperparameters.<name>``; a stamp without hyperparameters
+    (written before they were stamped) is not checked on them.
+    Execution-engine fields
     (workers / executor) may differ freely — the parallel
     engine is bit-identical to serial — and a library version difference
     is reported as part of the message but is not by itself fatal (the
@@ -88,6 +98,14 @@ def check_resume_compatible(stored: dict, current: dict) -> None:
     for key in _STRICT_KEYS:
         if stored.get(key) != current.get(key):
             problems.append(f"  {key}: checkpoint={stored.get(key)!r} run={current.get(key)!r}")
+    stored_hp, current_hp = stored.get("hyperparameters"), current.get("hyperparameters")
+    if stored_hp is not None and current_hp is not None:
+        for key in sorted(stored_hp.keys() | current_hp.keys()):
+            if stored_hp.get(key) != current_hp.get(key):
+                problems.append(
+                    f"  hyperparameters.{key}: checkpoint={stored_hp.get(key)!r} "
+                    f"run={current_hp.get(key)!r}"
+                )
     if problems:
         version_note = ""
         if stored.get("repro_version") != current.get("repro_version"):

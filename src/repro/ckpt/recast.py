@@ -87,8 +87,11 @@ def recast_checkpoint(
             # widths by definition.
             tree["dtype_bytes"] = target.itemsize
         recast_sections[name] = pack_tree(tree)
+    # The hyperparameters carry over only to the algorithm that wrote them.
+    same_algorithm = algorithm in (None, stored.get("algorithm"))
     meta["provenance"] = run_provenance(
-        config, algorithm if algorithm is not None else stored.get("algorithm")
+        config, stored.get("algorithm") if same_algorithm else algorithm,
+        stored.get("hyperparameters") if same_algorithm else None,
     )
     meta["provenance"]["recast_from"] = stored
     # The stamp now describes the *target* run, so the round budget must

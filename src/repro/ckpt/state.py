@@ -84,7 +84,7 @@ def capture_run_state(
     meta = {
         "round_idx": int(round_idx),
         "rounds_total": int(config.rounds),
-        "provenance": run_provenance(config, algorithm.name),
+        "provenance": run_provenance(config, algorithm.name, algorithm.hyperparameters()),
     }
     # Streaming histories checkpoint their O(1) summary instead of the
     # full record list (checkpoint_dict); appending histories keep the
@@ -137,7 +137,9 @@ def restore_run_state(
     """
     meta = manifest.get("meta", {})
     stored = meta.get("provenance", {})
-    check_resume_compatible(stored, run_provenance(config, algorithm.name))
+    check_resume_compatible(
+        stored, run_provenance(config, algorithm.name, algorithm.hyperparameters())
+    )
     if int(meta.get("rounds_total", config.rounds)) != int(config.rounds):
         # Extending/shortening a run keeps the config hash distinct, but
         # guard explicitly for clarity if the hash rule ever loosens.

@@ -267,7 +267,7 @@ def run_preset(
 
     return history, write_run_artifacts(
         artifacts_dir, history, tracer,
-        provenance=run_provenance(config, algorithm.name),
+        provenance=run_provenance(config, algorithm.name, algorithm.hyperparameters()),
     )
 
 

@@ -132,8 +132,10 @@ def _run_cell(label, job: RunPreset, repeats, seed, eval_per_client) -> RunResul
             cell_dir = Path(checkpoint_dir) / str(label) / f"{job.algorithm}-rep{rep}"
             marker = cell_dir / "result.json"
             run = with_overrides(job, {"checkpoint_dir": str(cell_dir)})
+            algorithm = preset_algorithm(run)
             stamp = run_provenance(
-                preset_config(run, seed + 1000 * rep), preset_algorithm(run).name
+                preset_config(run, seed + 1000 * rep), algorithm.name,
+                algorithm.hyperparameters(),
             )
             if job.config.get("resume") and marker.is_file():
                 finished = json.loads(marker.read_text())

@@ -154,8 +154,11 @@ class FLConfig:
             loss, the rFedAvg mean embeddings, q-FedAvg's and the
             selectors' per-client losses), >= 1.  Those sums run block
             by block, so it moves their last bits (accuracy is exact);
-            their memory grows with it except in ``Conv2d``, which
-            streams a forward-only pass through a fixed-size workspace.
+            their memory grows with it except where a layer streams:
+            ``Conv2d`` unfolds a forward-only pass through a fixed-size
+            workspace and ``LSTMCell`` projects its input through a
+            fixed-size window of timesteps, but an LSTM layer's hidden
+            sequence ``(T, eval_batch, H)`` still grows with it.
         seed: master seed; all round/client randomness derives from it.
         wire_dtype_bytes: bytes per scalar on the wire for the
             communication ledger.  ``None`` (default) follows ``dtype``

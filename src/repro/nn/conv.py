@@ -22,8 +22,9 @@ from repro.nn.module import Module, Parameter
 # full block go through a one-sample table, one product each.
 _FOLD_SAMPLES = 8
 
-# Bytes of ``cols`` a forward-only pass unfolds at a time (at least one
-# sample): its workspace and peak stay this size whatever the batch.
+# Bytes of a streamed GEMM operand a chunk holds (at least one unit):
+# a forward-only Conv2d pass's ``cols``, an LSTMCell's input-projection
+# window.  Its workspace and peak stay this size whatever the batch.
 _EVAL_CHUNK_BYTES = 1 << 20
 
 # Fewest multiply-adds a chunk's GEMM may have unless the whole pass has
@@ -31,6 +32,30 @@ _EVAL_CHUNK_BYTES = 1 << 20
 # OpenBLAS hands products of at most 100**3 of them to its small-matrix
 # kernels, which sum in another order (so does a one-row gemv).
 _GEMM_FLOOR = 1 << 20
+
+
+def gemm_chunks(
+    count: int, unit_rows: int, unit_macs: int, unit_bytes: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """Cut ``count`` units of a row-independent GEMM into chunks.
+
+    A unit (a sample of ``cols``, a timestep of an input projection) is
+    ``unit_rows`` GEMM rows, ``unit_macs`` multiply-adds and
+    ``unit_bytes`` of the streamed operand.  A chunk takes
+    :data:`_EVAL_CHUNK_BYTES` of it, but never fewer units than
+    :data:`_GEMM_FLOOR` multiply-adds or one row (a gemv) unless the
+    whole pass is that small, so every chunk goes through the BLAS
+    kernel the one-shot product would.  Returns the chunk size and the
+    ``(start, stop)`` spans; a short last span reaches back into the one
+    before, and the rows it rewrites get the same bits.
+    """
+    least = max(-(-_GEMM_FLOOR // unit_macs), 2 if unit_rows == 1 else 1)
+    size = min(count, max(least, _EVAL_CHUNK_BYTES // unit_bytes))
+    spans = []
+    for start in range(0, count, size):
+        stop = min(start + size, count)
+        spans.append((min(start, max(stop - least, 0)), stop))
+    return size, spans
 
 
 @lru_cache(maxsize=32)
@@ -314,20 +339,15 @@ class Conv2d(Module):
         out_w = (width + 2 * p - k) // s + 1
         rows = out_h * out_w  # GEMM rows per sample
         depth = channels * k * k
-        # Fewest samples a chunk may have: above the GEMM floor, and never
-        # one row (a gemv) unless the whole pass is one.
-        least = max(-(-_GEMM_FLOOR // (rows * depth * self.out_channels)), 2 if rows == 1 else 1)
-        samples = min(batch, max(least, _EVAL_CHUNK_BYTES // (rows * depth * x.dtype.itemsize)))
+        samples, spans = gemm_chunks(
+            batch, rows, rows * depth * self.out_channels, rows * depth * x.dtype.itemsize
+        )
         workspace = self._eval_workspace = self._reuse(
             self._eval_workspace, (samples, channels, height, width), x.dtype
         )
         w_mat = self.weight.data.reshape(self.out_channels, -1)  # (O, C*K*K)
         out = np.empty((batch * rows, self.out_channels), dtype=np.result_type(x, w_mat))
-        for start in range(0, batch, samples):
-            stop = min(start + samples, batch)
-            # A short last chunk reaches back into the one before: it
-            # rewrites those rows with the same bits.
-            start = min(start, max(stop - least, 0))
+        for start, stop in spans:
             np.matmul(
                 workspace.unfold(x[start:stop]), w_mat.T, out=out[start * rows : stop * rows]
             )

@@ -12,13 +12,17 @@ gate-major under that, ``(T, 4, B, H)``, so every elementwise operand of
 a step is one contiguous block; a layer still takes and returns
 ``(B, T, ·)`` — its output is a transposed view, which hands the next
 cell and :class:`LastTimestep` their contiguous blocks for free.  The
-input projection is one ``(T*B, in) @ (in, 4H)`` GEMM outside the time
-loop, a step activates its ``(B, 4H)`` row with one branch-free sigmoid
-(then tanh over the g slot), and backward applies the gate derivatives
-to all four gates at once.  All buffers live in one scratch per cell,
-reused across a client's steps; an eval-mode forward keeps no backward
-state.  BLAS GEMM rows are independent and every elementwise chain keeps
-the reference's operands and association, so every value matches
+input projection streams through a window of ``w`` timesteps: at each
+window boundary one ``(w*B, in) @ (in, 4H)`` GEMM fills the window, so
+it never grows with ``T`` (``w`` follows
+:func:`repro.nn.conv.gemm_chunks`, the byte budget and GEMM floor of
+the streamed ``Conv2d`` pass).  A step activates its ``(B, 4H)`` row
+with one branch-free sigmoid (then tanh over the g slot), and backward
+applies the gate derivatives to all four gates at once.  All buffers
+live in one scratch per cell, reused across a client's steps; an
+eval-mode forward keeps no backward state.  BLAS GEMM rows are
+independent and every elementwise chain keeps the reference's operands
+and association, so every value matches
 :class:`repro.nn.reference.ReferenceLSTMCell` bit for bit in float64 —
 the equivalence tests enforce exactly that.  The
 five per-step backward GEMMs are the documented floor: hoisted over the
@@ -33,6 +37,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.nn.activations import sigmoid
+from repro.nn.conv import gemm_chunks
 from repro.nn.initializers import glorot_uniform, orthogonal, zeros
 from repro.nn.module import Module, Parameter
 
@@ -82,26 +87,38 @@ class LSTMCell(Module):
         self._cache = None
         self._scratch = None
 
-    def _begin(self, x: np.ndarray) -> tuple[SimpleNamespace, np.ndarray]:
-        """Scratch for a forward over ``x`` (B, T, D), holding ``xw = x @ w_x`` for
-        the whole sequence, and ``x`` as a contiguous (T, B, D).  A training
-        forward gets the scratch the cell keeps, ``T`` steps of backward state
-        deep; an eval forward a throwaway one a single step deep, so it leaves
-        nothing behind.
+    def _begin(
+        self, x: np.ndarray
+    ) -> tuple[SimpleNamespace, np.ndarray, list[tuple[int, int]]]:
+        """Scratch for a forward over ``x`` (B, T, D), ``x`` as a contiguous
+        (T, B, D) — copied into the scratch only when ``x`` is not already
+        time-major underneath — and the ``(start, stop)`` timestep windows
+        whose input projection ``x @ w_x`` the scratch's ``xw`` holds one at
+        a time.  A training forward gets the scratch the cell keeps, ``T``
+        steps of backward state deep; an eval forward a throwaway one a
+        single step deep, so it leaves nothing behind.
         """
         batch, steps, in_dim = x.shape
         if steps == 0:
             raise ValueError(f"{type(self).__name__}: empty sequence, input shape {x.shape}")
         w_x = self.w_x.data
-        key = (x.shape, np.result_type(x.dtype, w_x.dtype))
+        hid, dtype = self.hidden_dim, np.result_type(x.dtype, w_x.dtype)
+        if batch == 1:
+            # A batch of one keeps its per-step products: a one-row product
+            # is a gemv, which sums in another order than a GEMM's rows.
+            window, spans = 1, [(t, t + 1) for t in range(steps)]
+        else:
+            window, spans = gemm_chunks(
+                steps, batch, batch * in_dim * 4 * hid, batch * 4 * hid * dtype.itemsize
+            )
+        key = (x.shape, dtype, window)
         ws = self._scratch if self.training else None
         if ws is None or ws.key != key:
-            hid, depth = self.hidden_dim, steps if self.training else 1
+            depth = steps if self.training else 1
             row, state, slots = (batch, 4 * hid), (batch, hid), (4, batch, hid)
             shapes = dict(
                 cells=(depth, batch, hid), tanh_cells=(depth, batch, hid), gates=(depth, *slots),
-                z=row, act=row, prod=state, xt=(steps, batch, in_dim), xw=(steps, batch, 4 * hid),
-                zero=state,
+                z=row, act=row, prod=state, xw=(window, batch, 4 * hid), zero=state,
             )
             if self.training:
                 shapes.update(
@@ -110,30 +127,24 @@ class LSTMCell(Module):
                     gbias=(4 * hid,),
                 )
             ws = SimpleNamespace(
-                key=key, **{name: np.zeros(shape, dtype=key[1]) for name, shape in shapes.items()}
+                key=key, **{name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
             )
             if self.training:
                 self._scratch = ws
         # A recurrent layer's output is already time-major underneath.
         xt = x.transpose(1, 0, 2)
         if not xt.flags.c_contiguous:
+            if getattr(ws, "xt", None) is None:
+                ws.xt = np.zeros(xt.shape, dtype=dtype)
             ws.xt[...] = xt
             xt = ws.xt
-        # One big GEMM instead of T small ones.  GEMM rows are independent,
-        # so xw[t] is bit-identical to x[:, t] @ w_x — but for a batch of
-        # one, whose per-step product is a gemv that sums in another order.
-        if batch == 1:
-            for t in range(steps):
-                np.matmul(xt[t], w_x, out=ws.xw[t])
-        else:
-            np.matmul(xt.reshape(steps * batch, in_dim), w_x, out=ws.xw.reshape(steps * batch, -1))
-        return ws, xt
+        return ws, xt, spans
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        ws, xt = self._begin(x)
-        steps, batch, _ = xt.shape
+        ws, xt, spans = self._begin(x)
+        steps, batch, in_dim = xt.shape
         hid = self.hidden_dim
-        w_h, bias = self.w_h.data, self.bias.data
+        w_x, w_h, bias = self.w_x.data, self.w_h.data, self.bias.data
         # A fresh array: the caller (the next cell keeps it for backward) owns it.
         hs = np.empty((steps, batch, hid), dtype=ws.xw.dtype)
         depth = len(ws.gates)
@@ -141,9 +152,20 @@ class LSTMCell(Module):
         z_g = z[:, 2 * hid : 3 * hid]
         act_slots = act.reshape(batch, 4, hid).transpose(1, 0, 2)
         h = c = ws.zero
+        spans = iter(spans)
+        start = stop = 0
         for t in range(steps):
+            if t == stop:
+                # The next window of the input projection in one GEMM, whose
+                # rows are independent: xw[t - start] is bit-identical to
+                # x[:, t] @ w_x.
+                start, stop = next(spans)
+                np.matmul(
+                    xt[start:stop].reshape(-1, in_dim), w_x,
+                    out=ws.xw[: stop - start].reshape(-1, 4 * hid),
+                )
             np.matmul(h, w_h, out=z)
-            z += ws.xw[t]
+            z += ws.xw[t - start]
             z += bias
             # One sigmoid over the whole (B, 4H) row, regrouped gate-major into
             # the cache (each gate a contiguous (B, H) block), then tanh over g.

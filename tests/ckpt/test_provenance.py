@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
+import json
 from dataclasses import fields
 
 import pytest
 
 import repro
+from repro.algorithms import ALGORITHMS, make_algorithm
 from repro.ckpt.provenance import (
     check_resume_compatible,
     config_hash,
@@ -102,6 +105,40 @@ def test_mismatch_is_refused_with_actionable_message():
     assert "'fedavg'" in message and "'scaffold'" in message
     # The message must tell the user what to do next.
     assert "fresh directory" in message
+
+
+def test_hyperparameters_are_stamped_and_checked_by_name():
+    stamped = make_algorithm("fedprox", mu=0.1).hyperparameters()
+    stored = run_provenance(_config(), "fedprox", stamped)
+    assert stored["hyperparameters"] == {"mu": 0.1}
+    assert stored["config_hash"] == config_hash(_config())
+    check_resume_compatible(stored, run_provenance(_config(), "fedprox", dict(stamped)))
+    current = run_provenance(_config(), "fedprox", {"mu": 1.0})
+    with pytest.raises(CheckpointMismatchError) as excinfo:
+        check_resume_compatible(stored, current)
+    message = str(excinfo.value)
+    assert "hyperparameters.mu: checkpoint=0.1 run=1.0" in message
+    assert "config_hash" not in message
+
+
+def test_a_stamp_without_hyperparameters_still_resumes():
+    """Checkpoints and grid markers written before hyperparameters were
+    stamped resume under any: there is nothing to check them against."""
+    current = run_provenance(_config(), "rfedavg+", {"lam": 10.0})
+    old = dict(current)
+    del old["hyperparameters"]
+    check_resume_compatible(old, current)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_every_algorithm_stamps_its_scalar_constructor_arguments(name):
+    algorithm = make_algorithm(name)
+    params = inspect.signature(type(algorithm).__init__).parameters
+    stamped = algorithm.hyperparameters()
+    assert set(stamped) <= set(params)
+    for key, value in stamped.items():
+        assert value == params[key].default
+    assert json.loads(json.dumps(stamped)) == stamped
 
 
 def test_version_difference_is_reported_but_only_on_real_mismatch():

@@ -103,6 +103,9 @@ class _Residuals:
     def checkpoint_state(self) -> dict:
         return {"ef_residuals": self.table.checkpoint_segments()}
 
+    def hyperparameters(self) -> dict:
+        return {}
+
 
 def _capture(algorithm, config):
     return capture_run_state(

@@ -308,6 +308,20 @@ def test_grid_resume_refuses_a_finished_cell_of_another_job(tmp_path, monkeypatc
     assert fresh.accuracies != first.accuracies
 
 
+def test_grid_resume_refuses_a_finished_cell_under_another_lambda(tmp_path, monkeypatch):
+    """A cell's label need not name its hyperparameters: its marker's
+    stamp does, so the same label under another λ is refused."""
+    preset = with_overrides(TINY, {"checkpoint_dir": str(tmp_path), "resume": True})
+    run_grid(preset, {"cell": {"lam": 1e-3}})
+    marker = tmp_path / "cell" / "rfedavg+-rep0" / "result.json"
+    assert json.loads(marker.read_text())["provenance"]["hyperparameters"] == {"lam": 1e-3}
+
+    calls = _count_trainer_calls(monkeypatch)
+    with pytest.raises(CheckpointMismatchError, match="hyperparameters.lam"):
+        run_grid(preset, {"cell": {"lam": 10.0}})
+    assert calls == []
+
+
 def test_grid_resume_reruns_an_unstamped_marker_from_its_checkpoints(tmp_path, monkeypatch):
     """A marker with no provenance is not trusted: the repeat re-enters
     the trainer, which resumes from its own checkpoints and their check."""

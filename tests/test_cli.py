@@ -140,6 +140,27 @@ def test_refused_resume_exits_without_a_traceback(capsys, tmp_path, command, cha
     assert "config_hash" in message
 
 
+def test_resume_under_another_lambda_is_refused(capsys, tmp_path):
+    """λ lives on the algorithm, not in the config hash: a crashed
+    rfedavg+ run resumed with another --lam must be refused by name
+    instead of finishing as a two-λ hybrid."""
+    ckpt = tmp_path / "ck"
+    args = ["run", "--dataset", "synth_mnist", "--algorithm", "rfedavg+",
+            "--clients", "4", "--rounds", "3", "--local-steps", "1",
+            "--batch-size", "8", "--scale", "0.25", "--resume",
+            "--checkpoint-dir", str(ckpt)]
+    assert main([*args, "--lam", "0.001"]) == 0
+    capsys.readouterr()
+    (ckpt / "ckpt-00000002.rck").unlink()
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--lam", "10"])
+    message = str(excinfo.value.code)
+    assert message.startswith("repro: refusing to resume: ")
+    assert "hyperparameters.lam: checkpoint=0.001 run=10.0" in message
+    assert "config_hash" not in message
+    assert main([*args, "--lam", "0.001"]) == 0  # the original λ still resumes
+
+
 def test_run_command_checkpoint_cadence(tmp_path):
     ckpt = tmp_path / "ckpt"
     args = _run_args(["--checkpoint-dir", str(ckpt), "--checkpoint-every", "2"])
