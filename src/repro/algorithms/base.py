@@ -12,12 +12,16 @@ The round itself is an *execution engine*: the per-client unit of work
 (:meth:`FederatedAlgorithm._client_update`) is side-effect-free with
 respect to shared algorithm state, so a pluggable
 :class:`~repro.fl.parallel.ClientExecutor` may run the selected clients
-serially or in worker processes.  Results come back as picklable
-:class:`~repro.fl.parallel.ClientUpdate` records and the round reduces
-them in **selection order** — upload charges are summed then recorded,
-per-client side effects run through :meth:`_commit_client`, and
-aggregation sees the updates in the same order as a serial run — so the
-numbers are bit-identical for any ``num_workers``.
+serially or in worker processes.  Results stream back as picklable
+:class:`~repro.fl.parallel.ClientUpdate` records in **selection order**
+and the round reduces them as a fold (:class:`RoundCommit`): each update
+is committed as soon as it and every update before it are in — its
+own-row state through :meth:`_commit_client`, then :meth:`_fold` into
+the round's running aggregate, then its model-sized fields released —
+and the finish step runs once the wave has trained.  The fold repeats
+the floating-point operations of a reduction over the whole list, in
+the same order, so the numbers are bit-identical for any ``num_workers``
+and the server holds a block of updates, not the cohort.
 
 Extension points, in round order:
 
@@ -27,10 +31,12 @@ Extension points, in round order:
 * :meth:`_reg_hook` / :meth:`_grad_hook` — local-objective shaping.
 * :meth:`_client_update` / :meth:`_client_payload` — the worker-side
   unit of work and its algorithm-specific extras.
+* :meth:`_commit_client` — per-client own-row state, selection order.
+* :meth:`_open_fold` / :meth:`_fold` — the round's running aggregate.
 * :meth:`_charge_uploads` — uplink accounting (order-independent).
-* :meth:`_commit_client` — per-client state mutation, selection order.
-* :meth:`_aggregate_updates` / :meth:`_aggregate` — server update.
-* :meth:`_post_aggregate` — extra synchronization phases.
+* :meth:`_aggregate` — server update from the fold; with
+  :meth:`_post_aggregate` (extra synchronization phases) the finish
+  step, where a write to state every client reads belongs.
 
 In-process, the unit is a *block* of clients where it can be
 (:meth:`FederatedAlgorithm._block_update`, gated by
@@ -64,7 +70,8 @@ from repro.fl.comm import CommLedger
 from repro.fl.compression import WireSize, compressor_from_spec
 from repro.fl.config import FLConfig
 from repro.fl.parallel import ClientExecutor, ClientUpdate, SerialExecutor, make_executor
-from repro.fl.server import weighted_average
+from repro.fl.server import WeightedMean
+from repro.fl.server import weighted_average  # noqa: F401 -- bench/instrument.py wraps this name
 from repro.models.split import SplitModel
 from repro.nn.serialization import (
     get_flat_params,
@@ -189,16 +196,23 @@ class FederatedAlgorithm:
         self._executor_override: ClientExecutor | None = None
 
     def hyperparameters(self) -> dict:
-        """The scalar constructor arguments (λ, μ, q, ...) by name, as the
+        """The constructor arguments (λ, μ, q, ...) by name, as the
         instance holds them: what a resumed run must share with its
-        checkpoint besides the config.  Objects and callables (a privacy
-        mechanism, FedNova's ``local_steps_fn``) are not stamped."""
-        names = inspect.signature(type(self).__init__).parameters
-        values = {name: getattr(self, name, None) for name in names}
-        return {
-            name: value for name, value in values.items()
-            if isinstance(value, (bool, int, float, str))
-        }
+        checkpoint besides the config.  A scalar or ``None`` is stamped
+        as it is; an object that describes itself (``to_dict()``, a
+        privacy mechanism) as its class name plus one dotted entry a
+        field (``privacy.sigma``); other objects and callables (FedNova's
+        ``local_steps_fn``) are not stamped."""
+        stamp = {}
+        _self, *names = inspect.signature(type(self).__init__).parameters
+        for name in names:
+            value = getattr(self, name, None)
+            if value is None or isinstance(value, (bool, int, float, str)):
+                stamp[name] = value
+            elif callable(getattr(value, "to_dict", None)):
+                stamp[name] = type(value).__name__
+                stamp.update((f"{name}.{key}", item) for key, item in value.to_dict().items())
+        return stamp
 
     def with_faults(self, fault_model) -> "FederatedAlgorithm":
         """Inject client dropout / byzantine corruption into rounds."""
@@ -533,13 +547,17 @@ class FederatedAlgorithm:
         return updates
 
     def _commit_client(self, round_idx: int, update: ClientUpdate) -> None:
-        """Apply one finished client's side effects to shared state.
+        """Apply one finished client's side effects to its own rows.
 
         Runs in the parent process, in selection order, regardless of
-        which worker finished first — the only place per-client state
-        mutation is allowed.  Subclasses extending this must call
-        ``super()._commit_client(...)`` so error-feedback residuals
-        commit.
+        which worker finished first, as the update is committed — while
+        later clients of the same wave may still be training, so it may
+        write only state that client alone reads (its error-feedback
+        residual, SCAFFOLD control, MOON previous model).  A write to
+        state every client reads (``reads=WHOLE``, rFedAvg's delta table)
+        belongs to the finish step (:meth:`_aggregate`).  Subclasses
+        extending this must call ``super()._commit_client(...)`` so
+        error-feedback residuals commit.
         """
         if update.residual is not None and self._residuals is not None:
             residual = np.asarray(update.residual, dtype=np.float64)
@@ -549,22 +567,25 @@ class FederatedAlgorithm:
                     float(np.linalg.norm(residual))
                 )
 
-    def _aggregate(
-        self, round_idx: int, selected: np.ndarray, updates: list[np.ndarray]
-    ) -> np.ndarray:
-        """Default: data-size-weighted average of the selected clients."""
+    def _open_fold(self, round_idx: int, cohort: np.ndarray, base: np.ndarray):
+        """The running aggregate of one group's round over ``cohort``,
+        whose clients trained from ``base``: :meth:`_fold` adds each
+        committed update to it in selection order and :meth:`_aggregate`
+        reads it at the finish step.  Default: the data-size-weighted
+        mean of the parameters."""
         assert self.fed is not None
-        weights = self.fed.client_sizes[selected].astype(np.float64)
-        return weighted_average(updates, weights)
+        return WeightedMean(self.fed.client_sizes[cohort])
 
-    def _aggregate_updates(
-        self, round_idx: int, selected: np.ndarray, updates: list[ClientUpdate]
-    ) -> np.ndarray:
-        """Reduce the round's :class:`ClientUpdate` records to new global
-        parameters.  Algorithms that only need the parameter vectors
-        override :meth:`_aggregate`; ones that need per-client payloads
-        (q-FedAvg, SCAFFOLD, FedNova) override this."""
-        return self._aggregate(round_idx, selected, [u.params for u in updates])
+    def _fold(self, fold, update: ClientUpdate) -> None:
+        """Add one committed update to the round's fold; its heavy fields
+        are released right after (:meth:`ClientUpdate.release`), so
+        anything the finish step needs of them goes into the fold."""
+        fold.add(update.params)
+
+    def _aggregate(self, round_idx: int, cohort: np.ndarray, fold) -> np.ndarray:
+        """The finish step's server update: new global parameters from
+        the round's fold (FedAvgM's momentum, SCAFFOLD's control step)."""
+        return fold.result()
 
     def _post_aggregate(self, round_idx: int, selected: np.ndarray) -> None:
         """Extra synchronization after aggregation (rFedAvg+ overrides)."""
@@ -643,8 +664,9 @@ class FederatedAlgorithm:
             residual = target - self.compressor.decode(streams, self.model_size)
         return None, streams, wire_size, residual
 
-    def _materialize_params(self, update: ClientUpdate) -> None:
-        """Reconstruct dense server-side parameters from wire streams.
+    def _materialize_params(self, update: ClientUpdate, base: np.ndarray) -> None:
+        """Reconstruct dense server-side parameters from wire streams,
+        against ``base``, the model the client trained from.
 
         Runs in the parent for every executor (serial, pool, serve,
         degraded) so the reduction path is one code path; the scatter
@@ -654,35 +676,21 @@ class FederatedAlgorithm:
         """
         if update.params is not None:
             return
-        assert self.compressor is not None and self.global_params is not None
+        assert self.compressor is not None
         recon = self.compressor.decode(update.params_streams, self.model_size)
-        update.params = self.global_params + recon
+        update.params = base + recon
 
     # -- the round ---------------------------------------------------------------------
-    def _receive_updates(self, updates: list[ClientUpdate]) -> None:
-        """Server-side reception of finished updates: reconstruct dense
-        parameters from wire streams and observe each update's norm
-        against the model it was trained from (``global_params``)."""
-        for update in updates:
-            self._materialize_params(update)
+    def _receive(self, update: ClientUpdate, base: np.ndarray) -> ClientUpdate:
+        """Server-side reception of a finished update, trained from
+        ``base``: dense parameters from its wire streams, and its norm
+        against ``base`` observed."""
+        self._materialize_params(update, base)
         if self.tracer.enabled:
-            assert self.global_params is not None
-            histogram = self.tracer.metrics.histogram("client.update_norm")
-            for update in updates:
-                histogram.observe(
-                    float(np.linalg.norm(update.params - self.global_params))
-                )
-
-    def _execute_clients(
-        self, round_idx: int, selected: np.ndarray
-    ) -> list[ClientUpdate]:
-        """Run every selected client through the execution engine.
-
-        Returns updates in selection order (the executor contract).
-        """
-        updates = self.executor.run(self, round_idx, [int(c) for c in selected])
-        self._receive_updates(updates)
-        return updates
+            self.tracer.metrics.histogram("client.update_norm").observe(
+                float(np.linalg.norm(update.params - base))
+            )
+        return update
 
     def _round_stats(
         self, selected: np.ndarray, updates: list[ClientUpdate]
@@ -726,23 +734,65 @@ class FederatedAlgorithm:
         self,
         round_idx: int,
         cohort: np.ndarray,
-        updates: list[ClientUpdate],
+        updates,
         **span_attrs,
     ) -> RoundStats:
-        """Reduce finished ``updates`` (of ``cohort``, in selection
-        order) into ``global_params``: upload charges, per-client
-        commits, aggregation, extra synchronization.  With nothing to
-        reduce the model is kept and the round reports a NaN loss."""
-        if not updates:
-            return RoundStats(train_loss=float("nan"))
-        self._charge_uploads(cohort, updates)
+        """Reduce the received ``updates`` of ``cohort`` (an iterable, in
+        selection order; a stream is consumed as it arrives) into
+        ``global_params``, which they were trained from: each update's
+        commit and fold, then the finish step (upload charges,
+        aggregation, extra synchronization).  With nothing to reduce the
+        model is kept and the round reports a NaN loss."""
+        commit = RoundCommit(self, round_idx, cohort, self.global_params)
         for update in updates:
-            if self.fault_model is not None and self.fault_model.is_byzantine(
-                update.client_id
-            ):
-                self.fault_model.corrupted_total += 1
-            self._commit_client(round_idx, update)
-        with self.tracer.span("aggregate", **span_attrs):
-            self.global_params = self._aggregate_updates(round_idx, cohort, updates)
-            self._post_aggregate(round_idx, cohort)
-        return self._round_stats(cohort, updates)
+            commit.add(update)
+        return commit.finish(**span_attrs)
+
+
+class RoundCommit:
+    """One group's round as its updates are committed.
+
+    :meth:`add` commits one received update the moment it and every
+    update before it in selection order are in: the byzantine counter,
+    :meth:`FederatedAlgorithm._commit_client` (own-row state only — no
+    later client of the wave reads that row), the algorithm's fold, and
+    then the update's heavy fields are released.  :meth:`finish` runs
+    once the whole wave has trained: the upload charge, the aggregate
+    from the fold, :meth:`FederatedAlgorithm._post_aggregate` — and any
+    write to state every client reads (``reads=WHOLE``), which a streamed
+    commit would leak into later clients of the same round.  What the
+    server holds of a round between the two is the fold and one scalar
+    record per update.
+    """
+
+    def __init__(self, algorithm: FederatedAlgorithm, round_idx: int, cohort, base) -> None:
+        self.algorithm = algorithm
+        self.round_idx = round_idx
+        self.cohort = cohort
+        self.base = base
+        self.fold = None  # opened by the first update: a round may have none
+        self.updates: list[ClientUpdate] = []  # committed, heavy fields released
+
+    def add(self, update: ClientUpdate) -> None:
+        algorithm = self.algorithm
+        fault_model = algorithm.fault_model
+        if fault_model is not None and fault_model.is_byzantine(update.client_id):
+            fault_model.corrupted_total += 1
+        algorithm._commit_client(self.round_idx, update)
+        if self.fold is None:
+            self.fold = algorithm._open_fold(self.round_idx, self.cohort, self.base)
+        algorithm._fold(self.fold, update)
+        update.release()
+        self.updates.append(update)
+
+    def finish(self, **span_attrs) -> RoundStats:
+        """The round's server step, on ``algorithm.global_params`` as the
+        base the clients trained from."""
+        algorithm = self.algorithm
+        if not self.updates:
+            return RoundStats(train_loss=float("nan"))
+        algorithm._charge_uploads(self.cohort, self.updates)
+        with algorithm.tracer.span("aggregate", **span_attrs):
+            algorithm.global_params = algorithm._aggregate(self.round_idx, self.cohort, self.fold)
+            algorithm._post_aggregate(self.round_idx, self.cohort)
+        return algorithm._round_stats(self.cohort, self.updates)

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.algorithms.base import FederatedAlgorithm, StateSlot
 from repro.exceptions import ConfigError
-from repro.fl.server import weighted_average
 
 
 class FedAvgM(FederatedAlgorithm):
@@ -44,16 +43,9 @@ class FedAvgM(FederatedAlgorithm):
         super().setup(model, fed, config)
         self._velocity = np.zeros(self.model_size)
 
-    def _aggregate(
-        self, round_idx: int, selected: np.ndarray, updates: list[np.ndarray]
-    ) -> np.ndarray:
-        assert (
-            self.fed is not None
-            and self.global_params is not None
-            and self._velocity is not None
-        )
-        weights = self.fed.client_sizes[selected].astype(np.float64)
-        averaged = weighted_average(updates, weights)
+    def _aggregate(self, round_idx: int, cohort: np.ndarray, fold) -> np.ndarray:
+        assert self.global_params is not None and self._velocity is not None
+        averaged = super()._aggregate(round_idx, cohort, fold)
         pseudo_grad = self.global_params - averaged
         self._velocity = self.server_momentum * self._velocity + pseudo_grad
         return self.global_params - self.server_lr * self._velocity

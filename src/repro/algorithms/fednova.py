@@ -24,6 +24,7 @@ import numpy as np
 from repro.algorithms.base import FederatedAlgorithm
 from repro.fl.config import FLConfig
 from repro.fl.parallel import ClientUpdate
+from repro.fl.server import RowSum
 
 
 class FedNova(FederatedAlgorithm):
@@ -55,15 +56,28 @@ class FedNova(FederatedAlgorithm):
             return self.config
         return self.config.with_updates(local_steps=tau)
 
-    def _aggregate_updates(
-        self, round_idx: int, selected: np.ndarray, updates: list[ClientUpdate]
-    ) -> np.ndarray:
-        assert self.fed is not None and self.global_params is not None
-        x = self.global_params
-        weights = self.fed.client_sizes[selected].astype(np.float64)
+    def _open_fold(self, round_idx: int, cohort: np.ndarray, base: np.ndarray) -> "_NovaFold":
+        assert self.fed is not None
+        weights = self.fed.client_sizes[cohort].astype(np.float64)
         weights /= weights.sum()
-        taus = [u.num_steps for u in updates]
-        directions = [(x - u.params) / tau for u, tau in zip(updates, taus)]
-        effective_tau = float(np.dot(weights, taus))
-        mean_direction = np.sum([w * d for w, d in zip(weights, directions)], axis=0)
-        return x - effective_tau * mean_direction
+        return _NovaFold(base, weights)
+
+    def _fold(self, fold: "_NovaFold", update: ClientUpdate) -> None:
+        tau = update.num_steps
+        direction = (fold.base - update.params) / tau
+        fold.directions.add(fold.weights[len(fold.taus)] * direction)
+        fold.taus.append(tau)
+
+    def _aggregate(self, round_idx: int, cohort: np.ndarray, fold: "_NovaFold") -> np.ndarray:
+        effective_tau = float(np.dot(fold.weights, fold.taus))
+        return fold.base - effective_tau * fold.directions.total
+
+
+class _NovaFold:
+    """A FedNova round so far: ``sum_k p_k d_k`` and each client's tau_k."""
+
+    def __init__(self, base: np.ndarray, weights: np.ndarray) -> None:
+        self.base = base
+        self.weights = weights
+        self.directions = RowSum()
+        self.taus: list[int] = []

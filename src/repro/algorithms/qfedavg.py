@@ -20,6 +20,7 @@ from repro.exceptions import ConfigError
 from repro.fl.client import evaluate_model
 from repro.fl.comm import CommLedger
 from repro.fl.parallel import ClientUpdate
+from repro.fl.server import RowSum
 
 _EPS = 1e-10
 
@@ -57,21 +58,31 @@ class QFedAvg(FederatedAlgorithm):
         # Each client additionally uploads its scalar h_k.
         self.ledger.charge(CommLedger.UP, "scalar", 1, copies=len(updates))
 
-    def _aggregate_updates(
-        self, round_idx: int, selected: np.ndarray, updates: list[ClientUpdate]
-    ) -> np.ndarray:
-        assert self.config is not None and self.global_params is not None
-        lipschitz = 1.0 / self.config.lr
-        numerators: list[np.ndarray] = []
-        denominators: list[float] = []
-        for u in updates:
-            start_loss = u.payload["start_loss"]
-            delta = lipschitz * (self.global_params - u.params)
-            f_pow_q = start_loss**self.q
-            numerators.append(f_pow_q * delta)
-            denominators.append(
-                self.q * start_loss ** (self.q - 1.0) * float(delta @ delta)
-                + lipschitz * f_pow_q
-            )
-        total_h = float(np.sum(denominators))
-        return self.global_params - np.sum(numerators, axis=0) / max(total_h, _EPS)
+    def _open_fold(self, round_idx: int, cohort: np.ndarray, base: np.ndarray) -> "_QFold":
+        assert self.config is not None
+        return _QFold(base, 1.0 / self.config.lr)
+
+    def _fold(self, fold: "_QFold", update: ClientUpdate) -> None:
+        start_loss = update.payload["start_loss"]
+        delta = fold.lipschitz * (fold.base - update.params)
+        f_pow_q = start_loss**self.q
+        fold.numerators.add(f_pow_q * delta)
+        fold.denominators.append(
+            self.q * start_loss ** (self.q - 1.0) * float(delta @ delta)
+            + fold.lipschitz * f_pow_q
+        )
+
+    def _aggregate(self, round_idx: int, cohort: np.ndarray, fold: "_QFold") -> np.ndarray:
+        total_h = float(np.sum(fold.denominators))
+        return fold.base - fold.numerators.total / max(total_h, _EPS)
+
+
+class _QFold:
+    """A q-FedAvg round so far: ``sum_k F_k^q Delta_k`` and each client's
+    scalar h_k (summed at the finish step, as one array, as before)."""
+
+    def __init__(self, base: np.ndarray, lipschitz: float) -> None:
+        self.base = base
+        self.lipschitz = lipschitz
+        self.numerators = RowSum()
+        self.denominators: list[float] = []

@@ -96,7 +96,21 @@ class RFedAvg(RegularizedAlgorithm):
             CommLedger.UP, "delta", self.model.feature_dim, copies=len(updates)
         )
 
-    def _commit_client(self, round_idx: int, update: ClientUpdate) -> None:
-        super()._commit_client(round_idx, update)
+    # The table is read whole by every client's regularizer, so the
+    # cohort's deltas are written at the finish step, not as each update
+    # commits: under the serial engine a streamed write would reach
+    # later clients of the same round.
+    def _open_fold(self, round_idx: int, cohort: np.ndarray, base: np.ndarray):
+        return super()._open_fold(round_idx, cohort, base), []
+
+    def _fold(self, fold, update: ClientUpdate) -> None:
+        mean, deltas = fold
+        super()._fold(mean, update)
+        deltas.append((update.client_id, update.payload["delta"]))
+
+    def _aggregate(self, round_idx: int, cohort: np.ndarray, fold) -> np.ndarray:
         assert self.delta_table is not None
-        self.delta_table.update(update.client_id, update.payload["delta"])
+        mean, deltas = fold
+        for client_id, delta in deltas:
+            self.delta_table.update(client_id, delta)
+        return super()._aggregate(round_idx, cohort, mean)

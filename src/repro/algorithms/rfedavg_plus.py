@@ -111,15 +111,15 @@ class RFedAvgPlus(RegularizedAlgorithm):
                 copies=len(selected),
             )
 
-    def _aggregate_updates(self, round_idx, selected, updates):
+    def _aggregate(self, round_idx, cohort, fold):
         if self._sync_pipeline is not None:
             # The compressed second sync sends the *aggregation step*
             # relative to the model clients already hold — the round's
             # phase-1 global, which is the current value right before
-            # aggregation replaces it (both execution engines call this
-            # at that moment).
+            # aggregation replaces it (every round step calls this at
+            # that moment).
             self._sync_reference = self.global_params
-        return super()._aggregate_updates(round_idx, selected, updates)
+        return super()._aggregate(round_idx, cohort, fold)
 
     def _synced_deltas(self, round_idx: int, client_ids, phase: int, params: np.ndarray):
         """Load ``params`` into the workspace model and yield ``(client,

@@ -22,6 +22,7 @@ from repro.core.delta import CohortRows, DeltaTable
 from repro.exceptions import ConfigError
 from repro.fl.comm import CommLedger
 from repro.fl.parallel import ClientUpdate
+from repro.fl.server import RowSum
 from repro.models.split import SplitModel
 from repro.nn.optim import ConstantLR
 from repro.nn.serialization import add_flat_to_grads, get_flat_params
@@ -115,18 +116,28 @@ class Scaffold(FederatedAlgorithm):
         assert self.client_controls is not None
         self.client_controls.update(update.client_id, update.payload["new_control"])
 
-    def _aggregate_updates(
-        self, round_idx: int, selected: np.ndarray, updates: list[ClientUpdate]
-    ) -> np.ndarray:
-        assert (
-            self.fed is not None
-            and self.global_params is not None
-            and self.server_control is not None
-        )
-        x = self.global_params
-        mean_dy = np.mean([u.params - x for u in updates], axis=0)
-        mean_dc = np.mean([u.payload["delta_c"] for u in updates], axis=0)
+    def _open_fold(self, round_idx: int, cohort: np.ndarray, base: np.ndarray) -> "_ScaffoldFold":
+        return _ScaffoldFold(base)
+
+    def _fold(self, fold: "_ScaffoldFold", update: ClientUpdate) -> None:
+        fold.model_deltas.add(update.params - fold.base)
+        fold.control_deltas.add(update.payload["delta_c"])
+
+    def _aggregate(self, round_idx: int, cohort: np.ndarray, fold: "_ScaffoldFold") -> np.ndarray:
+        assert self.fed is not None and self.server_control is not None
+        mean_dy = fold.model_deltas.total / fold.model_deltas.count
+        mean_dc = fold.control_deltas.total / fold.control_deltas.count
         self.server_control = self.server_control + (
-            len(selected) / self.fed.num_clients
+            len(cohort) / self.fed.num_clients
         ) * mean_dc
-        return x + self.eta_g * mean_dy
+        return fold.base + self.eta_g * mean_dy
+
+
+class _ScaffoldFold:
+    """A SCAFFOLD round so far: the sums of the model deltas ``y_k - x``
+    and of the control deltas, a mean each at the finish step."""
+
+    def __init__(self, base: np.ndarray) -> None:
+        self.base = base
+        self.model_deltas = RowSum()
+        self.control_deltas = RowSum()

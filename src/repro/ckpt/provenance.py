@@ -3,8 +3,9 @@
 Every checkpoint (and, when artifacts are persisted, every run artifact
 directory) is stamped with a small provenance dict — library version,
 a content hash of the *numerically relevant* configuration, the
-algorithm and its scalar hyperparameters (λ, μ, q, ...; they live on
-the algorithm, not in the config), the active dtype policy, and the
+algorithm and its hyperparameters (λ, μ, q, a privacy mechanism's σ,
+...; they live on the algorithm, not in the config), the active dtype
+policy, and the
 execution engine — so a resumed run can refuse a
 checkpoint written under a different experiment instead of silently
 producing subtly different numbers.
@@ -84,8 +85,10 @@ def check_resume_compatible(stored: dict, current: dict) -> None:
 
     Raises :class:`~repro.exceptions.CheckpointMismatchError` naming each
     differing field and what to do about it, an algorithm hyperparameter
-    as ``hyperparameters.<name>``; a stamp without hyperparameters
-    (written before they were stamped) is not checked on them.
+    as ``hyperparameters.<name>``.  A hyperparameter is checked where
+    both stamps carry it: a stamp without hyperparameters, or without a
+    key (written before it was stamped, as ``privacy.sigma``), is not
+    checked on it.
     Execution-engine fields
     (workers / executor) may differ freely — the parallel
     engine is bit-identical to serial — and a library version difference
@@ -100,8 +103,8 @@ def check_resume_compatible(stored: dict, current: dict) -> None:
             problems.append(f"  {key}: checkpoint={stored.get(key)!r} run={current.get(key)!r}")
     stored_hp, current_hp = stored.get("hyperparameters"), current.get("hyperparameters")
     if stored_hp is not None and current_hp is not None:
-        for key in sorted(stored_hp.keys() | current_hp.keys()):
-            if stored_hp.get(key) != current_hp.get(key):
+        for key in sorted(stored_hp.keys() & current_hp.keys()):
+            if stored_hp[key] != current_hp[key]:
                 problems.append(
                     f"  hyperparameters.{key}: checkpoint={stored_hp.get(key)!r} "
                     f"run={current_hp.get(key)!r}"

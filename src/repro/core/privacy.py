@@ -37,6 +37,12 @@ class GaussianDeltaMechanism:
         self.clip_norm = clip_norm
         self._rng = np.random.default_rng(seed)
 
+    def to_dict(self) -> dict:
+        """What changes the privatized deltas, for a run's provenance
+        stamp (the fallback ``seed`` does not: the runtime passes its own
+        per-``(round, client)`` streams)."""
+        return {"sigma": self.sigma, "clip_norm": self.clip_norm}
+
     def privatize(
         self,
         delta: np.ndarray,

@@ -371,10 +371,25 @@ class BufferedStep:
             arrivals.append(event)
         self._train(arrivals, fill=round_idx < config.rounds - 1)
 
-        # 3. Flush: staleness-discount, then commit and aggregate.
-        buffer: list[ClientUpdate] = []
+        # 3. Flush: staleness-discount, then commit and aggregate, one
+        # update at a time.
+        buffer_ids = np.array([event.client_id for event in arrivals], dtype=np.int64)
+        flushed = self._flush(round_idx, arrivals)
+        stats = algorithm.commit_round(round_idx, buffer_ids, flushed)
+        if tracer.enabled:
+            tracer.metrics.gauge("async.buffer_occupancy").set(len(arrivals))
+            tracer.metrics.gauge("async.inflight").set(len(queue))
+            tracer.metrics.gauge("async.sim_time").set(self.clock)
+        return stats, cohort
+
+    def _flush(self, round_idx: int, arrivals: list[_Event]):
+        """The buffer's updates, in arrival order, each re-based and
+        discounted if stale, recorded, and let go of by its event."""
+        algorithm, config = self.algorithm, self.config
+        tracer = algorithm.tracer
         for event in arrivals:
             update, dispatch_round = event.update, event.dispatch_round
+            event.update = None
             staleness = round_idx - dispatch_round
             weight = 1.0
             if staleness > 0:
@@ -384,7 +399,6 @@ class BufferedStep:
                 update.params = algorithm.global_params + weight * (
                     update.params - event.base
                 )
-            buffer.append(update)
             self.history.records.append(
                 AsyncUpdateRecord(
                     update_idx=self.update_counter,
@@ -402,13 +416,7 @@ class BufferedStep:
                 if staleness > 0:
                     tracer.metrics.counter("async.stale_updates").inc()
                 tracer.metrics.histogram("async.staleness").observe(float(staleness))
-        if tracer.enabled:
-            tracer.metrics.gauge("async.buffer_occupancy").set(len(buffer))
-            tracer.metrics.gauge("async.inflight").set(len(queue))
-            tracer.metrics.gauge("async.sim_time").set(self.clock)
-
-        buffer_ids = np.array([u.client_id for u in buffer], dtype=np.int64)
-        return algorithm.commit_round(round_idx, buffer_ids, buffer), cohort
+            yield update
 
     def _train(self, events: list[_Event], fill: bool = False) -> None:
         """Train every pending event in ``events`` in one executor call:
@@ -438,10 +446,8 @@ class BufferedStep:
                 algorithm.tracer.metrics.counter("async.trained_ahead").inc(len(ahead))
         out = algorithm.executor.run_regions(algorithm, max(by_round), _wave(groups))
         for group, updates in zip(groups, out):
-            with algorithm.as_of(group[0].state):
-                algorithm._receive_updates(updates)
             for event, update in zip(group, updates):
-                event.update, event.state = update, None
+                event.update, event.state = algorithm._receive(update, event.base), None
 
     def observe(self, record: RoundRecord, round_comm: dict) -> None:
         """An evaluated round stamps its accuracy on the last update it

@@ -4,8 +4,8 @@ A hierarchical run (``FLConfig(topology="hier:R:P")``) partitions the
 population into R contiguous **regions**.  :func:`repro.fl.trainer.run_federated`
 owns the loop (sampling, records, evaluation, callbacks, checkpoints);
 each of its rounds runs :meth:`RegionStep.run`: every region runs the
-standard algorithm round — broadcast, local client work,
-``commit_round`` — over its own client slice and its own model, and
+standard algorithm round — broadcast, local client work, a commit
+into its own fold — over its own client slice and its own model, and
 every P rounds a **cloud** step averages the region models (weighted by
 region data volume) and redistributes.  Only that region <-> cloud hop
 is charged as expensive ``cloud-model`` traffic; client <-> region
@@ -18,7 +18,7 @@ around it:
 
 * Client execution goes through the algorithm's
   :class:`~repro.fl.parallel.ClientExecutor` —
-  :meth:`~repro.fl.parallel.ClientExecutor.run_regions` lets the
+  :meth:`~repro.fl.parallel.ClientExecutor.stream` lets the
   worker engine run *all* regions' clients in one wave on its
   persistent workers, which is the headline multi-core speedup.
 * Virtual populations, spilling delta tables, streaming
@@ -157,6 +157,9 @@ class RegionStep:
         return self.regions.num_regions > 1 and (round_idx + 1) % self.edge_period == 0
 
     def run(self, round_idx: int, cohort: np.ndarray):
+        # Imported here: repro.algorithms imports repro.fl.
+        from repro.algorithms.base import RoundCommit
+
         algorithm = self.algorithm
         tracer = algorithm.tracer
         num_regions = self.regions.num_regions
@@ -167,27 +170,37 @@ class RegionStep:
         # round does; the local work and the commit run per region.
         cohort = algorithm.begin_round(round_idx, cohort)
         sub_cohorts = self.regions.split_cohort(cohort)
+        # Each region's updates are received and committed into its own
+        # fold as the one wave streams them; every region's finish step
+        # waits for the whole wave, which trained on the round's state.
+        commits = [
+            RoundCommit(algorithm, round_idx, sub, params)
+            for sub, params in zip(sub_cohorts, self.region_params)
+        ]
+        commit_seconds = [0.0] * num_regions
         with tracer.span("region_execute", regions=num_regions):
-            region_updates = algorithm.executor.run_regions(
+            for r, update in algorithm.executor.stream(
                 algorithm, round_idx, list(zip(sub_cohorts, self.region_params))
-            )
+            ):
+                started = time.perf_counter()
+                commits[r].add(algorithm._receive(update, commits[r].base))
+                commit_seconds[r] += time.perf_counter() - started
 
-        all_updates = []
-        for r, (sub, updates) in enumerate(zip(sub_cohorts, region_updates)):
-            if not len(sub):
+        for r, commit in enumerate(commits):
+            if not len(commit.cohort):
                 continue
             region_started = time.perf_counter()
             algorithm.global_params = self.region_params[r]
-            algorithm._receive_updates(updates)
-            algorithm.commit_round(round_idx, sub, updates, region=r)
+            commit.finish(region=r)
             self.region_params[r] = algorithm.global_params
-            all_updates.extend(updates)
             if tracer.enabled:
                 tracer.metrics.histogram("hierarchy.region_seconds").observe(
-                    sum(u.train_seconds for u in updates)
-                    + (time.perf_counter() - region_started)
+                    sum(u.train_seconds for u in commit.updates)
+                    + commit_seconds[r] + (time.perf_counter() - region_started)
                 )
-        stats = algorithm._round_stats(cohort, all_updates)
+        stats = algorithm._round_stats(
+            cohort, [update for commit in commits for update in commit.updates]
+        )
 
         if self._is_cloud_sync(round_idx):
             with tracer.span("cloud_sync", round=round_idx):

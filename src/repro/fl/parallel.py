@@ -19,10 +19,11 @@ change the numbers.  The engines here exploit that:
 **Determinism contract.**  ``Algorithm._client_update`` must not mutate
 shared algorithm state (worker-side mutations are discarded); every
 per-client side effect belongs in ``_commit_client``, which the round
-runs in *selection order* regardless of completion order.  Workers
-return :class:`ClientUpdate` records and the parent reduces them in
-selection order, so a parallel round is bit-identical to
-``num_workers=1``.
+runs in *selection order* regardless of completion order.  An engine
+streams :class:`ClientUpdate` records in selection order
+(:meth:`ClientExecutor.stream`), each as soon as it and every one
+before it have finished, and the parent folds them in that order, so a
+parallel round is bit-identical to ``num_workers=1``.
 
 **Worker-state contract.**  Because workers live across rounds,
 everything a worker-side ``_client_update`` reads from shared algorithm
@@ -40,7 +41,8 @@ cannot route around — no ``fork`` for this process
 (:func:`repro.obs.sysinfo.fork_refusal`), round state the wire format
 cannot express, every worker gone, no progress for its ``timeout`` — sends it to
 in-process serial execution for the rest of the run, with one
-:class:`RuntimeWarning`.  A single
+:class:`RuntimeWarning` (mid-wave, the clients not yet streamed finish
+in process).  A single
 dead worker is not such a failure: its unfinished clients are
 redispatched to the others.  The determinism contract makes either
 rerun safe.  A single *update* the wire format cannot express (an
@@ -91,6 +93,12 @@ class ClientUpdate:
             selection order.  Simulation bookkeeping — in a real
             deployment this state never leaves the client, so it is
             not charged to the ledger.
+
+    The round that commits an update folds it into its running aggregate
+    and then :meth:`release` s its heavy fields (``params``,
+    ``params_streams``, ``residual``, ``payload``): what outlives the
+    fold is the scalars and ``wire_size`` (the round's losses and
+    upload charge read them at its finish step).
     """
 
     client_id: int
@@ -105,23 +113,51 @@ class ClientUpdate:
     params_streams: dict | None = None
     residual: np.ndarray | None = None
 
+    def release(self) -> None:
+        """Drop the model-sized fields once the update is folded (a
+        stacked block's arena goes with its last row)."""
+        self.params = self.params_streams = self.residual = self.payload = None
+
 
 class ClientExecutor:
-    """Interface: run the selected clients' local work for one round."""
+    """Interface: run the selected clients' local work for one round.
+
+    The engine's API is :meth:`stream`: every update of a wave, in
+    selection order, each as soon as it and every update before it have
+    finished, so the round can commit it and let it go.  The list API
+    (:meth:`run_regions`, :meth:`run`) collects the stream.  An executor
+    may implement :meth:`run_regions` instead (a wrapper that times whole
+    calls): its stream is then derived from the lists, unstreamed.
+    """
 
     name = "base"
     num_workers = 1
 
-    def run(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
-        """Return one :class:`ClientUpdate` per client, in input order:
-        here a one-group :meth:`run_regions` call, so an engine
-        overrides one of the two."""
-        if not len(client_ids):
-            return []
-        [updates] = self.run_regions(
-            algorithm, round_idx, [(client_ids, algorithm.global_params)]
-        )
-        return updates
+    def stream(self, algorithm, round_idx: int, regions: list[tuple]):
+        """Yield ``(group, update)`` for every client of ``regions``,
+        groups in order and each group's clients in input order.
+
+        ``regions`` is a list of groups (:func:`wave_group`): a
+        ``(client_ids, region_params)`` pair is a hierarchical region,
+        trained at ``round_idx`` on the live state; a ``(client_ids,
+        params, round, state)`` group (the async engine's dispatch
+        rounds) trains at its own round on its recorded
+        ``_worker_state`` snapshot.  Per-client work depends only on
+        ``(seed, round, client)`` and the group's state, so scheduling
+        cannot change the numbers.
+
+        The consumer may commit an update's own-row state (its client's
+        residual, control, previous model) before the next one arrives
+        — no later client of the wave reads that row — but nothing a
+        later client reads: the live ``global_params`` and whole-table
+        state stay as they are until the stream is exhausted.  A group
+        that carries a state snapshot is trained inside
+        :meth:`FederatedAlgorithm.as_of`, so its updates are collected
+        (:meth:`run_regions`) before anything is committed.
+        """
+        for group, updates in enumerate(self.run_regions(algorithm, round_idx, regions)):
+            for update in updates:
+                yield group, update
 
     def run_regions(
         self,
@@ -129,33 +165,22 @@ class ClientExecutor:
         round_idx: int,
         regions: list[tuple],
     ) -> list[list[ClientUpdate]]:
-        """Run several groups of clients, each against its own model.
-
-        ``regions`` is a list of groups (:func:`wave_group`): a
-        ``(client_ids, region_params)`` pair is a hierarchical region,
-        trained at ``round_idx`` on the live state; a ``(client_ids,
-        params, round, state)`` group (the async engine's dispatch
-        rounds) trains at its own round on its recorded
-        ``_worker_state`` snapshot.  Returns one update list per group,
-        each in input order.  The base implementation runs groups
-        sequentially through :meth:`run`; the worker engine overrides
-        this to run *all* groups' clients in one wave.  Determinism
-        contract as :meth:`run`: per-client work depends only on
-        ``(seed, round, client)`` and the group's state, so scheduling
-        cannot change the numbers.
-        """
-        out: list[list[ClientUpdate]] = []
-        for region in regions:
-            client_ids, params, group_round, state = wave_group(round_idx, region)
-            if not client_ids:
-                out.append([])
-            elif state is None:
-                algorithm.global_params = params
-                out.append(self.run(algorithm, group_round, client_ids))
-            else:
-                with algorithm.as_of(state):
-                    out.append(self.run(algorithm, group_round, client_ids))
+        """:meth:`stream`, collected: one update list per group, each in
+        input order."""
+        out: list[list[ClientUpdate]] = [[] for _ in regions]
+        for group, update in self.stream(algorithm, round_idx, regions):
+            out[group].append(update)
         return out
+
+    def run(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
+        """One group's :meth:`run_regions` on the live model, in input
+        order."""
+        if not len(client_ids):
+            return []
+        [updates] = self.run_regions(
+            algorithm, round_idx, [(client_ids, algorithm.global_params)]
+        )
+        return updates
 
     def spare_slots(self, units: int) -> int:
         """Dispatch units a call of ``units`` would leave idle on this
@@ -211,22 +236,38 @@ class SerialExecutor(ClientExecutor):
 
     name = "serial"
 
-    def run(self, algorithm, round_idx: int, client_ids: list[int]) -> list[ClientUpdate]:
+    def stream(self, algorithm, round_idx: int, regions: list[tuple]):
+        for group, region in enumerate(regions):
+            client_ids, params, group_round, state = wave_group(round_idx, region)
+            if not client_ids:
+                continue
+            if state is None:
+                algorithm.global_params = params
+                for update in self._blocks(algorithm, group_round, client_ids):
+                    yield group, update
+            else:
+                with algorithm.as_of(state):
+                    for update in self._blocks(algorithm, group_round, client_ids):
+                        yield group, update
+
+    def _blocks(self, algorithm, round_idx: int, client_ids: list[int]):
+        """The clients' updates, in order, each block's as soon as it has
+        trained (no span is open across a yield)."""
         tracer = algorithm.tracer
-        updates: list[ClientUpdate] = []
         blocks = algorithm.cohort_blocks(client_ids)
         for block, refusal in blocks:
             if refusal is None and len(block) > 1:
-                updates += algorithm._block_update(round_idx, block)
+                updates = algorithm._block_update(round_idx, block)
                 if tracer.enabled:
-                    self._emit_block_spans(tracer, updates[-len(block) :])
+                    self._emit_block_spans(tracer, updates)
+                yield from updates
                 continue
             for client_id in block:
                 with tracer.span("local_train", client=client_id):
-                    updates.append(algorithm._client_update(round_idx, client_id))
+                    update = algorithm._client_update(round_idx, client_id)
+                yield update
         if tracer.enabled:
             self.count_blocks(tracer.metrics, blocks)
-        return updates
 
     @staticmethod
     def count_blocks(metrics, blocks: list[tuple[list[int], str | None]]) -> None:
@@ -315,16 +356,21 @@ class MeasuredExecutor(ClientExecutor):
         """True once the worker engine has fallen back to serial."""
         return self._workers is not None and self._workers.degraded
 
-    def run_regions(self, algorithm, round_idx: int, regions):
+    def stream(self, algorithm, round_idx: int, regions):
         if self.placement == "serial":
-            return self._serial.run_regions(algorithm, round_idx, regions)
+            yield from self._serial.stream(algorithm, round_idx, regions)
+            return
         regions = [wave_group(round_idx, region) for region in regions]
         units = dispatch_units(algorithm, regions)
         if self.placement == "process":
-            return self._on_workers(algorithm, round_idx, regions, len(units))
+            yield from self._on_workers(algorithm, round_idx, regions, len(units))
+            return
         if len(units) < 2:
-            return self._serial.run_regions(algorithm, round_idx, regions)
-        # The probe: the first unit in process, timed.
+            yield from self._serial.stream(algorithm, round_idx, regions)
+            return
+        # The probe: the first unit in process, timed, and yielded first
+        # (its clients come first in selection order) once the rest of
+        # the call is placed.
         region, _refusal, slots = units[0]
         probe = [cid for _position, cid in slots]
         ids, params, group_round, state = regions[region]
@@ -344,25 +390,31 @@ class MeasuredExecutor(ClientExecutor):
             out = self._on_workers(algorithm, round_idx, rest, len(units) - 1)
         else:
             self._place(algorithm, "serial", "probe")
-            out = self._serial.run_regions(algorithm, round_idx, rest)
-        out[region] = probed + out[region]
-        return out
+            out = self._serial.stream(algorithm, round_idx, rest)
+        for update in probed:
+            yield region, update
+        yield from out
 
     def _on_workers(self, algorithm, round_idx: int, regions, units: int):
         """A call of ``units`` dispatch units on the worker engine, and
         its speedup check.  The first such call forks the workers, a cost
-        paid once a run, so the check starts with the second."""
+        paid once a run, so the check starts with the second.  The time
+        the consumer holds the stream is not the engine's."""
         if units < 2:
-            return self._serial.run_regions(algorithm, round_idx, regions)
+            yield from self._serial.stream(algorithm, round_idx, regions)
+            return
+        updates, elapsed = [], 0.0
         started = time.perf_counter()
-        out = self._workers.run_regions(algorithm, round_idx, regions)
-        elapsed = time.perf_counter() - started
-        updates = [update for region in out for update in region]
+        for group, update in self._workers.stream(algorithm, round_idx, regions):
+            elapsed += time.perf_counter() - started
+            updates.append(update)
+            yield group, update
+            started = time.perf_counter()
+        elapsed += time.perf_counter() - started
         if self._forked and speedup(updates, elapsed) < 1.0:
             self._place(algorithm, "serial", "no_gain")
             self._workers.close()
         self._forked = True
-        return out
 
     def spare_slots(self, units: int) -> int:
         """The worker engine's idle slots once the run is on it; none

@@ -79,10 +79,14 @@ class BarrierStep:
         self.algorithm = algorithm
 
     def run(self, round_idx: int, cohort: np.ndarray):
+        """Each update is received and committed as the executor streams
+        it, so the round holds a block of updates, not the cohort."""
         algorithm = self.algorithm
         cohort = algorithm.begin_round(round_idx, cohort)
-        updates = algorithm._execute_clients(round_idx, cohort)
-        return algorithm.commit_round(round_idx, cohort, updates), cohort
+        base = algorithm.global_params
+        stream = algorithm.executor.stream(algorithm, round_idx, [(cohort, base)])
+        received = (algorithm._receive(update, base) for _group, update in stream)
+        return algorithm.commit_round(round_idx, cohort, received), cohort
 
     def observe(self, record: RoundRecord, round_comm: dict) -> None:
         """The record needs nothing from a barrier round."""

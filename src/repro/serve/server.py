@@ -27,11 +27,14 @@ One round, from the server's seat:
    flush bounded per-connection write queues, reassemble frames from
    partial reads — that turns socket events into the schedule's
    ``hello`` / ``update`` / ``dead`` and each of its sends into a state
-   frame and ``task`` frames queued on one connection.  A dead
-   connection's worker is joined, so the next wave forks its
+   frame and ``task`` frames queued on one connection.  Updates are
+   yielded from the loop as the contiguous prefix of positions that
+   have arrived grows, so the round commits them while workers train.
+   A dead connection's worker is joined, so the next wave forks its
    replacement.  When every worker is gone, or nothing makes progress
    for ``timeout`` seconds, the engine degrades to in-process
-   serial execution with one :class:`RuntimeWarning`.
+   serial execution with one :class:`RuntimeWarning`; the clients the
+   wave has not yet yielded finish in process.
 4. After the round, socket-level model-payload bytes are reconciled
    against what the :class:`~repro.fl.comm.CommLedger` charges (see
    :meth:`ServeExecutor._reconcile`), so the ledger's byte counts hold
@@ -393,18 +396,19 @@ class ServeExecutor(ClientExecutor):
             self._procs.remove(conn.proc)
 
     # -- the round -------------------------------------------------------------------
-    def _serve_round(self, algorithm, groups: list[tuple]):
+    def _serve_round(self, algorithm, groups: list[tuple], stats: _RoundStats):
         """One wave over every group's clients: ``groups`` holds
         ``(client_ids, model, round, state)`` (:func:`wave_group`).
-        Returns the updates in input order (groups concatenated) and the
-        wave's socket stats."""
+        Yields ``(position, update)`` in input order (groups
+        concatenated): the contiguous prefix of positions whose updates
+        have arrived, released from the selector loop as it grows, while
+        ``stats`` gathers the wave's socket accounting."""
         self._ensure_serving(algorithm)
         assert self._selector is not None
-        stats = _RoundStats()
         # One state frame a state the groups carry (a group shares it
         # with every group that carries the same), and one for the live
         # state of the rest, over the union of their ids.  WireError here
-        # (inexpressible round state) propagates to run_regions(), which
+        # (inexpressible round state) propagates to stream(), which
         # degrades — there is no pickled state transport over sockets.
         live_ids = [cid for group_ids, *_g, state in groups if state is None for cid in group_ids]
         seq_of: dict[int | None, int] = {}  # id(state), None for the live state -> seq
@@ -427,11 +431,20 @@ class ServeExecutor(ClientExecutor):
         schedule = self._schedule
         schedule.begin_wave(dispatch_units(algorithm, groups), seqs)
         stats.blocks = schedule.blocks
-        results: list = [None] * schedule.remaining
+        results: dict[int, object] = {}  # arrived, not yet released
+        released = 0
         dispatch_time: dict[int, float] = {}
         deadline = time.monotonic() + self.timeout
 
-        while schedule.remaining:
+        while schedule.remaining or results:
+            if released in results:
+                # The consumer commits each update before the loop goes
+                # on; workers keep training meanwhile.
+                while released in results:
+                    yield released, results.pop(released)
+                    released += 1
+                deadline = time.monotonic() + self.timeout
+                continue
             while True:
                 room = [  # an empty queue, or one under its bound, takes a block
                     c for c in self._conns.values() if not c.outq or c.out_bytes < self.queue_bytes
@@ -497,40 +510,50 @@ class ServeExecutor(ClientExecutor):
                         raise ServeError(f"unexpected {msg_kind!r} message from a worker")
                 if closed:
                     self._drop_conn(conn, stats)
-        return results, stats
 
     # -- execution -------------------------------------------------------------------
-    def run_regions(self, algorithm, round_idx: int, regions):
+    def stream(self, algorithm, round_idx: int, regions):
         """Every group's clients in one wave (see the module docstring),
-        one update list per group, each in input order."""
-        if self._fallback is None:
-            groups = [wave_group(round_idx, region) for region in regions]
-            if not any(group[0] for group in groups):
-                return [[] for _ in regions]
-            refusal = sysinfo.fork_refusal()
-            if refusal is not None:
-                self._degrade(refusal)
-            else:
-                started = time.perf_counter()
-                try:
-                    updates, stats = self._serve_round(algorithm, groups)
-                except Exception as exc:  # worker loss, stall, socket or wire failure
-                    self._degrade(f"socket serving failed: {exc!r}")
-                else:
-                    self._record_metrics(
-                        algorithm.tracer, updates, stats, time.perf_counter() - started
-                    )
-                    # Reconciliation runs OUTSIDE the degrade path: a
-                    # byte-accounting mismatch is a correctness signal that
-                    # must surface, not a transient fault to paper over
-                    # with a serial rerun.
-                    self._reconcile(algorithm, updates, stats, len(updates))
-                    out, start = [], 0
-                    for group_ids, *_group in groups:
-                        out.append(updates[start : start + len(group_ids)])
-                        start += len(group_ids)
-                    return out
-        return self._fallback.run_regions(algorithm, round_idx, regions)
+        yielded as ``(group, update)`` in input order.  A failure the
+        engine cannot route around degrades it mid-wave: the clients not
+        yet yielded finish in process, and none is yielded twice."""
+        if self._fallback is not None:
+            yield from self._fallback.stream(algorithm, round_idx, regions)
+            return
+        groups = [wave_group(round_idx, region) for region in regions]
+        group_of = [group for group, (ids, *_g) in enumerate(groups) for _cid in ids]
+        if not group_of:
+            return
+        refusal = sysinfo.fork_refusal()
+        if refusal is not None:
+            self._degrade(refusal)
+            yield from self._fallback.stream(algorithm, round_idx, regions)
+            return
+        stats = _RoundStats()
+        updates = []  # the wave's records, as the consumer leaves them
+        elapsed = 0.0  # the engine's, not the time the consumer holds the stream
+        wave = self._serve_round(algorithm, groups, stats)
+        while True:
+            started = time.perf_counter()
+            try:
+                position, update = next(wave)
+            except StopIteration:
+                break
+            except Exception as exc:  # worker loss, stall, socket or wire failure
+                self._degrade(f"socket serving failed: {exc!r}")
+                yield from self._fallback.stream(
+                    algorithm, round_idx, _unreleased(groups, len(updates))
+                )
+                return
+            elapsed += time.perf_counter() - started
+            updates.append(update)
+            yield group_of[position], update
+        elapsed += time.perf_counter() - started
+        self._record_metrics(algorithm.tracer, updates, stats, elapsed)
+        # Reconciliation runs OUTSIDE the degrade path: a byte-accounting
+        # mismatch is a correctness signal that must surface, not a
+        # transient fault to paper over with a serial rerun.
+        self._reconcile(algorithm, updates, stats, len(updates))
 
     def spare_slots(self, units: int) -> int:
         """Worker slots a wave of ``units`` leaves idle in its last turn
@@ -636,6 +659,18 @@ class ServeExecutor(ClientExecutor):
                 f"dtype_bytes={dtype_bytes})"
             )
         metrics.counter("serve.reconcile_mismatches").inc()
+
+
+def _unreleased(groups: list[tuple], released: int) -> list[tuple]:
+    """``groups`` without the first ``released`` positions (groups
+    concatenated): what a wave degraded mid-way still owes, group by
+    group, each group's state kept."""
+    rest = []
+    for client_ids, *group in groups:
+        taken = min(released, len(client_ids))
+        released -= taken
+        rest.append((client_ids[taken:], *group))
+    return rest
 
 
 def _worker_name(worker_id: int) -> str:

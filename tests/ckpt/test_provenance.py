@@ -149,3 +149,74 @@ def test_version_difference_is_reported_but_only_on_real_mismatch():
     # Real mismatch: the version note rides along.
     with pytest.raises(CheckpointMismatchError, match="0.0.1"):
         check_resume_compatible(stored, run_provenance(_config(seed=1), "fedavg"))
+
+
+def test_a_privacy_mechanism_is_stamped_by_its_fields():
+    from repro.core.privacy import GaussianDeltaMechanism
+
+    def stamp(privacy):
+        algorithm = make_algorithm("rfedavg+", lam=0.01, privacy=privacy)
+        return run_provenance(_config(), "rfedavg+", algorithm.hyperparameters())
+
+    stored = stamp(GaussianDeltaMechanism(0.1))
+    assert stored["hyperparameters"] == {
+        "lam": 0.01, "privacy": "GaussianDeltaMechanism",
+        "privacy.sigma": 0.1, "privacy.clip_norm": 1.0,
+    }
+    assert stored["config_hash"] == config_hash(_config())
+    check_resume_compatible(stored, stamp(GaussianDeltaMechanism(0.1)))
+    with pytest.raises(CheckpointMismatchError) as excinfo:
+        check_resume_compatible(stored, stamp(GaussianDeltaMechanism(10.0)))
+    assert "hyperparameters.privacy.sigma: checkpoint=0.1 run=10.0" in str(excinfo.value)
+    with pytest.raises(CheckpointMismatchError, match="privacy.clip_norm"):
+        check_resume_compatible(stored, stamp(GaussianDeltaMechanism(0.1, clip_norm=2.0)))
+    # Switching the mechanism off (or on) is a mismatch too.
+    with pytest.raises(CheckpointMismatchError) as excinfo:
+        check_resume_compatible(stored, stamp(None))
+    assert "hyperparameters.privacy: checkpoint='GaussianDeltaMechanism' run=None" in str(
+        excinfo.value
+    )
+
+
+def test_a_stamp_without_a_key_still_resumes():
+    """A stamp written before a key was stamped (λ only, as stamps were
+    before a privacy mechanism's fields were) is checked on what both
+    stamps carry."""
+    from repro.core.privacy import GaussianDeltaMechanism
+
+    algorithm = make_algorithm("rfedavg+", lam=0.01, privacy=GaussianDeltaMechanism(10.0))
+    current = run_provenance(_config(), "rfedavg+", algorithm.hyperparameters())
+    check_resume_compatible(run_provenance(_config(), "rfedavg+", {"lam": 0.01}), current)
+    with pytest.raises(CheckpointMismatchError, match="hyperparameters.lam"):
+        check_resume_compatible(run_provenance(_config(), "rfedavg+", {"lam": 0.1}), current)
+
+
+def test_resume_under_another_privacy_sigma_is_refused(tmp_path):
+    """σ changes every privatized delta: a crashed rfedavg+ run resumed
+    under another Gaussian mechanism must be refused by name instead of
+    finishing as a two-σ hybrid."""
+    from repro.core.privacy import GaussianDeltaMechanism
+    from repro.experiments.presets import build_image_federation
+    from repro.fl.trainer import run_federated
+    from tests.helpers import tiny_model_fn
+
+    fed = build_image_federation(
+        "synth_mnist", num_clients=4, num_train=160, num_test=40, image_size=9
+    )
+    ckpt = tmp_path / "ck"
+    config = _config(rounds=3, checkpoint_dir=str(ckpt), resume=True)
+
+    def run(sigma):
+        algorithm = make_algorithm(
+            "rfedavg+", lam=0.01, privacy=GaussianDeltaMechanism(sigma)
+        )
+        return run_federated(algorithm, fed, tiny_model_fn(fed), config)
+
+    run(0.1)
+    (ckpt / "ckpt-00000002.rck").unlink()
+    with pytest.raises(CheckpointMismatchError) as excinfo:
+        run(10.0)
+    message = str(excinfo.value)
+    assert "hyperparameters.privacy.sigma: checkpoint=0.1 run=10.0" in message
+    assert "config_hash" not in message
+    run(0.1)  # the original mechanism still resumes

@@ -314,7 +314,9 @@ def test_grid_resume_refuses_a_finished_cell_under_another_lambda(tmp_path, monk
     preset = with_overrides(TINY, {"checkpoint_dir": str(tmp_path), "resume": True})
     run_grid(preset, {"cell": {"lam": 1e-3}})
     marker = tmp_path / "cell" / "rfedavg+-rep0" / "result.json"
-    assert json.loads(marker.read_text())["provenance"]["hyperparameters"] == {"lam": 1e-3}
+    assert json.loads(marker.read_text())["provenance"]["hyperparameters"] == {
+        "lam": 1e-3, "privacy": None,
+    }
 
     calls = _count_trainer_calls(monkeypatch)
     with pytest.raises(CheckpointMismatchError, match="hyperparameters.lam"):

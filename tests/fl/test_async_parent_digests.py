@@ -22,7 +22,7 @@ from repro.algorithms import make_algorithm
 from repro.ckpt.format import pack_tree, read_checkpoint, unpack_tree
 from repro.fl import parallel
 from repro.fl.config import FLConfig
-from repro.fl.parallel import SerialExecutor
+from repro.fl.parallel import SerialExecutor, wave_group
 from repro.fl.trainer import run_federated
 from repro.obs import sysinfo
 from repro.obs.trace import Tracer
@@ -152,9 +152,11 @@ class _CountingExecutor(SerialExecutor):
     def __init__(self) -> None:
         self.trained: list[tuple[int, int]] = []
 
-    def run(self, algorithm, round_idx, client_ids):
-        self.trained += [(round_idx, int(c)) for c in client_ids]
-        return super().run(algorithm, round_idx, client_ids)
+    def stream(self, algorithm, round_idx, regions):
+        for region in regions:
+            client_ids, _params, group_round, _state = wave_group(round_idx, region)
+            self.trained += [(group_round, c) for c in client_ids]
+        yield from super().stream(algorithm, round_idx, regions)
 
 
 def _sent140_bench_shape():

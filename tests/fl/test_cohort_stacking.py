@@ -8,7 +8,8 @@ synchronization embeds a block of shards at once
 that nobody can tell: same updates, same order, same bytes.  The
 reference here never stacks anything — an executor that loops
 ``_client_update`` and a ``cohort_blocks`` that hands out blocks of one —
-and every comparison is exact.
+nor streams (its wave trains before the round commits), and every
+comparison is exact.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.data import make_virtual_federation
 from repro.experiments import presets
 from repro.fl.config import FLConfig
 from repro.fl.faults import FaultModel
-from repro.fl.parallel import ClientExecutor, SerialExecutor
+from repro.fl.parallel import SerialExecutor
 from repro.fl.trainer import run_federated
 from repro.models import build_model
 from repro.obs import Tracer
@@ -40,13 +41,16 @@ BATCH = 8
 ROUNDS = 2
 
 
-class OneByOne(ClientExecutor):
-    """The per-client reference engine: blocks of one, always."""
+class OneByOne(SerialExecutor):
+    """The per-client reference engine: blocks of one, always, and the
+    whole wave trained before the round commits any of it."""
 
-    name = "serial"
+    def stream(self, algorithm, round_idx, regions):
+        yield from list(super().stream(algorithm, round_idx, regions))
 
-    def run(self, algorithm, round_idx, client_ids):
-        return [algorithm._client_update(round_idx, int(c)) for c in client_ids]
+    def _blocks(self, algorithm, round_idx, client_ids):
+        for c in client_ids:
+            yield algorithm._client_update(round_idx, int(c))
 
 
 def _never_stack(algorithm):
@@ -326,14 +330,17 @@ def test_block_time_is_shared_out_and_spans_stay_per_client(small_blocks):
     seen = []
 
     class Recording(SerialExecutor):
-        def run(self, algorithm, round_idx, client_ids):
-            updates = super().run(algorithm, round_idx, client_ids)
-            seen.append(updates)
-            return updates
+        def stream(self, algorithm, round_idx, regions):
+            seen.append([])
+            for group, update in super().stream(algorithm, round_idx, regions):
+                seen[-1].append((update, update.params))  # the round releases params
+                yield group, update
 
     algorithm = make_algorithm("rfedavg+", lam=1e-2).with_executor(Recording())
     run_federated(algorithm, fed, _model_fn(fed, "mlp"), _config(rounds=2), tracer=tracer)
-    for round_idx, updates in enumerate(seen):
+    assert len(seen) == 2
+    for round_idx, received in enumerate(seen):
+        updates = [update for update, _params in received]
         assert [u.client_id for u in updates] == list(range(fed.num_clients))
         blocks = [updates[i : i + BLOCK] for i in range(0, len(updates), BLOCK)]
         for block in blocks:
@@ -348,8 +355,9 @@ def test_block_time_is_shared_out_and_spans_stay_per_client(small_blocks):
         assert [s.attrs["block"] for s in spans] == [len(b) for b in blocks for _ in b]
         assert [s.duration for s in spans] == [u.train_seconds for u in updates]
         # Rows of a block's arena, not copies of them.
-        assert all(u.params.base is not None for u in updates)
-        assert len({id(u.params.base) for u in blocks[0]}) == 1
+        params = [params for _update, params in received]
+        assert all(p.base is not None for p in params)
+        assert len({id(p.base) for p in params[:BLOCK]}) == 1
 
 
 def test_the_workspace_model_keeps_its_own_tensors_and_holds_nothing(small_blocks):
@@ -437,3 +445,54 @@ def test_a_stacked_round_allocates_no_more_than_a_few_blocks_over_per_client(tmp
             tracemalloc.stop()
     block_bytes = base.COHORT_BLOCK * algorithm.global_params.nbytes
     assert peaks[True] - peaks[False] <= 4 * block_bytes
+
+
+def _round_peaks(monkeypatch, clients: int) -> tuple[list[int], int]:
+    """tracemalloc peak above entry of every round of the bench's MLP on
+    an eager ``clients``-client cohort (everyone, every round), and the
+    bytes of one parameter vector."""
+    from repro.fl import trainer
+
+    peaks = []
+    real = trainer.BarrierStep.run
+
+    def traced_round(self, round_idx, cohort):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real(self, round_idx, cohort)
+        peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        return out
+
+    monkeypatch.setattr(trainer.BarrierStep, "run", traced_round)
+    fed = presets.build_virtual_federation(
+        seed=7, population=clients, samples_per_client=20
+    ).materialize()
+    config = FLConfig(
+        rounds=2, local_steps=2, batch_size=16, sample_ratio=1.0, eval_every=5, lr=0.1,
+        seed=7,
+    )
+    algorithm = make_algorithm("rfedavg+", lam=1e-3)
+    tracemalloc.start()
+    try:
+        run_federated(
+            algorithm, fed, presets.default_model_fn("mlp", fed.spec, seed=7, scale=1.0),
+            config,
+        )
+    finally:
+        tracemalloc.stop()
+    return peaks, algorithm.global_params.nbytes
+
+
+def test_a_round_holds_a_block_of_updates_not_the_cohort(monkeypatch):
+    """Each update is folded and let go as it is committed, so what a
+    serial sync round of the bench's MLP holds above its entry is one
+    stacked block's working set (its arena, gradients and a step's
+    temporaries), under the cohort's update rows, and flat in the cohort
+    size.  A round that keeps every update until one reduction at the
+    end held 1.60x the rows of a 100-client cohort above its entry
+    (14.98 MB, against 7.67 MB for the fold)."""
+    assert base.COHORT_BLOCK == 16  # the constant as shipped
+    peaks, row_bytes = _round_peaks(monkeypatch, 100)
+    assert max(peaks) < 100 * row_bytes
+    more, _ = _round_peaks(monkeypatch, 200)
+    assert max(more) - max(peaks) < 25 * row_bytes

@@ -110,14 +110,15 @@ def _recording_pids(algorithm) -> list[list[int]]:
 
     def setup_and_wrap(*args):
         setup(*args)
-        run_regions = algorithm.executor.run_regions
+        stream = algorithm.executor.stream
 
         def recording(*call_args):
-            out = run_regions(*call_args)
-            calls.append([update.worker for updates in out for update in updates])
-            return out
+            calls.append([])
+            for group, update in stream(*call_args):
+                calls[-1].append(update.worker)
+                yield group, update
 
-        algorithm.executor.run_regions = recording
+        algorithm.executor.stream = recording
 
     algorithm.setup = setup_and_wrap
     return calls

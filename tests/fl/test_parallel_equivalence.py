@@ -63,9 +63,11 @@ def test_chunked_pool_stacks_its_chunk_and_equals_serial(name, kwargs):
     from repro.serve.server import ServeExecutor
 
     class Recording(ServeExecutor):
-        def run(self, algorithm, round_idx, client_ids):
-            rounds.append(super().run(algorithm, round_idx, client_ids))
-            return rounds[-1]
+        def stream(self, algorithm, round_idx, regions):
+            rounds.append([])
+            for group, update in super().stream(algorithm, round_idx, regions):
+                rounds[-1].append(update)
+                yield group, update
 
     def run(executor=None):
         algorithm = make_algorithm(name, **kwargs)

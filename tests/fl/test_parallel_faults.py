@@ -211,3 +211,46 @@ def test_sparse_compression_rides_the_wire_bit_identically(fed):
     parallel = run_with_workers("fedavg", {}, fed, config, num_workers=4)
     assert not parallel[0].executor.degraded
     assert_equivalent_runs(serial, parallel)
+
+
+class _CommitRecordingFedAvg(_PoisonedFedAvg):
+    """The poisoned client, with every commit the parent makes recorded
+    as ``(round, client)``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.commits: list[tuple[int, int]] = []
+
+    def _commit_client(self, round_idx, update):
+        self.commits.append((round_idx, update.client_id))
+        super()._commit_client(round_idx, update)
+
+
+def test_worker_loss_mid_wave_finishes_the_rest_in_process(fed):
+    """One client in flight at a time, so clients 0 and 1 are committed
+    and folded before client 2 kills every worker it is handed to: the
+    wave degrades mid-way, clients 2 and 3 train in process, and no
+    update is committed (or folded) twice."""
+    from repro.fl.trainer import run_federated
+    from repro.serve.server import ServeExecutor
+
+    config = _config(seed=28)
+    reference = FedAvg()
+    reference_hist = run_federated(reference, fed, tiny_model_fn(fed), config)
+
+    crashing = _CommitRecordingFedAvg()
+    committed_at_degrade = []
+
+    class Recording(ServeExecutor):
+        def _degrade(self, reason):
+            committed_at_degrade.append(len(crashing.commits))
+            return super()._degrade(reason)
+
+    crashing.with_executor(Recording(2, name="process", max_inflight=1))
+    with pytest.warns(RuntimeWarning, match="socket client serving disabled"):
+        crashing_hist = run_federated(crashing, fed, tiny_model_fn(fed), config)
+    assert crashing.executor.degraded
+    assert committed_at_degrade == [2]
+    clients = list(range(fed.num_clients))
+    assert crashing.commits == [(r, c) for r in range(config.rounds) for c in clients]
+    assert_equivalent_runs((reference, reference_hist), (crashing, crashing_hist))

@@ -79,15 +79,17 @@ def _serve(name, fed, config, **kwargs):
 
 @pytest.fixture
 def served_rounds(monkeypatch):
-    """The update list of every served round, as ``ServeExecutor.run``
-    returned it."""
-    rounds, real_run = [], ServeExecutor.run
+    """The update list of every served round, as ``ServeExecutor.stream``
+    yielded it."""
+    rounds, real_stream = [], ServeExecutor.stream
 
-    def recording(self, algorithm, round_idx, client_ids):
-        rounds.append(real_run(self, algorithm, round_idx, client_ids))
-        return rounds[-1]
+    def recording(self, algorithm, round_idx, regions):
+        rounds.append([])
+        for group, update in real_stream(self, algorithm, round_idx, regions):
+            rounds[-1].append(update)
+            yield group, update
 
-    monkeypatch.setattr(ServeExecutor, "run", recording)
+    monkeypatch.setattr(ServeExecutor, "stream", recording)
     return rounds
 
 
