@@ -7,8 +7,6 @@ exact-regularizer reference variant used in the ablation.
 
 from repro.algorithms.base import FederatedAlgorithm, RoundStats
 from repro.algorithms.fedavg import FedAvg
-from repro.algorithms.fedavgm import FedAvgM
-from repro.algorithms.fednova import FedNova
 from repro.algorithms.fedprox import FedProx
 from repro.algorithms.moon import Moon
 from repro.algorithms.scaffold import Scaffold
@@ -20,8 +18,6 @@ from repro.algorithms.personalized import PersonalizationResult, personalize
 
 ALGORITHMS = {
     "fedavg": FedAvg,
-    "fedavgm": FedAvgM,
-    "fednova": FedNova,
     "fedprox": FedProx,
     "moon": Moon,
     "scaffold": Scaffold,
@@ -44,8 +40,6 @@ __all__ = [
     "FederatedAlgorithm",
     "RoundStats",
     "FedAvg",
-    "FedAvgM",
-    "FedNova",
     "FedProx",
     "Moon",
     "Scaffold",

@@ -27,7 +27,6 @@ Extension points, in round order:
 
 * :meth:`_pre_round` — extra synchronization before the broadcast.
 * :meth:`_charge_broadcast` — downlink accounting.
-* :meth:`_local_config` — per-client training config (FedNova's tau).
 * :meth:`_reg_hook` / :meth:`_grad_hook` — local-objective shaping.
 * :meth:`_client_update` / :meth:`_client_payload` — the worker-side
   unit of work and its algorithm-specific extras.
@@ -64,7 +63,7 @@ import numpy as np
 
 from repro.core.delta import CohortRows, DeltaTable
 from repro.data.dataset import FederatedDataset
-from repro.exceptions import ProtocolError
+from repro.exceptions import ConfigError, ProtocolError
 from repro.fl.client import LocalResult, local_sgd_steps
 from repro.fl.comm import CommLedger
 from repro.fl.compression import WireSize, compressor_from_spec
@@ -108,8 +107,8 @@ COHORT_BLOCK = 16
 # What :meth:`FederatedAlgorithm._block_update` calls with a block, or
 # stands in for.
 _BLOCK_HOOKS = (
-    "_client_update", "_train_one_client", "_local_config",
-    "_reg_hook", "_grad_hook", "_client_payload",
+    "_client_update", "_train_one_client", "_reg_hook", "_grad_hook",
+    "_client_payload",
 )
 
 
@@ -201,8 +200,9 @@ class FederatedAlgorithm:
         checkpoint besides the config.  A scalar or ``None`` is stamped
         as it is; an object that describes itself (``to_dict()``, a
         privacy mechanism) as its class name plus one dotted entry a
-        field (``privacy.sigma``); other objects and callables (FedNova's
-        ``local_steps_fn``) are not stamped."""
+        field (``privacy.sigma``).  Any other argument (a callable, an
+        object without ``to_dict``) raises :class:`ConfigError`: a
+        resume could not tell two of its values apart."""
         stamp = {}
         _self, *names = inspect.signature(type(self).__init__).parameters
         for name in names:
@@ -212,6 +212,11 @@ class FederatedAlgorithm:
             elif callable(getattr(value, "to_dict", None)):
                 stamp[name] = type(value).__name__
                 stamp.update((f"{name}.{key}", item) for key, item in value.to_dict().items())
+            else:
+                raise ConfigError(
+                    f"{type(self).__name__}: argument {name!r} ({type(value).__name__}) "
+                    "cannot be stamped; pass a scalar or an object with to_dict()"
+                )
         return stamp
 
     def with_faults(self, fault_model) -> "FederatedAlgorithm":
@@ -383,12 +388,6 @@ class FederatedAlgorithm:
         set_flat_params(self.model, self.global_params)
 
     @block_aware
-    def _local_config(self, round_idx: int, client_id: int) -> FLConfig:
-        """Training config for one client round (FedNova overrides)."""
-        assert self.config is not None
-        return self.config
-
-    @block_aware
     def _train_one_client(
         self,
         round_idx: int,
@@ -402,7 +401,7 @@ class FederatedAlgorithm:
         result = local_sgd_steps(
             self.model,
             self.fed.clients[client_id],
-            self._local_config(round_idx, client_id),
+            self.config,
             self.client_rng(round_idx, client_id),
             step_offset=round_idx * self.config.local_steps,
             reg_hook=reg_hook,
@@ -531,7 +530,7 @@ class FederatedAlgorithm:
             results = local_sgd_steps(
                 self.model,
                 shards,
-                self._local_config(round_idx, ids),
+                self.config,
                 [self.client_rng(round_idx, c) for c in client_ids],
                 step_offset=round_idx * self.config.local_steps,
                 reg_hook=self._reg_hook(round_idx, ids),
@@ -584,7 +583,8 @@ class FederatedAlgorithm:
 
     def _aggregate(self, round_idx: int, cohort: np.ndarray, fold) -> np.ndarray:
         """The finish step's server update: new global parameters from
-        the round's fold (FedAvgM's momentum, SCAFFOLD's control step)."""
+        the round's fold (SCAFFOLD's control step, q-FedAvg's h-weighted
+        step)."""
         return fold.result()
 
     def _post_aggregate(self, round_idx: int, selected: np.ndarray) -> None:

@@ -45,9 +45,7 @@ class QFedAvg(FederatedAlgorithm):
         # Loss of the *global* model on the client's data (F_k(w^t)),
         # measured before local training starts.
         self._load_global()
-        start_loss, _acc = evaluate_model(
-            self.model, self.fed.clients[client_id], self.config.eval_batch
-        )
+        start_loss, _acc = evaluate_model(self.model, self.fed.clients[client_id])
         update = super()._client_update(round_idx, client_id)
         update.payload = {"start_loss": max(start_loss, _EPS)}
         return update

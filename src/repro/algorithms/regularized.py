@@ -72,7 +72,7 @@ class RegularizedAlgorithm(FederatedAlgorithm):
         with self.tracer.span("delta_compute", client=client_ids[0], **attrs):
             shards = [self.fed.clients[client_id] for client_id in client_ids]
             data = shards[0] if len(shards) == 1 else shards
-            rows = compute_mean_embedding(self.model, data, self.config.eval_batch)
+            rows = compute_mean_embedding(self.model, data)
             deltas = [rows] if len(shards) == 1 else list(rows)
             if self.privacy is not None:
                 for i, client_id in enumerate(client_ids):

@@ -12,7 +12,7 @@ from repro.analysis.convergence import (
 )
 from repro.analysis.fairness import fairness_report, gini_coefficient, worst_k_mean
 from repro.analysis.tsne import tsne, client_marginal_discrepancy
-from repro.analysis.significance import ComparisonResult, paired_comparison, bootstrap_ci
+from repro.analysis.significance import ComparisonResult, paired_comparison
 from repro.analysis.estimation import (
     estimate_curvature_range,
     estimate_gradient_bound,
@@ -37,7 +37,6 @@ __all__ = [
     "client_marginal_discrepancy",
     "ComparisonResult",
     "paired_comparison",
-    "bootstrap_ci",
     "estimate_curvature_range",
     "estimate_gradient_bound",
     "estimate_phi_gradient_bound",

@@ -60,22 +60,3 @@ def paired_comparison(
         ci_low=ci_low,
         ci_high=ci_high,
     )
-
-
-def bootstrap_ci(
-    values: np.ndarray,
-    num_resamples: int = 2000,
-    alpha: float = 0.05,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap CI of the mean."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or len(values) < 2:
-        raise DataError("need a 1-D array with >= 2 values")
-    rng = np.random.default_rng(seed)
-    means = np.array([
-        values[rng.integers(0, len(values), len(values))].mean()
-        for _ in range(num_resamples)
-    ])
-    lo, hi = np.percentile(means, [100 * alpha / 2, 100 * (1 - alpha / 2)])
-    return float(lo), float(hi)

@@ -21,7 +21,9 @@ where records and rows live, never what they are) and the serve
 transport knobs.  Everything else — rounds, local steps, batch size,
 learning rate, seed, dtype, wire accounting, ``sampler`` and
 ``dispatch_cap`` (they change which cohorts and updates exist) —
-participates.
+participates.  Fields :class:`~repro.fl.config.FLConfig` no longer
+has are hashed at the one value every run had (:data:`RETIRED_FIELDS`),
+so a digest written before a field was retired still matches.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ from dataclasses import fields
 
 import repro
 
+# Retired FLConfig fields at the value every run had; the hash payload
+# keeps them so existing checkpoints, grid markers and stamps stay valid.
+RETIRED_FIELDS = {"buffer_timeout": None, "eval_batch": 256, "wire_dtype_bytes": None}
+
 
 def config_hash(config) -> str:
     """blake2b-128 hex digest of the numerically relevant config fields."""
-    relevant = {}
+    relevant = dict(RETIRED_FIELDS)
     for field in fields(config):
         if field.metadata.get("execution_only"):
             continue

@@ -69,8 +69,8 @@ def capture_run_state(
     Sections are piece lists (:func:`~repro.ckpt.format.pack_tree_parts`)
     whose large pieces are views of the arrays ``checkpoint_state()``
     returned — the global model, SCAFFOLD's controls, MOON's previous
-    models, FedAvgM's velocity have always been handed over uncopied —
-    so capture -> ``CheckpointManager.save`` is one synchronous step:
+    models, rFedAvg+'s sync model residual have always been handed over
+    uncopied — so capture -> ``CheckpointManager.save`` is one synchronous step:
     pass the sections straight to ``save`` and keep no reference to
     them (they pin whatever they view).
 

@@ -2,7 +2,7 @@
 
 FedAsync-style staleness weighting (Xie et al. 2019) built on the
 begin/commit halves of :class:`~repro.algorithms.base.FederatedAlgorithm`
-so **async is a scheduler swap, not an algorithm rewrite** — all ten
+so **async is a scheduler swap, not an algorithm rewrite** — all eight
 registered algorithms run unmodified, parallel client execution
 included.  :func:`repro.fl.trainer.run_federated`
 owns the loop (sampling, records, evaluation, callbacks, checkpoints);
@@ -16,8 +16,7 @@ with ``config.execution == "async"`` each of its rounds runs
    client is pushed onto an event heap with an *arrival time* drawn
    from the per-client runtime model (:mod:`repro.fl.runtime`).
 2. **Drain.**  The server pops arrivals in simulated-time order into a
-   buffer until ``buffer_size`` updates are in hand (FedBuff-style), or
-   the optional ``buffer_timeout`` fires with at least one update, and
+   buffer until ``buffer_size`` updates are in hand (FedBuff-style), and
    trains them in one call of the algorithm's
    :class:`~repro.fl.parallel.ClientExecutor` (a group per dispatch
    round) on the state their dispatch round recorded — so heavy lifting
@@ -250,9 +249,6 @@ class _EventQueue:
         heapq.heappush(self.heap, event)
         self.seq += 1
 
-    def peek_time(self) -> float:
-        return self.heap[0].when
-
     def pop(self) -> _Event:
         return heapq.heappop(self.heap)
 
@@ -357,15 +353,8 @@ class BufferedStep:
             # Every cohort member was deferred: the round still
             # consumes at least one arrival so the backlog drains.
             target = 1
-        deadline = (
-            self.clock + config.buffer_timeout
-            if config.buffer_timeout is not None
-            else None
-        )
         arrivals: list[_Event] = []
         while len(queue) and len(arrivals) < target:
-            if deadline is not None and arrivals and queue.peek_time() > deadline:
-                break
             event = queue.pop()
             self.clock = max(self.clock, event.when)
             arrivals.append(event)

@@ -47,6 +47,11 @@ RegHook = Callable[[np.ndarray], tuple[float, np.ndarray] | None]
 # optimizer step (FedProx / SCAFFOLD corrections).
 GradHook = Callable[[SplitModel], None]
 
+# Minibatch of the forward-only passes (test loss, mean embeddings,
+# q-FedAvg's start loss).  Those sums run block by block, so it fixes
+# their last bits (accuracy is exact).
+EVAL_BATCH = 256
+
 
 def _sample_block(
     shards: Sequence[ArrayDataset], batch_size: int, rngs: Sequence[np.random.Generator]
@@ -134,7 +139,7 @@ def local_sgd_steps(
 
 
 def evaluate_model(
-    model: SplitModel, data: ArrayDataset, batch_size: int = 256
+    model: SplitModel, data: ArrayDataset, batch_size: int = EVAL_BATCH
 ) -> tuple[float, float]:
     """Return (mean loss, accuracy) of ``model`` on ``data``."""
     loss_fn = SoftmaxCrossEntropy()
@@ -152,7 +157,9 @@ def evaluate_model(
 
 
 def compute_mean_embedding(
-    model: SplitModel, data: ArrayDataset | Sequence[ArrayDataset], batch_size: int = 256
+    model: SplitModel,
+    data: ArrayDataset | Sequence[ArrayDataset],
+    batch_size: int = EVAL_BATCH,
 ) -> np.ndarray:
     """delta^k = (1/n_k) sum_j phi(x_{k,j}) under the model's current phi.
 

@@ -150,21 +150,7 @@ class FLConfig:
         lr_schedule: optional schedule over *global* SGD steps t = c*E+i,
             as in the convergence theory.
         eval_every: evaluate the global model every this many rounds.
-        eval_batch: minibatch size of the forward-only passes (test
-            loss, the rFedAvg mean embeddings, q-FedAvg's and the
-            selectors' per-client losses), >= 1.  Those sums run block
-            by block, so it moves their last bits (accuracy is exact);
-            their memory grows with it except where a layer streams:
-            ``Conv2d`` unfolds a forward-only pass through a fixed-size
-            workspace and ``LSTMCell`` projects its input through a
-            fixed-size window of timesteps, but an LSTM layer's hidden
-            sequence ``(T, eval_batch, H)`` still grows with it.
         seed: master seed; all round/client randomness derives from it.
-        wire_dtype_bytes: bytes per scalar on the wire for the
-            communication ledger.  ``None`` (default) follows ``dtype``
-            — 4 under float32, 8 under float64 — so ledger totals are
-            dtype-true; an explicit value overrides (4 simulates the
-            paper's float32 wire from a float64 training run).
         num_workers: client-execution parallelism; workers > 1 trains
             the round's clients in worker processes with results reduced
             in selection order, bit-identical to ``num_workers=1``.
@@ -182,7 +168,9 @@ class FLConfig:
             bit-reproducible against the historical behaviour) or
             'float32' (~2x faster kernels, half-size payloads; results
             agree to float32 precision but are not bit-identical to
-            float64 runs).
+            float64 runs).  It is also the wire width the communication
+            ledger charges a scalar: 4 bytes under float32, 8 under
+            float64.
         execution: protocol pacing — 'sync' (every round is a barrier:
             the server waits for all selected clients), 'async' (the
             event-driven engine of :mod:`repro.fl.async_engine`:
@@ -199,10 +187,6 @@ class FLConfig:
         buffer_size: async server buffer K — aggregate as soon as this
             many client updates have arrived.  ``None`` (default) means
             the round's full cohort, the sync-shaped setting.
-        buffer_timeout: optional async buffer timeout in *simulated*
-            seconds: a flush with at least one update fires when the
-            next arrival would land later than this far past the
-            round's dispatch, even if the buffer is not full.
         staleness_exponent: a in the staleness weight (1+s)^-a applied
             to buffered updates that are s >= 1 server rounds stale
             (Xie et al. 2019).  0 disables the discount (stale deltas
@@ -297,16 +281,13 @@ class FLConfig:
     lr: float = 0.1
     lr_schedule: LRSchedule | None = None
     eval_every: int = 1
-    eval_batch: int = 256
     seed: int = 0
-    wire_dtype_bytes: int | None = None
     num_workers: int = _execution_only(1)
     executor: str = _execution_only("auto")
     dtype: str = "float64"
     execution: str = "sync"
     runtime: str = "instant"
     buffer_size: int | None = None
-    buffer_timeout: float | None = None
     staleness_exponent: float = 0.5
     checkpoint_dir: str | None = _execution_only(None)
     checkpoint_every: int = _execution_only(1)
@@ -336,8 +317,6 @@ class FLConfig:
             raise ConfigError("sample_ratio must be in (0, 1]")
         if self.eval_every <= 0:
             raise ConfigError("eval_every must be positive")
-        if self.eval_batch <= 0:
-            raise ConfigError("eval_batch must be positive")
         if self.num_workers < 1:
             raise ConfigError("num_workers must be >= 1")
         validate_choice("executor", self.executor)
@@ -347,12 +326,8 @@ class FLConfig:
         validate_runtime_spec(self.runtime)
         if self.buffer_size is not None and self.buffer_size < 1:
             raise ConfigError("buffer_size must be >= 1 (or None for the full cohort)")
-        if self.buffer_timeout is not None and self.buffer_timeout <= 0:
-            raise ConfigError("buffer_timeout must be positive (or None)")
         if self.staleness_exponent < 0:
             raise ConfigError("staleness_exponent must be non-negative")
-        if self.wire_dtype_bytes is not None and self.wire_dtype_bytes <= 0:
-            raise ConfigError("wire_dtype_bytes must be positive (or None)")
         if self.checkpoint_every <= 0:
             raise ConfigError("checkpoint_every must be positive")
         if self.checkpoint_keep <= 0:
@@ -379,10 +354,7 @@ class FLConfig:
             parse_serve_addr(self.serve_addr)
 
     def wire_bytes_per_scalar(self) -> int:
-        """Resolved per-scalar wire width: the explicit override, or the
-        itemsize of the run's compute dtype."""
-        if self.wire_dtype_bytes is not None:
-            return int(self.wire_dtype_bytes)
+        """Per-scalar wire width: the itemsize of the run's compute dtype."""
         import numpy as np
 
         return int(np.dtype(self.dtype).itemsize)

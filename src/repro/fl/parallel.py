@@ -78,7 +78,8 @@ class ClientUpdate:
             ``wire_size.nbytes(dtype_bytes)``.
         task_loss: mean task loss over the local steps.
         reg_loss: mean (lambda-weighted) regularizer loss.
-        num_steps: local steps actually run (FedNova's tau_k).
+        num_steps: local steps actually run (a field of the RFW1
+            update frame).
         train_seconds: worker-side wall time of the local work.
         worker: pid of the process that ran the work (0 = in-process).
         payload: algorithm-specific picklable extras (rFedAvg's delta,

@@ -215,7 +215,7 @@ def _drive(
         """(loss, accuracy) of the current global model on ``dataset``."""
         assert algorithm.global_params is not None
         set_flat_params(model, algorithm.global_params)
-        return evaluate_model(model, dataset, config.eval_batch)
+        return evaluate_model(model, dataset)
 
     # Crash-safe checkpointing (repro.ckpt).  The manager owns the
     # directory; a resume restores the newest valid checkpoint into the

@@ -27,7 +27,7 @@ def test_deltas_come_from_the_global_model(toy_federation):
     model = _model_fn(toy_federation)()
     set_flat_params(model, alg.global_params)
     for cid, shard in enumerate(toy_federation.clients):
-        expected = compute_mean_embedding(model, shard, config.eval_batch)
+        expected = compute_mean_embedding(model, shard)
         np.testing.assert_allclose(alg.delta_table.get(cid), expected)
 
 
@@ -119,7 +119,7 @@ def test_deltas_after_many_rounds_come_from_the_last_global_model(toy_federation
     assert alg.delta_table.reported_ids().tolist() == [0, 1, 2, 3]
     for cid, shard in enumerate(toy_federation.clients):
         np.testing.assert_array_equal(
-            alg.delta_table.get(cid), compute_mean_embedding(model, shard, config.eval_batch)
+            alg.delta_table.get(cid), compute_mean_embedding(model, shard)
         )
 
 

@@ -55,7 +55,6 @@ EXPECTED_KEYS = {
         ["ef_residuals"],
         ["global_params", "ef.cohort", "ef.ids", "ef.rows"],
     ),
-    "fedavgm": ({}, ["velocity"], ["global_params"]),
     "scaffold": (
         {},
         ["server_control", "client_controls"],

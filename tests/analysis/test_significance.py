@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.significance import bootstrap_ci, paired_comparison
+from repro.analysis.significance import paired_comparison
 from repro.exceptions import DataError
 
 
@@ -38,20 +38,3 @@ def test_validation():
         paired_comparison(np.array([0.5]), np.array([0.5]))
     with pytest.raises(DataError):
         paired_comparison(np.zeros(3), np.zeros(4))
-
-
-def test_bootstrap_ci_contains_mean():
-    values = np.array([0.4, 0.5, 0.6, 0.5, 0.45, 0.55])
-    lo, hi = bootstrap_ci(values, seed=1)
-    assert lo <= values.mean() <= hi
-    assert hi - lo < 0.3
-
-
-def test_bootstrap_ci_deterministic_given_seed():
-    values = np.array([0.1, 0.9, 0.5, 0.3])
-    assert bootstrap_ci(values, seed=2) == bootstrap_ci(values, seed=2)
-
-
-def test_bootstrap_validation():
-    with pytest.raises(DataError):
-        bootstrap_ci(np.array([1.0]))

@@ -6,16 +6,19 @@ import inspect
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import repro
-from repro.algorithms import ALGORITHMS, make_algorithm
+import repro.cli as cli
+from repro.algorithms import ALGORITHMS, FedAvg, make_algorithm
 from repro.ckpt.provenance import (
     check_resume_compatible,
     config_hash,
     run_provenance,
 )
-from repro.exceptions import CheckpointMismatchError
+from repro.exceptions import CheckpointMismatchError, ConfigError
+from repro.experiments.facade import preset_config
 from repro.fl.config import FLConfig
 
 
@@ -51,11 +54,11 @@ def test_execution_only_marks_match_the_hashed_field_lists():
         "state_dir", "stream_dir",
     }
     assert hashed == {
-        "batch_size", "buffer_size", "buffer_timeout", "cloud_compression",
-        "compression", "dispatch_cap", "dtype", "error_feedback", "eval_batch",
-        "eval_every", "execution", "local_steps", "lr", "lr_schedule",
-        "optimizer", "rounds", "runtime", "sample_ratio", "sampler", "seed",
-        "staleness_exponent", "sync_compression", "topology", "wire_dtype_bytes",
+        "batch_size", "buffer_size", "cloud_compression", "compression",
+        "dispatch_cap", "dtype", "error_feedback", "eval_every", "execution",
+        "local_steps", "lr", "lr_schedule", "optimizer", "rounds", "runtime",
+        "sample_ratio", "sampler", "seed", "staleness_exponent",
+        "sync_compression", "topology",
     }
 
 
@@ -67,6 +70,70 @@ def test_config_hash_digests_are_pinned():
         num_workers=2, execution="serve", compression="topk:0.25|qsgd:8",
         sampler="reservoir", state_cap=4,
     )) == "acc3bbe60f5f11946484e129f84c7240"
+
+
+# The documented commands: CI's four parent-checkpoint resume legs, the
+# async smoke, the two-worker async run, the hier:2:2 run and the five
+# presets.  Digests recorded before three unset FLConfig fields were
+# retired (provenance.RETIRED_FIELDS); checkpoints these commands wrote
+# must keep resuming.
+_RESUME_LEG = ["run", "--dataset", "synth_mnist", "--clients", "6", "--rounds", "6",
+               "--local-steps", "2", "--batch-size", "8", "--scale", "0.25",
+               "--checkpoint-every", "1", "--checkpoint-dir", "ck"]
+_SMOKE = ["run", "--dataset", "synth_mnist", "--algorithm", "rfedavg+",
+          "--clients", "8", "--rounds", "5", "--eval-every", "5"]
+_LATENCY = ["--execution", "async", "--runtime", "gaussian:het=1.0"]
+DOCUMENTED_COMMANDS = {
+    "resume-rfedavg+": (
+        _RESUME_LEG + ["--algorithm", "rfedavg+", "--compression", "topk:0.25|qsgd:8"],
+        "2cbbd5ce911aedc6a58b24ff314dd378",
+    ),
+    "resume-scaffold": (
+        _RESUME_LEG + ["--algorithm", "scaffold", "--sample-ratio", "0.5"],
+        "086aad6e451c27a8424f8f442b5d6362",
+    ),
+    "resume-moon": (
+        _RESUME_LEG + ["--algorithm", "moon", "--sample-ratio", "0.5"],
+        "086aad6e451c27a8424f8f442b5d6362",
+    ),
+    "resume-async": (
+        _RESUME_LEG + ["--algorithm", "rfedavg+", *_LATENCY, "--buffer-size", "2"],
+        "b8e190819e19e023557734c236bba1ed",
+    ),
+    "async-smoke": (
+        _SMOKE + [*_LATENCY, "--buffer-size", "6"],
+        "9580bde495ef258739d4f3caeaf74d12",
+    ),
+    "async-two-workers": (
+        _SMOKE + [*_LATENCY, "--buffer-size", "3", "--executor", "process", "--workers", "2"],
+        "ea8100848c73fe5f5b6bd15a864a628a",
+    ),
+    "hier-2-2": (_SMOKE + ["--topology", "hier:2:2"], "553ca550de661c38f74a3a29ddf97a57"),
+    "preset-quickstart": (["preset", "quickstart"], "1932c62e6d2e69a60375896a6988ca7c"),
+    "preset-cifar-noniid": (["preset", "cifar-noniid"], "bb854f124a2f15a8c8474f1cc2f610ea"),
+    "preset-sent140-lstm": (["preset", "sent140-lstm"], "4c22ce2173485570361cc643ad8d543e"),
+    "preset-device-scale": (["preset", "device-scale"], "2dc779443343aa285f01f45fea12357b"),
+    "preset-femnist-device": (
+        ["preset", "femnist-device"], "66d5339edb91ddce860d972962946cb9",
+    ),
+}
+
+
+class _Built(Exception):
+    """Carries the hash of the config a command built, instead of running it."""
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTED_COMMANDS))
+def test_documented_command_config_hashes_are_pinned(monkeypatch, name):
+    argv, expected = DOCUMENTED_COMMANDS[name]
+
+    def built(preset, *, seed, **kwargs):
+        raise _Built(config_hash(preset_config(preset, seed)))
+
+    monkeypatch.setattr(cli, "run_preset", built)
+    with pytest.raises(_Built) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.args[0] == expected
 
 
 @pytest.mark.parametrize(
@@ -139,6 +206,22 @@ def test_every_algorithm_stamps_its_scalar_constructor_arguments(name):
     for key, value in stamped.items():
         assert value == params[key].default
     assert json.loads(json.dumps(stamped)) == stamped
+
+
+@pytest.mark.parametrize(
+    "steps_fn",
+    [lambda round_idx, client_id: 1, max, np.array([1, 2]), object()],
+    ids=["lambda", "builtin", "array", "object"],
+)
+def test_an_argument_that_cannot_describe_itself_is_refused(steps_fn):
+    class _StepFnFedAvg(FedAvg):
+        def __init__(self, steps_fn=None) -> None:
+            super().__init__()
+            self.steps_fn = steps_fn
+
+    assert _StepFnFedAvg().hyperparameters() == {"steps_fn": None}
+    with pytest.raises(ConfigError, match="_StepFnFedAvg: argument 'steps_fn'"):
+        _StepFnFedAvg(steps_fn).hyperparameters()
 
 
 def test_version_difference_is_reported_but_only_on_real_mismatch():

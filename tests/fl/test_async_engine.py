@@ -179,20 +179,6 @@ def test_dispatch_cap_keeps_inflight_gauge_bounded(fed):
     assert tracer.metrics.state_dict()["counters"]["async.deferred_dispatches"] > 0
 
 
-def test_buffer_timeout_flushes_partial_buffer(fed):
-    # All clients need 1.0 except client 0 (0.1); a 0.5 timeout flushes
-    # the lone fast arrival instead of waiting for a full cohort.
-    times = [0.1] + [1.0] * (make_toy_federation(0.0).num_clients - 1)
-    _alg, history = _run(
-        fed, _config(buffer_timeout=0.5), runtime=TraceRuntime(times)
-    )
-    first_flush = [
-        r for r in history.async_history.records if r.flush_round == 0
-    ]
-    assert len(first_flush) == 1
-    assert first_flush[0].client_id == 0
-
-
 def test_sim_clock_is_monotone(fed):
     _alg, history = _run(
         fed, _config(buffer_size=3, runtime="gaussian:het=1.0,std=0.2")

@@ -251,9 +251,9 @@ ALGORITHM_KWARGS = {
     "rfedavg+": {"lam": 1e-2},
     "rfedavg_exact": {"lam": 1e-2},
 }
-# No per-client hook overridden (fedavgm: server momentum; rfedavg_exact: a
-# pre-round refresh through the same block-aware second synchronization).
-STACKING = {"fedavg", "fedavgm", "rfedavg+", "rfedavg_exact"}
+# No per-client hook overridden (rfedavg_exact: a pre-round refresh
+# through the same block-aware second synchronization).
+STACKING = {"fedavg", "rfedavg+", "rfedavg_exact"}
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))

@@ -21,8 +21,6 @@ def test_defaults_valid():
         {"sample_ratio": 0.0},
         {"sample_ratio": 1.5},
         {"eval_every": 0},
-        {"eval_batch": 0},
-        {"eval_batch": -1},
         {"optimizer": "adam"},
         {"sampler": "stratified:4"},
         {"sampler": "uniform:5"},
@@ -30,6 +28,16 @@ def test_defaults_valid():
 )
 def test_invalid_fields_rejected(kwargs):
     with pytest.raises(ConfigError):
+        FLConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"buffer_timeout": 1.0}, {"wire_dtype_bytes": 4}, {"eval_batch": 128}],
+)
+def test_retired_fields_rejected(kwargs):
+    (name,) = kwargs
+    with pytest.raises(TypeError, match=name):
         FLConfig(**kwargs)
 
 
@@ -148,8 +156,6 @@ def test_runtime_spec_validates_head_only():
     "kwargs",
     [
         {"buffer_size": 0},
-        {"buffer_timeout": 0.0},
-        {"buffer_timeout": -1.0},
         {"staleness_exponent": -0.1},
     ],
 )

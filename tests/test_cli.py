@@ -211,9 +211,12 @@ def test_preset_unknown_name_rejected():
         main(["preset", "not-a-preset"])
 
 
-def test_unknown_algorithm_rejected():
-    with pytest.raises(SystemExit):
-        main(["run", "--algorithm", "magic"])
+@pytest.mark.parametrize("name", ["magic", "fednova", "fedavgm"])
+def test_unknown_algorithm_rejected(capsys, name):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--algorithm", name])
+    assert excinfo.value.code == 2
+    assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 def test_unknown_model_rejected():

@@ -57,8 +57,6 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 # (name, constructor kwargs, slow?) — one row per registered algorithm.
 ALGORITHMS = [
     ("fedavg", {}, False),
-    ("fedavgm", {}, False),
-    ("fednova", {}, False),
     ("fedprox", {"mu": 0.1}, False),
     ("moon", {"mu": 0.5}, True),
     ("scaffold", {}, False),
@@ -340,7 +338,7 @@ CASES = [
     # Placement: cohort sampling, oversized pools, the socket knobs.
     *product(["fedavg"], ["partial"], ["process", "async-instant", "hier:1:1"]),
     ("fedavg", "sync", "process:16"),
-    *product(["fedavg", "scaffold", "rfedavg+"], ["sync"], ["serve-tcp"]),
+    *product(["fedavg", "scaffold", "qfedavg", "rfedavg+"], ["sync"], ["serve-tcp"]),
     ("fedavg", "sync", "queue_bytes=1"),
     ("scaffold", "sync", "max_inflight=1"),
     *product(["fedavg", "scaffold"], ["sync"], ["max_inflight=2"]),
@@ -351,16 +349,17 @@ CASES = [
     # Crash points.
     ("fedavg", "sync", "hier:1:1+resume"),
     *product(["fedavg"], ["hier:2:2", "hier:2:3", "hier:2:2-cloud-topk"], ["resume"]),
-    *product(["scaffold", "rfedavg+"], ["sync"], ["process+resume"]),
+    ("qfedavg", "hier:2:2", "resume"),
+    *product(["scaffold", "qfedavg", "rfedavg+"], ["sync"], ["process+resume"]),
     ("scaffold", "sync", "serve-tcp+resume"),
     ("fedavg", "sync", "serve-tcp+resume-from-sync"),
-    ("fedavg", "topk-qsgd", "resume"),
+    *product(["fedavg", "qfedavg"], ["topk-qsgd"], ["resume"]),
     ("rfedavg+", "topk-qsgd-sync", "resume"),
     ("scaffold", "faults", "resume"),
-    *product(["fedavg", "rfedavg+"], ["topk-qsgd"], ["async-instant+resume"]),
-    *product(["fedavg", "rfedavg+"], ["gaussian-topk-qsgd"], ["resume"]),
+    *product(["fedavg", "qfedavg", "rfedavg+"], ["topk-qsgd"], ["async-instant+resume"]),
+    *product(["fedavg", "qfedavg", "rfedavg+"], ["gaussian-topk-qsgd"], ["resume"]),
     # Population and state layout.
-    *product(["fedavg", "rfedavg+", "scaffold", "moon"], ["eager"], ["virtual"]),
+    *product(["fedavg", "rfedavg+", "scaffold", "moon", "qfedavg"], ["eager"], ["virtual"]),
     ("fedavg", "eager-reservoir", "virtual"),
     *product(["scaffold", "moon"], ["eager"], ["virtual+process", "virtual+resume"]),
     *product(["rfedavg", "rfedavg+"], ["eager"], ["state_cap=2"]),
