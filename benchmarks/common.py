@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from repro.experiments import RunPreset
 
 LAMBDA = 1e-3  # MLP feature dim 32; see Fig. 9a bench
@@ -95,6 +97,15 @@ def report(*parts) -> None:
     print(line)
     with open(RESULTS_PATH, "a") as handle:
         handle.write(line + "\n")
+
+
+def diverged(algorithm, history) -> bool:
+    """Whether a finished run's final parameters or any recorded loss is
+    not finite.  Such a run evaluates at chance, so a bench reports it as
+    ``diverged`` and leaves it out of any ranking instead of letting the
+    other methods win against it."""
+    losses = np.concatenate([history.train_losses(), history.test_losses()[:, 1]])
+    return not (np.isfinite(algorithm.global_params).all() and np.isfinite(losses).all())
 
 
 def banner(title: str) -> None:

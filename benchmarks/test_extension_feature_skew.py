@@ -7,10 +7,11 @@ same labels everywhere, different input conditions per client.  Since
 the distribution regularizer is a domain-adaptation device — it aligns
 clients' *feature marginals* — feature skew is where its mechanism is
 most direct.  This bench builds exactly that setting (IID labels +
-per-client input styles) and shows the regularizer's largest wins.
+per-client input styles) and shows the regularizer's largest wins over
+the methods that did not diverge (:func:`benchmarks.common.diverged`).
 """
 
-from benchmarks.common import IMAGE_ALGORITHMS, SILO, banner, report
+from benchmarks.common import IMAGE_ALGORITHMS, SILO, banner, diverged, report
 from repro.experiments import (
     RunResult,
     build_feature_skew_federation,
@@ -32,23 +33,27 @@ ALGORITHMS = {
 REPEATS = 2
 
 
-def _feature_skew_cell(overrides: dict, strength: float) -> RunResult:
-    """One cell of SILO over the feature-skewed synth-CIFAR federation.
-    No preset dataset builds that federation, so the cell runs its own
-    seeded repeats, at the seeds run_grid would use."""
+def _feature_skew_cell(overrides: dict, strength: float) -> tuple[RunResult, bool]:
+    """One cell of SILO over the feature-skewed synth-CIFAR federation,
+    and whether any of its repeats diverged.  No preset dataset builds
+    that federation, so the cell runs its own seeded repeats, at the
+    seeds run_grid would use."""
     preset = with_overrides(SILO, {"dataset": "synth_cifar", **overrides})
     result = RunResult(algorithm=preset.algorithm)
+    any_diverged = False
     for rep in range(REPEATS):
         seed = 1000 * rep
         fed = build_feature_skew_federation(
             preset.dataset, num_clients=preset.clients, skew_strength=strength,
             num_train=preset.num_train, num_test=preset.num_test, seed=seed,
         )
-        result.histories.append(run_federated(
-            preset_algorithm(preset), fed, preset_model_fn(preset, fed.spec, seed),
-            preset_config(preset, seed),
-        ))
-    return result
+        algorithm = preset_algorithm(preset)
+        history = run_federated(
+            algorithm, fed, preset_model_fn(preset, fed.spec, seed), preset_config(preset, seed)
+        )
+        result.histories.append(history)
+        any_diverged |= diverged(algorithm, history)
+    return result, any_diverged
 
 
 def test_extension_feature_skew(once):
@@ -61,11 +66,17 @@ def test_extension_feature_skew(once):
             for strength, label in [(0.5, "mild skew"), (1.5, "strong skew")]
         }
 
-    columns = once(run)
+    cells = once(run)
+    columns = {label: {n: r for n, (r, _d) in cell.items()} for label, cell in cells.items()}
     banner("Extension — feature-distribution skew (synth-CIFAR, IID labels)")
     report(format_accuracy_table(columns))
-    strong = {n: r.accuracy_mean_std()[0] for n, r in columns["strong skew"].items()}
-    # The domain-adaptation mechanism pays off most here.
+    for label, cell in cells.items():
+        report(f"{label}: diverged:", ", ".join(n for n, (_r, d) in cell.items() if d) or "none")
+    # The domain-adaptation mechanism pays off most here, ranked among
+    # the methods that kept finite weights; the regularizers and FedAvg
+    # must be among them.
+    strong = {n: r.accuracy_mean_std()[0] for n, (r, d) in cells["strong skew"].items() if not d}
+    assert {"fedavg", "rfedavg", "rfedavg+"} <= set(strong)
     assert strong["rfedavg+"] > strong["fedavg"]
     assert max(strong["rfedavg"], strong["rfedavg+"]) == max(strong.values())
 

@@ -129,8 +129,10 @@ class StateSlot:
     without the slot.
     ``reads`` is what a worker task reads of it: ``None``, nothing;
     :data:`WHOLE`, all of it (a table's ``worker_segments``); or a
-    segment prefix (``"ef."``): its own client's row, sent as the
-    cohort's rows and read back through a :class:`CohortRows`.
+    segment prefix (``"ef."``): its own client's row.  A snapshot names
+    the cohort's reported rows under the prefix, the worker engine sends
+    each inside its client's task as ``<prefix>row``, and a task reads
+    its row through a :class:`CohortRows`.
     """
 
     key: str | None
@@ -287,16 +289,21 @@ class FederatedAlgorithm:
             if value is not None:
                 yield slot, value
 
+    def _row_slots(self) -> list:
+        """The live slots a task reads at its own client's row only."""
+        return [(slot, value) for slot, value in self._live_slots() if slot.reads not in (None, WHOLE)]
+
     # -- wire-transport worker state ---------------------------------------------
     def _worker_state(self, cohort) -> dict:
         """What the worker-side :meth:`_client_update` of the clients in
         ``cohort`` reads from shared state, as wire-packable segments:
         the global parameters and every slot a task reads.
 
-        The worker engine sends this once per round with the ids it is
-        about to run; long-lived workers adopt it via
-        :meth:`_install_worker_state`.  An own-row table sends the
-        cohort's reported rows only, so the frame follows the cohort.
+        An own-row table names the cohort's reported rows only.  The
+        worker engine sends this once per round with the ids it is about
+        to run, split by :meth:`_served_state`: long-lived workers adopt
+        the shared part via :meth:`_install_worker_state`, and each row
+        rides in its client's task.
         """
         assert self.global_params is not None
         state = {"global_params": self.global_params}
@@ -309,12 +316,27 @@ class FederatedAlgorithm:
                 state.update(value.cohort_segments(slot.reads, cohort))
         return state
 
+    def _served_state(self, state: dict) -> tuple[dict, dict[int, dict]]:
+        """A :meth:`_worker_state` snapshot as the worker engine sends it:
+        the segments every task reads (the ``state`` frame), and by client
+        the ``<prefix>row`` of each own-row slot it reported in (its
+        ``task`` frame; :meth:`_install_rows` reads them back).  The rows
+        are the snapshot's own arrays, not copies."""
+        prefixes = tuple(slot.reads for slot, _value in self._row_slots())
+        rows: dict[int, dict] = {}
+        for prefix in prefixes:
+            for client, row in zip(state[prefix + "ids"], state[prefix + "rows"]):
+                rows.setdefault(int(client), {})[prefix + "row"] = row
+        return {key: value for key, value in state.items() if not key.startswith(prefixes)}, rows
+
     def _install_worker_state(self, state: dict) -> None:
-        """Adopt a round-state broadcast: zero-copy read-only views, valid
-        for the round they are installed for.  A whole table becomes a new
+        """Adopt a round state: zero-copy read-only views, valid for the
+        round they are installed for.  A whole table becomes a new
         :class:`DeltaTable` holding the snapshot, an own-row table a
-        :class:`CohortRows` whose default row is the one the table was
-        built with."""
+        :class:`CohortRows` of the rows the snapshot carries, with the
+        default row the table was built with; a served ``state`` frame
+        carries none, and each block installs its tasks' rows
+        (:meth:`_install_rows`) before it trains."""
         self.global_params = state["global_params"]
         for slot, value in self._live_slots():
             if slot.reads == WHOLE and isinstance(value, DeltaTable):
@@ -328,6 +350,17 @@ class FederatedAlgorithm:
                 setattr(self, slot.name, state[slot.key])
             elif slot.reads is not None:
                 setattr(self, slot.name, CohortRows.from_state(state, slot.reads, value.default))
+
+    def _install_rows(self, clients: list[int], tasks: list[dict]) -> None:
+        """Point every own-row slot at the rows of ``clients`` alone, a
+        served block: ``tasks[i]`` carries client ``i``'s ``<prefix>row``
+        where it reported (:meth:`_served_state`), and a client without
+        one reads the default row; any other client raises
+        :class:`ProtocolError`."""
+        for slot, value in self._row_slots():
+            key = slot.reads + "row"
+            rows = {client: task[key] for client, task in zip(clients, tasks) if key in task}
+            setattr(self, slot.name, CohortRows(clients, rows, value.default))
 
     @contextmanager
     def as_of(self, state: dict):

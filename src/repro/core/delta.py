@@ -21,10 +21,12 @@ or the one vector it was built with (MOON's initial model).  A table a
 task reads only at its *own* row (a state slot read by prefix, see
 :class:`repro.algorithms.base.StateSlot`: error-feedback residuals,
 SCAFFOLD's client controls, MOON's previous models) never travels
-whole: :meth:`DeltaTable.cohort_segments` packs the cohort's reported
-rows and :class:`CohortRows` is what a worker reads them back through,
-with the default row the forked worker inherited — so a round-state
-broadcast scales with who participates, not with the population.
+whole: :meth:`DeltaTable.cohort_segments` names the cohort's reported
+rows, uncopied, and :class:`CohortRows` is what a task reads them back
+through, with the default row the forked worker inherited.  The worker
+engine sends each of those rows once, inside its own client's task
+frame (``docs/serving.md``), so a round's traffic scales with who
+participates, not with the population.
 """
 
 from __future__ import annotations
@@ -42,58 +44,43 @@ from repro.nn.dtype import get_default_dtype
 
 
 class CohortRows:
-    """Worker-side stand-in for an own-row table: one round's rows.
+    """Worker-side stand-in for an own-row table: the rows of one cohort.
 
-    Built from the segments :meth:`DeltaTable.cohort_segments` broadcast,
-    it keeps exactly those (read-only, zero-copy) rows.  Reading a cohort
-    client that never reported yields the table's (read-only) ``default``
-    row, as the parent's table would; a client outside the cohort raises
-    :class:`ProtocolError` — its row was not sent, and an earlier
-    round's copy would be stale.
+    It keeps exactly the (read-only, zero-copy) rows it is given, by
+    client: a snapshot's (:meth:`from_state`), or a served block's, each
+    row from its client's task frame.  Reading a cohort client without a
+    row yields the table's (read-only) ``default`` row, as the parent's
+    table would for a client that never reported; a client outside the
+    cohort raises :class:`ProtocolError` — its row was not sent, and an
+    earlier round's copy would be stale.
     """
 
-    def __init__(
-        self, cohort: np.ndarray, ids: np.ndarray, rows: np.ndarray, default: np.ndarray
-    ) -> None:
-        if rows.ndim != 2 or len(rows) != len(ids) or rows.shape[1] != len(default):
-            raise ProtocolError(
-                f"cohort rows of shape {rows.shape} do not match {len(ids)} ids"
-            )
+    def __init__(self, cohort, rows: dict[int, np.ndarray], default: np.ndarray) -> None:
+        if any(np.shape(row) != default.shape for row in rows.values()):
+            raise ProtocolError(f"cohort rows do not match the {len(default)}-wide table")
         self.default = default
         self._cohort = frozenset(int(c) for c in cohort)
-        self._index = {int(c): i for i, c in enumerate(ids)}
         self._rows = rows
 
     @classmethod
     def from_state(cls, state: dict, prefix: str, default: np.ndarray) -> "CohortRows":
-        return cls(
-            state[prefix + "cohort"], state[prefix + "ids"], state[prefix + "rows"], default
-        )
+        """A snapshot's rows (:meth:`DeltaTable.cohort_segments`); none,
+        so every read raises, in a served ``state`` frame."""
+        ids, rows = state.get(prefix + "ids", ()), state.get(prefix + "rows", ())
+        if len(ids) != len(rows):
+            raise ProtocolError(f"{len(rows)} cohort rows do not match {len(ids)} ids")
+        return cls(state.get(prefix + "cohort", ()), dict(zip(map(int, ids), rows)), default)
 
     def get(self, client: int) -> np.ndarray:
-        index = self._index.get(client)
-        if index is not None:
-            return self._rows[index]
-        self._check_in_cohort(client)
-        return self.default
-
-    def cohort_segments(self, prefix: str, cohort) -> dict[str, np.ndarray]:
-        """What :meth:`DeltaTable.cohort_segments` sent for ``cohort`` when
-        these rows were the table's: a round's state, held for some of its
-        clients (the async engine trains a round's clients as they land)."""
-        cohort = np.unique(np.asarray(cohort, dtype=np.int64))
-        for client in cohort:
-            self._check_in_cohort(int(client))
-        ids = np.array([c for c in cohort if int(c) in self._index], dtype=np.int64)
-        index = np.array([self._index[int(c)] for c in ids], dtype=np.int64)
-        return {prefix + "cohort": cohort, prefix + "ids": ids, prefix + "rows": self._rows[index]}
-
-    def _check_in_cohort(self, client: int) -> None:
+        row = self._rows.get(client)
+        if row is not None:
+            return row
         if client not in self._cohort:
             raise ProtocolError(
                 f"client {client} is outside the cohort this round state was "
                 "broadcast for"
             )
+        return self.default
 
 
 class RowBlocks:
@@ -103,8 +90,9 @@ class RowBlocks:
     rows are only going to be encoded: :func:`repro.fl.wire.pack_parts`
     emits each block's own memory in turn — the stacked array's bytes,
     without stacking it.  Everything else sees the stacked array
-    (``np.asarray``).  The blocks alias the table: see the aliasing
-    contract in :func:`repro.ckpt.state.capture_run_state`.
+    (``np.asarray``), and iterating yields the rows.  The blocks alias
+    the table: see the aliasing contract in
+    :func:`repro.ckpt.state.capture_run_state`.
     """
 
     ndim = 2
@@ -118,6 +106,13 @@ class RowBlocks:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         stacked = np.concatenate(self.blocks) if self.blocks else np.zeros(self.shape)
         return stacked.astype(dtype or self.dtype, copy=False)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __iter__(self):
+        for block in self.blocks:
+            yield from block
 
     def tobytes(self) -> bytes:
         return np.asarray(self).tobytes()
@@ -381,12 +376,24 @@ class DeltaTable:
         """One round's rows of an own-row table, as round-state segments:
         ``<prefix>cohort`` the round's client ids (ascending, unique),
         ``<prefix>ids`` those that reported and ``<prefix>rows`` their
-        rows, resident or spilled, stacked in ``ids`` order; like every
-        read, it leaves LRU order and the spill file alone.
+        rows in ``ids`` order, as :meth:`_row_blocks`; like every read,
+        it leaves LRU order and the spill file alone.
         :class:`CohortRows` is the reading side."""
         cohort = np.unique(np.asarray(cohort, dtype=np.int64))
         ids = cohort[self._reported[cohort]]
-        return {prefix + "cohort": cohort, prefix + "ids": ids, prefix + "rows": self.rows_for(ids)}
+        return {prefix + "cohort": cohort, prefix + "ids": ids, prefix + "rows": self._row_blocks(ids)}
+
+    def _row_blocks(self, ids) -> RowBlocks:
+        """The rows of ``ids``, not gathered: each a read-only view of the
+        array it lies in (a spilled row is read back once).  Rows are
+        replaced on :meth:`update`, never written in place, so the blocks
+        keep their values however the table moves on."""
+        blocks = []
+        for client in ids:
+            block = self._row(int(client)).reshape(1, self.dim)
+            block.flags.writeable = False
+            blocks.append(block)
+        return RowBlocks(blocks, self.dim)
 
     def install_worker_segments(self, segments: dict) -> None:
         """Adopt a broadcast sparse snapshot in a worker process.
@@ -403,17 +410,11 @@ class DeltaTable:
         self._reported = np.asarray(segments["delta_reported"], dtype=bool)
 
     def checkpoint_segments(self) -> dict:
-        """Sparse snapshot (reported rows only).
-
-        The rows are not gathered: each goes to the writer as the array
-        it lies in, and a spilled row is read back once.  Rows are
-        replaced on :meth:`update`, never written in place, so the
-        snapshot keeps its values however the table moves on."""
+        """Sparse snapshot (reported rows only), as :meth:`_row_blocks`."""
         ids = self.reported_ids()
-        blocks = [self._row(int(client)).reshape(1, self.dim) for client in ids]
         return {
             "delta_ids": ids,
-            "delta_rows": RowBlocks(blocks, self.dim),
+            "delta_rows": self._row_blocks(ids),
             "delta_reported": self._reported.copy(),
         }
 

@@ -32,9 +32,11 @@ state must be a state slot the algorithm declares as read by workers
 ``_worker_state(cohort)`` / ``_install_worker_state`` are derived from
 the declaration, and state not declared there goes stale in the workers
 after round 0.  ``cohort`` is the ids the round is about to run: a table
-a task reads only at its own client's row travels as the cohort's
-reported rows, never whole; the row a never-reported client reads is
-fixed at setup, which the forked workers inherit.
+a task reads only at its own client's row is named by the cohort's
+reported rows, never whole, and the worker engine sends each of them
+once, in its client's task (the ``state`` frame carries the rest,
+``_served_state``); the row a never-reported client reads is fixed at
+setup, which the forked workers inherit.
 
 **Degradation.**  The worker engine has exactly one: a failure it
 cannot route around — no ``fork`` for this process

@@ -2,7 +2,7 @@
 
 Every message on the socket is one RFW1 wire message wrapped in a
 length-prefixed frame (:func:`repro.fl.wire.frame`): a ``state`` frame
-(a round state's :meth:`_worker_state` segments plus a ``serve.seq``),
+(the segments of a round state every task reads, plus a ``serve.seq``),
 ``generic`` control messages told apart by an integer ``serve.op``
 (``HELLO``, ``TASK``, ``SHUTDOWN``, and ``UPDATE_PICKLE``, the fallback
 for an update the wire format cannot express), and packed ``update``
@@ -68,8 +68,8 @@ def parse_serve_addr(spec) -> tuple[str, object]:
 # -- frame builders -----------------------------------------------------------------
 #
 # ``build_*`` return ready-to-send length-prefixed bytes.  The two frames
-# that carry megabytes — the round state and a task's model — also come
-# as ``*_parts``: ``(frame length, pieces)`` whose pieces the server
+# that carry megabytes — the round state and a task's model and rows —
+# also come as ``*_parts``: ``(frame length, pieces)`` whose pieces the server
 # queues as they are (one list shared by every connection), so neither
 # is joined into a copy on its way to the socket.  ``build_state`` and
 # ``build_task`` are the joins of those pieces.
@@ -98,11 +98,14 @@ def build_state(state: dict, seq: int) -> bytes:
 
 
 def task_parts(
-    round_idx: int, position: int, client_id: int, seq: int, block: int, model: np.ndarray
+    round_idx: int, position: int, client_id: int, seq: int, block: int, model: np.ndarray,
+    rows: dict | None = None,
 ) -> tuple[int, list]:
     """One client's task.  ``block`` is how many task frames, this one
     included, the server queued back to back for the worker to train
-    together; every frame still carries its own ``model``."""
+    together; every frame still carries its own ``model``, and ``rows``,
+    the client's own ``<prefix>row`` segments
+    (:meth:`~repro.algorithms.base.FederatedAlgorithm._served_state`)."""
     return wire.frame_parts(
         *wire.pack_parts(
             "generic",
@@ -114,15 +117,17 @@ def task_parts(
                 "serve.seq": seq,
                 "serve.block": block,
                 "model": model,
+                **(rows or {}),
             },
         )
     )
 
 
 def build_task(
-    round_idx: int, position: int, client_id: int, seq: int, block: int, model: np.ndarray
+    round_idx: int, position: int, client_id: int, seq: int, block: int, model: np.ndarray,
+    rows: dict | None = None,
 ) -> bytes:
-    return b"".join(task_parts(round_idx, position, client_id, seq, block, model)[1])
+    return b"".join(task_parts(round_idx, position, client_id, seq, block, model, rows)[1])
 
 
 def build_shutdown() -> bytes:

@@ -413,15 +413,17 @@ class ServeExecutor(ClientExecutor):
         live_ids = [cid for group_ids, *_g, state in groups if state is None for cid in group_ids]
         seq_of: dict[int | None, int] = {}  # id(state), None for the live state -> seq
         state_frames: dict[int, tuple] = {}  # seq -> state frame
+        task_rows: dict[int, dict] = {}  # seq -> {client: its own rows}
         seqs = []  # each group's seq
         for group_ids, _model, _round, state in groups:
             key = None if state is None else id(state)
             if group_ids and key not in seq_of:
                 self._seq += 1
                 seq_of[key] = self._seq
-                state_frames[self._seq] = protocol.state_parts(
-                    algorithm._worker_state(live_ids) if state is None else state, self._seq
+                shared, task_rows[self._seq] = algorithm._served_state(
+                    algorithm._worker_state(live_ids) if state is None else state
                 )
+                state_frames[self._seq] = protocol.state_parts(shared, self._seq)
             seqs.append(seq_of.get(key))
         stats.state_bytes = sum(length for length, _pieces in state_frames.values())
         for conn in list(self._conns.values()):
@@ -453,11 +455,13 @@ class ServeExecutor(ClientExecutor):
                 if send is None:
                     break
                 _ids, model, group_round, _state = groups[send.group]
+                seq = seqs[send.group]
                 if send.state is not None:
                     self._queue(send.conn, state_frames[send.state], stats)
                 for pos, cid in send.slots:
                     task = protocol.task_parts(
-                        group_round, pos, cid, seqs[send.group], len(send.slots), model
+                        group_round, pos, cid, seq, len(send.slots), model,
+                        task_rows[seq].get(cid),
                     )
                     if send.redispatch:
                         stats.redispatch_bytes += model.nbytes
@@ -622,9 +626,9 @@ class ServeExecutor(ClientExecutor):
 
     def _reconcile(self, algorithm, updates, stats: _RoundStats, num_clients: int) -> None:
         """Check socket-level model bytes against the ledger's charges
-        (``docs/serving.md``, "Byte reconciliation"): exact for dense,
-        dtype-true runs, where drift raises :class:`ProtocolError`, and
-        counted in ``serve.reconcile_mismatches`` otherwise.  Redispatched
+        (``docs/serving.md``, "Byte reconciliation"): exact for runs
+        without a compressor, where drift raises :class:`ProtocolError`,
+        and counted in ``serve.reconcile_mismatches`` otherwise.  Redispatched
         tasks are not ledger-charged (``serve.redispatch_bytes``)."""
         ledger = algorithm.ledger
         if ledger is None:
@@ -645,12 +649,7 @@ class ServeExecutor(ClientExecutor):
         )
         if matched:
             return
-        strict = (
-            algorithm.compressor is None
-            and algorithm.global_params is not None
-            and dtype_bytes == int(algorithm.global_params.dtype.itemsize)
-        )
-        if strict:
+        if algorithm.compressor is None:
             raise ProtocolError(
                 "serve-mode byte accounting drifted from the ledger: "
                 f"down wire={stats.down_model_bytes} vs ledger={expected_down}, "

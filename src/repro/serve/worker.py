@@ -5,13 +5,14 @@ algorithm — model workspace, federated dataset, config — arrives as
 inherited memory), connects back to the server socket with retry +
 exponential backoff, and then loops:
 
-* ``state`` frame -> adopt the round state via
+* ``state`` frame -> adopt the segments every task reads via
   ``_install_worker_state``.
-* ``task`` frame  -> point ``global_params`` at the frame's ``model``
-  segment (the per-client downlink) and hold the client until the
-  ``serve.block`` frames of its block have arrived; then train the block
-  as the serial engine would (:func:`repro.fl.parallel.run_held_clients`)
-  and send one packed update per client back, in order.
+* ``task`` frame  -> hold it until the ``serve.block`` frames of its
+  block have arrived; then install the own rows the tasks carry
+  (``_install_rows``), point ``global_params`` at the ``model`` segment
+  (the per-client downlink), train the block as the serial engine would
+  (:func:`repro.fl.parallel.run_held_clients`) and send one packed
+  update per client back, in order.
 * ``shutdown`` frame or EOF -> exit.
 
 Retries, timeouts and the orphan exit: ``docs/serving.md``.
@@ -114,7 +115,7 @@ def worker_main(
     except OSError:
         return
     state_seq = -1
-    held: list[int] = []  # clients of the block still arriving
+    held: list[dict] = []  # tasks of the block still arriving
     with sock:
         sock.settimeout(timeout)
         try:
@@ -145,12 +146,14 @@ def worker_main(
                             # ordering makes this a protocol bug, not a
                             # race.  Exit; the server redispatches.
                             return
-                        algorithm.global_params = payload["model"]
-                        held.append(int(payload["serve.client"]))
+                        held.append(payload)
                         if len(held) < int(payload["serve.block"]):
                             continue
+                        clients = [int(task["serve.client"]) for task in held]
+                        algorithm._install_rows(clients, held)
+                        algorithm.global_params = payload["model"]
                         round_idx = int(payload["serve.round"])
-                        for update in run_held_clients(algorithm, round_idx, held):
+                        for update in run_held_clients(algorithm, round_idx, clients):
                             send_with_retry(
                                 sock, protocol.build_update(update), retries, backoff
                             )

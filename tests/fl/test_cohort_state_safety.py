@@ -25,6 +25,7 @@ from repro.fl import wire
 from repro.fl.config import FLConfig
 from repro.fl.trainer import run_federated
 from repro.obs import Tracer
+from repro.serve import protocol
 from tests.conftest import make_toy_federation
 from tests.helpers import assert_equivalent_runs, tiny_model_fn
 
@@ -75,6 +76,54 @@ def test_residual_rows_installed_from_a_cohort_broadcast(state_cap):
         worker._residuals.get(1)
     # The parent's table is untouched by any of it.
     assert list(algorithm._residuals.reported_ids()) == [1, 2, 4, 7, 9, 11]
+
+
+@pytest.mark.parametrize("state_cap", [None, 2], ids=["dense", "sharded"])
+def test_a_served_block_reads_exactly_its_tasks_rows(state_cap):
+    """The worker engine's split of a round state: the state frame
+    carries no own row, each task its own client's reported rows, and a
+    block reads exactly the rows of its tasks."""
+    fed = make_toy_federation(similarity=0.0, num_clients=16)
+    algorithm = make_algorithm("scaffold")
+    algorithm.setup(
+        tiny_model_fn(fed)(), fed,
+        FLConfig(rounds=1, compression=SPEC, state_cap=state_cap),
+    )
+    gen = np.random.default_rng(5)
+    for client in (1, 2, 4, 7, 9, 11):
+        algorithm._residuals.update(client, gen.normal(size=algorithm.model_size))
+    for client in (1, 4, 5):
+        algorithm.client_controls.update(client, gen.normal(size=algorithm.model_size))
+
+    shared, rows = algorithm._served_state(algorithm._worker_state([1, 4, 5, 9, 12]))
+    assert sorted(shared) == ["global_params", "server_control"]
+    assert {client: sorted(segments) for client, segments in rows.items()} == {
+        1: ["controls.row", "ef.row"], 4: ["controls.row", "ef.row"],
+        5: ["controls.row"], 9: ["ef.row"],
+    }
+    if state_cap is None:  # the table's own rows, not copies
+        assert np.shares_memory(rows[9]["ef.row"], algorithm._residuals._rows[9])
+
+    worker = copy.copy(algorithm)
+    worker._install_worker_state(wire.unpack_state(wire.pack_state(shared)))
+    with pytest.raises(ProtocolError, match="outside the cohort"):  # no block yet
+        worker._residuals.get(1)
+    block = [9, 1, 12]
+    tasks = [
+        protocol.parse_message(
+            protocol.build_task(0, pos, cid, 1, len(block), algorithm.global_params,
+                                rows.get(cid))[wire.FRAME_PREFIX.size:]
+        )[1]
+        for pos, cid in enumerate(block)
+    ]
+    worker._install_rows(block, tasks)
+    for table in ("_residuals", "client_controls"):
+        for client in block:  # reported or not: the parent's bytes
+            got = getattr(worker, table).get(client)
+            assert got.tobytes() == getattr(algorithm, table).get(client).tobytes()
+        for outsider in (4, 5, 2, 0):  # in the round's cohort or not
+            with pytest.raises(ProtocolError, match="outside the cohort"):
+                getattr(worker, table).get(outsider)
 
 
 @pytest.mark.parametrize(
@@ -148,14 +197,12 @@ def _assert_pool_forks_once(monkeypatch, name, kwargs, feature_dim, overrides):
     assert not algorithm.executor.degraded
     assert_equivalent_runs((serial, serial_history), (algorithm, history))
     table = getattr(algorithm, "delta_table", None)
-    if table is None:
-        rows, row_bytes = 4, algorithm.model_size * 8 + 8  # the cohort's residuals
+    if table is None:  # the cohort's residuals ride in its tasks
+        assert max(state_bytes) == state_bytes[0]
     else:
-        rows, row_bytes = fed.num_clients, table.dim * 8 + 8  # the whole table
-    # The state did outgrow the first round's by more than 4 KB ...
-    assert max(state_bytes) - state_bytes[0] > 4096
-    # ... and never by more than one row (+ id) per client it can carry.
-    assert max(state_bytes) - state_bytes[0] <= rows * row_bytes
+        # The whole table's state did outgrow the first round's by more
+        # than 4 KB, and never by more than one row (+ id) a client.
+        assert 4096 < max(state_bytes) - state_bytes[0] <= fed.num_clients * (table.dim * 8 + 8)
     assert len(forks) == 2  # num_workers, once a run
     assert len(state_packs) == config.rounds
 
@@ -163,10 +210,10 @@ def _assert_pool_forks_once(monkeypatch, name, kwargs, feature_dim, overrides):
 def test_pool_forks_once_while_reported_rows_grow(monkeypatch):
     """Round 0 broadcasts no reported row, later rounds more of them.
     One fork per worker a run, one state pack per round, and the serial
-    run's result — for a cohort's residual rows (up to 4 a round), and
-    for rFedAvg+'s delta table, broadcast whole with its reported rows
-    only (up to a 2 KB row for each of 16 clients), flat and
-    hierarchical."""
+    run's result — for a cohort's residual rows (in its tasks, so the
+    state frame stays the size of round 0's), and for rFedAvg+'s delta
+    table, broadcast whole with its reported rows only (up to a 2 KB row
+    for each of 16 clients), flat and hierarchical."""
     _assert_pool_forks_once(monkeypatch, "fedavg", {}, 6, dict(compression=SPEC))
     for topology in ("flat", "hier:2:2"):
         _assert_pool_forks_once(

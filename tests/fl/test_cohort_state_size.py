@@ -117,6 +117,7 @@ def test_building_the_broadcast_leaves_a_sharded_table_alone(tmp_path):
         segments = table.cohort_segments("t.", cohort)
         ids = segments["t.ids"]
         assert list(ids) == sorted(c for c in set(cohort) if c in rows)
-        for i, client in enumerate(ids):
-            assert segments["t.rows"][i].tobytes() == rows[int(client)].tobytes()
+        assert len(segments["t.rows"]) == len(ids)
+        for client, row in zip(ids, segments["t.rows"]):
+            assert row.tobytes() == rows[int(client)].tobytes()
         assert fingerprint() == before

@@ -12,12 +12,13 @@ from __future__ import annotations
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from repro.fl.config import FLConfig
 from repro.obs import Tracer
 from repro.serve.server import ServeExecutor
-from tests.helpers import assert_equivalent_runs, run_with_workers
+from tests.helpers import WORKERS, assert_equivalent_runs, run_with_workers
 from tests.serve.conftest import run_serve
 
 
@@ -147,6 +148,20 @@ def test_dense_run_reconciles_exactly(fed):
     assert counters["serve.bytes_ledger_up"] == expected
 
 
+def test_dense_float32_run_reconciles_exactly(fed):
+    """No compressor is the whole condition for the exact check: a
+    float32 run prices 4 bytes a scalar and its wire carries 4."""
+    tracer = Tracer()
+    config = _config(seed=49, dtype="float32")
+    algorithm, _history = run_serve("fedavg", {}, fed, config, tracer=tracer)
+    counters = _counters(tracer)
+    assert algorithm.global_params.dtype == np.float32 and algorithm.ledger.dtype_bytes == 4
+    expected = algorithm.model_size * fed.num_clients * 4 * config.rounds
+    assert counters["serve.bytes_wire_down"] == counters["serve.bytes_ledger_down"] == expected
+    assert counters["serve.bytes_wire_up"] == counters["serve.bytes_ledger_up"] == expected
+    assert "serve.reconcile_mismatches" not in counters
+
+
 def test_dense_float_width_reconciles_for_topk(fed):
     """topk keeps float64 values on the wire, so the measured stream
     bytes still reconcile with the WireSize charge exactly."""
@@ -176,11 +191,28 @@ def test_state_bytes_counts_one_cohort_scoped_frame_per_round(fed):
     config = _config(seed=48, compression="topk:0.05|qsgd:8")
     algorithm, _history = run_serve("fedavg", {}, fed, config, tracer=tracer)
     counters = _counters(tracer)
-    row_bytes = algorithm.model_size * 8
+    model_bytes = algorithm.model_size * 8
     per_round = counters["serve.state_bytes"] / config.rounds
-    # The model, plus at most one residual row (and two ids) per cohort client.
-    assert row_bytes < per_round <= row_bytes + fed.num_clients * (row_bytes + 16) + 4096
+    # The model and headers: the residual rows ride in the tasks.
+    assert model_bytes < per_round <= model_bytes + 4096
     assert counters["serve.bytes_sent"] >= counters["serve.state_bytes"]
+
+
+@pytest.mark.parametrize("name, slots", [("fedavg", 1), ("scaffold", 2)])
+def test_each_reported_row_crosses_once_a_round(fed, name, slots):
+    """A round sends each worker one state frame and each client one
+    task: its model and its own rows (residual; control), every row
+    once, whichever worker trains it."""
+    tracer = Tracer()
+    config = _config(seed=50, rounds=5, compression="topk:0.05|qsgd:8")
+    algorithm, _history = run_serve(name, {}, fed, config, tracer=tracer)
+    counters = _counters(tracer)
+    model = row = algorithm.model_size * 8
+    bound = WORKERS * (model + 4096) + fed.num_clients * (model + slots * row + 512)
+    assert counters["serve.bytes_sent"] <= config.rounds * bound
+    # Every client reported its rows in round 0, so the later rounds'
+    # tasks carried them: the traffic is above the rowless tasks'.
+    assert counters["serve.bytes_sent"] > config.rounds * fed.num_clients * (model + row)
 
 
 def test_latency_quantiles_reach_the_snapshot(fed):

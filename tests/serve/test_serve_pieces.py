@@ -1,8 +1,8 @@
 """Frames queued as pieces: what reaches a worker is what was built.
 
 The server queues a state or task frame as the pieces
-:func:`repro.fl.wire.pack_parts` produced — views of the model and of
-the cohort's gathered rows, one list shared by every connection — and
+:func:`repro.fl.wire.pack_parts` produced — views of the model, one list
+shared by every connection, and of the task's own rows — and
 ``_flush`` re-slices a queue's own view on a partial send.  Sharing and
 slicing must never change a byte: every test here compares the digest of
 what a receiver reassembled with the digest of ``build_state(...)`` /
@@ -159,6 +159,7 @@ class _FrameLog:
     def __init__(self, directory, monkeypatch, die_in_round: int | None = None) -> None:
         self.directory = directory
         self.built: dict[str, str] = {}
+        self.rows_sent: list[list[str]] = []  # each task's row segment names
         self.server_pid = os.getpid()
         state_parts, task_parts, parse = (
             protocol.state_parts, protocol.task_parts, protocol.parse_message,
@@ -172,13 +173,16 @@ class _FrameLog:
             self.built[f"state:{seq}"] = digest(b"".join(frame[1])[prefix:])
             return frame
 
-        def logged_task(round_idx, position, client_id, seq, block, model):
-            frame = task_parts(round_idx, position, client_id, seq, block, model)
+        def logged_task(round_idx, position, client_id, seq, block, model, rows=None):
+            frame = task_parts(round_idx, position, client_id, seq, block, model, rows)
             self.built[f"task:{seq}:{position}:{block}"] = digest(b"".join(frame[1])[prefix:])
+            self.rows_sent.append(sorted(rows or ()))
             return frame
 
         def logged_parse(message):
             kind, payload = parse(message)
+            if kind == "state":  # own rows ride in the tasks, never here
+                assert not [key for key in payload if key.startswith(("ef.", "controls."))]
             if kind in ("state", "task") and os.getpid() != self.server_pid:
                 key = f"state:{payload['serve.seq']}" if kind == "state" else (
                     f"task:{payload['serve.seq']}:{payload['serve.position']}"
@@ -256,6 +260,10 @@ def test_delivered_frames_equal_the_built_bytes(fed, tmp_path, monkeypatch, comp
     # round, a task per (round, position).
     assert {k for k in log.built if k.startswith("task")} <= seen
     assert sum(k.startswith("state") for k in seen) == config.rounds
+    # Every client has reported a control by the last round, and a
+    # residual too under error feedback: those tasks carry the rows.
+    rows = ["controls.row"] + (["ef.row"] if compression != "none" else [])
+    assert log.rows_sent[-fed.num_clients:] == [rows] * fed.num_clients
     if scenario == "worker-dies":
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["serve.redispatches"] >= 1
