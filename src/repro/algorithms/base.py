@@ -302,8 +302,8 @@ class FederatedAlgorithm:
         An own-row table names the cohort's reported rows only.  The
         worker engine sends this once per round with the ids it is about
         to run, split by :meth:`_served_state`: long-lived workers adopt
-        the shared part via :meth:`_install_worker_state`, and each row
-        rides in its client's task.
+        the shared part via :meth:`_install_worker_state`, the model
+        rides in a frame of its own, and each row in its client's task.
         """
         assert self.global_params is not None
         state = {"global_params": self.global_params}
@@ -318,26 +318,32 @@ class FederatedAlgorithm:
 
     def _served_state(self, state: dict) -> tuple[dict, dict[int, dict]]:
         """A :meth:`_worker_state` snapshot as the worker engine sends it:
-        the segments every task reads (the ``state`` frame), and by client
-        the ``<prefix>row`` of each own-row slot it reported in (its
-        ``task`` frame; :meth:`_install_rows` reads them back).  The rows
-        are the snapshot's own arrays, not copies."""
+        the segments every task reads but the global parameters (the
+        ``state`` frame; each group's model rides in a ``model`` frame),
+        and by client the ``<prefix>row`` of each own-row slot it reported
+        in (its ``task`` frame; :meth:`_install_rows` reads them back).
+        The rows are the snapshot's own arrays, not copies."""
         prefixes = tuple(slot.reads for slot, _value in self._row_slots())
         rows: dict[int, dict] = {}
         for prefix in prefixes:
             for client, row in zip(state[prefix + "ids"], state[prefix + "rows"]):
                 rows.setdefault(int(client), {})[prefix + "row"] = row
-        return {key: value for key, value in state.items() if not key.startswith(prefixes)}, rows
+        shared = {
+            key: value for key, value in state.items()
+            if key != "global_params" and not key.startswith(prefixes)
+        }
+        return shared, rows
 
     def _install_worker_state(self, state: dict) -> None:
-        """Adopt a round state: zero-copy read-only views, valid for the
+        """Adopt a round state's slots (the global parameters are the
+        caller's: :meth:`as_of` takes the snapshot's, a served worker its
+        model frame's): zero-copy read-only views, valid for the
         round they are installed for.  A whole table becomes a new
         :class:`DeltaTable` holding the snapshot, an own-row table a
         :class:`CohortRows` of the rows the snapshot carries, with the
         default row the table was built with; a served ``state`` frame
         carries none, and each block installs its tasks' rows
         (:meth:`_install_rows`) before it trains."""
-        self.global_params = state["global_params"]
         for slot, value in self._live_slots():
             if slot.reads == WHOLE and isinstance(value, DeltaTable):
                 table = DeltaTable(
@@ -374,6 +380,7 @@ class FederatedAlgorithm:
         live.update(
             (slot.name, value) for slot, value in self._live_slots() if slot.reads is not None
         )
+        self.global_params = state["global_params"]
         self._install_worker_state(state)
         try:
             yield

@@ -34,9 +34,10 @@ the declaration, and state not declared there goes stale in the workers
 after round 0.  ``cohort`` is the ids the round is about to run: a table
 a task reads only at its own client's row is named by the cohort's
 reported rows, never whole, and the worker engine sends each of them
-once, in its client's task (the ``state`` frame carries the rest,
-``_served_state``); the row a never-reported client reads is fixed at
-setup, which the forked workers inherit.
+once, in its client's task (the ``state`` frame carries the rest but
+the model, which rides once a connection and group in a ``model``
+frame, ``_served_state``); the row a never-reported client reads is
+fixed at setup, which the forked workers inherit.
 
 **Degradation.**  The worker engine has exactly one: a failure it
 cannot route around — no ``fork`` for this process

@@ -2,12 +2,14 @@
 
 Every message on the socket is one RFW1 wire message wrapped in a
 length-prefixed frame (:func:`repro.fl.wire.frame`): a ``state`` frame
-(the segments of a round state every task reads, plus a ``serve.seq``),
-``generic`` control messages told apart by an integer ``serve.op``
-(``HELLO``, ``TASK``, ``SHUTDOWN``, and ``UPDATE_PICKLE``, the fallback
-for an update the wire format cannot express), and packed ``update``
-frames.  ``docs/serving.md`` tabulates their segments; when each is sent
-is :mod:`repro.serve.schedule`'s.  The pickle blob is produced by our
+(the segments of a round state every task reads, without the model,
+plus a ``serve.seq``), ``generic`` messages told apart by an integer
+``serve.op`` (``HELLO``; ``MODEL``, a group's model and the ``serve.seq``
+of the state it goes with; ``TASK``, one client's headers and its own
+rows; ``SHUTDOWN``; and ``UPDATE_PICKLE``, the fallback for an update
+the wire format cannot express), and packed ``update`` frames.
+``docs/serving.md`` tabulates their segments; when each is sent is
+:mod:`repro.serve.schedule`'s.  The pickle blob is produced by our
 own forked worker: the serve sockets are a private transport between
 processes of one run, not an untrusted network surface.
 
@@ -28,6 +30,7 @@ OP_HELLO = 1
 OP_TASK = 2
 OP_SHUTDOWN = 3
 OP_UPDATE_PICKLE = 4
+OP_MODEL = 5
 
 
 def parse_serve_addr(spec) -> tuple[str, object]:
@@ -67,12 +70,12 @@ def parse_serve_addr(spec) -> tuple[str, object]:
 
 # -- frame builders -----------------------------------------------------------------
 #
-# ``build_*`` return ready-to-send length-prefixed bytes.  The two frames
-# that carry megabytes — the round state and a task's model and rows —
+# ``build_*`` return ready-to-send length-prefixed bytes.  The frames
+# that carry megabytes — the round state, a group's model, a task's rows —
 # also come as ``*_parts``: ``(frame length, pieces)`` whose pieces the server
-# queues as they are (one list shared by every connection), so neither
-# is joined into a copy on its way to the socket.  ``build_state`` and
-# ``build_task`` are the joins of those pieces.
+# queues as they are (one list shared by every connection), so none is
+# joined into a copy on its way to the socket.  ``build_state``,
+# ``build_model`` and ``build_task`` are the joins of those pieces.
 
 
 def build_hello(worker_id: int, attempts: int) -> bytes:
@@ -97,15 +100,28 @@ def build_state(state: dict, seq: int) -> bytes:
     return b"".join(state_parts(state, seq)[1])
 
 
+def model_parts(seq: int, model: np.ndarray) -> tuple[int, list]:
+    """A group's model, for the blocks that follow it on a connection:
+    ``seq`` is the state frame it goes with.  The pieces alias
+    ``model``."""
+    return wire.frame_parts(
+        *wire.pack_parts("generic", {"serve.op": OP_MODEL, "serve.seq": seq, "model": model})
+    )
+
+
+def build_model(seq: int, model: np.ndarray) -> bytes:
+    return b"".join(model_parts(seq, model)[1])
+
+
 def task_parts(
-    round_idx: int, position: int, client_id: int, seq: int, block: int, model: np.ndarray,
+    round_idx: int, position: int, client_id: int, seq: int, block: int,
     rows: dict | None = None,
 ) -> tuple[int, list]:
-    """One client's task.  ``block`` is how many task frames, this one
-    included, the server queued back to back for the worker to train
-    together; every frame still carries its own ``model``, and ``rows``,
-    the client's own ``<prefix>row`` segments
-    (:meth:`~repro.algorithms.base.FederatedAlgorithm._served_state`)."""
+    """One client's task, trained on the last model frame, whose
+    ``serve.seq`` it repeats.  ``block`` is how many task frames, this
+    one included, the server queued back to back for the worker to
+    train together; ``rows`` are the client's own ``<prefix>row``
+    segments (:meth:`~repro.algorithms.base.FederatedAlgorithm._served_state`)."""
     return wire.frame_parts(
         *wire.pack_parts(
             "generic",
@@ -116,7 +132,6 @@ def task_parts(
                 "serve.client": client_id,
                 "serve.seq": seq,
                 "serve.block": block,
-                "model": model,
                 **(rows or {}),
             },
         )
@@ -124,10 +139,10 @@ def task_parts(
 
 
 def build_task(
-    round_idx: int, position: int, client_id: int, seq: int, block: int, model: np.ndarray,
+    round_idx: int, position: int, client_id: int, seq: int, block: int,
     rows: dict | None = None,
 ) -> bytes:
-    return b"".join(task_parts(round_idx, position, client_id, seq, block, model, rows)[1])
+    return b"".join(task_parts(round_idx, position, client_id, seq, block, rows)[1])
 
 
 def build_shutdown() -> bytes:
@@ -149,7 +164,7 @@ def parse_message(message: bytes):
     """Decode one de-framed message into ``(kind, payload)``.
 
     Kinds: ``('state', segments)``, ``('hello', segments)``,
-    ``('task', segments)``, ``('shutdown', None)``, or
+    ``('model', segments)``, ``('task', segments)``, ``('shutdown', None)``, or
     ``('update', ClientUpdate)``.  Unknown shapes raise
     :class:`WireError` — the connection is then treated as broken.
     """
@@ -161,6 +176,8 @@ def parse_message(message: bytes):
     op = segments.get("serve.op")
     if op == OP_HELLO:
         return "hello", segments
+    if op == OP_MODEL:
+        return "model", segments
     if op == OP_TASK:
         return "task", segments
     if op == OP_SHUTDOWN:

@@ -1,7 +1,7 @@
 """The worker engine's dispatch policy, as one pure schedule.
 
-:class:`WaveSchedule` decides which block, and which state frame before
-it, goes to which connection; :class:`~repro.serve.server.ServeExecutor`
+:class:`WaveSchedule` decides which block, and whether its group's
+frames go before it, goes to which connection; :class:`~repro.serve.server.ServeExecutor`
 only moves the bytes.  It holds no socket, clock or process: a
 connection is any hashable, the events are ``hello``, ``update`` and
 ``dead``, and the action is ``next_send``.  The rules, each with the
@@ -9,9 +9,11 @@ scripted case in ``tests/serve/test_schedule.py`` that holds it:
 
 1. **Units**: :func:`repro.fl.parallel.dispatch_units`, from the head of
    the queue in order.
-2. **State before block**: a connection is sent a group's state frame
-   just before its first block of that group, and again after a block
-   of another group; nothing on accept (``test_state_goes_before_its_block``).
+2. **State before block**: a connection is sent a group's frames (the
+   server's model frame, behind the shared state frame where the
+   connection lacks it) just before its first block of that group, and
+   again after a block of another group; nothing on accept
+   (``test_state_goes_before_its_block``).
 3. **Two blocks a connection**: a block goes to a connection that said
    hello and holds fewer than two blocks (one training, one queued),
    fewer than one while a live forked worker has not said hello; the one
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 
 class Send(NamedTuple):
-    """One block for one connection, after state frame ``state`` unless None."""
+    """One block for one connection, after group frames ``state`` unless None."""
 
     conn: Hashable
     state: int | None
@@ -53,12 +55,12 @@ class WaveSchedule:
     def __init__(self, max_inflight: int) -> None:
         self.max_inflight = max_inflight
         self._held: dict = {}  # helloed conn -> {position: (client, block)}
-        self._installed: dict = {}  # conn -> the state seq it was last sent
+        self._installed: dict = {}  # conn -> the number of the frames it was last sent
         self.begin_wave([], [])
 
     def begin_wave(self, units, seqs) -> None:
         """Queue a wave's ``(group, refusal, slots)`` units; ``seqs[g]``
-        numbers group ``g``'s state frame."""
+        numbers group ``g``'s frames."""
         self._pending = deque((*unit, False) for unit in units)
         self._seqs = list(seqs)
         self.blocks: list[tuple[int, str | None, list[tuple[int, int]]]] = []

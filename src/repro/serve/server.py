@@ -12,22 +12,26 @@ listens where ``serve_addr`` says.
 
 One round, from the server's seat:
 
-1. Pack each state the wave's groups train on once — as pieces
-   (:func:`repro.fl.wire.pack_parts`), never joined, sequence-numbered.
-   A group (:func:`repro.fl.parallel.wave_group`) is a hierarchical
-   region, and all of those share one frame of the live state for the
-   union of their cohorts, or an async dispatch round, which carries
-   its round index and recorded ``_worker_state`` snapshot.
+1. Pack each state the wave's groups train on once, and each group's
+   model once — as pieces (:func:`repro.fl.wire.pack_parts`), never
+   joined.  A group (:func:`repro.fl.parallel.wave_group`) is a
+   hierarchical region, and all of those share one sequence-numbered
+   frame of the live state for the union of their cohorts, or an async
+   dispatch round, which carries its round index and recorded
+   ``_worker_state`` snapshot.  A model frame names its state's seq.
 2. Queue the wave's dispatch units
    (:func:`repro.fl.parallel.dispatch_units`) on the
-   :class:`~repro.serve.schedule.WaveSchedule`: its docstring states
-   which block and state frame go to which connection, and names the
-   scripted test of each rule.
+   :class:`~repro.serve.schedule.WaveSchedule`, numbering each group's
+   frames apart: its docstring states which block goes to which
+   connection, after its group's frames or not, and names the scripted
+   test of each rule.
 3. Drive a non-blocking :mod:`selectors` loop — accept late workers,
    flush bounded per-connection write queues, reassemble frames from
    partial reads — that turns socket events into the schedule's
-   ``hello`` / ``update`` / ``dead`` and each of its sends into a state
-   frame and ``task`` frames queued on one connection.  Updates are
+   ``hello`` / ``update`` / ``dead`` and each of its sends into frames
+   queued on one connection: where the schedule asks for the group's
+   frames, the shared state (unless the connection installed it last)
+   and the group's model, then the block's ``task`` frames.  Updates are
    yielded from the loop as the contiguous prefix of positions that
    have arrived grows, so the round commits them while workers train.
    A dead connection's worker is joined, so the next wave forks its
@@ -80,7 +84,7 @@ class ServeError(RuntimeError):
 class _Conn:
     """Per-connection state: its bytes, and the worker that said hello on it."""
 
-    __slots__ = ("sock", "assembler", "outq", "out_bytes", "proc")
+    __slots__ = ("sock", "assembler", "outq", "out_bytes", "proc", "state_seq")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -88,6 +92,7 @@ class _Conn:
         self.outq: deque[memoryview] = deque()
         self.out_bytes = 0
         self.proc = None
+        self.state_seq = None  # the shared state last queued on it
 
 
 @dataclass
@@ -105,7 +110,7 @@ class _RoundStats:
     connects: int = 0
     worker_retries: int = 0
     latencies: list = field(default_factory=list)
-    state_bytes: int = 0  # the wave's state frames, each counted once
+    state_bytes: int = 0  # the wave's state and model frames, each counted once
     blocks: list = field(default_factory=list)  # the schedule's, as dispatched
 
 
@@ -407,15 +412,17 @@ class ServeExecutor(ClientExecutor):
         assert self._selector is not None
         # One state frame a state the groups carry (a group shares it
         # with every group that carries the same), and one for the live
-        # state of the rest, over the union of their ids.  WireError here
-        # (inexpressible round state) propagates to stream(), which
-        # degrades — there is no pickled state transport over sockets.
+        # state of the rest, over the union of their ids; and one model
+        # frame a group, numbered apart, so the schedule asks for it on
+        # every switch of group.  WireError here (inexpressible round
+        # state) propagates to stream(), which degrades — there is no
+        # pickled state transport over sockets.
         live_ids = [cid for group_ids, *_g, state in groups if state is None for cid in group_ids]
         seq_of: dict[int | None, int] = {}  # id(state), None for the live state -> seq
         state_frames: dict[int, tuple] = {}  # seq -> state frame
         task_rows: dict[int, dict] = {}  # seq -> {client: its own rows}
-        seqs = []  # each group's seq
-        for group_ids, _model, _round, state in groups:
+        seqs, numbers, model_frames = [], [], []  # each group's state seq, number, model frame
+        for group_ids, model, _round, state in groups:
             key = None if state is None else id(state)
             if group_ids and key not in seq_of:
                 self._seq += 1
@@ -425,13 +432,18 @@ class ServeExecutor(ClientExecutor):
                 )
                 state_frames[self._seq] = protocol.state_parts(shared, self._seq)
             seqs.append(seq_of.get(key))
-        stats.state_bytes = sum(length for length, _pieces in state_frames.values())
+            self._seq += 1
+            numbers.append(self._seq)
+            model_frames.append(protocol.model_parts(seq_of[key], model) if group_ids else None)
+        stats.state_bytes = sum(
+            frame[0] for frame in [*state_frames.values(), *model_frames] if frame is not None
+        )
         for conn in list(self._conns.values()):
             if self._flush(conn, stats):  # broke while draining old bytes
                 self._drop_conn(conn, stats)
 
         schedule = self._schedule
-        schedule.begin_wave(dispatch_units(algorithm, groups), seqs)
+        schedule.begin_wave(dispatch_units(algorithm, groups), numbers)
         stats.blocks = schedule.blocks
         results: dict[int, object] = {}  # arrived, not yet released
         released = 0
@@ -457,11 +469,13 @@ class ServeExecutor(ClientExecutor):
                 _ids, model, group_round, _state = groups[send.group]
                 seq = seqs[send.group]
                 if send.state is not None:
-                    self._queue(send.conn, state_frames[send.state], stats)
+                    if send.conn.state_seq != seq:
+                        self._queue(send.conn, state_frames[seq], stats)
+                        send.conn.state_seq = seq
+                    self._queue(send.conn, model_frames[send.group], stats)
                 for pos, cid in send.slots:
                     task = protocol.task_parts(
-                        group_round, pos, cid, seq, len(send.slots), model,
-                        task_rows[seq].get(cid),
+                        group_round, pos, cid, seq, len(send.slots), task_rows[seq].get(cid)
                     )
                     if send.redispatch:
                         stats.redispatch_bytes += model.nbytes

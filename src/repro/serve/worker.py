@@ -7,12 +7,16 @@ exponential backoff, and then loops:
 
 * ``state`` frame -> adopt the segments every task reads via
   ``_install_worker_state``.
+* ``model`` frame -> point ``global_params`` at its ``model`` segment,
+  the model of the group whose blocks follow; it names the state frame
+  it goes with, and one naming a state this connection did not install
+  last makes the worker exit (the server redispatches).
 * ``task`` frame  -> hold it until the ``serve.block`` frames of its
   block have arrived; then install the own rows the tasks carry
-  (``_install_rows``), point ``global_params`` at the ``model`` segment
-  (the per-client downlink), train the block as the serial engine would
-  (:func:`repro.fl.parallel.run_held_clients`) and send one packed
-  update per client back, in order.
+  (``_install_rows``), train the block on the last model frame's model
+  as the serial engine would (:func:`repro.fl.parallel.run_held_clients`)
+  and send one packed update per client back, in order.  A task whose
+  ``serve.seq`` is not that model frame's makes the worker exit.
 * ``shutdown`` frame or EOF -> exit.
 
 Retries, timeouts and the orphan exit: ``docs/serving.md``.
@@ -114,7 +118,7 @@ def worker_main(
         sock, attempts = connect_with_retry(resolved, retries, backoff, timeout)
     except OSError:
         return
-    state_seq = -1
+    state_seq = model_seq = -1  # the installed state, and the one the model goes with
     held: list[dict] = []  # tasks of the block still arriving
     with sock:
         sock.settimeout(timeout)
@@ -138,20 +142,24 @@ def worker_main(
                     kind, payload = protocol.parse_message(message)
                     if kind == "state":
                         algorithm._install_worker_state(payload)
-                        state_seq = int(payload.get("serve.seq", -1))
-                    elif kind == "task":
+                        state_seq, model_seq = int(payload.get("serve.seq", -1)), -1
+                    elif kind == "model":
                         if int(payload["serve.seq"]) != state_seq:
-                            # A task for a round whose state this
-                            # connection never saw: per-connection TCP
-                            # ordering makes this a protocol bug, not a
-                            # race.  Exit; the server redispatches.
+                            return  # a model for a state this connection never installed
+                        algorithm.global_params = payload["model"]
+                        model_seq = state_seq
+                    elif kind == "task":
+                        if int(payload["serve.seq"]) != model_seq:
+                            # A task for a state or model this connection
+                            # never saw: per-connection stream ordering
+                            # makes this a protocol bug, not a race.
+                            # Exit; the server redispatches.
                             return
                         held.append(payload)
                         if len(held) < int(payload["serve.block"]):
                             continue
                         clients = [int(task["serve.client"]) for task in held]
                         algorithm._install_rows(clients, held)
-                        algorithm.global_params = payload["model"]
                         round_idx = int(payload["serve.round"])
                         for update in run_held_clients(algorithm, round_idx, clients):
                             send_with_retry(

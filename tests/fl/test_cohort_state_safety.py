@@ -81,8 +81,9 @@ def test_residual_rows_installed_from_a_cohort_broadcast(state_cap):
 @pytest.mark.parametrize("state_cap", [None, 2], ids=["dense", "sharded"])
 def test_a_served_block_reads_exactly_its_tasks_rows(state_cap):
     """The worker engine's split of a round state: the state frame
-    carries no own row, each task its own client's reported rows, and a
-    block reads exactly the rows of its tasks."""
+    carries neither the model (its own frame's) nor an own row, each
+    task its own client's reported rows, and a block reads exactly the
+    rows of its tasks."""
     fed = make_toy_federation(similarity=0.0, num_clients=16)
     algorithm = make_algorithm("scaffold")
     algorithm.setup(
@@ -96,7 +97,7 @@ def test_a_served_block_reads_exactly_its_tasks_rows(state_cap):
         algorithm.client_controls.update(client, gen.normal(size=algorithm.model_size))
 
     shared, rows = algorithm._served_state(algorithm._worker_state([1, 4, 5, 9, 12]))
-    assert sorted(shared) == ["global_params", "server_control"]
+    assert sorted(shared) == ["server_control"]
     assert {client: sorted(segments) for client, segments in rows.items()} == {
         1: ["controls.row", "ef.row"], 4: ["controls.row", "ef.row"],
         5: ["controls.row"], 9: ["ef.row"],
@@ -111,8 +112,9 @@ def test_a_served_block_reads_exactly_its_tasks_rows(state_cap):
     block = [9, 1, 12]
     tasks = [
         protocol.parse_message(
-            protocol.build_task(0, pos, cid, 1, len(block), algorithm.global_params,
-                                rows.get(cid))[wire.FRAME_PREFIX.size:]
+            protocol.build_task(0, pos, cid, 1, len(block), rows.get(cid))[
+                wire.FRAME_PREFIX.size:
+            ]
         )[1]
         for pos, cid in enumerate(block)
     ]

@@ -108,10 +108,18 @@ def test_state_with_inexpressible_segments_raises_wire_error():
         protocol.build_state({"weird": object()}, 1)
 
 
-def test_task_round_trip_carries_model():
+def test_model_round_trip_carries_seq_and_model():
     model = np.linspace(-1, 1, 17)
+    kind, payload = protocol.parse_message(_deframe(protocol.build_model(5, model)))
+    assert kind == "model"
+    assert payload["serve.seq"] == 5
+    np.testing.assert_array_equal(payload["model"], model)
+
+
+def test_task_round_trip_carries_headers_and_rows_only():
+    row = np.linspace(-1, 1, 17)
     framed = protocol.build_task(
-        round_idx=4, position=2, client_id=9, seq=5, block=3, model=model
+        round_idx=4, position=2, client_id=9, seq=5, block=3, rows={"ef.row": row}
     )
     kind, payload = protocol.parse_message(_deframe(framed))
     assert kind == "task"
@@ -120,7 +128,8 @@ def test_task_round_trip_carries_model():
     assert payload["serve.client"] == 9
     assert payload["serve.seq"] == 5
     assert payload["serve.block"] == 3
-    np.testing.assert_array_equal(payload["model"], model)
+    np.testing.assert_array_equal(payload["ef.row"], row)
+    assert "model" not in payload  # the model rides in its own frame
 
 
 def test_shutdown_round_trip():

@@ -198,18 +198,19 @@ def _bound_algorithm(fed):
 
 
 def _task_stream(algorithm, blocks, seq=3, round_idx=1, stale=None):
-    """The frames of one round for one worker: its state, then each
-    block's tasks back to back.  ``stale`` gives one position another
-    sequence number."""
+    """The frames of one round for one worker: its state and its model,
+    then each block's tasks back to back.  ``stale`` gives one position
+    another sequence number."""
     cohort = [cid for block in blocks for cid in block]
-    frames = [protocol.build_state(algorithm._worker_state(cohort), seq)]
+    shared, rows = algorithm._served_state(algorithm._worker_state(cohort))
+    frames = [protocol.build_state(shared, seq), protocol.build_model(seq, algorithm.global_params)]
     position = 0
     for block in blocks:
         for cid in block:
             frames.append(
                 protocol.build_task(
                     round_idx, position, cid, seq + (position == stale), len(block),
-                    algorithm.global_params,
+                    rows.get(cid),
                 )
             )
             position += 1
@@ -305,11 +306,22 @@ def test_a_block_cut_anywhere_is_trained_once_complete_in_order(
 
 
 def test_a_stale_task_inside_a_block_makes_the_worker_exit(fed, tmp_path, monkeypatch):
-    """A ``serve.seq`` other than the installed state's is a protocol
+    """A ``serve.seq`` other than the last model frame's is a protocol
     bug wherever in a block it sits: the worker leaves without training
     what it held, and the server's EOF handling redispatches."""
     frames = _task_stream(_bound_algorithm(fed), [[4, 9, 2, 30]], stale=2)
     assert _worker_session(fed, tmp_path, monkeypatch, frames, [], expect=4) == []
+
+
+def test_a_model_for_a_state_never_installed_makes_the_worker_exit(fed, tmp_path, monkeypatch):
+    """A model frame names the shared state it goes with; one naming a
+    state this connection did not install is a protocol bug, so the
+    worker leaves before any task, even tasks of the installed state."""
+    algorithm = _bound_algorithm(fed)
+    shared, _rows = algorithm._served_state(algorithm._worker_state([4, 9]))
+    frames = [protocol.build_state(shared, 3), protocol.build_model(4, algorithm.global_params)]
+    frames += [protocol.build_task(1, pos, cid, 3, 2) for pos, cid in enumerate([4, 9])]
+    assert _worker_session(fed, tmp_path, monkeypatch, frames, [], expect=2) == []
 
 
 # -- (c) a worker dies holding half a block ------------------------------------------

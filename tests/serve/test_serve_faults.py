@@ -198,21 +198,27 @@ def test_state_bytes_counts_one_cohort_scoped_frame_per_round(fed):
     assert counters["serve.bytes_sent"] >= counters["serve.state_bytes"]
 
 
-@pytest.mark.parametrize("name, slots", [("fedavg", 1), ("scaffold", 2)])
+@pytest.mark.parametrize("name, slots", [("fedavg", 0), ("fedavg", 1), ("scaffold", 2)])
 def test_each_reported_row_crosses_once_a_round(fed, name, slots):
-    """A round sends each worker one state frame and each client one
-    task: its model and its own rows (residual; control), every row
-    once, whichever worker trains it."""
+    """A round sends each worker one state frame and one model frame,
+    and each client one task: its headers and its own rows (residual;
+    control; none in a dense FedAvg run), every row once, whichever
+    worker trains it."""
     tracer = Tracer()
-    config = _config(seed=50, rounds=5, compression="topk:0.05|qsgd:8")
+    compression = "topk:0.05|qsgd:8" if slots else "none"
+    config = _config(seed=50, rounds=5, compression=compression)
     algorithm, _history = run_serve(name, {}, fed, config, tracer=tracer)
     counters = _counters(tracer)
     model = row = algorithm.model_size * 8
-    bound = WORKERS * (model + 4096) + fed.num_clients * (model + slots * row + 512)
+    # The model crosses at most twice a connection a round, not once a client.
+    bound = WORKERS * (2 * model + 8192) + fed.num_clients * (slots * row + 512)
     assert counters["serve.bytes_sent"] <= config.rounds * bound
-    # Every client reported its rows in round 0, so the later rounds'
-    # tasks carried them: the traffic is above the rowless tasks'.
-    assert counters["serve.bytes_sent"] > config.rounds * fed.num_clients * (model + row)
+    if slots:
+        # Every client reported its rows in round 0, so the later
+        # rounds' tasks carried them: the traffic is above a row a client.
+        assert counters["serve.bytes_sent"] > config.rounds * fed.num_clients * row
+    else:  # fewer connections than clients: below a model a client
+        assert counters["serve.bytes_sent"] < config.rounds * fed.num_clients * model
 
 
 def test_latency_quantiles_reach_the_snapshot(fed):

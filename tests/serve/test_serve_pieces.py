@@ -1,12 +1,13 @@
 """Frames queued as pieces: what reaches a worker is what was built.
 
-The server queues a state or task frame as the pieces
-:func:`repro.fl.wire.pack_parts` produced — views of the model, one list
-shared by every connection, and of the task's own rows — and
-``_flush`` re-slices a queue's own view on a partial send.  Sharing and
-slicing must never change a byte: every test here compares the digest of
-what a receiver reassembled with the digest of ``build_state(...)`` /
-``build_task(...)`` for the same arguments.
+The server queues a state, model or task frame as the pieces
+:func:`repro.fl.wire.pack_parts` produced — views of the shared state
+and of the model, one list shared by every connection, and of the
+task's own rows — and ``_flush`` re-slices a queue's own view on a
+partial send.  Sharing and slicing must never change a byte: every test
+here compares the digest of what a receiver reassembled with the digest
+of ``build_state(...)`` / ``build_model(...)`` / ``build_task(...)`` for
+the same arguments.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def _state(seed: int = 0) -> dict:
 # -- joins ------------------------------------------------------------------------
 
 
-def test_build_state_and_task_are_the_joins_of_their_parts():
+def test_build_state_model_and_task_are_the_joins_of_their_parts():
     state = _state()
     length, pieces = protocol.state_parts(state, 9)
     assert b"".join(pieces) == protocol.build_state(state, 9)
@@ -54,11 +55,17 @@ def test_build_state_and_task_are_the_joins_of_their_parts():
         wire.pack_state({**state, "serve.seq": 9})
     )
     model = state["global_params"]
-    length, pieces = protocol.task_parts(3, 1, 7, 9, 2, model)
-    assert b"".join(pieces) == protocol.build_task(3, 1, 7, 9, 2, model)
-    assert length == len(protocol.build_task(3, 1, 7, 9, 2, model))
+    length, pieces = protocol.model_parts(9, model)
+    assert b"".join(pieces) == protocol.build_model(9, model)
+    assert length == len(protocol.build_model(9, model))
     # Nothing was copied: the model rides as a view of the caller's array.
     assert any(np.shares_memory(np.frombuffer(p, dtype=np.uint8), model) for p in pieces)
+    rows = {"ef.row": state["ef.rows"][3]}
+    length, pieces = protocol.task_parts(3, 1, 7, 9, 2, rows)
+    assert b"".join(pieces) == protocol.build_task(3, 1, 7, 9, 2, rows)
+    assert length == len(protocol.build_task(3, 1, 7, 9, 2, rows))
+    # Nor the row: a view of the snapshot's own array.
+    assert any(np.shares_memory(np.frombuffer(p, dtype=np.uint8), rows["ef.row"]) for p in pieces)
 
 
 # -- one piece list, many queues, partial sends -------------------------------------
@@ -120,12 +127,14 @@ def test_shared_pieces_survive_partial_sends_on_every_connection(chunk):
             peers.append(theirs)
         state = _state(1)
         state_frame = protocol.state_parts(state, 4)
+        model_frame = protocol.model_parts(4, state["global_params"])
         tasks = [
-            protocol.task_parts(2, pos, 10 + pos, 4, 3, state["global_params"])
+            protocol.task_parts(2, pos, 10 + pos, 4, 3, {"ef.row": state["ef.rows"][pos]})
             for pos in range(3)
         ]
         for conn in conns:
             executor._queue(conn, state_frame, stats)
+            executor._queue(conn, model_frame, stats)
         for task in tasks:
             for conn in conns:
                 executor._queue(conn, task, stats)
@@ -135,8 +144,9 @@ def test_shared_pieces_survive_partial_sends_on_every_connection(chunk):
             ours.close()
             theirs.close()
     prefix = wire.FRAME_PREFIX.size
-    expected = [protocol.build_state(state, 4)] + [
-        protocol.build_task(2, pos, 10 + pos, 4, 3, state["global_params"]) for pos in range(3)
+    expected = [protocol.build_state(state, 4), protocol.build_model(4, state["global_params"])] + [
+        protocol.build_task(2, pos, 10 + pos, 4, 3, {"ef.row": state["ef.rows"][pos]})
+        for pos in range(3)
     ]
     for frames in received:
         assert [digest(f) for f in frames] == [digest(e[prefix:]) for e in expected]
@@ -148,8 +158,9 @@ def test_shared_pieces_survive_partial_sends_on_every_connection(chunk):
 
 
 class _FrameLog:
-    """Digest every state / task frame where it is built (the server)
-    and where it is parsed (each worker process, one file per pid).
+    """Digest every state / model / task frame where it is built (the
+    server) and where it is parsed (each worker process, one file per
+    pid).
 
     ``die_in_round`` makes the first worker that receives a task of
     that round exit on the spot, so the server must redispatch what it
@@ -161,30 +172,42 @@ class _FrameLog:
         self.built: dict[str, str] = {}
         self.rows_sent: list[list[str]] = []  # each task's row segment names
         self.server_pid = os.getpid()
-        state_parts, task_parts, parse = (
-            protocol.state_parts, protocol.task_parts, protocol.parse_message,
+        state_parts, model_parts, task_parts, parse = (
+            protocol.state_parts, protocol.model_parts, protocol.task_parts,
+            protocol.parse_message,
         )
         prefix = wire.FRAME_PREFIX.size
 
         # The reference is the join at build time — build_state /
-        # build_task by definition (pinned by the first test above).
+        # build_model / build_task by definition (pinned by the first
+        # test above).
         def logged_state(state, seq):
             frame = state_parts(state, seq)
             self.built[f"state:{seq}"] = digest(b"".join(frame[1])[prefix:])
             return frame
 
-        def logged_task(round_idx, position, client_id, seq, block, model, rows=None):
-            frame = task_parts(round_idx, position, client_id, seq, block, model, rows)
+        def logged_model(seq, model):
+            frame = model_parts(seq, model)
+            self.built[f"model:{seq}"] = digest(b"".join(frame[1])[prefix:])
+            return frame
+
+        def logged_task(round_idx, position, client_id, seq, block, rows=None):
+            frame = task_parts(round_idx, position, client_id, seq, block, rows)
             self.built[f"task:{seq}:{position}:{block}"] = digest(b"".join(frame[1])[prefix:])
             self.rows_sent.append(sorted(rows or ()))
             return frame
 
         def logged_parse(message):
             kind, payload = parse(message)
-            if kind == "state":  # own rows ride in the tasks, never here
-                assert not [key for key in payload if key.startswith(("ef.", "controls."))]
-            if kind in ("state", "task") and os.getpid() != self.server_pid:
-                key = f"state:{payload['serve.seq']}" if kind == "state" else (
+            if kind == "state":  # the model and own rows ride elsewhere, never here
+                assert not [
+                    key for key in payload
+                    if key == "global_params" or key.startswith(("ef.", "controls."))
+                ]
+            if kind == "task":
+                assert "model" not in payload
+            if kind in ("state", "model", "task") and os.getpid() != self.server_pid:
+                key = f"{kind}:{payload['serve.seq']}" if kind != "task" else (
                     f"task:{payload['serve.seq']}:{payload['serve.position']}"
                     f":{payload['serve.block']}"
                 )
@@ -201,6 +224,7 @@ class _FrameLog:
             return kind, payload
 
         monkeypatch.setattr(protocol, "state_parts", logged_state)
+        monkeypatch.setattr(protocol, "model_parts", logged_model)
         monkeypatch.setattr(protocol, "task_parts", logged_task)
         monkeypatch.setattr(protocol, "parse_message", logged_parse)
 
@@ -247,19 +271,26 @@ def test_delivered_frames_equal_the_built_bytes(fed, tmp_path, monkeypatch, comp
     seen = set()
     for pid, entries in received.items():
         assert entries, f"worker {pid} logged nothing"
-        installed = None  # the seq of the last state this worker received
+        installed = modelled = None  # the seqs of this worker's last state, last model
+        states = []  # each state seq this worker was sent, once each
         for key, frame_digest in entries:
             assert log.built[key] == frame_digest, f"worker {pid}: {key} differs from build_*"
             seen.add(key)
             kind, seq = key.split(":")[:2]
             if kind == "state":
-                installed = seq
-            else:  # a state goes with a connection's first block of it
+                installed, modelled = seq, None
+                states.append(seq)
+            elif kind == "model":  # a model goes after its state
                 assert seq == installed, f"worker {pid}: {key} before its state"
-    # Every frame that was built reached some worker intact: a state per
-    # round, a task per (round, position).
+                modelled = seq
+            else:  # a model goes with a connection's first block of it
+                assert seq == modelled, f"worker {pid}: {key} before its model"
+        assert len(states) == len(set(states)), f"worker {pid}: a state sent twice"
+    # Every frame that was built reached some worker intact: a state and
+    # a model per round, a task per (round, position).
     assert {k for k in log.built if k.startswith("task")} <= seen
     assert sum(k.startswith("state") for k in seen) == config.rounds
+    assert sum(k.startswith("model") for k in seen) == config.rounds
     # Every client has reported a control by the last round, and a
     # residual too under error feedback: those tasks carry the rows.
     rows = ["controls.row"] + (["ef.row"] if compression != "none" else [])
@@ -268,5 +299,5 @@ def test_delivered_frames_equal_the_built_bytes(fed, tmp_path, monkeypatch, comp
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["serve.redispatches"] >= 1
         # Two forked at the start, one replacement that joined late and
-        # was sent the round's shared state pieces with its first block.
+        # was sent the round's shared state and model with its first block.
         assert len(received) == 3
