@@ -130,9 +130,10 @@ class StateSlot:
     ``reads`` is what a worker task reads of it: ``None``, nothing;
     :data:`WHOLE`, all of it (a table's ``worker_segments``); or a
     segment prefix (``"ef."``): its own client's row.  A snapshot names
-    the cohort's reported rows under the prefix, the worker engine sends
-    each inside its client's task as ``<prefix>row``, and a task reads
-    its row through a :class:`CohortRows`.
+    the cohort's reported rows under the prefix, the worker engine copies
+    each into its client's slot of the shared row arena
+    (:mod:`repro.serve.arena`), and a task reads its row through a
+    :class:`CohortRows`.
     """
 
     key: str | None
@@ -303,7 +304,8 @@ class FederatedAlgorithm:
         worker engine sends this once per round with the ids it is about
         to run, split by :meth:`_served_state`: long-lived workers adopt
         the shared part via :meth:`_install_worker_state`, the model
-        rides in a frame of its own, and each row in its client's task.
+        rides in a frame of its own, and each row through its client's
+        slot of the shared row arena.
         """
         assert self.global_params is not None
         state = {"global_params": self.global_params}
@@ -321,7 +323,8 @@ class FederatedAlgorithm:
         the segments every task reads but the global parameters (the
         ``state`` frame; each group's model rides in a ``model`` frame),
         and by client the ``<prefix>row`` of each own-row slot it reported
-        in (its ``task`` frame; :meth:`_install_rows` reads them back).
+        in (copied into its arena slot; :meth:`_install_rows` reads them
+        back).
         The rows are the snapshot's own arrays, not copies."""
         prefixes = tuple(slot.reads for slot, _value in self._row_slots())
         rows: dict[int, dict] = {}
@@ -359,10 +362,10 @@ class FederatedAlgorithm:
 
     def _install_rows(self, clients: list[int], tasks: list[dict]) -> None:
         """Point every own-row slot at the rows of ``clients`` alone, a
-        served block: ``tasks[i]`` carries client ``i``'s ``<prefix>row``
-        where it reported (:meth:`_served_state`), and a client without
-        one reads the default row; any other client raises
-        :class:`ProtocolError`."""
+        served block: ``tasks[i]`` maps client ``i``'s ``<prefix>row``
+        where it reported (:meth:`_served_state`) to a read-only view of
+        its arena slot, and a client without one reads the default row;
+        any other client raises :class:`ProtocolError`."""
         for slot, value in self._row_slots():
             key = slot.reads + "row"
             rows = {client: task[key] for client, task in zip(clients, tasks) if key in task}

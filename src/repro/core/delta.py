@@ -24,8 +24,9 @@ SCAFFOLD's client controls, MOON's previous models) never travels
 whole: :meth:`DeltaTable.cohort_segments` names the cohort's reported
 rows, uncopied, and :class:`CohortRows` is what a task reads them back
 through, with the default row the forked worker inherited.  The worker
-engine sends each of those rows once, inside its own client's task
-frame (``docs/serving.md``), so a round's traffic scales with who
+engine copies each of those rows once into its own client's slot of a
+shared row arena mapped before the workers fork (``docs/serving.md``),
+so no row crosses a socket and a round's copying scales with who
 participates, not with the population.
 """
 
@@ -48,7 +49,7 @@ class CohortRows:
 
     It keeps exactly the (read-only, zero-copy) rows it is given, by
     client: a snapshot's (:meth:`from_state`), or a served block's, each
-    row from its client's task frame.  Reading a cohort client without a
+    row a view of its client's slot of the shared row arena.  Reading a cohort client without a
     row yields the table's (read-only) ``default`` row, as the parent's
     table would for a client that never reported; a client outside the
     cohort raises :class:`ProtocolError` — its row was not sent, and an

@@ -33,11 +33,13 @@ state must be a state slot the algorithm declares as read by workers
 the declaration, and state not declared there goes stale in the workers
 after round 0.  ``cohort`` is the ids the round is about to run: a table
 a task reads only at its own client's row is named by the cohort's
-reported rows, never whole, and the worker engine sends each of them
-once, in its client's task (the ``state`` frame carries the rest but
-the model, which rides once a connection and group in a ``model``
-frame, ``_served_state``); the row a never-reported client reads is
-fixed at setup, which the forked workers inherit.
+reported rows, never whole, and the worker engine copies each of them
+once into its client's slot of a shared row arena mapped before the
+fork, and reads the client's new error-feedback residual back from it
+(the ``state`` frame carries the rest but the model, which rides once
+a connection and group in a ``model`` frame, ``_served_state``); the
+row a never-reported client reads is fixed at setup, which the forked
+workers inherit.
 
 **Degradation.**  The worker engine has exactly one: a failure it
 cannot route around — no ``fork`` for this process
@@ -96,7 +98,8 @@ class ClientUpdate:
             feedback; committed to the server-side residual table in
             selection order.  Simulation bookkeeping — in a real
             deployment this state never leaves the client, so it is
-            not charged to the ledger.
+            not charged to the ledger, and a served worker leaves it in
+            its slot of the shared row arena, not in its update frame.
 
     The round that commits an update folds it into its running aggregate
     and then :meth:`release` s its heavy fields (``params``,

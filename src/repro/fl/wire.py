@@ -374,8 +374,11 @@ _UPDATE_INTS = ("client_id", "num_steps", "worker")
 _UPDATE_FLOATS = ("task_loss", "reg_loss", "train_seconds")
 
 
-def pack_client_update(update) -> bytes:
-    """Encode a :class:`~repro.fl.parallel.ClientUpdate`.
+def pack_client_update(update, extra: dict | None = None) -> bytes:
+    """Encode a :class:`~repro.fl.parallel.ClientUpdate` (its fields but
+    the error-feedback ``residual``, which a served worker leaves in its
+    slot of the shared row arena), plus the transport's ``extra``
+    segments.
 
     Raises :class:`WireError` when the update carries anything the
     format cannot express (e.g. an exotic payload value); a worker
@@ -388,8 +391,6 @@ def pack_client_update(update) -> bytes:
         segments[f"f.{field}"] = float(getattr(update, field))
     if update.params is not None:
         segments["params"] = update.params
-    if update.residual is not None:
-        segments["residual"] = update.residual
     ws = update.wire_size
     segments["wire_size"] = np.array(
         [ws.values, ws.index_ints, ws.raw_bytes], dtype=np.int64
@@ -402,6 +403,7 @@ def pack_client_update(update) -> bytes:
     if update.payload:
         for name, value in update.payload.items():
             segments[f"p.{name}"] = value
+    segments.update(extra or {})
     return pack("update", segments)
 
 
@@ -416,7 +418,6 @@ def client_update_from_segments(segments: Mapping[str, object]):
     streams: dict[str, np.ndarray] = {}
     payload: dict[str, object] = {}
     params = None
-    residual = None
     wire_size = None
     for name, value in segments.items():
         prefix, _, rest = name.partition(".")
@@ -428,8 +429,6 @@ def client_update_from_segments(segments: Mapping[str, object]):
             payload[rest] = value
         elif name == "params":
             params = value
-        elif name == "residual":
-            residual = value
         elif name == "wire_size":
             values, index_ints, raw_bytes = (int(x) for x in value)
             wire_size = WireSize(values=values, index_ints=index_ints, raw_bytes=raw_bytes)
@@ -451,5 +450,4 @@ def client_update_from_segments(segments: Mapping[str, object]):
         worker=int(fields["worker"]),
         payload=payload or None,
         params_streams=streams or None,
-        residual=residual,
     )

@@ -5,8 +5,9 @@ length-prefixed frame (:func:`repro.fl.wire.frame`): a ``state`` frame
 (the segments of a round state every task reads, without the model,
 plus a ``serve.seq``), ``generic`` messages told apart by an integer
 ``serve.op`` (``HELLO``; ``MODEL``, a group's model and the ``serve.seq``
-of the state it goes with; ``TASK``, one client's headers and its own
-rows; ``SHUTDOWN``; and ``UPDATE_PICKLE``, the fallback for an update
+of the state it goes with; ``TASK``, one client's headers and the slot
+of the shared row arena holding its own rows (:mod:`repro.serve.arena`);
+``SHUTDOWN``; and ``UPDATE_PICKLE``, the fallback for an update
 the wire format cannot express), and packed ``update`` frames.
 ``docs/serving.md`` tabulates their segments; when each is sent is
 :mod:`repro.serve.schedule`'s.  The pickle blob is produced by our
@@ -71,7 +72,7 @@ def parse_serve_addr(spec) -> tuple[str, object]:
 # -- frame builders -----------------------------------------------------------------
 #
 # ``build_*`` return ready-to-send length-prefixed bytes.  The frames
-# that carry megabytes — the round state, a group's model, a task's rows —
+# that carry megabytes — the round state, a group's model —
 # also come as ``*_parts``: ``(frame length, pieces)`` whose pieces the server
 # queues as they are (one list shared by every connection), so none is
 # joined into a copy on its way to the socket.  ``build_state``,
@@ -115,48 +116,48 @@ def build_model(seq: int, model: np.ndarray) -> bytes:
 
 def task_parts(
     round_idx: int, position: int, client_id: int, seq: int, block: int,
-    rows: dict | None = None,
+    slot: int | None = None, rows: int = 0,
 ) -> tuple[int, list]:
     """One client's task, trained on the last model frame, whose
     ``serve.seq`` it repeats.  ``block`` is how many task frames, this
     one included, the server queued back to back for the worker to
-    train together; ``rows`` are the client's own ``<prefix>row``
-    segments (:meth:`~repro.algorithms.base.FederatedAlgorithm._served_state`)."""
-    return wire.frame_parts(
-        *wire.pack_parts(
-            "generic",
-            {
-                "serve.op": OP_TASK,
-                "serve.round": round_idx,
-                "serve.position": position,
-                "serve.client": client_id,
-                "serve.seq": seq,
-                "serve.block": block,
-                **(rows or {}),
-            },
-        )
-    )
+    train together; ``slot`` is the client's slot of the shared row
+    arena (:mod:`repro.serve.arena`, None when the run has no own-row
+    state) and ``rows`` the mask of the prefixes the server filled."""
+    segments = {
+        "serve.op": OP_TASK,
+        "serve.round": round_idx,
+        "serve.position": position,
+        "serve.client": client_id,
+        "serve.seq": seq,
+        "serve.block": block,
+    }
+    if slot is not None:
+        segments.update({"serve.slot": slot, "serve.rows": rows})
+    return wire.frame_parts(*wire.pack_parts("generic", segments))
 
 
 def build_task(
     round_idx: int, position: int, client_id: int, seq: int, block: int,
-    rows: dict | None = None,
+    slot: int | None = None, rows: int = 0,
 ) -> bytes:
-    return b"".join(task_parts(round_idx, position, client_id, seq, block, rows)[1])
+    return b"".join(task_parts(round_idx, position, client_id, seq, block, slot, rows)[1])
 
 
 def build_shutdown() -> bytes:
     return wire.frame(wire.pack("generic", {"serve.op": OP_SHUTDOWN}))
 
 
-def build_update(update) -> bytes:
-    """Pack one finished client update (wire format, pickle fallback)."""
+def build_update(update, slot: int | None = None) -> bytes:
+    """Pack one finished client update (wire format, pickle fallback);
+    ``slot`` names the arena slot its residual was written to."""
+    extra = {} if slot is None else {"serve.slot": slot}
     try:
-        return wire.frame(wire.pack_client_update(update))
+        return wire.frame(wire.pack_client_update(update, extra))
     except WireError:
         blob = np.frombuffer(pickle.dumps(update), dtype=np.uint8)
         return wire.frame(
-            wire.pack("generic", {"serve.op": OP_UPDATE_PICKLE, "blob": blob})
+            wire.pack("generic", {"serve.op": OP_UPDATE_PICKLE, "blob": blob, **extra})
         )
 
 
@@ -165,14 +166,15 @@ def parse_message(message: bytes):
 
     Kinds: ``('state', segments)``, ``('hello', segments)``,
     ``('model', segments)``, ``('task', segments)``, ``('shutdown', None)``, or
-    ``('update', ClientUpdate)``.  Unknown shapes raise
+    ``('update', (ClientUpdate, arena slot or None))``.  Unknown shapes raise
     :class:`WireError` — the connection is then treated as broken.
     """
     kind, segments = wire.unpack(message)
     if kind == "state":
         return "state", segments
     if kind == "update":
-        return "update", wire.client_update_from_segments(segments)
+        slot = segments.pop("serve.slot", None)
+        return "update", (wire.client_update_from_segments(segments), slot)
     op = segments.get("serve.op")
     if op == OP_HELLO:
         return "hello", segments
@@ -183,7 +185,7 @@ def parse_message(message: bytes):
     if op == OP_SHUTDOWN:
         return "shutdown", None
     if op == OP_UPDATE_PICKLE:
-        return "update", pickle.loads(segments["blob"].tobytes())
+        return "update", (pickle.loads(segments["blob"].tobytes()), segments.get("serve.slot"))
     raise WireError(f"unknown serve message (kind={kind!r}, serve.op={op!r})")
 
 

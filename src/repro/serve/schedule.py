@@ -69,12 +69,17 @@ class WaveSchedule:
     def hello(self, conn) -> None:
         self._held.setdefault(conn, {})
 
+    def position(self, conn, client_id: int) -> int | None:
+        """The position an update from ``conn`` would fill, None for a
+        duplicate; nothing changes until :meth:`update`."""
+        held = self._held.get(conn, {})
+        return next((pos for pos, (cid, _b) in held.items() if cid == client_id), None)
+
     def update(self, conn, client_id: int) -> int | None:
         """The position an update from ``conn`` fills, None for a duplicate."""
-        held = self._held.get(conn, {})
-        position = next((pos for pos, (cid, _b) in held.items() if cid == client_id), None)
+        position = self.position(conn, client_id)
         if position is not None:
-            del held[position]
+            del self._held[conn][position]
             self.remaining -= 1
         return position
 

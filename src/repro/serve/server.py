@@ -70,6 +70,7 @@ from repro.fl.parallel import (
 from repro.fl.wire import FrameAssembler
 from repro.obs import sysinfo
 from repro.serve import protocol
+from repro.serve.arena import RowArena
 from repro.serve.schedule import WaveSchedule
 
 RECV_CHUNK = 1 << 16
@@ -111,6 +112,7 @@ class _RoundStats:
     worker_retries: int = 0
     latencies: list = field(default_factory=list)
     state_bytes: int = 0  # the wave's state and model frames, each counted once
+    arena_bytes: int = 0  # own rows copied into the arena, residual rows read out
     blocks: list = field(default_factory=list)  # the schedule's, as dispatched
 
 
@@ -176,6 +178,7 @@ class ServeExecutor(ClientExecutor):
         self._seq = 0
         self._next_worker_id = 0
         self._schedule = WaveSchedule(self.max_inflight)
+        self._arena: RowArena | None = None  # mapped before the first fork
 
     @classmethod
     def from_config(cls, config) -> "ServeExecutor":
@@ -234,6 +237,7 @@ class ServeExecutor(ClientExecutor):
         if self._listener is None:
             self._open_listener()
             self._bound = weakref.ref(algorithm)
+            self._arena = RowArena.for_algorithm(algorithm, self.max_inflight)
         self._procs = [p for p in self._procs if p.is_alive()]
         missing = self.num_workers - len(self._procs)
         if missing <= 0:
@@ -251,7 +255,7 @@ class ServeExecutor(ClientExecutor):
                 target=worker_main,
                 args=(
                     algorithm, self._resolved, self._next_worker_id,
-                    self.timeout, self.retries, self.backoff, inherited,
+                    self.timeout, self.retries, self.backoff, inherited, self._arena,
                 ),
                 daemon=True,
                 name=_worker_name(self._next_worker_id),
@@ -293,6 +297,7 @@ class ServeExecutor(ClientExecutor):
             self._uds_dir = None
         self._resolved = None
         self._bound = None
+        self._arena = None
 
     def close(self) -> None:
         self._shutdown_serving()
@@ -391,14 +396,15 @@ class ServeExecutor(ClientExecutor):
         return sum(proc not in helloed and proc.is_alive() for proc in self._procs)
 
     def _drop_conn(self, conn: _Conn, stats: _RoundStats) -> None:
-        """Close a broken connection: the schedule requeues what it held,
-        and its worker is reaped, so the next wave forks a replacement."""
+        """Close a broken connection: its worker is reaped, so the next
+        wave forks a replacement and none of its arena slots has a live
+        writer, and only then does the schedule requeue what it held."""
         stats.disconnects += 1
-        self._schedule.dead(conn)
         self._close_conn(conn)
         if conn.proc in self._procs:
             _reap(conn.proc, grace=1.0)
             self._procs.remove(conn.proc)
+        self._schedule.dead(conn)
 
     # -- the round -------------------------------------------------------------------
     def _serve_round(self, algorithm, groups: list[tuple], stats: _RoundStats):
@@ -443,6 +449,8 @@ class ServeExecutor(ClientExecutor):
                 self._drop_conn(conn, stats)
 
         schedule = self._schedule
+        arena = self._arena
+        slot_of: dict[int, int] = {}  # position -> its arena slot, dispatch to answer
         schedule.begin_wave(dispatch_units(algorithm, groups), numbers)
         stats.blocks = schedule.blocks
         results: dict[int, object] = {}  # arrived, not yet released
@@ -474,8 +482,15 @@ class ServeExecutor(ClientExecutor):
                         send.conn.state_seq = seq
                     self._queue(send.conn, model_frames[send.group], stats)
                 for pos, cid in send.slots:
+                    slot, filled = None, 0
+                    if arena is not None:  # a redispatch re-copies the rows
+                        slot = slot_of.get(pos)
+                        if slot is None:
+                            slot = slot_of[pos] = arena.acquire()
+                        filled, copied = arena.fill(slot, task_rows[seq].get(cid, {}))
+                        stats.arena_bytes += copied
                     task = protocol.task_parts(
-                        group_round, pos, cid, seq, len(send.slots), task_rows[seq].get(cid)
+                        group_round, pos, cid, seq, len(send.slots), slot, filled
                     )
                     if send.redispatch:
                         stats.redispatch_bytes += model.nbytes
@@ -517,12 +532,27 @@ class ServeExecutor(ClientExecutor):
                         schedule.hello(conn)
                         stats.worker_retries += max(0, int(payload.get("serve.attempts", 1)) - 1)
                     elif msg_kind == "update":
-                        pos = schedule.update(conn, payload.client_id)
+                        update, slot = payload
+                        pos = schedule.position(conn, update.client_id)
                         if pos is None:
                             stats.duplicates += 1
                             continue
-                        results[pos] = payload
-                        stats.up_model_bytes += protocol.update_model_bytes(payload)
+                        if slot != slot_of.get(pos):
+                            # A slot this position does not hold (out of
+                            # range, another connection's): drop the
+                            # connection, as a worker drops a stale task.
+                            closed = True
+                            break
+                        schedule.update(conn, update.client_id)
+                        if arena is not None:
+                            # The whole frame is in, so the worker is done
+                            # with the slot: copy its residual out, free it.
+                            if arena.residual_index is not None:
+                                update.residual = arena.read_residual(slot)
+                                stats.arena_bytes += update.residual.nbytes
+                            arena.release(slot_of.pop(pos))
+                        results[pos] = update
+                        stats.up_model_bytes += protocol.update_model_bytes(update)
                         stats.latencies.append(time.monotonic() - dispatch_time[pos])
                     else:
                         raise ServeError(f"unexpected {msg_kind!r} message from a worker")
@@ -551,21 +581,29 @@ class ServeExecutor(ClientExecutor):
         updates = []  # the wave's records, as the consumer leaves them
         elapsed = 0.0  # the engine's, not the time the consumer holds the stream
         wave = self._serve_round(algorithm, groups, stats)
-        while True:
-            started = time.perf_counter()
-            try:
-                position, update = next(wave)
-            except StopIteration:
-                break
-            except Exception as exc:  # worker loss, stall, socket or wire failure
-                self._degrade(f"socket serving failed: {exc!r}")
-                yield from self._fallback.stream(
-                    algorithm, round_idx, _unreleased(groups, len(updates))
-                )
-                return
-            elapsed += time.perf_counter() - started
-            updates.append(update)
-            yield group_of[position], update
+        finished = False
+        try:
+            while True:
+                started = time.perf_counter()
+                try:
+                    position, update = next(wave)
+                except StopIteration:
+                    break
+                except Exception as exc:  # worker loss, stall, socket or wire failure
+                    self._degrade(f"socket serving failed: {exc!r}")
+                    yield from self._fallback.stream(
+                        algorithm, round_idx, _unreleased(groups, len(updates))
+                    )
+                    return
+                elapsed += time.perf_counter() - started
+                updates.append(update)
+                yield group_of[position], update
+            finished = True
+        finally:
+            if not finished and self._arena is not None:
+                # Abandoned mid-wave: its workers may still write their
+                # arena slots, so none is free until they are gone.
+                self._shutdown_serving()
         elapsed += time.perf_counter() - started
         self._record_metrics(algorithm.tracer, updates, stats, elapsed)
         # Reconciliation runs OUTSIDE the degrade path: a byte-accounting
@@ -612,6 +650,8 @@ class ServeExecutor(ClientExecutor):
         metrics.counter("serve.bytes_sent").inc(stats.sent_bytes)
         metrics.counter("serve.bytes_received").inc(stats.recv_bytes)
         metrics.counter("serve.state_bytes").inc(stats.state_bytes)
+        if stats.arena_bytes:
+            metrics.counter("serve.arena_bytes").inc(stats.arena_bytes)
         for name, count in (
             ("serve.connects", stats.connects),
             ("serve.disconnects", stats.disconnects),
@@ -696,3 +736,6 @@ def _reap(proc, grace: float) -> None:
     if proc.is_alive():
         proc.terminate()
         proc.join(timeout=1.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()

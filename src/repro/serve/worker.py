@@ -12,11 +12,14 @@ exponential backoff, and then loops:
   it goes with, and one naming a state this connection did not install
   last makes the worker exit (the server redispatches).
 * ``task`` frame  -> hold it until the ``serve.block`` frames of its
-  block have arrived; then install the own rows the tasks carry
-  (``_install_rows``), train the block on the last model frame's model
-  as the serial engine would (:func:`repro.fl.parallel.run_held_clients`)
-  and send one packed update per client back, in order.  A task whose
-  ``serve.seq`` is not that model frame's makes the worker exit.
+  block have arrived; then install read-only views of the own rows in
+  the tasks' slots of the shared row arena (``_install_rows``), train
+  the block on the last model frame's model as the serial engine would
+  (:func:`repro.fl.parallel.run_held_clients`), and for each client, in
+  order, write its residual into its slot and send its packed update,
+  which names the slot.  A task whose ``serve.seq`` is not that model
+  frame's, or whose slot is not one of the arena's, makes the worker
+  exit.
 * ``shutdown`` frame or EOF -> exit.
 
 Retries, timeouts and the orphan exit: ``docs/serving.md``.
@@ -28,6 +31,7 @@ import os
 import socket
 import time
 
+from repro.exceptions import ProtocolError
 from repro.fl import wire
 from repro.fl.parallel import run_held_clients
 from repro.obs.trace import NULL_TRACER
@@ -99,8 +103,11 @@ def worker_main(
     retries: int,
     backoff: float,
     inherited: tuple = (),
+    arena=None,
 ) -> None:
-    """Run one worker's serve loop (the forked child's entry point)."""
+    """Run one worker's serve loop (the forked child's entry point);
+    ``arena`` is the server's :class:`~repro.serve.arena.RowArena`,
+    inherited with the fork (None when the run has no own-row state)."""
     # Sockets inherited from the parent (the listener, other workers'
     # accepted connections) must close here: a lingering duplicate fd
     # would keep a peer's connection half-open after its real owner
@@ -155,18 +162,33 @@ def worker_main(
                             # makes this a protocol bug, not a race.
                             # Exit; the server redispatches.
                             return
+                        slot = payload.get("serve.slot")
+                        if (slot is None) != (arena is None):
+                            return
+                        if arena is not None:
+                            arena.check(int(slot), int(payload["serve.rows"]))
                         held.append(payload)
                         if len(held) < int(payload["serve.block"]):
                             continue
                         clients = [int(task["serve.client"]) for task in held]
-                        algorithm._install_rows(clients, held)
+                        slots = [task.get("serve.slot") for task in held]
+                        rows = [
+                            {} if arena is None
+                            else arena.rows(int(task["serve.slot"]), int(task["serve.rows"]))
+                            for task in held
+                        ]
+                        algorithm._install_rows(clients, rows)
                         round_idx = int(payload["serve.round"])
-                        for update in run_held_clients(algorithm, round_idx, clients):
+                        updates = run_held_clients(algorithm, round_idx, clients)
+                        for update, slot in zip(updates, slots):
+                            if arena is not None:
+                                arena.put_residual(int(slot), update.residual)
+                                update.residual = None
                             send_with_retry(
-                                sock, protocol.build_update(update), retries, backoff
+                                sock, protocol.build_update(update, slot), retries, backoff
                             )
                         held = []
                     elif kind == "shutdown":
                         return
-        except (OSError, wire.WireError):
+        except (OSError, wire.WireError, ProtocolError):
             return

@@ -26,6 +26,7 @@ from repro.fl.config import FLConfig
 from repro.fl.trainer import run_federated
 from repro.obs import Tracer
 from repro.serve import protocol
+from repro.serve.arena import RowArena
 from tests.conftest import make_toy_federation
 from tests.helpers import assert_equivalent_runs, tiny_model_fn
 
@@ -110,15 +111,16 @@ def test_a_served_block_reads_exactly_its_tasks_rows(state_cap):
     with pytest.raises(ProtocolError, match="outside the cohort"):  # no block yet
         worker._residuals.get(1)
     block = [9, 1, 12]
-    tasks = [
-        protocol.parse_message(
-            protocol.build_task(0, pos, cid, 1, len(block), rows.get(cid))[
-                wire.FRAME_PREFIX.size:
-            ]
-        )[1]
-        for pos, cid in enumerate(block)
-    ]
-    worker._install_rows(block, tasks)
+    arena = RowArena.for_algorithm(algorithm, len(block))
+    tasks = []
+    for pos, cid in enumerate(block):
+        filled, _copied = arena.fill(pos, rows.get(cid, {}))
+        tasks.append(protocol.parse_message(
+            protocol.build_task(0, pos, cid, 1, len(block), pos, filled)[wire.FRAME_PREFIX.size:]
+        )[1])
+    worker._install_rows(
+        block, [arena.rows(task["serve.slot"], task["serve.rows"]) for task in tasks]
+    )
     for table in ("_residuals", "client_controls"):
         for client in block:  # reported or not: the parent's bytes
             got = getattr(worker, table).get(client)

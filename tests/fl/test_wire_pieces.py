@@ -71,15 +71,16 @@ def golden_update() -> ClientUpdate:
             "values": gen.normal(size=600),
         },
         wire_size=WireSize(values=2, index_ints=600, raw_bytes=600),
-        residual=gen.normal(size=12000),
     )
 
 
 GOLDEN = {
     "pack": "98e3d6265076d243c78bb5caa41b0e07",
     "pack_state": "89ad059b0e4b7ee0dab45746cfd86271",
-    # Re-recorded: the update message lost ``f.wire`` and two ``wire_size`` ints.
-    "pack_client_update": "0b02fa68d56515feba128ade5edbf149",
+    # Re-recorded: the update message lost ``f.wire`` and two ``wire_size``
+    # ints, then its ``residual`` segment (a served worker's residual
+    # stays in its arena slot) and the golden update its residual.
+    "pack_client_update": "d2c8859f7fe04a033074f95c0647f895",
     "frame": "8c0bba3b7dd07c3aaf76441cf788fd02",
     "pack_empty": "2aaf953756dd1408bf52ec74c761d02d",
 }
@@ -213,9 +214,11 @@ def test_update_message_is_unpacked_once(monkeypatch):
         return original(buf)
 
     monkeypatch.setattr(wire, "unpack", counting)
-    kind, update = protocol.parse_message(message)
-    assert kind == "update" and update.client_id == 5
-    np.testing.assert_array_equal(update.residual, golden_update().residual)
+    kind, (update, slot) = protocol.parse_message(message)
+    assert kind == "update" and update.client_id == 5 and slot is None
+    np.testing.assert_array_equal(
+        update.params_streams["values"], golden_update().params_streams["values"]
+    )
     assert len(calls) == 1
 
 

@@ -116,10 +116,9 @@ def test_model_round_trip_carries_seq_and_model():
     np.testing.assert_array_equal(payload["model"], model)
 
 
-def test_task_round_trip_carries_headers_and_rows_only():
-    row = np.linspace(-1, 1, 17)
+def test_task_round_trip_carries_headers_and_its_slot_only():
     framed = protocol.build_task(
-        round_idx=4, position=2, client_id=9, seq=5, block=3, rows={"ef.row": row}
+        round_idx=4, position=2, client_id=9, seq=5, block=3, slot=7, rows=0b10
     )
     kind, payload = protocol.parse_message(_deframe(framed))
     assert kind == "task"
@@ -128,8 +127,12 @@ def test_task_round_trip_carries_headers_and_rows_only():
     assert payload["serve.client"] == 9
     assert payload["serve.seq"] == 5
     assert payload["serve.block"] == 3
-    np.testing.assert_array_equal(payload["ef.row"], row)
-    assert "model" not in payload  # the model rides in its own frame
+    assert (payload["serve.slot"], payload["serve.rows"]) == (7, 0b10)
+    # The model rides in its own frame, the rows in the arena.
+    assert not [key for key in payload if not key.startswith("serve.")]
+    assert "serve.slot" not in protocol.parse_message(
+        _deframe(protocol.build_task(4, 2, 9, 5, 3))
+    )[1]
 
 
 def test_shutdown_round_trip():
@@ -155,17 +158,19 @@ def _update(**overrides) -> ClientUpdate:
 
 
 def test_update_round_trip_dense():
-    kind, out = protocol.parse_message(_deframe(protocol.build_update(_update())))
-    assert kind == "update"
+    kind, (out, slot) = protocol.parse_message(_deframe(protocol.build_update(_update())))
+    assert kind == "update" and slot is None
     np.testing.assert_array_equal(out.params, _update().params)
     assert out.client_id == 3
+    _kind, (out, slot) = protocol.parse_message(_deframe(protocol.build_update(_update(), 11)))
+    assert slot == 11 and out.client_id == 3
 
 
 def test_update_pickle_fallback_round_trip():
     """An update the wire format cannot express rides as a pickle blob."""
     update = _update(payload={"weird": {"nested": "dict"}})
-    kind, out = protocol.parse_message(_deframe(protocol.build_update(update)))
-    assert kind == "update"
+    kind, (out, slot) = protocol.parse_message(_deframe(protocol.build_update(update, 4)))
+    assert kind == "update" and slot == 4
     assert out.payload == {"weird": {"nested": "dict"}}
     np.testing.assert_array_equal(out.params, update.params)
 

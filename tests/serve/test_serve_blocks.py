@@ -28,6 +28,7 @@ from repro.fl.trainer import run_federated
 from repro.models import build_model
 from repro.obs import Tracer
 from repro.serve import protocol, worker
+from repro.serve.arena import RowArena
 from repro.serve.server import ServeExecutor
 from tests.fl.test_cohort_stacking import _counters
 from tests.helpers import assert_equivalent_runs
@@ -191,9 +192,9 @@ class _Trickle:
         return getattr(self._sock, name)
 
 
-def _bound_algorithm(fed):
+def _bound_algorithm(fed, **overrides):
     algorithm = make_algorithm("fedavg")
-    algorithm.setup(build_model("mlp", fed.spec, seed=2, scale=0.25), fed, _config())
+    algorithm.setup(build_model("mlp", fed.spec, seed=2, scale=0.25), fed, _config(**overrides))
     return algorithm
 
 
@@ -202,22 +203,21 @@ def _task_stream(algorithm, blocks, seq=3, round_idx=1, stale=None):
     then each block's tasks back to back.  ``stale`` gives one position
     another sequence number."""
     cohort = [cid for block in blocks for cid in block]
-    shared, rows = algorithm._served_state(algorithm._worker_state(cohort))
+    shared, _rows = algorithm._served_state(algorithm._worker_state(cohort))
     frames = [protocol.build_state(shared, seq), protocol.build_model(seq, algorithm.global_params)]
     position = 0
     for block in blocks:
         for cid in block:
             frames.append(
                 protocol.build_task(
-                    round_idx, position, cid, seq + (position == stale), len(block),
-                    rows.get(cid),
+                    round_idx, position, cid, seq + (position == stale), len(block)
                 )
             )
             position += 1
     return frames
 
 
-def _worker_session(fed, tmp_path, monkeypatch, frames, cuts, expect):
+def _worker_session(fed, tmp_path, monkeypatch, frames, cuts, expect, algorithm=None, arena=None):
     """Run ``worker_main`` in a thread against this test as its server;
     returns the update frames it answered before closing (at most
     ``expect``, after which it is told to shut down)."""
@@ -236,7 +236,7 @@ def _worker_session(fed, tmp_path, monkeypatch, frames, cuts, expect):
         listener.settimeout(10.0)
         thread = threading.Thread(
             target=worker.worker_main,
-            args=(_bound_algorithm(fed), ("uds", path), 1, 10.0, 2, 0.01),
+            args=(algorithm or _bound_algorithm(fed), ("uds", path), 1, 10.0, 2, 0.01, (), arena),
             daemon=True,
         )
         thread.start()
@@ -257,7 +257,7 @@ def _worker_session(fed, tmp_path, monkeypatch, frames, cuts, expect):
                         hello = True
                     else:
                         assert kind == "update"
-                        updates.append(payload)
+                        updates.append(payload[0])
                 if len(updates) >= expect and not shutdown:
                     shutdown = True
                     conn.sendall(protocol.build_shutdown())
@@ -324,6 +324,70 @@ def test_a_model_for_a_state_never_installed_makes_the_worker_exit(fed, tmp_path
     assert _worker_session(fed, tmp_path, monkeypatch, frames, [], expect=2) == []
 
 
+# -- (h) hostile slot numbers ----------------------------------------------------------
+
+
+def test_a_task_naming_a_slot_outside_the_arena_makes_the_worker_exit(fed, tmp_path, monkeypatch):
+    """A slot the arena does not have is a protocol bug, like a stale
+    ``serve.seq``: the worker leaves without training what it held."""
+    algorithm = _bound_algorithm(fed, **WIRE["compressed"])
+    arena = RowArena.for_algorithm(algorithm, 4)
+    shared, _rows = algorithm._served_state(algorithm._worker_state([4, 9]))
+    frames = [protocol.build_state(shared, 3), protocol.build_model(3, algorithm.global_params)]
+    frames += [
+        protocol.build_task(1, pos, cid, 3, 2, slot, 0)
+        for pos, cid, slot in [(0, 4, 0), (1, 9, arena.slots)]
+    ]
+    assert _worker_session(
+        fed, tmp_path, monkeypatch, frames, [], expect=2, algorithm=algorithm, arena=arena
+    ) == []
+
+
+def test_an_update_naming_another_connections_slot_drops_its_connection(fed, tmp_path, monkeypatch):
+    """One worker's first update names the slot a block of the other
+    connection holds: the server drops that connection (its worker is
+    reaped), redispatches what it held, and nobody can tell."""
+    config = _config(**WIRE["compressed"])
+    serial = _run("fedavg", fed, config)
+    server_pid, real_build = os.getpid(), protocol.build_update
+
+    def build(update, slot=None):
+        if os.getpid() != server_pid and slot is not None:
+            try:  # exactly one worker forges, once
+                os.close(os.open(str(tmp_path / "forged"), os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:  # the first two blocks hold slots 0-15 and 16-31
+                slot = int(slot) ^ COHORT_BLOCK
+        return real_build(update, slot)
+
+    monkeypatch.setattr(protocol, "build_update", build)
+    tracer = Tracer()
+    served = _serve("fedavg", fed, config, tracer=tracer)
+    assert (tmp_path / "forged").exists()
+    assert_equivalent_runs(serial, served)
+    counters = _counters(tracer, "serve.")
+    assert counters["serve.disconnects"] == 1 and counters["serve.redispatches"] >= 1
+
+
+class _Collecting(ServeExecutor):
+    """Holds a whole wave before the round commits any of it, as the
+    async engine's drains and a traced bench job do."""
+
+    def stream(self, algorithm, round_idx, regions):
+        yield from list(super().stream(algorithm, round_idx, regions))
+
+
+def test_a_collected_wave_keeps_its_residuals_while_slots_are_reused(fed):
+    """Two slots for a 40-client wave: each is reused many times before
+    the round commits, so a held update's residual must be its own copy,
+    not a view of a slot a later client wrote."""
+    config = _config(**WIRE["compressed"])
+    serial = _run("fedavg", fed, config)
+    served = _serve("fedavg", fed, config, executor=_Collecting(2, max_inflight=2))
+    assert_equivalent_runs(serial, served)
+
+
 # -- (c) a worker dies holding half a block ------------------------------------------
 
 
@@ -353,10 +417,10 @@ def _die_once(monkeypatch, tmp_path, when: str, after: int) -> None:
             maybe_die()
         return kind, payload
 
-    def build(update):
+    def build(update, slot=None):
         if when == "answered":  # the frames built before this one were sent whole
             maybe_die()
-        return real_build(update)
+        return real_build(update, slot)
 
     monkeypatch.setattr(protocol, "parse_message", parse)
     monkeypatch.setattr(protocol, "build_update", build)

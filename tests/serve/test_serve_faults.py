@@ -17,6 +17,7 @@ import pytest
 
 from repro.fl.config import FLConfig
 from repro.obs import Tracer
+from repro.serve.arena import RowArena
 from repro.serve.server import ServeExecutor
 from tests.helpers import WORKERS, assert_equivalent_runs, run_with_workers
 from tests.serve.conftest import run_serve
@@ -72,6 +73,42 @@ def test_worker_killed_between_compressed_rounds_is_replaced(fed):
     """The replacement picks the error-feedback residuals up from the
     round's cohort broadcast."""
     _kill_a_worker_between_rounds(fed, "topk:0.05|qsgd:8")
+
+
+@pytest.mark.parametrize("name", ["fedavg", "scaffold"])
+def test_worker_dies_mid_residual_write_and_its_rows_are_copied_again(
+    fed, tmp_path, monkeypatch, name
+):
+    """A worker writes half of a residual into its arena slot (over the
+    ``ef.`` row the server copied in) and exits
+    before it sends the update.  It is reaped, its tasks are
+    redispatched with their rows copied in again, and the run is the
+    serial run (``fedavg``: the residual row in and out; ``scaffold``:
+    the control row too)."""
+    config = _config(seed=53, compression="topk:0.05|qsgd:8")
+    serial = run_with_workers(name, {}, fed, config, num_workers=1)
+    server_pid, real_put = os.getpid(), RowArena.put_residual
+    calls = [0]
+
+    def torn(arena, slot, residual):
+        calls[0] += 1
+        if os.getpid() != server_pid and calls[0] == 5:  # past round 0: rows were copied in
+            try:  # exactly one worker wins the race to create it
+                os.close(os.open(str(tmp_path / "torn"), os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return real_put(arena, slot, residual)
+            half = len(residual) // 2
+            arena.row(slot, arena.residual_index)[:half] = residual[:half]
+            os._exit(1)
+        return real_put(arena, slot, residual)
+
+    monkeypatch.setattr(RowArena, "put_residual", torn)
+    tracer = Tracer()
+    served = run_serve(name, {}, fed, config, tracer=tracer)
+    assert (tmp_path / "torn").exists()
+    assert_equivalent_runs(serial, served)
+    counters = _counters(tracer)
+    assert counters["serve.disconnects"] == 1 and counters["serve.redispatches"] >= 1
 
 
 def test_all_workers_dead_degrades_with_warning(fed, monkeypatch):
@@ -193,7 +230,7 @@ def test_state_bytes_counts_one_cohort_scoped_frame_per_round(fed):
     counters = _counters(tracer)
     model_bytes = algorithm.model_size * 8
     per_round = counters["serve.state_bytes"] / config.rounds
-    # The model and headers: the residual rows ride in the tasks.
+    # The model and headers: the residual rows sit in the arena.
     assert model_bytes < per_round <= model_bytes + 4096
     assert counters["serve.bytes_sent"] >= counters["serve.state_bytes"]
 
@@ -201,24 +238,36 @@ def test_state_bytes_counts_one_cohort_scoped_frame_per_round(fed):
 @pytest.mark.parametrize("name, slots", [("fedavg", 0), ("fedavg", 1), ("scaffold", 2)])
 def test_each_reported_row_crosses_once_a_round(fed, name, slots):
     """A round sends each worker one state frame and one model frame,
-    and each client one task: its headers and its own rows (residual;
-    control; none in a dense FedAvg run), every row once, whichever
-    worker trains it."""
+    and each client one task of headers; its own rows (residual;
+    control; none in a dense FedAvg run) go through its slot of the
+    shared row arena — every reported row copied in once and every
+    residual copied out once, whichever worker trains it — so the
+    socket carries only frames that hold no row."""
     tracer = Tracer()
     compression = "topk:0.05|qsgd:8" if slots else "none"
     config = _config(seed=50, rounds=5, compression=compression)
     algorithm, _history = run_serve(name, {}, fed, config, tracer=tracer)
     counters = _counters(tracer)
     model = row = algorithm.model_size * 8
-    # The model crosses at most twice a connection a round, not once a client.
-    bound = WORKERS * (2 * model + 8192) + fed.num_clients * (slots * row + 512)
+    clients = fed.num_clients
+    # Down: the model at most twice a connection a round, headers a client.
+    bound = WORKERS * (2 * model + 8192) + clients * 512
     assert counters["serve.bytes_sent"] <= config.rounds * bound
+    # Up: each update's model payload (dense or compressed), headers, and
+    # SCAFFOLD's ``new_control`` / ``delta_c``, which still ride the update.
+    payload_rows = 2 if name == "scaffold" else 0
+    up_bound = counters["serve.bytes_wire_up"] + config.rounds * (
+        clients * (payload_rows * row + 1024) + WORKERS * 256
+    )
+    assert counters["serve.bytes_received"] <= up_bound
     if slots:
-        # Every client reported its rows in round 0, so the later
-        # rounds' tasks carried them: the traffic is above a row a client.
-        assert counters["serve.bytes_sent"] > config.rounds * fed.num_clients * row
-    else:  # fewer connections than clients: below a model a client
-        assert counters["serve.bytes_sent"] < config.rounds * fed.num_clients * model
+        # Every client reported its rows in round 0, so the later rounds
+        # copied them in; every round copied each residual out.
+        copied_in = (config.rounds - 1) * clients * slots * row
+        assert counters["serve.arena_bytes"] == copied_in + config.rounds * clients * row
+    else:  # no own-row state, no arena; fewer connections than clients
+        assert "serve.arena_bytes" not in counters
+        assert counters["serve.bytes_sent"] < config.rounds * clients * model
 
 
 def test_latency_quantiles_reach_the_snapshot(fed):

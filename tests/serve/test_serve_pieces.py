@@ -60,12 +60,9 @@ def test_build_state_model_and_task_are_the_joins_of_their_parts():
     assert length == len(protocol.build_model(9, model))
     # Nothing was copied: the model rides as a view of the caller's array.
     assert any(np.shares_memory(np.frombuffer(p, dtype=np.uint8), model) for p in pieces)
-    rows = {"ef.row": state["ef.rows"][3]}
-    length, pieces = protocol.task_parts(3, 1, 7, 9, 2, rows)
-    assert b"".join(pieces) == protocol.build_task(3, 1, 7, 9, 2, rows)
-    assert length == len(protocol.build_task(3, 1, 7, 9, 2, rows))
-    # Nor the row: a view of the snapshot's own array.
-    assert any(np.shares_memory(np.frombuffer(p, dtype=np.uint8), rows["ef.row"]) for p in pieces)
+    length, pieces = protocol.task_parts(3, 1, 7, 9, 2, 5, 1)
+    assert b"".join(pieces) == protocol.build_task(3, 1, 7, 9, 2, 5, 1)
+    assert length == len(protocol.build_task(3, 1, 7, 9, 2, 5, 1))
 
 
 # -- one piece list, many queues, partial sends -------------------------------------
@@ -129,8 +126,7 @@ def test_shared_pieces_survive_partial_sends_on_every_connection(chunk):
         state_frame = protocol.state_parts(state, 4)
         model_frame = protocol.model_parts(4, state["global_params"])
         tasks = [
-            protocol.task_parts(2, pos, 10 + pos, 4, 3, {"ef.row": state["ef.rows"][pos]})
-            for pos in range(3)
+            protocol.task_parts(2, pos, 10 + pos, 4, 3, pos, 1) for pos in range(3)
         ]
         for conn in conns:
             executor._queue(conn, state_frame, stats)
@@ -145,8 +141,7 @@ def test_shared_pieces_survive_partial_sends_on_every_connection(chunk):
             theirs.close()
     prefix = wire.FRAME_PREFIX.size
     expected = [protocol.build_state(state, 4), protocol.build_model(4, state["global_params"])] + [
-        protocol.build_task(2, pos, 10 + pos, 4, 3, {"ef.row": state["ef.rows"][pos]})
-        for pos in range(3)
+        protocol.build_task(2, pos, 10 + pos, 4, 3, pos, 1) for pos in range(3)
     ]
     for frames in received:
         assert [digest(f) for f in frames] == [digest(e[prefix:]) for e in expected]
@@ -170,7 +165,7 @@ class _FrameLog:
     def __init__(self, directory, monkeypatch, die_in_round: int | None = None) -> None:
         self.directory = directory
         self.built: dict[str, str] = {}
-        self.rows_sent: list[list[str]] = []  # each task's row segment names
+        self.rows_sent: list[int] = []  # each task's mask of rows filled in the arena
         self.server_pid = os.getpid()
         state_parts, model_parts, task_parts, parse = (
             protocol.state_parts, protocol.model_parts, protocol.task_parts,
@@ -191,10 +186,10 @@ class _FrameLog:
             self.built[f"model:{seq}"] = digest(b"".join(frame[1])[prefix:])
             return frame
 
-        def logged_task(round_idx, position, client_id, seq, block, rows=None):
-            frame = task_parts(round_idx, position, client_id, seq, block, rows)
+        def logged_task(round_idx, position, client_id, seq, block, slot=None, rows=0):
+            frame = task_parts(round_idx, position, client_id, seq, block, slot, rows)
             self.built[f"task:{seq}:{position}:{block}"] = digest(b"".join(frame[1])[prefix:])
-            self.rows_sent.append(sorted(rows or ()))
+            self.rows_sent.append(rows)
             return frame
 
         def logged_parse(message):
@@ -204,8 +199,8 @@ class _FrameLog:
                     key for key in payload
                     if key == "global_params" or key.startswith(("ef.", "controls."))
                 ]
-            if kind == "task":
-                assert "model" not in payload
+            if kind == "task":  # headers only: the rows are in the arena
+                assert not [key for key in payload if not key.startswith("serve.")]
             if kind in ("state", "model", "task") and os.getpid() != self.server_pid:
                 key = f"{kind}:{payload['serve.seq']}" if kind != "task" else (
                     f"task:{payload['serve.seq']}:{payload['serve.position']}"
@@ -292,8 +287,9 @@ def test_delivered_frames_equal_the_built_bytes(fed, tmp_path, monkeypatch, comp
     assert sum(k.startswith("state") for k in seen) == config.rounds
     assert sum(k.startswith("model") for k in seen) == config.rounds
     # Every client has reported a control by the last round, and a
-    # residual too under error feedback: those tasks carry the rows.
-    rows = ["controls.row"] + (["ef.row"] if compression != "none" else [])
+    # residual too under error feedback: those tasks name both rows as
+    # filled in the arena (prefixes in slot order: ``ef.``, ``controls.``).
+    rows = 0b11 if compression != "none" else 0b1
     assert log.rows_sent[-fed.num_clients:] == [rows] * fed.num_clients
     if scenario == "worker-dies":
         counters = tracer.metrics.snapshot()["counters"]
